@@ -12,6 +12,7 @@ import (
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/metrics"
+	"dcfp/internal/monitor"
 	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
@@ -216,27 +217,21 @@ func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisi
 		fsp.SetAttr("lo", int64(r.Lo))
 		fsp.SetAttr("hi", int64(r.Hi))
 		sub := rows[r.Lo:r.Hi]
-		viol := make([]bool, len(sub))
-		reporting := make([]bool, len(sub))
-		d, err := g.agg.ObserveBatchFiltered(0, sub, reporting)
+		p, err := monitor.IngestPartial(g.agg, 0, g.cfg.SLA, r.Lo, sub, make([]bool, len(sub)), make([]bool, len(sub)))
 		if err != nil {
 			return nil, err
 		}
-		f.Dropped += d
-		fsp.SetAttr("dropped_cells", int64(d))
-		st, err := g.cfg.SLA.EvaluateMasked(sub, viol, reporting)
-		if err != nil {
-			return nil, err
-		}
-		statuses = append(statuses, st)
+		f.Dropped += p.Dropped
+		fsp.SetAttr("dropped_cells", int64(p.Dropped))
+		statuses = append(statuses, p.Status)
 		// Ship only reporting rows; the coordinator never reads the rest.
 		br := make([][]float64, len(sub))
 		for i := range sub {
-			if reporting[i] {
+			if p.Reporting[i] {
 				br[i] = sub[i]
 			}
 		}
-		f.Blocks = append(f.Blocks, Block{Lo: r.Lo, Rows: br, Viol: viol, Reporting: reporting})
+		f.Blocks = append(f.Blocks, Block{Lo: r.Lo, Rows: br, Viol: p.Viol, Reporting: p.Reporting})
 		fsp.End()
 	}
 	sp.SetAttr("blocks", int64(len(f.Blocks)))
@@ -269,9 +264,7 @@ func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisi
 	if g.frameBytes != nil {
 		g.frameBytes.Observe(float64(len(data)))
 	}
-	for _, est := range ests {
-		est.Reset()
-	}
+	g.agg.Reset()
 	if tr != nil {
 		g.evictOpenTraces()
 		if g.open == nil {

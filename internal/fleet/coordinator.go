@@ -493,13 +493,7 @@ func (c *Coordinator) mergeLocked() {
 		tr.End()
 		return
 	}
-	var rep *monitor.EpochReport
-	var err error
-	if tr != nil {
-		rep, err = c.cfg.Monitor.ObserveAggregatedTrace(c.cfg.Machines, parts, tr)
-	} else {
-		rep, err = c.cfg.Monitor.ObserveAggregated(c.cfg.Machines, parts)
-	}
+	rep, err := c.cfg.Monitor.ObserveAggregated(c.cfg.Machines, parts, tr)
 	if err != nil {
 		tr.End()
 		if c.cfg.Events.Enabled() {

@@ -3,7 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"dcfp/internal/quantile"
 )
@@ -16,22 +16,19 @@ import (
 // estimators and by carrying the previous epoch's quantiles forward for a
 // metric no machine reported.
 
-// ObserveFiltered is Observe that skips non-finite values instead of feeding
-// them to the estimators. It reports how many values were dropped.
-func (a *Aggregator) ObserveFiltered(row []float64) (int, error) {
-	return observeFilteredInto(a.shards[0], row)
-}
-
 // batchStrip is how many machine rows the columnar batch path transposes at
 // a time. 256 rows × 100 metrics is a ~200KB scratch — large enough that the
 // per-column InsertBatch call is amortized over hundreds of values, small
 // enough to stay cache-friendly and bound per-shard memory.
 const batchStrip = 256
 
-// ObserveBatchFiltered is ObserveBatch with the same non-finite filtering.
-// A nil row marks a machine that delivered nothing this epoch and is skipped
-// whole. When reporting is non-nil (len(rows) entries), reporting[i] is set
-// to whether row i contributed at least one finite value.
+// ObserveBatchFiltered records a batch of machine rows into the given shard,
+// skipping non-finite values instead of feeding them to the estimators, and
+// reports how many values were dropped. Distinct shards may be fed
+// concurrently; a single shard must not. A nil row marks a machine that
+// delivered nothing this epoch and is skipped whole. When reporting is
+// non-nil (len(rows) entries), reporting[i] is set to whether row i
+// contributed at least one finite value.
 //
 // Ingestion is columnar: rows are transposed strip-by-strip into per-metric
 // columns and each estimator receives one InsertBatch per strip instead of
@@ -97,21 +94,6 @@ func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting
 	return dropped, nil
 }
 
-func observeFilteredInto(ests []quantile.Estimator, row []float64) (int, error) {
-	if len(row) != len(ests) {
-		return 0, fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
-	}
-	dropped := 0
-	for m, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			dropped++
-			continue
-		}
-		ests[m].Insert(v)
-	}
-	return dropped, nil
-}
-
 // summarizeMetricLenient is summarizeMetric that tolerates a metric with no
 // observations this epoch: instead of failing the whole epoch it reports a
 // gap and falls back to prev[m] (the previous epoch's quantiles — last
@@ -162,44 +144,26 @@ func (a *Aggregator) SummarizeLenient(prev [][3]float64) ([][3]float64, int, err
 // identical to SummarizeLenient for any worker count.
 func (a *Aggregator) SummarizeLenientParallel(workers int, prev [][3]float64) ([][3]float64, int, error) {
 	n := a.NumMetrics()
-	if workers > n {
-		workers = n
-	}
 	if workers <= 1 {
+		// The closure forEachMetric takes escapes to its goroutines; the
+		// serial epoch path stays allocation-free by not building one.
 		return a.SummarizeLenient(prev)
 	}
 	if prev != nil && len(prev) != n {
 		return nil, 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), n)
 	}
 	out := make([][3]float64, n)
-	gapCounts := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for m := lo; m < hi; m++ {
-				s, gap, err := a.summarizeMetricLenient(m, prev)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if gap {
-					gapCounts[w]++
-				}
-				out[m] = s
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	gaps := 0
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, 0, errs[w]
+	var gaps atomic.Int64
+	err := a.forEachMetric(workers, func(m int) error {
+		s, gap, err := a.summarizeMetricLenient(m, prev)
+		if gap {
+			gaps.Add(1)
 		}
-		gaps += gapCounts[w]
+		out[m] = s
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, gaps, nil
+	return out, int(gaps.Load()), nil
 }

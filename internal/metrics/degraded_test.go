@@ -47,14 +47,14 @@ func TestObserveFilteredDropsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := a.ObserveFiltered([]float64{1, math.NaN(), math.Inf(1)})
+	d, err := a.ObserveBatchFiltered(0, [][]float64{{1, math.NaN(), math.Inf(1)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 2 {
 		t.Fatalf("dropped %d values, want 2", d)
 	}
-	d, err = a.ObserveFiltered([]float64{2, 5, math.Inf(-1)})
+	d, err = a.ObserveBatchFiltered(0, [][]float64{{2, 5, math.Inf(-1)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSummarizeLenientFallsBackToPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only metric 0 observed anything this epoch.
-	if _, err := a.ObserveFiltered([]float64{10, math.NaN()}); err != nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{10, math.NaN()}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	prev := [][3]float64{{1, 2, 3}, {4, 5, 6}}

@@ -226,17 +226,14 @@ func (a *Aggregator) newShard(numMetrics int) []quantile.Estimator {
 func (a *Aggregator) NumMetrics() int { return len(a.shards[0]) }
 
 // EnsureShards grows the aggregator to at least n estimator shards. It must
-// be called from a single goroutine before concurrent ObserveBatch calls;
-// it is a no-op once enough shards exist.
+// be called from a single goroutine before concurrent ObserveBatchFiltered
+// calls; it is a no-op once enough shards exist.
 func (a *Aggregator) EnsureShards(n int) {
 	for len(a.shards) < n {
 		a.shards = append(a.shards, a.newShard(a.NumMetrics()))
 		a.scratch = append(a.scratch, colScratch{})
 	}
 }
-
-// Shards reports how many estimator shards have been allocated.
-func (a *Aggregator) Shards() int { return len(a.shards) }
 
 // Estimators exposes the live per-metric estimator slice of the given
 // shard. It exists for fleet aggregators that ship partial quantile state
@@ -251,76 +248,61 @@ func (a *Aggregator) Estimators(shard int) ([]quantile.Estimator, error) {
 	return a.shards[shard], nil
 }
 
-// Absorb merges an externally ingested per-metric estimator set (one
-// estimator per metric, in catalog order) into shard 0 — the
-// coordinator-side half of two-tier aggregation: remote shards insert
-// locally, ship their estimator state, and the coordinator folds every
-// shard's state into its own aggregator before summarizing. With exact
-// estimators the merge is lossless, so the summarized quantiles are
-// byte-identical to single-node insertion of the same value multiset.
-// Nil or empty estimators are skipped; the sources are left untouched.
-// Shard 0's estimators must implement quantile.Merger.
-func (a *Aggregator) Absorb(ests []quantile.Estimator) error {
-	if len(ests) != a.NumMetrics() {
-		return fmt.Errorf("metrics: absorbing %d estimators, want %d", len(ests), a.NumMetrics())
+// AbsorbSets merges externally ingested per-metric estimator sets (one
+// estimator per metric, in catalog order) into shard 0 — the coordinator
+// half of two-tier aggregation: remote shards insert locally, ship their
+// estimator state, and the coordinator folds it into its own aggregator
+// before summarizing. The work is spread across worker goroutines by metric
+// column; each column walks the sets in slice order, so the result does not
+// depend on the worker count — byte-identical for exact estimators, whose
+// merge is an order-preserving append. Nil sets and nil or empty estimators
+// are skipped; the sources are left untouched. Shard 0's estimators must
+// implement quantile.Merger. On error some columns may already be merged:
+// the caller must Reset before the next epoch.
+func (a *Aggregator) AbsorbSets(sets [][]quantile.Estimator, workers int) error {
+	n := a.NumMetrics()
+	for si, ests := range sets {
+		if ests != nil && len(ests) != n {
+			return fmt.Errorf("metrics: absorbing %d estimators in set %d, want %d", len(ests), si, n)
+		}
 	}
-	for m, est := range ests {
-		if est == nil || est.Count() == 0 {
-			continue
+	return a.forEachMetric(workers, func(m int) error {
+		for _, ests := range sets {
+			if ests == nil || ests[m] == nil || ests[m].Count() == 0 {
+				continue
+			}
+			if err := a.mergeInto(m, ests[m]); err != nil {
+				return err
+			}
 		}
-		mg, ok := a.shards[0][m].(quantile.Merger)
-		if !ok {
-			return fmt.Errorf("metrics: estimator %T does not support sharded aggregation (quantile.Merger)", a.shards[0][m])
-		}
-		if err := mg.Merge(est); err != nil {
-			return fmt.Errorf("metrics: metric %d: %w", m, err)
-		}
+		return nil
+	})
+}
+
+// mergeInto folds est into shard 0's estimator for metric m.
+func (a *Aggregator) mergeInto(m int, est quantile.Estimator) error {
+	mg, ok := a.shards[0][m].(quantile.Merger)
+	if !ok {
+		return fmt.Errorf("metrics: estimator %T does not support sharded aggregation (quantile.Merger)", a.shards[0][m])
+	}
+	if err := mg.Merge(est); err != nil {
+		return fmt.Errorf("metrics: metric %d: %w", m, err)
 	}
 	return nil
 }
 
-// AbsorbSets is Absorb over several estimator sets at once, with the merge
-// work spread across worker goroutines by metric column. Metric columns are
-// independent and each worker walks its columns through the sets in slice
-// order, so the result is identical to calling Absorb(sets[0]),
-// Absorb(sets[1]), … sequentially — byte-identical for exact estimators,
-// whose merge is an order-preserving append. Nil sets (and nil or empty
-// estimators within a set) are skipped, matching Absorb.
-func (a *Aggregator) AbsorbSets(sets [][]quantile.Estimator, workers int) error {
+// forEachMetric calls fn for every metric column, the columns split into
+// contiguous ranges over the given number of goroutines (inline for
+// workers <= 1). Columns are independent, so results do not depend on the
+// worker count. It returns the lowest-range error.
+func (a *Aggregator) forEachMetric(workers int, fn func(m int) error) error {
 	n := a.NumMetrics()
-	for si, ests := range sets {
-		if ests == nil {
-			continue
-		}
-		if len(ests) != n {
-			return fmt.Errorf("metrics: absorbing %d estimators in set %d, want %d", len(ests), si, n)
-		}
-	}
-	absorbColumn := func(m int) error {
-		for _, ests := range sets {
-			if ests == nil {
-				continue
-			}
-			est := ests[m]
-			if est == nil || est.Count() == 0 {
-				continue
-			}
-			mg, ok := a.shards[0][m].(quantile.Merger)
-			if !ok {
-				return fmt.Errorf("metrics: estimator %T does not support sharded aggregation (quantile.Merger)", a.shards[0][m])
-			}
-			if err := mg.Merge(est); err != nil {
-				return fmt.Errorf("metrics: metric %d: %w", m, err)
-			}
-		}
-		return nil
-	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for m := 0; m < n; m++ {
-			if err := absorbColumn(m); err != nil {
+			if err := fn(m); err != nil {
 				return err
 			}
 		}
@@ -329,17 +311,15 @@ func (a *Aggregator) AbsorbSets(sets [][]quantile.Estimator, workers int) error 
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for m := lo; m < hi; m++ {
-				if err := absorbColumn(m); err != nil {
-					errs[w] = err
+			for m := w * n / workers; m < (w+1)*n/workers; m++ {
+				if errs[w] = fn(m); errs[w] != nil {
 					return
 				}
 			}
-		}(w, lo, hi)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -350,28 +330,21 @@ func (a *Aggregator) AbsorbSets(sets [][]quantile.Estimator, workers int) error 
 	return nil
 }
 
+// Reset clears every estimator in every shard, discarding whatever the
+// current epoch has ingested so far — the recovery path after a failed
+// ingest or merge, so a half-built epoch cannot leak into the next one.
+func (a *Aggregator) Reset() {
+	for _, ests := range a.shards {
+		for _, est := range ests {
+			est.Reset()
+		}
+	}
+}
+
 // Observe records one machine's sample row (one value per metric) into
 // shard 0 — the serial path.
 func (a *Aggregator) Observe(row []float64) error {
-	return a.observeInto(a.shards[0], row)
-}
-
-// ObserveBatch records a batch of machine rows into the given shard.
-// Distinct shards may be fed concurrently; a single shard must not.
-func (a *Aggregator) ObserveBatch(shard int, rows [][]float64) error {
-	if shard < 0 || shard >= len(a.shards) {
-		return fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
-	}
-	ests := a.shards[shard]
-	for _, row := range rows {
-		if err := a.observeInto(ests, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *Aggregator) observeInto(ests []quantile.Estimator, row []float64) error {
+	ests := a.shards[0]
 	if len(row) != len(ests) {
 		return fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
 	}
@@ -384,22 +357,17 @@ func (a *Aggregator) observeInto(ests []quantile.Estimator, row []float64) error
 // mergeMetricShards folds metric m's shard estimators into shard 0 and
 // returns the merged primary estimator (resetting the drained shards).
 func (a *Aggregator) mergeMetricShards(m int) (quantile.Estimator, error) {
-	primary := a.shards[0][m]
 	for s := 1; s < len(a.shards); s++ {
 		est := a.shards[s][m]
 		if est.Count() == 0 {
 			continue
 		}
-		mg, ok := primary.(quantile.Merger)
-		if !ok {
-			return nil, fmt.Errorf("metrics: estimator %T does not support sharded aggregation (quantile.Merger)", primary)
-		}
-		if err := mg.Merge(est); err != nil {
-			return nil, fmt.Errorf("metrics: metric %d: %w", m, err)
+		if err := a.mergeInto(m, est); err != nil {
+			return nil, err
 		}
 		est.Reset()
 	}
-	return primary, nil
+	return a.shards[0][m], nil
 }
 
 // summarizeMetric merges metric m's shard estimators into shard 0, reads
@@ -443,43 +411,4 @@ func (a *Aggregator) SummarizeInto(out [][3]float64) error {
 		out[m] = s
 	}
 	return nil
-}
-
-// SummarizeParallel is Summarize with the per-metric merge+query work
-// spread over the given number of worker goroutines. Metrics are
-// independent, so the result is identical to Summarize for any worker
-// count.
-func (a *Aggregator) SummarizeParallel(workers int) ([][3]float64, error) {
-	n := a.NumMetrics()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return a.Summarize()
-	}
-	out := make([][3]float64, n)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for m := lo; m < hi; m++ {
-				s, err := a.summarizeMetric(m)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[m] = s
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

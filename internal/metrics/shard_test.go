@@ -50,19 +50,16 @@ func TestAggregatorShardedMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.EnsureShards(shards)
-		if a.Shards() != shards {
-			t.Fatalf("Shards = %d, want %d", a.Shards(), shards)
-		}
 		n := len(rows)
 		for w := 0; w < shards; w++ {
 			lo, hi := w*n/shards, (w+1)*n/shards
-			if err := a.ObserveBatch(w, rows[lo:hi]); err != nil {
+			if _, err := a.ObserveBatchFiltered(w, rows[lo:hi], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, err := a.SummarizeParallel(shards)
-		if err != nil {
-			t.Fatal(err)
+		got, gaps, err := a.SummarizeLenientParallel(shards, nil)
+		if err != nil || gaps != 0 {
+			t.Fatalf("gaps %d, err %v", gaps, err)
 		}
 		for m := range want {
 			if got[m] != want[m] {
@@ -80,20 +77,20 @@ func TestAggregatorShardsResetBetweenEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.EnsureShards(2)
-	if err := a.ObserveBatch(0, [][]float64{{1, 10}}); err != nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1, 10}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ObserveBatch(1, [][]float64{{3, 30}}); err != nil {
+	if _, err := a.ObserveBatchFiltered(1, [][]float64{{3, 30}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Summarize(); err != nil {
+	if _, _, err := a.SummarizeLenient(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Second epoch: only one shard used, one row.
-	if err := a.ObserveBatch(0, [][]float64{{7, 70}}); err != nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{7, 70}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Summarize()
+	got, _, err := a.SummarizeLenient(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +104,17 @@ func TestObserveBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ObserveBatch(1, [][]float64{{1, 2}}); err == nil {
+	if _, err := a.ObserveBatchFiltered(1, [][]float64{{1, 2}}, nil); err == nil {
 		t.Fatal("want out-of-range shard error before EnsureShards")
 	}
-	if err := a.ObserveBatch(-1, nil); err == nil {
+	if _, err := a.ObserveBatchFiltered(-1, nil, nil); err == nil {
 		t.Fatal("want negative-shard error")
 	}
-	if err := a.ObserveBatch(0, [][]float64{{1}}); err == nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1}}, nil); err == nil {
 		t.Fatal("want row-width error")
+	}
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1, 2}}, make([]bool, 2)); err == nil {
+		t.Fatal("want reporting-length error")
 	}
 }
 
@@ -130,13 +130,13 @@ func TestShardedNeedsMerger(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.EnsureShards(2)
-	if err := a.ObserveBatch(0, [][]float64{{1}}); err != nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ObserveBatch(1, [][]float64{{2}}); err != nil {
+	if _, err := a.ObserveBatchFiltered(1, [][]float64{{2}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Summarize()
+	_, _, err = a.SummarizeLenient(nil)
 	if err == nil || !strings.Contains(err.Error(), "quantile.Merger") {
 		t.Fatalf("err = %v, want Merger capability error", err)
 	}

@@ -252,21 +252,6 @@ func TestEpochWorkersResolution(t *testing.T) {
 	if w := m.epochWorkers(10000); w != 8 {
 		t.Fatalf("epochWorkers(10000) = %d, want 8", w)
 	}
-	// The floor is a knob: lowering it re-admits more workers at the same
-	// fleet size.
-	cfg.MinMachinesPerWorker = 25
-	m2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := m2.epochWorkers(100); w != 4 {
-		t.Fatalf("epochWorkers(100) with floor 25 = %d, want 4", w)
-	}
-	cfg.MinMachinesPerWorker = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("want negative MinMachinesPerWorker error")
-	}
-	cfg.MinMachinesPerWorker = 0
 	cfg.Workers = 1
 	m, err = New(cfg)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"dcfp/internal/core"
@@ -61,23 +60,17 @@ type Config struct {
 	// quantile estimator (nil = exact; use a GK sketch for very large
 	// installations).
 	NewEstimator func() quantile.Estimator
-	// Workers bounds the worker pool ObserveEpoch shards its per-machine
-	// work across: quantile feeds, SLA violation checks, and the row
-	// copies the ring buffer and feature selection retain. 0 resolves to
-	// GOMAXPROCS; 1 forces the serial path, which remains the reference
-	// implementation. The pool is additionally capped so each worker gets
-	// at least ~32 machines, keeping small installations serial. With the
-	// default exact estimator the sharded path produces byte-identical
-	// reports to the serial one; with sketch estimators the result is
-	// approximate in exactly the way the sketch already is.
+	// Workers bounds how many contiguous machine ranges ObserveEpoch splits
+	// an epoch into — one partial per range, each filtered into its own
+	// aggregator shard and SLA-checked on its own goroutine — and how many
+	// goroutines the per-metric merge and summarize fan out over. 0 resolves
+	// to GOMAXPROCS; 1 is the serial reference: one partial, no goroutines.
+	// The split is additionally capped so each range holds at least 64
+	// machines, keeping small installations serial. With the default exact
+	// estimator every split produces byte-identical reports; with sketch
+	// estimators the result is approximate in exactly the way the sketch
+	// already is.
 	Workers int
-	// MinMachinesPerWorker overrides the per-worker machine floor that
-	// additionally caps the pool (see Workers). 0 resolves to the default
-	// (64); deployments whose per-machine work is unusually heavy — wide
-	// metric catalogs, sketch estimators with expensive inserts — can
-	// lower it to fan out sooner, and profiles showing goroutine overhead
-	// can raise it. Negative is rejected.
-	MinMachinesPerWorker int
 	// MinCoverage is the minimum fraction of expected machines that must
 	// deliver at least one finite value for an epoch to be trusted. Below
 	// the floor the epoch is flagged degraded: its quantile summary is still
@@ -251,7 +244,7 @@ type Monitor struct {
 	ringEpoch []metrics.Epoch // epoch each slot was filled at
 	ringPos   int
 
-	// pool recycles the per-epoch retained-row matrices: ObserveEpoch copies
+	// pool recycles the per-epoch retained-row matrices: observeParts copies
 	// each reporting machine's row into one pooled matrix whose row views act
 	// as the copies slice, then either parks the matrix in the ring (idle
 	// epochs) or returns it to the pool before returning.
@@ -259,13 +252,14 @@ type Monitor struct {
 	// violBuf/reportBuf are the per-epoch violation and liveness masks,
 	// reused across calls so the steady-state path stops allocating them.
 	violBuf, reportBuf []bool
-	// Scratch for observeParallel's per-worker result slots, same idea.
-	partialsBuf  []sla.EpochStatus
-	droppedByBuf []int
-	errsBuf      []error
-	// setsBuf collects shard estimator sets for observeAggregated's
-	// parallel merge, reused across epochs.
-	setsBuf [][]quantile.Estimator
+	// Scratch for observeParts, same idea: ObserveEpoch's local partials,
+	// the machine ranges they cover, the per-partial fan-out errors, the
+	// SLA statuses to combine and the remote estimator sets to merge.
+	partsBuf   []ShardPartial
+	coveredBuf [][2]int
+	errsBuf    []error
+	statusBuf  []sla.EpochStatus
+	setsBuf    [][]quantile.Estimator
 
 	// Active crisis state.
 	activeStart metrics.Epoch
@@ -425,9 +419,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Workers < 0 {
 		return nil, errors.New("monitor: Workers must be non-negative")
 	}
-	if cfg.MinMachinesPerWorker < 0 {
-		return nil, errors.New("monitor: MinMachinesPerWorker must be non-negative")
-	}
 	if cfg.MinCoverage < 0 || cfg.MinCoverage > 1 {
 		return nil, fmt.Errorf("monitor: MinCoverage %v out of [0,1]", cfg.MinCoverage)
 	}
@@ -504,10 +495,10 @@ func (m *Monitor) KnownCrises() (stored, labeled int) {
 // the whole epoch is flagged degraded and the crisis state machine holds
 // still rather than acting on unrepresentative data.
 //
-// Per-machine work — quantile aggregation, SLA violation checks, and the
-// row copies the ring buffer and feature selection retain — is sharded
-// across the Config.Workers pool when the machine count warrants it; see
-// the Workers documentation for the equivalence guarantee.
+// The epoch is split into Config.Workers contiguous machine ranges when the
+// machine count warrants it, one ShardPartial per range, and handed to the
+// same pipeline the fleet coordinator feeds (observeParts); see the Workers
+// documentation for the equivalence guarantee.
 //
 // When a telemetry registry is attached, each pipeline stage (quantile
 // aggregation, SLA evaluation, threshold refresh, selection,
@@ -515,116 +506,30 @@ func (m *Monitor) KnownCrises() (stored, labeled int) {
 // call into dcfp_observe_epoch_seconds; with a nil registry no clocks are
 // read at all.
 func (m *Monitor) ObserveEpoch(samples [][]float64) (*EpochReport, error) {
-	var t0, ts time.Time
-	if m.tel != nil {
-		t0 = time.Now()
-		ts = t0
-	}
 	tr := m.cfg.Tracer.StartTrace("observe_epoch")
 	defer tr.End()
-	sp := tr.StartSpan("ingest")
-	if len(samples) == 0 {
-		return nil, errors.New("monitor: no machine samples")
+	n := len(samples)
+	workers := m.epochWorkers(n)
+	viol, reporting := m.scratchMasks(n)
+	parts := m.partsBuf[:0]
+	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		parts = append(parts, ShardPartial{Lo: lo, Rows: samples[lo:hi], Viol: viol[lo:hi], Reporting: reporting[lo:hi]})
 	}
-	for _, row := range samples {
-		if row != nil && len(row) != m.cfg.Catalog.Len() {
-			return nil, fmt.Errorf("monitor: sample row width %d, want %d", len(row), m.cfg.Catalog.Len())
-		}
-	}
-	if m.cfg.ExpectedMachines == 0 && len(samples) > m.expected {
-		m.expected = len(samples)
-	}
-	workers := m.epochWorkers(len(samples))
-	sp.SetAttr("machines", int64(len(samples)))
-	sp.End()
-	// copies/viol/reporting are the per-machine artifacts the state machine
-	// below consumes: retained row copies (ring buffer, feature selection),
-	// any-KPI violation flags, and the liveness mask. Both ingestion paths
-	// produce them in their single pass over the samples. The copies live in
-	// one pooled matrix per epoch — its row views are the copies slice (nil =
-	// non-reporting) — and viol/reporting reuse the monitor's scratch masks,
-	// so a steady-state epoch allocates none of them.
-	mat := m.pool.Get(len(samples), m.cfg.Catalog.Len())
-	copies := mat.RowViews()
-	viol, reporting := m.scratchMasks(len(samples))
-	retained := false
-	defer func() {
-		if !retained {
-			m.pool.Put(mat)
-		}
-	}()
-	var status sla.EpochStatus
-	var summary [][3]float64
-	var dropped, gaps int
-	if workers > 1 {
-		partials, sum, d, g, err := m.observeParallel(tr, samples, mat, viol, reporting, workers)
-		if err != nil {
-			return nil, err
-		}
-		summary, dropped, gaps = sum, d, g
-		// The fused fan-out interleaves aggregation and SLA checks, so the
-		// serial path's split attribution is unavailable: the sharded pass
-		// plus the quantile merge bills to "quantile", the (cheap) status
-		// merge to "sla".
-		ts = m.span(stageQuantile, ts)
-		sp = tr.StartSpan("sla")
-		status = m.cfg.SLA.MergeStatuses(partials)
-		sp.End()
-		ts = m.span(stageSLA, ts)
-	} else {
-		sp = tr.StartSpan("filter")
-		d, err := m.agg.ObserveBatchFiltered(0, samples, reporting)
-		if err != nil {
-			return nil, err
-		}
-		dropped = d
-		sp.SetAttr("values_dropped", int64(dropped))
-		sp.End()
-		sp = tr.StartSpan("summarize")
-		sum, g, err := m.agg.SummarizeLenient(m.lastSummary)
-		if err != nil {
-			return nil, err
-		}
-		summary, gaps = sum, g
-		if err := m.track.AppendEpoch(summary); err != nil {
-			return nil, err
-		}
-		sp.SetAttr("metric_gaps", int64(gaps))
-		sp.End()
-		ts = m.span(stageQuantile, ts)
-		sp = tr.StartSpan("sla")
-		st, err := m.cfg.SLA.EvaluateMasked(samples, viol, reporting)
-		if err != nil {
-			return nil, err
-		}
-		status = st
-		sp.End()
-		ts = m.span(stageSLA, ts)
-		for i, row := range samples {
-			if reporting[i] {
-				copy(copies[i], row)
-			} else {
-				mat.MarkMissing(i)
-			}
-		}
-	}
-	rep, ret, err := m.finishEpoch(tr, t0, ts, mat, copies, viol, reporting, status, summary, dropped, gaps, workers)
-	retained = ret
-	return rep, err
+	m.partsBuf = parts
+	return m.observeParts(tr, n, parts, true)
 }
 
 // finishEpoch runs everything downstream of ingestion — liveness and
 // coverage accounting, retained-row sanitization, the forecast stage, the
 // crisis state machine, identification, threshold refresh, and telemetry —
-// and builds the epoch report. It is shared verbatim by the single-node
-// paths (ObserveEpoch, serial and sharded) and the fleet coordinator path
-// (ObserveAggregated), which is what makes the distributed pipeline's
-// output byte-identical to the single-node reference once the inputs
-// (status, summary, rows, masks) match.
+// and builds the epoch report. observeParts is its only caller, so every
+// ingestion mode shares it: the output is byte-identical across modes once
+// the inputs (status, summary, rows, masks) match.
 //
-// The returned retained flag mirrors ObserveEpoch's: true when mat's rows
-// were handed to the pre-crisis ring and must not be returned to the pool.
-// It is meaningful even when err != nil.
+// The returned retained flag is true when mat's rows were handed to the
+// pre-crisis ring and must not be returned to the pool. It is meaningful
+// even when err != nil.
 func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metrics.Matrix, copies [][]float64, viol, reporting []bool, status sla.EpochStatus, summary [][3]float64, dropped, gaps, workers int) (rep *EpochReport, retained bool, err error) {
 	m.lastSummary = summary
 	reportCount := m.noteLiveness(reporting)
@@ -794,22 +699,17 @@ func (m *Monitor) noteLiveness(reporting []bool) int {
 	return count
 }
 
-// scratchMasks returns the per-epoch violation and liveness masks, zeroed,
-// reusing the monitor's scratch buffers so the steady-state path allocates
-// nothing. Both masks are overwritten by the next ObserveEpoch; anything
-// retained past the call (the ring's violation flags) is copied out first.
+// scratchMasks returns the per-epoch violation and liveness masks, reusing
+// the monitor's scratch buffers so the steady-state path allocates nothing.
+// The contents are stale: the pipeline writes every entry before reading
+// any. Both masks are overwritten by the next epoch; anything retained past
+// the call (the ring's violation flags) is copied out first.
 func (m *Monitor) scratchMasks(n int) (viol, reporting []bool) {
 	if cap(m.violBuf) < n {
 		m.violBuf = make([]bool, n)
 		m.reportBuf = make([]bool, n)
 	}
-	viol = m.violBuf[:n]
-	reporting = m.reportBuf[:n]
-	for i := range viol {
-		viol[i] = false
-		reporting[i] = false
-	}
-	return viol, reporting
+	return m.violBuf[:n], m.reportBuf[:n]
 }
 
 // sanitizeRetained prepares the retained row copies for the ring buffer and
@@ -841,30 +741,26 @@ func sanitizeRetained(copies [][]float64, viol, reporting []bool, summary [][3]f
 	return outRows, outViol
 }
 
-// defaultMinMachinesPerWorker caps the epoch worker pool so every worker
-// gets a meaningful share of machines: below it, goroutine fan-out costs
-// more than it saves, and small deployments always take the serial path.
-// Raised from 32 after the columnar batch-ingestion rework: with per-cell
-// interface calls gone, each worker's per-machine cost dropped enough that
-// 32-machine slices no longer amortize the fan-out. Config.
-// MinMachinesPerWorker overrides it per deployment.
-const defaultMinMachinesPerWorker = 64
+// minMachinesPerWorker caps the epoch worker pool so every worker gets a
+// meaningful share of machines: below it, goroutine fan-out costs more than
+// it saves, and small deployments always run as one partial. Raised from 32
+// after the columnar batch-ingestion rework: with per-cell interface calls
+// gone, each worker's per-machine cost dropped enough that 32-machine
+// slices no longer amortize the fan-out.
+const minMachinesPerWorker = 64
 
 // minMetricsPerWorker is the analogous floor for work that fans out across
-// metric columns (coordinator-side merge and summarization).
+// metric columns (estimator merge and summarization).
 const minMetricsPerWorker = 32
 
-// epochWorkers resolves the worker count for one epoch of the given size.
+// epochWorkers resolves how many machine ranges one epoch of the given size
+// is split into.
 func (m *Monitor) epochWorkers(machines int) int {
 	w := m.cfg.Workers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	floor := m.cfg.MinMachinesPerWorker
-	if floor == 0 {
-		floor = defaultMinMachinesPerWorker
-	}
-	if maxW := (machines + floor - 1) / floor; w > maxW {
+	if maxW := (machines + minMachinesPerWorker - 1) / minMachinesPerWorker; w > maxW {
 		w = maxW
 	}
 	if w < 1 {
@@ -873,100 +769,16 @@ func (m *Monitor) epochWorkers(machines int) int {
 	return w
 }
 
-// mergeWorkers resolves the worker count for coordinator-side per-metric
-// work: bounded by Config.Workers (0 = GOMAXPROCS) and a floor of
+// columnWorkers resolves the worker count for per-metric work (estimator
+// merge, summarize): what the fleet size admits, capped by a floor of
 // minMetricsPerWorker metric columns per worker.
-func (m *Monitor) mergeWorkers() int {
-	w := m.cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+func (m *Monitor) columnWorkers(machines int) int {
+	w := m.epochWorkers(machines)
 	nm := m.cfg.Catalog.Len()
 	if maxW := (nm + minMetricsPerWorker - 1) / minMetricsPerWorker; w > maxW {
 		w = maxW
 	}
-	if w < 1 {
-		w = 1
-	}
 	return w
-}
-
-// observeParallel shards the per-machine ingestion work across the worker
-// pool: each worker feeds its own aggregator shard through the filtered
-// path, SLA-checks its machine range into disjoint segments of viol and
-// reporting, and retains its row copies for reporting machines. After the
-// barrier the shard estimators are merged leniently and the epoch summary
-// is appended. It returns the per-worker partial SLA statuses plus the
-// summary, the non-finite drop count, and the metric gap count; the caller
-// merges the statuses with sla.Config.MergeStatuses.
-func (m *Monitor) observeParallel(tr *telemetry.Trace, samples [][]float64, mat *metrics.Matrix, viol, reporting []bool, workers int) ([]sla.EpochStatus, [][3]float64, int, int, error) {
-	sp := tr.StartSpan("filter")
-	m.agg.EnsureShards(workers)
-	n := len(samples)
-	if cap(m.partialsBuf) < workers {
-		m.partialsBuf = make([]sla.EpochStatus, workers)
-		m.droppedByBuf = make([]int, workers)
-		m.errsBuf = make([]error, workers)
-	}
-	partials := m.partialsBuf[:workers]
-	droppedBy := m.droppedByBuf[:workers]
-	errs := m.errsBuf[:workers]
-	for w := range errs {
-		errs[w] = nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rows := samples[lo:hi]
-			d, err := m.agg.ObserveBatchFiltered(w, rows, reporting[lo:hi])
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			droppedBy[w] = d
-			st, err := m.cfg.SLA.EvaluateMasked(rows, viol[lo:hi], reporting[lo:hi])
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			partials[w] = st
-			// Workers own disjoint row ranges of the epoch matrix, so the
-			// copies and MarkMissing calls never touch the same element.
-			for i, row := range rows {
-				if reporting[lo+i] {
-					copy(mat.Row(lo+i), row)
-				} else {
-					mat.MarkMissing(lo + i)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-	}
-	dropped := 0
-	for _, d := range droppedBy {
-		dropped += d
-	}
-	sp.SetAttr("values_dropped", int64(dropped))
-	sp.End()
-	sp = tr.StartSpan("summarize")
-	defer sp.End()
-	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if err := m.track.AppendEpoch(summary); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	sp.SetAttr("metric_gaps", int64(gaps))
-	return partials, summary, dropped, gaps, nil
 }
 
 // span observes the elapsed stage time and returns a fresh stage start; a

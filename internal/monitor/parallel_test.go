@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dcfp/internal/dcsim"
@@ -36,74 +35,6 @@ func equivMonitor(t *testing.T, s *dcsim.Stream, workers int, reg *telemetry.Reg
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestSerialParallelEquivalence is the tentpole determinism guarantee: on
-// the same seeded dcsim trace, a Workers=1 monitor and a Workers=4 monitor
-// produce identical EpochReport sequences — crises, advice, distances, the
-// lot — because exact-estimator shard merges preserve the value multiset
-// and SLA counts are order-independent sums.
-func TestSerialParallelEquivalence(t *testing.T) {
-	const seed, epochs = 42, 420
-	// Two streams with the same seed emit identical rows; each monitor
-	// gets its own because Next reuses the row buffer.
-	s1, sN := equivStream(t, seed), equivStream(t, seed)
-	m1 := equivMonitor(t, s1, 1, nil)
-	mN := equivMonitor(t, sN, 4, nil)
-
-	lastActive := false
-	label := ""
-	for i := 0; i < epochs; i++ {
-		rows1, act, err := s1.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowsN, _, err := sN.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := m1.ObserveEpoch(rows1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rN, err := mN.ObserveEpoch(rowsN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1, rN) {
-			t.Fatalf("epoch %d: serial and parallel reports diverge:\nserial:   %+v\nparallel: %+v", i, r1, rN)
-		}
-		if act != nil {
-			label = fmt.Sprintf("type-%d", act.Type)
-		}
-		// Resolve each episode as it closes (in both monitors alike) so
-		// later identifications run with labeled candidates, exercising
-		// the fingerprint cache on both sides.
-		if lastActive && !r1.CrisisActive {
-			recs := m1.Crises()
-			id := recs[len(recs)-1].ID
-			if err := m1.ResolveCrisis(id, label); err != nil {
-				t.Fatal(err)
-			}
-			if err := mN.ResolveCrisis(id, label); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lastActive = r1.CrisisActive
-	}
-	if !reflect.DeepEqual(m1.Stats(), mN.Stats()) {
-		t.Fatalf("final stats diverge:\nserial:   %+v\nparallel: %+v", m1.Stats(), mN.Stats())
-	}
-	if got, want := mN.Crises(), m1.Crises(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("crisis records diverge:\nserial:   %+v\nparallel: %+v", want, got)
-	}
-	// The serial monitor never allocated extra shards; the parallel one did.
-	if m1.agg.Shards() != 1 {
-		t.Fatalf("serial monitor grew %d shards", m1.agg.Shards())
-	}
-	if mN.agg.Shards() < 2 {
-		t.Fatal("parallel monitor never sharded")
-	}
 }
 
 // TestParallelCacheHits checks the fingerprint cache pays off during online

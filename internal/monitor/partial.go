@@ -1,0 +1,301 @@
+package monitor
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"dcfp/internal/metrics"
+	"dcfp/internal/quantile"
+	"dcfp/internal/sla"
+	"dcfp/internal/telemetry"
+)
+
+// ShardPartial is one contiguous machine range's contribution to an epoch:
+// the raw rows, the per-machine violation and liveness masks, the range's
+// partially evaluated SLA status, and — when the range was ingested on a
+// remote shard — its quantile-estimator state, ready to be merged
+// losslessly into the monitor's aggregator. Every ingestion mode is a list
+// of these: ObserveEpoch builds one per worker range in process, the fleet
+// coordinator decodes them from shard frames.
+type ShardPartial struct {
+	// Lo is the global machine index of Rows[0]; the partial covers
+	// machines [Lo, Lo+len(Rows)).
+	Lo int
+	// Rows holds the range's raw per-machine samples (nil row = the
+	// machine delivered nothing). Cells may still be NaN/Inf: retained-row
+	// sanitization substitutes the fleet-wide median, which only exists
+	// after the merge, so it happens in the monitor rather than on the shard.
+	Rows [][]float64
+	// Viol and Reporting are the per-machine any-KPI violation and
+	// liveness masks computed with sla.Config.EvaluateMasked.
+	Viol      []bool
+	Reporting []bool
+	// Status is the partial SLA status over the machine range.
+	Status sla.EpochStatus
+	// Estimators is a remote shard's per-metric quantile state (one
+	// estimator per catalog metric, in catalog order). Nil means there is
+	// nothing to merge: the range was ingested straight into the monitor's
+	// own aggregator, or the partial is synthesized for a dead or late
+	// shard (all machines non-reporting).
+	Estimators []quantile.Estimator
+	// Dropped counts non-finite cells filtered before insertion.
+	Dropped int
+}
+
+// IngestPartial is the one partial builder: it feeds rows — the machine
+// range starting at global index lo — through the columnar filtered insert
+// into shard `shard` of agg, evaluates the SLA over the same range, and
+// returns the partial. viol and reporting (len(rows) each) are filled in and
+// retained by the partial, as are the rows themselves. Estimators is left
+// nil; a remote shard attaches agg's state before shipping.
+func IngestPartial(agg *metrics.Aggregator, shard int, slaCfg sla.Config, lo int, rows [][]float64, viol, reporting []bool) (ShardPartial, error) {
+	p := ShardPartial{Lo: lo, Rows: rows, Viol: viol, Reporting: reporting}
+	if err := p.filter(agg, shard); err != nil {
+		return ShardPartial{}, err
+	}
+	if err := p.evaluate(slaCfg); err != nil {
+		return ShardPartial{}, err
+	}
+	return p, nil
+}
+
+// filter and evaluate are IngestPartial's two halves; the monitor runs them
+// as separate phases so each bills to its own pipeline stage.
+func (p *ShardPartial) filter(agg *metrics.Aggregator, shard int) (err error) {
+	p.Dropped, err = agg.ObserveBatchFiltered(shard, p.Rows, p.Reporting)
+	return err
+}
+
+func (p *ShardPartial) evaluate(slaCfg sla.Config) (err error) {
+	p.Status, err = slaCfg.EvaluateMasked(p.Rows, p.Viol, p.Reporting)
+	return err
+}
+
+// ObserveAggregated ingests one epoch assembled from per-shard partials —
+// the coordinator half of two-tier fleet aggregation. It is ObserveEpoch
+// with the filter phase already done elsewhere: the partials' estimator
+// state is merged into the monitor's aggregator and everything else runs
+// through the same pipeline, so with exact estimators (an order-independent,
+// lossless merge) the EpochReport stream is byte-identical to feeding the
+// same fleet rows to ObserveEpoch on a single node.
+//
+// machines is the full fleet width. Machine indexes not covered by any
+// partial — a dead or late shard the caller did not synthesize a partial
+// for — count as non-reporting, so missing shards surface as reduced
+// coverage and, below Config.MinCoverage, as a degraded (frozen) epoch.
+//
+// The pipeline spans are recorded into tr when the caller owns a trace (the
+// coordinator passes its merge_epoch trace, so shard-grafted spans and the
+// merge pipeline land in one distributed trace, and Ends it); with a nil tr
+// the monitor opens an observe_aggregated trace of its own.
+func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *telemetry.Trace) (*EpochReport, error) {
+	if tr == nil {
+		tr = m.cfg.Tracer.StartTrace("observe_aggregated")
+		defer tr.End()
+	}
+	return m.observeParts(tr, machines, parts, false)
+}
+
+// observeParts is the one ingestion pipeline: validate the partials, fill
+// the aggregator (local: filter each partial's rows into its own shard;
+// otherwise: merge the shipped estimator sets), summarize, combine the SLA
+// statuses, scatter rows and masks into global machine order, and hand over
+// to finishEpoch. Serial ingestion is the one-partial case, the worker
+// fan-out the in-process W-partial case, and the fleet the remote case.
+func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardPartial, local bool) (rep *EpochReport, err error) {
+	var t0, ts time.Time
+	if m.tel != nil {
+		t0 = time.Now()
+		ts = t0
+	}
+	sp := tr.StartSpan("ingest")
+	covered, err := m.validateParts(machines, parts)
+	if err != nil {
+		return nil, err
+	}
+	if m.cfg.ExpectedMachines == 0 && machines > m.expected {
+		m.expected = machines
+	}
+	sp.SetAttr("machines", int64(machines))
+	sp.SetAttr("shards", int64(len(parts)))
+	sp.End()
+
+	// From here on the aggregator holds this epoch's values. Whatever fails
+	// before summarize has drained it must not leak them into the next epoch.
+	defer func() {
+		if err != nil {
+			m.agg.Reset()
+		}
+	}()
+	workers := m.columnWorkers(machines)
+	dropped := 0
+	if local {
+		sp = tr.StartSpan("filter")
+		m.agg.EnsureShards(len(parts))
+		err = m.eachPart(parts, func(m *Monitor, w int, p *ShardPartial) error { return p.filter(m.agg, w) })
+	} else {
+		// Metric columns are independent and each walks the sets in partial
+		// order, so the merge fans out across columns without changing the
+		// result.
+		sp = tr.StartSpan("merge")
+		sets := m.setsBuf[:0]
+		for i := range parts {
+			sets = append(sets, parts[i].Estimators)
+		}
+		m.setsBuf = sets
+		sp.SetAttr("workers", int64(workers))
+		err = m.agg.AbsorbSets(sets, workers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range parts {
+		dropped += parts[i].Dropped
+	}
+	sp.SetAttr("values_dropped", int64(dropped))
+	sp.End()
+
+	sp = tr.StartSpan("summarize")
+	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
+	if err != nil {
+		return nil, err
+	}
+	if err = m.track.AppendEpoch(summary); err != nil {
+		return nil, err
+	}
+	sp.SetAttr("metric_gaps", int64(gaps))
+	sp.End()
+	ts = m.span(stageQuantile, ts)
+
+	sp = tr.StartSpan("sla")
+	if local {
+		if err = m.eachPart(parts, func(m *Monitor, _ int, p *ShardPartial) error { return p.evaluate(m.cfg.SLA) }); err != nil {
+			return nil, err
+		}
+	}
+	statuses := m.statusBuf[:0]
+	for i := range parts {
+		statuses = append(statuses, parts[i].Status)
+	}
+	m.statusBuf = statuses
+	status := m.cfg.SLA.MergeStatuses(statuses)
+	sp.End()
+	ts = m.span(stageSLA, ts)
+
+	// Scatter into global machine order. The retained copies live in one
+	// pooled matrix per epoch — its row views are the copies slice (nil =
+	// non-reporting) — and the masks are the monitor's scratch, so a
+	// steady-state epoch allocates none of them. Local partials' masks
+	// already alias the scratch, which makes their mask copy a no-op.
+	// Machines no partial covers (a dead shard nobody synthesized) are
+	// non-reporting.
+	mat := m.pool.Get(machines, m.cfg.Catalog.Len())
+	copies := mat.RowViews()
+	viol, reporting := m.scratchMasks(machines)
+	missing := func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			viol[g], reporting[g] = false, false
+			mat.MarkMissing(g)
+		}
+	}
+	next := 0
+	for _, r := range covered {
+		missing(next, r[0])
+		next = r[1]
+	}
+	missing(next, machines)
+	for i := range parts {
+		p := &parts[i]
+		copy(viol[p.Lo:], p.Viol)
+		copy(reporting[p.Lo:], p.Reporting)
+		for k, row := range p.Rows {
+			if p.Reporting[k] {
+				copy(copies[p.Lo+k], row)
+			} else {
+				mat.MarkMissing(p.Lo + k)
+			}
+		}
+	}
+
+	rep, retained, err := m.finishEpoch(tr, t0, ts, mat, copies, viol, reporting, status, summary, dropped, gaps, len(parts))
+	if !retained {
+		m.pool.Put(mat)
+	}
+	return rep, err
+}
+
+// validateParts checks the partials against the fleet width and the catalog
+// and returns the non-empty machine ranges they cover, sorted and disjoint.
+func (m *Monitor) validateParts(machines int, parts []ShardPartial) ([][2]int, error) {
+	if machines <= 0 {
+		return nil, errors.New("monitor: no machine samples")
+	}
+	if len(parts) == 0 {
+		return nil, errors.New("monitor: no shard partials")
+	}
+	nm := m.cfg.Catalog.Len()
+	covered := m.coveredBuf[:0]
+	for i := range parts {
+		p := &parts[i]
+		if len(p.Rows) != len(p.Viol) || len(p.Rows) != len(p.Reporting) {
+			return nil, fmt.Errorf("monitor: partial %d: rows/viol/reporting lengths %d/%d/%d disagree",
+				i, len(p.Rows), len(p.Viol), len(p.Reporting))
+		}
+		if p.Lo < 0 || p.Lo+len(p.Rows) > machines {
+			return nil, fmt.Errorf("monitor: partial %d covers [%d,%d) outside fleet of %d machines",
+				i, p.Lo, p.Lo+len(p.Rows), machines)
+		}
+		if p.Estimators != nil && len(p.Estimators) != nm {
+			return nil, fmt.Errorf("monitor: partial %d ships %d estimators, want %d", i, len(p.Estimators), nm)
+		}
+		for _, row := range p.Rows {
+			if row != nil && len(row) != nm {
+				return nil, fmt.Errorf("monitor: sample row width %d, want %d", len(row), nm)
+			}
+		}
+		if len(p.Rows) > 0 {
+			covered = append(covered, [2]int{p.Lo, p.Lo + len(p.Rows)})
+		}
+	}
+	m.coveredBuf = covered
+	slices.SortFunc(covered, func(a, b [2]int) int { return a[0] - b[0] })
+	for i := 1; i < len(covered); i++ {
+		if covered[i][0] < covered[i-1][1] {
+			return nil, fmt.Errorf("monitor: shard partials overlap at machine %d", covered[i][0])
+		}
+	}
+	return covered, nil
+}
+
+// eachPart runs fn over every partial — inline for one, one goroutine per
+// partial otherwise — and returns the first error in partial order. fn takes
+// the monitor as an argument instead of capturing it, so the one-partial
+// epoch allocates no closure. telemetry.Trace is not goroutine-safe, so fn
+// must not open spans.
+func (m *Monitor) eachPart(parts []ShardPartial, fn func(m *Monitor, w int, p *ShardPartial) error) error {
+	if len(parts) == 1 {
+		return fn(m, 0, &parts[0])
+	}
+	if cap(m.errsBuf) < len(parts) {
+		m.errsBuf = make([]error, len(parts))
+	}
+	errs := m.errsBuf[:len(parts)]
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func() { // w is per-iteration (go 1.22): capturing it saves the argument wrapper
+			defer wg.Done()
+			errs[w] = fn(m, w, &parts[w])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

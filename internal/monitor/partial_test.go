@@ -1,0 +1,385 @@
+package monitor
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"dcfp/internal/metrics"
+	"dcfp/internal/quantile"
+	"dcfp/internal/telemetry"
+)
+
+// testShard is an in-test stand-in for a fleet aggregator: it owns a
+// contiguous machine slice and its own quantile aggregator, and emits one
+// remote ShardPartial per epoch through the production builder.
+type testShard struct {
+	lo, hi int
+	agg    *metrics.Aggregator
+}
+
+// newTestShards cuts the machine axis at bounds (len(bounds)-1 shards).
+func newTestShards(t testing.TB, m *Monitor, newEst func() quantile.Estimator, bounds ...int) []*testShard {
+	t.Helper()
+	shards := make([]*testShard, len(bounds)-1)
+	for i := range shards {
+		agg, err := metrics.NewAggregator(m.cfg.Catalog.Len(), newEst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = &testShard{lo: bounds[i], hi: bounds[i+1], agg: agg}
+	}
+	return shards
+}
+
+func newExact() quantile.Estimator { return quantile.NewExact() }
+
+// evenBounds splits machines into n near-equal contiguous ranges.
+func evenBounds(machines, n int) []int {
+	bounds := make([]int, n+1)
+	for i := range bounds {
+		bounds[i] = i * machines / n
+	}
+	return bounds
+}
+
+func (s *testShard) partial(t testing.TB, m *Monitor, rows [][]float64) ShardPartial {
+	t.Helper()
+	sub := rows[s.lo:s.hi]
+	p, err := IngestPartial(s.agg, 0, m.cfg.SLA, s.lo, sub, make([]bool, len(sub)), make([]bool, len(sub)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Estimators, err = s.agg.Estimators(0); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// dead is the partial a coordinator synthesizes for a shard that delivered
+// nothing: every machine non-reporting, no estimator state.
+func (s *testShard) dead() ShardPartial {
+	n := s.hi - s.lo
+	return ShardPartial{Lo: s.lo, Rows: make([][]float64, n), Viol: make([]bool, n), Reporting: make([]bool, n)}
+}
+
+// equivRun is what the equivalence guarantee covers for one monitor over the
+// seeded trace: every epoch report, the final stats and the crisis records.
+type equivRun struct {
+	reports []*EpochReport
+	stats   Stats
+	crises  []CrisisRecord
+}
+
+// runEquiv replays the seeded 420-epoch trace through a Workers=workers
+// monitor, feeding each epoch with observe and resolving every episode as it
+// closes so later identifications run with labeled candidates (exercising
+// the fingerprint cache). With a non-nil want it fails at the first epoch
+// whose report diverges from the reference.
+func runEquiv(t *testing.T, workers int, want *equivRun, observe func(m *Monitor, e int, rows [][]float64) (*EpochReport, error)) *equivRun {
+	t.Helper()
+	const seed, epochs = 42, 420
+	s := equivStream(t, seed)
+	m := equivMonitor(t, s, workers, nil)
+	got := &equivRun{}
+	lastActive := false
+	label := ""
+	for e := 0; e < epochs; e++ {
+		rows, act, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := observe(m, e, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != nil && !reflect.DeepEqual(want.reports[e], rep) {
+			t.Fatalf("epoch %d: reports diverge:\nreference: %+v\ngot:       %+v", e, want.reports[e], rep)
+		}
+		got.reports = append(got.reports, rep)
+		if act != nil {
+			label = fmt.Sprintf("type-%d", act.Type)
+		}
+		if lastActive && !rep.CrisisActive {
+			recs := m.Crises()
+			if err := m.ResolveCrisis(recs[len(recs)-1].ID, label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lastActive = rep.CrisisActive
+	}
+	got.stats, got.crises = m.Stats(), m.Crises()
+	if want != nil {
+		if !reflect.DeepEqual(want.stats, got.stats) {
+			t.Fatalf("final stats diverge:\nreference: %+v\ngot:       %+v", want.stats, got.stats)
+		}
+		if !reflect.DeepEqual(want.crises, got.crises) {
+			t.Fatalf("crisis records diverge:\nreference: %+v\ngot:       %+v", want.crises, got.crises)
+		}
+	}
+	return got
+}
+
+// TestAggregatedEquivalence is the determinism guarantee of the one
+// ingestion pipeline: the quantile summary is a function of the epoch's
+// value multiset and the SLA counts are order-independent sums, so any
+// split of the machines — Workers=4 in process, or 2, 4 and an uneven 3
+// remote shards through ObserveAggregated — yields EpochReport, Stats and
+// crisis streams byte-identical to the Workers=1 reference on the same
+// seeded 420-epoch trace. A shard that goes dark mid-stream (its partial
+// synthesized as non-reporting) must equal the serial monitor seeing nil
+// rows over the same machines.
+func TestAggregatedEquivalence(t *testing.T) {
+	// The third of four shards is dark for these epochs in the dead-shard
+	// case: 75% coverage, above the MinCoverage floor.
+	const deadShard, deadFrom, deadTo = 2, 100, 140
+	serial := func(m *Monitor, _ int, rows [][]float64) (*EpochReport, error) { return m.ObserveEpoch(rows) }
+	reference := runEquiv(t, 1, nil, serial)
+
+	aggregated := func(dark bool, bounds func(machines int) []int) func(*Monitor, int, [][]float64) (*EpochReport, error) {
+		var shards []*testShard
+		return func(m *Monitor, e int, rows [][]float64) (*EpochReport, error) {
+			if shards == nil {
+				shards = newTestShards(t, m, newExact, bounds(len(rows))...)
+			}
+			parts := make([]ShardPartial, len(shards))
+			for k, sh := range shards {
+				if dark && k == deadShard && e >= deadFrom && e < deadTo {
+					parts[k] = sh.dead()
+				} else {
+					parts[k] = sh.partial(t, m, rows)
+				}
+			}
+			rep, err := m.ObserveAggregated(len(rows), parts, nil)
+			for _, sh := range shards {
+				sh.agg.Reset()
+			}
+			return rep, err
+		}
+	}
+	even := func(n int) func(int) []int { return func(machines int) []int { return evenBounds(machines, n) } }
+
+	for _, tc := range []struct {
+		name    string
+		workers int
+		want    func() *equivRun
+		observe func(*Monitor, int, [][]float64) (*EpochReport, error)
+	}{
+		{name: "workers4", workers: 4, observe: serial},
+		{name: "shards2", workers: 1, observe: aggregated(false, even(2))},
+		{name: "shards4", workers: 1, observe: aggregated(false, even(4))},
+		{name: "shards3-uneven", workers: 1, observe: aggregated(false, func(machines int) []int {
+			return []int{0, 7, machines / 2, machines}
+		})},
+		{name: "shards4-one-dead", workers: 1, observe: aggregated(true, even(4)),
+			want: func() *equivRun {
+				return runEquiv(t, 1, nil, func(m *Monitor, e int, rows [][]float64) (*EpochReport, error) {
+					if e >= deadFrom && e < deadTo {
+						b := evenBounds(len(rows), 4)
+						rows = append([][]float64(nil), rows...)
+						clear(rows[b[deadShard]:b[deadShard+1]])
+					}
+					return m.ObserveEpoch(rows)
+				})
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			want := reference
+			if tc.want != nil {
+				want = tc.want()
+			}
+			runEquiv(t, tc.workers, want, tc.observe)
+		})
+	}
+}
+
+// TestFailedMergeDoesNotLeak: a remote partial whose estimator type the
+// coordinator cannot merge fails the epoch after some columns were already
+// absorbed. Those values must not be summarized into the next epoch: the
+// following clean epoch matches a reference monitor that never saw the bad
+// one.
+func TestFailedMergeDoesNotLeak(t *testing.T) {
+	s := equivStream(t, 3)
+	m, ref := equivMonitor(t, s, 1, nil), equivMonitor(t, s, 1, nil)
+	rows, _, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rows)
+	clean := newTestShards(t, m, newExact, evenBounds(n, 2)...)
+	foreign := newTestShards(t, m, func() quantile.Estimator { return quantile.MustGK(0.01) }, n/2, n)[0]
+
+	bad := make([][]float64, n)
+	for i := range bad {
+		bad[i] = make([]float64, len(rows[i]))
+		for j := range bad[i] {
+			bad[i][j] = 1e9
+		}
+	}
+	parts := []ShardPartial{clean[0].partial(t, m, bad), foreign.partial(t, m, bad)}
+	if _, err := m.ObserveAggregated(n, parts, nil); err == nil {
+		t.Fatal("want merge error for a foreign estimator type")
+	}
+	clean[0].agg.Reset()
+
+	parts = []ShardPartial{clean[0].partial(t, m, rows), clean[1].partial(t, m, rows)}
+	got, err := m.ObserveAggregated(n, parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ObserveEpoch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clean epoch after a failed merge diverges:\nwant: %+v\ngot:  %+v", want, got)
+	}
+	gotRow, _ := m.track.EpochRow(0)
+	wantRow, _ := ref.track.EpochRow(0)
+	if !reflect.DeepEqual(gotRow, wantRow) {
+		t.Fatal("failed merge leaked values into the next epoch's quantile summary")
+	}
+}
+
+// spanNames runs a few steady epochs through observe on a fresh traced,
+// instrumented 100x100 monitor and returns the last epoch's span names in
+// start order plus how many observations each billed stage recorded.
+func spanNames(t *testing.T, workers int, observe func(m *Monitor, rows [][]float64) error) ([]string, map[string]uint64) {
+	t.Helper()
+	const epochs = 5
+	reg, tracer := telemetry.NewRegistry(), telemetry.NewTracer(epochs)
+	cfg, rows := benchMonitorConfig(t, reg, tracer)
+	cfg.Workers = workers
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		if err := observe(m, rows[e]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps := tracer.Snapshots()
+	var names []string
+	for _, sp := range snaps[len(snaps)-1].Spans {
+		names = append(names, sp.Name)
+	}
+	counts := map[string]uint64{}
+	for _, stage := range []string{stageQuantile, stageSLA} {
+		counts[stage] = reg.Histogram("dcfp_monitor_stage_seconds", "", telemetry.TimeBuckets(),
+			telemetry.Label{Key: "stage", Value: stage}).Count()
+	}
+	return names, counts
+}
+
+// TestOneStageTaxonomy: every ingestion mode records the same spans in the
+// same order and bills the same stages once per epoch — the aggregated mode
+// differing only in merging shipped estimator state where the local modes
+// filter rows.
+func TestOneStageTaxonomy(t *testing.T) {
+	local := func(m *Monitor, rows [][]float64) error {
+		_, err := m.ObserveEpoch(rows)
+		return err
+	}
+	serial, serialCounts := spanNames(t, 1, local)
+	if want := []string{"ingest", "filter", "summarize", "sla"}; !reflect.DeepEqual(serial, want) {
+		t.Fatalf("serial steady-epoch spans %v, want %v", serial, want)
+	}
+	parallel, parallelCounts := spanNames(t, 4, local)
+	if !reflect.DeepEqual(parallel, serial) {
+		t.Fatalf("parallel spans %v, serial %v", parallel, serial)
+	}
+	var shards []*testShard
+	aggregated, aggregatedCounts := spanNames(t, 1, func(m *Monitor, rows [][]float64) error {
+		if shards == nil {
+			shards = newTestShards(t, m, newExact, evenBounds(len(rows), 2)...)
+		}
+		parts := []ShardPartial{shards[0].partial(t, m, rows), shards[1].partial(t, m, rows)}
+		_, err := m.ObserveAggregated(len(rows), parts, nil)
+		shards[0].agg.Reset()
+		shards[1].agg.Reset()
+		return err
+	})
+	want := append([]string(nil), serial...)
+	want[slices.Index(want, "filter")] = "merge"
+	if !reflect.DeepEqual(aggregated, want) {
+		t.Fatalf("aggregated spans %v, want %v", aggregated, want)
+	}
+	for _, counts := range []map[string]uint64{serialCounts, parallelCounts, aggregatedCounts} {
+		if !reflect.DeepEqual(counts, map[string]uint64{stageQuantile: 5, stageSLA: 5}) {
+			t.Fatalf("stage billing %v, want quantile and sla once per epoch in every mode", counts)
+		}
+	}
+}
+
+// BenchmarkObserveEpochAggregated measures the coordinator-side merge path
+// — scatter, estimator absorption, summarize, SLA merge, and the shared
+// epoch finish — with the shard partials pre-built outside the timer, as a
+// coordinator sees them after decoding frames. The name keys into the
+// benchgate regex so CI gates this path against BENCH_5.json.
+func BenchmarkObserveEpochAggregated(b *testing.B) {
+	for _, nShards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards%d", nShards), func(b *testing.B) {
+			const machines = 100
+			m, epochs := benchMonitorSized(b, machines, 1)
+			rows := epochs[0]
+			parts := make([]ShardPartial, nShards)
+			for i, sh := range newTestShards(b, m, newExact, evenBounds(machines, nShards)...) {
+				parts[i] = sh.partial(b, m, rows)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.ObserveAggregated(machines, parts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestObserveAggregatedValidation covers the malformed-partial paths.
+func TestObserveAggregatedValidation(t *testing.T) {
+	s := equivStream(t, 1)
+	m := equivMonitor(t, s, 1, nil)
+	rows, _, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rows)
+	good := func() ShardPartial {
+		return newTestShards(t, m, newExact, 0, n)[0].partial(t, m, rows)
+	}
+
+	if _, err := m.ObserveAggregated(0, []ShardPartial{good()}, nil); err == nil {
+		t.Fatal("want error for zero machines")
+	}
+	if _, err := m.ObserveAggregated(n, nil, nil); err == nil {
+		t.Fatal("want error for no partials")
+	}
+	p := good()
+	p.Viol = p.Viol[:1]
+	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
+		t.Fatal("want error for mask length mismatch")
+	}
+	p = good()
+	p.Lo = 5
+	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
+		t.Fatal("want error for out-of-range slice")
+	}
+	p = good()
+	p.Estimators = p.Estimators[:1]
+	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
+		t.Fatal("want error for estimator count mismatch")
+	}
+	p1, p2 := good(), good()
+	if _, err := m.ObserveAggregated(n, []ShardPartial{p1, p2}, nil); err == nil {
+		t.Fatal("want error for overlapping partials")
+	}
+	// A valid single partial still observes cleanly after all the failures.
+	if _, err := m.ObserveAggregated(n, []ShardPartial{good()}, nil); err != nil {
+		t.Fatal(err)
+	}
+}

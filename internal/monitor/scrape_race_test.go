@@ -37,6 +37,15 @@ func TestConcurrentScrapes(t *testing.T) {
 		Alerts:  func() any { return engine.Snapshot() },
 	})
 
+	// One epoch before the scrapers start: /api/history answers 404 for a
+	// metric until its first sample exists.
+	observe := func() {
+		rep := tb.step()
+		engine.Eval(rep.Epoch)
+		hist.Sample(int64(rep.Epoch))
+	}
+	observe()
+
 	done := make(chan struct{})
 	var scrapes atomic.Int64
 	var wg sync.WaitGroup
@@ -65,14 +74,12 @@ func TestConcurrentScrapes(t *testing.T) {
 	// epochs were still flowing, so the test genuinely overlaps the two.
 	// Without -race the 150 baseline steps alone can finish before any
 	// scraper goroutine gets scheduled.
-	steps := 0
+	steps := 1
 	for deadline := time.Now().Add(10 * time.Second); steps < 150 || scrapes.Load() == 0; steps++ {
 		if time.Now().After(deadline) {
 			break
 		}
-		rep := tb.step()
-		engine.Eval(rep.Epoch)
-		hist.Sample(int64(rep.Epoch))
+		observe()
 	}
 	close(done)
 	wg.Wait()
