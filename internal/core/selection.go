@@ -45,17 +45,40 @@ const (
 	absoluteCutoff = 0.2
 )
 
+// SampleBuffer is the metric-major, block-per-epoch form of CrisisSamples
+// that selection runs on; the monitor collects crisis samples straight into
+// one.
+type SampleBuffer = logreg.Samples
+
+// Buffer copies the samples into a SampleBuffer, validating their shape.
+func (s CrisisSamples) Buffer() (*SampleBuffer, error) {
+	buf, err := logreg.NewSamples(s.X, s.Y)
+	if err != nil {
+		return nil, fmt.Errorf("core: malformed crisis samples: %w", err)
+	}
+	return buf, nil
+}
+
 // PerCrisisMetrics runs feature selection for a single crisis and returns
 // up to k metric columns most predictive of per-machine SLA violation,
 // keeping only features whose coefficient magnitude is a meaningful
-// fraction of the strongest one.
+// fraction of the strongest one. s is left untouched.
 func PerCrisisMetrics(s CrisisSamples, k int) ([]int, error) {
-	if len(s.X) == 0 || len(s.X) != len(s.Y) {
-		return nil, errors.New("core: malformed crisis samples")
-	}
-	top, model, err := logreg.SelectTopK(s.X, s.Y, k)
+	buf, err := s.Buffer()
 	if err != nil {
-		return nil, fmt.Errorf("core: per-crisis feature selection: %w", err)
+		return nil, err
+	}
+	top, _, err := PerCrisisSelection(buf, k)
+	return top, err
+}
+
+// PerCrisisSelection is PerCrisisMetrics on a buffer the caller gives up (it
+// is standardized in place, so only one copy of the samples is ever live),
+// also reporting the work the regularization path did.
+func PerCrisisSelection(buf *SampleBuffer, k int) ([]int, logreg.PathStats, error) {
+	top, model, st, err := buf.SelectTopK(k)
+	if err != nil {
+		return nil, st, fmt.Errorf("core: per-crisis feature selection: %w", err)
 	}
 	maxW := 0.0
 	for _, j := range top {
@@ -70,7 +93,7 @@ func PerCrisisMetrics(s CrisisSamples, k int) ([]int, error) {
 			out = append(out, j)
 		}
 	}
-	return out, nil
+	return out, st, nil
 }
 
 // SelectRelevantMetrics implements the two-step relevance pipeline of §3.4:
@@ -106,6 +129,13 @@ func SelectRelevantMetrics(pool []CrisisSamples, cfg SelectionConfig) ([]int, er
 	if succeeded == 0 {
 		return nil, errors.New("core: feature selection failed for every crisis in the pool")
 	}
+	return mostFrequent(freq, rankSum, cfg.NumRelevant), nil
+}
+
+// mostFrequent is the second step of §3.4: the n metrics selected for the
+// most crises, in column order. Ties in frequency go to the metric that
+// ranked earlier within its crises (lower rank sum), then the lower column.
+func mostFrequent(freq, rankSum map[int]int, n int) []int {
 	cols := make([]int, 0, len(freq))
 	for m := range freq {
 		cols = append(cols, m)
@@ -120,12 +150,11 @@ func SelectRelevantMetrics(pool []CrisisSamples, cfg SelectionConfig) ([]int, er
 		}
 		return a < b
 	})
-	if len(cols) > cfg.NumRelevant {
-		cols = cols[:cfg.NumRelevant]
+	if len(cols) > n {
+		cols = cols[:n]
 	}
-	out := append([]int(nil), cols...)
-	sort.Ints(out)
-	return out, nil
+	sort.Ints(cols)
+	return cols
 }
 
 // LabeledCrisisSamples couples one crisis's machine-level samples with the
@@ -205,24 +234,5 @@ func SelectDiscriminativeMetrics(pool []LabeledCrisisSamples, cfg SelectionConfi
 	if succeeded == 0 {
 		return nil, errors.New("core: discriminative selection failed for every label")
 	}
-	cols := make([]int, 0, len(freq))
-	for m := range freq {
-		cols = append(cols, m)
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		a, b := cols[i], cols[j]
-		if freq[a] != freq[b] {
-			return freq[a] > freq[b]
-		}
-		if rankSum[a] != rankSum[b] {
-			return rankSum[a] < rankSum[b]
-		}
-		return a < b
-	})
-	if len(cols) > cfg.NumRelevant {
-		cols = cols[:cfg.NumRelevant]
-	}
-	out := append([]int(nil), cols...)
-	sort.Ints(out)
-	return out, nil
+	return mostFrequent(freq, rankSum, cfg.NumRelevant), nil
 }

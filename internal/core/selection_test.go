@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -42,12 +43,49 @@ func TestPerCrisisMetricsFindsSignal(t *testing.T) {
 	}
 }
 
+// TestPerCrisisMetricsLeavesInputUntouched: selection standardizes a buffer
+// in place, and PerCrisisMetrics must hand it a copy — experiment and the
+// benchmark's replay reuse their samples. The in-place entry point on a
+// buffer of the same samples returns the same metrics.
+func TestPerCrisisMetricsLeavesInputUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	s := crisisSamplesWithSignal(rng, 300, 21, []int{4, 9})
+	before := fmt.Sprint(s.X, s.Y)
+	top, err := PerCrisisMetrics(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(s.X, s.Y) != before {
+		t.Fatal("PerCrisisMetrics modified its input")
+	}
+	again, err := PerCrisisMetrics(s, 5)
+	if err != nil || fmt.Sprint(again) != fmt.Sprint(top) {
+		t.Fatalf("second call on the same samples: %v, %v; first returned %v", again, err, top)
+	}
+	buf, err := s.Buffer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace, st, err := PerCrisisSelection(buf, 5)
+	if err != nil || fmt.Sprint(inPlace) != fmt.Sprint(top) {
+		t.Fatalf("PerCrisisSelection = %v, %v; PerCrisisMetrics returned %v", inPlace, err, top)
+	}
+	if buf.Len() != 300 || st.Positives != 150 || st.Steps < 1 || st.Iters < st.Steps {
+		t.Fatalf("path stats %+v", st)
+	}
+}
+
 func TestPerCrisisMetricsValidation(t *testing.T) {
 	if _, err := PerCrisisMetrics(CrisisSamples{}, 5); err == nil {
 		t.Fatal("want empty-samples error")
 	}
 	if _, err := PerCrisisMetrics(CrisisSamples{X: [][]float64{{1}}, Y: []int{0, 1}}, 5); err == nil {
 		t.Fatal("want length-mismatch error")
+	}
+	// Reachable from the public dcfp.SelectRelevantMetrics: a ragged row used
+	// to panic inside standardization instead of failing the crisis.
+	if _, err := PerCrisisMetrics(CrisisSamples{X: [][]float64{{1, 2}, {3}, {0, 1}}, Y: []int{0, 1, 0}}, 1); err == nil {
+		t.Fatal("want ragged-rows error")
 	}
 }
 

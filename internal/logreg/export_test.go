@@ -1,0 +1,9 @@
+package logreg
+
+// The row-oriented reference path and its bit-for-bit comparison
+// (oracle_test.go), for the external tests in this directory, which may
+// import the packages that import logreg.
+var (
+	OracleSelectTopK = oracleSelectTopK
+	SameModel        = sameModel
+)

@@ -57,30 +57,154 @@ var (
 	errLabelRange = errors.New("logreg: labels must be 0 or 1")
 )
 
-// Train fits an L1-regularized logistic regression of y (0/1 labels) on X
-// (rows = samples, columns = features).
-func Train(x [][]float64, y []int, opts Options) (*Model, error) {
-	n := len(x)
-	if n == 0 || len(y) != n {
+// Samples is a training set held metric-major in blocks, so column j of the
+// whole set is one contiguous segment per block, in row order — what the
+// solver streams through. The zero value is an empty set; Append grows it
+// by one block per call.
+type Samples struct {
+	d      int
+	blocks []block
+	y      []bool // label of every row (true = 1), in block order
+}
+
+// block holds n rows as d runs of n values: x[j*n+i] is row i, column j.
+type block struct {
+	x []float64
+	n int
+}
+
+func (b block) col(j int) []float64 { return b.x[j*b.n : (j+1)*b.n] }
+
+// NewSamples copies row-major x and its 0/1 labels y into a one-block set,
+// leaving x untouched.
+func NewSamples(x [][]float64, y []int) (*Samples, error) {
+	if len(y) != len(x) {
 		return nil, errNoData
 	}
-	d := len(x[0])
-	pos, neg := 0, 0
-	for i, row := range x {
-		if len(row) != d {
-			return nil, errDims
-		}
-		switch y[i] {
-		case 0:
-			neg++
-		case 1:
-			pos++
-		default:
+	pos := make([]bool, len(y))
+	for i, yi := range y {
+		if yi != 0 && yi != 1 {
 			return nil, errLabelRange
 		}
+		pos[i] = yi == 1
 	}
-	if pos == 0 || neg == 0 {
-		return nil, errOneClass
+	s := &Samples{}
+	return s, s.Append(x, pos)
+}
+
+// Append copies rows (all of the set's width, which the first call fixes)
+// and their labels, pos[i] for rows[i], into one new block: one allocation
+// beyond the amortized growth of the lists. The rows are not retained.
+func (s *Samples) Append(rows [][]float64, pos []bool) error {
+	n := len(rows)
+	if n == 0 {
+		return nil
+	}
+	if len(s.blocks) == 0 {
+		s.d = len(rows[0])
+	}
+	for _, row := range rows {
+		if len(row) != s.d {
+			return errDims
+		}
+	}
+	x := make([]float64, s.d*n)
+	for i, row := range rows {
+		for j, v := range row {
+			x[j*n+i] = v
+		}
+	}
+	s.blocks = append(s.blocks, block{x, n})
+	s.y = append(s.y, pos[:n]...)
+	return nil
+}
+
+// Len is the number of rows.
+func (s *Samples) Len() int { return len(s.y) }
+
+// Rows returns a row-major copy of the set and its labels: the inverse of
+// NewSamples, block boundaries aside.
+func (s *Samples) Rows() ([][]float64, []int) {
+	x := make([][]float64, 0, len(s.y))
+	y := make([]int, len(s.y))
+	for i, yi := range s.y {
+		if yi {
+			y[i] = 1
+		}
+	}
+	for _, b := range s.blocks {
+		for i := 0; i < b.n; i++ {
+			row := make([]float64, s.d)
+			for j := range row {
+				row[j] = b.x[j*b.n+i]
+			}
+			x = append(x, row)
+		}
+	}
+	return x, y
+}
+
+// positives validates the set — at least one row, both classes present —
+// and returns the number of label-1 rows.
+func (s *Samples) positives() (int, error) {
+	if len(s.y) == 0 {
+		return 0, errNoData
+	}
+	pos := 0
+	for _, yi := range s.y {
+		if yi {
+			pos++
+		}
+	}
+	if pos == 0 || pos == len(s.y) {
+		return 0, errOneClass
+	}
+	return pos, nil
+}
+
+// standardize scales every column to zero mean and unit variance in place
+// (a constant column becomes zeros) and records the mean and divisor used
+// per column. Each sum runs over the rows in block order.
+func (s *Samples) standardize(mean, std []float64) {
+	n := float64(len(s.y))
+	for j := 0; j < s.d; j++ {
+		sum := 0.0
+		for _, b := range s.blocks {
+			for _, v := range b.col(j) {
+				sum += v
+			}
+		}
+		mu := sum / n
+		ss := 0.0
+		for _, b := range s.blocks {
+			for _, v := range b.col(j) {
+				dv := v - mu
+				ss += dv * dv
+			}
+		}
+		sd := math.Sqrt(ss / n)
+		if sd <= 1e-12 {
+			sd = 1
+		}
+		for _, b := range s.blocks {
+			col := b.col(j)
+			for i, v := range col {
+				col[i] = (v - mu) / sd
+			}
+		}
+		mean[j], std[j] = mu, sd
+	}
+}
+
+// Train fits an L1-regularized logistic regression of y (0/1 labels) on X
+// (rows = samples, columns = features). X is copied, never modified.
+func Train(x [][]float64, y []int, opts Options) (*Model, error) {
+	s, err := NewSamples(x, y)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.positives(); err != nil {
+		return nil, err
 	}
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 500
@@ -91,70 +215,70 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 	if opts.Lambda < 0 {
 		return nil, fmt.Errorf("logreg: negative lambda %v", opts.Lambda)
 	}
-
-	// Optionally standardize into a working copy.
-	mean := make([]float64, d)
-	std := make([]float64, d)
-	for j := range std {
-		std[j] = 1
-	}
-	work := x
+	f := newSolver(s)
 	if opts.Standardize {
-		work = make([][]float64, n)
-		for j := 0; j < d; j++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += x[i][j]
-			}
-			mean[j] = s / float64(n)
-			ss := 0.0
-			for i := 0; i < n; i++ {
-				dv := x[i][j] - mean[j]
-				ss += dv * dv
-			}
-			sd := math.Sqrt(ss / float64(n))
-			if sd > 1e-12 {
-				std[j] = sd
-			}
-		}
-		for i := 0; i < n; i++ {
-			row := make([]float64, d)
-			for j := 0; j < d; j++ {
-				row[j] = (x[i][j] - mean[j]) / std[j]
-			}
-			work[i] = row
-		}
+		s.standardize(f.mean, f.std)
 	}
-
-	w, b, iters := fista(work, y, opts)
+	b, iters := f.fit(opts)
 
 	// Map coefficients back to the original feature space.
-	model := &Model{Weights: make([]float64, d), Lambda: opts.Lambda, Iters: iters}
-	model.Bias = b
-	for j := 0; j < d; j++ {
-		model.Weights[j] = w[j] / std[j]
-		model.Bias -= w[j] * mean[j] / std[j]
+	model := &Model{Weights: make([]float64, s.d), Bias: b, Lambda: opts.Lambda, Iters: iters}
+	for j, w := range f.w {
+		model.Weights[j] = w / f.std[j]
+		model.Bias -= w * f.mean[j] / f.std[j]
 	}
 	return model, nil
 }
 
-// fista runs accelerated proximal gradient descent on the ℓ1-penalized
-// logistic loss. The bias is unpenalized. Returns weights, bias, iterations.
-func fista(x [][]float64, y []int, opts Options) ([]float64, float64, int) {
-	d := len(x[0])
-	w := make([]float64, d)
-	b := 0.0
-	// Momentum variables.
-	wPrev := make([]float64, d)
-	bPrev := 0.0
-	tMom := 1.0
+// solver is the FISTA kernel over one Samples set plus the scratch every fit
+// on that set reuses. Its arithmetic is frozen: the §3.4 path mostly stops at
+// MaxIter, not at Tol, so the selected features depend on the exact truncated
+// iterate, and every sum keeps the order of the row-oriented reference in
+// oracle_test.go. Margins add x·w over ascending j per row, skipping only
+// w_j == 0 (adding ±0 to a finite margin is the identity); Xᵀg adds over
+// ascending i per column; loss and sigmoid share the one exp both would
+// compute; standardization sums in block (= collection) order.
+type solver struct {
+	s         *Samples
+	z         []float64 // label signs: +1 for y = 1, -1 for y = 0
+	m, g      []float64 // per row: margin, d loss / d margin
+	mean, std []float64 // per column: standardization undone by Train (0, 1 = none)
 
-	// Backtracking step size.
-	step := 1.0
-	gradW := make([]float64, d)
-	wLook := make([]float64, d)
-	bLook := 0.0
-	wNew := make([]float64, d)
+	w, wPrev, wLook, wNew, gradW []float64
+}
+
+func newSolver(s *Samples) *solver {
+	n, d := len(s.y), s.d
+	buf := make([]float64, 3*n+7*d)
+	next := func(k int) []float64 {
+		out := buf[:k:k]
+		buf = buf[k:]
+		return out
+	}
+	f := &solver{s: s, z: next(n), m: next(n), g: next(n), mean: next(d), std: next(d),
+		w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d)}
+	for i, yi := range s.y {
+		f.z[i] = -1
+		if yi {
+			f.z[i] = 1
+		}
+	}
+	for j := range f.std {
+		f.std[j] = 1
+	}
+	return f
+}
+
+// fit runs accelerated proximal gradient descent on the ℓ1-penalized
+// logistic loss from w = 0, leaving the weights in f.w. The bias is
+// unpenalized. Returns bias and iterations.
+func (f *solver) fit(opts Options) (float64, int) {
+	w, wPrev, wLook, wNew, gradW := f.w, f.wPrev, f.wLook, f.wNew, f.gradW
+	clear(w)
+	clear(wPrev)
+	b, bPrev := 0.0, 0.0
+	tMom := 1.0 // momentum
+	step := 1.0 // backtracking step size, never grown back
 
 	iters := 0
 	for it := 0; it < opts.MaxIter; it++ {
@@ -162,21 +286,29 @@ func fista(x [][]float64, y []int, opts Options) ([]float64, float64, int) {
 		// Lookahead (momentum) point.
 		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
 		beta := (tMom - 1) / tNext
-		for j := 0; j < d; j++ {
+		for j := range w {
 			wLook[j] = w[j] + beta*(w[j]-wPrev[j])
 		}
-		bLook = b + beta*(b-bPrev)
+		bLook := b + beta*(b-bPrev)
 
-		lossLook, gradB := gradient(x, y, wLook, bLook, gradW)
+		lossLook, gradB := f.gradient(wLook, bLook)
 
-		// Backtracking line search on the smooth part.
+		// Backtracking line search on the smooth part; the acceptance test is
+		// f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s.
 		var bNew float64
 		for {
-			for j := 0; j < d; j++ {
+			lin, quad := 0.0, 0.0
+			for j := range w {
 				wNew[j] = softThreshold(wLook[j]-step*gradW[j], step*opts.Lambda)
+				dj := wNew[j] - wLook[j]
+				lin += gradW[j] * dj
+				quad += dj * dj
 			}
 			bNew = bLook - step*gradB
-			if sufficientDecrease(x, y, wLook, bLook, wNew, bNew, gradW, gradB, lossLook, step) {
+			db := bNew - bLook
+			lin += gradB * db
+			quad += db * db
+			if f.loss(wNew, bNew) <= lossLook+lin+quad/(2*step)+1e-12 {
 				break
 			}
 			step /= 2
@@ -187,7 +319,7 @@ func fista(x [][]float64, y []int, opts Options) ([]float64, float64, int) {
 
 		// Convergence check on the parameter change.
 		delta := math.Abs(bNew - b)
-		for j := 0; j < d; j++ {
+		for j := range w {
 			if dj := math.Abs(wNew[j] - w[j]); dj > delta {
 				delta = dj
 			}
@@ -201,80 +333,87 @@ func fista(x [][]float64, y []int, opts Options) ([]float64, float64, int) {
 			break
 		}
 	}
-	return w, b, iters
+	return b, iters
 }
 
-// gradient computes the smooth logistic loss at (w, b) and writes its
-// weight gradient into gradW, returning (loss, biasGradient).
-func gradient(x [][]float64, y []int, w []float64, b float64, gradW []float64) (float64, float64) {
-	n := len(x)
-	d := len(w)
-	for j := range gradW {
-		gradW[j] = 0
+// margins sets f.m[i] = b + Σ_j x_ij·w_j, one column at a time over the
+// columns with a non-zero weight (after soft-thresholding, a handful).
+func (f *solver) margins(w []float64, b float64) {
+	for i := range f.m {
+		f.m[i] = b
 	}
-	gradB := 0.0
+	for j, wj := range w {
+		if wj == 0 {
+			continue
+		}
+		off := 0
+		for _, blk := range f.s.blocks {
+			m := f.m[off : off+blk.n]
+			for i, v := range blk.col(j)[:len(m)] {
+				m[i] += v * wj
+			}
+			off += blk.n
+		}
+	}
+}
+
+// loss evaluates only the smooth logistic loss at (w, b).
+func (f *solver) loss(w []float64, b float64) float64 {
+	f.margins(w, b)
 	loss := 0.0
-	for i := 0; i < n; i++ {
-		m := b
-		row := x[i]
-		for j := 0; j < d; j++ {
-			m += row[j] * w[j]
-		}
-		// z in {-1, +1}
-		z := -1.0
-		if y[i] == 1 {
-			z = 1.0
-		}
-		zm := z * m
-		loss += logistic(zm)
-		// d/dm log(1+exp(-zm)) = -z * sigma(-zm)
-		g := -z * sigmoid(-zm)
-		gradB += g
-		for j := 0; j < d; j++ {
-			gradW[j] += g * row[j]
-		}
+	for i, m := range f.m {
+		loss += logistic(f.z[i] * m)
 	}
-	inv := 1 / float64(n)
-	for j := range gradW {
-		gradW[j] *= inv
+	return loss / float64(len(f.m))
+}
+
+// gradient computes the smooth logistic loss at (w, b) and writes its weight
+// gradient into f.gradW, returning (loss, biasGradient).
+func (f *solver) gradient(w []float64, b float64) (float64, float64) {
+	f.margins(w, b)
+	loss, gradB := 0.0, 0.0
+	for i, m := range f.m {
+		// log(1+exp(-zm)) and its derivative -z·σ(-zm) from one exp(-|zm|).
+		z := f.z[i]
+		zm := z * m
+		var sig float64
+		if zm > 0 {
+			e := math.Exp(-zm)
+			loss += math.Log1p(e)
+			sig = e / (1 + e)
+		} else {
+			e := math.Exp(zm)
+			loss += -zm + math.Log1p(e)
+			sig = 1 / (1 + e)
+		}
+		g := -z * sig
+		gradB += g
+		f.g[i] = g
+	}
+	inv := 1 / float64(len(f.m))
+
+	// gradW = Xᵀg/n: each column's dot product adds in row order; four
+	// columns share a pass over g so their add chains overlap. Past the last
+	// column a group repeats it (same sum, same slot) instead of branching.
+	d, gw := f.s.d, f.gradW
+	for j := 0; j < d; j += 4 {
+		j1, j2, j3 := min(j+1, d-1), min(j+2, d-1), min(j+3, d-1)
+		var s0, s1, s2, s3 float64
+		off := 0
+		for _, blk := range f.s.blocks {
+			g := f.g[off : off+blk.n]
+			c0, c1, c2, c3 := blk.col(j)[:len(g)], blk.col(j1)[:len(g)], blk.col(j2)[:len(g)], blk.col(j3)[:len(g)]
+			for i, gi := range g {
+				s0 += gi * c0[i]
+				s1 += gi * c1[i]
+				s2 += gi * c2[i]
+				s3 += gi * c3[i]
+			}
+			off += blk.n
+		}
+		gw[j], gw[j1], gw[j2], gw[j3] = s0*inv, s1*inv, s2*inv, s3*inv
 	}
 	return loss * inv, gradB * inv
-}
-
-// smoothLoss evaluates only the logistic loss (no penalty).
-func smoothLoss(x [][]float64, y []int, w []float64, b float64) float64 {
-	n := len(x)
-	loss := 0.0
-	for i := 0; i < n; i++ {
-		m := b
-		row := x[i]
-		for j := range w {
-			m += row[j] * w[j]
-		}
-		z := -1.0
-		if y[i] == 1 {
-			z = 1.0
-		}
-		loss += logistic(z * m)
-	}
-	return loss / float64(n)
-}
-
-// sufficientDecrease is the standard backtracking acceptance test for
-// proximal gradient: f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s.
-func sufficientDecrease(x [][]float64, y []int, wLook []float64, bLook float64, wNew []float64, bNew float64, gradW []float64, gradB, lossLook, step float64) bool {
-	quad := 0.0
-	lin := 0.0
-	for j := range wNew {
-		dj := wNew[j] - wLook[j]
-		lin += gradW[j] * dj
-		quad += dj * dj
-	}
-	db := bNew - bLook
-	lin += gradB * db
-	quad += db * db
-	bound := lossLook + lin + quad/(2*step)
-	return smoothLoss(x, y, wNew, bNew) <= bound+1e-12
 }
 
 // logistic returns log(1 + exp(-t)) computed stably.
@@ -374,32 +513,40 @@ func (m *Model) TopFeatures(k int) []int {
 // log-odds). Training with Lambda >= LambdaMax yields an all-zero weight
 // vector; useful as the top of a regularization path.
 func LambdaMax(x [][]float64, y []int) (float64, error) {
-	n := len(x)
-	if n == 0 || len(y) != n {
-		return 0, errNoData
+	s, err := NewSamples(x, y)
+	if err != nil {
+		return 0, err
 	}
-	d := len(x[0])
-	pos := 0
-	for _, yi := range y {
-		pos += yi
+	pos, err := s.positives()
+	if err != nil {
+		return 0, err
 	}
-	p := float64(pos) / float64(n)
-	if p == 0 || p == 1 {
-		return 0, errOneClass
-	}
-	// With w=0 and bias at log-odds, residual r_i = p - y_i.
+	return newSolver(s).lambdaMax(pos), nil
+}
+
+func (f *solver) lambdaMax(pos int) float64 {
+	n := float64(len(f.z))
+	p := float64(pos) / n
+	// With w=0 and bias at log-odds, residual r_i = p - y_i, y_i = (z_i+1)/2.
 	maxAbs := 0.0
-	for j := 0; j < d; j++ {
-		g := 0.0
-		for i := 0; i < n; i++ {
-			g += (p - float64(y[i])) * x[i][j]
+	for j := 0; j < f.s.d; j++ {
+		g, off := 0.0, 0
+		for _, b := range f.s.blocks {
+			for i, v := range b.col(j) {
+				g += (p - (f.z[off+i]+1)/2) * v
+			}
+			off += b.n
 		}
-		if a := math.Abs(g / float64(n)); a > maxAbs {
+		if a := math.Abs(g / n); a > maxAbs {
 			maxAbs = a
 		}
 	}
-	return maxAbs, nil
+	return maxAbs
 }
+
+// PathStats describes one SelectTopK path: label-1 rows trained on,
+// penalties fitted (Steps), and their FISTA iterations in total.
+type PathStats struct{ Positives, Steps, Iters int }
 
 // SelectTopK trains models along a decreasing regularization path until at
 // least k features have non-zero coefficients, then returns the k with the
@@ -407,64 +554,43 @@ func LambdaMax(x [][]float64, y []int) (float64, error) {
 // per crisis" step of §3.4. If fewer than k features ever activate, all
 // active features are returned. The returned model operates on standardized
 // features and is intended for feature ranking, not direct prediction on
-// raw inputs.
+// raw inputs. x is copied, never modified.
 func SelectTopK(x [][]float64, y []int, k int) ([]int, *Model, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("logreg: k=%d must be positive", k)
-	}
-	std := standardizeCopy(x)
-	lmax, err := LambdaMax(std, y)
+	s, err := NewSamples(x, y)
 	if err != nil {
 		return nil, nil, err
 	}
-	if lmax <= 0 {
-		lmax = 1
-	}
-	var best *Model
-	lambda := lmax / 2
-	for step := 0; step < 12; step++ {
-		m, err := Train(std, y, Options{Lambda: lambda, MaxIter: 500, Tol: 1e-6})
-		if err != nil {
-			return nil, nil, err
-		}
-		best = m
-		if len(m.Selected()) >= k {
-			break
-		}
-		lambda /= 2
-	}
-	return best.TopFeatures(k), best, nil
+	top, m, _, err := s.SelectTopK(k)
+	return top, m, err
 }
 
-// standardizeCopy returns a zero-mean unit-variance copy of x.
-func standardizeCopy(x [][]float64) [][]float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
+// SelectTopK is the package-level SelectTopK on a set the caller gives up:
+// the samples are standardized in place, so the whole path — validation,
+// standardization, λmax, every fit — runs on the one copy of the data, with
+// scratch allocated once. Values must be finite.
+func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
+	if k <= 0 {
+		return nil, nil, PathStats{}, fmt.Errorf("logreg: k=%d must be positive", k)
 	}
-	d := len(x[0])
-	out := make([][]float64, n)
-	for j := 0; j < d; j++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += x[i][j]
-		}
-		mean := s / float64(n)
-		ss := 0.0
-		for i := 0; i < n; i++ {
-			dv := x[i][j] - mean
-			ss += dv * dv
-		}
-		sd := math.Sqrt(ss / float64(n))
-		if sd <= 1e-12 {
-			sd = 1
-		}
-		for i := 0; i < n; i++ {
-			if out[i] == nil {
-				out[i] = make([]float64, d)
-			}
-			out[i][j] = (x[i][j] - mean) / sd
-		}
+	pos, err := s.positives()
+	if err != nil {
+		return nil, nil, PathStats{}, err
 	}
-	return out
+	st := PathStats{Positives: pos}
+	f := newSolver(s)
+	s.standardize(f.mean, f.std)
+	lambda := f.lambdaMax(pos)
+	if lambda <= 0 {
+		lambda = 1
+	}
+	m := &Model{Weights: f.w}
+	for active := 0; st.Steps < 12 && active < k; st.Steps++ {
+		lambda /= 2
+		m.Lambda = lambda
+		m.Bias, m.Iters = f.fit(Options{Lambda: lambda, MaxIter: 500, Tol: 1e-6})
+		st.Iters += m.Iters
+		active = len(m.Selected())
+	}
+	m.Weights = append([]float64(nil), f.w...) // not a view into the scratch
+	return m.TopFeatures(k), m, st, nil
 }

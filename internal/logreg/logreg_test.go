@@ -1,6 +1,7 @@
 package logreg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -261,6 +262,20 @@ func TestStandardizeCopy(t *testing.T) {
 	}
 	if standardizeCopy(nil) != nil {
 		t.Fatal("standardizeCopy(nil) should be nil")
+	}
+	// The production standardizer works in place on the column-major set and
+	// reports what it subtracted and divided by.
+	set, err := NewSamples(x, []int{0, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, std := make([]float64, 2), make([]float64, 2)
+	set.standardize(mean, std)
+	if got, _ := set.Rows(); fmt.Sprint(got) != fmt.Sprint(s) {
+		t.Fatalf("Samples.standardize = %v, want %v", got, s)
+	}
+	if mean[0] != 2 || mean[1] != 100 || std[0] != math.Sqrt(2.0/3) || std[1] != 1 {
+		t.Fatalf("mean %v, std %v", mean, std)
 	}
 }
 

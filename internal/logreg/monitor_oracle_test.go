@@ -1,0 +1,150 @@
+package logreg_test
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"testing"
+
+	"dcfp/internal/core"
+	"dcfp/internal/crisis"
+	"dcfp/internal/dcsim"
+	"dcfp/internal/logreg"
+	"dcfp/internal/metrics"
+	"dcfp/internal/monitor"
+)
+
+// checkpointView is the slice of the monitor's checkpoint this test reads:
+// each tracked crisis's collected samples (while it is open) and its selected
+// metrics (once it has closed). gob matches fields by name and skips the rest.
+type checkpointView struct {
+	State struct {
+		ActiveIdx int
+		Past      []struct {
+			ID  string
+			FsX [][]float64
+			FsY []int
+			Top []int
+		}
+	}
+}
+
+func viewCheckpoint(t *testing.T, m *monitor.Monitor) checkpointView {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.WriteCheckpoint(&buf, monitor.CheckpointMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	var v checkpointView
+	const header = len("DCFPCKPT") + 4
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[header:])).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestOraclePerCrisisOnMonitorSamples drives the monitor over the benchmark's
+// scripted A–D crisis rotation and checks, for every crisis it closes, the
+// whole chain on the samples the monitor really collected (ring epochs, the
+// detection epoch twice, every crisis epoch — read back from checkpoints):
+// the monitor's selection, which standardizes its per-epoch blocks in place,
+// equals the public copy-in core.PerCrisisMetrics, and logreg.SelectTopK on
+// those samples equals the row-oriented reference bit for bit.
+func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
+	const machines, warmup, cycle = 40, 200, 32
+	crises := 8
+	if testing.Short() {
+		crises = 4
+	}
+	sc := dcsim.DefaultStreamConfig(15)
+	sc.Machines = machines
+	sc.WarmupEpochs = warmup
+	types := []crisis.Type{crisis.TypeA, crisis.TypeB, crisis.TypeC, crisis.TypeD}
+	for i := 0; i < crises; i++ {
+		sc.Script = append(sc.Script, dcsim.ScriptedCrisis{
+			Start: metrics.Epoch(warmup + i*cycle + 8), Duration: 8, Type: types[i%len(types)],
+		})
+	}
+	stream, err := dcsim.NewStream(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := monitor.DefaultConfig(stream.Catalog(), stream.SLA())
+	cfg.Workers = 1
+	cfg.MinEpochsForThresholds = metrics.EpochsPerDay
+	mon, err := monitor.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := cfg.Selection.PerCrisisTopK
+
+	var open checkpointView // the last checkpoint taken with a crisis open
+	closed, selected := 0, 0
+	for e := 0; e < warmup+crises*cycle; e++ {
+		rows, _, err := stream.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mon.ObserveEpoch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CrisisActive {
+			open = viewCheckpoint(t, mon)
+			continue
+		}
+		if open.State.Past == nil {
+			continue
+		}
+		// This epoch closed the crisis that was open one epoch ago.
+		idx := open.State.ActiveIdx
+		samples := open.State.Past[idx]
+		after := viewCheckpoint(t, mon).State.Past[idx]
+		open = checkpointView{}
+		closed++
+		what := fmt.Sprintf("%s (%d samples)", samples.ID, len(samples.FsX))
+		if len(after.FsX) != 0 {
+			t.Fatalf("%s: samples still held after the crisis closed", what)
+		}
+		// 17 epochs' worth, as on the benchmark's crisis-100 (1 700 rows there):
+		// the full ring, the detection epoch twice, the other open epochs.
+		if want := 17 * machines; len(samples.FsX) != want {
+			t.Fatalf("%s: want %d", what, want)
+		}
+
+		public, err := core.PerCrisisMetrics(core.CrisisSamples{X: samples.FsX, Y: samples.FsY}, k)
+		if err != nil {
+			t.Fatalf("%s: PerCrisisMetrics: %v", what, err)
+		}
+		if fmt.Sprint(after.Top) != fmt.Sprint(public) {
+			t.Fatalf("%s: monitor selected %v in place, PerCrisisMetrics %v on a copy", what, after.Top, public)
+		}
+		selected += len(public)
+
+		wantTop, want, err := logreg.OracleSelectTopK(samples.FsX, samples.FsY, k)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", what, err)
+		}
+		top, got, err := logreg.SelectTopK(samples.FsX, samples.FsY, k)
+		if err != nil {
+			t.Fatalf("%s: SelectTopK: %v", what, err)
+		}
+		if fmt.Sprint(top) != fmt.Sprint(wantTop) {
+			t.Fatalf("%s: SelectTopK ranks %v, oracle %v", what, top, wantTop)
+		}
+		logreg.SameModel(t, what, got, want)
+		// PerCrisisMetrics keeps a prefix-order subset of the ranking.
+		rank := 0
+		for _, j := range public {
+			for rank < len(wantTop) && wantTop[rank] != j {
+				rank++
+			}
+			if rank == len(wantTop) {
+				t.Fatalf("%s: selected %v is not an ordered subset of the oracle ranking %v", what, public, wantTop)
+			}
+		}
+	}
+	if closed != crises || selected == 0 {
+		t.Fatalf("closed %d of %d scripted crises, %d metrics selected in all", closed, crises, selected)
+	}
+}

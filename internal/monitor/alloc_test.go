@@ -53,3 +53,25 @@ func TestObserveEpochAllocs(t *testing.T) {
 		t.Errorf("forecast-enabled ObserveEpoch allocates %.1f objects/epoch in steady state, want <= 20", avg)
 	}
 }
+
+// TestPerCrisisSampleCollectionAllocs: an open crisis keeps each collected epoch
+// as one metric-major block — one allocation per epoch (plus the geometric
+// growth of the block and label lists), not one per machine row.
+func TestPerCrisisSampleCollectionAllocs(t *testing.T) {
+	m, epochs := benchMonitor(t, nil, nil)
+	viol := make([]bool, len(epochs[0]))
+	var p pastCrisis
+	const collected = 64
+	total := testing.AllocsPerRun(1, func() {
+		p = pastCrisis{}
+		for e := 0; e < collected; e++ {
+			m.collectCrisisSamples(&p, epochs[e%len(epochs)], viol)
+		}
+	})
+	if p.fs.Len() != collected*len(viol) {
+		t.Fatalf("collected %d rows, want %d", p.fs.Len(), collected*len(viol))
+	}
+	if total < collected || total > collected*3/2 {
+		t.Errorf("collecting %d epochs allocated %v times, want one per epoch plus list growth", collected, total)
+	}
+}

@@ -52,8 +52,8 @@ func TestEndCrisisReleasesBuffersWhenUnstored(t *testing.T) {
 	if tb.m.store.Len() != 0 {
 		t.Fatal("precondition: crisis must be unstorable without thresholds")
 	}
-	if p := tb.m.past[0]; p.fsX != nil || p.fsY != nil {
-		t.Fatalf("feature-selection buffers leaked on the unstored path: %d rows retained", len(p.fsX))
+	if p := tb.m.past[0]; p.fs.Len() != 0 {
+		t.Fatalf("feature-selection buffers leaked on the unstored path: %d rows retained", p.fs.Len())
 	}
 }
 
@@ -99,11 +99,11 @@ func TestBackToBackCrisesSkipStaleRing(t *testing.T) {
 	// skipped — before the fix they were all seeded in.
 	p := tb.m.past[tb.m.activeIdx]
 	maxFresh := (1 + 2) * tbMachines // ring(209) + detection epoch collected on begin+active paths
-	if got := len(p.fsX); got > maxFresh {
-		t.Fatalf("fsX holds %d rows, want <= %d (stale pre-first-crisis ring rows seeded?)", got, maxFresh)
+	if got := p.fs.Len(); got > maxFresh {
+		t.Fatalf("fs holds %d rows, want <= %d (stale pre-first-crisis ring rows seeded?)", got, maxFresh)
 	}
-	if len(p.fsX) != len(p.fsY) {
-		t.Fatalf("fsX/fsY length mismatch: %d vs %d", len(p.fsX), len(p.fsY))
+	if x, y := p.fs.Rows(); len(x) != len(y) {
+		t.Fatalf("sample/label length mismatch: %d vs %d", len(x), len(y))
 	}
 }
 
@@ -156,7 +156,7 @@ func TestFlushFinalizesTrailingCrisis(t *testing.T) {
 	if tb.m.store.Len() != 1 {
 		t.Fatalf("store.Len = %d, want the trailing crisis stored", tb.m.store.Len())
 	}
-	if p := tb.m.past[0]; p.fsX != nil || p.fsY != nil {
+	if p := tb.m.past[0]; p.fs.Len() != 0 {
 		t.Fatal("feature-selection buffers retained after Flush")
 	}
 	if tb.m.Flush() {

@@ -157,9 +157,10 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 		f.State.Thresholds = *m.thresholds
 	}
 	for _, p := range m.past {
+		x, y := p.fs.Rows()
 		f.State.Past = append(f.State.Past, checkpointCrisis{
 			ID: p.id, Label: p.label, Start: p.start,
-			FsX: p.fsX, FsY: p.fsY, Top: p.top,
+			FsX: x, FsY: y, Top: p.top,
 			Votes: p.votes, Expl: p.expl,
 		})
 	}
@@ -193,6 +194,18 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	if err := m.validatePayload(s); err != nil {
 		return CheckpointMeta{}, err
 	}
+	past := make([]pastCrisis, len(s.Past))
+	for i, p := range s.Past {
+		fs, err := core.CrisisSamples{X: p.FsX, Y: p.FsY}.Buffer()
+		if err != nil {
+			return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint crisis %q: %w", p.ID, err)
+		}
+		past[i] = pastCrisis{
+			id: p.ID, label: p.Label, start: p.Start,
+			fs: *fs, top: p.Top,
+			votes: p.Votes, expl: p.Expl,
+		}
+	}
 
 	m.epoch = s.Epoch
 	m.inCrisis = s.InCrisis
@@ -212,14 +225,7 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.degradedCount = s.DegradedCount
 	m.lastCoverage = s.LastCoverage
 	m.store = s.Store
-	m.past = m.past[:0]
-	for _, p := range s.Past {
-		m.past = append(m.past, pastCrisis{
-			id: p.ID, label: p.Label, start: p.Start,
-			fsX: p.FsX, fsY: p.FsY, top: p.Top,
-			votes: p.Votes, expl: p.Expl,
-		})
-	}
+	m.past = past
 	m.nextID = s.NextID
 	m.rawRing = s.RawRing
 	// Gob turns nil inner slices into empty ones; the ring uses nil to mark
@@ -285,6 +291,9 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	if s.RingPos < 0 || s.RingPos >= m.cfg.RawPad {
 		return fmt.Errorf("monitor: checkpoint ring position %d out of [0, %d)", s.RingPos, m.cfg.RawPad)
 	}
+	// Sample rows (collected, or still in the ring) all become blocks of one
+	// catalog-wide buffer.
+	sampleRows := append([][][]float64(nil), s.RawRing...)
 	for i, p := range s.Past {
 		if p.ID == "" {
 			return fmt.Errorf("monitor: checkpoint crisis %d has no ID", i)
@@ -292,6 +301,14 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 		if len(p.FsX) != len(p.FsY) {
 			return fmt.Errorf("monitor: checkpoint crisis %q samples misaligned (%d rows, %d labels)",
 				p.ID, len(p.FsX), len(p.FsY))
+		}
+		sampleRows = append(sampleRows, p.FsX)
+	}
+	for _, rows := range sampleRows {
+		for _, row := range rows {
+			if len(row) != width {
+				return fmt.Errorf("monitor: checkpoint sample row width %d, catalog %d", len(row), width)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,6 +74,17 @@ func TestCheckpointRoundTripByteIdentical(t *testing.T) {
 	}
 	if b.Epoch() != a.Epoch() {
 		t.Fatalf("restored monitor at epoch %d, original %d", b.Epoch(), a.Epoch())
+	}
+	// The open crisis's samples live in per-epoch metric-major blocks and are
+	// checkpointed as rows: the conversion must lose nothing either way.
+	open := a.past[a.activeIdx].fs
+	if n := open.Len(); n == 0 || b.past[b.activeIdx].fs.Len() != n {
+		t.Fatalf("open crisis holds %d samples, restored %d", n, b.past[b.activeIdx].fs.Len())
+	}
+	ax, ay := open.Rows()
+	bx, by := b.past[b.activeIdx].fs.Rows()
+	if !reflect.DeepEqual(ax, bx) || !reflect.DeepEqual(ay, by) {
+		t.Fatal("restored crisis samples differ from the original's")
 	}
 
 	// Replay the next epochs into both monitors; reports must be identical.
@@ -217,12 +229,28 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		}
 	}
 
+	// Sample rows of the wrong width would poison the open crisis's buffer.
+	var f checkpointFile
+	if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	slot := (f.State.RingPos + len(f.State.RawRing) - 1) % len(f.State.RawRing)
+	f.State.RawRing[slot][0] = f.State.RawRing[slot][0][:3]
+	narrow := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
+	if err := gob.NewEncoder(narrow).Encode(&f); err != nil {
+		t.Fatal(err)
+	}
+	fresh := equivMonitor(t, s, 1, nil)
+	if _, err := fresh.ReadCheckpoint(narrow); err == nil || fresh.Epoch() != 0 {
+		t.Fatalf("narrow ring row: restore err = %v, epoch %d; want an error and an untouched monitor", err, fresh.Epoch())
+	}
+
 	// A corrupt on-disk checkpoint surfaces as an error (caller starts cold).
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, CheckpointFileName), good[:len(good)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh := equivMonitor(t, s, 1, nil)
+	fresh = equivMonitor(t, s, 1, nil)
 	if _, ok, err := LoadCheckpoint(dir, fresh); err == nil || ok {
 		t.Fatalf("corrupt file load = (%v, %v), want error", ok, err)
 	}

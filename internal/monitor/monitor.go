@@ -195,10 +195,9 @@ type pastCrisis struct {
 	id    string
 	label string // "" until operators resolve it
 	start metrics.Epoch
-	// fsX/fsY are the machine-level feature-selection samples gathered
-	// around the crisis.
-	fsX [][]float64
-	fsY []int
+	// fs holds the machine-level feature-selection samples gathered around
+	// the crisis, one block per collected epoch, until endCrisis consumes it.
+	fs core.SampleBuffer
 	// top is the cached per-crisis top-K metric selection.
 	top []int
 	// votes is the label sequence emitted across the identification epochs
@@ -598,7 +597,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 	case m.activeIdx >= 0 && !status.InCrisis:
 		m.calm++
 		if m.calm > 1 {
-			m.endCrisis(e)
+			m.endCrisis(tr, e)
 		}
 	}
 
@@ -618,7 +617,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 		rep.CrisisActive = true
 		rep.CrisisStart = m.activeStart
 		if !degraded {
-			m.collectCrisisSamples(copies, viol)
+			m.collectCrisisSamples(&m.past[m.activeIdx], copies, viol)
 		}
 		k := int(e - m.activeStart)
 		if k < ident.IdentificationEpochs {
@@ -851,46 +850,32 @@ func (m *Monitor) beginCrisis(e metrics.Epoch, copies [][]float64, viol []bool) 
 		if m.rawRing[slot] == nil || m.ringEpoch[slot]+metrics.Epoch(m.cfg.RawPad) < e {
 			continue
 		}
-		// Ring rows are views into pooled matrices that are recycled when
-		// their slot is evicted, so feature selection keeps its own copies
-		// (crisis onsets are rare; the allocation is off the steady path).
-		for i, row := range m.rawRing[slot] {
-			p.fsX = append(p.fsX, append([]float64(nil), row...))
-			p.fsY = append(p.fsY, boolToLabel(m.violRing[slot][i]))
-		}
+		m.collectCrisisSamples(&p, m.rawRing[slot], m.violRing[slot])
 	}
 	m.past = append(m.past, p)
 	m.activeIdx = len(m.past) - 1
 	m.activeStart = e
 	m.calm = 0
-	m.collectCrisisSamples(copies, viol)
+	m.collectCrisisSamples(&m.past[m.activeIdx], copies, viol)
 	if m.tel != nil {
 		m.tel.crisesDetected.Inc()
 	}
 	m.events.CrisisDetected(int64(e), p.id)
 }
 
-func (m *Monitor) collectCrisisSamples(copies [][]float64, viol []bool) {
-	p := &m.past[m.activeIdx]
-	// copies are views into the epoch's pooled matrix, which goes back to the
-	// pool when ObserveEpoch returns — the samples kept for feature selection
-	// must own their storage.
-	for i, row := range copies {
-		p.fsX = append(p.fsX, append([]float64(nil), row...))
-		p.fsY = append(p.fsY, boolToLabel(viol[i]))
-	}
-}
-
-func boolToLabel(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
+// collectCrisisSamples copies one epoch's rows and violation flags into p's
+// feature-selection buffer as one block. The rows are views into pooled
+// matrices (the epoch's, or a ring slot's) that get recycled, so the buffer
+// owns its storage: one allocation per collected epoch.
+func (m *Monitor) collectCrisisSamples(p *pastCrisis, rows [][]float64, viol []bool) {
+	// Every row is catalog-width — ingestion and checkpoint restore both
+	// check — so the buffer's only error, a width mismatch, cannot occur.
+	_ = p.fs.Append(rows, viol)
 }
 
 // endCrisis finalizes the active crisis: stores its raw summary rows and
-// runs its feature selection.
-func (m *Monitor) endCrisis(e metrics.Epoch) {
+// runs its feature selection, which consumes the collected samples in place.
+func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	p := &m.past[m.activeIdx]
 	m.activeIdx = -1
 	m.calm = 0
@@ -900,7 +885,7 @@ func (m *Monitor) endCrisis(e metrics.Epoch) {
 	// store failure) keeping them would leak every machine row of the
 	// episode for the life of the process.
 	defer func() {
-		p.fsX, p.fsY = nil, nil
+		p.fs = core.SampleBuffer{}
 		m.events.CrisisEnded(int64(e), p.id, int(e-p.start), stored)
 	}()
 	if m.thresholds == nil {
@@ -918,9 +903,19 @@ func (m *Monitor) endCrisis(e metrics.Epoch) {
 	if m.tel != nil {
 		ts = time.Now()
 	}
-	if top, err := core.PerCrisisMetrics(core.CrisisSamples{X: p.fsX, Y: p.fsY}, m.cfg.Selection.PerCrisisTopK); err == nil {
-		p.top = top
+	sp := tr.StartSpan("selection")
+	top, st, err := core.PerCrisisSelection(&p.fs, m.cfg.Selection.PerCrisisTopK)
+	if err != nil {
+		// The crisis stays stored but currentFingerprinter skips it: say so.
+		m.events.Event("selection.failed", "epoch", int64(e), "crisis", p.id, "rows", p.fs.Len(), "error", err.Error())
 	}
+	p.top = top
+	sp.SetAttr("rows", int64(p.fs.Len()))
+	sp.SetAttr("positives", int64(st.Positives))
+	sp.SetAttr("lambda_steps", int64(st.Steps))
+	sp.SetAttr("iters_total", int64(st.Iters))
+	sp.SetAttr("selected", int64(len(top)))
+	sp.End()
 	m.span(stageSelection, ts)
 	if m.tel != nil {
 		m.tel.storeSize.SetInt(int64(m.store.Len()))
@@ -941,7 +936,7 @@ func (m *Monitor) Flush() bool {
 	if e > 0 {
 		e--
 	}
-	m.endCrisis(e)
+	m.endCrisis(nil, e)
 	return true
 }
 

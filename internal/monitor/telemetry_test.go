@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcfp/internal/core"
 	"dcfp/internal/metrics"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
@@ -148,6 +149,132 @@ func TestMonitorTelemetryIntegration(t *testing.T) {
 		if !strings.Contains(ev, want) {
 			t.Fatalf("event stream missing %q:\n%.2000s", want, ev)
 		}
+	}
+}
+
+// TestPerCrisisSelectionSpan: the crisis-closing epoch's one slow stage,
+// feature selection, shows in /traces as a "selection" span carrying the work
+// it did, on exactly the epochs that close a stored crisis; with no tracer
+// the same calls cost nothing.
+func TestPerCrisisSelectionSpan(t *testing.T) {
+	tb := newTestbed(t)
+	tracer := telemetry.NewTracer(512)
+	cfg := tb.m.cfg
+	cfg.Tracer = tracer
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.m = m
+	closing := map[int64]bool{}
+	wasActive := false
+	run := func(n int, effects map[int]float64) {
+		tb.effects = effects
+		for i := 0; i < n; i++ {
+			rep := tb.step()
+			if wasActive && !rep.CrisisActive {
+				closing[int64(rep.Epoch)] = true
+			}
+			wasActive = rep.CrisisActive
+		}
+	}
+	run(200, nil)
+	run(8, map[int]float64{tbLatency: 5, tbQueueA: 8})
+	run(40, nil)
+	run(6, map[int]float64{tbLatency: 5, tbQueueB: 8})
+	run(10, nil)
+	if len(closing) != 2 {
+		t.Fatalf("script closed %d crises, want 2", len(closing))
+	}
+	for _, snap := range tracer.Snapshots() {
+		var epoch int64 = -1
+		for _, a := range snap.Attrs {
+			if a.Key == "epoch" {
+				epoch = a.Value
+			}
+		}
+		spans := 0
+		for _, sp := range snap.Spans {
+			if sp.Name != "selection" {
+				continue
+			}
+			spans++
+			attrs := map[string]int64{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if len(attrs) != 5 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
+				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 {
+				t.Fatalf("epoch %d: selection span attrs %v", epoch, sp.Attrs)
+			}
+		}
+		if (spans == 1) != closing[epoch] || spans > 1 {
+			t.Fatalf("epoch %d (closes a crisis: %v) has %d selection spans", epoch, closing[epoch], spans)
+		}
+		delete(closing, epoch)
+	}
+	if len(closing) != 0 {
+		t.Fatalf("no trace retained for closing epochs %v", closing)
+	}
+
+	var off *telemetry.Trace // what endCrisis gets from a nil Tracer
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp := off.StartSpan("selection")
+		sp.SetAttr("rows", 1)
+		sp.End()
+	}); allocs != 0 {
+		t.Fatalf("selection span on a disabled tracer allocates %v times", allocs)
+	}
+}
+
+// TestPerCrisisSelectionFailureIsReported: a crisis whose feature selection fails is
+// stored without selected metrics (so fingerprinting skips it); that used to
+// be silent, now the event stream says which crisis and why.
+func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
+	tb, _, events := instrumentedTestbed(t)
+	tb.quiet(200)
+	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
+	for i := 0; i < 6; i++ {
+		tb.step()
+	}
+	tb.effects = map[int]float64{}
+	tb.step() // first calm epoch: the episode is still open
+	if strings.Contains(events.String(), "selection.failed") {
+		t.Fatal("selection.failed before any selection ran")
+	}
+	// Leave the open crisis only single-class samples.
+	p := &tb.m.past[tb.m.activeIdx]
+	x, y := p.fs.Rows()
+	var calm [][]float64
+	for i, row := range x {
+		if y[i] == 0 {
+			calm = append(calm, row)
+		}
+	}
+	p.fs = core.SampleBuffer{}
+	if err := p.fs.Append(calm, make([]bool, len(calm))); err != nil {
+		t.Fatal(err)
+	}
+	if rep := tb.step(); rep.CrisisActive {
+		t.Fatal("second calm epoch must close the episode")
+	}
+	if tb.m.store.Len() != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
+		t.Fatalf("crisis stored %d times, top %v, %d samples retained", tb.m.store.Len(), tb.m.past[0].top, tb.m.past[0].fs.Len())
+	}
+	ev := events.String()
+	for _, want := range []string{"selection.failed", "crisis=crisis-001", fmt.Sprintf("rows=%d", len(calm)), "single class", "crisis.ended"} {
+		if !strings.Contains(ev, want) {
+			t.Fatalf("event stream missing %q:\n%s", want, ev)
+		}
+	}
+	// A healthy crisis afterwards reports nothing.
+	tb.quiet(20)
+	tb.crisis("X", 8)
+	if n := strings.Count(events.String(), "selection.failed"); n != 1 {
+		t.Fatalf("%d selection.failed events, want only the first crisis's", n)
+	}
+	if tb.m.past[1].top == nil {
+		t.Fatal("second crisis selected no metrics")
 	}
 }
 

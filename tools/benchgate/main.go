@@ -1,8 +1,8 @@
 // Command benchgate guards the hot-path benchmarks against performance
-// regressions. It runs the steady-state ingestion, epoch-generation, and
-// fleet wire-codec benchmarks (`go test -bench
-// 'ObserveEpoch|EpochGen|FrameCodec|FleetEpochThroughput' -benchmem`),
-// records every result in a JSON baseline (benchmark name → ns/op, B/op,
+// regressions. It runs the steady-state ingestion, epoch-generation,
+// fleet wire-codec and per-crisis feature-selection benchmarks (`go test -bench
+// 'ObserveEpoch|EpochGen|FrameCodec|FleetEpochThroughput|PerCrisisSelection'
+// -benchmem`), records every result in a JSON baseline (benchmark name → ns/op, B/op,
 // allocs/op), and exits non-zero when any benchmark's ns/op or allocs/op
 // regresses beyond its tolerance against the committed baseline, or when a
 // benchmark runs without a committed baseline entry (so new benchmarks
@@ -65,12 +65,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	args := []string{"test", "-run", "^$", "-bench", "ObserveEpoch|EpochGen|FrameCodec|FleetEpochThroughput",
+	args := []string{"test", "-run", "^$", "-bench", "ObserveEpoch|EpochGen|FrameCodec|FleetEpochThroughput|PerCrisisSelection",
 		"-benchmem", "-count", strconv.Itoa(*count)}
 	if *benchtime != "" {
 		args = append(args, "-benchtime", *benchtime)
 	}
-	args = append(args, "./internal/monitor/", "./internal/dcsim/", "./internal/fleet/")
+	args = append(args, ".", "./internal/monitor/", "./internal/dcsim/", "./internal/fleet/")
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
