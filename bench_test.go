@@ -352,17 +352,6 @@ func BenchmarkQuantileExactVsGK(b *testing.B) {
 			}
 		}
 	})
-	b.Run("ckms-targeted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			est := quantile.MustCKMS(quantile.TrackedTargets())
-			for _, v := range vals {
-				est.Insert(v)
-			}
-			if _, err := quantile.Summarize(est); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEpochFingerprint measures the per-epoch fingerprinting cost —

@@ -450,21 +450,6 @@ func SaveTrace(path string, tr *Trace) error { return tracefile.Save(path, tr) }
 // LoadTrace reads a trace written by SaveTrace.
 func LoadTrace(path string) (*Trace, error) { return tracefile.Load(path) }
 
-// QuantileTarget is one quantile a CKMS sketch answers with guaranteed
-// precision.
-type QuantileTarget = quantile.Target
-
-// NewCKMSQuantiles returns a Cormode–Korn–Muthukrishnan–Srivastava sketch
-// that concentrates its memory budget on the given target quantiles — the
-// natural choice for fingerprinting, which only ever queries the 25th, 50th
-// and 95th (see TrackedQuantileTargets).
-func NewCKMSQuantiles(targets []QuantileTarget) (QuantileEstimator, error) {
-	return quantile.NewCKMS(targets)
-}
-
-// TrackedQuantileTargets are the paper's three quantiles at 0.5% rank error.
-func TrackedQuantileTargets() []QuantileTarget { return quantile.TrackedTargets() }
-
 // MonitorForecastConfig tunes the Monitor's online forecast stage: the
 // fleet-level "crisis probability within Horizon epochs" signal built from
 // violation trends, near-violation counts, out-of-band pressure and trained

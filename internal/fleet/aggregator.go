@@ -30,9 +30,6 @@ type AggregatorConfig struct {
 	// SLA holds the KPIs and crisis rule; the shard evaluates its machine
 	// slice locally and ships the partial status.
 	SLA sla.Config
-	// NewEstimator overrides the per-metric quantile estimator (nil =
-	// exact, the lossless-merge default).
-	NewEstimator func() quantile.Estimator
 	// CoordinatorURL is the coordinator's base URL ("http://host:port").
 	CoordinatorURL string
 	// Client overrides the HTTP client (nil = 10 s timeout default).
@@ -124,11 +121,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	newEst := cfg.NewEstimator
-	if newEst == nil {
-		newEst = func() quantile.Estimator { return quantile.NewExact() }
-	}
-	agg, err := metrics.NewAggregator(cfg.NumMetrics, newEst)
+	// Exact estimators: their merge at the coordinator is lossless.
+	agg, err := metrics.NewAggregator(cfg.NumMetrics, func() quantile.Estimator { return quantile.NewExact() })
 	if err != nil {
 		return nil, err
 	}

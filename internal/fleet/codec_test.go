@@ -2,10 +2,16 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/gob"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcfp/internal/dcsim"
@@ -49,96 +55,82 @@ func benchFixtureFrame(tb testing.TB) *Frame {
 	}
 }
 
-// gobEstimators serializes an estimator slice with gob — a deterministic
-// fingerprint of decoded estimator state for byte-identity assertions.
-func gobEstimators(tb testing.TB, ests []quantile.Estimator) []byte {
+// estimatorBytes serializes an estimator slice with the binary codec — a
+// deterministic fingerprint of estimator state for byte-identity assertions.
+func estimatorBytes(tb testing.TB, ests []quantile.Estimator) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ests); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFrameV4SmallerThanGob is the wire-size acceptance criterion: on the
-// 2-shard bench fixture the v4 encoding must be at least 40% smaller than
-// the all-gob layout it replaced (it elides the estimator section entirely
-// when derived from rows, and drops gob's per-float overhead).
-func TestFrameV4SmallerThanGob(t *testing.T) {
-	f := benchFixtureFrame(t)
-	v4, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := encodeFrameLegacy(f, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := float64(len(v4)) / float64(len(legacy)); ratio > 0.60 {
-		t.Fatalf("v4 frame is %d bytes vs %d gob (%.0f%% of gob); want <= 60%%",
-			len(v4), len(legacy), 100*ratio)
-	}
-	t.Logf("v4 %d bytes, gob %d bytes (%.1f%% of gob)", len(v4), len(legacy),
-		100*float64(len(v4))/float64(len(legacy)))
-}
-
-// TestFrameMixedVersionEquivalence is the mixed-fleet proof obligation: the
-// same frame decoded from its v3 gob encoding and from its v4 binary
-// encoding must be indistinguishable — same metadata, same blocks, and
-// bit-identical estimator state (asserted via gob re-encoding).
-func TestFrameMixedVersionEquivalence(t *testing.T) {
-	f := benchFixtureFrame(t)
-	// Punch holes in the fixture so nil rows and non-reporting machines
-	// cross both codecs too.
-	f.Blocks[0].Rows[3] = nil
-	f.Blocks[0].Reporting[3] = false
-	f.Dropped = 17
-	rebuilt := make([]quantile.Estimator, len(f.Estimators))
-	for m := range rebuilt {
-		rebuilt[m] = quantile.NewExact()
-	}
-	for _, row := range f.Blocks[0].Rows {
-		if row == nil {
-			continue
-		}
-		for m, v := range row {
-			rebuilt[m].Insert(v)
+	var buf []byte
+	for _, est := range ests {
+		var err error
+		if buf, err = quantile.AppendBinary(buf, est); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	f.Estimators = rebuilt
+	return buf
+}
 
-	v4, err := f.Encode()
+// TestFrameFixtureBytes pins the wire layout: the bench fixture frame must
+// encode to exactly the bytes it always has (size and SHA-256 recorded when
+// version 4 was the newest of three decodable versions). A change that moves
+// either is a format change and bumps frameVersion.
+//
+// gob numbers types in order of first use, process-wide, so the metadata
+// section's bytes depend on what the process encoded before; the pin holds
+// for a process that encodes the fixture first. Unless this run is already
+// that process, the test re-runs itself alone in a new one.
+func TestFrameFixtureBytes(t *testing.T) {
+	const alone = "^TestFrameFixtureBytes$"
+	if flag.Lookup("test.run").Value.String() != alone {
+		out, err := exec.Command(os.Args[0], "-test.run="+alone).CombinedOutput()
+		if err != nil {
+			t.Fatalf("in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	data, err := benchFixtureFrame(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := encodeFrameLegacy(f, 3)
+	const wantLen = 41060
+	const wantSum = "6087eb9c32a84c789e5d5e16b094bec814a4724a76b4885605a135e8a827245a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != wantLen || got != wantSum {
+		t.Fatalf("fixture frame is %d bytes, sha256 %s; want %d bytes, %s", len(data), got, wantLen, wantSum)
+	}
+}
+
+// TestFrameOneVersion: any header version but the current one is a protocol
+// rejection (not ErrCorrupt — the bytes are intact, the sender is a different
+// build), and the estimator mode a retired encoder used is corruption.
+func TestFrameOneVersion(t *testing.T) {
+	f := &Frame{Shard: 0, Epoch: 3, Machines: 4}
+	for _, v := range []uint32{1, 2, 3, frameVersion + 1} {
+		data, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The CRC covers only the payload, so no reseal is needed.
+		binary.BigEndian.PutUint32(data[len(frameMagic):], v)
+		_, err = DecodeFrame(data)
+		if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "frame version") {
+			t.Errorf("version %d: err %v, want the frame-version protocol error", v, err)
+		}
+	}
+	data, err := f.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, err := DecodeFrame(v4)
-	if err != nil {
-		t.Fatalf("v4 decode: %v", err)
+	if data[len(data)-1] != estModeNil {
+		t.Fatalf("frame without estimators ends in mode %d, want %d", data[len(data)-1], estModeNil)
 	}
-	d3, err := DecodeFrame(v3)
-	if err != nil {
-		t.Fatalf("v3 decode: %v", err)
-	}
-	if !bytes.Equal(gobEstimators(t, d4.Estimators), gobEstimators(t, d3.Estimators)) {
-		t.Fatal("estimator state differs between v3 and v4 decode")
-	}
-	d4.Estimators, d3.Estimators = nil, nil
-	if !reflect.DeepEqual(d4, d3) {
-		t.Fatalf("frames differ between v3 and v4 decode:\nv4: %+v\nv3: %+v", d4, d3)
+	data[len(data)-1] = 3
+	if _, err := DecodeFrame(sealHeader(data)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("estimator mode 3: err %v, want ErrCorrupt", err)
 	}
 }
 
 // TestFrameCompression: bodies above the threshold are flate-compressed on
 // the wire and decode back identical.
 func TestFrameCompression(t *testing.T) {
-	old := frameCompressThreshold
-	frameCompressThreshold = 1 << 10
-	defer func() { frameCompressThreshold = old }()
-
 	f := benchFixtureFrame(t)
 	// Constant rows compress extremely well and still exercise the whole
 	// path (the fixture's random rows would too, just less dramatically).
@@ -155,6 +147,14 @@ func TestFrameCompression(t *testing.T) {
 			f.Estimators[m].Insert(v)
 		}
 	}
+	plain, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old := frameCompressThreshold
+	frameCompressThreshold = 1 << 10
+	defer func() { frameCompressThreshold = old }()
 	data, err := f.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +162,8 @@ func TestFrameCompression(t *testing.T) {
 	if data[headerLen]&frameFlagCompressed == 0 {
 		t.Fatal("oversized body not compressed")
 	}
-	uncompressed, _ := encodeFrameLegacy(f, 3)
-	if len(data) >= len(uncompressed) {
-		t.Fatalf("compressed frame %d bytes not smaller than gob %d", len(data), len(uncompressed))
+	if len(data) >= len(plain) {
+		t.Fatalf("compressed frame %d bytes not smaller than uncompressed %d", len(data), len(plain))
 	}
 	got, err := DecodeFrame(data)
 	if err != nil {
@@ -173,64 +172,89 @@ func TestFrameCompression(t *testing.T) {
 	if got.Blocks[0].Rows[10][10] != 42 {
 		t.Fatal("compressed round-trip mangled rows")
 	}
-	if !bytes.Equal(gobEstimators(t, got.Estimators), gobEstimators(t, f.Estimators)) {
+	if !bytes.Equal(estimatorBytes(t, got.Estimators), estimatorBytes(t, f.Estimators)) {
 		t.Fatal("compressed round-trip mangled estimators")
 	}
 }
 
-// fallbackEst is an estimator type the binary codec does not know, forcing
-// the v4 encoder into its gob estimator section.
-type fallbackEst struct{ quantile.Exact }
+// alienEst is an estimator type the binary codec does not know.
+type alienEst struct{ quantile.Exact }
 
-func init() { gob.Register(&fallbackEst{}) }
-
-// TestFrameEstimatorFallbackModes: sketch estimators take the explicit
-// binary section; unknown estimator types fall back to gob — both
-// round-trip.
+// TestFrameEstimatorFallbackModes: exact state that is the shipped rows is
+// elided and rebuilt (derived), anything else the binary codec knows ships
+// explicitly, and an estimator it does not know fails the encode — there is
+// no second format to fall back to.
 func TestFrameEstimatorFallbackModes(t *testing.T) {
+	roundTrip := func(t *testing.T, f *Frame) (*Frame, int) {
+		t.Helper()
+		data, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(estimatorBytes(t, got.Estimators), estimatorBytes(t, f.Estimators)) {
+			t.Fatal("round trip mangled estimator state")
+		}
+		return got, len(data)
+	}
+	_, derivedLen := roundTrip(t, benchFixtureFrame(t))
+
+	t.Run("derived", func(t *testing.T) {
+		// Punch holes in the fixture so a nil row and a non-reporting
+		// machine cross the codec too.
+		f := benchFixtureFrame(t)
+		f.Blocks[0].Rows[3] = nil
+		f.Blocks[0].Reporting[3] = false
+		f.Dropped = 17
+		for m := range f.Estimators {
+			f.Estimators[m] = quantile.NewExact()
+		}
+		for _, row := range f.Blocks[0].Rows {
+			for m, v := range row {
+				f.Estimators[m].Insert(v)
+			}
+		}
+		got, n := roundTrip(t, f)
+		if n >= derivedLen {
+			t.Fatalf("frame with a nil row is %d bytes, full fixture %d: estimator section not elided", n, derivedLen)
+		}
+		got.Estimators, f.Estimators = nil, nil
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("frame differs after round trip:\ngot:  %+v\nwant: %+v", got, f)
+		}
+	})
+	t.Run("explicit-exact", func(t *testing.T) {
+		// A query sorts the state in place, so it no longer mirrors the rows.
+		f := benchFixtureFrame(t)
+		if _, err := f.Estimators[0].Query(0.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, n := roundTrip(t, f); n <= derivedLen {
+			t.Fatalf("frame is %d bytes, derived %d: estimator section missing", n, derivedLen)
+		}
+	})
 	t.Run("explicit-sketch", func(t *testing.T) {
 		f := benchFixtureFrame(t)
-		gks := make([]quantile.Estimator, len(f.Estimators))
-		for m := range gks {
+		for m := range f.Estimators {
 			gk := quantile.MustGK(0.01)
 			for _, row := range f.Blocks[0].Rows {
 				gk.Insert(row[m])
 			}
-			gks[m] = gk
+			f.Estimators[m] = gk
 		}
-		f.Estimators = gks
-		data, err := f.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeFrame(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gobEstimators(t, got.Estimators), gobEstimators(t, gks)) {
-			t.Fatal("explicit binary section mangled sketch state")
+		got, _ := roundTrip(t, f)
+		if _, ok := got.Estimators[3].(*quantile.GK); !ok {
+			t.Fatalf("sketch decoded as %T", got.Estimators[3])
 		}
 	})
-	t.Run("gob-fallback", func(t *testing.T) {
+	t.Run("unknown-type", func(t *testing.T) {
 		f := benchFixtureFrame(t)
-		alien := make([]quantile.Estimator, len(f.Estimators))
-		for m := range alien {
-			fe := &fallbackEst{}
-			fe.Insert(float64(m))
-			alien[m] = fe
-		}
-		f.Estimators = alien
-		data, err := f.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeFrame(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fe, ok := got.Estimators[3].(*fallbackEst)
-		if !ok || fe.Count() != 1 {
-			t.Fatalf("gob fallback mangled estimators: %T", got.Estimators[3])
+		f.Estimators[3] = &alienEst{}
+		if data, err := f.Encode(); err == nil {
+			t.Fatalf("estimator without a binary codec encoded to %d bytes, want an error", len(data))
 		}
 	})
 }
@@ -256,10 +280,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	legacy, err := encodeFrameLegacy(f, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("encode/v4", func(b *testing.B) {
 		b.SetBytes(int64(len(v4)))
 		for i := 0; i < b.N; i++ {
@@ -268,26 +288,10 @@ func BenchmarkFrameCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("encode/gob", func(b *testing.B) {
-		b.SetBytes(int64(len(legacy)))
-		for i := 0; i < b.N; i++ {
-			if _, err := encodeFrameLegacy(f, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("decode/v4", func(b *testing.B) {
 		b.SetBytes(int64(len(v4)))
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeFrame(v4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/gob", func(b *testing.B) {
-		b.SetBytes(int64(len(legacy)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeFrame(legacy); err != nil {
 				b.Fatal(err)
 			}
 		}

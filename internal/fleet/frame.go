@@ -20,32 +20,23 @@ import (
 )
 
 // frameMagic and frameVersion head every wire frame, mirroring the monitor
-// checkpoint codec: the magic rejects foreign payloads outright and the
-// version is bumped whenever Frame changes incompatibly (gob tolerates
-// added fields, so compatible growth does not bump it). Version 2 added a
-// CRC32 of the payload to the header: gob usually chokes on flipped bits,
-// but not reliably, and a corrupted frame that decodes would silently
-// poison the deterministic merge. Version 3 added the observability
-// section (trace context + span snapshots + registry snapshot); decoders
-// still accept version-2 frames from mixed-version fleets — the new fields
-// simply come back zero, and the coordinator skips stitching/federation
-// for that shard.
+// checkpoint codec: the magic rejects foreign payloads outright, and there is
+// exactly one version — any change to the layout bumps it, and a frame under
+// any other version is refused (a protocol error, not ErrCorrupt) rather
+// than decoded through a compatibility path. The header also carries a CRC32
+// of the payload: a corrupted frame that happened to decode would silently
+// poison the deterministic merge.
 //
-// Version 4 replaces the all-gob payload with a compact binary layout (see
-// the "Wire format" section of DESIGN.md): a flags byte, a gob-encoded
-// metadata section (everything except the bulk rows and estimator state),
-// a fixed-width little-endian rows section, and an estimator section that
-// is usually *empty* — when the per-metric estimator state is exactly the
-// finite cells of the shipped rows (the invariant EpochFrame establishes
-// for exact estimators), the decoder rebuilds it from the rows instead of
-// shipping the same floats twice. Bodies above frameCompressThreshold are
-// flate-compressed. Decoders still accept v2/v3 gob frames from mixed
-// fleets; encoders always emit v4.
+// The payload (see the "Wire format" section of DESIGN.md) is a flags byte,
+// a gob-encoded metadata section (everything except the bulk rows and
+// estimator state), a fixed-width little-endian rows section, and an
+// estimator section that is usually *empty* — when the per-metric estimator
+// state is exactly the finite cells of the shipped rows (the invariant
+// EpochFrame establishes for exact estimators), the decoder rebuilds it from
+// the rows instead of shipping the same floats twice. Bodies above
+// frameCompressThreshold are flate-compressed.
 const frameMagic = "DCFPFLT1"
 const frameVersion uint32 = 4
-
-// frameVersionMin is the oldest frame version this build still decodes.
-const frameVersionMin uint32 = 2
 
 // headerLen is magic + version + payload CRC32 (IEEE).
 const headerLen = len(frameMagic) + 4 + 4
@@ -55,16 +46,6 @@ const headerLen = len(frameMagic) + 4 + 4
 // decode or structural validation. The coordinator counts these separately
 // from protocol rejections (errors.Is-matchable).
 var ErrCorrupt = errors.New("fleet: corrupt frame")
-
-func init() {
-	// Frames carry estimator state as interface values; gob needs the
-	// concrete estimator types registered to round-trip them. Each type's
-	// GobEncode/GobDecode (internal/quantile/gob.go) does the real work.
-	gob.Register(&quantile.Exact{})
-	gob.Register(&quantile.GK{})
-	gob.Register(&quantile.CKMS{})
-	gob.Register(&quantile.Reservoir{})
-}
 
 // Block is one contiguous machine slice of a frame: after a rebalance a
 // shard may own several disjoint ranges, each shipped as its own block.
@@ -105,7 +86,7 @@ type Frame struct {
 	// operator loop works unchanged in fleet mode.
 	Active *crisis.Instance
 
-	// Observability section (frame version 3; zero on v2 frames).
+	// Observability section.
 	//
 	// TraceID is the cross-process trace context for this epoch
 	// (telemetry.EpochTraceID) and Spans the shard's completed
@@ -122,13 +103,14 @@ type Frame struct {
 	Metrics []telemetry.SeriesValue
 }
 
-// Frame payload flags (first body byte of a v4 frame).
+// Frame payload flags (first body byte).
 const (
 	// frameFlagCompressed marks a flate-compressed body.
 	frameFlagCompressed = 1 << 0
 )
 
-// Estimator-section modes of a v4 frame.
+// Estimator-section modes. Mode 3 was a gob fallback no encoder emits any
+// more; it stays reserved and decodes as ErrCorrupt.
 const (
 	// estModeNil: the frame carries no estimator state (Estimators nil).
 	estModeNil = 0
@@ -140,9 +122,6 @@ const (
 	// rebuilds it by filtered re-insertion. This is the steady-state mode
 	// for exact estimators and eliminates shipping every observation twice.
 	estModeDerived = 2
-	// estModeGob: gob-encoded []quantile.Estimator, the compatibility
-	// fallback for estimator types the binary codec does not know.
-	estModeGob = 3
 )
 
 // frameCompressThreshold is the body size above which Encode attempts flate
@@ -150,7 +129,7 @@ const (
 // ordinary frames on the fast uncompressed path.
 var frameCompressThreshold = 1 << 20
 
-// frameMetaV4 is the gob-encoded metadata section of a v4 frame: every
+// frameMetaV4 is the gob-encoded metadata section of a frame: every
 // Frame field except the bulk sections (Block.Rows and Estimators), which
 // get binary layouts of their own.
 type frameMetaV4 struct {
@@ -182,9 +161,10 @@ var encScratch = sync.Pool{New: func() any { s := make([]byte, 0, 4096); return 
 // acks).
 var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Encode serializes the frame as magic + version + CRC32 + v4 binary
-// payload. The returned slice is freshly allocated at exact size; internal
-// scratch is pooled and reused across calls.
+// Encode serializes the frame as magic + version + CRC32 + binary payload.
+// The returned slice is freshly allocated at exact size; internal scratch is
+// pooled and reused across calls. An estimator the binary codec does not
+// know is an error.
 func (f *Frame) Encode() ([]byte, error) {
 	sp := encScratch.Get().(*[]byte)
 	buf := append((*sp)[:0], make([]byte, headerLen)...)
@@ -220,6 +200,7 @@ func (f *Frame) Encode() ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(gb.Len()))
 	buf = append(buf, gb.Bytes()...)
+	gobBufPool.Put(gb)
 
 	// Rows section: per block, uvarint row count, then per row a uvarint
 	// cell count and the raw float bits fixed-width little-endian. A nil
@@ -242,29 +223,15 @@ func (f *Frame) Encode() ([]byte, error) {
 		buf = append(buf, estModeDerived)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Estimators)))
 	default:
-		mark := len(buf)
 		buf = append(buf, estModeExplicit)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Estimators)))
-		binErr := error(nil)
 		for _, est := range f.Estimators {
-			if buf, binErr = quantile.AppendBinary(buf, est); binErr != nil {
-				break
-			}
-		}
-		if binErr != nil {
-			// An estimator type the binary codec does not know: fall back
-			// to gob for the whole section.
-			buf = append(buf[:mark], estModeGob)
-			gb.Reset()
-			if err := gob.NewEncoder(gb).Encode(f.Estimators); err != nil {
-				gobBufPool.Put(gb)
+			if buf, err = quantile.AppendBinary(buf, est); err != nil {
 				encScratch.Put(sp)
 				return nil, fmt.Errorf("fleet: frame encode: %w", err)
 			}
-			buf = append(buf, gb.Bytes()...)
 		}
 	}
-	gobBufPool.Put(gb)
 
 	// Optional whole-body compression for outsized frames.
 	if body := buf[headerLen+1:]; len(body) > frameCompressThreshold {
@@ -336,23 +303,15 @@ func (f *Frame) estimatorsDerivedFromRows() bool {
 // before touching the payload, and the decoded structure before handing it
 // on. Zero-length rows are normalized back to nil: the codecs do not
 // distinguish nil from empty slices, and a nil row is the pipeline's
-// "machine delivered nothing" marker. Version-2/3 frames decode through the
-// legacy gob path; version 4 through the binary layout.
+// "machine delivered nothing" marker.
 func DecodeFrame(data []byte) (*Frame, error) {
-	rest, version, err := checkHeader(data)
+	rest, err := checkHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	var f *Frame
-	if version >= 4 {
-		if f, err = decodeFrameV4(rest); err != nil {
-			return nil, err
-		}
-	} else {
-		f = new(Frame)
-		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(f); err != nil {
-			return nil, fmt.Errorf("%w: gob decode: %v", ErrCorrupt, err)
-		}
+	f, err := decodeFrameV4(rest)
+	if err != nil {
+		return nil, err
 	}
 	if err := validateFrame(f); err != nil {
 		return nil, err
@@ -360,7 +319,7 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	return f, nil
 }
 
-// validateFrame is the structural validation shared by every decode path.
+// validateFrame is the structural validation of a decoded frame.
 func validateFrame(f *Frame) error {
 	if f.Shard < 0 || f.Epoch < 0 || f.Machines <= 0 {
 		return fmt.Errorf("%w: shard %d epoch %d machines %d out of range",
@@ -385,7 +344,7 @@ func validateFrame(f *Frame) error {
 	return nil
 }
 
-// decodeFrameV4 parses a version-4 binary payload (flags + meta + rows +
+// decodeFrameV4 parses the binary payload (flags + meta + rows +
 // estimator section). All counts are bounds-checked against the remaining
 // payload before allocation, so corrupted or adversarial frames fail with
 // ErrCorrupt instead of outsized allocations.
@@ -520,31 +479,10 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 				}
 			}
 		}
-	case estModeGob:
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f.Estimators); err != nil {
-			return nil, fmt.Errorf("%w: v4 estimator gob decode: %v", ErrCorrupt, err)
-		}
 	default:
 		return nil, fmt.Errorf("%w: v4 unknown estimator mode %d", ErrCorrupt, mode)
 	}
 	return f, nil
-}
-
-// encodeFrameLegacy serializes a frame in the pre-v4 all-gob layout under
-// the given header version. Kept for mixed-fleet tests: production encoders
-// always emit v4, but the coordinator must keep decoding frames from shards
-// running older builds.
-func encodeFrameLegacy(f *Frame, version uint32) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, headerLen))
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("fleet: frame encode: %w", err)
-	}
-	out := buf.Bytes()
-	copy(out, frameMagic)
-	binary.BigEndian.PutUint32(out[len(frameMagic):], version)
-	binary.BigEndian.PutUint32(out[len(frameMagic)+4:], crc32.ChecksumIEEE(out[headerLen:]))
-	return out, nil
 }
 
 // Ack is the coordinator's reply to a shipped frame.
@@ -585,7 +523,7 @@ func (a *Ack) Encode() ([]byte, error) {
 
 // DecodeAck parses a coordinator reply.
 func DecodeAck(data []byte) (*Ack, error) {
-	rest, _, err := checkHeader(data)
+	rest, err := checkHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -605,20 +543,19 @@ func sealHeader(buf []byte) []byte {
 	return buf
 }
 
-func checkHeader(data []byte) ([]byte, uint32, error) {
+func checkHeader(data []byte) ([]byte, error) {
 	if len(data) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrCorrupt, len(data), headerLen)
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrCorrupt, len(data), headerLen)
 	}
 	if !bytes.Equal(data[:len(frameMagic)], []byte(frameMagic)) {
-		return nil, 0, fmt.Errorf("fleet: not a fleet frame (bad magic)")
+		return nil, fmt.Errorf("fleet: not a fleet frame (bad magic)")
 	}
-	v := binary.BigEndian.Uint32(data[len(frameMagic):])
-	if v < frameVersionMin || v > frameVersion {
-		return nil, 0, fmt.Errorf("fleet: frame version %d, want %d..%d", v, frameVersionMin, frameVersion)
+	if v := binary.BigEndian.Uint32(data[len(frameMagic):]); v != frameVersion {
+		return nil, fmt.Errorf("fleet: frame version %d, want %d", v, frameVersion)
 	}
 	payload := data[headerLen:]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(data[len(frameMagic)+4:]); got != want {
-		return nil, 0, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrCorrupt, got, want)
+		return nil, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrCorrupt, got, want)
 	}
-	return payload, v, nil
+	return payload, nil
 }

@@ -28,9 +28,9 @@ func fuzzSeedCorpus(f *testing.F) {
 	garbage = append(garbage, []byte("not gob at all, but plenty of bytes to chew on")...)
 	f.Add(garbage)
 
-	// v4-specific seeds: estimator-bearing frames in each section mode
-	// (derived-from-rows, explicit binary, legacy gob payload), plus a
-	// flate-compressed body, so the fuzzer starts inside every decode arm.
+	// Estimator-bearing frames in each section mode (derived-from-rows,
+	// explicit binary for both estimator types), plus a flate-compressed
+	// body, so the fuzzer starts inside every decode arm.
 	derived := estimatorFuzzFrame(f)
 	f.Add(derived)
 	f.Add(derived[:len(derived)-3])
@@ -40,22 +40,28 @@ func fuzzSeedCorpus(f *testing.F) {
 	explicit[len(explicit)-9] ^= 0xff
 	f.Add(explicit)
 	fr := decodedEstimatorFrame(f)
-	if legacy, err := encodeFrameLegacy(fr, 2); err == nil {
-		f.Add(legacy)
-	}
-	if legacy, err := encodeFrameLegacy(fr, 3); err == nil {
-		f.Add(legacy)
-	}
 	old := frameCompressThreshold
 	frameCompressThreshold = 8
 	if compressed, err := fr.Encode(); err == nil {
 		f.Add(compressed)
 	}
 	frameCompressThreshold = old
+	// State that does not mirror the rows ships explicitly: an exact
+	// estimator holding one value more, then a sketch.
+	fr.Estimators[0].Insert(0)
+	if extra, err := fr.Encode(); err == nil {
+		f.Add(extra)
+	}
+	gk := quantile.MustGK(0.05)
+	gk.InsertBatch([]float64{3, 1, 2})
+	fr.Estimators[1] = gk
+	if sketch, err := fr.Encode(); err == nil {
+		f.Add(sketch)
+	}
 }
 
 // decodedEstimatorFrame returns the estimator-bearing fuzz frame as a
-// struct, for re-encoding under legacy versions and compression.
+// struct, for re-encoding under compression and with other estimators.
 func decodedEstimatorFrame(f *testing.F) *Frame {
 	f.Helper()
 	fr, err := DecodeFrame(estimatorFuzzFrame(f))
@@ -140,7 +146,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzHandleFrameBytes drives fuzzed payloads through a live coordinator —
 // re-sealing the fuzz payload under a fresh header+checksum so the fuzzer
-// reaches past the CRC into gob decoding, structural validation, and the
+// reaches past the CRC into payload decoding, structural validation, and the
 // merge path. The coordinator must reject or absorb everything without
 // panicking.
 func FuzzHandleFrameBytes(f *testing.F) {
@@ -168,8 +174,9 @@ func FuzzHandleFrameBytes(f *testing.F) {
 		if ack == nil || code == 0 {
 			t.Fatal("nil ack or zero status for raw payload")
 		}
-		// Then the same bytes sealed as a well-formed wire frame, so gob
-		// and the structural validators see attacker-shaped payloads.
+		// Then the same bytes sealed as a well-formed wire frame, so the
+		// payload decoder and the structural validators see attacker-shaped
+		// payloads.
 		if len(data) > headerLen {
 			sealed := append([]byte(nil), data...)
 			copy(sealed, frameMagic)

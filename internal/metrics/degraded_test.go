@@ -31,8 +31,6 @@ func (g *guardEstimator) InsertBatch(vs []float64) {
 	g.Exact.InsertBatch(vs)
 }
 
-func (g *guardEstimator) InsertSortedBatch(vs []float64) { g.InsertBatch(vs) }
-
 func (g *guardEstimator) Merge(src quantile.Estimator) error {
 	o, ok := src.(*guardEstimator)
 	if !ok {

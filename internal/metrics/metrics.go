@@ -169,7 +169,8 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 
 // Aggregator turns raw per-machine metric samples for one epoch into the
 // cross-machine quantile summary, using a caller-supplied estimator per
-// metric (exact for hundreds of machines, GK sketches for thousands).
+// metric: exact (what every pipeline in this tree constructs) or the
+// bounded-memory Greenwald–Khanna sketch.
 //
 // An Aggregator may hold several shards — independent estimator sets that
 // concurrent workers feed without synchronization (one shard per worker).
@@ -177,8 +178,8 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 // tracked quantiles, which requires the estimator to implement
 // quantile.Merger. With the exact estimator the sharded result is
 // byte-identical to serial insertion, since only the value multiset
-// matters; with the sketch estimators it is approximate in exactly the way
-// the sketch already is.
+// matters; with GK it is approximate in exactly the way the sketch already
+// is.
 type Aggregator struct {
 	// shards[shard][metric]; shard 0 always exists and is the target of
 	// the serial Observe path.

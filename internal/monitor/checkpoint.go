@@ -34,11 +34,9 @@ import (
 //
 // A checkpoint written with the default exact estimator restores
 // byte-identically: replaying the same epochs through the restored monitor
-// yields the same reports and advice as an uninterrupted run. Sketching
-// estimators restore their serialized sketch state exactly too, with one
-// caveat inherited from quantile.Reservoir: its eviction RNG is reseeded on
-// decode, so *future* reservoir evictions may differ from the uninterrupted
-// run (the retained sample itself is preserved).
+// yields the same reports and advice as an uninterrupted run. So does one
+// written under Config.NewEstimator: no estimator state crosses a
+// checkpoint, whatever the estimator.
 
 // checkpointMagic and checkpointVersion head every checkpoint file. The
 // version is bumped whenever checkpointPayload changes incompatibly;

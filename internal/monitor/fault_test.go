@@ -38,8 +38,6 @@ func (g *guardExact) InsertBatch(vs []float64) {
 	g.Exact.InsertBatch(vs)
 }
 
-func (g *guardExact) InsertSortedBatch(vs []float64) { g.InsertBatch(vs) }
-
 func (g *guardExact) Merge(src quantile.Estimator) error {
 	if o, ok := src.(*guardExact); ok {
 		return g.Exact.Merge(&o.Exact)

@@ -4,33 +4,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
-// Compact binary codec for every estimator — the payload format behind
-// version-4 fleet frames (internal/fleet). Where gob ships each estimator
-// as an interface value (concrete type name + nested gob stream with its
-// own type descriptors, ~60 bytes of overhead per estimator, ~9 bytes per
-// float64), this codec spends one tag byte per estimator, varints for every
-// count, and delta-chains float values: each value's bits are mapped to an
-// order-preserving uint64 and encoded as the zigzag-varint difference from
-// its predecessor. A metric column clusters tightly around its level, so
-// consecutive deltas are small integers and typical values cost 5-7 bytes
-// instead of 9 — fully lossless (the bit mapping is a bijection, so NaN,
-// ±Inf and -0 round-trip exactly) and order-preserving, so estimators whose
-// state depends on insertion order (Reservoir slots, the CKMS buffer)
-// decode byte-identical.
-//
-// Decoding mirrors the gob codec's validation and its one documented
-// approximation: a Reservoir reseeds its rng deterministically from (K, N).
+// Compact binary codec for the estimators — the payload format behind the
+// explicit estimator section of fleet frames (internal/fleet). It spends
+// one tag byte per estimator, varints for every count, and delta-chains
+// float values: each value's bits are mapped to an order-preserving uint64
+// and encoded as the zigzag-varint difference from its predecessor. A
+// metric column clusters tightly around its level, so consecutive deltas
+// are small integers and typical values cost 5-7 bytes instead of 8 — fully
+// lossless (the bit mapping is a bijection, so NaN, ±Inf and -0 round-trip
+// exactly) and order-preserving, so a decoded estimator re-encodes to the
+// same bytes.
 
-// Type tags. Tag 0 marks a nil estimator slot.
+// Type tags. Tag 0 marks a nil estimator slot; tags 3 and 4 belonged to
+// estimators that no longer exist and stay reserved (decoding rejects them
+// as unknown).
 const (
-	binNil       = 0
-	binExact     = 1
-	binGK        = 2
-	binCKMS      = 3
-	binReservoir = 4
+	binNil   = 0
+	binExact = 1
+	binGK    = 2
 )
 
 // floatToOrdered maps float64 bits to a uint64 whose unsigned order matches
@@ -151,42 +144,14 @@ func AppendBinary(dst []byte, est Estimator) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(t.delta))
 		}
 		return dst, nil
-	case *CKMS:
-		dst = append(dst, binCKMS)
-		dst = binary.AppendUvarint(dst, uint64(len(e.targets)))
-		for _, t := range e.targets {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Quantile))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Epsilon))
-		}
-		dst = binary.AppendUvarint(dst, uint64(e.n))
-		dst = binary.AppendUvarint(dst, uint64(len(e.tuples)))
-		prev := uint64(0)
-		for _, t := range e.tuples {
-			u := floatToOrdered(t.v)
-			dst = binary.AppendVarint(dst, int64(u-prev))
-			prev = u
-			dst = binary.AppendUvarint(dst, uint64(t.g))
-			dst = binary.AppendUvarint(dst, uint64(t.delta))
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(e.buf)))
-		return appendFloats(dst, e.buf), nil
-	case *Reservoir:
-		dst = append(dst, binReservoir)
-		dst = binary.AppendUvarint(dst, uint64(e.k))
-		dst = binary.AppendUvarint(dst, uint64(e.n))
-		dst = binary.AppendUvarint(dst, uint64(len(e.vals)))
-		return appendFloats(dst, e.vals), nil
 	default:
-		// Return dst unchanged so callers can recover their buffer and
-		// fall back to another codec for the unknown type.
 		return dst, fmt.Errorf("quantile: no binary codec for %T", est)
 	}
 }
 
 // DecodeBinary decodes one estimator from the front of data, returning it
 // (nil for a tombstone) and the unconsumed remainder. The decoded estimator
-// answers queries identically to the encoded one, with the Reservoir's
-// documented rng-reseed exception.
+// answers queries identically to the encoded one.
 func DecodeBinary(data []byte) (Estimator, []byte, error) {
 	r := &binReader{data: data}
 	tag, err := r.byte()
@@ -208,145 +173,87 @@ func DecodeBinary(data []byte) (Estimator, []byte, error) {
 		e := &Exact{vals: vals}
 		return e, r.data, nil
 	case binGK:
-		epsBits, err2 := r.uvarintFixed64()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		eps := math.Float64frombits(epsBits)
-		if eps <= 0 || eps >= 1 {
-			return nil, nil, fmt.Errorf("quantile: decoded GK eps=%v out of (0,1)", eps)
-		}
-		n, err2 := r.uvarint()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		since, err2 := r.uvarint()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		nt, err2 := r.count("GK tuple")
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		s := &GK{eps: eps, n: int(n), sinceCompress: int(since)}
-		s.tuples = make([]gkTuple, 0, nt)
-		prev := uint64(0)
-		for i := 0; i < nt; i++ {
-			d, err3 := r.varint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			prev += uint64(d)
-			g, err3 := r.uvarint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			delta, err3 := r.uvarint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			s.tuples = append(s.tuples, gkTuple{v: orderedToFloat(prev), g: int(g), delta: int(delta)})
+		s, err := r.gk()
+		if err != nil {
+			return nil, nil, err
 		}
 		return s, r.data, nil
-	case binCKMS:
-		ntg, err2 := r.count("CKMS target")
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		targets := make([]Target, 0, ntg)
-		for i := 0; i < ntg; i++ {
-			qb, err3 := r.uvarintFixed64()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			eb, err3 := r.uvarintFixed64()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			targets = append(targets, Target{Quantile: math.Float64frombits(qb), Epsilon: math.Float64frombits(eb)})
-		}
-		if _, err2 := NewCKMS(targets); err2 != nil {
-			return nil, nil, fmt.Errorf("quantile: decoded CKMS: %w", err2)
-		}
-		n, err2 := r.uvarint()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		nt, err2 := r.count("CKMS tuple")
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		s := &CKMS{targets: targets, n: int(n)}
-		s.tuples = make([]ckmsTuple, 0, nt)
-		prev := uint64(0)
-		for i := 0; i < nt; i++ {
-			d, err3 := r.varint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			prev += uint64(d)
-			g, err3 := r.uvarint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			delta, err3 := r.uvarint()
-			if err3 != nil {
-				return nil, nil, err3
-			}
-			s.tuples = append(s.tuples, ckmsTuple{v: orderedToFloat(prev), g: int(g), delta: int(delta)})
-		}
-		nb, err2 := r.count("CKMS buffer")
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		buf, err2 := r.floats(nb)
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		s.buf = buf
-		if s.buf == nil {
-			s.buf = make([]float64, 0, ckmsBufSize)
-		}
-		return s, r.data, nil
-	case binReservoir:
-		k, err2 := r.uvarint()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		n, err2 := r.uvarint()
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		nv, err2 := r.count("reservoir value")
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		if k == 0 || k > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("quantile: decoded reservoir size %d out of range", k)
-		}
-		if uint64(nv) > k {
-			return nil, nil, fmt.Errorf("quantile: decoded reservoir holds %d values for size %d", nv, k)
-		}
-		vals, err2 := r.floats(nv)
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		res := &Reservoir{k: int(k), n: int(n), vals: vals}
-		if res.vals == nil {
-			res.vals = make([]float64, 0, res.k)
-		}
-		// Same deterministic reseed as the gob codec: replicas that decode
-		// identical frames make identical eviction choices.
-		res.rng = rand.New(rand.NewSource(int64(res.k)<<32 ^ int64(res.n)))
-		return res, r.data, nil
 	default:
 		return nil, nil, fmt.Errorf("quantile: unknown binary estimator tag %d", tag)
 	}
 }
 
-// uvarintFixed64 reads a raw little-endian 64-bit word (used for float
-// fields that must round-trip bit-exactly without delta context).
-func (r *binReader) uvarintFixed64() (uint64, error) {
+// gk reads a GK sketch body and checks the invariants Query and Merge rely
+// on, so a crafted payload cannot hand them negative or absurd coverage
+// counts (Merge expands every tuple g times).
+func (r *binReader) gk() (*GK, error) {
+	epsBits, err := r.fixed64()
+	if err != nil {
+		return nil, err
+	}
+	eps := math.Float64frombits(epsBits)
+	if !(eps > 0 && eps < 1) {
+		return nil, fmt.Errorf("quantile: decoded GK eps=%v out of (0,1)", eps)
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("quantile: decoded GK count %d out of range", n)
+	}
+	since, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if since > n {
+		return nil, fmt.Errorf("quantile: decoded GK compress counter %d exceeds count %d", since, n)
+	}
+	nt, err := r.count("GK tuple")
+	if err != nil {
+		return nil, err
+	}
+	s := &GK{eps: eps, n: int(n), sinceCompress: int(since)}
+	s.tuples = make([]gkTuple, 0, nt)
+	prev, covered := uint64(0), uint64(0)
+	for i := 0; i < nt; i++ {
+		d, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		prev += uint64(d)
+		v := orderedToFloat(prev)
+		// Float order, not bit order: +0 followed by -0 is ascending, and the
+		// delta between far-apart values legitimately wraps negative.
+		if i > 0 && v < s.tuples[i-1].v {
+			return nil, fmt.Errorf("quantile: decoded GK tuple %d descends (%v after %v)", i, v, s.tuples[i-1].v)
+		}
+		g, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if g < 1 || g > n {
+			return nil, fmt.Errorf("quantile: decoded GK tuple %d covers %d of %d observations", i, g, n)
+		}
+		delta, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if delta > n {
+			return nil, fmt.Errorf("quantile: decoded GK tuple %d delta %d exceeds count %d", i, delta, n)
+		}
+		covered += g
+		s.tuples = append(s.tuples, gkTuple{v: v, g: int(g), delta: int(delta)})
+	}
+	if covered != n {
+		return nil, fmt.Errorf("quantile: decoded GK tuples cover %d observations, count says %d", covered, n)
+	}
+	return s, nil
+}
+
+// fixed64 reads a raw little-endian 64-bit word (used for float fields
+// that must round-trip bit-exactly without delta context).
+func (r *binReader) fixed64() (uint64, error) {
 	if len(r.data) < 8 {
 		return 0, fmt.Errorf("quantile: binary payload truncated")
 	}

@@ -81,17 +81,14 @@ func (s *GK) InsertBatch(vs []float64) {
 	}
 	s.sortBuf = append(s.sortBuf[:0], vs...)
 	sort.Float64s(s.sortBuf)
-	s.InsertSortedBatch(s.sortBuf)
+	s.insertSorted(s.sortBuf)
 }
 
-// InsertSortedBatch merges an ascending batch into the tuple list in a
-// single linear pass, assigning each value the same delta the per-value
-// Insert would at that point of the stream, then schedules at most one
-// compression for the whole batch.
-func (s *GK) InsertSortedBatch(vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
+// insertSorted merges an ascending batch into the tuple list in a single
+// linear pass, assigning each value the same delta the per-value Insert
+// would at that point of the stream, then schedules at most one compression
+// for the whole batch.
+func (s *GK) insertSorted(vs []float64) {
 	if cap(s.mergeBuf) < len(s.tuples)+len(vs) {
 		s.mergeBuf = make([]gkTuple, 0, len(s.tuples)+len(vs))
 	}
@@ -195,7 +192,7 @@ func (s *GK) Merge(src Estimator) error {
 		}
 	}
 	s.sortBuf = buf
-	s.InsertSortedBatch(buf)
+	s.insertSorted(buf)
 	return nil
 }
 
@@ -219,5 +216,3 @@ var _ Estimator = (*GK)(nil)
 var _ Estimator = (*Exact)(nil)
 var _ Merger = (*GK)(nil)
 var _ Merger = (*Exact)(nil)
-var _ Merger = (*CKMS)(nil)
-var _ Merger = (*Reservoir)(nil)

@@ -11,7 +11,6 @@
 //   - Exact: collects all observations, answers exactly.
 //   - GK: the Greenwald–Khanna ε-approximate streaming sketch whose memory
 //     is O((1/ε)·log(εn)) regardless of the number of machines.
-//   - Reservoir: fixed-size uniform sample, the cheapest fallback.
 package quantile
 
 import (
@@ -35,15 +34,10 @@ type Estimator interface {
 	Insert(v float64)
 	// InsertBatch adds a batch of observations, equivalent to calling
 	// Insert on each value in order: byte-identical for Exact (only the
-	// value multiset matters), within the estimator's error bound for the
-	// sketches (which may schedule compression differently across the
-	// batch). The batch slice is not retained.
+	// value multiset matters), within the error bound for GK (which may
+	// schedule compression differently across the batch). The batch slice
+	// is not retained.
 	InsertBatch(vs []float64)
-	// InsertSortedBatch is InsertBatch for a batch the caller guarantees
-	// is sorted ascending, letting sketch implementations skip their own
-	// sort and merge in a single pass. Behavior is undefined (but never a
-	// panic or corruption) if the batch is not actually sorted.
-	InsertSortedBatch(vs []float64)
 	// Query returns an estimate of the q-th quantile of everything
 	// inserted so far.
 	Query(q float64) (float64, error)
@@ -59,9 +53,9 @@ type Estimator interface {
 // aggregation, where each worker feeds its own estimator and the shards are
 // merged before the epoch's quantiles are read. Merging an Exact into an
 // Exact is lossless (the union multiset is preserved, so queries are
-// byte-identical to single-stream insertion in any shard order); the sketch
-// estimators merge by weighted re-insertion, which keeps estimates valid
-// but not bit-reproducible across different shard counts.
+// byte-identical to single-stream insertion in any shard order); GK merges
+// by weighted re-insertion, which keeps estimates valid but not
+// bit-reproducible across different shard counts.
 type Merger interface {
 	// Merge absorbs src's observations into the receiver. src is left
 	// unmodified; callers typically Reset it afterwards.
@@ -168,17 +162,6 @@ func (e *Exact) InsertBatch(vs []float64) {
 	}
 	e.vals = append(e.vals, vs...)
 	e.sorted = false
-}
-
-// InsertSortedBatch appends an already-sorted batch. Landing in an empty
-// estimator the sorted flag is kept, so the next query skips its sort.
-func (e *Exact) InsertSortedBatch(vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
-	wasEmpty := len(e.vals) == 0
-	e.vals = append(e.vals, vs...)
-	e.sorted = wasEmpty
 }
 
 // Query returns the exact q-th quantile.

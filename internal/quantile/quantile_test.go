@@ -229,86 +229,22 @@ func TestGKBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestReservoirValidation(t *testing.T) {
-	if _, err := NewReservoir(0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("size 0 should error")
-	}
-	if _, err := NewReservoir(10, nil); err == nil {
-		t.Fatal("nil rng should error")
-	}
-}
-
-func TestReservoirSmallStreamIsExact(t *testing.T) {
-	r, err := NewReservoir(100, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 9; i++ {
-		r.Insert(float64(i))
-	}
-	v, err := r.Query(0.5)
-	if err != nil || v != 5 {
-		t.Fatalf("median = %v, %v", v, err)
-	}
-	if r.Count() != 9 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-}
-
-func TestReservoirApproximatesQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	r, err := NewReservoir(2000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100000; i++ {
-		r.Insert(rng.Float64())
-	}
-	for _, q := range []float64{0.25, 0.5, 0.95} {
-		v, err := r.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(v-q) > 0.05 {
-			t.Errorf("q=%v: got %v", q, v)
-		}
-	}
-	r.Reset()
-	if _, err := r.Query(0.5); err != ErrNoData {
-		t.Fatalf("after Reset err = %v", err)
-	}
-}
-
-func TestReservoirQueryRange(t *testing.T) {
-	r, _ := NewReservoir(4, rand.New(rand.NewSource(2)))
-	r.Insert(1)
-	if _, err := r.Query(2); err == nil {
-		t.Fatal("want range error")
-	}
-}
-
-// Cross-implementation agreement: on a moderate stream, Exact, GK and
-// Reservoir should agree to within their respective error budgets.
+// Cross-implementation agreement: on a moderate stream, Exact and GK should
+// agree to within GK's error budget.
 func TestEstimatorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	exact := NewExact()
 	gk := MustGK(0.01)
-	res, _ := NewReservoir(5000, rand.New(rand.NewSource(18)))
 	for i := 0; i < 30000; i++ {
 		v := rng.NormFloat64()*10 + 50
 		exact.Insert(v)
 		gk.Insert(v)
-		res.Insert(v)
 	}
 	for _, q := range TrackedQuantiles {
 		ev, _ := exact.Query(q)
 		gv, _ := gk.Query(q)
-		rv, _ := res.Query(q)
 		if math.Abs(ev-gv) > 1.0 {
 			t.Errorf("q=%v: exact %v vs gk %v", q, ev, gv)
-		}
-		if math.Abs(ev-rv) > 2.0 {
-			t.Errorf("q=%v: exact %v vs reservoir %v", q, ev, rv)
 		}
 	}
 }
