@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
-	"time"
 
 	"dcfp/internal/alert"
 	"dcfp/internal/dcsim"
@@ -45,24 +44,13 @@ func TestEarlyWarningAcceptance(t *testing.T) {
 	mcfg.Telemetry = reg
 	mcfg.ExpectedMachines = scfg.Machines
 	mcfg.Forecast = monitor.DefaultForecastConfig()
-	mon, ing, err := buildPipeline(mcfg, 4, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d := &daemon{mon: mon, ing: ing, start: time.Now(),
-		tracer: telemetry.NewTracer(16), score: monitor.NewScoreboard(reg)}
-	d.hist = telemetry.NewHistory(reg, telemetry.HistoryConfig{RawCapacity: maxEpochs})
-
 	// Notifications arrive synchronously from Eval inside d.step, so a
 	// plain slice needs no locking once the run is over.
 	var notes []alert.Notification
-	if d.engine, err = alert.New(alert.Config{
-		Rules:    alert.DefaultRules(),
-		Registry: reg,
-		Audit:    d.audit,
-		Notify:   func(n alert.Notification) { notes = append(notes, n) },
-	}); err != nil {
+	c := defaultConfig()
+	c.resolveAfter, c.historyRaw = resolveAfter, maxEpochs
+	d, err := newDaemon(c, mcfg, func(n alert.Notification) { notes = append(notes, n) })
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +59,7 @@ func TestEarlyWarningAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.step(ep, resolveAfter); err != nil {
+		if err := d.step(ep); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,15 +21,13 @@
 // hits observe a negative time-to-identification (the lead, in epochs) into
 // dcfp_ident_tti_epochs, false alarms count in dcfp_ident_forecast_total.
 //
-// An "operator" is simulated too: -resolve-after epochs after each crisis
-// ends, its ground-truth label is filed via ResolveCrisis, so identification
-// accuracy improves as the store fills — watch dcfp_advice_emitted_total
-// {verdict="known"} start moving once repeat crisis types arrive. Each filed
-// diagnosis is also scored against the advice the monitor emitted while the
-// crisis was open (§4.3 criteria), feeding the /accuracy scoreboard and the
-// dcfp_ident_* metric family; with -audit-out set, every identification
-// decision and every scored resolution is appended to a JSONL audit journal
-// that survives restarts.
+// An "operator" is simulated too (monitor.Operator): -resolve-after epochs
+// after each crisis ends, its ground-truth label is filed via ResolveCrisis,
+// so identification accuracy improves as the store fills. Each filed
+// diagnosis is scored against the advice emitted while the crisis was open
+// (§4.3), feeding /accuracy and the dcfp_ident_* family; with -audit-out set,
+// every identification decision and every scored resolution is appended to a
+// JSONL audit journal that survives restarts.
 //
 // The telemetry pipeline between simulator and monitor can be made hostile
 // with the -fault-* flags (machine dropout, NaN/Inf/spike corruption,
@@ -58,18 +56,15 @@
 // resumes where it left off and restarted aggregators fast-forward to the
 // watermark via GET /fleet/assignment.
 //
-// Both distributed roles are crash- and signal-hardened. Aggregators buffer
-// frames the coordinator cannot take (outage, open circuit breaker, Ship
-// budget -fleet-ship-timeout exhausted) in a bounded replay ring
-// (-fleet-replay) and re-ship them in order; a merge watermark that moves
-// backwards means the coordinator restarted from an older checkpoint, and
-// the aggregator rewinds its retained frames to fast-forward it. On SIGTERM
-// an aggregator drains its buffered tail under a deadline before exiting,
-// and the coordinator force-merges every epoch that already has frames
-// before taking its final checkpoint. After a checkpoint restore,
-// metric-absence alert rules are suppressed for one checkpoint interval
-// (each re-arms early if its series reappears) so the fast-forward window
-// cannot page on series the empty registry hasn't recreated yet.
+// Both distributed roles are crash- and signal-hardened. An aggregator keeps
+// its frames in one bounded replay ring (-fleet-replay; policy in DESIGN.md
+// "Coordinator failover"): undelivered ones queue through outages, delivered
+// ones are retained and re-shipped when a regressed merge watermark reveals a
+// coordinator restored from an older checkpoint. On SIGTERM an aggregator
+// drains its queued tail under a deadline, and the coordinator force-merges
+// every epoch that already has frames before its final checkpoint. After a
+// checkpoint restore, metric-absence alert rules are suppressed for one
+// checkpoint interval (each re-arms early if its series reappears).
 //
 // Chaos scenarios: `dcfpd validate [FILE|DIR ...]` statically checks
 // declarative scenario files (default directory: scenarios/), and
@@ -77,36 +72,16 @@
 // harness, printing the measured result as JSON and exiting nonzero if any
 // declared expectation is violated.
 //
-// Usage:
+// Usage (-h lists every flag with its default):
 //
-//	dcfpd [-addr :9137] [-machines 100] [-seed 42] [-interval 100ms]
-//	      [-mean-gap-days 2] [-resolve-after 96] [-threshold-days 2]
-//	      [-max-epochs 0] [-workers 0] [-log text|json]
-//	      [-checkpoint-dir DIR] [-checkpoint-every 96]
-//	      [-min-coverage 0.5] [-reorder-window 4] [-advice-out FILE]
-//	      [-audit-out FILE] [-trace-capacity 256]
-//	      [-fault-seed 1] [-fault-dropout 0] [-fault-blank 0]
-//	      [-fault-corrupt 0] [-fault-duplicate 0] [-fault-delay 0]
-//	      [-fault-drop-epoch 0] [-fault-truncate 0]
-//	      [-forecast] [-alert-rules FILE] [-alert-webhook URL]
-//	      [-history-raw 512]
-//	      [-role single|aggregator|coordinator] [-shards 2] [-shard-index 0]
-//	      [-coordinator-addr URL] [-fleet-window 8]
-//	      [-fleet-flush-after 3s] [-fleet-dead-after 48]
-//	      [-fleet-ship-timeout 45s] [-fleet-replay 128]
-//	      [-scenario FILE]
+//	dcfpd [flags]
 //	dcfpd validate [FILE|DIR ...]
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -114,30 +89,89 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
 	"dcfp"
-	"dcfp/internal/alert"
-	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
-	"dcfp/internal/fleet"
-	"dcfp/internal/ident"
-	"dcfp/internal/incident"
 	"dcfp/internal/metrics"
 	"dcfp/internal/monitor"
 	"dcfp/internal/telemetry"
 )
 
-// adviceRingSize bounds the advice history kept for /crises.
-const adviceRingSize = 128
+// config holds every flag value; each role reads the fields it needs.
+type config struct {
+	addr, role, logFormat, scenario string
 
-// pendingResolve is a scheduled operator diagnosis.
-type pendingResolve struct {
-	due   metrics.Epoch
-	id    string // monitor crisis ID
-	label string // ground-truth label
+	// The simulated datacenter and the pace it is driven at.
+	machines, thresholdDays, maxEpochs int
+	seed                               int64
+	interval                           time.Duration
+	meanGapDays                        float64
+	fault                              dcsim.FaultConfig
+
+	// The monitor and what hangs off it.
+	alpha, minCoverage                           float64
+	workers, reorderWindow, traceCap, historyRaw int
+	resolveAfter, ckptEvery                      int
+	forecast                                     bool
+	adviceOut, auditOut, ckptDir                 string
+	alertRules, alertWebhook                     string
+
+	// The fleet.
+	shards, shardIndex, fleetWindow, fleetDead, fleetReplay int
+	coordAddr                                               string
+	fleetFlush, fleetShipTO                                 time.Duration
+}
+
+// bindFlags declares the whole flag surface on fs, storing into c.
+func bindFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.addr, "addr", ":9137", "HTTP listen address for /metrics, /healthz, /crises, /debug/pprof")
+	fs.IntVar(&c.machines, "machines", 100, "simulated machines")
+	fs.Int64Var(&c.seed, "seed", 42, "simulation seed")
+	fs.DurationVar(&c.interval, "interval", 100*time.Millisecond, "wall time per simulated epoch (0 = flat out)")
+	fs.Float64Var(&c.meanGapDays, "mean-gap-days", 2, "mean days between injected crises")
+	fs.IntVar(&c.resolveAfter, "resolve-after", metrics.EpochsPerDay, "epochs after a crisis ends until its ground-truth diagnosis is filed (0 = never)")
+	fs.IntVar(&c.thresholdDays, "threshold-days", 2, "days of history before hot/cold thresholds are established")
+	fs.IntVar(&c.maxEpochs, "max-epochs", 0, "stop after this many source epochs, counting any restored from a checkpoint (0 = run until signalled)")
+	fs.Float64Var(&c.alpha, "alpha", 0.05, "identification false-positive budget")
+	fs.IntVar(&c.workers, "workers", 0, "epoch ingestion worker pool (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&c.logFormat, "log", "text", "event log format on stderr: text or json")
+
+	fs.Float64Var(&c.minCoverage, "min-coverage", 0.5, "minimum reporting-machine fraction before an epoch is flagged degraded (0 disables the floor)")
+	fs.IntVar(&c.reorderWindow, "reorder-window", 4, "epochs of out-of-order arrival the ingestor buffers before declaring stragglers lost")
+	fs.StringVar(&c.adviceOut, "advice-out", "", "append each identification advice as a JSON line to this file")
+	fs.StringVar(&c.auditOut, "audit-out", "", "append identification audit records (decisions with explanations, scored resolutions) as JSON lines to this file")
+	fs.IntVar(&c.traceCap, "trace-capacity", 256, "per-epoch pipeline traces retained for /traces (0 disables tracing)")
+
+	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "directory for atomic monitor snapshots (empty = checkpointing off)")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", metrics.EpochsPerDay, "epochs between checkpoints")
+
+	fs.BoolVar(&c.forecast, "forecast", true, "run the online forecast stage (dcfp_forecast_* early-warning signals)")
+	fs.StringVar(&c.alertRules, "alert-rules", "", "JSON alert rule file (empty = built-in defaults)")
+	fs.StringVar(&c.alertWebhook, "alert-webhook", "", "POST alert firings and resolutions to this URL as JSON (empty = off)")
+	fs.IntVar(&c.historyRaw, "history-raw", telemetry.DefaultHistoryConfig().RawCapacity, "raw epochs of metric history retained per series for /api/history and /dash (0 disables history)")
+
+	fs.StringVar(&c.role, "role", "single", "process role: single (monolithic), aggregator (shard-side partial aggregation), or coordinator (merge + fingerprint)")
+	fs.IntVar(&c.shards, "shards", 2, "fleet shard count (aggregator and coordinator roles)")
+	fs.IntVar(&c.shardIndex, "shard-index", 0, "this aggregator's shard index in [0, shards)")
+	fs.StringVar(&c.coordAddr, "coordinator-addr", "", "coordinator base URL the aggregator ships frames to, e.g. http://host:9137 (aggregator role)")
+	fs.IntVar(&c.fleetWindow, "fleet-window", 8, "epochs ahead of the merge watermark the coordinator accepts before throttling a shard")
+	fs.DurationVar(&c.fleetFlush, "fleet-flush-after", 3*time.Second, "how long the coordinator waits for an epoch's stragglers before merging without them")
+	fs.IntVar(&c.fleetDead, "fleet-dead-after", 48, "consecutive missed epochs before the coordinator declares a shard dead and rebalances its machines (0 = never)")
+	fs.DurationVar(&c.fleetShipTO, "fleet-ship-timeout", 45*time.Second, "wall-clock budget for one frame delivery across retries and throttle waits before the aggregator buffers it locally")
+	fs.IntVar(&c.fleetReplay, "fleet-replay", 128, "frames in the aggregator's replay ring, undelivered (queued across coordinator outages) and delivered (retained for replay) together; replay after a coordinator restart needs checkpoint age + outage length <= N epochs")
+
+	fs.StringVar(&c.scenario, "scenario", "", "run this declarative chaos scenario file in-process and exit (nonzero on expectation violations)")
+
+	fs.Int64Var(&c.fault.Seed, "fault-seed", 1, "fault injector RNG seed")
+	fs.Float64Var(&c.fault.DropoutRate, "fault-dropout", 0, "per-machine-epoch probability of starting a dropout stretch")
+	fs.Float64Var(&c.fault.BlankRate, "fault-blank", 0, "per-cell probability a metric value is blanked to NaN")
+	fs.Float64Var(&c.fault.CorruptRate, "fault-corrupt", 0, "per-cell probability a value is corrupted (NaN/Inf/spike)")
+	fs.Float64Var(&c.fault.DuplicateRate, "fault-duplicate", 0, "per-epoch probability the epoch is emitted twice")
+	fs.Float64Var(&c.fault.DelayRate, "fault-delay", 0, "per-epoch probability the epoch arrives late and out of order")
+	fs.Float64Var(&c.fault.DropEpochRate, "fault-drop-epoch", 0, "per-epoch probability the epoch vanishes entirely")
+	fs.Float64Var(&c.fault.TruncateRate, "fault-truncate", 0, "per-epoch probability the epoch is cut off mid-machine")
 }
 
 func main() {
@@ -146,262 +180,149 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "validate" {
 		os.Exit(runValidate(os.Args[2:]))
 	}
-	var (
-		addr          = flag.String("addr", ":9137", "HTTP listen address for /metrics, /healthz, /crises, /debug/pprof")
-		machines      = flag.Int("machines", 100, "simulated machines")
-		seed          = flag.Int64("seed", 42, "simulation seed")
-		interval      = flag.Duration("interval", 100*time.Millisecond, "wall time per simulated epoch (0 = flat out)")
-		meanGapDays   = flag.Float64("mean-gap-days", 2, "mean days between injected crises")
-		resolveAfter  = flag.Int("resolve-after", metrics.EpochsPerDay, "epochs after a crisis ends until its ground-truth diagnosis is filed (0 = never)")
-		thresholdDays = flag.Int("threshold-days", 2, "days of history before hot/cold thresholds are established")
-		maxEpochs     = flag.Int("max-epochs", 0, "stop after this many source epochs, counting any restored from a checkpoint (0 = run until signalled)")
-		alpha         = flag.Float64("alpha", 0.05, "identification false-positive budget")
-		workers       = flag.Int("workers", 0, "epoch ingestion worker pool (0 = GOMAXPROCS, 1 = serial)")
-		logFormat     = flag.String("log", "text", "event log format on stderr: text or json")
-
-		minCoverage   = flag.Float64("min-coverage", 0.5, "minimum reporting-machine fraction before an epoch is flagged degraded (0 disables the floor)")
-		reorderWindow = flag.Int("reorder-window", 4, "epochs of out-of-order arrival the ingestor buffers before declaring stragglers lost")
-		adviceOut     = flag.String("advice-out", "", "append each identification advice as a JSON line to this file")
-		auditOut      = flag.String("audit-out", "", "append identification audit records (decisions with explanations, scored resolutions) as JSON lines to this file")
-		traceCap      = flag.Int("trace-capacity", 256, "per-epoch pipeline traces retained for /traces (0 disables tracing)")
-
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for atomic monitor snapshots (empty = checkpointing off)")
-		ckptEvery = flag.Int("checkpoint-every", metrics.EpochsPerDay, "epochs between checkpoints")
-
-		forecastOn   = flag.Bool("forecast", true, "run the online forecast stage (dcfp_forecast_* early-warning signals)")
-		alertRules   = flag.String("alert-rules", "", "JSON alert rule file (empty = built-in defaults)")
-		alertWebhook = flag.String("alert-webhook", "", "POST alert firings and resolutions to this URL as JSON (empty = off)")
-		historyRaw   = flag.Int("history-raw", telemetry.DefaultHistoryConfig().RawCapacity, "raw epochs of metric history retained per series for /api/history and /dash (0 disables history)")
-
-		role        = flag.String("role", "single", "process role: single (monolithic), aggregator (shard-side partial aggregation), or coordinator (merge + fingerprint)")
-		shards      = flag.Int("shards", 2, "fleet shard count (aggregator and coordinator roles)")
-		shardIndex  = flag.Int("shard-index", 0, "this aggregator's shard index in [0, shards)")
-		coordAddr   = flag.String("coordinator-addr", "", "coordinator base URL the aggregator ships frames to, e.g. http://host:9137 (aggregator role)")
-		fleetWin    = flag.Int("fleet-window", 8, "epochs ahead of the merge watermark the coordinator accepts before throttling a shard")
-		fleetFlush  = flag.Duration("fleet-flush-after", 3*time.Second, "how long the coordinator waits for an epoch's stragglers before merging without them")
-		fleetDead   = flag.Int("fleet-dead-after", 48, "consecutive missed epochs before the coordinator declares a shard dead and rebalances its machines (0 = never)")
-		fleetShipTO = flag.Duration("fleet-ship-timeout", 45*time.Second, "wall-clock budget for one frame delivery across retries and throttle waits before the aggregator buffers it locally")
-		fleetReplay = flag.Int("fleet-replay", 128, "frames the aggregator buffers across coordinator outages and retains for replay after a coordinator restart")
-
-		scenarioFile = flag.String("scenario", "", "run this declarative chaos scenario file in-process and exit (nonzero on expectation violations)")
-
-		faultSeed      = flag.Int64("fault-seed", 1, "fault injector RNG seed")
-		faultDropout   = flag.Float64("fault-dropout", 0, "per-machine-epoch probability of starting a dropout stretch")
-		faultBlank     = flag.Float64("fault-blank", 0, "per-cell probability a metric value is blanked to NaN")
-		faultCorrupt   = flag.Float64("fault-corrupt", 0, "per-cell probability a value is corrupted (NaN/Inf/spike)")
-		faultDuplicate = flag.Float64("fault-duplicate", 0, "per-epoch probability the epoch is emitted twice")
-		faultDelay     = flag.Float64("fault-delay", 0, "per-epoch probability the epoch arrives late and out of order")
-		faultDropEpoch = flag.Float64("fault-drop-epoch", 0, "per-epoch probability the epoch vanishes entirely")
-		faultTruncate  = flag.Float64("fault-truncate", 0, "per-epoch probability the epoch is cut off mid-machine")
-	)
+	var c config
+	bindFlags(flag.CommandLine, &c)
 	flag.Parse()
-	if *scenarioFile != "" {
-		os.Exit(runScenarioFile(*scenarioFile))
+	if c.scenario != "" {
+		os.Exit(runScenarioFile(c.scenario))
 	}
 
 	var handler slog.Handler
-	switch *logFormat {
+	switch c.logFormat {
 	case "text":
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	case "json":
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	default:
-		log.Fatalf("unknown -log format %q (want text or json)", *logFormat)
+		log.Fatalf("unknown -log format %q (want text or json)", c.logFormat)
 	}
 	events := telemetry.NewEventLog(slog.New(handler))
 	reg := telemetry.NewRegistry()
-	switch *role {
-	case "single", "aggregator", "coordinator":
-	default:
-		log.Fatalf("unknown -role %q (want single, aggregator, or coordinator)", *role)
-	}
 	// Shard is "-" for the roles that own the whole fleet, so the label
 	// set stays identical across roles and mixed fleets can be joined on
 	// the one build_info family.
 	shardLabel := "-"
-	if *role == "aggregator" {
-		shardLabel = strconv.Itoa(*shardIndex)
+	if c.role == "aggregator" {
+		shardLabel = strconv.Itoa(c.shardIndex)
 	}
 	reg.Gauge("dcfp_build_info", "Build information; the value is always 1.",
 		telemetry.Label{Key: "go_version", Value: runtime.Version()},
 		telemetry.Label{Key: "version", Value: dcfp.Version},
-		telemetry.Label{Key: "role", Value: *role},
+		telemetry.Label{Key: "role", Value: c.role},
 		telemetry.Label{Key: "shard", Value: shardLabel}).Set(1)
-	uptime := reg.Gauge("dcfp_uptime_seconds", "Seconds since daemon start.")
 
-	if *role == "aggregator" {
-		runAggregator(reg, events, uptime, aggregatorOpts{
-			addr: *addr, machines: *machines, seed: *seed, interval: *interval,
-			meanGapDays: *meanGapDays, thresholdDays: *thresholdDays,
-			maxEpochs: *maxEpochs, shard: *shardIndex, shards: *shards,
-			coordinator: *coordAddr, shipTimeout: *fleetShipTO, replayCap: *fleetReplay,
-			traceCap: *traceCap,
-		})
-		return
+	stream, err := newStream(&c, reg, events)
+	if err != nil {
+		log.Fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch c.role {
+	case "aggregator":
+		runAggregator(ctx, &c, stream, reg)
+	case "single", "coordinator":
+		d, err := newDaemon(&c, monitorConfig(&c, stream, reg, events), nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer d.close()
+		d.restore()
+		if c.role == "coordinator" {
+			runCoordinator(ctx, d)
+		} else {
+			runSingle(ctx, d, stream)
+		}
+	default:
+		log.Fatalf("unknown -role %q (want single, aggregator, or coordinator)", c.role)
+	}
+}
 
-	scfg := dcsim.DefaultStreamConfig(*seed)
-	scfg.Machines = *machines
-	scfg.WarmupEpochs = *thresholdDays * metrics.EpochsPerDay
-	scfg.MeanGapEpochs = *meanGapDays * float64(metrics.EpochsPerDay)
+// newStream builds the deterministic simulated datacenter every role derives
+// its catalog and SLA from (and the single and aggregator roles drive).
+func newStream(c *config, reg *telemetry.Registry, events *telemetry.EventLog) (*dcsim.Stream, error) {
+	scfg := dcsim.DefaultStreamConfig(c.seed)
+	scfg.Machines = c.machines
+	scfg.WarmupEpochs = c.thresholdDays * metrics.EpochsPerDay
+	scfg.MeanGapEpochs = c.meanGapDays * float64(metrics.EpochsPerDay)
 	scfg.Telemetry = reg
 	scfg.Events = events
-	stream, err := dcsim.NewStream(scfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	inj, err := dcsim.NewFaultInjector(stream, dcsim.FaultConfig{
-		Seed:          *faultSeed,
-		DropoutRate:   *faultDropout,
-		BlankRate:     *faultBlank,
-		CorruptRate:   *faultCorrupt,
-		DuplicateRate: *faultDuplicate,
-		DelayRate:     *faultDelay,
-		DropEpochRate: *faultDropEpoch,
-		TruncateRate:  *faultTruncate,
-		Telemetry:     reg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	return dcsim.NewStream(scfg)
+}
 
-	tracer := telemetry.NewTracer(*traceCap)
+// monitorConfig is the monitor the single and coordinator roles run.
+func monitorConfig(c *config, stream *dcsim.Stream, reg *telemetry.Registry, events *telemetry.EventLog) monitor.Config {
 	mcfg := monitor.DefaultConfig(stream.Catalog(), stream.SLA())
-	mcfg.Alpha = *alpha
-	mcfg.MinEpochsForThresholds = *thresholdDays * metrics.EpochsPerDay
+	mcfg.Alpha = c.alpha
+	mcfg.MinEpochsForThresholds = c.thresholdDays * metrics.EpochsPerDay
 	mcfg.Telemetry = reg
 	mcfg.Events = events
-	mcfg.Workers = *workers
-	mcfg.MinCoverage = *minCoverage
-	mcfg.ExpectedMachines = *machines
-	mcfg.Tracer = tracer
-	if *forecastOn {
+	mcfg.Workers = c.workers
+	mcfg.MinCoverage = c.minCoverage
+	mcfg.ExpectedMachines = c.machines
+	mcfg.Tracer = telemetry.NewTracer(c.traceCap)
+	if c.forecast {
 		mcfg.Forecast = monitor.DefaultForecastConfig()
 	}
-	mon, ing, err := buildPipeline(mcfg, *reorderWindow, reg)
+	return mcfg
+}
+
+// uptimeGauge is the one registration site of dcfp_uptime_seconds.
+func uptimeGauge(reg *telemetry.Registry) *telemetry.Gauge {
+	return reg.Gauge("dcfp_uptime_seconds", "Seconds since daemon start.")
+}
+
+// pacer returns a wait that blocks for the rest of the current interval tick
+// (not at all for interval 0) and reports false once ctx is done, plus the
+// function that releases the ticker.
+func pacer(ctx context.Context, interval time.Duration) (wait func() bool, stop func()) {
+	if interval <= 0 {
+		return func() bool { return ctx.Err() == nil }, func() {}
+	}
+	tick := time.NewTicker(interval)
+	return func() bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-tick.C:
+			return true
+		}
+	}, tick.Stop
+}
+
+// shutdownHTTP stops the observability server under a short deadline.
+func shutdownHTTP(srv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(ctx)
+}
+
+// runSingle is the monolithic role: the simulator, the fault injector and
+// the monitor in one process, one epoch per -interval.
+func runSingle(ctx context.Context, d *daemon, stream *dcsim.Stream) {
+	c := d.cfg
+	c.fault.Telemetry = d.mcfg.Telemetry
+	inj, err := dcsim.NewFaultInjector(stream, c.fault)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The monitor is single-goroutine; the daemon wraps all access (the
-	// epoch loop and the HTTP snapshot functions) in one mutex.
-	d := &daemon{mon: mon, ing: ing, start: time.Now(),
-		tracer: tracer, score: monitor.NewScoreboard(reg), uptime: uptime,
-		incidents: incident.New(incident.Config{Registry: reg})}
-	if *historyRaw > 0 {
-		hcfg := telemetry.DefaultHistoryConfig()
-		hcfg.RawCapacity = *historyRaw
-		d.hist = telemetry.NewHistory(reg, hcfg)
-	}
-	rules := alert.DefaultRules()
-	if *alertRules != "" {
-		if rules, err = alert.LoadRules(*alertRules); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Every alert transition lands in the open incident report (if a
-	// crisis is active); the webhook, when configured, is chained behind.
-	acfg := alert.Config{Rules: rules, Registry: reg, Events: events, Audit: d.audit,
-		Notify: d.incidents.Alert}
-	if *alertWebhook != "" {
-		hook := webhookNotifier(*alertWebhook, reg)
-		acfg.Notify = func(n alert.Notification) {
-			d.incidents.Alert(n)
-			hook(n)
-		}
-	}
-	if d.engine, err = alert.New(acfg); err != nil {
-		log.Fatal(err)
-	}
-
-	// Restore from the newest checkpoint, if any. A corrupt or unreadable
-	// checkpoint is logged and skipped — a cold start beats trusting it.
-	var emitted int64
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		n, restored, rerr := d.restore(*ckptDir)
-		switch {
-		case rerr != nil:
-			// The monitor may be partially restored; rebuild it (the
-			// registry hands back the already-registered collectors).
-			log.Printf("WARNING: ignoring checkpoint in %s (starting cold): %v", *ckptDir, rerr)
-			if mon, ing, err = buildPipeline(mcfg, *reorderWindow, reg); err != nil {
-				log.Fatal(err)
-			}
-			d.mon, d.ing = mon, ing
-		case restored:
-			emitted = n
-			// The registry restarted empty: series that existed before the
-			// crash reappear only as the replayed/live epochs recreate them.
-			// Hold absence rules (each re-arms on its series' first sample;
-			// the rest resume wholesale after one checkpoint interval) so the
-			// fast-forward window cannot fire spurious absence pages.
-			d.engine.SuppressAbsence()
-			d.resumeAt = n + int64(*ckptEvery)
-			log.Printf("restored checkpoint: %d emissions already ingested, monitor at epoch %d",
-				n, d.stats().EpochsSeen)
-		}
-	}
-	// Fast-forward the deterministic simulator+injector past everything the
+	// Fast-forward the deterministic simulator+injector past everything a
 	// restored monitor has already seen (both are rebuilt from their seeds).
-	// In coordinator mode the simulator lives in the aggregators, which
-	// fast-forward themselves from the restored merge watermark.
-	if *role == "single" {
-		for i := int64(0); i < emitted; i++ {
-			if _, err := inj.Next(); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	var adviceW *os.File
-	if *adviceOut != "" {
-		adviceW, err = os.OpenFile(*adviceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	for i := int64(0); i < d.emitted; i++ {
+		if _, err := inj.Next(); err != nil {
 			log.Fatal(err)
 		}
-		defer adviceW.Close()
-		d.adviceW = adviceW
-	}
-	if *auditOut != "" {
-		auditW, err := os.OpenFile(*auditOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer auditW.Close()
-		d.auditW = auditW
 	}
 
-	if *role == "coordinator" {
-		runCoordinator(d, reg, events, coordinatorOpts{
-			addr: *addr, machines: *machines, shards: *shards,
-			window: *fleetWin, flushAfter: *fleetFlush, deadAfter: *fleetDead,
-			resolveAfter: *resolveAfter, maxEpochs: *maxEpochs,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-		})
-		return
-	}
-
-	h := telemetry.NewHandler(reg, d.endpoints())
-	srv, bound, err := telemetry.Serve(*addr, h)
+	srv, bound, err := telemetry.Serve(c.addr, telemetry.NewHandler(d.mcfg.Telemetry, d.endpoints()))
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("serving http://%s/{metrics,healthz,crises,traces,accuracy,explain,alerts,api/history,dash,debug/pprof} — %d machines, %d metrics, epoch interval %v",
-		bound, *machines, stream.Catalog().Len(), *interval)
+		bound, c.machines, stream.Catalog().Len(), c.interval)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	wait, stop := pacer(ctx, c.interval)
 	defer stop()
-
-	var tick *time.Ticker
-	if *interval > 0 {
-		tick = time.NewTicker(*interval)
-		defer tick.Stop()
-	}
-loop:
-	for *maxEpochs == 0 || inj.Stats().Epochs < int64(*maxEpochs) {
+	for c.maxEpochs == 0 || inj.Stats().Epochs < int64(c.maxEpochs) {
 		ep, err := inj.NextContext(ctx)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -409,849 +330,22 @@ loop:
 			}
 			log.Fatal(err)
 		}
-		emitted++
-		if err := d.step(ep, *resolveAfter); err != nil {
+		if err := d.step(ep); err != nil {
 			log.Fatal(err)
 		}
 		// The ingestor deep-copies anything it buffers and the monitor
 		// copies anything it retains, so the emission's pooled rows can
 		// go back for reuse as soon as the step returns.
 		inj.Recycle(ep)
-		if *ckptDir != "" && *ckptEvery > 0 && emitted%int64(*ckptEvery) == 0 {
-			d.checkpoint(*ckptDir)
+		// Only this goroutine writes d.emitted in the single role.
+		if c.ckptDir != "" && c.ckptEvery > 0 && d.emitted%int64(c.ckptEvery) == 0 {
+			d.checkpoint()
 		}
-		if tick != nil {
-			select {
-			case <-ctx.Done():
-				break loop
-			case <-tick.C:
-			}
-		} else if ctx.Err() != nil {
+		if !wait() {
 			break
 		}
 	}
 
-	shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shCtx)
-	if *ckptDir != "" {
-		d.checkpoint(*ckptDir)
-	}
-	if d.flush() {
-		log.Print("finalized crisis still open at stream end")
-	}
-	st := d.stats()
-	log.Printf("done: %d epochs, %d crises stored (%d labeled)",
-		st.EpochsSeen, st.CrisesStored, st.CrisesLabeled)
-}
-
-// aggregatorOpts carries the flag values the aggregator role consumes.
-type aggregatorOpts struct {
-	addr          string
-	machines      int
-	seed          int64
-	interval      time.Duration
-	meanGapDays   float64
-	thresholdDays int
-	maxEpochs     int
-	shard, shards int
-	coordinator   string
-	shipTimeout   time.Duration
-	replayCap     int
-	traceCap      int
-}
-
-// shipFrame is one encoded epoch frame held in the aggregator's local
-// buffers: pending until acked, then retained for rewind.
-type shipFrame struct {
-	epoch metrics.Epoch
-	data  []byte
-}
-
-// shipBuffer is the aggregator-side replay discipline: frames queue in
-// `pending` until the coordinator acks them, then move to the `sent` ring,
-// which is kept so a coordinator that restarts from an older checkpoint can
-// be re-fed everything past its restored watermark. Both sides are bounded
-// by cap; overflow evicts the oldest pending frame (the coordinator will
-// synthesize that epoch, the sanctioned degradation).
-type shipBuffer struct {
-	pending []shipFrame
-	sent    []shipFrame
-	cap     int
-	evicted int
-	// rewindBuf is scratch reused across rewinds, so re-queuing retained
-	// frames in front of pending does not allocate a fresh slice per
-	// coordinator restart (the encoded frame bytes themselves are shared
-	// with the sent ring and already reused across re-ships).
-	rewindBuf []shipFrame
-}
-
-func (b *shipBuffer) push(f shipFrame) {
-	b.pending = append(b.pending, f)
-	if len(b.pending) > b.cap {
-		b.pending = b.pending[1:]
-		b.evicted++
-	}
-}
-
-// ack moves the head pending frame into the sent ring.
-func (b *shipBuffer) ack() {
-	b.sent = append(b.sent, b.pending[0])
-	if len(b.sent) > b.cap {
-		b.sent = b.sent[1:]
-	}
-	b.pending = b.pending[1:]
-}
-
-// rewind re-queues every retained frame with epoch >= from in front of the
-// pending queue: the coordinator's watermark regressed (it restarted from a
-// checkpoint), so everything past the restored watermark must be re-shipped.
-// It returns how many frames were re-queued.
-func (b *shipBuffer) rewind(from metrics.Epoch) int {
-	cut := len(b.sent)
-	for cut > 0 && b.sent[cut-1].epoch >= from {
-		cut--
-	}
-	re := b.sent[cut:]
-	if len(re) == 0 {
-		return 0
-	}
-	b.rewindBuf = append(b.rewindBuf[:0], re...)
-	b.rewindBuf = append(b.rewindBuf, b.pending...)
-	// Swap scratch in as the new pending queue; the old backing array
-	// becomes the scratch for the next rewind.
-	b.pending, b.rewindBuf = b.rewindBuf, b.pending[:0]
-	b.sent = b.sent[:cut]
-	if len(b.pending) > b.cap {
-		b.evicted += len(b.pending) - b.cap
-		b.pending = b.pending[len(b.pending)-b.cap:]
-	}
-	return len(re)
-}
-
-// runAggregator drives the shard half of distributed mode: the full
-// deterministic simulator runs locally (every shard sees the same seeded
-// fleet), but only the shard's assigned machine slice is filtered,
-// summarized, and shipped. Fault-injection flags do not apply — frames
-// carry the raw simulated rows, and fleet-level degradation comes from
-// shards going away, which the coordinator synthesizes as non-reporting
-// machines.
-func runAggregator(reg *telemetry.Registry, events *telemetry.EventLog, uptime *telemetry.Gauge, o aggregatorOpts) {
-	if o.coordinator == "" {
-		log.Fatal("-role aggregator requires -coordinator-addr")
-	}
-	if o.replayCap < 1 {
-		o.replayCap = 1
-	}
-	scfg := dcsim.DefaultStreamConfig(o.seed)
-	scfg.Machines = o.machines
-	scfg.WarmupEpochs = o.thresholdDays * metrics.EpochsPerDay
-	scfg.MeanGapEpochs = o.meanGapDays * float64(metrics.EpochsPerDay)
-	scfg.Telemetry = reg
-	scfg.Events = events
-	stream, err := dcsim.NewStream(scfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tracer := telemetry.NewTracer(o.traceCap)
-	g, err := fleet.NewAggregator(fleet.AggregatorConfig{
-		Shard: o.shard, Shards: o.shards, Machines: o.machines,
-		NumMetrics: stream.Catalog().Len(), SLA: stream.SLA(),
-		CoordinatorURL: o.coordinator, MaxElapsed: o.shipTimeout,
-		Telemetry: reg, Tracer: tracer,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, bound, err := telemetry.Serve(o.addr, telemetry.NewHandler(reg, telemetry.Endpoints{
-		Traces: func() any { return tracer.Snapshots() },
-	}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("shard %d/%d serving http://%s/metrics, shipping to %s",
-		o.shard, o.shards, bound, o.coordinator)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	t0 := time.Now()
-
-	// Wait for the coordinator, adopt its current assignment, and learn how
-	// far the merge has progressed so a restarted shard fast-forwards its
-	// simulator instead of replaying already-merged epochs.
-	var from metrics.Epoch
-	for {
-		if from, err = g.Bootstrap(ctx); err == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		log.Printf("waiting for coordinator at %s: %v", o.coordinator, err)
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(2 * time.Second):
-		}
-	}
-	if from > 0 {
-		log.Printf("fast-forwarding to merge watermark %d", from)
-	}
-
-	var tick *time.Ticker
-	if o.interval > 0 {
-		tick = time.NewTicker(o.interval)
-		defer tick.Stop()
-	}
-	buf := &shipBuffer{cap: o.replayCap}
-	shipped := 0
-	var lastWatermark metrics.Epoch
-	// drain ships pending frames in epoch order until the buffer empties or
-	// the link degrades. Transport failures (including an open breaker) are
-	// absorbed: the frame stays buffered and the epoch loop keeps running,
-	// so a coordinator outage costs latency, not epochs. A watermark below
-	// the highest one seen means the coordinator restarted from an older
-	// checkpoint — the retained frames past it are re-queued (rewind) so the
-	// restored monitor fast-forwards to the present. It returns false on a
-	// rejection that makes continuing pointless.
-	drain := func(ctx context.Context) bool {
-		for len(buf.pending) > 0 {
-			head := buf.pending[0]
-			ack, err := g.ShipEpoch(ctx, head.epoch, head.data)
-			if err != nil {
-				if !errors.Is(err, context.Canceled) && ctx.Err() == nil {
-					log.Printf("buffering epoch %d (%d frames pending): %v", head.epoch, len(buf.pending), err)
-				}
-				return true
-			}
-			if ack.Watermark < lastWatermark {
-				if n := buf.rewind(ack.Watermark); n > 0 {
-					log.Printf("coordinator watermark regressed %d -> %d: re-shipping %d frames",
-						lastWatermark, ack.Watermark, n)
-				}
-				lastWatermark = ack.Watermark
-				continue
-			}
-			lastWatermark = ack.Watermark
-			if ack.Throttle {
-				// Ahead of the merge window past the ship deadline: keep the
-				// frame and give the merge time to catch up.
-				return true
-			}
-			if !ack.OK {
-				// A deliberate rejection (declared dead, geometry mismatch)
-				// cannot be retried; exit so an operator restarts us fresh.
-				log.Printf("exiting: coordinator rejected epoch %d: %s", head.epoch, ack.Error)
-				return false
-			}
-			buf.ack()
-			shipped++
-		}
-		return true
-	}
-loop:
-	for e := metrics.Epoch(0); o.maxEpochs == 0 || e < metrics.Epoch(o.maxEpochs); e++ {
-		rows, act, err := stream.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if e < from {
-			continue
-		}
-		frame, err := g.EpochFrame(e, rows, act)
-		if err != nil {
-			log.Fatal(err)
-		}
-		buf.push(shipFrame{epoch: e, data: frame})
-		if !drain(ctx) {
-			break
-		}
-		uptime.Set(time.Since(t0).Seconds())
-		if tick != nil {
-			select {
-			case <-ctx.Done():
-				break loop
-			case <-tick.C:
-			}
-		} else if ctx.Err() != nil {
-			break
-		}
-	}
-	// Graceful shutdown: whether the run ended by signal or by -max-epochs,
-	// give the buffered tail a bounded final drain on a fresh context so a
-	// SIGTERM mid-outage still delivers everything it can.
-	if len(buf.pending) > 0 {
-		log.Printf("draining %d buffered frames before exit", len(buf.pending))
-		drainCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		for len(buf.pending) > 0 && drainCtx.Err() == nil {
-			if !drain(drainCtx) {
-				break
-			}
-			if len(buf.pending) > 0 {
-				select {
-				case <-drainCtx.Done():
-				case <-time.After(200 * time.Millisecond):
-				}
-			}
-		}
-		cancel()
-		if n := len(buf.pending); n > 0 {
-			log.Printf("WARNING: exiting with %d undelivered frames", n)
-		}
-	}
-	if buf.evicted > 0 {
-		log.Printf("WARNING: %d frames evicted from the replay buffer during outages", buf.evicted)
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shCtx)
-	log.Printf("done: %d epochs shipped", shipped)
-}
-
-// coordinatorOpts carries the flag values the coordinator role consumes.
-type coordinatorOpts struct {
-	addr         string
-	machines     int
-	shards       int
-	window       int
-	flushAfter   time.Duration
-	deadAfter    int
-	resolveAfter int
-	maxEpochs    int
-	ckptDir      string
-	ckptEvery    int
-}
-
-// runCoordinator serves the merge half of distributed mode: epochs arrive
-// as shard frames over HTTP instead of from a local simulator; everything
-// downstream of the merge — detection, identification, the simulated
-// operator, alerts, history, checkpoints — is the single-node daemon
-// unchanged.
-func runCoordinator(d *daemon, reg *telemetry.Registry, events *telemetry.EventLog, o coordinatorOpts) {
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx, cancel := context.WithCancel(sigCtx)
-	defer cancel()
-
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Machines: o.machines, Shards: o.shards, Monitor: d.mon,
-		Window: o.window, FlushAfter: o.flushAfter, DeadAfterEpochs: o.deadAfter,
-		OnReport: func(rep *monitor.EpochReport, active *crisis.Instance) {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			d.emitted++
-			if err := d.observe(rep, active, o.resolveAfter); err != nil {
-				log.Printf("WARNING: epoch %d bookkeeping: %v", rep.Epoch, err)
-			}
-			if o.maxEpochs > 0 && d.emitted >= int64(o.maxEpochs) {
-				cancel()
-			}
-		},
-		Telemetry: reg, Events: events, Tracer: d.tracer,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	d.coord = coord
-	if d.fleet != nil {
-		if err := coord.Restore(*d.fleet); err != nil {
-			log.Fatalf("restoring coordinator state: %v", err)
-		}
-		log.Printf("restored coordinator state: merge watermark %d", coord.Watermark())
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/fleet/", coord.Handler())
-	mux.Handle("/", telemetry.NewHandler(reg, d.endpoints()))
-	srv, bound, err := telemetry.Serve(o.addr, mux)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("coordinating %d machines across %d shards — frames on http://%s/fleet/frame, observability on /{metrics,healthz,crises,traces,accuracy,explain,alerts,api/history,dash}",
-		o.machines, o.shards, bound)
-
-	go coord.Run(ctx)
-	if o.ckptDir != "" && o.ckptEvery > 0 {
-		// Epochs arrive at network rate here, so the cadence check runs on
-		// wall clock: snapshot once another checkpoint interval of epochs
-		// has been merged.
-		go func() {
-			t := time.NewTicker(5 * time.Second)
-			defer t.Stop()
-			var last int64
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					d.mu.Lock()
-					n := d.emitted
-					d.mu.Unlock()
-					if n-last >= int64(o.ckptEvery) {
-						d.checkpoint(o.ckptDir)
-						last = n
-					}
-				}
-			}
-		}()
-	}
-	<-ctx.Done()
-
-	shCtx, shCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer shCancel()
-	_ = srv.Shutdown(shCtx)
-	// Graceful drain: merge every epoch that already has frames waiting
-	// (synthesizing stragglers) so the final checkpoint carries everything
-	// the shards delivered before the signal.
-	drained := 0
-	for d.coord.ForceFlush() {
-		drained++
-	}
-	if drained > 0 {
-		log.Printf("drained %d buffered epochs at shutdown", drained)
-	}
-	if o.ckptDir != "" {
-		d.checkpoint(o.ckptDir)
-	}
-	if d.flush() {
-		log.Print("finalized crisis still open at stream end")
-	}
-	st := d.stats()
-	log.Printf("done: %d epochs, %d crises stored (%d labeled)",
-		st.EpochsSeen, st.CrisesStored, st.CrisesLabeled)
-}
-
-// buildPipeline assembles a cold monitor + ingestor pair; used at startup
-// and again when a corrupt checkpoint forces a cold restart.
-func buildPipeline(mcfg monitor.Config, reorderWindow int, reg *telemetry.Registry) (*monitor.Monitor, *monitor.Ingestor, error) {
-	mon, err := monitor.New(mcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ing, err := monitor.NewIngestor(mon, monitor.IngestConfig{
-		ReorderWindow: reorderWindow,
-		Telemetry:     reg,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mon, ing, nil
-}
-
-// daemon owns the monitor and the bookkeeping the HTTP endpoints read.
-type daemon struct {
-	mu        sync.Mutex
-	mon       *monitor.Monitor
-	ing       *monitor.Ingestor
-	start     time.Time
-	advice    []monitor.Advice
-	truth     map[string]string // monitor crisis ID -> ground-truth label
-	pending   []pendingResolve
-	lastID    string // monitor ID of the most recent active crisis
-	wasIn     bool
-	emitted   int64 // injector emissions ingested (for checkpoint fast-forward)
-	adviceW   *os.File
-	auditW    *os.File
-	tracer    *telemetry.Tracer
-	incidents *incident.Builder
-	score     *monitor.Scoreboard
-	hist      *telemetry.History
-	engine    *alert.Engine
-	resumeAt  int64 // emissions count at which suppressed absence rules resume (0 = not suppressed)
-	uptime    *telemetry.Gauge
-	coord     *fleet.Coordinator      // coordinator role only
-	fleet     *fleet.CoordinatorState // coordinator progress restored from a checkpoint
-}
-
-// auditAdvice is one audit-journal line recording an identification
-// decision, explanation included.
-type auditAdvice struct {
-	Type   string          `json:"type"` // "advice"
-	Advice *monitor.Advice `json:"advice"`
-}
-
-// auditIncident is one audit-journal line carrying a completed incident
-// report — written when the operator's resolution closes the crisis's
-// paper trail, bit-identical to the /incidents/{id} payload at that
-// moment.
-type auditIncident struct {
-	Type     string           `json:"type"` // "incident"
-	Incident *incident.Report `json:"incident"`
-}
-
-// auditResolve is one audit-journal line recording a scored operator
-// diagnosis: the truth label, whether the crisis was known at identification
-// time, the vote sequence, and the §4.3 verdict.
-type auditResolve struct {
-	Type      string        `json:"type"` // "resolve"
-	Epoch     metrics.Epoch `json:"epoch"`
-	CrisisID  string        `json:"crisis_id"`
-	Truth     string        `json:"truth"`
-	Known     bool          `json:"known"`
-	Votes     []string      `json:"votes"`
-	Stable    bool          `json:"stable"`
-	Emitted   string        `json:"emitted"`
-	Correct   bool          `json:"correct"`
-	TTIEpochs int           `json:"tti_epochs"`
-}
-
-// audit appends one JSON line to the audit journal; a no-op without
-// -audit-out.
-func (d *daemon) audit(v any) {
-	if d.auditW == nil {
-		return
-	}
-	if b, err := json.Marshal(v); err == nil {
-		fmt.Fprintf(d.auditW, "%s\n", b)
-	}
-}
-
-// step feeds one (possibly faulty) source-epoch emission through the
-// ingestor and advances the simulated operator for every epoch report the
-// sequencer released.
-func (d *daemon) step(ep dcsim.FaultyEpoch, resolveAfter int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.emitted++
-	reps, err := d.ing.Ingest(metrics.Epoch(ep.Epoch), ep.Rows)
-	if err != nil {
-		return err
-	}
-	for _, rep := range reps {
-		if err := d.observe(rep, ep.Active, resolveAfter); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// observe runs the operator bookkeeping for one epoch report. Caller holds
-// the mutex.
-func (d *daemon) observe(rep *monitor.EpochReport, active *crisis.Instance, resolveAfter int) error {
-	// Feed the incident builder first so the detection epoch's report
-	// (forecast lead included) opens the incident window.
-	activeID := ""
-	if rep.CrisisActive {
-		activeID = d.mon.Stats().ActiveCrisisID
-	}
-	d.incidents.Observe(rep, activeID)
-	// Score the forecast stage's resolved warning episodes: a detection
-	// with lead earns a negative TTI observation, an expired episode a
-	// false-alarm count.
-	if rep.Forecast.Enabled {
-		if rep.Forecast.DetectionLead > 0 {
-			d.score.RecordForecast(rep.Forecast.DetectionLead, true)
-		}
-		if rep.Forecast.FalseAlarm {
-			d.score.RecordForecast(0, false)
-		}
-	}
-	if rep.Advice != nil {
-		if len(d.advice) == adviceRingSize {
-			d.advice = d.advice[1:]
-		}
-		d.advice = append(d.advice, *rep.Advice)
-		if d.adviceW != nil {
-			if b, err := json.Marshal(rep.Advice); err == nil {
-				fmt.Fprintf(d.adviceW, "%s\n", b)
-			}
-		}
-		d.audit(auditAdvice{Type: "advice", Advice: rep.Advice})
-	}
-	if rep.CrisisActive {
-		st := d.mon.Stats()
-		d.lastID = st.ActiveCrisisID
-		if active != nil {
-			if d.truth == nil {
-				d.truth = make(map[string]string)
-			}
-			// The detected crisis overlaps an injected instance;
-			// remember the diagnosis the operator will file.
-			d.truth[st.ActiveCrisisID] = active.Type.String()
-		}
-	}
-	if d.wasIn && !rep.CrisisActive && resolveAfter > 0 {
-		if label, ok := d.truth[d.lastID]; ok {
-			d.pending = append(d.pending, pendingResolve{
-				due:   rep.Epoch + metrics.Epoch(resolveAfter),
-				id:    d.lastID,
-				label: label,
-			})
-		}
-	}
-	d.wasIn = rep.CrisisActive
-	kept := d.pending[:0]
-	for _, p := range d.pending {
-		if p.due > rep.Epoch {
-			kept = append(kept, p)
-			continue
-		}
-		if err := d.mon.ResolveCrisis(p.id, p.label); err != nil {
-			return fmt.Errorf("resolving %s: %w", p.id, err)
-		}
-		d.scoreResolution(rep.Epoch, p.id, p.label)
-	}
-	d.pending = kept
-
-	// With the epoch's gauges settled, run the alert rules and then record
-	// the registry (alert states included) into the history rings. Absence
-	// rules suppressed across a checkpoint restore resume wholesale once
-	// the fast-forward window (one checkpoint interval) has replayed; rules
-	// whose series reappeared sooner have already re-armed individually.
-	if d.resumeAt > 0 && d.emitted >= d.resumeAt {
-		d.engine.ResumeAbsence()
-		d.resumeAt = 0
-	}
-	if d.uptime != nil {
-		d.uptime.Set(time.Since(d.start).Seconds())
-	}
-	d.engine.Eval(rep.Epoch)
-	if d.hist != nil {
-		d.hist.Sample(int64(rep.Epoch))
-	}
-	return nil
-}
-
-// webhookQueueSize bounds queued alert webhook deliveries. Rule
-// transitions are rare, so a small buffer rides out a slow receiver;
-// anything beyond it is dropped and counted rather than accumulating a
-// goroutine per notification behind a dead endpoint.
-const webhookQueueSize = 64
-
-// webhookNotifier returns an alert Notify hook that POSTs each transition
-// to url as JSON. Delivery runs on one worker behind a small buffered
-// queue: a dead or slow receiver must never stall the epoch loop, and once
-// the queue fills further notifications are dropped and counted in
-// dcfp_alert_webhook_dropped_total.
-func webhookNotifier(url string, reg *telemetry.Registry) func(alert.Notification) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	dropped := reg.Counter("dcfp_alert_webhook_dropped_total",
-		"Alert webhook notifications dropped because the delivery queue was full.")
-	queue := make(chan []byte, webhookQueueSize)
-	go func() {
-		for body := range queue {
-			resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-			if err != nil {
-				log.Printf("WARNING: alert webhook: %v", err)
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	return func(n alert.Notification) {
-		body, err := json.Marshal(n)
-		if err != nil {
-			return
-		}
-		select {
-		case queue <- body:
-		default:
-			dropped.Inc()
-		}
-	}
-}
-
-// scoreResolution feeds one filed diagnosis into the accuracy scoreboard and
-// the audit journal. Caller holds the mutex. Crises that never produced an
-// identification attempt (detected before thresholds existed) carry no vote
-// sequence and are not scorable.
-func (d *daemon) scoreResolution(e metrics.Epoch, id, truth string) {
-	expls, ok := d.mon.Explanations(id)
-	if !ok || len(expls) == 0 {
-		return
-	}
-	votes := expls[len(expls)-1].Votes
-	// The crisis was "known" iff a labeled crisis of the same type already
-	// sat in the store when identification first ran.
-	known := false
-	for _, c := range expls[0].Candidates {
-		if c.Label == truth {
-			known = true
-			break
-		}
-	}
-	o := d.score.Record(monitor.Feedback{CrisisID: id, Truth: truth, Known: known, Votes: votes})
-	d.audit(auditResolve{
-		Type: "resolve", Epoch: e, CrisisID: id, Truth: truth, Known: known,
-		Votes: votes, Stable: o.Stable, Emitted: o.Emitted, Correct: o.Correct,
-		TTIEpochs: o.TTIEpochs,
-	})
-	// The resolution completes the incident artifact; journal the exact
-	// report /incidents/{id} now serves.
-	if r, ok := d.incidents.Resolve(e, id, truth, known, votes, o); ok {
-		d.audit(auditIncident{Type: "incident", Incident: &r})
-	}
-}
-
-// daemonState is the daemon-side bookkeeping carried in a checkpoint's
-// Extra blob (exported mirror of the unexported working fields).
-type daemonState struct {
-	Truth   map[string]string
-	Pending []pendingState
-	LastID  string
-	WasIn   bool
-	Advice  []monitor.Advice
-	Ingest  monitor.IngestorState
-	Emitted int64
-	Score   monitor.ScoreboardState
-	Fleet   *fleet.CoordinatorState // coordinator role: merge watermark + shard progress
-}
-
-type pendingState struct {
-	Due   metrics.Epoch
-	ID    string
-	Label string
-}
-
-// checkpoint snapshots monitor + daemon state into dir. Failures are logged
-// and survived: the daemon keeps running and retries at the next interval.
-// In coordinator mode the fleet merge progress is captured in the same cut:
-// Sync holds the coordinator lock — the lock the merge path holds while it
-// advances the monitor — so the saved watermark matches exactly the epochs
-// the saved monitor has absorbed.
-func (d *daemon) checkpoint(dir string) {
-	if d.coord == nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.saveLocked(dir, nil)
-		return
-	}
-	d.coord.Sync(func(st fleet.CoordinatorState) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.saveLocked(dir, &st)
-	})
-}
-
-func (d *daemon) saveLocked(dir string, fl *fleet.CoordinatorState) {
-	ds := daemonState{
-		Truth:   d.truth,
-		LastID:  d.lastID,
-		WasIn:   d.wasIn,
-		Advice:  d.advice,
-		Ingest:  d.ing.State(),
-		Emitted: d.emitted,
-		Score:   d.score.State(),
-		Fleet:   fl,
-	}
-	for _, p := range d.pending {
-		ds.Pending = append(ds.Pending, pendingState{Due: p.due, ID: p.id, Label: p.label})
-	}
-	var extra bytes.Buffer
-	if err := gob.NewEncoder(&extra).Encode(&ds); err != nil {
-		log.Printf("WARNING: checkpoint skipped (daemon state encode): %v", err)
-		return
-	}
-	meta := monitor.CheckpointMeta{SourceEpoch: d.emitted, Extra: extra.Bytes()}
-	if _, err := d.mon.SaveCheckpoint(dir, meta, 3, 200*time.Millisecond); err != nil {
-		log.Printf("WARNING: checkpoint save failed: %v", err)
-	}
-}
-
-// restore loads the checkpoint in dir, if present, into the monitor and the
-// daemon bookkeeping. It returns how many injector emissions the snapshot
-// had consumed so the caller can fast-forward the simulator.
-func (d *daemon) restore(dir string) (int64, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	meta, ok, err := monitor.LoadCheckpoint(dir, d.mon)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	var ds daemonState
-	if err := gob.NewDecoder(bytes.NewReader(meta.Extra)).Decode(&ds); err != nil {
-		return 0, false, fmt.Errorf("daemon state decode (monitor state was consistent, but restarting cold for coherence): %w", err)
-	}
-	if err := d.ing.SetState(ds.Ingest); err != nil {
-		return 0, false, err
-	}
-	d.truth = ds.Truth
-	d.pending = d.pending[:0]
-	for _, p := range ds.Pending {
-		d.pending = append(d.pending, pendingResolve{due: p.Due, id: p.ID, label: p.Label})
-	}
-	d.lastID = ds.LastID
-	d.wasIn = ds.WasIn
-	d.advice = ds.Advice
-	d.emitted = ds.Emitted
-	d.score.SetState(ds.Score)
-	d.fleet = ds.Fleet
-	return ds.Emitted, true, nil
-}
-
-func (d *daemon) stats() monitor.Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mon.Stats()
-}
-
-// flush finalizes a crisis still open when the epoch loop stops, so the
-// shutdown stats count it.
-func (d *daemon) flush() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mon.Flush()
-}
-
-// health is the /healthz payload.
-func (d *daemon) health() any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return struct {
-		Status        string        `json:"status"`
-		UptimeSeconds float64       `json:"uptime_seconds"`
-		Monitor       monitor.Stats `json:"monitor"`
-	}{"ok", time.Since(d.start).Seconds(), d.mon.Stats()}
-}
-
-// crises is the /crises payload. Both slices are always non-nil so the JSON
-// renders [] rather than null before any crisis has been seen.
-func (d *daemon) crises() any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	advice := append([]monitor.Advice{}, d.advice...)
-	return struct {
-		Crises []monitor.CrisisRecord `json:"crises"`
-		Advice []monitor.Advice       `json:"recent_advice"`
-	}{d.mon.Crises(), advice}
-}
-
-// endpoints wires the daemon's snapshot functions into the HTTP handler.
-// The /traces and /accuracy payloads always render JSON arrays/objects, [],
-// never null, matching the /crises guarantee.
-func (d *daemon) endpoints() telemetry.Endpoints {
-	return telemetry.Endpoints{
-		Health:   d.health,
-		Crises:   d.crises,
-		Traces:   func() any { return d.tracer.Snapshots() },
-		Accuracy: func() any { return d.score.State() },
-		Explain:  d.explain,
-		History:  d.hist,
-		Alerts:   func() any { return d.engine.Snapshot() },
-		Incidents: func() any {
-			return struct {
-				Incidents []incident.Summary `json:"incidents"`
-			}{d.incidents.Index()}
-		},
-		Incident: func(id string) (any, bool) {
-			r, ok := d.incidents.Get(id)
-			return r, ok
-		},
-	}
-}
-
-// explain is the /explain/{crisisID} payload: every identification audit
-// record of one crisis, ident-epoch order.
-func (d *daemon) explain(id string) (any, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	expls, ok := d.mon.Explanations(id)
-	if !ok {
-		return nil, false
-	}
-	return struct {
-		CrisisID     string               `json:"crisis_id"`
-		Explanations []*ident.Explanation `json:"explanations"`
-	}{id, expls}, true
+	shutdownHTTP(srv)
+	d.finish()
 }

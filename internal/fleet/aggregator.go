@@ -76,6 +76,9 @@ type Aggregator struct {
 	client *http.Client
 	brk    *breaker
 	jitter *rand.Rand
+	// watermark is the merge watermark the last ack Drain saw carried; a
+	// lower one means the coordinator restarted from an older checkpoint.
+	watermark metrics.Epoch
 
 	bytesTx    *telemetry.Counter
 	shipSec    *telemetry.Histogram
@@ -101,7 +104,7 @@ type openShip struct {
 }
 
 // maxOpenTraces bounds the open observe_shard traces an aggregator keeps
-// while frames sit in the caller's retry buffer; past it the oldest trace
+// while frames sit in the caller's replay ring; past it the oldest trace
 // is closed as unshipped.
 const maxOpenTraces = 64
 
@@ -480,14 +483,7 @@ func (g *Aggregator) post(ctx context.Context, frame []byte) (*Ack, error) {
 		resp.StatusCode != http.StatusConflict {
 		return nil, fmt.Errorf("fleet: coordinator returned %s", resp.Status)
 	}
-	ack, err := DecodeAck(body)
-	if err != nil {
-		return nil, err
-	}
-	if !ack.OK && !ack.Stale && !ack.Throttle && ack.Error != "" {
-		// A deliberate rejection still decodes; surface it as the ack so
-		// the caller can decide (retrying identical bytes cannot help).
-		return ack, nil
-	}
-	return ack, nil
+	// A deliberate rejection (409) still decodes; it is surfaced as the ack
+	// so the caller can decide — retrying identical bytes cannot help.
+	return DecodeAck(body)
 }

@@ -23,53 +23,16 @@ type ChaosConfig struct {
 	// harness disables. Default 4; faults that delay frames by less leave
 	// the merge byte-identical to a clean run.
 	FlushAfterSteps int
-	// ReplayCapacity bounds each shard's frame ring — delivered frames are
-	// retained for replay after a coordinator restart, undelivered ones
-	// queue through partitions. Overflow evicts oldest-first (delivered
-	// before undelivered) and is surfaced via Evicted. Default 64.
+	// ReplayCapacity is each shard's Ring capacity; losses are surfaced via
+	// Evicted. Default 64.
 	ReplayCapacity int
 }
 
-// ringEntry tracks one encoded epoch frame through delivery.
-type ringEntry struct {
-	epoch       metrics.Epoch
-	data        []byte
-	delivered   bool
+// delivery is the harness's step-clocked bookkeeping for one undelivered
+// ring frame; the zero value means never attempted.
+type delivery struct {
 	inflight    int // scheduled arrivals (original or mutated copies) not yet landed
 	lastAttempt int // step of the last delivery attempt, to bound retries to one per step
-}
-
-// frameRing is a shard's bounded, epoch-ordered replay buffer.
-type frameRing struct {
-	cap     int
-	entries []*ringEntry
-	evicted int
-}
-
-func (r *frameRing) add(e metrics.Epoch, data []byte) {
-	r.entries = append(r.entries, &ringEntry{epoch: e, data: data, lastAttempt: -1})
-	if len(r.entries) <= r.cap {
-		return
-	}
-	// Evict delivered frames oldest-first; only once none remain does the
-	// ring drop undelivered work (a realistic bounded send buffer).
-	for i, en := range r.entries {
-		if en.delivered {
-			r.entries = append(r.entries[:i], r.entries[i+1:]...)
-			return
-		}
-	}
-	r.evicted++
-	r.entries = r.entries[1:]
-}
-
-func (r *frameRing) find(e metrics.Epoch) *ringEntry {
-	for _, en := range r.entries {
-		if en.epoch == e {
-			return en
-		}
-	}
-	return nil
 }
 
 // scheduled is one in-flight arrival.
@@ -97,7 +60,8 @@ type ChaosHarness struct {
 	step    int
 	epoch   metrics.Epoch // last epoch fed to Step
 	stopped []bool
-	rings   []*frameRing
+	rings   []*Ring
+	deliv   []map[metrics.Epoch]*delivery // per shard, keyed by frame epoch
 	sched   []scheduled
 
 	// ZombieRejected counts frames refused with 409 because the shard had
@@ -127,27 +91,20 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 			cfg.ReplayCapacity, cfg.Coordinator.Window)
 	}
 	cfg.Coordinator.FlushAfter = -1
-	coord, err := NewCoordinator(cfg.Coordinator)
+	h, err := NewHarness(cfg.Coordinator, cfg.Aggregator)
 	if err != nil {
 		return nil, err
 	}
 	ch := &ChaosHarness{
-		Coordinator: coord,
+		Coordinator: h.Coordinator,
+		Aggregators: h.Aggregators,
 		cfg:         cfg,
-		stopped:     make([]bool, cfg.Coordinator.Shards),
-		rings:       make([]*frameRing, cfg.Coordinator.Shards),
+		stopped:     h.stopped,
+		rings:       make([]*Ring, cfg.Coordinator.Shards),
+		deliv:       make([]map[metrics.Epoch]*delivery, cfg.Coordinator.Shards),
 	}
-	for s := 0; s < cfg.Coordinator.Shards; s++ {
-		acfg := cfg.Aggregator
-		acfg.Shard = s
-		acfg.Shards = cfg.Coordinator.Shards
-		acfg.Machines = cfg.Coordinator.Machines
-		g, err := NewAggregator(acfg)
-		if err != nil {
-			return nil, err
-		}
-		ch.Aggregators = append(ch.Aggregators, g)
-		ch.rings[s] = &frameRing{cap: cfg.ReplayCapacity}
+	for s := range ch.rings {
+		ch.resetRing(s)
 	}
 	return ch, nil
 }
@@ -157,7 +114,12 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 // still land.
 func (ch *ChaosHarness) Kill(s int) {
 	ch.stopped[s] = true
-	ch.rings[s] = &frameRing{cap: ch.cfg.ReplayCapacity}
+	ch.resetRing(s)
+}
+
+func (ch *ChaosHarness) resetRing(s int) {
+	ch.rings[s] = NewRing(ch.cfg.ReplayCapacity, ch.cfg.Aggregator.Telemetry)
+	ch.deliv[s] = make(map[metrics.Epoch]*delivery)
 }
 
 // Restart brings shard s back with an empty ring, adopting the
@@ -167,12 +129,9 @@ func (ch *ChaosHarness) Kill(s int) {
 // machines the survivors took over.
 func (ch *ChaosHarness) Restart(s int) {
 	ch.stopped[s] = false
-	ch.rings[s] = &frameRing{cap: ch.cfg.ReplayCapacity}
+	ch.resetRing(s)
 	ch.Aggregators[s].Adopt(ch.Coordinator.Assignment())
 }
-
-// Stopped reports whether shard s is currently down.
-func (ch *ChaosHarness) Stopped(s int) bool { return ch.stopped[s] }
 
 // StepCount is the harness's delivery-step clock: one tick per Step or Drain
 // iteration. LinkFaults schedules (Partition heal steps, delay arrivals) are
@@ -185,29 +144,22 @@ func (ch *ChaosHarness) StepCount() int { return ch.step }
 func (ch *ChaosHarness) Evicted() int {
 	n := 0
 	for _, r := range ch.rings {
-		n += r.evicted
+		n += r.Evicted()
 	}
 	return n
 }
 
 // SetCoordinator swaps in a restarted coordinator (rebuilt from a
 // checkpoint by the caller). In-flight arrivals addressed to the dead
-// process are lost; every ring entry at or past the restored watermark is
-// marked undelivered so the backlog replays and fast-forwards the new
-// coordinator — the aggregator-side equivalent of the watermark-regression
-// rewind the dcfpd shipping loop performs.
+// process are lost; every ring is rewound to the restored watermark so the
+// backlog replays and fast-forwards the new coordinator — the same Rewind
+// Aggregator.Drain performs when it sees the watermark regress.
 func (ch *ChaosHarness) SetCoordinator(c *Coordinator) {
 	ch.Coordinator = c
 	ch.sched = ch.sched[:0]
-	wm := c.Watermark()
-	for _, ring := range ch.rings {
-		for _, en := range ring.entries {
-			if en.epoch >= wm {
-				en.delivered = false
-			}
-			en.inflight = 0
-			en.lastAttempt = -1
-		}
+	for s, ring := range ch.rings {
+		ring.Rewind(c.Watermark())
+		clear(ch.deliv[s])
 	}
 }
 
@@ -244,7 +196,7 @@ func (ch *ChaosHarness) Step(e metrics.Epoch, rows [][]float64, active *crisis.I
 		if err != nil {
 			return fmt.Errorf("shard %d epoch %d: %w", s, e, err)
 		}
-		ch.rings[s].add(e, frame)
+		ch.rings[s].Add(e, frame)
 	}
 	ch.pump()
 	// Lateness budget: merge the watermark epoch once the stream has run
@@ -289,8 +241,8 @@ func (ch *ChaosHarness) pendingWork() bool {
 		if ch.stopped[s] || ch.cfg.Faults.Partitioned(s, ch.step) {
 			continue
 		}
-		for _, en := range ring.entries {
-			if !en.delivered && en.epoch >= ch.Coordinator.Watermark() {
+		for _, f := range ring.frames {
+			if !f.delivered && f.epoch >= ch.Coordinator.Watermark() {
 				return true
 			}
 		}
@@ -310,20 +262,28 @@ func (ch *ChaosHarness) pump() {
 			if ch.stopped[s] {
 				continue
 			}
-			for _, en := range ring.entries {
-				if en.delivered || en.inflight > 0 || en.lastAttempt >= ch.step || en.epoch >= limit {
+			for _, f := range ring.frames {
+				if f.delivered || f.epoch >= limit {
 					continue
 				}
-				en.lastAttempt = ch.step
-				for _, d := range ch.cfg.Faults.Plan(s, ch.step, en.data) {
-					if d.DelaySteps <= 0 {
-						ch.land(scheduled{shard: s, epoch: en.epoch, data: d.Frame, mutated: d.Mutated})
+				d := ch.deliv[s][f.epoch]
+				if d == nil {
+					d = &delivery{}
+					ch.deliv[s][f.epoch] = d
+				}
+				if d.inflight > 0 || d.lastAttempt >= ch.step {
+					continue
+				}
+				d.lastAttempt = ch.step
+				for _, p := range ch.cfg.Faults.Plan(s, ch.step, f.data) {
+					if p.DelaySteps <= 0 {
+						ch.land(scheduled{shard: s, epoch: f.epoch, data: p.Frame, mutated: p.Mutated})
 						progressed = true
 					} else {
-						en.inflight++
+						d.inflight++
 						ch.sched = append(ch.sched, scheduled{
-							due: ch.step + d.DelaySteps, shard: s, epoch: en.epoch,
-							data: d.Frame, mutated: d.Mutated,
+							due: ch.step + p.DelaySteps, shard: s, epoch: f.epoch,
+							data: p.Frame, mutated: p.Mutated,
 						})
 					}
 				}
@@ -348,8 +308,8 @@ func (ch *ChaosHarness) landDue() {
 	}
 	ch.sched = rest
 	for _, s := range due {
-		if en := ch.rings[s.shard].find(s.epoch); en != nil {
-			en.inflight--
+		if d := ch.deliv[s.shard][s.epoch]; d != nil {
+			d.inflight--
 		}
 		ch.land(s)
 	}
@@ -364,7 +324,6 @@ func (ch *ChaosHarness) land(s scheduled) {
 		// queued and retries next step. Nothing to record.
 		return
 	}
-	en := ch.rings[s.shard].find(s.epoch)
 	switch {
 	case ack.Throttle:
 		// Ahead of the window; retry later.
@@ -374,9 +333,8 @@ func (ch *ChaosHarness) land(s scheduled) {
 		ch.ZombieRejected++
 		ch.stopped[s.shard] = true
 	case ack.OK:
-		if en != nil {
-			en.delivered = true
-		}
+		ch.rings[s.shard].Ack(s.epoch)
+		delete(ch.deliv[s.shard], s.epoch)
 		if ack.Assignment != nil && !ch.stopped[s.shard] {
 			ch.Aggregators[s.shard].Adopt(*ack.Assignment)
 		}

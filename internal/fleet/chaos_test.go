@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -54,32 +53,17 @@ func chaosMonitor(t *testing.T, s *dcsim.Stream, minCov float64, reg *telemetry.
 	return m
 }
 
-// chaosOperator mirrors the simulated operator loop for a chaos run: it
-// tracks crisis transitions in the coordinator's report stream and resolves
-// each crisis with its ground-truth label once the reports show it over.
-// Its state is snapshotted alongside checkpoints so a coordinator restart
+// chaosOperator is the simulated operator of a chaos run, filing each
+// ground-truth label on the epoch the reports show the crisis over. Its
+// state is snapshotted alongside checkpoints so a coordinator restart
 // replays transitions consistently.
-type chaosOperator struct {
-	mon        *monitor.Monitor
-	lastActive bool
-	label      string
+func chaosOperator(mon *monitor.Monitor) *monitor.Operator {
+	return monitor.NewOperator(mon, monitor.NewScoreboard(nil), 0)
 }
 
-func (op *chaosOperator) observe(rep *monitor.EpochReport, act *crisis.Instance) error {
-	if act != nil {
-		op.label = fmt.Sprintf("type-%d", act.Type)
-	}
-	if op.lastActive && !rep.CrisisActive {
-		recs := op.mon.Crises()
-		if len(recs) == 0 {
-			return fmt.Errorf("epoch %d: crisis ended with no record", rep.Epoch)
-		}
-		if err := op.mon.ResolveCrisis(recs[len(recs)-1].ID, op.label); err != nil {
-			return err
-		}
-	}
-	op.lastActive = rep.CrisisActive
-	return nil
+func observe(op *monitor.Operator, rep *monitor.EpochReport, act *crisis.Instance) error {
+	_, err := op.Observe(rep, truthLabel(act))
+	return err
 }
 
 // TestChaosEquivalenceFaultyLink is the headline chaos guarantee: a 2-shard
@@ -109,7 +93,7 @@ func TestChaosEquivalenceFaultyLink(t *testing.T) {
 	}
 
 	fleetReps := map[metrics.Epoch]*monitor.EpochReport{}
-	opF := &chaosOperator{mon: mF}
+	opF := chaosOperator(mF)
 	var opErr error
 	ch, err := NewChaosHarness(ChaosConfig{
 		Coordinator: CoordinatorConfig{
@@ -118,7 +102,7 @@ func TestChaosEquivalenceFaultyLink(t *testing.T) {
 			Monitor:  mF,
 			OnReport: func(rep *monitor.EpochReport, act *crisis.Instance) {
 				fleetReps[rep.Epoch] = rep
-				if err := opF.observe(rep, act); err != nil && opErr == nil {
+				if err := observe(opF, rep, act); err != nil && opErr == nil {
 					opErr = err
 				}
 			},
@@ -132,7 +116,7 @@ func TestChaosEquivalenceFaultyLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	op1 := &chaosOperator{mon: m1}
+	op1 := chaosOperator(m1)
 	singleReps := make([]*monitor.EpochReport, 0, epochs)
 	for i := 0; i < epochs; i++ {
 		rows1, act, err := s1.Next()
@@ -148,7 +132,7 @@ func TestChaosEquivalenceFaultyLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		singleReps = append(singleReps, r1)
-		if err := op1.observe(r1, act); err != nil {
+		if err := observe(op1, r1, act); err != nil {
 			t.Fatal(err)
 		}
 		if err := ch.Step(metrics.Epoch(i), rowsN, act); err != nil {
@@ -285,11 +269,11 @@ func TestChaosCoordinatorRestartEquivalence(t *testing.T) {
 	mF := chaosMonitor(t, sN, 0, reg)
 
 	fleetReps := map[metrics.Epoch]*monitor.EpochReport{}
-	opF := &chaosOperator{}
+	opF := chaosOperator(mF)
 	var opErr error
 	onReport := func(rep *monitor.EpochReport, act *crisis.Instance) {
 		fleetReps[rep.Epoch] = rep
-		if err := opF.observe(rep, act); err != nil && opErr == nil {
+		if err := observe(opF, rep, act); err != nil && opErr == nil {
 			opErr = err
 		}
 	}
@@ -308,16 +292,15 @@ func TestChaosCoordinatorRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opF.mon = mF
 
 	// In-memory checkpoint: monitor bytes + coordinator state + the
 	// operator bookkeeping, all snapshotted as one cut.
 	var ckptMon bytes.Buffer
 	var ckptCoord CoordinatorState
-	var ckptOp chaosOperator
+	var ckptOp monitor.OperatorState
 	haveCkpt := false
 
-	op1 := &chaosOperator{mon: m1}
+	op1 := chaosOperator(m1)
 	singleReps := make([]*monitor.EpochReport, 0, epochs)
 	restarted := false
 	crisisSeen := false
@@ -335,7 +318,7 @@ func TestChaosCoordinatorRestartEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		singleReps = append(singleReps, r1)
-		if err := op1.observe(r1, act); err != nil {
+		if err := observe(op1, r1, act); err != nil {
 			t.Fatal(err)
 		}
 
@@ -351,8 +334,8 @@ func TestChaosCoordinatorRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			mF = mR
-			*opF = ckptOp
-			opF.mon = mR
+			opF = chaosOperator(mR)
+			opF.SetState(ckptOp)
 		}
 
 		if err := ch.Step(metrics.Epoch(i), rowsN, act); err != nil {
@@ -372,7 +355,7 @@ func TestChaosCoordinatorRestartEquivalence(t *testing.T) {
 					t.Error(err)
 				}
 			})
-			ckptOp = *opF
+			ckptOp = opF.State()
 			haveCkpt = true
 		}
 	}

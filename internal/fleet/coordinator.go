@@ -206,10 +206,13 @@ func (c *Coordinator) HandleFrameBytes(data []byte) (*Ack, int) {
 		// the transport, not at a misconfigured sender.
 		if errors.Is(err, ErrCorrupt) {
 			c.countFrame("corrupt")
-		} else {
-			c.countFrame("rejected")
+			return &Ack{Error: err.Error()}, http.StatusBadRequest
 		}
-		return &Ack{Error: err.Error()}, http.StatusBadRequest
+		// Bad magic or another frame version: the bytes are intact and the
+		// sender is a different build, so a retry cannot help. 409 carries
+		// the reason back where 400 would be retried as a transport error.
+		c.countFrame("rejected")
+		return &Ack{Error: err.Error()}, http.StatusConflict
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -636,13 +639,6 @@ type CoordinatorState struct {
 	Assignment  Assignment
 }
 
-// State snapshots the coordinator's progress.
-func (c *Coordinator) State() CoordinatorState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stateLocked()
-}
-
 func (c *Coordinator) stateLocked() CoordinatorState {
 	return CoordinatorState{
 		Watermark:   c.watermark,
@@ -665,7 +661,7 @@ func (c *Coordinator) Sync(fn func(CoordinatorState)) {
 	fn(c.stateLocked())
 }
 
-// Restore installs a snapshot taken by State on a freshly built
+// Restore installs a snapshot taken by Sync on a freshly built
 // coordinator with the same geometry.
 func (c *Coordinator) Restore(st CoordinatorState) error {
 	c.mu.Lock()

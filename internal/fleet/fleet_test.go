@@ -417,9 +417,14 @@ func TestCoordinatorFlowControl(t *testing.T) {
 	if ack, code = coord.HandleFrameBytes(frame(0)); !ack.Stale || code != 200 {
 		t.Fatalf("want stale, got %+v code %d", ack, code)
 	}
-	// Garbage is rejected outright.
-	if _, code = coord.HandleFrameBytes([]byte("not a frame at all")); code != 400 {
-		t.Fatalf("garbage accepted with code %d", code)
+	// Garbage is rejected outright: too short for a header is in-transit
+	// damage (400, worth a retry); a whole header with the wrong magic is a
+	// foreign sender (409, it is not).
+	if _, code = coord.HandleFrameBytes([]byte("not a frame")); code != 400 {
+		t.Fatalf("truncated garbage answered with code %d", code)
+	}
+	if ack, code = coord.HandleFrameBytes([]byte("not a frame at all")); code != 409 || ack.Error == "" {
+		t.Fatalf("garbage answered %+v with code %d", ack, code)
 	}
 	// Wrong geometry is rejected.
 	bad := &Frame{Shard: 7, Epoch: 1, Machines: machines}

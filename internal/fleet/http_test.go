@@ -2,9 +2,15 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
@@ -120,4 +126,56 @@ func mustNext(t *testing.T, s *dcsim.Stream) [][]float64 {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+// TestShipVersionRefusal: a frame from a build with another frameVersion is
+// refused deliberately, and the sender must learn that from the first
+// response — the refusal's text in a non-OK ack — instead of retrying intact
+// bytes as if the transport had failed.
+func TestShipVersionRefusal(t *testing.T) {
+	s := fleetStream(t, 3)
+	machines := dcsim.DefaultStreamConfig(0).Machines
+	reg := telemetry.NewRegistry()
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Machines: machines, Shards: 2, Monitor: fleetMonitor(t, s, 0, nil), FlushAfter: -1,
+		Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	g, err := NewAggregator(AggregatorConfig{
+		Shard: 0, Shards: 2, Machines: machines,
+		NumMetrics: s.Catalog().Len(), SLA: s.SLA(),
+		CoordinatorURL: srv.URL, RetryBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := g.EpochFrame(0, mustNext(t, s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checksum covers the payload only, so the frame stays sealed.
+	binary.BigEndian.PutUint32(frame[len(frameMagic):], frameVersion+1)
+
+	ack, err := g.ShipEpoch(context.Background(), 0, frame)
+	if err != nil {
+		t.Fatalf("version refusal surfaced as a transport error after %d posts: %v", posts.Load(), err)
+	}
+	want := fmt.Sprintf("frame version %d, want %d", frameVersion+1, frameVersion)
+	if ack.OK || !strings.Contains(ack.Error, want) {
+		t.Fatalf("ack = %+v, want a refusal carrying %q", ack, want)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("refusal took %d posts, want 1", n)
+	}
+	if v, _ := reg.Value("dcfp_fleet_frames_total", telemetry.Label{Key: "result", Value: "rejected"}); v != 1 {
+		t.Fatalf("dcfp_fleet_frames_total{result=rejected} = %v, want 1", v)
+	}
 }

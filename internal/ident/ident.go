@@ -97,17 +97,17 @@ type Case struct {
 
 // Outcome scores one case.
 type Outcome struct {
-	Stable bool
+	Stable bool `json:"stable"`
 	// Emitted is the stable sequence's label (Unknown if all x's or the
 	// sequence is unstable).
-	Emitted string
+	Emitted string `json:"emitted"`
 	// Correct: for a known crisis, stable and labeled exactly right; for
 	// an unknown crisis, all five epochs said x.
-	Correct bool
+	Correct bool `json:"correct"`
 	// TTI is the time from the first identification epoch to the first
 	// epoch emitting the correct label; meaningful only for correct
 	// known cases. -1 otherwise.
-	TTIEpochs int
+	TTIEpochs int `json:"tti_epochs"`
 }
 
 // Evaluate applies the accuracy definitions of §4.3 to one case.

@@ -67,10 +67,12 @@ func (r *Result) Summary() string {
 		r.Name, verdict, len(r.Detections), r.Resolved, r.KnownAccuracy, r.KnownScored, r.DegradedEpochs, r.PartialMerges, r.Restarts)
 }
 
-// operator replays the simulated operator loop over a report stream:
-// detections on inactive→active transitions, ground-truth resolution on
-// active→inactive ones, each resolution scored against the advice votes.
+// operator maps what the shared monitor.Operator (filing on the epoch a
+// crisis ends) observes over a report stream back to the scripted crises:
+// detections on inactive→active transitions, one outcome per scored
+// resolution.
 type operator struct {
+	*monitor.Operator
 	mon      *monitor.Monitor
 	score    *monitor.Scoreboard
 	startIdx map[metrics.Epoch]int
@@ -81,19 +83,22 @@ type operator struct {
 	// like the daemon's.
 	incidents *incident.Builder
 
-	lastActive bool
-	label      string
 	truthIdx   int
 	resolved   int
 	detections []Detection
 	outcomes   []CrisisOutcome
-	err        error
+	err        error // first filing failure; the report callback cannot return it
+}
+
+func newOperator(mon *monitor.Monitor, startIdx map[metrics.Epoch]int, inc *incident.Builder) *operator {
+	score := monitor.NewScoreboard(nil)
+	return &operator{Operator: monitor.NewOperator(mon, score, 0), mon: mon, score: score,
+		startIdx: startIdx, incidents: inc, truthIdx: -1}
 }
 
 // opSnapshot is the operator's checkpointable working state.
 type opSnapshot struct {
-	lastActive bool
-	label      string
+	op         monitor.OperatorState
 	truthIdx   int
 	resolved   int
 	detections []Detection
@@ -103,8 +108,7 @@ type opSnapshot struct {
 
 func (op *operator) snapshot() opSnapshot {
 	return opSnapshot{
-		lastActive: op.lastActive,
-		label:      op.label,
+		op:         op.State(),
 		truthIdx:   op.truthIdx,
 		resolved:   op.resolved,
 		detections: append([]Detection(nil), op.detections...),
@@ -115,8 +119,8 @@ func (op *operator) snapshot() opSnapshot {
 
 func (op *operator) restore(s opSnapshot, mon *monitor.Monitor) {
 	op.mon = mon
-	op.lastActive = s.lastActive
-	op.label = s.label
+	op.Operator = monitor.NewOperator(mon, op.score, 0)
+	op.SetState(s.op)
 	op.truthIdx = s.truthIdx
 	op.resolved = s.resolved
 	op.detections = append([]Detection(nil), s.detections...)
@@ -125,62 +129,30 @@ func (op *operator) restore(s opSnapshot, mon *monitor.Monitor) {
 }
 
 func (op *operator) observe(rep *monitor.EpochReport, act *crisis.Instance) {
+	label := ""
 	if act != nil {
-		op.label = typeLabel(act.Type)
+		label = typeLabel(act.Type)
 		if idx, ok := op.startIdx[act.Start]; ok {
 			op.truthIdx = idx
 		}
 	}
-	if !op.lastActive && rep.CrisisActive {
+	if rep.CrisisActive && rep.CrisisStart == rep.Epoch {
 		op.detections = append(op.detections, Detection{Crisis: op.truthIdx, Epoch: rep.Epoch})
 	}
-	if op.lastActive && !rep.CrisisActive {
-		op.resolve(rep.Epoch)
-	}
-	op.lastActive = rep.CrisisActive
-}
-
-// resolve files the ground-truth diagnosis for the crisis that just ended
-// and scores the advice the monitor emitted for it, exactly the way the
-// daemon's /crises/resolve path does.
-func (op *operator) resolve(e metrics.Epoch) {
-	recs := op.mon.Crises()
-	if len(recs) == 0 {
-		op.fail(fmt.Errorf("epoch %d: crisis ended with no record", e))
-		return
-	}
-	rec := recs[len(recs)-1]
-	if err := op.mon.ResolveCrisis(rec.ID, op.label); err != nil {
-		op.fail(err)
-		return
-	}
-	op.resolved++
-	expls, ok := op.mon.Explanations(rec.ID)
-	if !ok || len(expls) == 0 {
-		// Detected before thresholds existed: resolvable, not scorable.
-		return
-	}
-	votes := expls[len(expls)-1].Votes
-	known := false
-	for _, c := range expls[0].Candidates {
-		if c.Label == op.label {
-			known = true
-			break
-		}
-	}
-	o := op.score.Record(monitor.Feedback{CrisisID: rec.ID, Truth: op.label, Known: known, Votes: votes})
-	if op.incidents != nil {
-		op.incidents.Resolve(e, rec.ID, op.label, known, votes, o)
-	}
-	op.outcomes = append(op.outcomes, CrisisOutcome{
-		Crisis: op.truthIdx, ID: rec.ID, Truth: op.label, Known: known,
-		Emitted: o.Emitted, Correct: o.Correct,
-	})
-}
-
-func (op *operator) fail(err error) {
-	if op.err == nil {
+	filed, err := op.Observe(rep, label)
+	if err != nil && op.err == nil {
 		op.err = err
+	}
+	op.resolved += len(filed)
+	for _, r := range filed {
+		if !r.Scored {
+			continue
+		}
+		op.incidents.Resolve(r.Epoch, r.CrisisID, r.Truth, r.Known, r.Votes, r.Outcome)
+		op.outcomes = append(op.outcomes, CrisisOutcome{
+			Crisis: op.truthIdx, ID: r.CrisisID, Truth: r.Truth, Known: r.Known,
+			Emitted: r.Outcome.Emitted, Correct: r.Outcome.Correct,
+		})
 	}
 }
 
@@ -232,7 +204,7 @@ func Run(sc *Scenario) (*Result, error) {
 	}
 
 	inc := incident.New(incident.Config{Registry: reg, Capacity: 1024})
-	opF := &operator{mon: mF, score: monitor.NewScoreboard(nil), startIdx: startIdx, truthIdx: -1, incidents: inc}
+	opF := newOperator(mF, startIdx, inc)
 	reports := map[metrics.Epoch]*monitor.EpochReport{}
 	ch, err := fleet.NewChaosHarness(fleet.ChaosConfig{
 		Coordinator: fleet.CoordinatorConfig{
@@ -276,7 +248,7 @@ func Run(sc *Scenario) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opC = &operator{mon: mC, score: monitor.NewScoreboard(nil), startIdx: startIdx, truthIdx: -1}
+		opC = newOperator(mC, startIdx, nil)
 	}
 
 	events := make(map[int][]Event, len(sc.Events))
