@@ -227,11 +227,10 @@ func TestFrameEstimatorFallbackModes(t *testing.T) {
 		}
 	})
 	t.Run("explicit-exact", func(t *testing.T) {
-		// A query sorts the state in place, so it no longer mirrors the rows.
+		// Values sorts the state in place, so it no longer mirrors the rows.
+		// (A query does not: it selects, and leaves the frame derivable.)
 		f := benchFixtureFrame(t)
-		if _, err := f.Estimators[0].Query(0.5); err != nil {
-			t.Fatal(err)
-		}
+		f.Estimators[0].(*quantile.Exact).Values()
 		if _, n := roundTrip(t, f); n <= derivedLen {
 			t.Fatalf("frame is %d bytes, derived %d: estimator section missing", n, derivedLen)
 		}

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"dcfp/internal/quantile"
@@ -16,10 +15,9 @@ import (
 // estimators and by carrying the previous epoch's quantiles forward for a
 // metric no machine reported.
 
-// batchStrip is how many machine rows the columnar batch path transposes at
-// a time. 256 rows × 100 metrics is a ~200KB scratch — large enough that the
-// per-column InsertBatch call is amortized over hundreds of values, small
-// enough to stay cache-friendly and bound per-shard memory.
+// batchStrip is how many delivered rows the columnar batch path walks at a
+// time: 256 rows × 100 metrics is ~200KB of row data, re-read once per column
+// from cache, and amortizes each InsertBatch call over hundreds of values.
 const batchStrip = 256
 
 // ObserveBatchFiltered records a batch of machine rows into the given shard,
@@ -28,13 +26,14 @@ const batchStrip = 256
 // concurrently; a single shard must not. A nil row marks a machine that
 // delivered nothing this epoch and is skipped whole. When reporting is
 // non-nil (len(rows) entries), reporting[i] is set to whether row i
-// contributed at least one finite value.
+// contributed at least one finite value. A row of the wrong width is an
+// error; every row before it is still fully ingested.
 //
-// Ingestion is columnar: rows are transposed strip-by-strip into per-metric
-// columns and each estimator receives one InsertBatch per strip instead of
-// one Insert per cell. Within a column, values keep machine order — the same
-// order the per-cell path would insert them — so exact estimators end up
-// byte-identical and sketches see the identical stream.
+// Ingestion is columnar: each strip of batchStrip delivered rows is walked
+// one metric at a time, and each estimator receives the column's finite
+// values as one InsertBatch per strip instead of one Insert per cell, in
+// machine order — the order the per-cell path would insert them — so exact
+// estimators end up byte-identical and sketches see the identical stream.
 func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting []bool) (int, error) {
 	if shard < 0 || shard >= len(a.shards) {
 		return 0, fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
@@ -42,56 +41,65 @@ func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting
 	if reporting != nil && len(reporting) != len(rows) {
 		return 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
 	}
-	ests := a.shards[shard]
+	ests, sc := a.shards[shard], a.scratch[shard]
 	nm := len(ests)
-	sc := &a.scratch[shard]
-	if len(sc.buf) < nm*batchStrip {
-		sc.buf = make([]float64, nm*batchStrip)
-		sc.lens = make([]int, nm)
-	}
-	flush := func() {
-		for m, l := range sc.lens {
-			if l > 0 {
-				ests[m].InsertBatch(sc.buf[m*batchStrip : m*batchStrip+l])
-				sc.lens[m] = 0
-			}
-		}
-	}
 	dropped := 0
-	filled := 0
-	for i, row := range rows {
-		if row == nil {
-			if reporting != nil {
-				reporting[i] = false
-			}
-			continue
-		}
-		if len(row) != nm {
-			// Keep partial state identical to the per-cell path: every row
-			// before the bad one is fully ingested.
-			flush()
-			return dropped, fmt.Errorf("metrics: row has %d values, want %d", len(row), nm)
-		}
-		d := 0
-		for m, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				d++
+	for next := 0; next < len(rows); {
+		var widthErr error
+		k := 0
+		for ; next < len(rows) && k < batchStrip; next++ {
+			row := rows[next]
+			if row == nil {
+				if reporting != nil {
+					reporting[next] = false
+				}
 				continue
 			}
-			sc.buf[m*batchStrip+sc.lens[m]] = v
-			sc.lens[m]++
+			if len(row) != nm {
+				widthErr = fmt.Errorf("metrics: row has %d values, want %d", len(row), nm)
+				break
+			}
+			sc.rows[k], sc.at[k] = row, next
+			k++
 		}
-		dropped += d
-		if reporting != nil {
-			reporting[i] = d < len(row)
+		drops := sc.drops[:k]
+		clear(drops)
+		for m, est := range ests {
+			if n := finiteColumn(sc.col[:], sc.rows[:k], drops, m); n > 0 {
+				est.InsertBatch(sc.col[:n])
+			}
 		}
-		if filled++; filled == batchStrip {
-			flush()
-			filled = 0
+		for i, d := range drops {
+			dropped += d
+			if reporting != nil {
+				reporting[sc.at[i]] = d < nm
+			}
+		}
+		if widthErr != nil {
+			return dropped, widthErr
 		}
 	}
-	flush()
 	return dropped, nil
+}
+
+// finiteColumn packs the finite values of metric m, down the strip, into col
+// and returns how many; drops[i] counts the cells of row i it left out. Never
+// inlined: in the caller's frame go1.24 spills the fill index to the stack
+// and reloads it for every cell, here it stays in a register.
+//
+//go:noinline
+func finiteColumn(col []float64, strip [][]float64, drops []int, m int) int {
+	n := 0
+	for i, row := range strip {
+		v := row[m]
+		if v-v != 0 { // NaN or ±Inf
+			drops[i]++
+			continue
+		}
+		col[n] = v
+		n++
+	}
+	return n
 }
 
 // summarizeMetricLenient is summarizeMetric that tolerates a metric with no

@@ -1,8 +1,12 @@
 package metrics
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dcfp/internal/quantile"
@@ -176,5 +180,187 @@ func TestSummarizeLenientParallelMatchesSerial(t *testing.T) {
 	}
 	if serial[4] != [3]float64{-1, -2, -3} {
 		t.Fatalf("gap metric summary %v, want carried-forward prev", serial[4])
+	}
+}
+
+// perCellReference is the filter ObserveBatchFiltered must be
+// indistinguishable from, written the obvious way: rows in machine order, a
+// scalar finiteness check per cell, and the surviving values handed to each
+// estimator one at a time (batched false) or as one InsertBatch per column
+// per batchStrip delivered rows (batched true: the stream a sketch, whose
+// state depends on batch boundaries, is promised).
+func perCellReference(ests []quantile.Estimator, rows [][]float64, reporting []bool, batched bool) (dropped int, err error) {
+	cols := make([][]float64, len(ests))
+	flush := func() {
+		for m, col := range cols {
+			switch {
+			case !batched:
+				for _, v := range col {
+					ests[m].Insert(v)
+				}
+			case len(col) > 0:
+				ests[m].InsertBatch(col)
+			}
+			cols[m] = col[:0]
+		}
+	}
+	filled := 0
+	for i, row := range rows {
+		if row == nil {
+			reporting[i] = false
+			continue
+		}
+		if len(row) != len(ests) {
+			err = fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
+			break
+		}
+		d := 0
+		for m, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				d++
+				continue
+			}
+			cols[m] = append(cols[m], v)
+		}
+		dropped += d
+		reporting[i] = d < len(row)
+		if filled++; filled == batchStrip {
+			flush()
+			filled = 0
+		}
+	}
+	flush()
+	return dropped, err
+}
+
+// dirtyRows generates n rows of width nm with every kind of hole a collector
+// delivers: machines that are down (nil), rows blanked whole, scattered
+// NaN/±Inf cells, and — when badAt >= 0 — one row of the wrong width.
+func dirtyRows(rng *rand.Rand, n, nm, badAt int) [][]float64 {
+	holes := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	rows := make([][]float64, n)
+	for i := range rows {
+		switch k := rng.Intn(20); {
+		case i == badAt:
+			rows[i] = make([]float64, []int{0, nm - 1, nm + 1}[rng.Intn(3)])
+		case k == 0:
+			// nil: the machine is down
+		case k == 1:
+			rows[i] = make([]float64, nm)
+			for m := range rows[i] {
+				rows[i][m] = holes[rng.Intn(len(holes))]
+			}
+		default:
+			rows[i] = make([]float64, nm)
+			for m := range rows[i] {
+				rows[i][m] = 100 + rng.NormFloat64()*10
+				if rng.Intn(30) == 0 {
+					rows[i][m] = holes[rng.Intn(len(holes))]
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// TestObserveBatchFilteredMatchesPerCell: the column-at-a-time filter leaves
+// the same drop count, the same reporting flags, the same error and the same
+// estimator state as the per-cell reference — exact estimators value for
+// value in machine order, GK sketches byte for byte — at every batch length
+// around the strip size, and with a wrong-width row anywhere in the batch.
+func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
+	const nm = 7
+	rng := rand.New(rand.NewSource(41))
+	factories := map[string]func() quantile.Estimator{
+		"exact": func() quantile.Estimator { return quantile.NewExact() },
+		"gk":    func() quantile.Estimator { return quantile.MustGK(0.01) },
+	}
+	for _, n := range []int{0, 1, 255, 256, 257, 1000} {
+		for _, withBad := range []bool{false, true} {
+			badAt := -1
+			if withBad {
+				if n == 0 {
+					continue
+				}
+				badAt = rng.Intn(n)
+			}
+			rows := dirtyRows(rng, n, nm, badAt)
+			for name, newEst := range factories {
+				label := fmt.Sprintf("%s/n%d/bad%d", name, n, badAt)
+				got, err := NewAggregator(nm, newEst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := NewAggregator(nm, newEst)
+				// Two epochs through the same aggregators: the second runs on
+				// warm scratch and reset estimators.
+				for epoch := 0; epoch < 2; epoch++ {
+					got.Reset()
+					want.Reset()
+					gotRep, wantRep := make([]bool, n), make([]bool, n)
+					for i := range gotRep {
+						gotRep[i], wantRep[i] = true, true // rows past an error stay untouched
+					}
+					gotDropped, gotErr := got.ObserveBatchFiltered(0, rows, gotRep)
+					wantDropped, wantErr := perCellReference(want.shards[0], rows, wantRep, name == "gk")
+					if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+						t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+					}
+					if withBad != (gotErr != nil) {
+						t.Fatalf("%s: error %v with a wrong-width row: %v", label, gotErr, withBad)
+					}
+					if gotDropped != wantDropped {
+						t.Fatalf("%s: dropped %d, reference %d", label, gotDropped, wantDropped)
+					}
+					if !reflect.DeepEqual(gotRep, wantRep) {
+						t.Fatalf("%s: reporting flags diverge from the reference", label)
+					}
+					for m := 0; m < nm; m++ {
+						g, w := got.shards[0][m], want.shards[0][m]
+						if ge, ok := g.(*quantile.Exact); ok {
+							if gv, wv := ge.RawValues(), w.(*quantile.Exact).RawValues(); !slices.Equal(gv, wv) {
+								t.Fatalf("%s: metric %d holds %d values, reference %d, or another order", label, m, len(gv), len(wv))
+							}
+							continue
+						}
+						gb, err1 := quantile.AppendBinary(nil, g)
+						wb, err2 := quantile.AppendBinary(nil, w)
+						if err1 != nil || err2 != nil {
+							t.Fatal(err1, err2)
+						}
+						if !bytes.Equal(gb, wb) {
+							t.Fatalf("%s: metric %d sketch bytes diverge from the reference stream's", label, m)
+						}
+					}
+					// A nil reporting slice changes nothing else.
+					got.Reset()
+					if d, _ := got.ObserveBatchFiltered(0, rows, nil); d != wantDropped {
+						t.Fatalf("%s: dropped %d without reporting flags, want %d", label, d, wantDropped)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestObserveBatchFilteredNoAllocs: once the estimators have grown to the
+// epoch's size, filtering an epoch allocates nothing.
+func TestObserveBatchFilteredNoAllocs(t *testing.T) {
+	const nm = 7
+	rows := dirtyRows(rand.New(rand.NewSource(43)), 1000, nm, -1)
+	a, err := NewAggregator(nm, func() quantile.Estimator { return quantile.NewExact() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reporting := make([]bool, len(rows))
+	epoch := func() {
+		a.Reset()
+		if _, err := a.ObserveBatchFiltered(0, rows, reporting); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch()
+	if allocs := testing.AllocsPerRun(20, epoch); allocs != 0 {
+		t.Errorf("%v allocs per filtered epoch after warm-up, want 0", allocs)
 	}
 }

@@ -185,19 +185,19 @@ type Aggregator struct {
 	// the serial Observe path.
 	shards [][]quantile.Estimator
 	newEst func() quantile.Estimator
-	// scratch[shard] is the columnar transpose scratch for that shard's
-	// batch ingestion; parallel to shards so concurrent workers never share
-	// a buffer.
-	scratch []colScratch
+	// scratch[shard] is that shard's batch-ingestion working memory;
+	// parallel to shards so concurrent workers never share one.
+	scratch []*stripScratch
 }
 
-// colScratch is the per-shard transpose buffer behind the columnar batch
-// path: rows are scattered strip-by-strip into per-metric columns so each
-// estimator takes one InsertBatch call per strip instead of one Insert call
-// per cell.
-type colScratch struct {
-	buf  []float64 // numMetrics × batchStrip, column-major
-	lens []int     // values accumulated per metric column
+// stripScratch is ObserveBatchFiltered's state for one strip of delivered
+// rows: 10 KB, kept off the stack of the fan-out's fresh goroutines. rows
+// keeps the last strip's row views reachable until the next batch.
+type stripScratch struct {
+	col   [batchStrip]float64   // one metric's finite values down the strip
+	rows  [batchStrip][]float64 // the delivered rows being walked
+	at    [batchStrip]int       // their indices in the batch
+	drops [batchStrip]int       // non-finite cells per row
 }
 
 // NewAggregator builds an aggregator with one estimator per metric produced
@@ -211,7 +211,7 @@ func NewAggregator(numMetrics int, newEst func() quantile.Estimator) (*Aggregato
 	}
 	a := &Aggregator{newEst: newEst}
 	a.shards = append(a.shards, a.newShard(numMetrics))
-	a.scratch = append(a.scratch, colScratch{})
+	a.scratch = append(a.scratch, new(stripScratch))
 	return a, nil
 }
 
@@ -232,7 +232,7 @@ func (a *Aggregator) NumMetrics() int { return len(a.shards[0]) }
 func (a *Aggregator) EnsureShards(n int) {
 	for len(a.shards) < n {
 		a.shards = append(a.shards, a.newShard(a.NumMetrics()))
-		a.scratch = append(a.scratch, colScratch{})
+		a.scratch = append(a.scratch, new(stripScratch))
 	}
 }
 

@@ -319,6 +319,11 @@ func TestStatsActiveCrisis(t *testing.T) {
 
 // benchMonitorConfig builds the production-shaped config (100 machines x 100
 // metrics) and pre-generates sample epochs for the ObserveEpoch benchmark.
+// Workers is pinned to 1: left at 0 it means GOMAXPROCS, so the allocs/op a
+// benchmark records (the goroutine fan-out allocates ~15 objects an epoch)
+// would depend on the core count of the box that wrote the baseline, under
+// a name that does not say so. BenchmarkObserveEpochScale/*/workers4 covers
+// the fan-out.
 func benchMonitorConfig(b testing.TB, reg *telemetry.Registry, tracer *telemetry.Tracer) (Config, [][][]float64) {
 	b.Helper()
 	const nMetrics = 100
@@ -335,6 +340,7 @@ func benchMonitorConfig(b testing.TB, reg *telemetry.Registry, tracer *telemetry
 		KPIs:           []sla.KPI{{Name: "metric_000", Metric: 0, Threshold: 1e12}},
 		CrisisFraction: 0.10,
 	})
+	cfg.Workers = 1
 	cfg.Telemetry = reg
 	cfg.Tracer = tracer
 	rng := rand.New(rand.NewSource(3))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -136,7 +137,7 @@ func TestSketchInsertBatchBoundedError(t *testing.T) {
 			continue // rank-error bounds are vacuous on tiny streams
 		}
 		sorted := append([]float64(nil), vs...)
-		sortFloats(sorted)
+		sort.Float64s(sorted)
 		for _, size := range []int{7, 256, 1 << 20} {
 			gk := MustGK(0.01)
 			for _, b := range chunk(vs, size) {
@@ -152,9 +153,4 @@ func TestSketchInsertBatchBoundedError(t *testing.T) {
 			}
 		}
 	}
-}
-
-func sortFloats(vs []float64) {
-	e := &Exact{vals: vs}
-	e.sortVals()
 }

@@ -149,7 +149,7 @@ func (s *GK) Query(q float64) (float64, error) {
 	if s.n == 0 {
 		return 0, ErrNoData
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) { // NaN compares false both ways
 		return 0, fmt.Errorf("quantile: q=%v out of [0,1]", q)
 	}
 	rank := int(math.Ceil(q * float64(s.n)))

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -65,82 +67,110 @@ type Merger interface {
 // Exact is an Estimator that stores every observation and answers queries
 // exactly (linear-interpolation quantiles). Suitable for hundreds of
 // machines per epoch, as in the paper's case study.
+//
+// A query does not sort: it selects the order statistics it interpolates
+// between (selectKeys) in floatToOrdered order, float order with -0 below +0.
+// Only Values, and a query over a NaN, sort in place with sort.Float64s: NaN
+// first, -0 against +0 left to its tie-break. (Every query of a column under
+// 256 values once took that sort; a quantile landing on a zero of one that
+// mixes both signs may differ from then in its sign bit, then unspecified.)
 type Exact struct {
-	vals   []float64
-	sorted bool
-	// keys and keyTmp are radix-sort scratch (see sortVals), retained so a
-	// reused estimator sorts without allocating.
-	keys   []uint64
-	keyTmp []uint64
+	vals []float64
+	// Selection scratch (the observations as ordered keys, and the gather
+	// target), retained so a reused estimator queries without allocating.
+	keys, keyTmp []uint64
 }
 
-// radixMinLen is the value count above which sortVals switches from the
-// comparison sort to the LSD radix sort. Below it the O(n log n) sort's
-// lower constant wins; above it the radix sort's 8 linear passes do.
-const radixMinLen = 256
+// selectSmall is the key count from which selectKeys sorts what is left.
+const selectSmall = 48
 
-// sortVals sorts the observations ascending. Large sets take an LSD radix
-// sort over the order-preserving bit mapping (floatToOrdered): one pass
-// builds all eight digit histograms, then up to eight stable counting-sort
-// passes — skipping any digit all keys share, which for metric columns
-// clustered around a common level is most of the high bytes. The result is
-// identical to sort.Float64s for finite values; a batch containing NaN
-// falls back to the comparison sort so NaN placement matches exactly.
-func (e *Exact) sortVals() {
-	if e.sorted {
-		return
+// maxRanks bounds the ranks of one selection: two per tracked quantile.
+const maxRanks = 6
+
+// selectStats writes the ranks[i]-th smallest observation (0-based) into
+// out[i] by rank selection, leaving vals untouched. It reports false when the
+// caller must sort instead: a NaN among the observations, or ranks not ascending.
+func (e *Exact) selectStats(ranks []int, out []float64) bool {
+	if !sort.IntsAreSorted(ranks) {
+		return false
 	}
-	e.sorted = true
 	n := len(e.vals)
-	if n < radixMinLen {
-		sort.Float64s(e.vals)
-		return
-	}
 	if cap(e.keys) < n {
 		e.keys = make([]uint64, n)
 		e.keyTmp = make([]uint64, n)
 	}
 	keys := e.keys[:n]
+	first, diff := floatToOrdered(e.vals[0]), uint64(0)
 	for i, v := range e.vals {
 		if v != v {
-			sort.Float64s(e.vals)
-			return
+			return false
 		}
-		keys[i] = floatToOrdered(v)
+		k := floatToOrdered(v)
+		keys[i] = k
+		diff |= k ^ first
 	}
-	var counts [8][256]int
+	var sel [maxRanks]uint64
+	selectKeys(keys, e.keyTmp[:n], diff, 0, ranks, sel[:len(ranks)])
+	for i := range ranks {
+		out[i] = orderedToFloat(sel[i])
+	}
+	return true
+}
+
+// selectKeys writes into out[i] the key of rank ranks[i]-base among keys
+// (ranks ascending, each in [base, base+len(keys))). diff is the OR of every
+// key XORed with keys[0]: its highest set bit is the highest bit on which two
+// keys differ. One 256-bucket histogram over the top 8 differing bits finds
+// the buckets that hold a wanted rank, one gather pass copies only those into
+// tmp, and each is finished on its lower bits: two linear passes plus work on
+// the few keys around each rank. keys and tmp (as long) are both clobbered.
+func selectKeys(keys, tmp []uint64, diff uint64, base int, ranks []int, out []uint64) {
+	if diff == 0 || len(keys) <= selectSmall {
+		if diff != 0 {
+			slices.Sort(keys)
+		}
+		for i, r := range ranks {
+			out[i] = keys[r-base]
+		}
+		return
+	}
+	shift := uint(max(bits.Len64(diff)-8, 0))
+	var count [256]int
 	for _, k := range keys {
-		counts[0][k&0xff]++
-		counts[1][(k>>8)&0xff]++
-		counts[2][(k>>16)&0xff]++
-		counts[3][(k>>24)&0xff]++
-		counts[4][(k>>32)&0xff]++
-		counts[5][(k>>40)&0xff]++
-		counts[6][(k>>48)&0xff]++
-		counts[7][(k>>56)&0xff]++
+		count[(k>>shift)&0xff]++
 	}
-	first := keys[0]
-	src, dst := keys, e.keyTmp[:n]
-	for d := uint(0); d < 8; d++ {
-		c := &counts[d]
-		if c[(first>>(8*d))&0xff] == n {
-			continue // every key shares this digit; the pass is a no-op
+	// count[b] becomes bucket b's write cursor in tmp, -1 if it holds no rank.
+	type bucket struct{ base, off, n, r0, r1 int }
+	var want [maxRanks]bucket
+	nw, fill, ri, cum := 0, 0, 0, base
+	for b, c := range count {
+		count[b] = -1
+		if ri < len(ranks) && ranks[ri] < cum+c {
+			r0 := ri
+			for ri < len(ranks) && ranks[ri] < cum+c {
+				ri++
+			}
+			want[nw] = bucket{base: cum, off: fill, n: c, r0: r0, r1: ri}
+			nw++
+			count[b] = fill
+			fill += c
 		}
-		sum := 0
-		for b := 0; b < 256; b++ {
-			cnt := c[b]
-			c[b] = sum
-			sum += cnt
-		}
-		for _, k := range src {
-			b := (k >> (8 * d)) & 0xff
-			dst[c[b]] = k
-			c[b]++
-		}
-		src, dst = dst, src
+		cum += c
 	}
-	for i, k := range src {
-		e.vals[i] = orderedToFloat(k)
+	for _, k := range keys {
+		b := (k >> shift) & 0xff
+		if p := count[b]; p >= 0 {
+			tmp[p] = k
+			count[b] = p + 1
+		}
+	}
+	for _, w := range want[:nw] {
+		sub := tmp[w.off : w.off+w.n]
+		d := uint64(0)
+		for _, k := range sub {
+			d |= k ^ sub[0]
+		}
+		selectKeys(sub, keys[:w.n], d, w.base, ranks[w.r0:w.r1], out[w.r0:w.r1])
 	}
 }
 
@@ -150,41 +180,59 @@ func NewExact() *Exact { return &Exact{} }
 // Insert adds one observation.
 func (e *Exact) Insert(v float64) {
 	e.vals = append(e.vals, v)
-	e.sorted = false
 }
 
-// InsertBatch bulk-appends the batch; sorting is deferred to the next
-// query, so ingesting a whole metric column costs one copy instead of one
-// call per cell.
+// InsertBatch bulk-appends the batch: ingesting a whole metric column costs
+// one copy instead of one call per cell, and all ordering work waits for the
+// query.
 func (e *Exact) InsertBatch(vs []float64) {
 	if len(vs) == 0 {
 		return
 	}
 	e.vals = append(e.vals, vs...)
-	e.sorted = false
 }
 
 // Query returns the exact q-th quantile.
 func (e *Exact) Query(q float64) (float64, error) {
-	if len(e.vals) == 0 {
-		return 0, ErrNoData
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("quantile: q=%v out of [0,1]", q)
-	}
-	e.sortVals()
+	var out [1]float64
+	err := e.query([]float64{q}, out[:])
+	return out[0], err
+}
+
+// query answers up to maxRanks/2 quantiles with one selection.
+func (e *Exact) query(qs, out []float64) error {
 	n := len(e.vals)
-	if n == 1 {
-		return e.vals[0], nil
+	if n == 0 {
+		return ErrNoData
 	}
-	r := q * float64(n-1)
-	lo := int(math.Floor(r))
-	hi := int(math.Ceil(r))
-	if lo == hi {
-		return e.vals[lo], nil
+	var rankBuf [maxRanks]int
+	var statBuf [maxRanks]float64
+	ranks, stats := rankBuf[:2*len(qs)], statBuf[:2*len(qs)]
+	for i, q := range qs {
+		if !(q >= 0 && q <= 1) { // NaN compares false both ways
+			return fmt.Errorf("quantile: q=%v out of [0,1]", q)
+		}
+		r := q * float64(n-1)
+		ranks[2*i] = int(math.Floor(r))
+		ranks[2*i+1] = int(math.Ceil(r))
 	}
-	frac := r - float64(lo)
-	return e.vals[lo]*(1-frac) + e.vals[hi]*frac, nil
+	if !e.selectStats(ranks, stats) {
+		sorted := e.Values()
+		for i, r := range ranks {
+			stats[i] = sorted[r]
+		}
+	}
+	for i, q := range qs {
+		lo, hi := ranks[2*i], ranks[2*i+1]
+		if lo == hi {
+			out[i] = stats[2*i]
+			continue
+		}
+		r := q * float64(n-1)
+		frac := r - float64(lo)
+		out[i] = stats[2*i]*(1-frac) + stats[2*i+1]*frac
+	}
+	return nil
 }
 
 // Count reports the number of observations.
@@ -193,7 +241,6 @@ func (e *Exact) Count() int { return len(e.vals) }
 // Reset discards all observations, retaining capacity.
 func (e *Exact) Reset() {
 	e.vals = e.vals[:0]
-	e.sorted = false
 }
 
 // Merge absorbs another exact estimator's observations. The result is
@@ -209,28 +256,33 @@ func (e *Exact) Merge(src Estimator) error {
 		return nil
 	}
 	e.vals = append(e.vals, o.vals...)
-	e.sorted = false
 	return nil
 }
 
 // Values returns the observations sorted ascending. The returned slice is
 // owned by the estimator and must not be modified.
 func (e *Exact) Values() []float64 {
-	e.sortVals()
+	sort.Float64s(e.vals)
 	return e.vals
 }
 
 // RawValues returns the observations without sorting them first (unlike
-// Values, which sorts in place): insertion order is preserved as long as no
-// query has run. The slice aliases the estimator's storage — read-only, and
-// valid only until the next mutating call. Wire codecs use it to compare
-// estimator content against the raw rows it was ingested from.
+// Values, which sorts in place): insertion order is preserved as long as
+// neither Values nor a query over a NaN has run. The slice aliases the
+// estimator's storage — read-only, and valid only until the next mutating
+// call. Wire codecs use it to compare estimator content against the raw rows
+// it was ingested from.
 func (e *Exact) RawValues() []float64 { return e.vals }
 
 // Summarize inserts nothing and reads the TrackedQuantiles (25/50/95) out of
-// est in order. It is the one-line helper the metric store uses per epoch.
+// est in order. It is the one-line helper the metric store uses per epoch;
+// an Exact answers all three from one selection.
 func Summarize(est Estimator) ([3]float64, error) {
 	var out [3]float64
+	if e, ok := est.(*Exact); ok {
+		err := e.query(TrackedQuantiles, out[:])
+		return out, err
+	}
 	for i, q := range TrackedQuantiles {
 		v, err := est.Query(q)
 		if err != nil {
