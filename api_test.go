@@ -105,23 +105,14 @@ func TestPublicAPIPrimitives(t *testing.T) {
 		t.Fatal("Unknown label wrong")
 	}
 
-	// Quantile estimators.
+	// The quantile estimator.
 	est := dcfp.NewExactQuantiles()
-	gk, err := dcfp.NewGKQuantiles(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 1000; i++ {
 		est.Insert(float64(i))
-		gk.Insert(float64(i))
 	}
 	med, err := est.Query(0.5)
 	if err != nil || med < 499 || med > 502 {
 		t.Fatalf("exact median = %v, %v", med, err)
-	}
-	gmed, err := gk.Query(0.5)
-	if err != nil || gmed < 480 || gmed > 520 {
-		t.Fatalf("gk median = %v, %v", gmed, err)
 	}
 
 	// Track + thresholds + fingerprinter.

@@ -19,7 +19,6 @@ import (
 	"dcfp/internal/dcsim"
 	"dcfp/internal/experiment"
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 )
 
 var (
@@ -317,41 +316,6 @@ func BenchmarkIdentificationThresholdRules(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkQuantileExactVsGK compares the per-epoch cross-machine
-// summarization cost of the exact estimator against the Greenwald–Khanna
-// sketch at a thousands-of-machines scale — the paper's §3.2 scalability
-// argument.
-func BenchmarkQuantileExactVsGK(b *testing.B) {
-	const machines = 4000
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, machines)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()*10 + 100
-	}
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			est := quantile.NewExact()
-			for _, v := range vals {
-				est.Insert(v)
-			}
-			if _, err := quantile.Summarize(est); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gk-eps0.005", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			est := quantile.MustGK(0.005)
-			for _, v := range vals {
-				est.Insert(v)
-			}
-			if _, err := quantile.Summarize(est); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEpochFingerprint measures the per-epoch fingerprinting cost —

@@ -46,7 +46,7 @@ func main() {
 		load       = flag.String("load", "", "load a saved trace instead of simulating")
 		save       = flag.String("save", "", "save the simulated trace to this path")
 		tel        = flag.String("telemetry-addr", "", "serve /metrics and /debug/pprof on this address during the run")
-		workers    = flag.Int("workers", 0, "worker goroutines for simulation and the identification grid (0 = GOMAXPROCS; results are identical for any value)")
+		workers    = flag.Int("workers", 0, "worker goroutines for trace simulation (0 = GOMAXPROCS; the trace is identical for any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -77,7 +77,6 @@ func main() {
 			}
 		}()
 	}
-	experiment.SetDefaultWorkers(*workers)
 
 	var reg *telemetry.Registry
 	if *tel != "" {

@@ -185,13 +185,8 @@ func NewCrisisStore(update bool) *CrisisStore { return core.NewStore(update) }
 // and answers quantile queries.
 type QuantileEstimator = quantile.Estimator
 
-// NewExactQuantiles returns an exact estimator (fine for hundreds of
-// machines per epoch).
+// NewExactQuantiles returns an exact estimator.
 func NewExactQuantiles() QuantileEstimator { return quantile.NewExact() }
-
-// NewGKQuantiles returns a Greenwald–Khanna streaming sketch with rank
-// error eps, for installations of thousands of machines.
-func NewGKQuantiles(eps float64) (QuantileEstimator, error) { return quantile.NewGK(eps) }
 
 // Monitor is the online advisory-mode engine (§8 pilot): feed per-machine
 // samples epoch by epoch; it detects crises and emits identification

@@ -62,14 +62,3 @@ func ExampleDistance() {
 	fmt.Printf("%.0f\n", d)
 	// Output: 2
 }
-
-// Summarizing a metric across thousands of machines with bounded memory.
-func ExampleNewGKQuantiles() {
-	est, _ := dcfp.NewGKQuantiles(0.01)
-	for machine := 1; machine <= 5000; machine++ {
-		est.Insert(float64(machine))
-	}
-	median, _ := est.Query(0.5)
-	fmt.Printf("median within 1%%: %v\n", median >= 2450 && median <= 2550)
-	// Output: median within 1%: true
-}

@@ -10,9 +10,8 @@ import (
 	"dcfp/internal/sla"
 )
 
-// gobConfig mirrors Config without the NewEstimator function (functions are
-// not serializable; loading restores the default exact estimator, which
-// only matters if the trace is re-simulated).
+// gobConfig mirrors Config's persisted fields (Workers and Telemetry are
+// runtime-only).
 type gobConfig struct {
 	Machines        int
 	Seed            int64

@@ -43,9 +43,6 @@ type Config struct {
 	// per-machine rows, supplying the crisis/normal samples for §3.4's
 	// feature selection.
 	FSPad int
-	// NewEstimator builds the per-metric cross-machine quantile
-	// estimator. Nil means exact.
-	NewEstimator func() quantile.Estimator
 	// Workers bounds the goroutines generating epochs. Epoch noise comes
 	// from independent per-epoch RNG streams derived from (Seed, epoch),
 	// so any worker count produces a byte-identical Trace. 0 resolves to
@@ -351,10 +348,6 @@ func Simulate(cfg Config) (*Trace, error) {
 		fsKeep[e] = chaosAt[e] >= 0
 	}
 
-	newEst := cfg.NewEstimator
-	if newEst == nil {
-		newEst = func() quantile.Estimator { return quantile.NewExact() }
-	}
 	track, err := metrics.NewQuantileTrack(cat.Len())
 	if err != nil {
 		return nil, err
@@ -381,7 +374,7 @@ func Simulate(cfg Config) (*Trace, error) {
 	// (aggregator, row matrix, summary buffer), writing results into the
 	// disjoint per-epoch slots of track/Status/InCrisis/fsOut.
 	genRange := func(lo, hi int) error {
-		agg, err := metrics.NewAggregator(cat.Len(), newEst)
+		agg, err := metrics.NewAggregator(cat.Len(), func() quantile.Estimator { return quantile.NewExact() })
 		if err != nil {
 			return err
 		}

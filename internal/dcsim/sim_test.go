@@ -6,7 +6,6 @@ import (
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 )
 
@@ -323,22 +322,6 @@ func TestSimulateDeterministic(t *testing.T) {
 				t.Fatalf("track differs at epoch %d, col %d", e, i)
 			}
 		}
-	}
-}
-
-func TestSimulateWithGKEstimator(t *testing.T) {
-	cfg := SmallConfig(42)
-	cfg.BackgroundDays = 5
-	cfg.UnlabeledDays = 12
-	cfg.LabeledDays = 45
-	cfg.UnlabeledCrises = 2
-	cfg.NewEstimator = func() quantile.Estimator { return quantile.MustGK(0.02) }
-	tr, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.LabeledCrises()) != 19 {
-		t.Fatalf("GK-summarized trace detected %d labeled crises", len(tr.LabeledCrises()))
 	}
 }
 

@@ -203,45 +203,6 @@ func TestOnlineIdentificationReasonable(t *testing.T) {
 	}
 }
 
-// TestRunIdentificationWorkersEquivalent asserts the sharded alpha grid is
-// byte-identical to the serial sweep: every run plan is pre-drawn before the
-// sweep starts and each alpha writes only its own output slots.
-func TestRunIdentificationWorkersEquivalent(t *testing.T) {
-	e := testEnv(t)
-	tn, err := e.BuildFingerprintTensor(OnlineFPConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := OnlineRunConfig(7, 10)
-	cfg.Workers = 1
-	serial, err := RunIdentification(tn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameF := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, w := range []int{3, 8} {
-		cfg.Workers = w
-		par, err := RunIdentification(tn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameF(serial.Known, par.Known) || !sameF(serial.Unknown, par.Unknown) ||
-			!sameF(serial.MeanTTIMinutes, par.MeanTTIMinutes) {
-			t.Errorf("workers=%d identification series differs from serial sweep", w)
-		}
-	}
-}
-
 func TestRunIdentificationValidation(t *testing.T) {
 	e := testEnv(t)
 	tn, err := e.BuildFingerprintTensor(OfflineFPConfig())

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"dcfp/internal/core"
 	"dcfp/internal/crisis"
@@ -55,41 +53,6 @@ type RunConfig struct {
 	Alphas []float64
 	// Seed drives the (reproducible) randomization.
 	Seed int64
-	// Workers bounds the goroutines the alpha grid is swept across. Every
-	// run plan is pre-drawn serially before the sweep starts, so the result
-	// is byte-identical for any worker count. 0 falls back to the package
-	// default (SetDefaultWorkers, wired to cmd/experiments' -workers flag),
-	// which itself defaults to GOMAXPROCS.
-	Workers int
-}
-
-// defaultWorkers is the package-wide fallback for RunConfig.Workers; 0 means
-// GOMAXPROCS. The figure helpers build their RunConfigs internally, so the
-// -workers flag of cmd/experiments lands here.
-var defaultWorkers int
-
-// SetDefaultWorkers sets the fallback worker count used when
-// RunConfig.Workers is zero. n <= 0 restores the GOMAXPROCS default.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers = n
-}
-
-// gridWorkers resolves the worker count for a sweep over n alphas.
-func (c RunConfig) gridWorkers(n int) int {
-	w := c.Workers
-	if w == 0 {
-		w = defaultWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // DefaultAlphas is the α grid used in the accuracy-vs-α figures.
@@ -216,11 +179,7 @@ func RunIdentification(t *Tensor, cfg RunConfig) (IdentSeries, error) {
 		Unknown:        make([]float64, len(cfg.Alphas)),
 		MeanTTIMinutes: make([]float64, len(cfg.Alphas)),
 	}
-	// Each alpha evaluates the same pre-drawn plans against read-only shared
-	// state (the tensor, the plans, the full-knowledge pairs) and writes only
-	// its own output slots, so the grid shards across workers with results
-	// byte-identical to the serial sweep.
-	evalAlpha := func(ai int, alpha float64) error {
+	for ai, alpha := range cfg.Alphas {
 		var cases []ident.Case
 		for _, plan := range plans {
 			store := append([]int(nil), plan.store...)
@@ -228,7 +187,7 @@ func RunIdentification(t *Tensor, cfg RunConfig) (IdentSeries, error) {
 			if cfg.Setting != SettingOnline {
 				thr, err := core.OfflineThreshold(fullPairs, alpha)
 				if err != nil {
-					return err
+					return IdentSeries{}, err
 				}
 				offlineThr = thr
 			}
@@ -249,7 +208,7 @@ func RunIdentification(t *Tensor, cfg RunConfig) (IdentSeries, error) {
 		}
 		sum, err := ident.Summarize(cases)
 		if err != nil {
-			return err
+			return IdentSeries{}, err
 		}
 		out.Known[ai] = sum.KnownAccuracy
 		out.Unknown[ai] = sum.UnknownAccuracy
@@ -257,36 +216,6 @@ func RunIdentification(t *Tensor, cfg RunConfig) (IdentSeries, error) {
 			out.MeanTTIMinutes[ai] = sum.MeanTTI.Minutes()
 		} else {
 			out.MeanTTIMinutes[ai] = math.NaN()
-		}
-		return nil
-	}
-	workers := cfg.gridWorkers(len(cfg.Alphas))
-	if workers <= 1 {
-		for ai, alpha := range cfg.Alphas {
-			if err := evalAlpha(ai, alpha); err != nil {
-				return IdentSeries{}, err
-			}
-		}
-		return out, nil
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ai := w; ai < len(cfg.Alphas); ai += workers {
-				if err := evalAlpha(ai, cfg.Alphas[ai]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return IdentSeries{}, err
 		}
 	}
 	return out, nil

@@ -12,8 +12,6 @@ import (
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/metrics"
-	"dcfp/internal/monitor"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
@@ -58,21 +56,21 @@ type AggregatorConfig struct {
 	// coordinator-side federation (dcfp_fleet_shard_*).
 	Telemetry *telemetry.Registry
 	// Tracer optionally records one observe_shard trace per epoch frame
-	// (ingest/filter/summarize/encode plus the ship attempt) under the
+	// (ingest/filter/encode plus the ship attempt) under the
 	// fleet-wide epoch trace ID; the pre-ship spans ride in the frame so
 	// the coordinator can stitch them into its merge_epoch trace.
 	Tracer *telemetry.Tracer
 }
 
-// Aggregator is the shard-side half of two-tier aggregation: it ingests
-// the shard's slice of each epoch's fleet matrix through the same
-// filter/summarize primitives the single-node monitor uses, and ships the
-// resulting partial state to the coordinator as one frame per epoch.
-// Not safe for concurrent use.
+// Aggregator is the shard-side half of two-tier aggregation: it runs the
+// liveness scan and the SLA check over the shard's slice of each epoch's
+// fleet matrix — the single-node monitor's accounting, machine for machine —
+// and ships the reporting rows, the masks and the partial SLA status to the
+// coordinator as one frame per epoch. It holds no per-epoch state. Not safe
+// for concurrent use.
 type Aggregator struct {
 	cfg    AggregatorConfig
 	asn    Assignment
-	agg    *metrics.Aggregator
 	client *http.Client
 	brk    *breaker
 	jitter *rand.Rand
@@ -124,11 +122,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Exact estimators: their merge at the coordinator is lossless.
-	agg, err := metrics.NewAggregator(cfg.NumMetrics, func() quantile.Estimator { return quantile.NewExact() })
-	if err != nil {
-		return nil, err
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 8
 	}
@@ -145,7 +138,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
 	g := &Aggregator{
-		cfg: cfg, asn: asn, agg: agg, client: cfg.Client,
+		cfg: cfg, asn: asn, client: cfg.Client,
 		// Backoff jitter decorrelates shard retry storms; seeding off the
 		// shard index keeps runs reproducible without synchronizing shards.
 		jitter: rand.New(rand.NewSource(7919*int64(cfg.Shard) + 1)),
@@ -190,21 +183,28 @@ func (g *Aggregator) Adopt(asn Assignment) {
 // EpochFrame ingests the shard's slice of one fleet epoch and returns the
 // encoded wire frame. rows must span the whole fleet (the shard slices out
 // its assigned ranges); active optionally carries the simulator's
-// ground-truth crisis for the coordinator's operator loop. The shard's
-// estimator state is serialized into the frame and then reset, so calls
-// must be strictly epoch-ordered.
-func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisis.Instance) ([]byte, error) {
-	if len(rows) != g.cfg.Machines {
-		return nil, fmt.Errorf("fleet: epoch has %d rows, fleet has %d machines", len(rows), g.cfg.Machines)
-	}
+// ground-truth crisis for the coordinator's operator loop. A failed call
+// leaves nothing behind: its observe_shard trace ends with an error attr and
+// the next frame is what a fresh aggregator would build.
+func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisis.Instance) (data []byte, err error) {
 	tr := g.cfg.Tracer.StartTraceID("observe_shard", telemetry.EpochTraceID(int64(e)))
 	tr.SetAttr("shard", int64(g.cfg.Shard))
 	tr.SetAttr("epoch", int64(e))
+	defer func() {
+		if err != nil {
+			tr.SetAttr("error", 1)
+			tr.End()
+		}
+	}()
+	if len(rows) != g.cfg.Machines {
+		return nil, fmt.Errorf("fleet: epoch has %d rows, fleet has %d machines", len(rows), g.cfg.Machines)
+	}
 	f := &Frame{
 		Shard:         g.cfg.Shard,
 		Epoch:         e,
 		AssignVersion: g.asn.Version,
 		Machines:      g.cfg.Machines,
+		NumMetrics:    g.cfg.NumMetrics,
 		Active:        active,
 	}
 	sp := tr.StartSpan("ingest")
@@ -214,33 +214,30 @@ func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisi
 		fsp.SetAttr("lo", int64(r.Lo))
 		fsp.SetAttr("hi", int64(r.Hi))
 		sub := rows[r.Lo:r.Hi]
-		p, err := monitor.IngestPartial(g.agg, 0, g.cfg.SLA, r.Lo, sub, make([]bool, len(sub)), make([]bool, len(sub)))
+		viol, reporting := make([]bool, len(sub)), make([]bool, len(sub))
+		dropped, err := metrics.ScanBatchFiltered(sub, g.cfg.NumMetrics, reporting)
 		if err != nil {
 			return nil, err
 		}
-		f.Dropped += p.Dropped
-		fsp.SetAttr("dropped_cells", int64(p.Dropped))
-		statuses = append(statuses, p.Status)
+		status, err := g.cfg.SLA.EvaluateMasked(sub, viol, reporting)
+		if err != nil {
+			return nil, err
+		}
+		f.Dropped += dropped
+		fsp.SetAttr("dropped_cells", int64(dropped))
+		statuses = append(statuses, status)
 		// Ship only reporting rows; the coordinator never reads the rest.
 		br := make([][]float64, len(sub))
 		for i := range sub {
-			if p.Reporting[i] {
+			if reporting[i] {
 				br[i] = sub[i]
 			}
 		}
-		f.Blocks = append(f.Blocks, Block{Lo: r.Lo, Rows: br, Viol: p.Viol, Reporting: p.Reporting})
+		f.Blocks = append(f.Blocks, Block{Lo: r.Lo, Rows: br, Viol: viol, Reporting: reporting})
 		fsp.End()
 	}
-	sp.SetAttr("blocks", int64(len(f.Blocks)))
-	sp.End()
-	sp = tr.StartSpan("summarize")
 	f.Status = g.cfg.SLA.MergeStatuses(statuses)
-	ests, err := g.agg.Estimators(0)
-	if err != nil {
-		return nil, err
-	}
-	f.Estimators = ests
-	sp.SetAttr("estimators", int64(len(ests)))
+	sp.SetAttr("blocks", int64(len(f.Blocks)))
 	sp.End()
 	// Observability section: the trace context and the spans completed so
 	// far ride in the frame (the encode/ship spans below necessarily
@@ -252,8 +249,7 @@ func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisi
 		f.Metrics = g.cfg.Telemetry.Gather()
 	}
 	sp = tr.StartSpan("encode")
-	data, err := f.Encode()
-	if err != nil {
+	if data, err = f.Encode(); err != nil {
 		return nil, err
 	}
 	sp.SetAttr("bytes", int64(len(data)))
@@ -261,7 +257,6 @@ func (g *Aggregator) EpochFrame(e metrics.Epoch, rows [][]float64, active *crisi
 	if g.frameBytes != nil {
 		g.frameBytes.Observe(float64(len(data)))
 	}
-	g.agg.Reset()
 	if tr != nil {
 		g.evictOpenTraces()
 		if g.open == nil {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -10,29 +9,25 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dcfp/internal/dcsim"
 	"dcfp/internal/metrics"
 	"dcfp/internal/monitor"
-	"dcfp/internal/quantile"
 )
 
 // benchFixtureFrame builds the 2-shard bench fixture frame: one shard's
 // half of a 100-machine fleet sampling 100 metrics clustered around their
-// level (the aggregated-benchmark geometry), with the per-metric exact
-// estimator state fed from the same rows, exactly as EpochFrame builds it.
+// level (the aggregated-benchmark geometry), every machine reporting.
 func benchFixtureFrame(tb testing.TB) *Frame {
 	tb.Helper()
 	const machines, nm = 50, 100
 	rng := rand.New(rand.NewSource(21))
 	rows := make([][]float64, machines)
-	ests := make([]quantile.Estimator, nm)
-	for m := range ests {
-		ests[m] = quantile.NewExact()
-	}
 	viol := make([]bool, machines)
 	rep := make([]bool, machines)
 	for i := range rows {
@@ -42,31 +37,14 @@ func benchFixtureFrame(tb testing.TB) *Frame {
 		}
 		rows[i] = row
 		rep[i] = true
-		for m, v := range row {
-			ests[m].Insert(v)
-		}
 	}
 	return &Frame{
 		Shard:      0,
 		Epoch:      7,
 		Machines:   2 * machines,
+		NumMetrics: nm,
 		Blocks:     []Block{{Lo: 0, Rows: rows, Viol: viol, Reporting: rep}},
-		Estimators: ests,
 	}
-}
-
-// estimatorBytes serializes an estimator slice with the binary codec — a
-// deterministic fingerprint of estimator state for byte-identity assertions.
-func estimatorBytes(tb testing.TB, ests []quantile.Estimator) []byte {
-	tb.Helper()
-	var buf []byte
-	for _, est := range ests {
-		var err error
-		if buf, err = quantile.AppendBinary(buf, est); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return buf
 }
 
 // TestFrameFixtureBytes pins the wire layout: the bench fixture frame must
@@ -78,6 +56,10 @@ func estimatorBytes(tb testing.TB, ests []quantile.Estimator) []byte {
 // section's bytes depend on what the process encoded before; the pin holds
 // for a process that encodes the fixture first. Unless this run is already
 // that process, the test re-runs itself alone in a new one.
+//
+// The constants predate the frame losing its estimator field: an aggregator
+// built before that and one built after ship the same bytes, which is the
+// proof the two interoperate in both directions.
 func TestFrameFixtureBytes(t *testing.T) {
 	const alone = "^TestFrameFixtureBytes$"
 	if flag.Lookup("test.run").Value.String() != alone {
@@ -100,7 +82,7 @@ func TestFrameFixtureBytes(t *testing.T) {
 
 // TestFrameOneVersion: any header version but the current one is a protocol
 // rejection (not ErrCorrupt — the bytes are intact, the sender is a different
-// build), and the estimator mode a retired encoder used is corruption.
+// build).
 func TestFrameOneVersion(t *testing.T) {
 	f := &Frame{Shard: 0, Epoch: 3, Machines: 4}
 	for _, v := range []uint32{1, 2, 3, frameVersion + 1} {
@@ -115,17 +97,6 @@ func TestFrameOneVersion(t *testing.T) {
 			t.Errorf("version %d: err %v, want the frame-version protocol error", v, err)
 		}
 	}
-	data, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[len(data)-1] != estModeNil {
-		t.Fatalf("frame without estimators ends in mode %d, want %d", data[len(data)-1], estModeNil)
-	}
-	data[len(data)-1] = 3
-	if _, err := DecodeFrame(sealHeader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("estimator mode 3: err %v, want ErrCorrupt", err)
-	}
 }
 
 // TestFrameCompression: bodies above the threshold are flate-compressed on
@@ -137,14 +108,6 @@ func TestFrameCompression(t *testing.T) {
 	for _, row := range f.Blocks[0].Rows {
 		for m := range row {
 			row[m] = 42
-		}
-	}
-	for _, est := range f.Estimators {
-		est.Reset()
-	}
-	for _, row := range f.Blocks[0].Rows {
-		for m, v := range row {
-			f.Estimators[m].Insert(v)
 		}
 	}
 	plain, err := f.Encode()
@@ -172,36 +135,36 @@ func TestFrameCompression(t *testing.T) {
 	if got.Blocks[0].Rows[10][10] != 42 {
 		t.Fatal("compressed round-trip mangled rows")
 	}
-	if !bytes.Equal(estimatorBytes(t, got.Estimators), estimatorBytes(t, f.Estimators)) {
-		t.Fatal("compressed round-trip mangled estimators")
+	if got.NumMetrics != f.NumMetrics {
+		t.Fatalf("compressed round-trip: row width %d, want %d", got.NumMetrics, f.NumMetrics)
 	}
 }
 
-// alienEst is an estimator type the binary codec does not know.
-type alienEst struct{ quantile.Exact }
-
-// TestFrameEstimatorFallbackModes: exact state that is the shipped rows is
-// elided and rebuilt (derived), anything else the binary codec knows ships
-// explicitly, and an estimator it does not know fails the encode — there is
-// no second format to fall back to.
-func TestFrameEstimatorFallbackModes(t *testing.T) {
-	roundTrip := func(t *testing.T, f *Frame) (*Frame, int) {
-		t.Helper()
-		data, err := f.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeFrame(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(estimatorBytes(t, got.Estimators), estimatorBytes(t, f.Estimators)) {
-			t.Fatal("round trip mangled estimator state")
-		}
-		return got, len(data)
+// corpusFrame reads one FuzzDecodeFrame seed file (go test fuzz v1, a single
+// []byte literal).
+func corpusFrame(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, derivedLen := roundTrip(t, benchFixtureFrame(t))
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
+}
 
+// TestFrameEstimatorFallbackModes: a frame is its rows. It round-trips with
+// holes in it, the trailer values retired encoders wrote — no state (0),
+// explicit estimator payloads (1), gob (3) — decode as corruption, and a row
+// of another width than the frame declares never reaches the wire.
+func TestFrameEstimatorFallbackModes(t *testing.T) {
+	full, err := benchFixtureFrame(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Run("derived", func(t *testing.T) {
 		// Punch holes in the fixture so a nil row and a non-reporting
 		// machine cross the codec too.
@@ -209,58 +172,57 @@ func TestFrameEstimatorFallbackModes(t *testing.T) {
 		f.Blocks[0].Rows[3] = nil
 		f.Blocks[0].Reporting[3] = false
 		f.Dropped = 17
-		for m := range f.Estimators {
-			f.Estimators[m] = quantile.NewExact()
+		data, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, row := range f.Blocks[0].Rows {
-			for m, v := range row {
-				f.Estimators[m].Insert(v)
-			}
+		if len(data) >= len(full) {
+			t.Fatalf("frame with a nil row is %d bytes, full fixture %d", len(data), len(full))
 		}
-		got, n := roundTrip(t, f)
-		if n >= derivedLen {
-			t.Fatalf("frame with a nil row is %d bytes, full fixture %d: estimator section not elided", n, derivedLen)
+		got, err := DecodeFrame(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got.Estimators, f.Estimators = nil, nil
 		if !reflect.DeepEqual(got, f) {
 			t.Fatalf("frame differs after round trip:\ngot:  %+v\nwant: %+v", got, f)
 		}
 	})
-	t.Run("explicit-exact", func(t *testing.T) {
-		// Values sorts the state in place, so it no longer mirrors the rows.
-		// (A query does not: it selects, and leaves the frame derivable.)
-		f := benchFixtureFrame(t)
-		f.Estimators[0].(*quantile.Exact).Values()
-		if _, n := roundTrip(t, f); n <= derivedLen {
-			t.Fatalf("frame is %d bytes, derived %d: estimator section missing", n, derivedLen)
+	t.Run("reserved-modes", func(t *testing.T) {
+		// The fixture ends marker byte + one-byte uvarint(100).
+		if full[len(full)-2] != rowWidthMarker {
+			t.Fatalf("fixture trailer starts with %d, want %d", full[len(full)-2], rowWidthMarker)
 		}
-	})
-	t.Run("explicit-sketch", func(t *testing.T) {
-		f := benchFixtureFrame(t)
-		for m := range f.Estimators {
-			gk := quantile.MustGK(0.01)
-			for _, row := range f.Blocks[0].Rows {
-				gk.Insert(row[m])
+		for _, mode := range []byte{0, 1, 3} {
+			data := append([]byte(nil), full...)
+			data[len(data)-2] = mode
+			if _, err := DecodeFrame(sealHeader(data)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("trailer mode %d: err %v, want ErrCorrupt", mode, err)
 			}
-			f.Estimators[m] = gk
 		}
-		got, _ := roundTrip(t, f)
-		if _, ok := got.Estimators[3].(*quantile.GK); !ok {
-			t.Fatalf("sketch decoded as %T", got.Estimators[3])
+		// Whole frames as the previous build's encoder wrote them.
+		for _, name := range []string{"explicit-exact-mode1", "explicit-gk-mode1", "no-estimators-mode0"} {
+			if _, err := DecodeFrame(corpusFrame(t, name)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: err %v, want ErrCorrupt", name, err)
+			}
 		}
 	})
-	t.Run("unknown-type", func(t *testing.T) {
+	t.Run("row-width", func(t *testing.T) {
 		f := benchFixtureFrame(t)
-		f.Estimators[3] = &alienEst{}
+		f.Blocks[0].Rows[7] = f.Blocks[0].Rows[7][:99]
 		if data, err := f.Encode(); err == nil {
-			t.Fatalf("estimator without a binary codec encoded to %d bytes, want an error", len(data))
+			t.Fatalf("frame with a 99-wide row under 100 metrics encoded to %d bytes, want an error", len(data))
+		}
+		// And the decoder holds a foreign encoder to the same rule.
+		data := append([]byte(nil), full...)
+		data[len(data)-1] = 99
+		if _, err := DecodeFrame(sealHeader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("declared width 99 over 100-wide rows: err %v, want ErrCorrupt", err)
 		}
 	})
 }
 
-// TestFrameDerivedModeOnWire asserts the size win actually engages for
-// EpochFrame-built frames: the estimator section must be elided (derived
-// mode), pinned by the frame being barely larger than its rows section.
+// TestFrameDerivedModeOnWire: a frame is barely larger than its rows
+// section.
 func TestFrameDerivedModeOnWire(t *testing.T) {
 	f := benchFixtureFrame(t)
 	data, err := f.Encode()
@@ -269,7 +231,7 @@ func TestFrameDerivedModeOnWire(t *testing.T) {
 	}
 	rowBytes := 50 * 100 * 8
 	if len(data) > rowBytes+rowBytes/4 {
-		t.Fatalf("v4 frame %d bytes for %d row bytes: estimator section not elided", len(data), rowBytes)
+		t.Fatalf("v4 frame %d bytes for %d row bytes", len(data), rowBytes)
 	}
 }
 

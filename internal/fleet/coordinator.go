@@ -474,7 +474,6 @@ func (c *Coordinator) mergeLocked() {
 			p := monitor.ShardPartial{Lo: b.Lo, Rows: b.Rows, Viol: b.Viol, Reporting: b.Reporting}
 			if bi == 0 {
 				p.Status = f.Status
-				p.Estimators = f.Estimators
 				p.Dropped = f.Dropped
 			}
 			parts = append(parts, p)

@@ -10,7 +10,7 @@ import (
 
 func testFrameBytes(t *testing.T) []byte {
 	t.Helper()
-	f := &Frame{Shard: 0, Epoch: 7, Machines: 10, Blocks: []Block{{
+	f := &Frame{Shard: 0, Epoch: 7, Machines: 10, NumMetrics: 3, Blocks: []Block{{
 		Lo:        0,
 		Rows:      [][]float64{{1, 2, 3}, nil},
 		Viol:      []bool{false, false},

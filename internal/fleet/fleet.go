@@ -1,13 +1,14 @@
 // Package fleet scales the fingerprinting pipeline past a single process
 // with two-tier aggregation: per-shard aggregator processes each ingest a
-// contiguous slice of the fleet's epoch matrix, run the filter and
-// summarize stages locally, and ship their partial quantile-estimator
-// state plus liveness masks to one coordinator, which merges them
-// losslessly (quantile.Merger) and runs SLA detection, fingerprinting,
-// identification and forecast exactly as the single-node monitor does.
+// contiguous slice of the fleet's epoch matrix, run the liveness scan and
+// the per-machine SLA check locally, and ship the reporting rows, the masks
+// and the partial SLA status to one coordinator, which filters the rows into
+// its own quantile estimators and runs summarization, SLA detection,
+// fingerprinting, identification and forecast exactly as the single-node
+// monitor does.
 //
-// The wire protocol is stdlib HTTP carrying versioned gob frames (the same
-// codec family as the monitor checkpoints). Shard assignment is static
+// The wire protocol is stdlib HTTP carrying versioned binary frames (gob
+// metadata, the same codec family as the monitor checkpoints). Shard assignment is static
 // with rebalance-on-death: a shard that stops shipping frames is merged
 // around — its machines count as non-reporting, so a sizable dead shard
 // pushes coverage under monitor.Config.MinCoverage and the existing
@@ -15,10 +16,10 @@
 // number of missed epochs its machine ranges are handed to the surviving
 // shards.
 //
-// With the default exact estimators the merge preserves the value multiset
-// and SLA counts are order-independent sums, so an N-shard fleet produces
-// EpochReport and Advice streams byte-identical to feeding the same rows
-// to a single monitor.ObserveEpoch loop.
+// The quantile summary is a function of the epoch's value multiset and SLA
+// counts are order-independent sums, so an N-shard fleet produces EpochReport
+// and Advice streams byte-identical to feeding the same rows to a single
+// monitor.ObserveEpoch loop.
 package fleet
 
 import (

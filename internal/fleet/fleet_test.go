@@ -1,15 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
 	"dcfp/internal/metrics"
 	"dcfp/internal/monitor"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
@@ -296,25 +297,20 @@ func TestStaticAssignment(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip exercises the wire codec: estimator state, nil-row
+// TestFrameRoundTrip exercises the wire codec: row width, nil-row
 // normalization, ground truth, and header validation.
 func TestFrameRoundTrip(t *testing.T) {
-	est := quantile.NewExact()
-	for _, v := range []float64{3, 1, 2} {
-		est.Insert(v)
-	}
 	f := &Frame{
-		Shard: 1, Epoch: 7, AssignVersion: 1, Machines: 4,
+		Shard: 1, Epoch: 7, AssignVersion: 1, Machines: 4, NumMetrics: 2,
 		Blocks: []Block{{
 			Lo:        2,
 			Rows:      [][]float64{{1, 2}, nil},
 			Viol:      []bool{true, false},
 			Reporting: []bool{true, false},
 		}},
-		Estimators: []quantile.Estimator{est},
-		Status:     sla.EpochStatus{ViolatingPerKPI: []int{1}, ViolatingAny: 1, Machines: 2},
-		Dropped:    3,
-		Active:     &crisis.Instance{ID: "L01", Type: 2, Start: 5, Duration: 8, Labeled: true, Severity: 1.1},
+		Status:  sla.EpochStatus{ViolatingPerKPI: []int{1}, ViolatingAny: 1, Machines: 2},
+		Dropped: 3,
+		Active:  &crisis.Instance{ID: "L01", Type: 2, Start: 5, Duration: 8, Labeled: true, Severity: 1.1},
 	}
 	data, err := f.Encode()
 	if err != nil {
@@ -324,7 +320,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Shard != 1 || g.Epoch != 7 || g.Machines != 4 || g.Dropped != 3 {
+	if g.Shard != 1 || g.Epoch != 7 || g.Machines != 4 || g.NumMetrics != 2 || g.Dropped != 3 {
 		t.Fatalf("header fields lost: %+v", g)
 	}
 	if g.Blocks[0].Rows[1] != nil {
@@ -332,17 +328,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.Blocks[0].Rows[0], []float64{1, 2}) {
 		t.Fatalf("rows lost: %+v", g.Blocks[0].Rows)
-	}
-	ge, ok := g.Estimators[0].(*quantile.Exact)
-	if !ok {
-		t.Fatalf("estimator decoded as %T", g.Estimators[0])
-	}
-	med, err := ge.Query(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ge.Count() != 3 || med != 2 {
-		t.Fatalf("estimator state lost: count=%d median=%v", ge.Count(), med)
 	}
 	if g.Active == nil || g.Active.ID != "L01" || !g.Active.Labeled {
 		t.Fatalf("ground truth lost: %+v", g.Active)
@@ -360,6 +345,63 @@ func TestFrameRoundTrip(t *testing.T) {
 	bad[len(frameMagic)+3] = 99
 	if _, err := DecodeFrame(bad); err == nil {
 		t.Fatal("want error for unknown version")
+	}
+}
+
+// TestEpochFrameAfterErrorMatchesFresh: an epoch EpochFrame refuses (here a
+// row of the wrong width, after five good rows) leaves nothing behind — the
+// next frame is byte for byte a fresh aggregator's — and its observe_shard
+// trace still reaches the ring, marked as failed.
+func TestEpochFrameAfterErrorMatchesFresh(t *testing.T) {
+	const machines, nm = 8, 3
+	tracer := telemetry.NewTracer(4)
+	newAgg := func(tr *telemetry.Tracer) *Aggregator {
+		agg, err := NewAggregator(AggregatorConfig{
+			Shard: 0, Shards: 1, Machines: machines, NumMetrics: nm, Tracer: tr,
+			SLA: sla.Config{KPIs: []sla.KPI{{Name: "latency", Metric: 0, Threshold: 100}}, CrisisFraction: 0.1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+	epoch := func(base float64) [][]float64 {
+		rows := make([][]float64, machines)
+		for i := range rows {
+			rows[i] = []float64{base + float64(i), 2 * base, 3 * base}
+		}
+		return rows
+	}
+	bad := epoch(10)
+	bad[5] = bad[5][:2]
+	clean := epoch(20)
+
+	// Frame bytes are compared untraced: spans carry wall-clock offsets.
+	dirty, fresh := newAgg(nil), newAgg(nil)
+	if _, err := dirty.EpochFrame(0, bad, nil); err == nil {
+		t.Fatal("want an error for a two-cell row in a three-metric fleet")
+	}
+	got, err := dirty.EpochFrame(1, clean, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.EpochFrame(1, clean, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame after a failed epoch is %d bytes, a fresh aggregator's %d: the failed epoch leaked into it", len(got), len(want))
+	}
+
+	if _, err := newAgg(tracer).EpochFrame(0, bad, nil); err == nil {
+		t.Fatal("want an error for a two-cell row in a three-metric fleet")
+	}
+	snap, ok := tracer.Latest()
+	if !ok || snap.Name != "observe_shard" {
+		t.Fatalf("failed epoch left no observe_shard trace in the ring (latest %+v, found %v)", snap, ok)
+	}
+	if !slices.Contains(snap.Attrs, telemetry.Attr{Key: "error", Value: 1}) {
+		t.Fatalf("failed epoch's trace carries no error attr: %+v", snap.Attrs)
 	}
 }
 

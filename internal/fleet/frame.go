@@ -14,7 +14,6 @@ import (
 
 	"dcfp/internal/crisis"
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
@@ -28,13 +27,11 @@ import (
 // poison the deterministic merge.
 //
 // The payload (see the "Wire format" section of DESIGN.md) is a flags byte,
-// a gob-encoded metadata section (everything except the bulk rows and
-// estimator state), a fixed-width little-endian rows section, and an
-// estimator section that is usually *empty* — when the per-metric estimator
-// state is exactly the finite cells of the shipped rows (the invariant
-// EpochFrame establishes for exact estimators), the decoder rebuilds it from
-// the rows instead of shipping the same floats twice. Bodies above
-// frameCompressThreshold are flate-compressed.
+// a gob-encoded metadata section (everything except the bulk rows), a
+// fixed-width little-endian rows section, and a two-field trailer declaring
+// the row width. A shard's quantile contribution is its rows: the coordinator
+// filters them into its own estimators. Bodies above frameCompressThreshold
+// are flate-compressed.
 const frameMagic = "DCFPFLT1"
 const frameVersion uint32 = 4
 
@@ -72,13 +69,14 @@ type Frame struct {
 	// Machines is the fleet width the sender believes; the coordinator
 	// rejects frames that disagree with its own.
 	Machines int
-	Blocks   []Block
-	// Estimators is the shard's per-metric quantile state in catalog
-	// order, merged losslessly into the coordinator's aggregator.
-	Estimators []quantile.Estimator
+	// NumMetrics is the catalog width: every present row of every block
+	// holds exactly this many values (Encode and DecodeFrame both check).
+	NumMetrics int
+	Blocks     []Block
 	// Status is the shard's partial SLA status over all its blocks.
 	Status sla.EpochStatus
-	// Dropped counts non-finite cells filtered before insertion.
+	// Dropped counts the non-finite cells of the shard's rows, including the
+	// rows of non-reporting machines it shipped as nil.
 	Dropped int
 	// Active carries the simulator's ground-truth crisis instance when
 	// the shard runs the seeded simulation (nil in production ingestion);
@@ -109,20 +107,13 @@ const (
 	frameFlagCompressed = 1 << 0
 )
 
-// Estimator-section modes. Mode 3 was a gob fallback no encoder emits any
-// more; it stays reserved and decodes as ErrCorrupt.
-const (
-	// estModeNil: the frame carries no estimator state (Estimators nil).
-	estModeNil = 0
-	// estModeExplicit: per-estimator compact binary payloads
-	// (quantile.AppendBinary) follow.
-	estModeExplicit = 1
-	// estModeDerived: no payload at all — the estimator state is exactly
-	// the finite cells of the shipped rows in machine order, so the decoder
-	// rebuilds it by filtered re-insertion. This is the steady-state mode
-	// for exact estimators and eliminates shipping every observation twice.
-	estModeDerived = 2
-)
+// rowWidthMarker precedes the uvarint row width that ends the payload. The
+// byte was the mode of an estimator section: 2 meant "no estimator payload,
+// derive the state from the rows", the only mode a sender ever emitted and now
+// the only meaning a frame has. The other values a retired encoder could
+// write (0 no state, 1 explicit estimator payloads, 3 gob) stay reserved and
+// decode as ErrCorrupt.
+const rowWidthMarker = 2
 
 // frameCompressThreshold is the body size above which Encode attempts flate
 // compression. A package variable so tests can lower it; the default keeps
@@ -130,8 +121,8 @@ const (
 var frameCompressThreshold = 1 << 20
 
 // frameMetaV4 is the gob-encoded metadata section of a frame: every
-// Frame field except the bulk sections (Block.Rows and Estimators), which
-// get binary layouts of their own.
+// Frame field except Block.Rows and NumMetrics, which get binary layouts of
+// their own.
 type frameMetaV4 struct {
 	Shard         int
 	Epoch         metrics.Epoch
@@ -163,9 +154,12 @@ var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Encode serializes the frame as magic + version + CRC32 + binary payload.
 // The returned slice is freshly allocated at exact size; internal scratch is
-// pooled and reused across calls. An estimator the binary codec does not
-// know is an error.
+// pooled and reused across calls. A present row that is not NumMetrics wide
+// is an error.
 func (f *Frame) Encode() ([]byte, error) {
+	if err := f.checkRowWidths(); err != nil {
+		return nil, fmt.Errorf("fleet: frame encode: %w", err)
+	}
 	sp := encScratch.Get().(*[]byte)
 	buf := append((*sp)[:0], make([]byte, headerLen)...)
 	buf = append(buf, 0) // flags, patched below
@@ -215,23 +209,8 @@ func (f *Frame) Encode() ([]byte, error) {
 		}
 	}
 
-	// Estimator section.
-	switch {
-	case f.Estimators == nil:
-		buf = append(buf, estModeNil)
-	case f.estimatorsDerivedFromRows():
-		buf = append(buf, estModeDerived)
-		buf = binary.AppendUvarint(buf, uint64(len(f.Estimators)))
-	default:
-		buf = append(buf, estModeExplicit)
-		buf = binary.AppendUvarint(buf, uint64(len(f.Estimators)))
-		for _, est := range f.Estimators {
-			if buf, err = quantile.AppendBinary(buf, est); err != nil {
-				encScratch.Put(sp)
-				return nil, fmt.Errorf("fleet: frame encode: %w", err)
-			}
-		}
-	}
+	buf = append(buf, rowWidthMarker)
+	buf = binary.AppendUvarint(buf, uint64(f.NumMetrics))
 
 	// Optional whole-body compression for outsized frames.
 	if body := buf[headerLen+1:]; len(body) > frameCompressThreshold {
@@ -251,52 +230,17 @@ func (f *Frame) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// estimatorsDerivedFromRows reports whether the per-metric estimator state
-// is exactly the finite cells of the frame's present rows in machine order —
-// the invariant EpochFrame establishes when it feeds its aggregator from the
-// same rows it ships. When it holds, the estimator section can be elided
-// entirely and rebuilt on the decoding side. One linear bit-compare pass
-// over the cells; any mismatch (sketch estimators, sorted state, hand-built
-// frames) falls back to an explicit payload.
-func (f *Frame) estimatorsDerivedFromRows() bool {
-	nm := len(f.Estimators)
-	if nm == 0 {
-		return false
-	}
-	raws := make([][]float64, nm)
-	for m, est := range f.Estimators {
-		e, ok := est.(*quantile.Exact)
-		if !ok || e == nil {
-			return false
-		}
-		raws[m] = e.RawValues()
-	}
-	cursors := make([]int, nm)
+// checkRowWidths reports the first present row that is not NumMetrics wide.
+func (f *Frame) checkRowWidths() error {
 	for bi := range f.Blocks {
-		for _, row := range f.Blocks[bi].Rows {
-			if row == nil {
-				continue
-			}
-			if len(row) != nm {
-				return false
-			}
-			for m, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					continue
-				}
-				if cursors[m] >= len(raws[m]) || math.Float64bits(raws[m][cursors[m]]) != math.Float64bits(v) {
-					return false
-				}
-				cursors[m]++
+		for i, row := range f.Blocks[bi].Rows {
+			if len(row) != 0 && len(row) != f.NumMetrics {
+				return fmt.Errorf("block %d row %d has %d values, frame declares %d metrics",
+					bi, i, len(row), f.NumMetrics)
 			}
 		}
 	}
-	for m := range cursors {
-		if cursors[m] != len(raws[m]) {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // DecodeFrame parses a wire frame, validating magic, version, and checksum
@@ -344,8 +288,8 @@ func validateFrame(f *Frame) error {
 	return nil
 }
 
-// decodeFrameV4 parses the binary payload (flags + meta + rows +
-// estimator section). All counts are bounds-checked against the remaining
+// decodeFrameV4 parses the binary payload (flags + meta + rows + row-width
+// trailer). All counts are bounds-checked against the remaining
 // payload before allocation, so corrupted or adversarial frames fail with
 // ErrCorrupt instead of outsized allocations.
 func decodeFrameV4(payload []byte) (*Frame, error) {
@@ -424,63 +368,18 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 		f.Blocks = append(f.Blocks, b)
 	}
 
-	if len(body) < 1 {
-		return nil, fmt.Errorf("%w: v4 payload missing estimator section", ErrCorrupt)
+	if len(body) < 1 || body[0] != rowWidthMarker {
+		return nil, fmt.Errorf("%w: v4 payload missing its row-width trailer", ErrCorrupt)
 	}
-	mode := body[0]
-	body = body[1:]
-	switch mode {
-	case estModeNil:
-		// Estimators stays nil.
-	case estModeExplicit:
-		nEst, err := uvarint("estimator")
-		if err != nil {
-			return nil, err
-		}
-		f.Estimators = make([]quantile.Estimator, nEst)
-		for i := 0; i < nEst; i++ {
-			est, rest, err := quantile.DecodeBinary(body)
-			if err != nil {
-				return nil, fmt.Errorf("%w: v4 estimator %d: %v", ErrCorrupt, i, err)
-			}
-			f.Estimators[i] = est
-			body = rest
-		}
-	case estModeDerived:
-		// The metric count has no trailing payload (that is the point of
-		// derived mode), so it is bounded against a sane metric-catalog
-		// ceiling rather than remaining bytes.
-		nm64, n := binary.Uvarint(body)
-		if n <= 0 || nm64 > 1<<20 {
-			return nil, fmt.Errorf("%w: v4 derived estimator count", ErrCorrupt)
-		}
-		body = body[n:]
-		nm := int(nm64)
-		exs := make([]*quantile.Exact, nm)
-		f.Estimators = make([]quantile.Estimator, nm)
-		for m := range exs {
-			exs[m] = quantile.NewExact()
-			f.Estimators[m] = exs[m]
-		}
-		for bi := range f.Blocks {
-			for _, row := range f.Blocks[bi].Rows {
-				if row == nil {
-					continue
-				}
-				if len(row) != nm {
-					return nil, fmt.Errorf("%w: v4 derived estimators: row width %d, want %d metrics",
-						ErrCorrupt, len(row), nm)
-				}
-				for m, v := range row {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						continue
-					}
-					exs[m].Insert(v)
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: v4 unknown estimator mode %d", ErrCorrupt, mode)
+	// Nothing follows the width, so it is bounded against a sane
+	// metric-catalog ceiling rather than the remaining bytes.
+	nm, n := binary.Uvarint(body[1:])
+	if n <= 0 || nm > 1<<20 {
+		return nil, fmt.Errorf("%w: v4 row width", ErrCorrupt)
+	}
+	f.NumMetrics = int(nm)
+	if err := f.checkRowWidths(); err != nil {
+		return nil, fmt.Errorf("%w: v4 %v", ErrCorrupt, err)
 	}
 	return f, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"dcfp/internal/dcsim"
 	"dcfp/internal/monitor"
-	"dcfp/internal/quantile"
 )
 
 // fuzzSeedCorpus is the hand-picked seed set shared by both fuzz targets:
@@ -28,84 +27,36 @@ func fuzzSeedCorpus(f *testing.F) {
 	garbage = append(garbage, []byte("not gob at all, but plenty of bytes to chew on")...)
 	f.Add(garbage)
 
-	// Estimator-bearing frames in each section mode (derived-from-rows,
-	// explicit binary for both estimator types), plus a flate-compressed
-	// body, so the fuzzer starts inside every decode arm.
-	derived := estimatorFuzzFrame(f)
-	f.Add(derived)
-	f.Add(derived[:len(derived)-3])
-	explicit := append([]byte(nil), derived...)
-	// Corrupting a row float breaks the derived invariant on re-encode;
-	// mutating wire bytes directly probes the decoder's bounds checks.
-	explicit[len(explicit)-9] ^= 0xff
-	f.Add(explicit)
-	fr := decodedEstimatorFrame(f)
+	// A truncated trailer, a row float mutated on the wire, the three
+	// retired trailer modes and a flate-compressed body, so the fuzzer starts
+	// inside every decode arm. (FuzzHandleFrameBytes reseals them past the
+	// CRC; whole frames as the previous build wrote them under modes 0 and 1
+	// are the *-mode0/-mode1 files under testdata: must-reject seeds.)
+	f.Add(valid[:len(valid)-1])
+	mutated := append([]byte(nil), valid...)
+	mutated[len(mutated)-9] ^= 0xff
+	f.Add(mutated)
+	for _, mode := range []byte{0, 1, 3} {
+		retired := append([]byte(nil), valid...)
+		retired[len(retired)-2] = mode
+		f.Add(retired)
+	}
+	fr, err := DecodeFrame(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
 	old := frameCompressThreshold
 	frameCompressThreshold = 8
 	if compressed, err := fr.Encode(); err == nil {
 		f.Add(compressed)
 	}
 	frameCompressThreshold = old
-	// State that does not mirror the rows ships explicitly: an exact
-	// estimator holding one value more, then a sketch.
-	fr.Estimators[0].Insert(0)
-	if extra, err := fr.Encode(); err == nil {
-		f.Add(extra)
-	}
-	gk := quantile.MustGK(0.05)
-	gk.InsertBatch([]float64{3, 1, 2})
-	fr.Estimators[1] = gk
-	if sketch, err := fr.Encode(); err == nil {
-		f.Add(sketch)
-	}
-}
-
-// decodedEstimatorFrame returns the estimator-bearing fuzz frame as a
-// struct, for re-encoding under compression and with other estimators.
-func decodedEstimatorFrame(f *testing.F) *Frame {
-	f.Helper()
-	fr, err := DecodeFrame(estimatorFuzzFrame(f))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return fr
-}
-
-// estimatorFuzzFrame builds a small frame whose exact estimator state is
-// derived from its rows — the steady-state v4 shape (estModeDerived).
-func estimatorFuzzFrame(f *testing.F) []byte {
-	f.Helper()
-	ests := make([]quantile.Estimator, 2)
-	for m := range ests {
-		ests[m] = quantile.NewExact()
-	}
-	rows := [][]float64{{1, 2}, nil, {3, 4}}
-	for _, row := range rows {
-		for m, v := range row {
-			ests[m].Insert(v)
-		}
-	}
-	fr := &Frame{
-		Shard: 1, Epoch: 5, Machines: 6,
-		Blocks: []Block{{
-			Lo:        3,
-			Rows:      rows,
-			Viol:      []bool{false, true, false},
-			Reporting: []bool{true, false, true},
-		}},
-		Estimators: ests,
-	}
-	data, err := fr.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
 }
 
 func validFuzzFrame(f *testing.F) []byte {
 	f.Helper()
 	fr := &Frame{
-		Shard: 0, Epoch: 3, Machines: 6,
+		Shard: 0, Epoch: 3, Machines: 6, NumMetrics: 2,
 		Blocks: []Block{{
 			Lo:        0,
 			Rows:      [][]float64{{1, 2}, nil, {3, 4}},

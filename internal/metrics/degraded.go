@@ -33,7 +33,7 @@ const batchStrip = 256
 // one metric at a time, and each estimator receives the column's finite
 // values as one InsertBatch per strip instead of one Insert per cell, in
 // machine order — the order the per-cell path would insert them — so exact
-// estimators end up byte-identical and sketches see the identical stream.
+// estimators end up byte-identical.
 func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting []bool) (int, error) {
 	if shard < 0 || shard >= len(a.shards) {
 		return 0, fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
@@ -100,6 +100,37 @@ func finiteColumn(col []float64, strip [][]float64, drops []int, m int) int {
 		n++
 	}
 	return n
+}
+
+// ScanBatchFiltered is ObserveBatchFiltered's accounting without the
+// estimators, for a fleet shard that ships its rows and leaves the quantile
+// state to the coordinator: reporting[i] (len(rows) entries) is set to whether
+// row i holds at least one finite value — false for a nil row — and the return
+// value counts the non-finite cells of every delivered row. A row not width
+// wide is an error; the rows before it are accounted.
+func ScanBatchFiltered(rows [][]float64, width int, reporting []bool) (int, error) {
+	if len(reporting) != len(rows) {
+		return 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
+	}
+	dropped := 0
+	for i, row := range rows {
+		if row == nil {
+			reporting[i] = false
+			continue
+		}
+		if len(row) != width {
+			return dropped, fmt.Errorf("metrics: row has %d values, want %d", len(row), width)
+		}
+		drops := 0
+		for _, v := range row {
+			if v-v != 0 { // NaN or ±Inf
+				drops++
+			}
+		}
+		dropped += drops
+		reporting[i] = drops < width
+	}
+	return dropped, nil
 }
 
 // summarizeMetricLenient is summarizeMetric that tolerates a metric with no

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -186,33 +185,15 @@ func TestSummarizeLenientParallelMatchesSerial(t *testing.T) {
 // perCellReference is the filter ObserveBatchFiltered must be
 // indistinguishable from, written the obvious way: rows in machine order, a
 // scalar finiteness check per cell, and the surviving values handed to each
-// estimator one at a time (batched false) or as one InsertBatch per column
-// per batchStrip delivered rows (batched true: the stream a sketch, whose
-// state depends on batch boundaries, is promised).
-func perCellReference(ests []quantile.Estimator, rows [][]float64, reporting []bool, batched bool) (dropped int, err error) {
-	cols := make([][]float64, len(ests))
-	flush := func() {
-		for m, col := range cols {
-			switch {
-			case !batched:
-				for _, v := range col {
-					ests[m].Insert(v)
-				}
-			case len(col) > 0:
-				ests[m].InsertBatch(col)
-			}
-			cols[m] = col[:0]
-		}
-	}
-	filled := 0
+// estimator one at a time.
+func perCellReference(ests []quantile.Estimator, rows [][]float64, reporting []bool) (dropped int, err error) {
 	for i, row := range rows {
 		if row == nil {
 			reporting[i] = false
 			continue
 		}
 		if len(row) != len(ests) {
-			err = fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
-			break
+			return dropped, fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
 		}
 		d := 0
 		for m, v := range row {
@@ -220,17 +201,12 @@ func perCellReference(ests []quantile.Estimator, rows [][]float64, reporting []b
 				d++
 				continue
 			}
-			cols[m] = append(cols[m], v)
+			ests[m].Insert(v)
 		}
 		dropped += d
 		reporting[i] = d < len(row)
-		if filled++; filled == batchStrip {
-			flush()
-			filled = 0
-		}
 	}
-	flush()
-	return dropped, err
+	return dropped, nil
 }
 
 // dirtyRows generates n rows of width nm with every kind of hole a collector
@@ -265,16 +241,13 @@ func dirtyRows(rng *rand.Rand, n, nm, badAt int) [][]float64 {
 
 // TestObserveBatchFilteredMatchesPerCell: the column-at-a-time filter leaves
 // the same drop count, the same reporting flags, the same error and the same
-// estimator state as the per-cell reference — exact estimators value for
-// value in machine order, GK sketches byte for byte — at every batch length
-// around the strip size, and with a wrong-width row anywhere in the batch.
+// estimator state — value for value in machine order — as the per-cell
+// reference, at every batch length around the strip size, and with a
+// wrong-width row anywhere in the batch.
 func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
 	const nm = 7
 	rng := rand.New(rand.NewSource(41))
-	factories := map[string]func() quantile.Estimator{
-		"exact": func() quantile.Estimator { return quantile.NewExact() },
-		"gk":    func() quantile.Estimator { return quantile.MustGK(0.01) },
-	}
+	newEst := func() quantile.Estimator { return quantile.NewExact() }
 	for _, n := range []int{0, 1, 255, 256, 257, 1000} {
 		for _, withBad := range []bool{false, true} {
 			badAt := -1
@@ -285,61 +258,94 @@ func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
 				badAt = rng.Intn(n)
 			}
 			rows := dirtyRows(rng, n, nm, badAt)
-			for name, newEst := range factories {
-				label := fmt.Sprintf("%s/n%d/bad%d", name, n, badAt)
-				got, err := NewAggregator(nm, newEst)
-				if err != nil {
-					t.Fatal(err)
+			label := fmt.Sprintf("n%d/bad%d", n, badAt)
+			got, err := NewAggregator(nm, newEst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := NewAggregator(nm, newEst)
+			// Two epochs through the same aggregators: the second runs on
+			// warm scratch and reset estimators.
+			for epoch := 0; epoch < 2; epoch++ {
+				got.Reset()
+				want.Reset()
+				gotRep, wantRep := make([]bool, n), make([]bool, n)
+				for i := range gotRep {
+					gotRep[i], wantRep[i] = true, true // rows past an error stay untouched
 				}
-				want, _ := NewAggregator(nm, newEst)
-				// Two epochs through the same aggregators: the second runs on
-				// warm scratch and reset estimators.
-				for epoch := 0; epoch < 2; epoch++ {
-					got.Reset()
-					want.Reset()
-					gotRep, wantRep := make([]bool, n), make([]bool, n)
-					for i := range gotRep {
-						gotRep[i], wantRep[i] = true, true // rows past an error stay untouched
+				gotDropped, gotErr := got.ObserveBatchFiltered(0, rows, gotRep)
+				wantDropped, wantErr := perCellReference(want.shards[0], rows, wantRep)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+					t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+				}
+				if withBad != (gotErr != nil) {
+					t.Fatalf("%s: error %v with a wrong-width row: %v", label, gotErr, withBad)
+				}
+				if gotDropped != wantDropped {
+					t.Fatalf("%s: dropped %d, reference %d", label, gotDropped, wantDropped)
+				}
+				if !reflect.DeepEqual(gotRep, wantRep) {
+					t.Fatalf("%s: reporting flags diverge from the reference", label)
+				}
+				for m := 0; m < nm; m++ {
+					gv := got.shards[0][m].(*quantile.Exact).RawValues()
+					wv := want.shards[0][m].(*quantile.Exact).RawValues()
+					if !slices.Equal(gv, wv) {
+						t.Fatalf("%s: metric %d holds %d values, reference %d, or another order", label, m, len(gv), len(wv))
 					}
-					gotDropped, gotErr := got.ObserveBatchFiltered(0, rows, gotRep)
-					wantDropped, wantErr := perCellReference(want.shards[0], rows, wantRep, name == "gk")
-					if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-						t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
-					}
-					if withBad != (gotErr != nil) {
-						t.Fatalf("%s: error %v with a wrong-width row: %v", label, gotErr, withBad)
-					}
-					if gotDropped != wantDropped {
-						t.Fatalf("%s: dropped %d, reference %d", label, gotDropped, wantDropped)
-					}
-					if !reflect.DeepEqual(gotRep, wantRep) {
-						t.Fatalf("%s: reporting flags diverge from the reference", label)
-					}
-					for m := 0; m < nm; m++ {
-						g, w := got.shards[0][m], want.shards[0][m]
-						if ge, ok := g.(*quantile.Exact); ok {
-							if gv, wv := ge.RawValues(), w.(*quantile.Exact).RawValues(); !slices.Equal(gv, wv) {
-								t.Fatalf("%s: metric %d holds %d values, reference %d, or another order", label, m, len(gv), len(wv))
-							}
-							continue
-						}
-						gb, err1 := quantile.AppendBinary(nil, g)
-						wb, err2 := quantile.AppendBinary(nil, w)
-						if err1 != nil || err2 != nil {
-							t.Fatal(err1, err2)
-						}
-						if !bytes.Equal(gb, wb) {
-							t.Fatalf("%s: metric %d sketch bytes diverge from the reference stream's", label, m)
-						}
-					}
-					// A nil reporting slice changes nothing else.
-					got.Reset()
-					if d, _ := got.ObserveBatchFiltered(0, rows, nil); d != wantDropped {
-						t.Fatalf("%s: dropped %d without reporting flags, want %d", label, d, wantDropped)
-					}
+				}
+				// A nil reporting slice changes nothing else.
+				got.Reset()
+				if d, _ := got.ObserveBatchFiltered(0, rows, nil); d != wantDropped {
+					t.Fatalf("%s: dropped %d without reporting flags, want %d", label, d, wantDropped)
 				}
 			}
 		}
+	}
+}
+
+// TestScanBatchFilteredMatchesObserve: the estimator-free scan a fleet shard
+// runs accounts a dirty batch exactly as ObserveBatchFiltered does — same
+// drop count, same reporting flags, same error — at every batch length around
+// the strip size and with a wrong-width row at each position.
+func TestScanBatchFilteredMatchesObserve(t *testing.T) {
+	const nm = 7
+	rng := rand.New(rand.NewSource(47))
+	agg, err := NewAggregator(nm, func() quantile.Estimator { return quantile.NewExact() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 255, 256, 257, 600} {
+		rows := dirtyRows(rng, n, nm, -1)
+		for badAt := -1; badAt < n; badAt++ {
+			batch := rows
+			if badAt >= 0 {
+				batch = slices.Clone(rows)
+				batch[badAt] = make([]float64, []int{0, nm - 1, nm + 1}[badAt%3])
+			}
+			gotRep, wantRep := make([]bool, n), make([]bool, n)
+			for i := range gotRep {
+				gotRep[i], wantRep[i] = true, true // rows past an error stay untouched
+			}
+			agg.Reset()
+			wantDropped, wantErr := agg.ObserveBatchFiltered(0, batch, wantRep)
+			gotDropped, gotErr := ScanBatchFiltered(batch, nm, gotRep)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("n%d/bad%d: error %v, ObserveBatchFiltered %v", n, badAt, gotErr, wantErr)
+			}
+			if (badAt >= 0) != (gotErr != nil) {
+				t.Fatalf("n%d/bad%d: error %v", n, badAt, gotErr)
+			}
+			if gotDropped != wantDropped {
+				t.Fatalf("n%d/bad%d: dropped %d, ObserveBatchFiltered %d", n, badAt, gotDropped, wantDropped)
+			}
+			if !slices.Equal(gotRep, wantRep) {
+				t.Fatalf("n%d/bad%d: reporting flags diverge from ObserveBatchFiltered's", n, badAt)
+			}
+		}
+	}
+	if _, err := ScanBatchFiltered(make([][]float64, 3), nm, make([]bool, 2)); err == nil {
+		t.Fatal("want an error for a reporting slice of another length")
 	}
 }
 

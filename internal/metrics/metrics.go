@@ -169,8 +169,7 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 
 // Aggregator turns raw per-machine metric samples for one epoch into the
 // cross-machine quantile summary, using a caller-supplied estimator per
-// metric: exact (what every pipeline in this tree constructs) or the
-// bounded-memory Greenwald–Khanna sketch.
+// metric (quantile.Exact in every pipeline in this tree).
 //
 // An Aggregator may hold several shards — independent estimator sets that
 // concurrent workers feed without synchronization (one shard per worker).
@@ -178,8 +177,7 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 // tracked quantiles, which requires the estimator to implement
 // quantile.Merger. With the exact estimator the sharded result is
 // byte-identical to serial insertion, since only the value multiset
-// matters; with GK it is approximate in exactly the way the sketch already
-// is.
+// matters.
 type Aggregator struct {
 	// shards[shard][metric]; shard 0 always exists and is the target of
 	// the serial Observe path.
@@ -234,50 +232,6 @@ func (a *Aggregator) EnsureShards(n int) {
 		a.shards = append(a.shards, a.newShard(a.NumMetrics()))
 		a.scratch = append(a.scratch, new(stripScratch))
 	}
-}
-
-// Estimators exposes the live per-metric estimator slice of the given
-// shard. It exists for fleet aggregators that ship partial quantile state
-// over the wire: insert locally, encode each estimator, then Reset it for
-// the next epoch. The returned slice aliases the aggregator's internal
-// state — it must not be used concurrently with Observe* or Summarize*
-// calls.
-func (a *Aggregator) Estimators(shard int) ([]quantile.Estimator, error) {
-	if shard < 0 || shard >= len(a.shards) {
-		return nil, fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
-	}
-	return a.shards[shard], nil
-}
-
-// AbsorbSets merges externally ingested per-metric estimator sets (one
-// estimator per metric, in catalog order) into shard 0 — the coordinator
-// half of two-tier aggregation: remote shards insert locally, ship their
-// estimator state, and the coordinator folds it into its own aggregator
-// before summarizing. The work is spread across worker goroutines by metric
-// column; each column walks the sets in slice order, so the result does not
-// depend on the worker count — byte-identical for exact estimators, whose
-// merge is an order-preserving append. Nil sets and nil or empty estimators
-// are skipped; the sources are left untouched. Shard 0's estimators must
-// implement quantile.Merger. On error some columns may already be merged:
-// the caller must Reset before the next epoch.
-func (a *Aggregator) AbsorbSets(sets [][]quantile.Estimator, workers int) error {
-	n := a.NumMetrics()
-	for si, ests := range sets {
-		if ests != nil && len(ests) != n {
-			return fmt.Errorf("metrics: absorbing %d estimators in set %d, want %d", len(ests), si, n)
-		}
-	}
-	return a.forEachMetric(workers, func(m int) error {
-		for _, ests := range sets {
-			if ests == nil || ests[m] == nil || ests[m].Count() == 0 {
-				continue
-			}
-			if err := a.mergeInto(m, ests[m]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // mergeInto folds est into shard 0's estimator for metric m.

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
 	"testing"
 
 	"dcfp/internal/quantile"
@@ -135,34 +134,6 @@ func TestAggregatorValidation(t *testing.T) {
 	a, _ := NewAggregator(2, func() quantile.Estimator { return quantile.NewExact() })
 	if err := a.Observe([]float64{1}); err == nil {
 		t.Fatal("want row-length error")
-	}
-}
-
-func TestAggregatorGKMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	exact, _ := NewAggregator(1, func() quantile.Estimator { return quantile.NewExact() })
-	gk, _ := NewAggregator(1, func() quantile.Estimator { return quantile.MustGK(0.005) })
-	for i := 0; i < 5000; i++ {
-		v := rng.NormFloat64()*5 + 100
-		_ = exact.Observe([]float64{v})
-		_ = gk.Observe([]float64{v})
-	}
-	se, err := exact.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := gk.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < NumQuantiles; qi++ {
-		diff := se[0][qi] - sg[0][qi]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 0.5 {
-			t.Errorf("quantile %d: exact %v vs gk %v", qi, se[0][qi], sg[0][qi])
-		}
 	}
 }
 

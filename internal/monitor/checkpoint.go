@@ -32,11 +32,9 @@ import (
 // there is nothing to save. The store's fingerprint cache is a pure
 // memoization and repopulates after restore.
 //
-// A checkpoint written with the default exact estimator restores
-// byte-identically: replaying the same epochs through the restored monitor
-// yields the same reports and advice as an uninterrupted run. So does one
-// written under Config.NewEstimator: no estimator state crosses a
-// checkpoint, whatever the estimator.
+// A checkpoint restores byte-identically: replaying the same epochs through
+// the restored monitor yields the same reports and advice as an
+// uninterrupted run.
 
 // checkpointMagic and checkpointVersion head every checkpoint file. The
 // version is bumped whenever checkpointPayload changes incompatibly;
@@ -169,10 +167,10 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 }
 
 // ReadCheckpoint restores monitor state from r into m, which must have been
-// built with New using the same Config (catalog width, estimator kind). The
-// payload is validated before any field of m is touched: a truncated,
-// corrupt or version-mismatched checkpoint leaves m unchanged so the caller
-// can log and start cold.
+// built with New using the same Config (catalog width). The payload is
+// validated before any field of m is touched: a truncated, corrupt or
+// version-mismatched checkpoint leaves m unchanged so the caller can log and
+// start cold.
 func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	hdr := make([]byte, len(checkpointMagic)+4)
 	if _, err := io.ReadFull(r, hdr); err != nil {

@@ -72,8 +72,11 @@ func TestFaultNaNNeverReachesEstimators(t *testing.T) {
 			var bad atomic.Int64
 			cfg := DefaultConfig(s.Catalog(), s.SLA())
 			cfg.Workers = workers
-			cfg.NewEstimator = func() quantile.Estimator { return &guardExact{bad: &bad} }
 			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.agg, err = metrics.NewAggregator(s.Catalog().Len(), func() quantile.Estimator { return &guardExact{bad: &bad} })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,20 +56,14 @@ type Config struct {
 	// MinEpochsForThresholds is the minimum history before the monitor
 	// can discretize (default: 7 days).
 	MinEpochsForThresholds int
-	// NewEstimator optionally overrides the per-metric cross-machine
-	// quantile estimator (nil = exact; use a GK sketch for very large
-	// installations).
-	NewEstimator func() quantile.Estimator
 	// Workers bounds how many contiguous machine ranges ObserveEpoch splits
 	// an epoch into — one partial per range, each filtered into its own
 	// aggregator shard and SLA-checked on its own goroutine — and how many
-	// goroutines the per-metric merge and summarize fan out over. 0 resolves
-	// to GOMAXPROCS; 1 is the serial reference: one partial, no goroutines.
-	// The split is additionally capped so each range holds at least 64
-	// machines, keeping small installations serial. With the default exact
-	// estimator every split produces byte-identical reports; with sketch
-	// estimators the result is approximate in exactly the way the sketch
-	// already is.
+	// goroutines the per-metric summarize fans out over. 0 resolves to
+	// GOMAXPROCS; 1 is the serial reference: one partial, no goroutines. The
+	// split is additionally capped so each range holds at least 64 machines,
+	// keeping small installations serial. Every split produces
+	// byte-identical reports.
 	Workers int
 	// MinCoverage is the minimum fraction of expected machines that must
 	// deliver at least one finite value for an epoch to be trusted. Below
@@ -252,13 +246,12 @@ type Monitor struct {
 	// reused across calls so the steady-state path stops allocating them.
 	violBuf, reportBuf []bool
 	// Scratch for observeParts, same idea: ObserveEpoch's local partials,
-	// the machine ranges they cover, the per-partial fan-out errors, the
-	// SLA statuses to combine and the remote estimator sets to merge.
+	// the machine ranges they cover, the per-partial fan-out errors and the
+	// SLA statuses to combine.
 	partsBuf   []ShardPartial
 	coveredBuf [][2]int
 	errsBuf    []error
 	statusBuf  []sla.EpochStatus
-	setsBuf    [][]quantile.Estimator
 
 	// Active crisis state.
 	activeStart metrics.Epoch
@@ -440,11 +433,7 @@ func New(cfg Config) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	newEst := cfg.NewEstimator
-	if newEst == nil {
-		newEst = func() quantile.Estimator { return quantile.NewExact() }
-	}
-	agg, err := metrics.NewAggregator(cfg.Catalog.Len(), newEst)
+	agg, err := metrics.NewAggregator(cfg.Catalog.Len(), func() quantile.Estimator { return quantile.NewExact() })
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +738,7 @@ func sanitizeRetained(copies [][]float64, viol, reporting []bool, summary [][3]f
 const minMachinesPerWorker = 64
 
 // minMetricsPerWorker is the analogous floor for work that fans out across
-// metric columns (estimator merge and summarization).
+// metric columns (summarization).
 const minMetricsPerWorker = 32
 
 // epochWorkers resolves how many machine ranges one epoch of the given size
@@ -768,9 +757,9 @@ func (m *Monitor) epochWorkers(machines int) int {
 	return w
 }
 
-// columnWorkers resolves the worker count for per-metric work (estimator
-// merge, summarize): what the fleet size admits, capped by a floor of
-// minMetricsPerWorker metric columns per worker.
+// columnWorkers resolves the worker count for per-metric work (summarize)
+// and for filtering remote partials: what the fleet size admits, capped by a
+// floor of minMetricsPerWorker metric columns per worker.
 func (m *Monitor) columnWorkers(machines int) int {
 	w := m.epochWorkers(machines)
 	nm := m.cfg.Catalog.Len()

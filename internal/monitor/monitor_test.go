@@ -7,7 +7,6 @@ import (
 	"dcfp/internal/core"
 	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 )
 
@@ -270,32 +269,6 @@ func TestAdviceBeforeThresholds(t *testing.T) {
 	tb.step()
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("crisis state stuck")
-	}
-}
-
-func TestMonitorWithGKEstimator(t *testing.T) {
-	tb := newTestbed(t)
-	// Swap in a sketch-based aggregator; behaviour must be equivalent at
-	// this scale.
-	cat, _ := metrics.NewCatalog([]string{"latency", "queueA", "queueB"})
-	cfg := DefaultConfig(cat, sla.Config{
-		KPIs:           []sla.KPI{{Name: "latency", Metric: tbLatency, Threshold: 100}},
-		CrisisFraction: 0.10,
-	})
-	cfg.ThresholdRefreshEpochs = 48
-	cfg.MinEpochsForThresholds = 96
-	cfg.Selection = core.SelectionConfig{PerCrisisTopK: 2, NumRelevant: 3}
-	cfg.Alpha = 0.5
-	cfg.NewEstimator = func() quantile.Estimator { return quantile.MustGK(0.01) }
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.m = m
-	tb.quiet(150)
-	id, _ := tb.crisis("X", 8)
-	if id == "" {
-		t.Fatal("no crisis detected under GK aggregation")
 	}
 }
 

@@ -8,18 +8,17 @@ import (
 	"time"
 
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
 
 // ShardPartial is one contiguous machine range's contribution to an epoch:
-// the raw rows, the per-machine violation and liveness masks, the range's
-// partially evaluated SLA status, and — when the range was ingested on a
-// remote shard — its quantile-estimator state, ready to be merged
-// losslessly into the monitor's aggregator. Every ingestion mode is a list
-// of these: ObserveEpoch builds one per worker range in process, the fleet
-// coordinator decodes them from shard frames.
+// the raw rows, the per-machine violation and liveness masks, and the range's
+// partially evaluated SLA status. Quantile state is not part of it: the rows
+// are filtered into the monitor's own aggregator wherever they were
+// collected. Every ingestion mode is a list of these: ObserveEpoch builds one
+// per worker range in process, the fleet coordinator decodes them from shard
+// frames.
 type ShardPartial struct {
 	// Lo is the global machine index of Rows[0]; the partial covers
 	// machines [Lo, Lo+len(Rows)).
@@ -35,35 +34,14 @@ type ShardPartial struct {
 	Reporting []bool
 	// Status is the partial SLA status over the machine range.
 	Status sla.EpochStatus
-	// Estimators is a remote shard's per-metric quantile state (one
-	// estimator per catalog metric, in catalog order). Nil means there is
-	// nothing to merge: the range was ingested straight into the monitor's
-	// own aggregator, or the partial is synthesized for a dead or late
-	// shard (all machines non-reporting).
-	Estimators []quantile.Estimator
-	// Dropped counts non-finite cells filtered before insertion.
+	// Dropped counts the range's non-finite cells. A remote shard counts
+	// them before it nils the rows of non-reporting machines, so the monitor
+	// takes its number instead of recounting what arrived.
 	Dropped int
 }
 
-// IngestPartial is the one partial builder: it feeds rows — the machine
-// range starting at global index lo — through the columnar filtered insert
-// into shard `shard` of agg, evaluates the SLA over the same range, and
-// returns the partial. viol and reporting (len(rows) each) are filled in and
-// retained by the partial, as are the rows themselves. Estimators is left
-// nil; a remote shard attaches agg's state before shipping.
-func IngestPartial(agg *metrics.Aggregator, shard int, slaCfg sla.Config, lo int, rows [][]float64, viol, reporting []bool) (ShardPartial, error) {
-	p := ShardPartial{Lo: lo, Rows: rows, Viol: viol, Reporting: reporting}
-	if err := p.filter(agg, shard); err != nil {
-		return ShardPartial{}, err
-	}
-	if err := p.evaluate(slaCfg); err != nil {
-		return ShardPartial{}, err
-	}
-	return p, nil
-}
-
-// filter and evaluate are IngestPartial's two halves; the monitor runs them
-// as separate phases so each bills to its own pipeline stage.
+// filter and evaluate build a local partial from its rows; the monitor runs
+// them as separate phases so each bills to its own pipeline stage.
 func (p *ShardPartial) filter(agg *metrics.Aggregator, shard int) (err error) {
 	p.Dropped, err = agg.ObserveBatchFiltered(shard, p.Rows, p.Reporting)
 	return err
@@ -74,13 +52,20 @@ func (p *ShardPartial) evaluate(slaCfg sla.Config) (err error) {
 	return err
 }
 
+// absorb filters a remote partial's rows into agg, keeping the masks, status
+// and drop count the shard shipped.
+func (p *ShardPartial) absorb(agg *metrics.Aggregator, shard int) error {
+	_, err := agg.ObserveBatchFiltered(shard, p.Rows, nil)
+	return err
+}
+
 // ObserveAggregated ingests one epoch assembled from per-shard partials —
 // the coordinator half of two-tier fleet aggregation. It is ObserveEpoch
-// with the filter phase already done elsewhere: the partials' estimator
-// state is merged into the monitor's aggregator and everything else runs
-// through the same pipeline, so with exact estimators (an order-independent,
-// lossless merge) the EpochReport stream is byte-identical to feeding the
-// same fleet rows to ObserveEpoch on a single node.
+// with the masks and SLA statuses already computed elsewhere: the partials'
+// rows go through the same filter into the monitor's aggregator and
+// everything else runs through the same pipeline, so the EpochReport stream
+// is byte-identical to feeding the same fleet rows to ObserveEpoch on a
+// single node.
 //
 // machines is the full fleet width. Machine indexes not covered by any
 // partial — a dead or late shard the caller did not synthesize a partial
@@ -99,12 +84,12 @@ func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *tele
 	return m.observeParts(tr, machines, parts, false)
 }
 
-// observeParts is the one ingestion pipeline: validate the partials, fill
-// the aggregator (local: filter each partial's rows into its own shard;
-// otherwise: merge the shipped estimator sets), summarize, combine the SLA
-// statuses, scatter rows and masks into global machine order, and hand over
-// to finishEpoch. Serial ingestion is the one-partial case, the worker
-// fan-out the in-process W-partial case, and the fleet the remote case.
+// observeParts is the one ingestion pipeline: validate the partials, filter
+// their rows into the aggregator (local partials get their masks and drop
+// counts from it, remote ones keep what the shard shipped), summarize,
+// combine the SLA statuses, scatter rows and masks into global machine order,
+// and hand over to finishEpoch. Serial ingestion is the one-partial case, the
+// worker fan-out the in-process W-partial case, and the fleet the remote case.
 func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardPartial, local bool) (rep *EpochReport, err error) {
 	var t0, ts time.Time
 	if m.tel != nil {
@@ -134,20 +119,23 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 	dropped := 0
 	if local {
 		sp = tr.StartSpan("filter")
+	} else {
+		sp = tr.StartSpan("merge")
+		sp.SetAttr("workers", int64(workers))
+	}
+	switch {
+	case local:
 		m.agg.EnsureShards(len(parts))
 		err = m.eachPart(parts, func(m *Monitor, w int, p *ShardPartial) error { return p.filter(m.agg, w) })
-	} else {
-		// Metric columns are independent and each walks the sets in partial
-		// order, so the merge fans out across columns without changing the
-		// result.
-		sp = tr.StartSpan("merge")
-		sets := m.setsBuf[:0]
-		for i := range parts {
-			sets = append(sets, parts[i].Estimators)
+	case workers > 1:
+		m.agg.EnsureShards(len(parts))
+		err = m.eachPart(parts, func(m *Monitor, w int, p *ShardPartial) error { return p.absorb(m.agg, w) })
+	default:
+		// The serial reference stays goroutine-free: every partial into
+		// shard 0, in partial order.
+		for i := 0; i < len(parts) && err == nil; i++ {
+			err = parts[i].absorb(m.agg, 0)
 		}
-		m.setsBuf = sets
-		sp.SetAttr("workers", int64(workers))
-		err = m.agg.AbsorbSets(sets, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -247,9 +235,6 @@ func (m *Monitor) validateParts(machines int, parts []ShardPartial) ([][2]int, e
 		if p.Lo < 0 || p.Lo+len(p.Rows) > machines {
 			return nil, fmt.Errorf("monitor: partial %d covers [%d,%d) outside fleet of %d machines",
 				i, p.Lo, p.Lo+len(p.Rows), machines)
-		}
-		if p.Estimators != nil && len(p.Estimators) != nm {
-			return nil, fmt.Errorf("monitor: partial %d ships %d estimators, want %d", i, len(p.Estimators), nm)
 		}
 		for _, row := range p.Rows {
 			if row != nil && len(row) != nm {

@@ -7,33 +7,22 @@ import (
 	"testing"
 
 	"dcfp/internal/metrics"
-	"dcfp/internal/quantile"
 	"dcfp/internal/telemetry"
 )
 
 // testShard is an in-test stand-in for a fleet aggregator: it owns a
-// contiguous machine slice and its own quantile aggregator, and emits one
-// remote ShardPartial per epoch through the production builder.
-type testShard struct {
-	lo, hi int
-	agg    *metrics.Aggregator
-}
+// contiguous machine slice and emits one remote ShardPartial per epoch the
+// way fleet.Aggregator.EpochFrame does.
+type testShard struct{ lo, hi int }
 
 // newTestShards cuts the machine axis at bounds (len(bounds)-1 shards).
-func newTestShards(t testing.TB, m *Monitor, newEst func() quantile.Estimator, bounds ...int) []*testShard {
-	t.Helper()
+func newTestShards(bounds ...int) []*testShard {
 	shards := make([]*testShard, len(bounds)-1)
 	for i := range shards {
-		agg, err := metrics.NewAggregator(m.cfg.Catalog.Len(), newEst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = &testShard{lo: bounds[i], hi: bounds[i+1], agg: agg}
+		shards[i] = &testShard{lo: bounds[i], hi: bounds[i+1]}
 	}
 	return shards
 }
-
-func newExact() quantile.Estimator { return quantile.NewExact() }
 
 // evenBounds splits machines into n near-equal contiguous ranges.
 func evenBounds(machines, n int) []int {
@@ -47,18 +36,19 @@ func evenBounds(machines, n int) []int {
 func (s *testShard) partial(t testing.TB, m *Monitor, rows [][]float64) ShardPartial {
 	t.Helper()
 	sub := rows[s.lo:s.hi]
-	p, err := IngestPartial(s.agg, 0, m.cfg.SLA, s.lo, sub, make([]bool, len(sub)), make([]bool, len(sub)))
-	if err != nil {
+	p := ShardPartial{Lo: s.lo, Rows: sub, Viol: make([]bool, len(sub)), Reporting: make([]bool, len(sub))}
+	var err error
+	if p.Dropped, err = metrics.ScanBatchFiltered(sub, m.cfg.Catalog.Len(), p.Reporting); err != nil {
 		t.Fatal(err)
 	}
-	if p.Estimators, err = s.agg.Estimators(0); err != nil {
+	if err = p.evaluate(m.cfg.SLA); err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
 // dead is the partial a coordinator synthesizes for a shard that delivered
-// nothing: every machine non-reporting, no estimator state.
+// nothing: every machine non-reporting.
 func (s *testShard) dead() ShardPartial {
 	n := s.hi - s.lo
 	return ShardPartial{Lo: s.lo, Rows: make([][]float64, n), Viol: make([]bool, n), Reporting: make([]bool, n)}
@@ -125,7 +115,8 @@ func runEquiv(t *testing.T, workers int, want *equivRun, observe func(m *Monitor
 // ingestion pipeline: the quantile summary is a function of the epoch's
 // value multiset and the SLA counts are order-independent sums, so any
 // split of the machines — Workers=4 in process, or 2, 4 and an uneven 3
-// remote shards through ObserveAggregated — yields EpochReport, Stats and
+// remote shards through ObserveAggregated, filtered inline (Workers=1) or one
+// goroutine per partial (Workers=4) — yields EpochReport, Stats and
 // crisis streams byte-identical to the Workers=1 reference on the same
 // seeded 420-epoch trace. A shard that goes dark mid-stream (its partial
 // synthesized as non-reporting) must equal the serial monitor seeing nil
@@ -141,7 +132,7 @@ func TestAggregatedEquivalence(t *testing.T) {
 		var shards []*testShard
 		return func(m *Monitor, e int, rows [][]float64) (*EpochReport, error) {
 			if shards == nil {
-				shards = newTestShards(t, m, newExact, bounds(len(rows))...)
+				shards = newTestShards(bounds(len(rows))...)
 			}
 			parts := make([]ShardPartial, len(shards))
 			for k, sh := range shards {
@@ -151,11 +142,7 @@ func TestAggregatedEquivalence(t *testing.T) {
 					parts[k] = sh.partial(t, m, rows)
 				}
 			}
-			rep, err := m.ObserveAggregated(len(rows), parts, nil)
-			for _, sh := range shards {
-				sh.agg.Reset()
-			}
-			return rep, err
+			return m.ObserveAggregated(len(rows), parts, nil)
 		}
 	}
 	even := func(n int) func(int) []int { return func(machines int) []int { return evenBounds(machines, n) } }
@@ -169,6 +156,7 @@ func TestAggregatedEquivalence(t *testing.T) {
 		{name: "workers4", workers: 4, observe: serial},
 		{name: "shards2", workers: 1, observe: aggregated(false, even(2))},
 		{name: "shards4", workers: 1, observe: aggregated(false, even(4))},
+		{name: "shards4-workers4", workers: 4, observe: aggregated(false, even(4))},
 		{name: "shards3-uneven", workers: 1, observe: aggregated(false, func(machines int) []int {
 			return []int{0, 7, machines / 2, machines}
 		})},
@@ -192,54 +180,6 @@ func TestAggregatedEquivalence(t *testing.T) {
 			}
 			runEquiv(t, tc.workers, want, tc.observe)
 		})
-	}
-}
-
-// TestFailedMergeDoesNotLeak: a remote partial whose estimator type the
-// coordinator cannot merge fails the epoch after some columns were already
-// absorbed. Those values must not be summarized into the next epoch: the
-// following clean epoch matches a reference monitor that never saw the bad
-// one.
-func TestFailedMergeDoesNotLeak(t *testing.T) {
-	s := equivStream(t, 3)
-	m, ref := equivMonitor(t, s, 1, nil), equivMonitor(t, s, 1, nil)
-	rows, _, err := s.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(rows)
-	clean := newTestShards(t, m, newExact, evenBounds(n, 2)...)
-	foreign := newTestShards(t, m, func() quantile.Estimator { return quantile.MustGK(0.01) }, n/2, n)[0]
-
-	bad := make([][]float64, n)
-	for i := range bad {
-		bad[i] = make([]float64, len(rows[i]))
-		for j := range bad[i] {
-			bad[i][j] = 1e9
-		}
-	}
-	parts := []ShardPartial{clean[0].partial(t, m, bad), foreign.partial(t, m, bad)}
-	if _, err := m.ObserveAggregated(n, parts, nil); err == nil {
-		t.Fatal("want merge error for a foreign estimator type")
-	}
-	clean[0].agg.Reset()
-
-	parts = []ShardPartial{clean[0].partial(t, m, rows), clean[1].partial(t, m, rows)}
-	got, err := m.ObserveAggregated(n, parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ObserveEpoch(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("clean epoch after a failed merge diverges:\nwant: %+v\ngot:  %+v", want, got)
-	}
-	gotRow, _ := m.track.EpochRow(0)
-	wantRow, _ := ref.track.EpochRow(0)
-	if !reflect.DeepEqual(gotRow, wantRow) {
-		t.Fatal("failed merge leaked values into the next epoch's quantile summary")
 	}
 }
 
@@ -276,8 +216,7 @@ func spanNames(t *testing.T, workers int, observe func(m *Monitor, rows [][]floa
 
 // TestOneStageTaxonomy: every ingestion mode records the same spans in the
 // same order and bills the same stages once per epoch — the aggregated mode
-// differing only in merging shipped estimator state where the local modes
-// filter rows.
+// differing only in the name of the span that filters the rows.
 func TestOneStageTaxonomy(t *testing.T) {
 	local := func(m *Monitor, rows [][]float64) error {
 		_, err := m.ObserveEpoch(rows)
@@ -294,12 +233,10 @@ func TestOneStageTaxonomy(t *testing.T) {
 	var shards []*testShard
 	aggregated, aggregatedCounts := spanNames(t, 1, func(m *Monitor, rows [][]float64) error {
 		if shards == nil {
-			shards = newTestShards(t, m, newExact, evenBounds(len(rows), 2)...)
+			shards = newTestShards(evenBounds(len(rows), 2)...)
 		}
 		parts := []ShardPartial{shards[0].partial(t, m, rows), shards[1].partial(t, m, rows)}
 		_, err := m.ObserveAggregated(len(rows), parts, nil)
-		shards[0].agg.Reset()
-		shards[1].agg.Reset()
 		return err
 	})
 	want := append([]string(nil), serial...)
@@ -315,8 +252,7 @@ func TestOneStageTaxonomy(t *testing.T) {
 }
 
 // BenchmarkObserveEpochAggregated measures the coordinator-side merge path
-// — scatter, estimator absorption, summarize, SLA merge, and the shared
-// epoch finish — with the shard partials pre-built outside the timer, as a
+// — row filter, summarize, SLA merge, scatter, and the shared epoch finish — with the shard partials pre-built outside the timer, as a
 // coordinator sees them after decoding frames. The name keys into the
 // benchgate regex so CI gates this path against BENCH_5.json.
 func BenchmarkObserveEpochAggregated(b *testing.B) {
@@ -326,7 +262,7 @@ func BenchmarkObserveEpochAggregated(b *testing.B) {
 			m, epochs := benchMonitorSized(b, machines, 1)
 			rows := epochs[0]
 			parts := make([]ShardPartial, nShards)
-			for i, sh := range newTestShards(b, m, newExact, evenBounds(machines, nShards)...) {
+			for i, sh := range newTestShards(evenBounds(machines, nShards)...) {
 				parts[i] = sh.partial(b, m, rows)
 			}
 			b.ReportAllocs()
@@ -350,7 +286,7 @@ func TestObserveAggregatedValidation(t *testing.T) {
 	}
 	n := len(rows)
 	good := func() ShardPartial {
-		return newTestShards(t, m, newExact, 0, n)[0].partial(t, m, rows)
+		return newTestShards(0, n)[0].partial(t, m, rows)
 	}
 
 	if _, err := m.ObserveAggregated(0, []ShardPartial{good()}, nil); err == nil {
@@ -370,9 +306,10 @@ func TestObserveAggregatedValidation(t *testing.T) {
 		t.Fatal("want error for out-of-range slice")
 	}
 	p = good()
-	p.Estimators = p.Estimators[:1]
+	p.Rows = append([][]float64(nil), p.Rows...)
+	p.Rows[n/2] = p.Rows[n/2][:1]
 	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
-		t.Fatal("want error for estimator count mismatch")
+		t.Fatal("want error for a row of the wrong width")
 	}
 	p1, p2 := good(), good()
 	if _, err := m.ObserveAggregated(n, []ShardPartial{p1, p2}, nil); err == nil {

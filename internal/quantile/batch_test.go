@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -83,73 +82,6 @@ func TestExactInsertBatchEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(ref.Values(), got.Values()) {
 				t.Fatalf("%s/size%d: value multisets diverge", name, size)
-			}
-		}
-	}
-}
-
-// sketchRankError returns the worst observed rank error of est's tracked-
-// quantile answers against the sorted reference stream.
-func sketchRankError(t *testing.T, est Estimator, sorted []float64) float64 {
-	t.Helper()
-	worst := 0.0
-	n := len(sorted)
-	for _, q := range TrackedQuantiles {
-		v, err := est.Query(q)
-		if err != nil {
-			t.Fatalf("query %v: %v", q, err)
-		}
-		// Rank range of v in the reference stream.
-		lo := 0
-		for lo < n && sorted[lo] < v {
-			lo++
-		}
-		hi := lo
-		for hi < n && sorted[hi] <= v {
-			hi++
-		}
-		// v occupies rank range [lo, hi] in the reference; the error is the
-		// distance from the target rank to that range (zero if inside —
-		// duplicated values legitimately cover wide rank ranges).
-		want := q * float64(n)
-		var e float64
-		switch {
-		case want < float64(lo):
-			e = (float64(lo) - want) / float64(n)
-		case want > float64(hi):
-			e = (want - float64(hi)) / float64(n)
-		}
-		if e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
-// TestSketchInsertBatchBoundedError: GK batch ingestion may schedule
-// compression differently than per-value insertion, but the answers must
-// stay within the sketch's error bound and the observation counts must
-// agree exactly.
-func TestSketchInsertBatchBoundedError(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for name, vs := range batchStreams(rng) {
-		if len(vs) < 100 {
-			continue // rank-error bounds are vacuous on tiny streams
-		}
-		sorted := append([]float64(nil), vs...)
-		sort.Float64s(sorted)
-		for _, size := range []int{7, 256, 1 << 20} {
-			gk := MustGK(0.01)
-			for _, b := range chunk(vs, size) {
-				gk.InsertBatch(b)
-			}
-			if gk.Count() != len(vs) {
-				t.Fatalf("%s/size%d: count %d, want %d", name, size, gk.Count(), len(vs))
-			}
-			// 2× the configured epsilon leaves headroom for interpolation
-			// at the reference side while still catching broken merges.
-			if e := sketchRankError(t, gk, sorted); e > 2*0.01 {
-				t.Errorf("%s/size%d: GK rank error %v beyond bound", name, size, e)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package quantile
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -66,48 +65,13 @@ func TestExactMergeLeavesSourceIntact(t *testing.T) {
 	}
 }
 
+// foreignEst is an Estimator that is not an *Exact.
+type foreignEst struct{ Exact }
+
 func TestExactMergeTypeMismatch(t *testing.T) {
 	e := NewExact()
-	if err := e.Merge(MustGK(0.01)); err == nil {
-		t.Fatal("want type-mismatch error merging GK into Exact")
-	}
-}
-
-// TestSketchMergesApproximate checks the GK merge keeps quantile estimates
-// within a loose tolerance of the exact answer.
-func TestSketchMergesApproximate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vals := make([]float64, 4000)
-	for i := range vals {
-		vals[i] = rng.ExpFloat64() * 50
-	}
-	exact := NewExact()
-	a, b := MustGK(0.01), MustGK(0.01)
-	for i, v := range vals {
-		exact.Insert(v)
-		if i%2 == 0 {
-			a.Insert(v)
-		} else {
-			b.Insert(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != len(vals) {
-		t.Fatalf("Count = %d, want %d", a.Count(), len(vals))
-	}
-	for _, q := range TrackedQuantiles {
-		want, _ := exact.Query(q)
-		got, err := a.Query(q)
-		if err != nil {
-			t.Fatalf("q=%v: %v", q, err)
-		}
-		// A rank-error sketch over a heavy-tailed stream: allow a generous
-		// value tolerance (relative to the exact answer).
-		if math.Abs(got-want) > 0.15*want+1 {
-			t.Fatalf("q=%v: got %v, exact %v", q, got, want)
-		}
+	if err := e.Merge(&foreignEst{}); err == nil {
+		t.Fatal("want type-mismatch error merging a foreign estimator into Exact")
 	}
 }
 

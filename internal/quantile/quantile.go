@@ -1,16 +1,14 @@
-// Package quantile provides quantile estimators for summarizing a
+// Package quantile provides the quantile estimator that summarizes a
 // performance metric across all machines of a datacenter (§3.2 of the
 // paper).
 //
 // The paper tracks three quantiles per metric (25th, 50th, 95th) and notes
 // that while their several-hundred-machine installation allowed exact
-// computation, bounded-error streaming estimators [Guha & McGregor] let the
-// approach scale to installations of thousands of machines. This package
-// offers both:
-//
-//   - Exact: collects all observations, answers exactly.
-//   - GK: the Greenwald–Khanna ε-approximate streaming sketch whose memory
-//     is O((1/ε)·log(εn)) regardless of the number of machines.
+// computation, bounded-error streaming estimators [Guha & McGregor] would let
+// the approach scale further. Exact — collect all observations, answer
+// exactly — is the one estimator here: a Greenwald–Khanna sketch measured
+// 1.7–65× slower at every fleet size from 100 to 100 000 machines and every
+// ε while every row still ships (DESIGN.md, §3.2 row).
 package quantile
 
 import (
@@ -30,15 +28,15 @@ var TrackedQuantiles = []float64{0.25, 0.50, 0.95}
 var ErrNoData = errors.New("quantile: no observations")
 
 // Estimator summarizes a stream of observations and answers quantile
-// queries with q in [0, 1].
+// queries with q in [0, 1]. Exact is its one implementation; the interface
+// (and metrics.NewAggregator's factory parameter) stays because
+// bench/replay.go spells both and a monitor test substitutes a guard through
+// them.
 type Estimator interface {
 	// Insert adds one observation.
 	Insert(v float64)
 	// InsertBatch adds a batch of observations, equivalent to calling
-	// Insert on each value in order: byte-identical for Exact (only the
-	// value multiset matters), within the error bound for GK (which may
-	// schedule compression differently across the batch). The batch slice
-	// is not retained.
+	// Insert on each value in order. The batch slice is not retained.
 	InsertBatch(vs []float64)
 	// Query returns an estimate of the q-th quantile of everything
 	// inserted so far.
@@ -55,9 +53,7 @@ type Estimator interface {
 // aggregation, where each worker feeds its own estimator and the shards are
 // merged before the epoch's quantiles are read. Merging an Exact into an
 // Exact is lossless (the union multiset is preserved, so queries are
-// byte-identical to single-stream insertion in any shard order); GK merges
-// by weighted re-insertion, which keeps estimates valid but not
-// bit-reproducible across different shard counts.
+// byte-identical to single-stream insertion in any shard order).
 type Merger interface {
 	// Merge absorbs src's observations into the receiver. src is left
 	// unmodified; callers typically Reset it afterwards.
@@ -115,6 +111,24 @@ func (e *Exact) selectStats(ranks []int, out []float64) bool {
 		out[i] = orderedToFloat(sel[i])
 	}
 	return true
+}
+
+// floatToOrdered maps float64 bits to a uint64 whose unsigned order matches
+// the float order (negatives below positives, -0 below +0). A bijection, so
+// the inverse recovers the exact bit pattern.
+func floatToOrdered(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u&(1<<63) != 0 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+func orderedToFloat(u uint64) float64 {
+	if u&(1<<63) != 0 {
+		return math.Float64frombits(u &^ (1 << 63))
+	}
+	return math.Float64frombits(^u)
 }
 
 // selectKeys writes into out[i] the key of rank ranks[i]-base among keys
@@ -270,8 +284,7 @@ func (e *Exact) Values() []float64 {
 // Values, which sorts in place): insertion order is preserved as long as
 // neither Values nor a query over a NaN has run. The slice aliases the
 // estimator's storage — read-only, and valid only until the next mutating
-// call. Wire codecs use it to compare estimator content against the raw rows
-// it was ingested from.
+// call. Tests use it to hold the batch filter to the per-cell insertion order.
 func (e *Exact) RawValues() []float64 { return e.vals }
 
 // Summarize inserts nothing and reads the TrackedQuantiles (25/50/95) out of
