@@ -474,11 +474,13 @@ func (g *Aggregator) post(ctx context.Context, frame []byte) (*Ack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests &&
-		resp.StatusCode != http.StatusConflict {
+	switch resp.StatusCode {
+	case http.StatusOK, http.StatusTooManyRequests, http.StatusConflict, http.StatusRequestEntityTooLarge:
+	default:
 		return nil, fmt.Errorf("fleet: coordinator returned %s", resp.Status)
 	}
-	// A deliberate rejection (409) still decodes; it is surfaced as the ack
-	// so the caller can decide — retrying identical bytes cannot help.
+	// A deliberate rejection (409, or 413 for a frame over the coordinator's
+	// cap) still decodes; it is surfaced as the ack so the caller can decide —
+	// retrying identical bytes cannot help.
 	return DecodeAck(body)
 }

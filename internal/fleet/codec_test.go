@@ -1,16 +1,20 @@
 package fleet
 
 import (
+	"bytes"
+	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,9 +27,13 @@ import (
 // benchFixtureFrame builds the 2-shard bench fixture frame: one shard's
 // half of a 100-machine fleet sampling 100 metrics clustered around their
 // level (the aggregated-benchmark geometry), every machine reporting.
-func benchFixtureFrame(tb testing.TB) *Frame {
+func benchFixtureFrame(tb testing.TB) *Frame { return halfFleetFrame(tb, 50) }
+
+// halfFleetFrame is shard 0's frame of a 2-shard fleet of 2×machines, in the
+// bench fixture's layout: 100 metrics per row, every machine reporting.
+func halfFleetFrame(tb testing.TB, machines int) *Frame {
 	tb.Helper()
-	const machines, nm = 50, 100
+	const nm = 100
 	rng := rand.New(rand.NewSource(21))
 	rows := make([][]float64, machines)
 	viol := make([]bool, machines)
@@ -235,6 +243,156 @@ func TestFrameDerivedModeOnWire(t *testing.T) {
 	}
 }
 
+// TestFrameDecodeSlabs: a block's present rows decode as capped views of one
+// slab per block — each row starting where the block's previous present row
+// ends, cap == len so appending to a row never writes into the next — around
+// a leading nil row, interleaved nil rows and an all-nil block.
+func TestFrameDecodeSlabs(t *testing.T) {
+	f := &Frame{Shard: 0, Epoch: 2, Machines: 12, NumMetrics: 3, Blocks: []Block{
+		{Lo: 0, Rows: [][]float64{nil, {1, 2, 3}, {4, 5, 6}, nil, {7, 8, 9}}},
+		{Lo: 5, Rows: [][]float64{nil, nil}},
+		{Lo: 8, Rows: [][]float64{{10, 11, 12}, nil, {13, 14, 15}, {16, 17, 18}}},
+	}}
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		b.Viol = make([]bool, len(b.Rows))
+		b.Reporting = make([]bool, len(b.Rows))
+		for i, row := range b.Rows {
+			b.Reporting[i] = row != nil
+		}
+	}
+	data, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Fatalf("frame differs after round trip:\ngot:  %+v\nwant: %+v", got, f)
+	}
+	at := func(row []float64) uintptr { return reflect.ValueOf(row).Pointer() }
+	for bi, b := range got.Blocks {
+		var prev []float64
+		for i, row := range b.Rows {
+			if row == nil {
+				continue
+			}
+			if cap(row) != len(row) {
+				t.Errorf("block %d row %d: cap %d, len %d", bi, i, cap(row), len(row))
+			}
+			if prev != nil && at(row) != at(prev)+uintptr(8*len(prev)) {
+				t.Errorf("block %d row %d does not follow the block's previous present row", bi, i)
+			}
+			prev = row
+			if grown := append(row, -1); grown[len(row)] != -1 {
+				t.Fatal("append lost its value")
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Fatal("appending to a decoded row wrote into another")
+	}
+	// Block 0's slab has room left after its last row; block 2 does not use it.
+	if last := got.Blocks[0].Rows[4]; at(got.Blocks[2].Rows[0]) == at(last)+uintptr(8*len(last)) {
+		t.Fatal("block 2's rows continue block 0's slab")
+	}
+}
+
+// mixedWidthFrame is a sealed frame declaring 3 metrics whose block's second
+// present row is 3+delta cells wide: what an encoder without Encode's
+// row-width check would send.
+func mixedWidthFrame(tb testing.TB, delta int) []byte {
+	tb.Helper()
+	f := &Frame{Shard: 0, Epoch: 1, Machines: 4, NumMetrics: 3, Blocks: []Block{{
+		Rows:      [][]float64{nil, {1, 2, 3}, {4, 5, 6}},
+		Viol:      make([]bool, 3),
+		Reporting: []bool{false, true, true},
+	}}}
+	data, err := f.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The payload ends: cell count 3, 24 row bytes, trailer (marker, width).
+	at := len(data) - 2 - 24 - 1
+	out := append(append([]byte(nil), data[:at]...), byte(3+delta))
+	out = append(out, data[at+1:at+1+24+8*min(delta, 0)]...)
+	for i := 0; i < delta; i++ {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(7))
+	}
+	return sealHeader(append(out, data[len(data)-2:]...))
+}
+
+// TestFrameDecodeMixedWidth: a row narrower or wider than the first present
+// row of its block is corruption, refused without a panic.
+func TestFrameDecodeMixedWidth(t *testing.T) {
+	for _, delta := range []int{-1, -2, 1} {
+		if _, err := DecodeFrame(mixedWidthFrame(t, delta)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("second row %d cells off: err %v, want ErrCorrupt", delta, err)
+		}
+	}
+	if _, err := DecodeFrame(mixedWidthFrame(t, 0)); err != nil {
+		t.Fatalf("unmodified frame: %v", err)
+	}
+}
+
+// TestFrameInflateBound: a compressed body inflates up to the decoder's limit
+// and no further. A body of exactly the limit decodes and one byte less
+// refuses it; a bomb 16× the limit is corrupt after allocating a small
+// multiple of the limit, not of the bomb.
+func TestFrameInflateBound(t *testing.T) {
+	f := benchFixtureFrame(t)
+	for _, row := range f.Blocks[0].Rows {
+		for m := range row {
+			row[m] = 42
+		}
+	}
+	plain, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := frameCompressThreshold
+	frameCompressThreshold = 1 << 10
+	data, err := f.Encode()
+	frameCompressThreshold = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := int64(len(plain) - headerLen - 1)
+	if _, err := decodeFrameV4(data[headerLen:], body); err != nil {
+		t.Fatalf("body of exactly the limit: %v", err)
+	}
+	if _, err := decodeFrameV4(data[headerLen:], body-1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("body one byte over the limit: err %v, want ErrCorrupt", err)
+	}
+
+	const limit = 1 << 20
+	var cb bytes.Buffer
+	fw, err := flate.NewWriter(&cb, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 64<<10)
+	for n := 0; n < 16*limit; n += len(zeros) {
+		fw.Write(zeros)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := append([]byte{frameFlagCompressed}, cb.Bytes()...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeFrameV4(bomb, limit)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d-byte bomb of %d zeros: err %v, want ErrCorrupt", len(bomb), 16*limit, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 8*limit {
+		t.Fatalf("decoding the bomb allocated %d bytes, want at most %d (8× the %d-byte limit)", d, 8*limit, limit)
+	}
+}
+
 func BenchmarkFrameCodec(b *testing.B) {
 	f := benchFixtureFrame(b)
 	v4, err := f.Encode()
@@ -253,6 +411,20 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.SetBytes(int64(len(v4)))
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeFrame(v4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A fleet-2x1k shard frame: 1 000 rows × 100 metrics, where the rows, not
+	// the gob metadata, are the cost.
+	k1, err := halfFleetFrame(b, 1000).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode/1k", func(b *testing.B) {
+		b.SetBytes(int64(len(k1)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeFrame(k1); err != nil {
 				b.Fatal(err)
 			}
 		}

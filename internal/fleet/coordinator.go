@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -589,16 +588,27 @@ func (c *Coordinator) Run(ctx context.Context) {
 //
 //	POST /fleet/frame      — one encoded frame; responds with an encoded Ack
 //	GET  /fleet/assignment — current assignment as an encoded Ack
-func (c *Coordinator) Handler() http.Handler {
+func (c *Coordinator) Handler() http.Handler { return c.handler(maxFrameBytes) }
+
+// handler is Handler with the frame body capped at maxBody bytes: a longer
+// body is refused with 413 and an ack naming the cap, which the sender
+// surfaces instead of retrying.
+func (c *Coordinator) handler(maxBody int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fleet/frame", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		data, err := readAtMost(r.Body, r.ContentLength, maxBody)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if int64(len(data)) > maxBody {
+			c.countFrame("rejected")
+			writeAck(w, &Ack{Error: fmt.Sprintf("fleet: frame body exceeds the %d-byte cap", maxBody)},
+				http.StatusRequestEntityTooLarge)
 			return
 		}
 		ack, code := c.HandleFrameBytes(data)

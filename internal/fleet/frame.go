@@ -115,6 +115,10 @@ const (
 // decode as ErrCorrupt.
 const rowWidthMarker = 2
 
+// maxFrameBytes caps a frame twice: the coordinator answers a longer request
+// body with 413, and the decoder refuses a body that inflates past it.
+const maxFrameBytes = 64 << 20
+
 // frameCompressThreshold is the body size above which Encode attempts flate
 // compression. A package variable so tests can lower it; the default keeps
 // ordinary frames on the fast uncompressed path.
@@ -253,7 +257,7 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := decodeFrameV4(rest)
+	f, err := decodeFrameV4(rest, maxFrameBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -290,9 +294,10 @@ func validateFrame(f *Frame) error {
 
 // decodeFrameV4 parses the binary payload (flags + meta + rows + row-width
 // trailer). All counts are bounds-checked against the remaining
-// payload before allocation, so corrupted or adversarial frames fail with
-// ErrCorrupt instead of outsized allocations.
-func decodeFrameV4(payload []byte) (*Frame, error) {
+// payload before allocation, and a compressed body is inflated no further
+// than limit bytes, so corrupted or adversarial frames fail with ErrCorrupt
+// instead of outsized allocations.
+func decodeFrameV4(payload []byte, limit int64) (*Frame, error) {
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("%w: v4 payload missing flags byte", ErrCorrupt)
 	}
@@ -301,10 +306,12 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: v4 payload has unknown flags %#x", ErrCorrupt, flags)
 	}
 	if flags&frameFlagCompressed != 0 {
-		fr := flate.NewReader(bytes.NewReader(body))
-		raw, err := io.ReadAll(fr)
+		raw, err := readAtMost(flate.NewReader(bytes.NewReader(body)), int64(len(body)), limit)
 		if err != nil {
 			return nil, fmt.Errorf("%w: v4 decompress: %v", ErrCorrupt, err)
+		}
+		if int64(len(raw)) > limit {
+			return nil, fmt.Errorf("%w: v4 body inflates past %d bytes", ErrCorrupt, limit)
 		}
 		body = raw
 	}
@@ -347,6 +354,11 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 		}
 		b := Block{Lo: meta.Blocks[bi].Lo, Viol: meta.Blocks[bi].Viol, Reporting: meta.Blocks[bi].Reporting}
 		b.Rows = make([][]float64, nRows)
+		// The block's present rows are capped views of one slab, sized at
+		// the first of them for every row left that the remaining bytes can
+		// hold at its width.
+		var slab []float64
+		width := 0
 		for i := 0; i < nRows; i++ {
 			cells, err := uvarint("cell")
 			if err != nil {
@@ -358,7 +370,16 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 			if len(body) < cells*8 {
 				return nil, fmt.Errorf("%w: v4 rows truncated", ErrCorrupt)
 			}
-			row := make([]float64, cells)
+			if width == 0 {
+				width = cells
+				slab = make([]float64, min(nRows-i, len(body)/(8*cells))*cells)
+			}
+			var row []float64
+			if cells == width {
+				row, slab = slab[:cells:cells], slab[cells:]
+			} else {
+				row = make([]float64, cells) // checkRowWidths refuses the frame below
+			}
 			for c := range row {
 				row[c] = math.Float64frombits(binary.LittleEndian.Uint64(body[c*8:]))
 			}
@@ -382,6 +403,31 @@ func decodeFrameV4(payload []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: v4 %v", ErrCorrupt, err)
 	}
 	return f, nil
+}
+
+// readAtMost reads r to EOF into one buffer pre-sized to min(sizeHint, 1 MiB)
+// + bytes.MinRead that grows only once full, so an overstated hint costs at
+// most 1 MiB. It reads no more than limit+1 bytes: a result longer than limit
+// means r held more than limit.
+func readAtMost(r io.Reader, sizeHint, limit int64) ([]byte, error) {
+	buf := make([]byte, 0, min(max(sizeHint, 0), 1<<20)+bytes.MinRead)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		room := buf[len(buf):cap(buf)]
+		if left := limit + 1 - int64(len(buf)); int64(len(room)) > left {
+			room = room[:left]
+		}
+		n, err := r.Read(room)
+		buf = buf[:len(buf)+n]
+		if err == io.EOF || int64(len(buf)) > limit {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Ack is the coordinator's reply to a shipped frame.

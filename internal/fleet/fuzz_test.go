@@ -28,10 +28,11 @@ func fuzzSeedCorpus(f *testing.F) {
 	f.Add(garbage)
 
 	// A truncated trailer, a row float mutated on the wire, the three
-	// retired trailer modes and a flate-compressed body, so the fuzzer starts
-	// inside every decode arm. (FuzzHandleFrameBytes reseals them past the
-	// CRC; whole frames as the previous build wrote them under modes 0 and 1
-	// are the *-mode0/-mode1 files under testdata: must-reject seeds.)
+	// retired trailer modes, a mixed-width block and a flate-compressed body,
+	// so the fuzzer starts inside every decode arm. (FuzzHandleFrameBytes
+	// reseals them past the CRC; whole frames as the previous build wrote
+	// them under modes 0 and 1 are the *-mode0/-mode1 files under testdata:
+	// must-reject seeds.)
 	f.Add(valid[:len(valid)-1])
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)-9] ^= 0xff
@@ -41,6 +42,8 @@ func fuzzSeedCorpus(f *testing.F) {
 		retired[len(retired)-2] = mode
 		f.Add(retired)
 	}
+	f.Add(mixedWidthFrame(f, -1))
+	f.Add(mixedWidthFrame(f, 1))
 	fr, err := DecodeFrame(valid)
 	if err != nil {
 		f.Fatal(err)

@@ -114,8 +114,9 @@ func (r *Ring) Evicted() int { return r.evicted }
 // outage costs latency, not epochs. An ack whose watermark is below the last
 // one seen means the coordinator restarted from an older checkpoint, so the
 // ring is rewound to it. The error is non-nil only for a deliberate
-// rejection (declared dead, geometry or frame-version mismatch), which no
-// retry can cure. logf receives the operational narration.
+// rejection (declared dead, geometry or frame-version mismatch, a frame over
+// the coordinator's size cap), which no retry can cure. logf receives the
+// operational narration.
 func (g *Aggregator) Drain(ctx context.Context, ring *Ring, logf func(format string, args ...any)) (int, error) {
 	shipped := 0
 	for {
