@@ -17,7 +17,7 @@ import (
 
 // batchStrip is how many delivered rows the columnar batch path walks at a
 // time: 256 rows × 100 metrics is ~200KB of row data, re-read once per column
-// from cache, and amortizes each InsertBatch call over hundreds of values.
+// from cache, and amortizes each InsertFinite call over hundreds of values.
 const batchStrip = 256
 
 // ObserveBatchFiltered records a batch of machine rows into the given shard,
@@ -30,10 +30,10 @@ const batchStrip = 256
 // error; every row before it is still fully ingested.
 //
 // Ingestion is columnar: each strip of batchStrip delivered rows is walked
-// one metric at a time, and each estimator receives the column's finite
-// values as one InsertBatch per strip instead of one Insert per cell, in
-// machine order — the order the per-cell path would insert them — so exact
-// estimators end up byte-identical.
+// one metric at a time, and each estimator filters its column of the strip
+// itself (InsertFinite: one call per strip instead of one Insert per cell),
+// in machine order — the order the per-cell path would insert them — so
+// exact estimators end up byte-identical.
 func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting []bool) (int, error) {
 	if shard < 0 || shard >= len(a.shards) {
 		return 0, fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
@@ -65,9 +65,7 @@ func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting
 		drops := sc.drops[:k]
 		clear(drops)
 		for m, est := range ests {
-			if n := finiteColumn(sc.col[:], sc.rows[:k], drops, m); n > 0 {
-				est.InsertBatch(sc.col[:n])
-			}
+			est.InsertFinite(sc.rows[:k], m, drops)
 		}
 		for i, d := range drops {
 			dropped += d
@@ -80,26 +78,6 @@ func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting
 		}
 	}
 	return dropped, nil
-}
-
-// finiteColumn packs the finite values of metric m, down the strip, into col
-// and returns how many; drops[i] counts the cells of row i it left out. Never
-// inlined: in the caller's frame go1.24 spills the fill index to the stack
-// and reloads it for every cell, here it stays in a register.
-//
-//go:noinline
-func finiteColumn(col []float64, strip [][]float64, drops []int, m int) int {
-	n := 0
-	for i, row := range strip {
-		v := row[m]
-		if v-v != 0 { // NaN or ±Inf
-			drops[i]++
-			continue
-		}
-		col[n] = v
-		n++
-	}
-	return n
 }
 
 // ScanBatchFiltered is ObserveBatchFiltered's accounting without the

@@ -12,26 +12,42 @@ import (
 )
 
 // guardEstimator wraps Exact and records any non-finite insert — the
-// property the filtered ingestion paths must guarantee never happens.
+// property the filtered ingestion paths must guarantee never happens. It
+// overrides every insert method, so none reaches the embedded Exact
+// unchecked, and counts what it checked in seen, so a test can tell a clean
+// run from one that never reached it.
 type guardEstimator struct {
 	quantile.Exact
-	bad *int
+	bad, seen *int
 }
 
-func (g *guardEstimator) Insert(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		*g.bad++
-	}
-	g.Exact.Insert(v)
-}
-
-func (g *guardEstimator) InsertBatch(vs []float64) {
-	for _, v := range vs {
+// check inspects the observations the last insert appended, as the
+// estimator stores them.
+func (g *guardEstimator) check(from int) {
+	for _, v := range g.Exact.RawValues()[from:] {
+		*g.seen++
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			*g.bad++
 		}
 	}
+}
+
+func (g *guardEstimator) Insert(v float64) {
+	n := g.Count()
+	g.Exact.Insert(v)
+	g.check(n)
+}
+
+func (g *guardEstimator) InsertBatch(vs []float64) {
+	n := g.Count()
 	g.Exact.InsertBatch(vs)
+	g.check(n)
+}
+
+func (g *guardEstimator) InsertFinite(strip [][]float64, m int, drops []int) {
+	n := g.Count()
+	g.Exact.InsertFinite(strip, m, drops)
+	g.check(n)
 }
 
 func (g *guardEstimator) Merge(src quantile.Estimator) error {
@@ -43,8 +59,8 @@ func (g *guardEstimator) Merge(src quantile.Estimator) error {
 }
 
 func TestObserveFilteredDropsNonFinite(t *testing.T) {
-	bad := 0
-	a, err := NewAggregator(3, func() quantile.Estimator { return &guardEstimator{bad: &bad} })
+	bad, seen := 0, 0
+	a, err := NewAggregator(3, func() quantile.Estimator { return &guardEstimator{bad: &bad, seen: &seen} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +78,8 @@ func TestObserveFilteredDropsNonFinite(t *testing.T) {
 	if d != 1 {
 		t.Fatalf("dropped %d values, want 1", d)
 	}
-	if bad != 0 {
-		t.Fatalf("%d non-finite values reached the estimators", bad)
+	if bad != 0 || seen != 3 {
+		t.Fatalf("%d non-finite values reached the estimators, of %d checked (want 0 of 3)", bad, seen)
 	}
 	sum, gaps, err := a.SummarizeLenient(nil)
 	if err != nil {
@@ -78,8 +94,8 @@ func TestObserveFilteredDropsNonFinite(t *testing.T) {
 }
 
 func TestObserveBatchFilteredReportingFlags(t *testing.T) {
-	bad := 0
-	a, err := NewAggregator(2, func() quantile.Estimator { return &guardEstimator{bad: &bad} })
+	bad, seen := 0, 0
+	a, err := NewAggregator(2, func() quantile.Estimator { return &guardEstimator{bad: &bad, seen: &seen} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +117,8 @@ func TestObserveBatchFilteredReportingFlags(t *testing.T) {
 	if !reflect.DeepEqual(reporting, want) {
 		t.Fatalf("reporting = %v, want %v", reporting, want)
 	}
-	if bad != 0 {
-		t.Fatalf("%d non-finite values reached the estimators", bad)
+	if bad != 0 || seen != 3 {
+		t.Fatalf("%d non-finite values reached the estimators, of %d checked (want 0 of 3)", bad, seen)
 	}
 }
 

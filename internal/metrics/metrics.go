@@ -192,7 +192,6 @@ type Aggregator struct {
 // rows: 10 KB, kept off the stack of the fan-out's fresh goroutines. rows
 // keeps the last strip's row views reachable until the next batch.
 type stripScratch struct {
-	col   [batchStrip]float64   // one metric's finite values down the strip
 	rows  [batchStrip][]float64 // the delivered rows being walked
 	at    [batchStrip]int       // their indices in the batch
 	drops [batchStrip]int       // non-finite cells per row

@@ -240,13 +240,19 @@ func TestEpochWorkersResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small installations stay on the serial path regardless of the knob.
-	if w := m.epochWorkers(20); w != 1 {
-		t.Fatalf("epochWorkers(20) = %d, want 1", w)
+	// Installations under the measured crossover stay on the serial path
+	// regardless of the knob.
+	for _, machines := range []int{20, 100, 499} {
+		if w := m.epochWorkers(machines); w != 1 {
+			t.Fatalf("epochWorkers(%d) = %d, want 1", machines, w)
+		}
 	}
-	// The default 64-machines-per-worker floor bounds mid-size pools.
-	if w := m.epochWorkers(100); w != 2 {
-		t.Fatalf("epochWorkers(100) = %d, want 2", w)
+	// The 250-machines-per-worker floor bounds mid-size pools.
+	if w := m.epochWorkers(500); w != 2 {
+		t.Fatalf("epochWorkers(500) = %d, want 2", w)
+	}
+	if w := m.epochWorkers(1000); w != 4 {
+		t.Fatalf("epochWorkers(1000) = %d, want 4", w)
 	}
 	// Large installations use the configured pool.
 	if w := m.epochWorkers(10000); w != 8 {

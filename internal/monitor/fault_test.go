@@ -17,25 +17,41 @@ import (
 
 // guardExact wraps the exact estimator and trips a shared counter on any
 // non-finite insert — the invariant the degraded ingestion path must hold.
+// Every insert method is overridden, so none reaches the embedded Exact
+// unchecked, and seen counts the values checked.
 type guardExact struct {
 	quantile.Exact
-	bad *atomic.Int64
+	bad, seen *atomic.Int64
 }
 
-func (g *guardExact) Insert(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		g.bad.Add(1)
-	}
-	g.Exact.Insert(v)
-}
-
-func (g *guardExact) InsertBatch(vs []float64) {
+// check inspects the observations the last insert appended, as the
+// estimator stores them.
+func (g *guardExact) check(from int) {
+	vs := g.Exact.RawValues()[from:]
+	g.seen.Add(int64(len(vs)))
 	for _, v := range vs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			g.bad.Add(1)
 		}
 	}
+}
+
+func (g *guardExact) Insert(v float64) {
+	n := g.Count()
+	g.Exact.Insert(v)
+	g.check(n)
+}
+
+func (g *guardExact) InsertBatch(vs []float64) {
+	n := g.Count()
 	g.Exact.InsertBatch(vs)
+	g.check(n)
+}
+
+func (g *guardExact) InsertFinite(strip [][]float64, m int, drops []int) {
+	n := g.Count()
+	g.Exact.InsertFinite(strip, m, drops)
+	g.check(n)
 }
 
 func (g *guardExact) Merge(src quantile.Estimator) error {
@@ -69,14 +85,15 @@ func TestFaultNaNNeverReachesEstimators(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var bad atomic.Int64
+			var bad, seen atomic.Int64
 			cfg := DefaultConfig(s.Catalog(), s.SLA())
 			cfg.Workers = workers
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.agg, err = metrics.NewAggregator(s.Catalog().Len(), func() quantile.Estimator { return &guardExact{bad: &bad} })
+			m.minPerWorker = 1 // split the 100 machines: the sharded path runs
+			m.agg, err = metrics.NewAggregator(s.Catalog().Len(), func() quantile.Estimator { return &guardExact{bad: &bad, seen: &seen} })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,6 +115,9 @@ func TestFaultNaNNeverReachesEstimators(t *testing.T) {
 			}
 			if got := bad.Load(); got != 0 {
 				t.Fatalf("%d non-finite values reached the quantile estimators", got)
+			}
+			if seen.Load() == 0 {
+				t.Fatal("no value reached the guarded estimators: the guard checked nothing")
 			}
 			if observed == 0 {
 				t.Fatal("no epochs were observed through the faulty pipeline")

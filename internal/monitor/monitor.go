@@ -61,9 +61,9 @@ type Config struct {
 	// aggregator shard and SLA-checked on its own goroutine — and how many
 	// goroutines the per-metric summarize fans out over. 0 resolves to
 	// GOMAXPROCS; 1 is the serial reference: one partial, no goroutines. The
-	// split is additionally capped so each range holds at least 64 machines,
-	// keeping small installations serial. Every split produces
-	// byte-identical reports.
+	// split is additionally capped so each range holds at least
+	// minMachinesPerWorker (250) machines, keeping installations under 500
+	// serial. Every split produces byte-identical reports.
 	Workers int
 	// MinCoverage is the minimum fraction of expected machines that must
 	// deliver at least one finite value for an epoch to be trusted. Below
@@ -252,6 +252,9 @@ type Monitor struct {
 	coveredBuf [][2]int
 	errsBuf    []error
 	statusBuf  []sla.EpochStatus
+	// minPerWorker is minMachinesPerWorker; tests lower it to drive the
+	// fan-out with epochs smaller than the crossover.
+	minPerWorker int
 
 	// Active crisis state.
 	activeStart metrics.Epoch
@@ -438,18 +441,19 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		cfg:       cfg,
-		track:     track,
-		agg:       agg,
-		store:     core.NewStore(true),
-		rawRing:   make([][][]float64, cfg.RawPad),
-		ringMat:   make([]*metrics.Matrix, cfg.RawPad),
-		violRing:  make([][]bool, cfg.RawPad),
-		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
-		activeIdx: -1,
-		expected:  cfg.ExpectedMachines,
-		tel:       newMonitorMetrics(cfg.Telemetry),
-		events:    cfg.Events,
+		cfg:          cfg,
+		track:        track,
+		agg:          agg,
+		store:        core.NewStore(true),
+		rawRing:      make([][][]float64, cfg.RawPad),
+		ringMat:      make([]*metrics.Matrix, cfg.RawPad),
+		violRing:     make([][]bool, cfg.RawPad),
+		ringEpoch:    make([]metrics.Epoch, cfg.RawPad),
+		activeIdx:    -1,
+		expected:     cfg.ExpectedMachines,
+		minPerWorker: minMachinesPerWorker,
+		tel:          newMonitorMetrics(cfg.Telemetry),
+		events:       cfg.Events,
 	}
 	if cfg.Forecast.Enabled {
 		m.fc = newForecastStage(cfg.Forecast)
@@ -729,13 +733,13 @@ func sanitizeRetained(copies [][]float64, viol, reporting []bool, summary [][3]f
 	return outRows, outViol
 }
 
-// minMachinesPerWorker caps the epoch worker pool so every worker gets a
-// meaningful share of machines: below it, goroutine fan-out costs more than
-// it saves, and small deployments always run as one partial. Raised from 32
-// after the columnar batch-ingestion rework: with per-cell interface calls
-// gone, each worker's per-machine cost dropped enough that 32-machine
-// slices no longer amortize the fan-out.
-const minMachinesPerWorker = 64
+// minMachinesPerWorker caps the epoch worker pool so every worker gets at
+// least this many machines. It is the measured fan-out crossover:
+// BenchmarkObserveEpochScale on 2 vCPUs (-cpu 2, seven alternating runs)
+// read split against serial 0.89× at 100 machines, 0.98–0.99× at 250, and a
+// 7/7 win from 500 (1.16–1.20×) up, so an epoch splits from 500 machines.
+// The crossover moves with the serial path's cost; re-measure when it does.
+const minMachinesPerWorker = 250
 
 // minMetricsPerWorker is the analogous floor for work that fans out across
 // metric columns (summarization).
@@ -748,7 +752,7 @@ func (m *Monitor) epochWorkers(machines int) int {
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if maxW := (machines + minMachinesPerWorker - 1) / minMachinesPerWorker; w > maxW {
+	if maxW := machines / m.minPerWorker; w > maxW {
 		w = maxW
 	}
 	if w < 1 {

@@ -196,6 +196,7 @@ func spanNames(t *testing.T, workers int, observe func(m *Monitor, rows [][]floa
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.minPerWorker = 1 // split the 100 machines: the parallel path runs
 	for e := 0; e < epochs; e++ {
 		if err := observe(m, rows[e]); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -85,4 +86,131 @@ func TestExactInsertBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzStrips decodes data into rows of one width (1–8 cells, from the first
+// byte) cut into strips of 1–300 rows (lengths drawn from a generator seeded
+// by the second byte). Each cell is a tag byte naming NaN, ±Inf, −0, +0, a
+// subnormal of either sign or a small normal value, or taking the next eight
+// bytes as raw bits, so any NaN payload or other pattern can appear.
+func fuzzStrips(data []byte) (width int, strips [][][]float64) {
+	if len(data) < 2 {
+		return 0, nil
+	}
+	width = 1 + int(data[0]%8)
+	rng := rand.New(rand.NewSource(int64(data[1])))
+	data = data[2:]
+	var rows [][]float64
+	row := make([]float64, 0, width)
+	for len(data) > 0 {
+		tag := data[0]
+		data = data[1:]
+		var v float64
+		switch tag % 8 {
+		case 0:
+			v = math.NaN()
+		case 1:
+			v = math.Inf(1)
+		case 2:
+			v = math.Inf(-1)
+		case 3:
+			v = math.Copysign(0, -1)
+		case 4:
+			v = 0
+		case 5:
+			v = math.Float64frombits(uint64(tag>>3&0xf) + 1)
+			if tag >= 128 {
+				v = -v
+			}
+		case 6:
+			v = float64(int(tag>>3)-16) * 0.5
+		case 7:
+			var raw [8]byte
+			data = data[copy(raw[:], data):]
+			v = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+		}
+		row = append(row, v)
+		if len(row) == width {
+			rows = append(rows, row)
+			row = make([]float64, 0, width)
+		}
+	}
+	for len(rows) > 0 {
+		k := min(1+rng.Intn(300), len(rows))
+		strips = append(strips, rows[:k])
+		rows = rows[k:]
+	}
+	return width, strips
+}
+
+// FuzzInsertFiniteMatchesPerCell holds the filter kernel to the obvious
+// reference: per-cell Insert of each finite cell, in row order, and a count
+// of the rest. Drops, Count, the stored values (bits and order) and the
+// summary bits must agree, and the summary must match the sort oracle. Each
+// input runs twice through the same zero-value estimators, the second time
+// after Reset.
+func FuzzInsertFiniteMatchesPerCell(f *testing.F) {
+	rng := rand.New(rand.NewSource(53))
+	for _, n := range []int{2, 9, 64, 300} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		width, strips := fuzzStrips(data)
+		got, want := make([]Exact, width), make([]Exact, width)
+		for round := 0; round < 2; round++ {
+			for s, strip := range strips {
+				drops := make([]int, len(strip))
+				for m := range got {
+					got[m].InsertFinite(strip, m, drops)
+				}
+				for i, row := range strip {
+					bad := 0
+					for m, v := range row {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							bad++
+							continue
+						}
+						want[m].Insert(v)
+					}
+					if drops[i] != bad {
+						t.Fatalf("round %d strip %d row %d: %d drops, %d non-finite cells", round, s, i, drops[i], bad)
+					}
+				}
+			}
+			for m := range got {
+				g, w := &got[m], &want[m]
+				if g.Count() != w.Count() {
+					t.Fatalf("round %d metric %d: Count %d, per-cell %d", round, m, g.Count(), w.Count())
+				}
+				gv, wv := g.RawValues(), w.RawValues()
+				for i := range gv {
+					if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+						t.Fatalf("round %d metric %d: value %d is %#x, per-cell %#x", round, m, i,
+							math.Float64bits(gv[i]), math.Float64bits(wv[i]))
+					}
+				}
+				if w.Count() == 0 {
+					continue
+				}
+				sorted, _ := sortedOracle(wv)
+				gs, gerr := Summarize(g)
+				ws, werr := Summarize(w)
+				if gerr != nil || werr != nil {
+					t.Fatalf("round %d metric %d: Summarize errors %v, %v", round, m, gerr, werr)
+				}
+				for i, q := range TrackedQuantiles {
+					o := oracleQuery(sorted, q)
+					if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) || math.Float64bits(gs[i]) != math.Float64bits(o) {
+						t.Fatalf("round %d metric %d q=%v: %v, per-cell %v, sort says %v", round, m, q, gs[i], ws[i], o)
+					}
+				}
+			}
+			for m := range got {
+				got[m].Reset()
+				want[m].Reset()
+			}
+		}
+	})
 }

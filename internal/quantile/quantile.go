@@ -38,6 +38,10 @@ type Estimator interface {
 	// InsertBatch adds a batch of observations, equivalent to calling
 	// Insert on each value in order. The batch slice is not retained.
 	InsertBatch(vs []float64)
+	// InsertFinite adds the finite values of column m down strip, in row
+	// order, and counts each row's non-finite cell (NaN, ±Inf) in drops[i]
+	// instead: the batch filter's one call per (metric, strip of rows).
+	InsertFinite(strip [][]float64, m int, drops []int)
 	// Query returns an estimate of the q-th quantile of everything
 	// inserted so far.
 	Query(q float64) (float64, error)
@@ -62,19 +66,29 @@ type Merger interface {
 
 // Exact is an Estimator that stores every observation and answers queries
 // exactly (linear-interpolation quantiles). Suitable for hundreds of
-// machines per epoch, as in the paper's case study.
+// machines per epoch, as in the paper's case study. The zero value is an
+// empty estimator.
 //
-// A query does not sort: it selects the order statistics it interpolates
-// between (selectKeys) in floatToOrdered order, float order with -0 below +0.
-// Only Values, and a query over a NaN, sort in place with sort.Float64s: NaN
-// first, -0 against +0 left to its tie-break. (Every query of a column under
-// 256 values once took that sort; a quantile landing on a zero of one that
-// mixes both signs may differ from then in its sign bit, then unspecified.)
+// Observations are stored as floatToOrdered keys, converted once on insert,
+// in insertion order. A query does not sort or convert: it selects the order
+// statistics it interpolates between (selectKeys) straight from the keys, in
+// float order with -0 below +0. Only Values, and a query over a NaN, sort a
+// decoded copy with sort.Float64s: NaN first, -0 against +0 left to its
+// tie-break. (Every query of a column under 256 values once took that sort;
+// a quantile landing on a zero of one that mixes both signs may differ from
+// then in its sign bit, then unspecified.)
 type Exact struct {
-	vals []float64
-	// Selection scratch (the observations as ordered keys, and the gather
-	// target), retained so a reused estimator queries without allocating.
-	keys, keyTmp []uint64
+	keys []uint64
+	// or and orNot are the OR of every key and of every key's complement, so
+	// or&orNot holds exactly the bits on which two keys differ; nans counts
+	// the NaN observations, which send a query to the sort.
+	or, orNot uint64
+	nans      int
+	// Scratch retained so a reused estimator queries without allocating:
+	// selection's two gather targets, and the floats Values and RawValues
+	// decode into.
+	tmp, spare []uint64
+	vals       []float64
 }
 
 // selectSmall is the key count from which selectKeys sorts what is left.
@@ -84,29 +98,19 @@ const selectSmall = 48
 const maxRanks = 6
 
 // selectStats writes the ranks[i]-th smallest observation (0-based) into
-// out[i] by rank selection, leaving vals untouched. It reports false when the
+// out[i] by rank selection over the stored keys. It reports false when the
 // caller must sort instead: a NaN among the observations, or ranks not ascending.
 func (e *Exact) selectStats(ranks []int, out []float64) bool {
-	if !sort.IntsAreSorted(ranks) {
+	if e.nans > 0 || !sort.IntsAreSorted(ranks) {
 		return false
 	}
-	n := len(e.vals)
-	if cap(e.keys) < n {
-		e.keys = make([]uint64, n)
-		e.keyTmp = make([]uint64, n)
-	}
-	keys := e.keys[:n]
-	first, diff := floatToOrdered(e.vals[0]), uint64(0)
-	for i, v := range e.vals {
-		if v != v {
-			return false
-		}
-		k := floatToOrdered(v)
-		keys[i] = k
-		diff |= k ^ first
+	n := len(e.keys)
+	if len(e.tmp) <= n {
+		e.tmp = make([]uint64, n+1)
+		e.spare = make([]uint64, n+1)
 	}
 	var sel [maxRanks]uint64
-	selectKeys(keys, e.keyTmp[:n], diff, 0, ranks, sel[:len(ranks)])
+	selectKeys(e.keys, e.tmp, e.spare, e.or&e.orNot, 0, ranks, sel[:len(ranks)])
 	for i := range ranks {
 		out[i] = orderedToFloat(sel[i])
 	}
@@ -114,14 +118,12 @@ func (e *Exact) selectStats(ranks []int, out []float64) bool {
 }
 
 // floatToOrdered maps float64 bits to a uint64 whose unsigned order matches
-// the float order (negatives below positives, -0 below +0). A bijection, so
-// the inverse recovers the exact bit pattern.
+// the float order (negatives below positives, -0 below +0): a negative's bits
+// are all flipped, a positive's sign bit is set, without a branch. A
+// bijection, so the inverse recovers the exact bit pattern.
 func floatToOrdered(v float64) uint64 {
 	u := math.Float64bits(v)
-	if u&(1<<63) != 0 {
-		return ^u
-	}
-	return u | 1<<63
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
 }
 
 func orderedToFloat(u uint64) float64 {
@@ -132,19 +134,28 @@ func orderedToFloat(u uint64) float64 {
 }
 
 // selectKeys writes into out[i] the key of rank ranks[i]-base among keys
-// (ranks ascending, each in [base, base+len(keys))). diff is the OR of every
-// key XORed with keys[0]: its highest set bit is the highest bit on which two
-// keys differ. One 256-bucket histogram over the top 8 differing bits finds
-// the buckets that hold a wanted rank, one gather pass copies only those into
-// tmp, and each is finished on its lower bits: two linear passes plus work on
-// the few keys around each rank. keys and tmp (as long) are both clobbered.
-func selectKeys(keys, tmp []uint64, diff uint64, base int, ranks []int, out []uint64) {
-	if diff == 0 || len(keys) <= selectSmall {
-		if diff != 0 {
-			slices.Sort(keys)
+// (ranks ascending, each in [base, base+len(keys))). diff holds the bits on
+// which two keys differ. One 256-bucket histogram over the top 8 of them
+// finds the buckets that hold a wanted rank, one gather pass copies only
+// those into dst, and each is finished on its lower bits: two linear passes
+// over keys plus work on the few keys around each rank. keys is only read;
+// dst and spare, each longer than keys, are clobbered. A gathered bucket is
+// finished from dst into spare with itself as the next level's spare: it has
+// fewer keys than its parent, whose region it overwrites.
+func selectKeys(keys, dst, spare []uint64, diff uint64, base int, ranks []int, out []uint64) {
+	n := len(keys)
+	if diff == 0 {
+		for i := range ranks {
+			out[i] = keys[0]
 		}
+		return
+	}
+	if n <= selectSmall {
+		s := dst[:n]
+		copy(s, keys)
+		slices.Sort(s)
 		for i, r := range ranks {
-			out[i] = keys[r-base]
+			out[i] = s[r-base]
 		}
 		return
 	}
@@ -153,12 +164,15 @@ func selectKeys(keys, tmp []uint64, diff uint64, base int, ranks []int, out []ui
 	for _, k := range keys {
 		count[(k>>shift)&0xff]++
 	}
-	// count[b] becomes bucket b's write cursor in tmp, -1 if it holds no rank.
+	// count[b] becomes bucket b's write cursor in dst and step[b] whether it
+	// advances: a bucket that holds no rank writes every key to the dump
+	// slot dst[n] and stays there, so the gather does not branch.
+	var step [256]int
 	type bucket struct{ base, off, n, r0, r1 int }
 	var want [maxRanks]bucket
 	nw, fill, ri, cum := 0, 0, 0, base
 	for b, c := range count {
-		count[b] = -1
+		count[b] = n
 		if ri < len(ranks) && ranks[ri] < cum+c {
 			r0 := ri
 			for ri < len(ranks) && ranks[ri] < cum+c {
@@ -166,25 +180,25 @@ func selectKeys(keys, tmp []uint64, diff uint64, base int, ranks []int, out []ui
 			}
 			want[nw] = bucket{base: cum, off: fill, n: c, r0: r0, r1: ri}
 			nw++
-			count[b] = fill
+			count[b], step[b] = fill, 1
 			fill += c
 		}
 		cum += c
 	}
+	dst = dst[:n+1]
 	for _, k := range keys {
 		b := (k >> shift) & 0xff
-		if p := count[b]; p >= 0 {
-			tmp[p] = k
-			count[b] = p + 1
-		}
+		p := count[b]
+		dst[p] = k
+		count[b] = p + step[b]
 	}
 	for _, w := range want[:nw] {
-		sub := tmp[w.off : w.off+w.n]
+		sub := dst[w.off : w.off+w.n]
 		d := uint64(0)
 		for _, k := range sub {
 			d |= k ^ sub[0]
 		}
-		selectKeys(sub, keys[:w.n], d, w.base, ranks[w.r0:w.r1], out[w.r0:w.r1])
+		selectKeys(sub, spare, sub, d, w.base, ranks[w.r0:w.r1], out[w.r0:w.r1])
 	}
 }
 
@@ -193,17 +207,60 @@ func NewExact() *Exact { return &Exact{} }
 
 // Insert adds one observation.
 func (e *Exact) Insert(v float64) {
-	e.vals = append(e.vals, v)
+	k := floatToOrdered(v)
+	e.keys = append(e.keys, k)
+	e.or |= k
+	e.orNot |= ^k
+	if v != v {
+		e.nans++
+	}
 }
 
-// InsertBatch bulk-appends the batch: ingesting a whole metric column costs
-// one copy instead of one call per cell, and all ordering work waits for the
-// query.
+// InsertBatch bulk-appends the batch: one call instead of one per value,
+// with the accumulators folded in registers (a loop over Insert measured
+// ~35 % slower on BenchmarkSummarizeExact/n2000, 2-vCPU Xeon); all ordering
+// work waits for the query.
 func (e *Exact) InsertBatch(vs []float64) {
-	if len(vs) == 0 {
-		return
+	n := len(e.keys)
+	e.keys = slices.Grow(e.keys, len(vs))[:n+len(vs)]
+	keys := e.keys[n:]
+	or, orNot := e.or, e.orNot
+	for i, v := range vs {
+		k := floatToOrdered(v)
+		keys[i] = k
+		or |= k
+		orNot |= ^k
+		if v != v {
+			e.nans++
+		}
 	}
-	e.vals = append(e.vals, vs...)
+	e.or, e.orNot = or, orNot
+}
+
+// InsertFinite is the batch filter's kernel: the keys of column m's finite
+// cells go straight into the estimator, with both accumulators folded in
+// registers. The test is on the bits the key is made from: NaN and ±Inf are
+// the values whose 11 exponent bits are all set.
+func (e *Exact) InsertFinite(strip [][]float64, m int, drops []int) {
+	n := len(e.keys)
+	e.keys = slices.Grow(e.keys, len(strip))
+	keys := e.keys[n : n+len(strip)]
+	drops = drops[:len(strip)]
+	or, orNot, j := e.or, e.orNot, 0
+	for i, row := range strip {
+		v := row[m]
+		if math.Float64bits(v)<<1 >= 0x7ff<<53 {
+			drops[i]++
+			continue
+		}
+		k := floatToOrdered(v)
+		keys[j] = k
+		or |= k
+		orNot |= ^k
+		j++
+	}
+	e.keys = e.keys[:n+j]
+	e.or, e.orNot = or, orNot
 }
 
 // Query returns the exact q-th quantile.
@@ -215,7 +272,7 @@ func (e *Exact) Query(q float64) (float64, error) {
 
 // query answers up to maxRanks/2 quantiles with one selection.
 func (e *Exact) query(qs, out []float64) error {
-	n := len(e.vals)
+	n := len(e.keys)
 	if n == 0 {
 		return ErrNoData
 	}
@@ -250,11 +307,12 @@ func (e *Exact) query(qs, out []float64) error {
 }
 
 // Count reports the number of observations.
-func (e *Exact) Count() int { return len(e.vals) }
+func (e *Exact) Count() int { return len(e.keys) }
 
 // Reset discards all observations, retaining capacity.
 func (e *Exact) Reset() {
-	e.vals = e.vals[:0]
+	e.keys = e.keys[:0]
+	e.or, e.orNot, e.nans = 0, 0, 0
 }
 
 // Merge absorbs another exact estimator's observations. The result is
@@ -266,26 +324,33 @@ func (e *Exact) Merge(src Estimator) error {
 	if !ok {
 		return fmt.Errorf("quantile: cannot merge %T into *Exact", src)
 	}
-	if len(o.vals) == 0 {
-		return nil
-	}
-	e.vals = append(e.vals, o.vals...)
+	e.keys = append(e.keys, o.keys...)
+	e.or |= o.or
+	e.orNot |= o.orNot
+	e.nans += o.nans
 	return nil
 }
 
-// Values returns the observations sorted ascending. The returned slice is
-// owned by the estimator and must not be modified.
+// Values returns the observations sorted ascending. The slice is the
+// estimator's decode scratch: read-only, and valid until the next call of
+// Values or RawValues, or a query over a NaN (which sorts through Values).
 func (e *Exact) Values() []float64 {
-	sort.Float64s(e.vals)
-	return e.vals
+	vs := e.RawValues()
+	sort.Float64s(vs)
+	return vs
 }
 
-// RawValues returns the observations without sorting them first (unlike
-// Values, which sorts in place): insertion order is preserved as long as
-// neither Values nor a query over a NaN has run. The slice aliases the
-// estimator's storage — read-only, and valid only until the next mutating
-// call. Tests use it to hold the batch filter to the per-cell insertion order.
-func (e *Exact) RawValues() []float64 { return e.vals }
+// RawValues returns the observations in insertion order, which nothing
+// reorders — not Values, not a query. The slice is the same decode scratch
+// as Values'. Tests use it to hold the batch filter to the per-cell
+// insertion order.
+func (e *Exact) RawValues() []float64 {
+	e.vals = slices.Grow(e.vals[:0], len(e.keys))[:len(e.keys)]
+	for i, k := range e.keys {
+		e.vals[i] = orderedToFloat(k)
+	}
+	return e.vals
+}
 
 // Summarize inserts nothing and reads the TrackedQuantiles (25/50/95) out of
 // est in order. It is the one-line helper the metric store uses per epoch;

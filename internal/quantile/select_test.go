@@ -193,6 +193,18 @@ func TestSummarizeMatchesSort(t *testing.T) {
 			e.Insert(42)
 			all = append(all, 42)
 			checkAgainstOracle(t, name+"/+merge", e, all, rng)
+
+			// The zero value is an empty estimator: merging one in changes
+			// nothing, and one merged into holds the same multiset.
+			var empty, zero Exact
+			if err := e.Merge(&empty); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, name+"/+empty", e, all, rng)
+			if err := zero.Merge(e); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, name+"/zero+merge", &zero, all, rng)
 			e.Reset()
 			if _, err := Summarize(e); err != ErrNoData {
 				t.Fatalf("%s: Summarize after Reset: %v, want ErrNoData", name, err)
