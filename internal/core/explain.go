@@ -57,41 +57,84 @@ type CandidateExplanation struct {
 // stored candidate fingerprint b (both produced by this fingerprinter, so
 // element i maps to relevant metric i/3, quantile i%3) and returns the
 // distance with its top-k per-metric-quantile breakdown. topK < 1 keeps
-// every term.
+// every term. Largest terms come first, ties in element order.
 func (f *Fingerprinter) ExplainDistance(a, b []float64, topK int) (CandidateExplanation, error) {
 	if len(a) != f.Size() || len(b) != f.Size() {
 		return CandidateExplanation{}, fmt.Errorf("core: explain lengths %d/%d, want %d", len(a), len(b), f.Size())
 	}
-	terms := make([]Contribution, len(a))
+	if topK < 1 || topK >= len(a) {
+		return f.explainAll(a, b, topK), nil
+	}
+	// A running top-k in the order a stable descending sort yields: a term
+	// enters only when strictly larger than the current k-th, and lands after
+	// the kept terms it ties with, which all come earlier in element order.
+	top := make([]Contribution, 0, topK)
 	ss := 0.0
 	for i := range a {
 		d := a[i] - b[i]
 		c := d * d
 		ss += c
-		terms[i] = Contribution{
-			Metric:       f.relevant[i/metrics.NumQuantiles],
-			Quantile:     i % metrics.NumQuantiles,
-			Ongoing:      a[i],
-			Stored:       b[i],
-			Delta:        d,
-			Contribution: c,
+		if len(top) == topK && !(c > top[topK-1].Contribution) {
+			continue
 		}
+		p := len(top)
+		for p > 0 && top[p-1].Contribution < c {
+			p--
+		}
+		if len(top) < topK {
+			top = append(top, Contribution{})
+		}
+		copy(top[p+1:], top[p:len(top)-1])
+		top[p] = f.contribution(a, b, i)
 	}
-	// Largest terms first; ties broken by element order for determinism.
+	if math.IsNaN(ss) {
+		// NaN has no place in the order above; keep the sort's answer.
+		return f.explainAll(a, b, topK), nil
+	}
+	return explanation(ss, top), nil
+}
+
+// explainAll is ExplainDistance by sorting every term.
+func (f *Fingerprinter) explainAll(a, b []float64, topK int) CandidateExplanation {
+	terms := make([]Contribution, len(a))
+	ss := 0.0
+	for i := range a {
+		terms[i] = f.contribution(a, b, i)
+		ss += terms[i].Contribution
+	}
 	sort.SliceStable(terms, func(i, j int) bool { return terms[i].Contribution > terms[j].Contribution })
 	if topK < 1 || topK > len(terms) {
 		topK = len(terms)
 	}
+	return explanation(ss, append([]Contribution(nil), terms[:topK]...))
+}
+
+// contribution is element i's term of the squared distance between a and b.
+func (f *Fingerprinter) contribution(a, b []float64, i int) Contribution {
+	d := a[i] - b[i]
+	return Contribution{
+		Metric:       f.relevant[i/metrics.NumQuantiles],
+		Quantile:     i % metrics.NumQuantiles,
+		Ongoing:      a[i],
+		Stored:       b[i],
+		Delta:        d,
+		Contribution: d * d,
+	}
+}
+
+// explanation completes a breakdown from the squared distance ss and its
+// kept terms, summed in their listed order.
+func explanation(ss float64, top []Contribution) CandidateExplanation {
 	kept := 0.0
-	for _, t := range terms[:topK] {
+	for _, t := range top {
 		kept += t.Contribution
 	}
 	return CandidateExplanation{
 		Distance:        math.Sqrt(ss),
 		SquaredDistance: ss,
-		Top:             append([]Contribution(nil), terms[:topK]...),
+		Top:             top,
 		Residual:        ss - kept,
-	}, nil
+	}
 }
 
 // ExplainStored is ExplainDistance against stored crisis i of the store:

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"dcfp/internal/metrics"
@@ -167,6 +170,102 @@ func TestExplainStored(t *testing.T) {
 			// ongoing (0) minus stored (-1) = +1: ongoing ran hotter
 			// than the cold stored state.
 			t.Fatalf("cold stored metric delta = %v, want +1: %+v", c.Delta, c)
+		}
+	}
+}
+
+// oracleExplainDistance is ExplainDistance as it was before the running
+// top-k: every term built, stable-sorted by contribution, the prefix copied.
+func oracleExplainDistance(f *Fingerprinter, a, b []float64, topK int) CandidateExplanation {
+	terms := make([]Contribution, len(a))
+	ss := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		c := d * d
+		ss += c
+		terms[i] = Contribution{
+			Metric:       f.relevant[i/metrics.NumQuantiles],
+			Quantile:     i % metrics.NumQuantiles,
+			Ongoing:      a[i],
+			Stored:       b[i],
+			Delta:        d,
+			Contribution: c,
+		}
+	}
+	sort.SliceStable(terms, func(i, j int) bool { return terms[i].Contribution > terms[j].Contribution })
+	if topK < 1 || topK > len(terms) {
+		topK = len(terms)
+	}
+	kept := 0.0
+	for _, t := range terms[:topK] {
+		kept += t.Contribution
+	}
+	return CandidateExplanation{
+		Distance:        math.Sqrt(ss),
+		SquaredDistance: ss,
+		Top:             append([]Contribution(nil), terms[:topK]...),
+		Residual:        ss - kept,
+	}
+}
+
+// sameBits compares two explanations field by field, floats by their bits.
+func sameBits(got, want CandidateExplanation) error {
+	bits := math.Float64bits
+	if bits(got.Distance) != bits(want.Distance) || bits(got.SquaredDistance) != bits(want.SquaredDistance) ||
+		bits(got.Residual) != bits(want.Residual) {
+		return fmt.Errorf("distance/squared/residual %v/%v/%v, oracle %v/%v/%v", got.Distance, got.SquaredDistance,
+			got.Residual, want.Distance, want.SquaredDistance, want.Residual)
+	}
+	if len(got.Top) != len(want.Top) {
+		return fmt.Errorf("%d top terms, oracle %d", len(got.Top), len(want.Top))
+	}
+	for i, w := range want.Top {
+		g := got.Top[i]
+		if g.Metric != w.Metric || g.Quantile != w.Quantile || bits(g.Ongoing) != bits(w.Ongoing) ||
+			bits(g.Stored) != bits(w.Stored) || bits(g.Delta) != bits(w.Delta) || bits(g.Contribution) != bits(w.Contribution) {
+			return fmt.Errorf("top[%d] = %+v, oracle %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// TestExplainDistanceMatchesSort holds ExplainDistance to the sort it
+// replaced, bit for bit, over fingerprints whose states are averages of
+// {−1, 0, 1} — so most contributions tie — at every topK regime, NaN
+// elements included.
+func TestExplainDistanceMatchesSort(t *testing.T) {
+	const nm = 30
+	th := explainThresholds(t, nm)
+	f, err := NewFingerprinter(th, AllMetrics(nm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	state := func() float64 {
+		k := 1 + rng.Intn(4)
+		s := 0.0
+		for j := 0; j < k; j++ {
+			s += float64(rng.Intn(3) - 1)
+		}
+		return s / float64(k)
+	}
+	n := f.Size()
+	for ci := 0; ci < 400; ci++ {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = state(), state()
+		}
+		if ci%50 == 0 {
+			a[rng.Intn(n)] = math.NaN()
+		}
+		for _, k := range []int{-1, 0, 1, 2, 3, 5, 10, 17, n - 1, n, n + 1} {
+			got, err := f.ExplainDistance(a, b, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(got, oracleExplainDistance(f, a, b, k)); err != nil {
+				t.Fatalf("case %d topK %d: %v", ci, k, err)
+			}
 		}
 	}
 }

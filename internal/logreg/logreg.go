@@ -231,13 +231,16 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 }
 
 // solver is the FISTA kernel over one Samples set plus the scratch every fit
-// on that set reuses. Its arithmetic is frozen: the §3.4 path mostly stops at
+// on that set reuses. Its iterates are frozen: the §3.4 path mostly stops at
 // MaxIter, not at Tol, so the selected features depend on the exact truncated
-// iterate, and every sum keeps the order of the row-oriented reference in
-// oracle_test.go. Margins add x·w over ascending j per row, skipping only
-// w_j == 0 (adding ±0 to a finite margin is the identity); Xᵀg adds over
-// ascending i per column; loss and sigmoid share the one exp both would
-// compute; standardization sums in block (= collection) order.
+// iterate, and every sum that reaches an iterate keeps the order of the
+// row-oriented reference in oracle_test.go. Margins add x·w over ascending j
+// per row, skipping only w_j == 0 (adding ±0 to a finite margin is the
+// identity); Xᵀg adds over ascending i per column; sigmoid reuses the exp the
+// loss needs; standardization sums in block (= collection) order. Loss values
+// reach nothing but the backtracking test, so fit decides that test from
+// certified brackets and computes the reference's loss (exactSum) only when
+// a bracket cannot decide it.
 type solver struct {
 	s         *Samples
 	z         []float64 // label signs: +1 for y = 1, -1 for y = 0
@@ -245,7 +248,14 @@ type solver struct {
 	mean, std []float64 // per column: standardization undone by Train (0, 1 = none)
 
 	w, wPrev, wLook, wNew, gradW []float64
+
+	exactChecks int // backtracking tests the brackets could not decide
 }
+
+// forceExact sends every backtracking test down the exact path, so the
+// oracle tests can hold the fallback to the reference too. Only internal
+// tests set it.
+var forceExact bool
 
 func newSolver(s *Samples) *solver {
 	n, d := len(s.y), s.d
@@ -291,10 +301,16 @@ func (f *solver) fit(opts Options) (float64, int) {
 		}
 		bLook := b + beta*(b-bPrev)
 
-		lossLook, gradB := f.gradient(wLook, bLook)
+		lookLo, lookHi, gradB := f.gradient(wLook, bLook)
+		// Correctly rounded scaling is monotone, so a scaled bracket holds
+		// the reference's scaled loss.
+		lookLo, lookHi = f.lookLoss(lookLo), f.lookLoss(lookHi)
+		var lossLook float64 // the reference's value, once a test needs it
+		lookExact := false
 
 		// Backtracking line search on the smooth part; the acceptance test is
-		// f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s.
+		// f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s, decided
+		// from the brackets where they can (decide) and exactly otherwise.
 		var bNew float64
 		for {
 			lin, quad := 0.0, 0.0
@@ -308,7 +324,17 @@ func (f *solver) fit(opts Options) (float64, int) {
 			db := bNew - bLook
 			lin += gradB * db
 			quad += db * db
-			if f.loss(wNew, bNew) <= lossLook+lin+quad/(2*step)+1e-12 {
+			q := quad / (2 * step)
+			newLo, newHi := f.lossSum(wNew, bNew)
+			accept, certain := decide(lookLo, lookHi, f.trialLoss(newLo), f.trialLoss(newHi), lin, q)
+			if forceExact || !certain {
+				f.exactChecks++
+				if !lookExact {
+					lossLook, lookExact = f.lookLoss(f.exactSum(wLook, bLook)), true
+				}
+				accept = f.trialLoss(f.exactSum(wNew, bNew)) <= sufficient(lossLook, lin, q)
+			}
+			if accept {
 				break
 			}
 			step /= 2
@@ -336,60 +362,162 @@ func (f *solver) fit(opts Options) (float64, int) {
 	return b, iters
 }
 
-// margins sets f.m[i] = b + Σ_j x_ij·w_j, one column at a time over the
-// columns with a non-zero weight (after soft-thresholding, a handful).
+// sufficient is the right side of the backtracking test for a lookahead loss
+// l, with the reference's association: ((l + lin) + quad/2s) + 1e-12.
+func sufficient(l, lin, q float64) float64 { return l + lin + q + 1e-12 }
+
+// decide settles the backtracking test from brackets around the lookahead
+// and trial losses, where certain says it could. sufficient is
+// non-decreasing in the lookahead loss, so a trial bracket wholly at or below
+// sufficient(lookLo) accepts and one wholly above sufficient(lookHi)
+// rejects; anything straddling, and any NaN, is uncertain.
+func decide(lookLo, lookHi, newLo, newHi, lin, q float64) (accept, certain bool) {
+	switch {
+	case newHi <= sufficient(lookLo, lin, q):
+		return true, true
+	case newLo > sufficient(lookHi, lin, q):
+		return false, true
+	}
+	return false, false
+}
+
+// lookLoss and trialLoss scale a loss sum as the reference does at the
+// lookahead point (its gradient: sum·(1/n)) and at a trial point (its
+// smoothLoss: sum/n); the two can differ in the last bit.
+func (f *solver) lookLoss(sum float64) float64  { return sum * (1 / float64(len(f.m))) }
+func (f *solver) trialLoss(sum float64) float64 { return sum / float64(len(f.m)) }
+
+// margins sets f.m[i] = b + Σ_j x_ij·w_j over the columns with a non-zero
+// weight (after soft-thresholding, a handful), four at a time: the
+// left-associated m + x₀w₀ + x₁w₁ + x₂w₂ + x₃w₃ adds each row's terms in
+// ascending j, one rounding each, as a column at a time would.
 func (f *solver) margins(w []float64, b float64) {
 	for i := range f.m {
 		f.m[i] = b
 	}
-	for j, wj := range w {
-		if wj == 0 {
-			continue
+	for j := 0; j < len(w); {
+		var nz [4]int
+		k := 0
+		for ; j < len(w) && k < len(nz); j++ {
+			if w[j] != 0 {
+				nz[k] = j
+				k++
+			}
 		}
 		off := 0
 		for _, blk := range f.s.blocks {
 			m := f.m[off : off+blk.n]
-			for i, v := range blk.col(j)[:len(m)] {
-				m[i] += v * wj
-			}
 			off += blk.n
+			if k == len(nz) {
+				c0, c1, c2, c3 := blk.col(nz[0])[:len(m)], blk.col(nz[1])[:len(m)], blk.col(nz[2])[:len(m)], blk.col(nz[3])[:len(m)]
+				w0, w1, w2, w3 := w[nz[0]], w[nz[1]], w[nz[2]], w[nz[3]]
+				for i := range m {
+					m[i] = m[i] + c0[i]*w0 + c1[i]*w1 + c2[i]*w2 + c3[i]*w3
+				}
+				continue
+			}
+			for _, jj := range nz[:k] {
+				wj := w[jj]
+				for i, v := range blk.col(jj)[:len(m)] {
+					m[i] += v * wj
+				}
+			}
 		}
 	}
 }
 
-// loss evaluates only the smooth logistic loss at (w, b).
-func (f *solver) loss(w []float64, b float64) float64 {
-	f.margins(w, b)
-	loss := 0.0
-	for i, m := range f.m {
-		loss += logistic(f.z[i] * m)
+// chunkRows is how many 1+e factors, each in [1, 2], one product takes
+// before its logarithm is added: the product stays below 2⁶⁴, so it neither
+// overflows nor carries more than 127 roundings.
+const chunkRows = 64
+
+// certMax caps a certified loss sum far below overflow, so that no partial
+// sum of the reference's can overflow either.
+const certMax = 0x1p1000
+
+// bracket turns the fast loss sum's parts into an interval around the
+// reference's sum of n row terms (exactSum): a = Σ max(0, −zm) in row order
+// and lg = Σ Log(P_c) over the chunks' products P_c of 1 + exp(−|zm|). With
+// u = 2⁻⁵³ and C chunks, |exactSum − (a + lg)| ≤ (2n + C + 8)·u·(a + lg) +
+// 130·C·u (DESIGN.md, "decisions, not values", derives it); the radius is
+// twice that, which also covers the rounding of this arithmetic. A sum that
+// is NaN, infinite or near overflow comes back as NaN bounds, which decide
+// nothing.
+func bracket(a, lg float64, n int) (lo, hi float64) {
+	const u = 0x1p-53
+	c := (n + chunkRows - 1) / chunkRows
+	s := a + lg
+	r := 2 * (float64(2*n+c+8)*u*s + float64(130*c)*u)
+	if !(s+r <= certMax) {
+		return math.NaN(), math.NaN()
 	}
-	return loss / float64(len(f.m))
+	return s - r, s + r
 }
 
-// gradient computes the smooth logistic loss at (w, b) and writes its weight
-// gradient into f.gradW, returning (loss, biasGradient).
-func (f *solver) gradient(w []float64, b float64) (float64, float64) {
+// exactSum is the reference's loss sum at (w, b): each row's log1p term
+// added in row order. It runs only when the brackets cannot decide a
+// backtracking test.
+func (f *solver) exactSum(w []float64, b float64) float64 {
 	f.margins(w, b)
-	loss, gradB := 0.0, 0.0
+	sum := 0.0
 	for i, m := range f.m {
-		// log(1+exp(-zm)) and its derivative -z·σ(-zm) from one exp(-|zm|).
-		z := f.z[i]
-		zm := z * m
-		var sig float64
-		if zm > 0 {
-			e := math.Exp(-zm)
-			loss += math.Log1p(e)
-			sig = e / (1 + e)
-		} else {
-			e := math.Exp(zm)
-			loss += -zm + math.Log1p(e)
-			sig = 1 / (1 + e)
-		}
-		g := -z * sig
-		gradB += g
-		f.g[i] = g
+		sum += logistic(f.z[i] * m)
 	}
+	return sum
+}
+
+// lossSum brackets the loss sum at (w, b), as gradient does without the
+// gradient: log(1+exp(−zm)) = max(0, −zm) + log1p(exp(−|zm|)), and the
+// log1p terms of a chunk become one Log of the product of their 1 + exp.
+func (f *solver) lossSum(w []float64, b float64) (lo, hi float64) {
+	f.margins(w, b)
+	a, lg := 0.0, 0.0
+	for c := 0; c < len(f.m); c += chunkRows {
+		end := min(c+chunkRows, len(f.m))
+		z, m := f.z[c:end], f.m[c:end]
+		p := 1.0
+		for i, zi := range z {
+			if zm := zi * m[i]; zm > 0 {
+				p *= 1 + math.Exp(-zm)
+			} else {
+				a += -zm
+				p *= 1 + math.Exp(zm)
+			}
+		}
+		lg += math.Log(p)
+	}
+	return bracket(a, lg, len(f.m))
+}
+
+// gradient writes the weight gradient at (w, b) into f.gradW and returns a
+// bracket around the loss sum there (as lossSum) and the bias gradient.
+func (f *solver) gradient(w []float64, b float64) (lo, hi, gradB float64) {
+	f.margins(w, b)
+	a, lg := 0.0, 0.0
+	for c := 0; c < len(f.m); c += chunkRows {
+		end := min(c+chunkRows, len(f.m))
+		z, m, g := f.z[c:end], f.m[c:end], f.g[c:end]
+		p := 1.0
+		for i, zi := range z {
+			// The loss term and its derivative -z·σ(-zm) from one exp(-|zm|).
+			zm := zi * m[i]
+			var e, sig float64
+			if zm > 0 {
+				e = math.Exp(-zm)
+				sig = e / (1 + e)
+			} else {
+				e = math.Exp(zm)
+				a += -zm
+				sig = 1 / (1 + e)
+			}
+			p *= 1 + e
+			gi := -zi * sig
+			gradB += gi
+			g[i] = gi
+		}
+		lg += math.Log(p)
+	}
+	lo, hi = bracket(a, lg, len(f.m))
 	inv := 1 / float64(len(f.m))
 
 	// gradW = Xᵀg/n: each column's dot product adds in row order; four
@@ -413,7 +541,7 @@ func (f *solver) gradient(w []float64, b float64) (float64, float64) {
 		}
 		gw[j], gw[j1], gw[j2], gw[j3] = s0*inv, s1*inv, s2*inv, s3*inv
 	}
-	return loss * inv, gradB * inv
+	return lo, hi, gradB * inv
 }
 
 // logistic returns log(1 + exp(-t)) computed stably.
@@ -545,8 +673,9 @@ func (f *solver) lambdaMax(pos int) float64 {
 }
 
 // PathStats describes one SelectTopK path: label-1 rows trained on,
-// penalties fitted (Steps), and their FISTA iterations in total.
-type PathStats struct{ Positives, Steps, Iters int }
+// penalties fitted (Steps), their FISTA iterations in total, and the
+// backtracking tests that fell back to the exact loss (ExactChecks).
+type PathStats struct{ Positives, Steps, Iters, ExactChecks int }
 
 // SelectTopK trains models along a decreasing regularization path until at
 // least k features have non-zero coefficients, then returns the k with the
@@ -591,6 +720,7 @@ func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 		st.Iters += m.Iters
 		active = len(m.Selected())
 	}
+	st.ExactChecks = f.exactChecks
 	m.Weights = append([]float64(nil), f.w...) // not a view into the scratch
 	return m.TopFeatures(k), m, st, nil
 }

@@ -6,7 +6,8 @@ import (
 	"fmt"
 )
 
-// gobQuantileTrack mirrors QuantileTrack for encoding.
+// gobQuantileTrack mirrors QuantileTrack for encoding: the epochs' rows
+// flat, one after another, whatever the block size.
 type gobQuantileTrack struct {
 	NumMetrics int
 	Data       []float64
@@ -15,10 +16,14 @@ type gobQuantileTrack struct {
 // GobEncode implements gob.GobEncoder, so traces holding tracks can be
 // persisted to disk.
 func (t *QuantileTrack) GobEncode() ([]byte, error) {
+	data := make([]float64, 0, t.epochs*t.numMetrics*NumQuantiles)
+	for e := 0; e < t.epochs; e++ {
+		data = append(data, t.row(e)...)
+	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(gobQuantileTrack{
 		NumMetrics: t.numMetrics,
-		Data:       t.data,
+		Data:       data,
 	})
 	if err != nil {
 		return nil, err
@@ -39,8 +44,12 @@ func (t *QuantileTrack) GobDecode(b []byte) error {
 		return fmt.Errorf("metrics: decoded track data length %d not a multiple of %d",
 			len(g.Data), g.NumMetrics*NumQuantiles)
 	}
-	t.numMetrics = g.NumMetrics
-	t.data = g.Data
+	*t = QuantileTrack{numMetrics: g.NumMetrics}
+	w := g.NumMetrics * NumQuantiles
+	t.grow(len(g.Data) / w)
+	for e := range t.epochs {
+		copy(t.row(e), g.Data[e*w:])
+	}
 	return nil
 }
 

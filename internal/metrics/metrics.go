@@ -77,12 +77,18 @@ func (c *Catalog) Index(name string) (int, bool) {
 }
 
 // QuantileTrack stores the tracked quantile values of every metric for a
-// contiguous range of epochs. Storage is flat: one float64 per
-// (epoch, metric, quantile).
+// contiguous range of epochs: one float64 per (epoch, metric, quantile), in
+// blocks of trackBlockEpochs epochs. A block is allocated whole and never
+// moves, so a long-lived track grows one block at a time instead of copying
+// itself into an ever larger slice.
 type QuantileTrack struct {
 	numMetrics int
-	data       []float64
+	epochs     int
+	blocks     [][]float64 // trackBlockEpochs rows each; the last partly used
 }
+
+// trackBlockEpochs is the number of epochs one block of a track holds.
+const trackBlockEpochs = 256
 
 // NewQuantileTrack returns an empty track for numMetrics metrics.
 func NewQuantileTrack(numMetrics int) (*QuantileTrack, error) {
@@ -96,8 +102,21 @@ func NewQuantileTrack(numMetrics int) (*QuantileTrack, error) {
 func (t *QuantileTrack) NumMetrics() int { return t.numMetrics }
 
 // NumEpochs reports how many epochs have been appended.
-func (t *QuantileTrack) NumEpochs() int {
-	return len(t.data) / (t.numMetrics * NumQuantiles)
+func (t *QuantileTrack) NumEpochs() int { return t.epochs }
+
+// row is epoch e's storage, which must exist.
+func (t *QuantileTrack) row(e int) []float64 {
+	w := t.numMetrics * NumQuantiles
+	off := e % trackBlockEpochs * w
+	return t.blocks[e/trackBlockEpochs][off : off+w : off+w]
+}
+
+// grow extends the track by n zeroed epochs.
+func (t *QuantileTrack) grow(n int) {
+	t.epochs += n
+	for len(t.blocks)*trackBlockEpochs < t.epochs {
+		t.blocks = append(t.blocks, make([]float64, trackBlockEpochs*t.numMetrics*NumQuantiles))
+	}
 }
 
 // AppendEpoch appends the quantile summary for the next epoch: one
@@ -106,9 +125,8 @@ func (t *QuantileTrack) AppendEpoch(summary [][3]float64) error {
 	if len(summary) != t.numMetrics {
 		return fmt.Errorf("metrics: summary has %d metrics, track expects %d", len(summary), t.numMetrics)
 	}
-	for _, s := range summary {
-		t.data = append(t.data, s[0], s[1], s[2])
-	}
+	t.grow(1)
+	t.setRow(t.epochs-1, summary)
 	return nil
 }
 
@@ -119,13 +137,13 @@ func (t *QuantileTrack) Grow(n int) error {
 	if n < 0 {
 		return fmt.Errorf("metrics: cannot grow track by %d epochs", n)
 	}
-	t.data = append(t.data, make([]float64, n*t.numMetrics*NumQuantiles)...)
+	t.grow(n)
 	return nil
 }
 
 // SetEpoch overwrites epoch e's quantile summary in place. Distinct epochs
-// may be written concurrently (the flat storage makes the writes disjoint);
-// the epoch must already exist (AppendEpoch or Grow).
+// may be written concurrently (they are disjoint rows of blocks that do not
+// move); the epoch must already exist (AppendEpoch or Grow).
 func (t *QuantileTrack) SetEpoch(e Epoch, summary [][3]float64) error {
 	if e < 0 || int(e) >= t.NumEpochs() {
 		return ErrEpochRange
@@ -133,13 +151,15 @@ func (t *QuantileTrack) SetEpoch(e Epoch, summary [][3]float64) error {
 	if len(summary) != t.numMetrics {
 		return fmt.Errorf("metrics: summary has %d metrics, track expects %d", len(summary), t.numMetrics)
 	}
-	base := int(e) * t.numMetrics * NumQuantiles
-	for m, s := range summary {
-		t.data[base+m*NumQuantiles] = s[0]
-		t.data[base+m*NumQuantiles+1] = s[1]
-		t.data[base+m*NumQuantiles+2] = s[2]
-	}
+	t.setRow(int(e), summary)
 	return nil
+}
+
+func (t *QuantileTrack) setRow(e int, summary [][3]float64) {
+	row := t.row(e)
+	for m, s := range summary {
+		copy(row[m*NumQuantiles:], s[:])
+	}
 }
 
 // ErrEpochRange is returned for out-of-range epoch accesses.
@@ -153,7 +173,7 @@ func (t *QuantileTrack) At(e Epoch, m, qi int) (float64, error) {
 	if m < 0 || m >= t.numMetrics || qi < 0 || qi >= NumQuantiles {
 		return 0, fmt.Errorf("metrics: index (m=%d, q=%d) out of range", m, qi)
 	}
-	return t.data[(int(e)*t.numMetrics+m)*NumQuantiles+qi], nil
+	return t.row(int(e))[m*NumQuantiles+qi], nil
 }
 
 // EpochRow returns all metric quantiles for epoch e as a flat slice of
@@ -163,8 +183,7 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 	if e < 0 || int(e) >= t.NumEpochs() {
 		return nil, ErrEpochRange
 	}
-	w := t.numMetrics * NumQuantiles
-	return t.data[int(e)*w : (int(e)+1)*w], nil
+	return t.row(int(e)), nil
 }
 
 // Aggregator turns raw per-machine metric samples for one epoch into the

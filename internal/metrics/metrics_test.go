@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 
 	"dcfp/internal/quantile"
@@ -67,6 +68,82 @@ func TestQuantileTrackRoundTrip(t *testing.T) {
 	for i := range want {
 		if row[i] != want[i] {
 			t.Fatalf("EpochRow = %v", row)
+		}
+	}
+}
+
+// TestQuantileTrackBlocksParallel grows a track across block boundaries,
+// fills it from concurrent writers (run it under -race), and requires every
+// epoch's row to read back — through At, EpochRow and a gob round trip into
+// the flat encoding — as written.
+func TestQuantileTrackBlocksParallel(t *testing.T) {
+	const nm, writers = 3, 4
+	tr, err := NewQuantileTrack(nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(e, m, qi int) float64 { return float64(e*100 + m*10 + qi) }
+	summary := func(e int) [][3]float64 {
+		s := make([][3]float64, nm)
+		for m := range s {
+			s[m] = [3]float64{val(e, m, 0), val(e, m, 1), val(e, m, 2)}
+		}
+		return s
+	}
+	for e := 0; e < trackBlockEpochs-2; e++ {
+		if err := tr.AppendEpoch(summary(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Grow straddles the first block boundary and fills a second block.
+	lo := tr.NumEpochs()
+	if err := tr.Grow(trackBlockEpochs + 5); err != nil {
+		t.Fatal(err)
+	}
+	n := tr.NumEpochs()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e := lo + w; e < n; e += writers {
+				if err := tr.SetEpoch(Epoch(e), summary(e)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := tr.AppendEpoch(summary(n)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := tr.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back QuantileTrack
+	if err := back.GobDecode(blob); err != nil {
+		t.Fatal(err)
+	}
+	if back.NumEpochs() != n+1 || tr.NumEpochs() != n+1 || len(tr.blocks) != 3 {
+		t.Fatalf("%d epochs, %d decoded, %d blocks; want %d, %d, 3", tr.NumEpochs(), back.NumEpochs(), len(tr.blocks), n+1, n+1)
+	}
+	for e := 0; e <= n; e++ {
+		row, err := tr.EpochRow(Epoch(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(row) != nm*NumQuantiles || cap(row) != len(row) {
+			t.Fatalf("epoch %d: row len %d cap %d", e, len(row), cap(row))
+		}
+		for m := 0; m < nm; m++ {
+			for qi := 0; qi < NumQuantiles; qi++ {
+				a, _ := tr.At(Epoch(e), m, qi)
+				b, _ := back.At(Epoch(e), m, qi)
+				if want := val(e, m, qi); a != want || b != want || row[m*NumQuantiles+qi] != want {
+					t.Fatalf("epoch %d metric %d q%d: At %v, EpochRow %v, decoded %v; want %v", e, m, qi, a, row[m*NumQuantiles+qi], b, want)
+				}
+			}
 		}
 	}
 }

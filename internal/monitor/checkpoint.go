@@ -239,8 +239,10 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.calm = s.Calm
 	m.fc.restore(s.Forecast)
 	// The restored store's fingerprint cache starts cold; reset the
-	// telemetry deltas so counters don't jump backward.
+	// telemetry deltas so counters don't jump backward. The threshold memo
+	// starts cold too.
 	m.lastCacheHits, m.lastCacheMiss = 0, 0
+	m.thrMemo = thresholdMemo{}
 	return f.Meta, nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -267,6 +268,8 @@ type Monitor struct {
 	// fingerprinters handed to the store so its fingerprint cache can tell
 	// discretization windows apart (0 = no thresholds yet, caching off).
 	thGen uint64
+	// thrMemo carries identify's threshold between advice epochs.
+	thrMemo thresholdMemo
 
 	// lastCacheHits/lastCacheMiss remember the store's cumulative cache
 	// stats so the telemetry counters advance by delta.
@@ -907,6 +910,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	sp.SetAttr("positives", int64(st.Positives))
 	sp.SetAttr("lambda_steps", int64(st.Steps))
 	sp.SetAttr("iters_total", int64(st.Iters))
+	sp.SetAttr("exact_checks", int64(st.ExactChecks))
 	sp.SetAttr("selected", int64(len(top)))
 	sp.End()
 	m.span(stageSelection, ts)
@@ -1172,11 +1176,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 	// accumulates the squared distance in the same element order as
 	// core.Distance — the decision value and its breakdown are one
 	// computation.
-	type candidate struct {
-		exp core.CandidateExplanation
-		fp  []float64
-	}
-	var cands []candidate
+	var cands []identCandidate
 	for j := 0; j < m.store.Len(); j++ {
 		c, err := m.store.Crisis(j)
 		if err != nil || c.Label == "" {
@@ -1191,7 +1191,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 			continue
 		}
 		exp.CrisisID, exp.Label = c.ID, c.Label
-		cands = append(cands, candidate{exp: exp, fp: fp})
+		cands = append(cands, identCandidate{exp: exp, fp: fp})
 	}
 	sp.SetAttr("candidates", int64(len(cands)))
 	if m.tel != nil {
@@ -1208,20 +1208,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		Emitted:    ident.Unknown,
 	}
 	if len(cands) > 0 {
-		var pairs []core.LabeledPair
-		for a := 0; a < len(cands); a++ {
-			for b := a + 1; b < len(cands); b++ {
-				d, err := core.Distance(cands[a].fp, cands[b].fp)
-				if err != nil {
-					continue
-				}
-				pairs = append(pairs, core.LabeledPair{Distance: d, Same: cands[a].exp.Label == cands[b].exp.Label})
-			}
-		}
-		thr, err := core.OnlineThreshold(pairs, m.cfg.Alpha)
-		if err != nil {
-			thr = 0 // fewer than two labeled crises: everything is unknown
-		}
+		thr := m.thrMemo.threshold(f, cands, m.cfg.Alpha)
 		// Nearest first; stable sort keeps store order on ties, matching the
 		// previous strictly-less scan.
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].exp.Distance < cands[j].exp.Distance })
@@ -1248,6 +1235,55 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 	p.expl = append(p.expl, expl)
 	sp.End()
 	return adv
+}
+
+// identCandidate is one labeled stored crisis identify compares against.
+type identCandidate struct {
+	exp core.CandidateExplanation
+	fp  []float64
+}
+
+// thresholdMemo remembers identify's threshold, §5.3's OnlineThreshold over
+// the labeled candidates' pairwise fingerprint distances. Those are a
+// function of the thresholds generation, the relevant set and the ordered
+// candidate (crisis ID, label) list, which stay put across most of a
+// crisis's advice epochs. A cache: never checkpointed, cleared on restore.
+type thresholdMemo struct {
+	gen      uint64
+	relevant []int
+	keys     []string // crisis ID, label, crisis ID, label, … in candidate order
+	thr      float64
+}
+
+// threshold returns the identification threshold over cands under f,
+// recomputing it only when the key differs from the remembered one.
+func (c *thresholdMemo) threshold(f *core.Fingerprinter, cands []identCandidate, alpha float64) float64 {
+	hit := c.keys != nil && c.gen == f.Generation() && slices.Equal(c.relevant, f.Relevant()) && len(c.keys) == 2*len(cands)
+	for i := 0; hit && i < len(cands); i++ {
+		hit = c.keys[2*i] == cands[i].exp.CrisisID && c.keys[2*i+1] == cands[i].exp.Label
+	}
+	if hit {
+		return c.thr
+	}
+	var pairs []core.LabeledPair
+	for a := 0; a < len(cands); a++ {
+		for b := a + 1; b < len(cands); b++ {
+			d, err := core.Distance(cands[a].fp, cands[b].fp)
+			if err != nil {
+				continue
+			}
+			pairs = append(pairs, core.LabeledPair{Distance: d, Same: cands[a].exp.Label == cands[b].exp.Label})
+		}
+	}
+	thr, err := core.OnlineThreshold(pairs, alpha)
+	if err != nil {
+		thr = 0 // fewer than two labeled crises: everything is unknown
+	}
+	c.gen, c.relevant, c.keys, c.thr = f.Generation(), append(c.relevant[:0], f.Relevant()...), c.keys[:0], thr
+	for _, cd := range cands {
+		c.keys = append(c.keys, cd.exp.CrisisID, cd.exp.Label)
+	}
+	return thr
 }
 
 // Explanations returns the identification audit records of crisis id in

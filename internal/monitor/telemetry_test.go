@@ -203,8 +203,9 @@ func TestPerCrisisSelectionSpan(t *testing.T) {
 			for _, a := range sp.Attrs {
 				attrs[a.Key] = a.Value
 			}
-			if len(attrs) != 5 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
-				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 {
+			checks, ok := attrs["exact_checks"]
+			if len(attrs) != 6 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
+				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 || !ok || checks < 0 {
 				t.Fatalf("epoch %d: selection span attrs %v", epoch, sp.Attrs)
 			}
 		}
