@@ -47,7 +47,7 @@ func main() {
 	var reg *telemetry.Registry
 	if *telAddr != "" {
 		reg = telemetry.NewRegistry()
-		srv, bound, err := telemetry.Serve(*telAddr, telemetry.Handler(reg, nil, nil))
+		srv, bound, err := telemetry.Serve(*telAddr, telemetry.NewHandler(reg, telemetry.Endpoints{}))
 		if err != nil {
 			log.Fatal(err)
 		}

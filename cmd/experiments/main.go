@@ -81,7 +81,7 @@ func main() {
 	var reg *telemetry.Registry
 	if *tel != "" {
 		reg = telemetry.NewRegistry()
-		srv, bound, err := telemetry.Serve(*tel, telemetry.Handler(reg, nil, nil))
+		srv, bound, err := telemetry.Serve(*tel, telemetry.NewHandler(reg, telemetry.Endpoints{}))
 		if err != nil {
 			log.Fatal(err)
 		}

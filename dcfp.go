@@ -39,12 +39,8 @@ import (
 	"log/slog"
 	"net/http"
 
-	"dcfp/internal/alert"
 	"dcfp/internal/core"
-	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
-	"dcfp/internal/evolution"
-	"dcfp/internal/fleet"
 	"dcfp/internal/forecast"
 	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
@@ -52,7 +48,6 @@ import (
 	"dcfp/internal/quantile"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
-	"dcfp/internal/tracefile"
 )
 
 // Version is the library version, exposed by dcfpd as dcfp_build_info.
@@ -60,9 +55,6 @@ const Version = "0.8.0"
 
 // Epoch indexes the 15-minute aggregation grid; see EpochDuration.
 type Epoch = metrics.Epoch
-
-// EpochDuration is the aggregation epoch length (15 minutes in the paper).
-const EpochDuration = metrics.EpochDuration
 
 // EpochsPerDay is the number of epochs per day (96).
 const EpochsPerDay = metrics.EpochsPerDay
@@ -87,18 +79,6 @@ func NewQuantileTrack(numMetrics int) (*QuantileTrack, error) {
 	return metrics.NewQuantileTrack(numMetrics)
 }
 
-// Matrix is a dense row-major epoch sample matrix (one row per machine, one
-// column per metric) backed by contiguous storage — the allocation-free
-// representation the simulator, fault injector, and monitor move epochs in.
-type Matrix = metrics.Matrix
-
-// NewMatrix allocates a zeroed rows x cols matrix.
-func NewMatrix(rows, cols int) *Matrix { return metrics.NewMatrix(rows, cols) }
-
-// MatrixPool recycles equally-shaped matrices so steady-state epoch loops
-// stop allocating.
-type MatrixPool = metrics.MatrixPool
-
 // Thresholds holds hot/cold boundaries per metric quantile (§3.3).
 type Thresholds = metrics.Thresholds
 
@@ -120,12 +100,6 @@ type SLAConfig = sla.Config
 
 // KPI is a key performance indicator with an SLA threshold.
 type KPI = sla.KPI
-
-// EpochStatus is the per-epoch SLA evaluation result.
-type EpochStatus = sla.EpochStatus
-
-// Episode is a contiguous run of crisis epochs.
-type Episode = sla.Episode
 
 // Fingerprinter builds epoch and crisis fingerprints from quantile rows.
 type Fingerprinter = core.Fingerprinter
@@ -196,12 +170,6 @@ type Monitor = monitor.Monitor
 // MonitorConfig assembles a Monitor.
 type MonitorConfig = monitor.Config
 
-// Advice is the per-epoch identification output during a crisis.
-type Advice = monitor.Advice
-
-// EpochReport is the result of feeding one epoch into the Monitor.
-type EpochReport = monitor.EpochReport
-
 // DefaultMonitorConfig returns the paper's online parameters.
 func DefaultMonitorConfig(cat *Catalog, slaCfg SLAConfig) MonitorConfig {
 	return monitor.DefaultConfig(cat, slaCfg)
@@ -237,89 +205,7 @@ func NewEventLog(l *slog.Logger) *EventLog { return telemetry.NewEventLog(l) }
 // /crises and /debug/pprof. The health and crises functions are optional
 // JSON payload providers (nil = default health, 404 crises).
 func TelemetryHandler(reg *TelemetryRegistry, health func() any, crises func() any) http.Handler {
-	return telemetry.Handler(reg, health, crises)
-}
-
-// TelemetryEndpoints wires JSON payload providers into the observability
-// handler: health, crises, traces, the accuracy scoreboard, and per-crisis
-// explanations. Nil providers 404.
-type TelemetryEndpoints = telemetry.Endpoints
-
-// NewTelemetryHandler is TelemetryHandler plus the decision-tracing routes
-// /traces, /accuracy and /explain/{crisisID}.
-func NewTelemetryHandler(reg *TelemetryRegistry, ep TelemetryEndpoints) http.Handler {
-	return telemetry.NewHandler(reg, ep)
-}
-
-// Tracer records one bounded ring of per-epoch pipeline traces; attach one
-// via MonitorConfig.Tracer. A nil Tracer disables tracing at zero cost —
-// every span call on the nil chain is an allocation-free no-op.
-type Tracer = telemetry.Tracer
-
-// NewTracer returns a tracer retaining the capacity most recent traces
-// (capacity < 1 returns nil: tracing disabled).
-func NewTracer(capacity int) *Tracer { return telemetry.NewTracer(capacity) }
-
-// TraceSnapshot is one completed trace: the stage spans of a single epoch's
-// journey through ingest → filter → summarize → fingerprint → match → advise.
-type TraceSnapshot = telemetry.TraceSnapshot
-
-// SpanSnapshot is one completed stage span within a TraceSnapshot.
-type SpanSnapshot = telemetry.SpanSnapshot
-
-// Explanation is the audit record attached to Advice: per-candidate distance
-// breakdowns, the relevant set and threshold generation used, the α
-// threshold compared against, and the stability vote sequence (§4–5).
-type Explanation = ident.Explanation
-
-// CandidateExplanation decomposes one candidate's L2 distance into its
-// top-k per-metric-quantile contributions plus a residual.
-type CandidateExplanation = core.CandidateExplanation
-
-// Contribution is one signed (metric, quantile) term of a squared distance.
-type Contribution = core.Contribution
-
-// Scoreboard is the live identification-accuracy ledger: operator feedback
-// in, rolling confusion matrix, known/unknown accuracy, time-to-stable-
-// identification histogram and per-type recall out (dcfp_ident_* metrics).
-type Scoreboard = monitor.Scoreboard
-
-// NewScoreboard builds a scoreboard, optionally exporting dcfp_ident_*
-// metrics into reg (nil disables the export, never the ledger).
-func NewScoreboard(reg *TelemetryRegistry) *Scoreboard { return monitor.NewScoreboard(reg) }
-
-// ScoreboardFeedback is one scored operator diagnosis.
-type ScoreboardFeedback = monitor.Feedback
-
-// ScoreboardState is the serializable scoreboard snapshot (the /accuracy
-// payload).
-type ScoreboardState = monitor.ScoreboardState
-
-// CheckpointMeta is caller-owned metadata stored alongside a Monitor
-// checkpoint (source position, opaque daemon state).
-type CheckpointMeta = monitor.CheckpointMeta
-
-// LoadCheckpoint restores the newest checkpoint in dir into mon. A missing
-// checkpoint is a clean cold start (ok=false, nil error); a corrupt one is
-// an error with mon untouched.
-func LoadCheckpoint(dir string, mon *Monitor) (CheckpointMeta, bool, error) {
-	return monitor.LoadCheckpoint(dir, mon)
-}
-
-// Ingestor sequences a possibly duplicated/reordered epoch stream in front
-// of a Monitor: duplicates drop, stragglers buffer inside a bounded reorder
-// window and replay in order, overdue epochs are declared lost.
-type Ingestor = monitor.Ingestor
-
-// IngestConfig tunes an Ingestor.
-type IngestConfig = monitor.IngestConfig
-
-// DefaultIngestConfig returns the default reorder window.
-func DefaultIngestConfig() IngestConfig { return monitor.DefaultIngestConfig() }
-
-// NewIngestor wraps a Monitor in an epoch sequencer.
-func NewIngestor(mon *Monitor, cfg IngestConfig) (*Ingestor, error) {
-	return monitor.NewIngestor(mon, cfg)
+	return telemetry.NewHandler(reg, telemetry.Endpoints{Health: health, Crises: crises})
 }
 
 // IdentificationEpochs is how many epochs identification runs per crisis.
@@ -333,9 +219,6 @@ type Trace = dcsim.Trace
 
 // DetectedCrisis pairs a detected episode with its ground-truth instance.
 type DetectedCrisis = dcsim.DetectedCrisis
-
-// DefaultSimConfig returns the paper-scale simulation configuration.
-func DefaultSimConfig(seed int64) SimConfig { return dcsim.DefaultConfig(seed) }
 
 // SmallSimConfig returns a fast test-scale simulation configuration.
 func SmallSimConfig(seed int64) SimConfig { return dcsim.SmallConfig(seed) }
@@ -357,38 +240,11 @@ func DefaultSimStreamConfig(seed int64) SimStreamConfig { return dcsim.DefaultSt
 // NewSimStream builds a continuous epoch stream.
 func NewSimStream(cfg SimStreamConfig) (*SimStream, error) { return dcsim.NewStream(cfg) }
 
-// FaultConfig tunes the telemetry-pipeline fault injector: machine dropout
-// stretches, NaN/Inf/spike cell corruption, duplicated/delayed/dropped/
-// truncated epochs. The zero value (plus a seed) is a clean passthrough.
-type FaultConfig = dcsim.FaultConfig
-
-// FaultInjector wraps a SimStream and corrupts its output reproducibly.
-type FaultInjector = dcsim.FaultInjector
-
-// FaultyEpoch is one emission of a FaultInjector: a source epoch index
-// (which may repeat, skip, or go backwards) plus its possibly corrupted
-// rows.
-type FaultyEpoch = dcsim.FaultyEpoch
-
-// DefaultFaultConfig returns mild real-world-ish fault rates.
-func DefaultFaultConfig(seed int64) FaultConfig { return dcsim.DefaultFaultConfig(seed) }
-
-// NewFaultInjector wraps a stream in a seeded fault injector.
-func NewFaultInjector(s *SimStream, cfg FaultConfig) (*FaultInjector, error) {
-	return dcsim.NewFaultInjector(s, cfg)
-}
-
 // StandardCatalog returns the simulator's ~100-metric catalog.
 func StandardCatalog() *Catalog { return dcsim.StandardCatalog() }
 
 // StandardSLA returns the simulator's KPI/SLA configuration.
 func StandardSLA(cat *Catalog) (SLAConfig, error) { return dcsim.StandardSLA(cat) }
-
-// CrisisType enumerates the crisis classes of the paper's Table 1.
-type CrisisType = crisis.Type
-
-// CrisisInstance is one injected ground-truth crisis.
-type CrisisInstance = crisis.Instance
 
 // Forecaster warns about impending crises of one type from pre-detection
 // fingerprints (the paper's §7 first future-work direction).
@@ -397,9 +253,6 @@ type Forecaster = forecast.Forecaster
 // ForecastConfig shapes forecaster training.
 type ForecastConfig = forecast.Config
 
-// ForecastEvaluation scores a forecaster against ground truth.
-type ForecastEvaluation = forecast.Evaluation
-
 // DefaultForecastConfig returns sensible forecaster settings.
 func DefaultForecastConfig() ForecastConfig { return forecast.DefaultConfig() }
 
@@ -407,164 +260,4 @@ func DefaultForecastConfig() ForecastConfig { return forecast.DefaultConfig() }
 // the detection epochs of its past occurrences.
 func TrainForecaster(f *Fingerprinter, track *QuantileTrack, detections []Epoch, cfg ForecastConfig) (*Forecaster, error) {
 	return forecast.Train(f, track, detections, cfg)
-}
-
-// EvolutionModel estimates the progress and remaining duration of an
-// ongoing crisis from past crises' fingerprint trajectories (§7, second
-// future-work direction).
-type EvolutionModel = evolution.Model
-
-// Trajectory is one resolved crisis's epoch-fingerprint sequence.
-type Trajectory = evolution.Trajectory
-
-// CrisisProgress is the evolution model's estimate for an ongoing crisis.
-type CrisisProgress = evolution.Progress
-
-// NewEvolutionModel returns an empty evolution model.
-func NewEvolutionModel() *EvolutionModel { return evolution.NewModel() }
-
-// ExtractTrajectory reads a resolved crisis's fingerprint trajectory out of
-// the quantile track.
-func ExtractTrajectory(f *Fingerprinter, track *QuantileTrack, id, label string, ep Episode) (Trajectory, error) {
-	return evolution.ExtractTrajectory(f, track, id, label, ep)
-}
-
-// LabeledCrisisSamples couples crisis feature-selection samples with the
-// operator diagnosis, for label-aware metric selection.
-type LabeledCrisisSamples = core.LabeledCrisisSamples
-
-// SelectDiscriminativeMetrics selects metrics that separate crisis *types*
-// from each other (§7, third future-work direction).
-func SelectDiscriminativeMetrics(pool []LabeledCrisisSamples, cfg SelectionConfig) ([]int, error) {
-	return core.SelectDiscriminativeMetrics(pool, cfg)
-}
-
-// SaveTrace persists a simulated trace to disk; LoadTrace reads it back.
-func SaveTrace(path string, tr *Trace) error { return tracefile.Save(path, tr) }
-
-// LoadTrace reads a trace written by SaveTrace.
-func LoadTrace(path string) (*Trace, error) { return tracefile.Load(path) }
-
-// MonitorForecastConfig tunes the Monitor's online forecast stage: the
-// fleet-level "crisis probability within Horizon epochs" signal built from
-// violation trends, near-violation counts, out-of-band pressure and trained
-// per-type forecasters (dcfp_forecast_* metrics; MonitorConfig.Forecast).
-type MonitorForecastConfig = monitor.ForecastConfig
-
-// DefaultMonitorForecastConfig returns the enabled forecast-stage defaults.
-func DefaultMonitorForecastConfig() MonitorForecastConfig { return monitor.DefaultForecastConfig() }
-
-// ForecastSnapshot is the forecast stage's per-epoch output on EpochReport
-// and (during crises) Advice: the risk score, its components, and the
-// warning-episode lifecycle fields the Scoreboard scores for lead time.
-type ForecastSnapshot = monitor.ForecastSnapshot
-
-// MaxForecastLead caps the lead-time credit (in epochs) one forecast
-// warning can earn in the scoreboard's TTI histogram.
-const MaxForecastLead = monitor.MaxForecastLead
-
-// History is a bounded time-series store over a TelemetryRegistry: every
-// Sample records each series' current value into per-series raw and coarse
-// rings, answering /api/history queries and the /dash sparkline page.
-type History = telemetry.History
-
-// HistoryConfig sizes a History's raw and coarse rings.
-type HistoryConfig = telemetry.HistoryConfig
-
-// HistoryPoint is one (epoch, value) sample in a history ring.
-type HistoryPoint = telemetry.HistoryPoint
-
-// SeriesHistory is one labeled series' retained samples, both tiers.
-type SeriesHistory = telemetry.SeriesHistory
-
-// DefaultHistoryConfig returns the default ring sizing.
-func DefaultHistoryConfig() HistoryConfig { return telemetry.DefaultHistoryConfig() }
-
-// NewHistory attaches a history store to a registry (nil registry = nil
-// store; a nil store's methods are no-ops).
-func NewHistory(reg *TelemetryRegistry, cfg HistoryConfig) *History {
-	return telemetry.NewHistory(reg, cfg)
-}
-
-// AlertRule is one declarative alerting rule (threshold, rate-of-change or
-// absence) evaluated each epoch against live registry values.
-type AlertRule = alert.Rule
-
-// AlertConfig assembles an AlertEngine.
-type AlertConfig = alert.Config
-
-// AlertEngine evaluates alert rules once per epoch with a pending → firing
-// → resolved lifecycle, exporting dcfp_alert_* metrics and notifying a
-// webhook hook on every transition.
-type AlertEngine = alert.Engine
-
-// AlertNotification describes one firing or resolution.
-type AlertNotification = alert.Notification
-
-// AlertSnapshot is the /alerts payload: every rule's current status.
-type AlertSnapshot = alert.Snapshot
-
-// NewAlertEngine validates the rules and builds an engine.
-func NewAlertEngine(cfg AlertConfig) (*AlertEngine, error) { return alert.New(cfg) }
-
-// DefaultAlertRules is the built-in rule set dcfpd installs when no rule
-// file is given: forecast early warning, active crisis, degraded ingestion,
-// stalled epochs.
-func DefaultAlertRules() []AlertRule { return alert.DefaultRules() }
-
-// LoadAlertRules reads and validates a JSON alert rule file.
-func LoadAlertRules(path string) ([]AlertRule, error) { return alert.LoadRules(path) }
-
-// FleetAssignment maps contiguous machine ranges onto aggregator shards.
-type FleetAssignment = fleet.Assignment
-
-// FleetRange is one shard's half-open machine interval within an assignment.
-type FleetRange = fleet.Range
-
-// StaticFleetAssignment splits machines evenly across shards in index order.
-func StaticFleetAssignment(machines, shards int) (FleetAssignment, error) {
-	return fleet.StaticAssignment(machines, shards)
-}
-
-// FleetAggregator is the shard-local tier of the distributed pipeline: it
-// runs filter and summarize over its machine range each epoch and encodes
-// the partial quantile-estimator state plus liveness masks into a wire
-// frame for the coordinator.
-type FleetAggregator = fleet.Aggregator
-
-// FleetAggregatorConfig assembles a FleetAggregator.
-type FleetAggregatorConfig = fleet.AggregatorConfig
-
-// NewFleetAggregator builds a shard aggregator.
-func NewFleetAggregator(cfg FleetAggregatorConfig) (*FleetAggregator, error) {
-	return fleet.NewAggregator(cfg)
-}
-
-// FleetCoordinator is the merge tier: it collects shard frames per epoch,
-// losslessly merges partial estimators and SLA counts, synthesizes
-// non-reporting machines for missing shards (surfacing them as sub-floor
-// coverage), and drives the wrapped Monitor exactly as single-node
-// ObserveEpoch would.
-type FleetCoordinator = fleet.Coordinator
-
-// FleetCoordinatorConfig assembles a FleetCoordinator.
-type FleetCoordinatorConfig = fleet.CoordinatorConfig
-
-// NewFleetCoordinator builds a coordinator over a Monitor.
-func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
-	return fleet.NewCoordinator(cfg)
-}
-
-// FleetCoordinatorState is the coordinator's checkpointable progress: merge
-// watermark, shard assignment, liveness, and per-shard epoch watermarks.
-type FleetCoordinatorState = fleet.CoordinatorState
-
-// FleetHarness runs an N-shard fleet in one process — full wire codec,
-// direct frame delivery — for tests and equivalence experiments.
-type FleetHarness = fleet.Harness
-
-// NewFleetHarness builds an in-process fleet over the given coordinator and
-// per-shard aggregator configurations.
-func NewFleetHarness(coordCfg FleetCoordinatorConfig, aggCfg FleetAggregatorConfig) (*FleetHarness, error) {
-	return fleet.NewHarness(coordCfg, aggCfg)
 }

@@ -138,10 +138,10 @@ func TestFingerprintCacheCoversAllCrises(t *testing.T) {
 	f, _ := NewFingerprinter(th, []int{0, 1})
 	f.SetGeneration(1)
 	// Fingerprints walks every crisis; the second sweep must be all hits.
-	if _, err := s.Fingerprints(f); err != nil {
+	if _, err := fingerprints(s, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fingerprints(f); err != nil {
+	if _, err := fingerprints(s, f); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := s.CacheStats(); h != 2 || m != 2 {

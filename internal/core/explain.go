@@ -136,24 +136,3 @@ func explanation(ss float64, top []Contribution) CandidateExplanation {
 		Residual:        ss - kept,
 	}
 }
-
-// ExplainStored is ExplainDistance against stored crisis i of the store:
-// the candidate fingerprint is read through the store's cache exactly as
-// Identify reads it, and the candidate's identity is filled in.
-func (s *Store) ExplainStored(i int, f *Fingerprinter, ongoing []float64, topK int) (CandidateExplanation, error) {
-	c, err := s.Crisis(i)
-	if err != nil {
-		return CandidateExplanation{}, err
-	}
-	fp, err := s.Fingerprint(i, f)
-	if err != nil {
-		return CandidateExplanation{}, err
-	}
-	exp, err := f.ExplainDistance(ongoing, fp, topK)
-	if err != nil {
-		return CandidateExplanation{}, err
-	}
-	exp.CrisisID = c.ID
-	exp.Label = c.Label
-	return exp, nil
-}

@@ -125,6 +125,8 @@ func TestExplainDistanceFullBreakdown(t *testing.T) {
 	}
 }
 
+// TestExplainStored explains an ongoing crisis against a stored one the way
+// identification does: the candidate fingerprint is read through the store.
 func TestExplainStored(t *testing.T) {
 	const n = 3
 	th := explainThresholds(t, n)
@@ -141,20 +143,17 @@ func TestExplainStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	ongoing := make([]float64, f.Size()) // all-normal ongoing crisis
-	exp, err := s.ExplainStored(0, f, ongoing, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.CrisisID != "crisis-001" || exp.Label != "db-overload" {
-		t.Fatalf("identity = %q/%q", exp.CrisisID, exp.Label)
-	}
-	// Stored crisis is hot on metric 0 (all +1) and cold on metric 1: the
-	// squared distance is 6, and the explanation must agree with the
-	// store's own fingerprint.
 	fp, err := s.Fingerprint(0, f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exp, err := f.ExplainDistance(ongoing, fp, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stored crisis is hot on metric 0 (all +1) and cold on metric 1: the
+	// squared distance is 6, and the explanation must agree with the
+	// distance between the fingerprints.
 	want, err := Distance(ongoing, fp)
 	if err != nil {
 		t.Fatal(err)

@@ -47,11 +47,11 @@ func TestStoreGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetGeneration(3)
-	want, err := s.Fingerprints(f)
+	want, err := fingerprints(s, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Fingerprints(f)
+	have, err := fingerprints(&got, f)
 	if err != nil {
 		t.Fatal(err)
 	}

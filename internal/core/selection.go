@@ -112,30 +112,35 @@ func SelectRelevantMetrics(pool []CrisisSamples, cfg SelectionConfig) ([]int, er
 	if len(pool) == 0 {
 		return nil, errors.New("core: empty crisis pool")
 	}
-	freq := map[int]int{}
-	rankSum := map[int]int{} // lower = appeared earlier in rankings
-	succeeded := 0
+	var rankings [][]int
 	for _, s := range pool {
 		top, err := PerCrisisMetrics(s, cfg.PerCrisisTopK)
 		if err != nil {
 			continue
 		}
-		succeeded++
+		rankings = append(rankings, top)
+	}
+	if len(rankings) == 0 {
+		return nil, errors.New("core: feature selection failed for every crisis in the pool")
+	}
+	cols := MostFrequent(rankings, cfg.NumRelevant)
+	sort.Ints(cols)
+	return cols, nil
+}
+
+// MostFrequent is the second step of §3.4 over per-crisis metric rankings
+// (each most relevant first): the n metrics selected for the most crises,
+// most frequent first. Ties in frequency go to the metric that ranked
+// earlier within its crises (lower rank sum), then to the lower column.
+func MostFrequent(rankings [][]int, n int) []int {
+	freq := map[int]int{}
+	rankSum := map[int]int{}
+	for _, top := range rankings {
 		for rank, m := range top {
 			freq[m]++
 			rankSum[m] += rank
 		}
 	}
-	if succeeded == 0 {
-		return nil, errors.New("core: feature selection failed for every crisis in the pool")
-	}
-	return mostFrequent(freq, rankSum, cfg.NumRelevant), nil
-}
-
-// mostFrequent is the second step of §3.4: the n metrics selected for the
-// most crises, in column order. Ties in frequency go to the metric that
-// ranked earlier within its crises (lower rank sum), then the lower column.
-func mostFrequent(freq, rankSum map[int]int, n int) []int {
 	cols := make([]int, 0, len(freq))
 	for m := range freq {
 		cols = append(cols, m)
@@ -153,7 +158,6 @@ func mostFrequent(freq, rankSum map[int]int, n int) []int {
 	if len(cols) > n {
 		cols = cols[:n]
 	}
-	sort.Ints(cols)
 	return cols
 }
 
@@ -202,9 +206,7 @@ func SelectDiscriminativeMetrics(pool []LabeledCrisisSamples, cfg SelectionConfi
 		return nil, errors.New("core: need crises of at least two labels to discriminate")
 	}
 
-	freq := map[int]int{}
-	rankSum := map[int]int{}
-	succeeded := 0
+	var rankings [][]int
 	for label, pos := range byLabel {
 		var x [][]float64
 		var y []int
@@ -225,14 +227,12 @@ func SelectDiscriminativeMetrics(pool []LabeledCrisisSamples, cfg SelectionConfi
 		if err != nil {
 			continue
 		}
-		succeeded++
-		for rank, m := range top {
-			freq[m]++
-			rankSum[m] += rank
-		}
+		rankings = append(rankings, top)
 	}
-	if succeeded == 0 {
+	if len(rankings) == 0 {
 		return nil, errors.New("core: discriminative selection failed for every label")
 	}
-	return mostFrequent(freq, rankSum, cfg.NumRelevant), nil
+	cols := MostFrequent(rankings, cfg.NumRelevant)
+	sort.Ints(cols)
+	return cols, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -236,5 +237,27 @@ func TestSelectDiscriminativeMetricsSkipsUnlabeled(t *testing.T) {
 		if m == 5 {
 			t.Fatalf("unlabeled crisis leaked into selection: %v", rel)
 		}
+	}
+}
+
+// TestMostFrequentOrder pins §3.4's ranking: frequency descending, then rank
+// sum ascending, then column, truncated to n and left in that order.
+func TestMostFrequentOrder(t *testing.T) {
+	rankings := [][]int{
+		{7, 3, 9},
+		{3, 7, 4},
+		{5, 3},
+	}
+	// 3: freq 3 (rank sum 1+0+1 = 2); 7: freq 2 (0+1 = 1); 9, 4 and 5 once,
+	// with rank sums 2, 2 and 0.
+	want := []int{3, 7, 5, 4, 9}
+	if got := MostFrequent(rankings, 10); !slices.Equal(got, want) {
+		t.Fatalf("MostFrequent = %v, want %v", got, want)
+	}
+	if got := MostFrequent(rankings, 2); !slices.Equal(got, want[:2]) {
+		t.Fatalf("MostFrequent(n=2) = %v, want %v", got, want[:2])
+	}
+	if got := MostFrequent(nil, 3); len(got) != 0 {
+		t.Fatalf("MostFrequent(nil) = %v", got)
 	}
 }

@@ -195,20 +195,6 @@ func (s *Store) Fingerprint(i int, f *Fingerprinter) ([]float64, error) {
 	return out, nil
 }
 
-// Fingerprints returns the fingerprints of all stored crises under f, in
-// storage order.
-func (s *Store) Fingerprints(f *Fingerprinter) ([][]float64, error) {
-	out := make([][]float64, s.Len())
-	for i := range out {
-		fp, err := s.Fingerprint(i, f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = fp
-	}
-	return out, nil
-}
-
 // CacheStats reports cumulative fingerprint-cache hits and misses (update
 // mode, generation-tagged fingerprinters only). A miss is a cacheable
 // computation that had to run; untagged calls count as neither.

@@ -29,7 +29,7 @@ func TestStoreAddAndFingerprint(t *testing.T) {
 			t.Fatalf("fp = %v", fp)
 		}
 	}
-	fps, err := s.Fingerprints(f)
+	fps, err := fingerprints(s, f)
 	if err != nil || len(fps) != 1 {
 		t.Fatalf("Fingerprints = %v, %v", fps, err)
 	}
@@ -199,4 +199,18 @@ func TestCaptureRows(t *testing.T) {
 	if _, err := CaptureRows(nil, 0, DefaultSummaryRange()); err == nil {
 		t.Fatal("want nil-track error")
 	}
+}
+
+// fingerprints returns the fingerprints of all stored crises under f, in
+// storage order.
+func fingerprints(s *Store, f *Fingerprinter) ([][]float64, error) {
+	out := make([][]float64, s.Len())
+	for i := range out {
+		fp, err := s.Fingerprint(i, f)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = fp
+	}
+	return out, nil
 }

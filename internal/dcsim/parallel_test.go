@@ -1,7 +1,12 @@
 package dcsim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dcfp/internal/metrics"
@@ -24,6 +29,13 @@ func TestSimulateSerialParallelEquivalence(t *testing.T) {
 	want, err := Simulate(serialCfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The serial trace itself is pinned, so a change to how epochs are
+	// aggregated or labelled cannot hide behind an equally changed
+	// parallel path.
+	const wantDigest = "8d85d1df03039c0a"
+	if got := traceDigest(want); got != wantDigest {
+		t.Fatalf("serial trace digest %s, want %s", got, wantDigest)
 	}
 
 	for _, workers := range []int{2, 3, 8} {
@@ -71,6 +83,55 @@ func TestSimulateSerialParallelEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// traceDigest hashes what Simulate computes from the generated rows: every
+// Track value's bits, each epoch's Status and InCrisis, and the retained
+// feature-selection rows with their violation labels, in epoch order.
+func traceDigest(tr *Trace) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	flag := func(b bool) {
+		if b {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for e := metrics.Epoch(0); int(e) < tr.NumEpochs(); e++ {
+		row, _ := tr.Track.EpochRow(e)
+		for _, v := range row {
+			put(math.Float64bits(v))
+		}
+		st := tr.Status[e]
+		for _, n := range st.ViolatingPerKPI {
+			put(uint64(n))
+		}
+		put(uint64(st.ViolatingAny))
+		put(uint64(st.Machines))
+		flag(st.InCrisis)
+		flag(tr.InCrisis[e])
+	}
+	fsEpochs := make([]int, 0, len(tr.fs))
+	for e := range tr.fs {
+		fsEpochs = append(fsEpochs, int(e))
+	}
+	sort.Ints(fsEpochs)
+	for _, e := range fsEpochs {
+		fse := tr.fs[metrics.Epoch(e)]
+		put(uint64(e))
+		for i, x := range fse.X {
+			for _, v := range x {
+				put(math.Float64bits(v))
+			}
+			flag(fse.Violating[i])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // TestSimulateParallelRace drives the parallel generator with more workers

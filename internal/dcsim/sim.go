@@ -154,12 +154,6 @@ type Trace struct {
 // NumEpochs reports the trace length.
 func (t *Trace) NumEpochs() int { return len(t.Status) }
 
-// FS returns the retained raw data for epoch e, if any.
-func (t *Trace) FS(e metrics.Epoch) (*FSEpoch, bool) {
-	f, ok := t.fs[e]
-	return f, ok
-}
-
 // simMetrics holds the simulator's pre-registered metric handles; nil when
 // no registry is attached (no clock reads happen then).
 type simMetrics struct {
@@ -371,8 +365,8 @@ func Simulate(cfg Config) (*Trace, error) {
 	fsOut := make([]*FSEpoch, numEpochs)
 
 	// genRange generates epochs [lo, hi) with worker-private scratch
-	// (aggregator, row matrix, summary buffer), writing results into the
-	// disjoint per-epoch slots of track/Status/InCrisis/fsOut.
+	// (aggregator, row matrix, summary buffer, masks), writing results into
+	// the disjoint per-epoch slots of track/Status/InCrisis/fsOut.
 	genRange := func(lo, hi int) error {
 		agg, err := metrics.NewAggregator(cat.Len(), func() quantile.Estimator { return quantile.NewExact() })
 		if err != nil {
@@ -381,6 +375,8 @@ func Simulate(cfg Config) (*Trace, error) {
 		mat := metrics.NewMatrix(cfg.Machines, len(specs))
 		rows := mat.RowViews()
 		summary := make([][3]float64, cat.Len())
+		reporting := make([]bool, cfg.Machines)
+		viol := make([]bool, cfg.Machines)
 		for e := lo; e < hi; e++ {
 			var t0 time.Time
 			if tel != nil {
@@ -415,19 +411,25 @@ func Simulate(cfg Config) (*Trace, error) {
 				}
 			}
 
-			// Aggregate quantiles and evaluate SLAs.
-			for m := 0; m < cfg.Machines; m++ {
-				if err := agg.Observe(rows[m]); err != nil {
-					return err
-				}
-			}
-			if err := agg.SummarizeInto(summary); err != nil {
+			// Aggregate quantiles and evaluate SLAs through the monitor's
+			// ingest path. A simulated epoch is complete, so a dropped
+			// cell or a metric without data is a generator bug, not a gap
+			// to carry over.
+			dropped, err := agg.ObserveBatchFiltered(0, rows, reporting)
+			if err != nil {
 				return err
+			}
+			gaps, err := agg.SummarizeInto(summary, nil)
+			if err != nil {
+				return err
+			}
+			if dropped > 0 || gaps > 0 {
+				return fmt.Errorf("dcsim: epoch %d: %d non-finite cells, %d metrics without data", e, dropped, gaps)
 			}
 			if err := track.SetEpoch(metrics.Epoch(e), summary); err != nil {
 				return err
 			}
-			status, err := slaCfg.Evaluate(rows)
+			status, err := slaCfg.EvaluateMasked(rows, viol, reporting)
 			if err != nil {
 				return err
 			}
@@ -442,7 +444,7 @@ func Simulate(cfg Config) (*Trace, error) {
 				for i := 0; i < cfg.FSMachines; i++ {
 					m := i * cfg.Machines / cfg.FSMachines
 					copy(fse.X[i], rows[m])
-					fse.Violating[i] = slaCfg.MachineViolates(rows[m])
+					fse.Violating[i] = viol[m]
 				}
 				fsOut[e] = fse
 			}

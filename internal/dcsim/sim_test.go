@@ -269,10 +269,6 @@ func TestFSSamplesMissingEpochs(t *testing.T) {
 func TestInstanceEpisodeMatching(t *testing.T) {
 	tr := testTrace(t)
 	for _, dc := range tr.DetectedCrises() {
-		ep, ok := tr.EpisodeForInstance(dc.Instance)
-		if !ok || ep != dc.Episode {
-			t.Fatalf("EpisodeForInstance(%s) = %+v, %v", dc.Instance.ID, ep, ok)
-		}
 		in, ok := tr.InstanceForEpisode(dc.Episode)
 		if !ok || in.ID != dc.Instance.ID {
 			t.Fatalf("InstanceForEpisode = %+v, %v", in, ok)

@@ -210,9 +210,6 @@ func (s *Stream) SLA() sla.Config { return s.sla }
 // Epoch returns the index the next call to Next will generate.
 func (s *Stream) Epoch() metrics.Epoch { return s.e }
 
-// Upcoming returns the next scheduled (or currently active) crisis instance.
-func (s *Stream) Upcoming() crisis.Instance { return *s.next }
-
 // scriptExhausted is the sentinel start epoch installed once a scripted
 // stream has consumed its last entry: far enough out that no realistic run
 // reaches it, small enough that End() cannot overflow.

@@ -36,17 +36,6 @@ func (t *Trace) InstanceForEpisode(ep sla.Episode) (crisis.Instance, bool) {
 	return crisis.Instance{}, false
 }
 
-// EpisodeForInstance returns the detected episode overlapping the injected
-// instance, if the crisis was detected at all.
-func (t *Trace) EpisodeForInstance(in crisis.Instance) (sla.Episode, bool) {
-	for _, ep := range t.Episodes {
-		if ep.Start <= in.End() && ep.End >= in.Start {
-			return ep, true
-		}
-	}
-	return sla.Episode{}, false
-}
-
 // DetectedCrises pairs every detected episode with its ground-truth
 // instance, in chronological order. Episodes with no matching instance
 // (spurious detections) are skipped.

@@ -336,12 +336,6 @@ func TestFigure1Grids(t *testing.T) {
 	}
 }
 
-func TestEpochMinutes(t *testing.T) {
-	if EpochMinutes(4) != 60 {
-		t.Fatalf("EpochMinutes(4) = %v", EpochMinutes(4))
-	}
-}
-
 func TestSettingString(t *testing.T) {
 	if SettingOffline.String() != "offline" || SettingOnline.String() != "online" ||
 		SettingQuasiOnline.String() != "quasi-online" {

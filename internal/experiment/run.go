@@ -9,7 +9,6 @@ import (
 	"dcfp/internal/core"
 	"dcfp/internal/crisis"
 	"dcfp/internal/ident"
-	"dcfp/internal/metrics"
 )
 
 // Setting selects one of the paper's three evaluation regimes (§4.4).
@@ -316,9 +315,4 @@ func chronoOrPermuted(n, run int, rng *rand.Rand) []int {
 		return out
 	}
 	return rng.Perm(n)
-}
-
-// EpochMinutes converts epochs to minutes, for reporting.
-func EpochMinutes(epochs int) float64 {
-	return float64(epochs) * metrics.EpochDuration.Minutes()
 }

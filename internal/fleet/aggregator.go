@@ -38,14 +38,14 @@ type AggregatorConfig struct {
 	// RetryBackoff is the initial retry/throttle sleep, doubling per
 	// attempt up to 32x with ±50% jitter (default 100 ms).
 	RetryBackoff time.Duration
-	// MaxElapsed bounds one Ship call's total wall clock across retries
+	// MaxElapsed bounds one ShipEpoch call's total wall clock across retries
 	// and throttle waits; past it the frame is abandoned (transport
 	// errors) or handed back throttled for the caller to buffer. Default
 	// 45 s; < 0 disables the deadline.
 	MaxElapsed time.Duration
 	// BreakerThreshold is how many consecutive transport failures (breaker
-	// state persists across Ship calls) open the circuit breaker, after
-	// which Ship fails fast with ErrBreakerOpen until BreakerCooldown
+	// state persists across ShipEpoch calls) open the circuit breaker, after
+	// which ShipEpoch fails fast with ErrBreakerOpen until BreakerCooldown
 	// admits a half-open probe. Default 5; < 0 disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker blocks before the next
@@ -92,7 +92,7 @@ type Aggregator struct {
 }
 
 // openShip is an observe_shard trace waiting on its ship outcome. Delivery
-// attempts and throttle waits accumulate across Ship calls (a buffered
+// attempts and throttle waits accumulate across ShipEpoch calls (a buffered
 // frame may be re-shipped several times before landing).
 type openShip struct {
 	tr        *telemetry.Trace
@@ -312,7 +312,7 @@ func (g *Aggregator) finishShip(e metrics.Epoch, ack *Ack, abandoned bool) {
 
 // NoteShipped closes epoch e's open observe_shard trace as delivered. The
 // in-process harnesses use it when they move frames to the coordinator
-// directly instead of through Ship.
+// directly instead of through ShipEpoch.
 func (g *Aggregator) NoteShipped(e metrics.Epoch) {
 	g.finishShip(e, &Ack{OK: true}, false)
 }
@@ -349,29 +349,26 @@ func (g *Aggregator) Bootstrap(ctx context.Context) (metrics.Epoch, error) {
 	return ack.Watermark, nil
 }
 
-// Ship delivers an encoded frame to the coordinator, retrying transport
-// errors with jittered exponential backoff and waiting out throttle acks,
-// all under the MaxElapsed wall-clock budget. It returns the final ack; an
-// ack with OK=false is returned without error — the coordinator rejected
-// the frame deliberately (or is still throttling at the deadline) and
-// retrying the same bytes cannot help. If the ack carries a newer
-// assignment it is adopted before returning.
+// ShipEpoch delivers the encoded frame of epoch e to the coordinator,
+// retrying transport errors with jittered exponential backoff and waiting
+// out throttle acks, all under the MaxElapsed wall-clock budget. It returns
+// the final ack; an ack with OK=false is returned without error — the
+// coordinator rejected the frame deliberately (or is still throttling at the
+// deadline) and retrying the same bytes cannot help. If the ack carries a
+// newer assignment it is adopted before returning.
 //
-// When the circuit breaker is open Ship fails fast with ErrBreakerOpen
+// When the circuit breaker is open ShipEpoch fails fast with ErrBreakerOpen
 // instead of attempting delivery: a partitioned shard degrades to local
 // buffering (the caller keeps the frame and retries next epoch) rather
 // than hot-looping against a dead link. Frames given up on after the
 // attempt or elapsed budget count toward dcfp_fleet_ship_abandoned_total.
-func (g *Aggregator) Ship(ctx context.Context, frame []byte) (*Ack, error) {
-	return g.ShipEpoch(ctx, -1, frame)
-}
-
-// ShipEpoch is Ship for a frame whose epoch the caller knows: in addition
-// to delivering, it accounts the delivery attempts and throttle waits on
-// the epoch's open observe_shard trace and closes it on a final outcome
-// (delivered, deliberately rejected, or abandoned). Transport failures
-// that leave the frame buffered for a later retry keep the trace open so
-// the eventual ship span covers the frame's whole time in flight.
+//
+// It also accounts the delivery attempts and throttle waits on the epoch's
+// open observe_shard trace (an epoch without one, such as -1, has none to
+// account) and closes it on a final outcome (delivered, deliberately
+// rejected, or abandoned). Transport failures that leave the frame buffered
+// for a later retry keep the trace open so the eventual ship span covers the
+// frame's whole time in flight.
 func (g *Aggregator) ShipEpoch(ctx context.Context, e metrics.Epoch, frame []byte) (*Ack, error) {
 	ot := g.open[e]
 	t0 := time.Now()
@@ -414,7 +411,7 @@ func (g *Aggregator) ShipEpoch(ctx context.Context, e metrics.Epoch, frame []byt
 			// flow control, not a failure — does not consume attempts, but
 			// it does consume the elapsed budget: at the deadline the
 			// throttle ack is handed back so the caller buffers the frame
-			// instead of camping in Ship.
+			// instead of camping in ShipEpoch.
 			g.brk.success()
 			if ot != nil {
 				ot.throttles++

@@ -7,7 +7,7 @@ import (
 	"dcfp/internal/telemetry"
 )
 
-// ErrBreakerOpen is returned by Ship when the shard's circuit breaker is
+// ErrBreakerOpen is returned by ShipEpoch when the shard's circuit breaker is
 // open: the coordinator has been unreachable for BreakerThreshold
 // consecutive attempts and the cooldown has not yet elapsed, so the shard
 // should keep the frame buffered locally instead of burning attempts

@@ -115,7 +115,7 @@ func TestShipAbandonsAfterMaxAttempts(t *testing.T) {
 		c.MaxAttempts = 3
 		c.BreakerThreshold = -1 // isolate the attempt budget
 	})
-	if _, err := g.Ship(context.Background(), []byte("frame")); err == nil {
+	if _, err := g.ShipEpoch(context.Background(), -1, []byte("frame")); err == nil {
 		t.Fatal("Ship succeeded against a dead coordinator")
 	}
 	if v, ok := reg.Value("dcfp_fleet_ship_abandoned_total"); !ok || v != 1 {
@@ -137,7 +137,7 @@ func TestShipAbandonsAtDeadline(t *testing.T) {
 		c.BreakerThreshold = -1
 	})
 	start := time.Now()
-	if _, err := g.Ship(context.Background(), []byte("frame")); err == nil {
+	if _, err := g.ShipEpoch(context.Background(), -1, []byte("frame")); err == nil {
 		t.Fatal("Ship succeeded against a dead coordinator")
 	}
 	if el := time.Since(start); el > 5*time.Second {
@@ -170,12 +170,12 @@ func TestShipBreakerFastFail(t *testing.T) {
 	})
 	// Two Ship calls × 2 attempts = 4 consecutive failures = threshold.
 	for i := 0; i < 2; i++ {
-		if _, err := g.Ship(context.Background(), []byte("frame")); err == nil {
+		if _, err := g.ShipEpoch(context.Background(), -1, []byte("frame")); err == nil {
 			t.Fatalf("call %d: Ship succeeded against a dead coordinator", i)
 		}
 	}
 	wire := hits.Load()
-	if _, err := g.Ship(context.Background(), []byte("frame")); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := g.ShipEpoch(context.Background(), -1, []byte("frame")); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Ship with open breaker returned %v, want ErrBreakerOpen", err)
 	}
 	if hits.Load() != wire {
@@ -186,7 +186,7 @@ func TestShipBreakerFastFail(t *testing.T) {
 	}
 	healthy.Store(true)
 	time.Sleep(25 * time.Millisecond) // let the cooldown elapse
-	ack, err := g.Ship(context.Background(), []byte("frame"))
+	ack, err := g.ShipEpoch(context.Background(), -1, []byte("frame"))
 	if err != nil || !ack.OK {
 		t.Fatalf("probe after heal: ack=%+v err=%v", ack, err)
 	}

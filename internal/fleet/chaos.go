@@ -338,7 +338,7 @@ func (ch *ChaosHarness) land(s scheduled) {
 		if ack.Assignment != nil && !ch.stopped[s.shard] {
 			ch.Aggregators[s.shard].Adopt(*ack.Assignment)
 		}
-		// Delivery bypassed Ship, so close the observe_shard trace here.
+		// Delivery bypassed ShipEpoch, so close the observe_shard trace here.
 		ch.Aggregators[s.shard].NoteShipped(s.epoch)
 	}
 }

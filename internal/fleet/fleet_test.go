@@ -396,10 +396,11 @@ func TestEpochFrameAfterErrorMatchesFresh(t *testing.T) {
 	if _, err := newAgg(tracer).EpochFrame(0, bad, nil); err == nil {
 		t.Fatal("want an error for a two-cell row in a three-metric fleet")
 	}
-	snap, ok := tracer.Latest()
-	if !ok || snap.Name != "observe_shard" {
-		t.Fatalf("failed epoch left no observe_shard trace in the ring (latest %+v, found %v)", snap, ok)
+	snaps := tracer.Snapshots()
+	if len(snaps) == 0 || snaps[0].Name != "observe_shard" {
+		t.Fatalf("failed epoch left no observe_shard trace in the ring (latest first: %+v)", snaps)
 	}
+	snap := snaps[0]
 	if !slices.Contains(snap.Attrs, telemetry.Attr{Key: "error", Value: 1}) {
 		t.Fatalf("failed epoch's trace carries no error attr: %+v", snap.Attrs)
 	}

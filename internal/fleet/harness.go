@@ -70,7 +70,7 @@ func (h *Harness) Step(e metrics.Epoch, rows [][]float64, active *crisis.Instanc
 		if ack.Assignment != nil {
 			g.Adopt(*ack.Assignment)
 		}
-		// Delivery bypassed Ship, so close the observe_shard trace here.
+		// Delivery bypassed ShipEpoch, so close the observe_shard trace here.
 		g.NoteShipped(e)
 	}
 	for h.Coordinator.Watermark() <= e {

@@ -78,7 +78,7 @@ func TestFleetHTTP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ack, err := g.Ship(ctx, frame)
+			ack, err := g.ShipEpoch(ctx, -1, frame)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestFleetHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := aggs[0].Ship(ctx, frame)
+	ack, err := aggs[0].ShipEpoch(ctx, -1, frame)
 	if err != nil {
 		t.Fatal(err)
 	}

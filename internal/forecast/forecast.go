@@ -117,9 +117,6 @@ func Train(f *core.Fingerprinter, track *metrics.QuantileTrack, detections []met
 	}, nil
 }
 
-// TrainedOn reports how many crises fed the centroid.
-func (fc *Forecaster) TrainedOn() int { return fc.trained }
-
 // Warns reports whether one epoch fingerprint looks like the hour before a
 // crisis of the trained type: closer (scaled by Margin) to the pre-crisis
 // centroid than to the all-normal state.

@@ -128,8 +128,8 @@ func TestForecastWarnsBeforeCrises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.TrainedOn() != 3 {
-		t.Fatalf("TrainedOn = %d", fc.TrainedOn())
+	if fc.trained != 3 {
+		t.Fatalf("trained on %d crises", fc.trained)
 	}
 	isEvaluable := func(e metrics.Epoch) bool {
 		for _, d := range dets {

@@ -584,18 +584,6 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	return sigmoid(s), nil
 }
 
-// Classify returns 1 when P(y=1|x) >= 0.5.
-func (m *Model) Classify(x []float64) (int, error) {
-	p, err := m.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	if p >= 0.5 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
 // Selected returns the indices of features with non-zero coefficients.
 func (m *Model) Selected() []int {
 	var out []int
@@ -636,22 +624,10 @@ func (m *Model) TopFeatures(k int) []int {
 	return out
 }
 
-// LambdaMax returns the smallest penalty that drives every coefficient to
+// lambdaMax returns the smallest penalty that drives every coefficient to
 // zero: the ∞-norm of the loss gradient at w=0 (with bias at the empirical
-// log-odds). Training with Lambda >= LambdaMax yields an all-zero weight
-// vector; useful as the top of a regularization path.
-func LambdaMax(x [][]float64, y []int) (float64, error) {
-	s, err := NewSamples(x, y)
-	if err != nil {
-		return 0, err
-	}
-	pos, err := s.positives()
-	if err != nil {
-		return 0, err
-	}
-	return newSolver(s).lambdaMax(pos), nil
-}
-
+// log-odds, pos of the labels being 1) — the top of SelectTopK's
+// regularization path.
 func (f *solver) lambdaMax(pos int) float64 {
 	n := float64(len(f.z))
 	p := float64(pos) / n

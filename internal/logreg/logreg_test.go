@@ -59,11 +59,11 @@ func TestTrainSeparableAccuracy(t *testing.T) {
 	}
 	correct := 0
 	for i := range x {
-		c, err := m.Classify(x[i])
+		p, err := m.Predict(x[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c == y[i] {
+		if (p >= 0.5) == (y[i] == 1) {
 			correct++
 		}
 	}
@@ -118,11 +118,24 @@ func TestSparsityIncreasesWithLambda(t *testing.T) {
 	}
 }
 
+// lambdaMax is the top of SelectTopK's regularization path over x, y.
+func lambdaMax(x [][]float64, y []int) (float64, error) {
+	s, err := NewSamples(x, y)
+	if err != nil {
+		return 0, err
+	}
+	pos, err := s.positives()
+	if err != nil {
+		return 0, err
+	}
+	return newSolver(s).lambdaMax(pos), nil
+}
+
 func TestLambdaMaxKillsAllWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := synth(rng, 300, 10, []float64{2}, 0)
 	std := standardizeCopy(x)
-	lmax, err := LambdaMax(std, y)
+	lmax, err := lambdaMax(std, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +151,10 @@ func TestLambdaMaxKillsAllWeights(t *testing.T) {
 }
 
 func TestLambdaMaxValidation(t *testing.T) {
-	if _, err := LambdaMax(nil, nil); err == nil {
+	if _, err := lambdaMax(nil, nil); err == nil {
 		t.Fatal("want error on empty")
 	}
-	if _, err := LambdaMax([][]float64{{1}}, []int{1}); err == nil {
+	if _, err := lambdaMax([][]float64{{1}}, []int{1}); err == nil {
 		t.Fatal("want error on one class")
 	}
 }
@@ -163,9 +176,6 @@ func TestPredictRangeAndDims(t *testing.T) {
 		}
 	}
 	if _, err := m.Predict([]float64{1}); err == nil {
-		t.Fatal("want dimension error")
-	}
-	if _, err := m.Classify([]float64{1}); err == nil {
 		t.Fatal("want dimension error")
 	}
 }

@@ -564,8 +564,8 @@ func TestOracleEntryPointsValidateFirst(t *testing.T) {
 		if _, _, err := SelectTopK(tc.x, tc.y, tc.k); !errors.Is(err, tc.want) {
 			t.Errorf("SelectTopK %s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		if _, err := LambdaMax(tc.x, tc.y); !errors.Is(err, tc.want) {
-			t.Errorf("LambdaMax %s: err = %v, want %v", tc.name, err, tc.want)
+		if _, err := lambdaMax(tc.x, tc.y); !errors.Is(err, tc.want) {
+			t.Errorf("lambdaMax %s: err = %v, want %v", tc.name, err, tc.want)
 		}
 		if _, err := Train(tc.x, tc.y, DefaultOptions(0.1)); !errors.Is(err, tc.want) {
 			t.Errorf("Train %s: err = %v, want %v", tc.name, err, tc.want)

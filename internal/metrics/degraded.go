@@ -111,11 +111,12 @@ func ScanBatchFiltered(rows [][]float64, width int, reporting []bool) (int, erro
 	return dropped, nil
 }
 
-// summarizeMetricLenient is summarizeMetric that tolerates a metric with no
-// observations this epoch: instead of failing the whole epoch it reports a
-// gap and falls back to prev[m] (the previous epoch's quantiles — last
-// observation carried forward), or zeros when no previous summary exists.
-func (a *Aggregator) summarizeMetricLenient(m int, prev [][3]float64) ([3]float64, bool, error) {
+// summarizeMetric merges metric m's shard estimators into shard 0, reads
+// the tracked quantiles, and resets every shard's estimator for the next
+// epoch. A metric with no observations this epoch is a gap, not an error: it
+// falls back to prev[m] (the previous epoch's quantiles — last observation
+// carried forward), or zeros when no previous summary exists.
+func (a *Aggregator) summarizeMetric(m int, prev [][3]float64) ([3]float64, bool, error) {
 	primary, err := a.mergeMetricShards(m)
 	if err != nil {
 		return [3]float64{}, false, err
@@ -134,24 +135,39 @@ func (a *Aggregator) summarizeMetricLenient(m int, prev [][3]float64) ([3]float6
 	return out, false, nil
 }
 
-// SummarizeLenient is Summarize that survives metrics nobody reported,
-// substituting prev (typically the previous epoch's summary; nil means
-// zeros) and reporting how many metrics needed the fallback.
-func (a *Aggregator) SummarizeLenient(prev [][3]float64) ([][3]float64, int, error) {
-	if prev != nil && len(prev) != a.NumMetrics() {
-		return nil, 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), a.NumMetrics())
+// SummarizeInto writes the epoch's per-metric tracked quantiles into out
+// (NumMetrics entries), merging any shards, and resets the aggregator for
+// the next epoch. It survives metrics nobody reported, substituting prev
+// (typically the previous epoch's summary; nil means zeros), and returns how
+// many metrics needed the fallback. A tight epoch loop reuses one out buffer
+// and allocates nothing.
+func (a *Aggregator) SummarizeInto(out, prev [][3]float64) (int, error) {
+	if len(out) != a.NumMetrics() {
+		return 0, fmt.Errorf("metrics: summary buffer has %d metrics, want %d", len(out), a.NumMetrics())
 	}
-	out := make([][3]float64, a.NumMetrics())
+	if prev != nil && len(prev) != a.NumMetrics() {
+		return 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), a.NumMetrics())
+	}
 	gaps := 0
 	for m := range out {
-		s, gap, err := a.summarizeMetricLenient(m, prev)
+		s, gap, err := a.summarizeMetric(m, prev)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if gap {
 			gaps++
 		}
 		out[m] = s
+	}
+	return gaps, nil
+}
+
+// SummarizeLenient is SummarizeInto into a fresh buffer.
+func (a *Aggregator) SummarizeLenient(prev [][3]float64) ([][3]float64, int, error) {
+	out := make([][3]float64, a.NumMetrics())
+	gaps, err := a.SummarizeInto(out, prev)
+	if err != nil {
+		return nil, 0, err
 	}
 	return out, gaps, nil
 }
@@ -172,7 +188,7 @@ func (a *Aggregator) SummarizeLenientParallel(workers int, prev [][3]float64) ([
 	out := make([][3]float64, n)
 	var gaps atomic.Int64
 	err := a.forEachMetric(workers, func(m int) error {
-		s, gap, err := a.summarizeMetricLenient(m, prev)
+		s, gap, err := a.summarizeMetric(m, prev)
 		if gap {
 			gaps.Add(1)
 		}

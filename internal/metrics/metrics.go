@@ -192,14 +192,14 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 //
 // An Aggregator may hold several shards — independent estimator sets that
 // concurrent workers feed without synchronization (one shard per worker).
-// Summarize merges shard estimators back into shard 0 before reading the
+// SummarizeInto merges shard estimators back into shard 0 before reading the
 // tracked quantiles, which requires the estimator to implement
 // quantile.Merger. With the exact estimator the sharded result is
 // byte-identical to serial insertion, since only the value multiset
 // matters.
 type Aggregator struct {
 	// shards[shard][metric]; shard 0 always exists and is the target of
-	// the serial Observe path.
+	// the serial path.
 	shards [][]quantile.Estimator
 	newEst func() quantile.Estimator
 	// scratch[shard] is that shard's batch-ingestion working memory;
@@ -314,19 +314,6 @@ func (a *Aggregator) Reset() {
 	}
 }
 
-// Observe records one machine's sample row (one value per metric) into
-// shard 0 — the serial path.
-func (a *Aggregator) Observe(row []float64) error {
-	ests := a.shards[0]
-	if len(row) != len(ests) {
-		return fmt.Errorf("metrics: row has %d values, want %d", len(row), len(ests))
-	}
-	for m, v := range row {
-		ests[m].Insert(v)
-	}
-	return nil
-}
-
 // mergeMetricShards folds metric m's shard estimators into shard 0 and
 // returns the merged primary estimator (resetting the drained shards).
 func (a *Aggregator) mergeMetricShards(m int) (quantile.Estimator, error) {
@@ -341,47 +328,4 @@ func (a *Aggregator) mergeMetricShards(m int) (quantile.Estimator, error) {
 		est.Reset()
 	}
 	return a.shards[0][m], nil
-}
-
-// summarizeMetric merges metric m's shard estimators into shard 0, reads
-// the tracked quantiles, and resets every shard's estimator for the next
-// epoch.
-func (a *Aggregator) summarizeMetric(m int) ([3]float64, error) {
-	primary, err := a.mergeMetricShards(m)
-	if err != nil {
-		return [3]float64{}, err
-	}
-	out, err := quantile.Summarize(primary)
-	if err != nil {
-		return out, fmt.Errorf("metrics: metric %d: %w", m, err)
-	}
-	primary.Reset()
-	return out, nil
-}
-
-// Summarize returns the per-metric tracked quantiles for the epoch (merging
-// any shards) and resets the aggregator for the next epoch.
-func (a *Aggregator) Summarize() ([][3]float64, error) {
-	out := make([][3]float64, a.NumMetrics())
-	if err := a.SummarizeInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SummarizeInto is Summarize writing into a caller-owned buffer of length
-// NumMetrics, so a tight epoch loop can reuse one buffer instead of
-// allocating per epoch.
-func (a *Aggregator) SummarizeInto(out [][3]float64) error {
-	if len(out) != a.NumMetrics() {
-		return fmt.Errorf("metrics: summary buffer has %d metrics, want %d", len(out), a.NumMetrics())
-	}
-	for m := range out {
-		s, err := a.summarizeMetric(m)
-		if err != nil {
-			return err
-		}
-		out[m] = s
-	}
-	return nil
 }

@@ -181,13 +181,13 @@ func TestAggregatorExact(t *testing.T) {
 	}
 	// 5 machines, metric 0 = machine index, metric 1 = 10*index.
 	for i := 0; i < 5; i++ {
-		if err := a.Observe([]float64{float64(i), float64(10 * i)}); err != nil {
+		if _, err := a.ObserveBatchFiltered(0, [][]float64{{float64(i), float64(10 * i)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s, err := a.Summarize()
-	if err != nil {
-		t.Fatal(err)
+	s := make([][3]float64, 2)
+	if gaps, err := a.SummarizeInto(s, nil); err != nil || gaps != 0 {
+		t.Fatalf("SummarizeInto: gaps %d, err %v", gaps, err)
 	}
 	if s[0][1] != 2 { // median of 0..4
 		t.Fatalf("median metric0 = %v", s[0][1])
@@ -195,9 +195,9 @@ func TestAggregatorExact(t *testing.T) {
 	if s[1][1] != 20 {
 		t.Fatalf("median metric1 = %v", s[1][1])
 	}
-	// After Summarize the estimators are reset.
-	if _, err := a.Summarize(); err == nil {
-		t.Fatal("Summarize on reset aggregator should error (no data)")
+	// After SummarizeInto the estimators are reset: every metric is a gap.
+	if gaps, err := a.SummarizeInto(s, nil); err != nil || gaps != 2 {
+		t.Fatalf("SummarizeInto on reset aggregator: gaps %d, err %v; want 2 gaps", gaps, err)
 	}
 }
 
@@ -209,8 +209,14 @@ func TestAggregatorValidation(t *testing.T) {
 		t.Fatal("want error on nil factory")
 	}
 	a, _ := NewAggregator(2, func() quantile.Estimator { return quantile.NewExact() })
-	if err := a.Observe([]float64{1}); err == nil {
+	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1}}, nil); err == nil {
 		t.Fatal("want row-length error")
+	}
+	if _, err := a.SummarizeInto(make([][3]float64, 1), nil); err == nil {
+		t.Fatal("want summary-buffer length error")
+	}
+	if _, err := a.SummarizeInto(make([][3]float64, 2), make([][3]float64, 1)); err == nil {
+		t.Fatal("want fallback length error")
 	}
 }
 

@@ -84,8 +84,10 @@ type checkpointPayload struct {
 	LastThresh metrics.Epoch
 	ThGen      uint64
 
+	// Checkpoints from older builds also carry LastSeen, a per-machine
+	// last-reporting-epoch table; gob skips fields the struct lacks, so
+	// they restore under version 1.
 	LastSummary   [][3]float64
-	LastSeen      []metrics.Epoch
 	Expected      int
 	DegradedCount int64
 	LastCoverage  float64
@@ -133,7 +135,6 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 			LastThresh:    m.lastThresh,
 			ThGen:         m.thGen,
 			LastSummary:   m.lastSummary,
-			LastSeen:      m.lastSeen,
 			Expected:      m.expected,
 			DegradedCount: m.degradedCount,
 			LastCoverage:  m.lastCoverage,
@@ -216,7 +217,6 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.lastThresh = s.LastThresh
 	m.thGen = s.ThGen
 	m.lastSummary = s.LastSummary
-	m.lastSeen = s.LastSeen
 	m.expected = s.Expected
 	m.degradedCount = s.DegradedCount
 	m.lastCoverage = s.LastCoverage
@@ -288,6 +288,14 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	}
 	if s.RingPos < 0 || s.RingPos >= m.cfg.RawPad {
 		return fmt.Errorf("monitor: checkpoint ring position %d out of [0, %d)", s.RingPos, m.cfg.RawPad)
+	}
+	// A slot's rows and violation flags are appended to a crisis's samples
+	// together, one label per row.
+	for i, rows := range s.RawRing {
+		if len(s.ViolRing[i]) != len(rows) {
+			return fmt.Errorf("monitor: checkpoint ring slot %d has %d violation flags for %d rows",
+				i, len(s.ViolRing[i]), len(rows))
+		}
 	}
 	// Sample rows (collected, or still in the ring) all become blocks of one
 	// catalog-wide buffer.

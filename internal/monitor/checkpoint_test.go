@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dcfp/internal/metrics"
 )
 
 // TestCheckpointRoundTripByteIdentical is the restore guarantee: run a
@@ -121,9 +123,6 @@ func TestCheckpointRoundTripByteIdentical(t *testing.T) {
 	if got, want := b.Crises(), a.Crises(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("crisis records diverge:\noriginal: %+v\nrestored: %+v", want, got)
 	}
-	if got, want := b.MachineLiveness(), a.MachineLiveness(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("liveness diverges:\noriginal: %v\nrestored: %v", want, got)
-	}
 }
 
 // TestCheckpointSaveLoadFile exercises the atomic file path: save, load
@@ -229,20 +228,31 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		}
 	}
 
-	// Sample rows of the wrong width would poison the open crisis's buffer.
-	var f checkpointFile
-	if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
-		t.Fatal(err)
-	}
-	slot := (f.State.RingPos + len(f.State.RawRing) - 1) % len(f.State.RawRing)
-	f.State.RawRing[slot][0] = f.State.RawRing[slot][0][:3]
-	narrow := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
-	if err := gob.NewEncoder(narrow).Encode(&f); err != nil {
-		t.Fatal(err)
-	}
-	fresh := equivMonitor(t, s, 1, nil)
-	if _, err := fresh.ReadCheckpoint(narrow); err == nil || fresh.Epoch() != 0 {
-		t.Fatalf("narrow ring row: restore err = %v, epoch %d; want an error and an untouched monitor", err, fresh.Epoch())
+	// Decoded payloads that gob accepts but the monitor must not: sample
+	// rows of the wrong width would poison the open crisis's buffer, and a
+	// ring slot with fewer violation flags than rows would panic the next
+	// detection when the slot's rows are labelled.
+	for name, corrupt := range map[string]func(*checkpointPayload, int){
+		"narrow ring row": func(p *checkpointPayload, slot int) {
+			p.RawRing[slot][0] = p.RawRing[slot][0][:3]
+		},
+		"misaligned ring slot": func(p *checkpointPayload, slot int) {
+			p.ViolRing[slot] = p.ViolRing[slot][:len(p.RawRing[slot])-1]
+		},
+	} {
+		var f checkpointFile
+		if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&f.State, (f.State.RingPos+len(f.State.RawRing)-1)%len(f.State.RawRing))
+		data := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
+		if err := gob.NewEncoder(data).Encode(&f); err != nil {
+			t.Fatal(err)
+		}
+		fresh := equivMonitor(t, s, 1, nil)
+		if _, err := fresh.ReadCheckpoint(data); err == nil || fresh.Epoch() != 0 {
+			t.Fatalf("%s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, fresh.Epoch())
+		}
 	}
 
 	// A corrupt on-disk checkpoint surfaces as an error (caller starts cold).
@@ -250,9 +260,89 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, CheckpointFileName), good[:len(good)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh = equivMonitor(t, s, 1, nil)
+	fresh := equivMonitor(t, s, 1, nil)
 	if _, ok, err := LoadCheckpoint(dir, fresh); err == nil || ok {
 		t.Fatalf("corrupt file load = (%v, %v), want error", ok, err)
+	}
+}
+
+// TestCheckpointRestoresLegacyLastSeen: checkpoints written while the
+// monitor kept a per-machine last-seen table carry a LastSeen payload field.
+// Gob skips it, so they restore under the same version, into a monitor that
+// saves back exactly what it would have written itself.
+func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
+	s := equivStream(t, 17)
+	m := equivMonitor(t, s, 1, nil)
+	for i := 0; i < 30; i++ {
+		rows, _, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ObserveEpoch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := m.WriteCheckpoint(&buf, CheckpointMeta{SourceEpoch: 29}); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	hdr := len(checkpointMagic) + 4
+	var f checkpointFile
+	if err := gob.NewDecoder(bytes.NewReader(good[hdr:])).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+
+	// The payload as an older build encoded it: every current field, plus
+	// LastSeen.
+	cur := reflect.ValueOf(f.State)
+	fields := make([]reflect.StructField, 0, cur.NumField()+1)
+	for i := 0; i < cur.NumField(); i++ {
+		fields = append(fields, cur.Type().Field(i))
+	}
+	fields = append(fields, reflect.StructField{Name: "LastSeen", Type: reflect.TypeOf([]metrics.Epoch(nil))})
+	state := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := 0; i < cur.NumField(); i++ {
+		state.Field(i).Set(cur.Field(i))
+	}
+	lastSeen := make([]metrics.Epoch, 40)
+	for i := range lastSeen {
+		lastSeen[i] = 29
+	}
+	state.Field(cur.NumField()).Set(reflect.ValueOf(lastSeen))
+	file := reflect.New(reflect.StructOf([]reflect.StructField{
+		{Name: "Meta", Type: reflect.TypeOf(f.Meta)},
+		{Name: "State", Type: state.Type()},
+	})).Elem()
+	file.Field(0).Set(reflect.ValueOf(f.Meta))
+	file.Field(1).Set(state)
+	legacy := bytes.NewBuffer(append([]byte(nil), good[:hdr]...))
+	if err := gob.NewEncoder(legacy).Encode(file.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	// The field is really on the wire.
+	back := reflect.New(file.Type())
+	if err := gob.NewDecoder(bytes.NewReader(legacy.Bytes()[hdr:])).Decode(back.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Elem().Field(1).FieldByName("LastSeen").Len(); got != len(lastSeen) {
+		t.Fatalf("legacy payload carries %d LastSeen entries, want %d", got, len(lastSeen))
+	}
+
+	restored := equivMonitor(t, s, 1, nil)
+	meta, err := restored.ReadCheckpoint(legacy)
+	if err != nil {
+		t.Fatalf("legacy checkpoint: %v", err)
+	}
+	if meta.SourceEpoch != 29 || restored.Epoch() != 30 {
+		t.Fatalf("restored source=%d epoch=%d, want 29/30", meta.SourceEpoch, restored.Epoch())
+	}
+	var again bytes.Buffer
+	if err := restored.WriteCheckpoint(&again, meta); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), good) {
+		t.Fatal("a monitor restored from a legacy checkpoint saves different bytes")
 	}
 }
 

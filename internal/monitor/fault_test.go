@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -267,25 +268,29 @@ func TestZeroReportingEpochAlwaysDegraded(t *testing.T) {
 	}
 }
 
-// TestMachineLivenessTracksDropout: lastSeen follows which machines
-// reported.
+// TestMachineLivenessTracksDropout: the per-epoch reporting mask follows
+// which machines delivered a finite sample — a machine with no row and one
+// whose row is all NaN both drop out of the epoch's coverage.
 func TestMachineLivenessTracksDropout(t *testing.T) {
 	m := coverageMonitor(t, 0)
 	rows := calmRows(5)
-	if _, err := m.ObserveEpoch(rows); err != nil {
+	rep, err := m.ObserveEpoch(rows)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Coverage != 1 {
+		t.Fatalf("full epoch coverage = %v, want 1", rep.Coverage)
 	}
 	rows[3] = nil
 	rows[4] = []float64{math.NaN(), math.NaN(), math.NaN()}
-	if _, err := m.ObserveEpoch(rows); err != nil {
+	if rep, err = m.ObserveEpoch(rows); err != nil {
 		t.Fatal(err)
 	}
-	live := m.MachineLiveness()
-	want := []metrics.Epoch{1, 1, 1, 0, 0}
-	for i := range want {
-		if live[i] != want[i] {
-			t.Fatalf("liveness = %v, want %v", live, want)
-		}
+	if rep.Coverage != 0.6 {
+		t.Fatalf("coverage with two machines out = %v, want 0.6", rep.Coverage)
+	}
+	if want := []bool{true, true, true, false, false}; !slices.Equal(m.reportBuf[:5], want) {
+		t.Fatalf("reporting mask = %v, want %v", m.reportBuf[:5], want)
 	}
 }
 

@@ -215,11 +215,9 @@ type Monitor struct {
 	lastThresh metrics.Epoch
 
 	// Degraded-ingestion state: the previous epoch's quantile summary (the
-	// carry-forward source for metrics nobody reported), the last epoch each
-	// machine delivered a finite value (-1 = never), the learned or
+	// carry-forward source for metrics nobody reported), the learned or
 	// configured machine-count denominator, and running degradation stats.
 	lastSummary   [][3]float64
-	lastSeen      []metrics.Epoch
 	expected      int
 	degradedCount int64
 	lastCoverage  float64
@@ -527,7 +525,7 @@ func (m *Monitor) ObserveEpoch(samples [][]float64) (*EpochReport, error) {
 // even when err != nil.
 func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metrics.Matrix, copies [][]float64, viol, reporting []bool, status sla.EpochStatus, summary [][3]float64, dropped, gaps, workers int) (rep *EpochReport, retained bool, err error) {
 	m.lastSummary = summary
-	reportCount := m.noteLiveness(reporting)
+	reportCount := countReporting(reporting)
 	coverage := 0.0
 	if m.expected > 0 {
 		coverage = float64(reportCount) / float64(m.expected)
@@ -678,17 +676,12 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 	return rep, retained, nil
 }
 
-// noteLiveness records which machines reported this epoch into the
-// per-machine last-seen table and returns the reporting count.
-func (m *Monitor) noteLiveness(reporting []bool) int {
-	for len(m.lastSeen) < len(reporting) {
-		m.lastSeen = append(m.lastSeen, -1)
-	}
+// countReporting returns how many machines reported this epoch.
+func countReporting(reporting []bool) int {
 	count := 0
-	for i, r := range reporting {
+	for _, r := range reporting {
 		if r {
 			count++
-			m.lastSeen[i] = m.epoch
 		}
 	}
 	return count
@@ -1058,14 +1051,6 @@ func (m *Monitor) Crises() []CrisisRecord {
 	return out
 }
 
-// MachineLiveness returns, per machine index, the last epoch at which the
-// machine delivered at least one finite sample (-1 if never). The slice is
-// a copy sized to the widest epoch observed so far. Same single-goroutine
-// contract as Stats.
-func (m *Monitor) MachineLiveness() []metrics.Epoch {
-	return append([]metrics.Epoch(nil), m.lastSeen...)
-}
-
 func (m *Monitor) refreshThresholds(e metrics.Epoch) error {
 	// Normal epochs are crisis-free AND fully covered: a degraded epoch's
 	// quantiles describe whatever sliver of machines reported, not the
@@ -1092,20 +1077,13 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 	if m.thresholds == nil {
 		return nil, errors.New("monitor: thresholds not yet established")
 	}
-	freq := map[int]int{}
-	rank := map[int]int{}
-	pool := 0
-	for i := len(m.past) - 1; i >= 0 && pool < m.cfg.CrisisPool; i-- {
-		if m.past[i].top == nil {
-			continue
-		}
-		pool++
-		for r, col := range m.past[i].top {
-			freq[col]++
-			rank[col] += r
+	var rankings [][]int
+	for i := len(m.past) - 1; i >= 0 && len(rankings) < m.cfg.CrisisPool; i-- {
+		if m.past[i].top != nil {
+			rankings = append(rankings, m.past[i].top)
 		}
 	}
-	if pool == 0 {
+	if len(rankings) == 0 {
 		// No crisis history yet: fall back to the all-metrics
 		// fingerprint until the first crisis's feature selection lands.
 		f, err := core.NewFingerprinter(m.thresholds, core.AllMetrics(m.cfg.Catalog.Len()))
@@ -1115,24 +1093,9 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 		f.SetGeneration(m.thGen)
 		return f, nil
 	}
-	cols := make([]int, 0, len(freq))
-	for c := range freq {
-		cols = append(cols, c)
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		a, b := cols[i], cols[j]
-		if freq[a] != freq[b] {
-			return freq[a] > freq[b]
-		}
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
-		}
-		return a < b
-	})
-	if len(cols) > m.cfg.Selection.NumRelevant {
-		cols = cols[:m.cfg.Selection.NumRelevant]
-	}
-	f, err := core.NewFingerprinter(m.thresholds, cols)
+	// The relevant set stays in frequency order: fingerprints are laid out
+	// in it, so another order would change the bits of every distance sum.
+	f, err := core.NewFingerprinter(m.thresholds, core.MostFrequent(rankings, m.cfg.Selection.NumRelevant))
 	if err != nil {
 		return nil, err
 	}

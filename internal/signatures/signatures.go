@@ -126,15 +126,6 @@ func fitColumnRule(x [][]float64, y []int, col int) (columnRule, error) {
 	return columnRule{col: col, dir: math.Copysign(1, w), boundary: -mod.Bias / w}, nil
 }
 
-// Columns returns the metric-quantile columns in the model vocabulary.
-func (m *Model) Columns() []int {
-	out := make([]int, len(m.rules))
-	for i, r := range m.rules {
-		out[i] = r.col
-	}
-	return out
-}
-
 // EpochSignature maps one raw quantile row to the {-1, 0, +1} signature
 // under this model: +1 attributed, -1 in-model but unattributed, 0 out of
 // vocabulary.

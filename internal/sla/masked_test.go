@@ -2,6 +2,7 @@ package sla
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -16,31 +17,66 @@ func maskedConfig() Config {
 	}
 }
 
+// evaluateInto is the unmasked SLA evaluation, the reference EvaluateMasked
+// must reproduce on fully reporting, finite rows: every machine counts, and
+// viol[m] records whether row m breaks any KPI.
+func evaluateInto(c Config, values [][]float64, viol []bool) EpochStatus {
+	st := EpochStatus{
+		ViolatingPerKPI: make([]int, len(c.KPIs)),
+		Machines:        len(values),
+	}
+	for m, row := range values {
+		any := false
+		for i, k := range c.KPIs {
+			if row[k.Metric] > k.Threshold {
+				st.ViolatingPerKPI[i]++
+				any = true
+			}
+		}
+		if any {
+			st.ViolatingAny++
+		}
+		viol[m] = any
+	}
+	st.InCrisis = float64(st.ViolatingAny) >= c.CrisisFraction*float64(st.Machines)
+	return st
+}
+
 func TestEvaluateMaskedMatchesEvaluateIntoWhenAllReporting(t *testing.T) {
 	cfg := maskedConfig()
-	values := [][]float64{
+	cases := [][][]float64{{
 		{150, 10}, {90, 10}, {90, 60}, {90, 10}, {90, 10},
 		{90, 10}, {90, 10}, {90, 10}, {90, 10}, {90, 10},
+	}}
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 50; trial++ {
+		values := make([][]float64, 1+rng.Intn(60))
+		for i := range values {
+			values[i] = []float64{rng.Float64() * 120, rng.Float64() * 60}
+			if rng.Intn(8) == 0 {
+				values[i][rng.Intn(2)] = []float64{100, 50}[rng.Intn(2)] // on a threshold
+			}
+		}
+		cases = append(cases, values)
 	}
-	reporting := make([]bool, len(values))
-	for i := range reporting {
-		reporting[i] = true
-	}
-	violA := make([]bool, len(values))
-	violB := make([]bool, len(values))
-	want, err := cfg.EvaluateInto(values, violA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cfg.EvaluateMasked(values, violB, reporting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("masked status %+v, unmasked %+v", got, want)
-	}
-	if !reflect.DeepEqual(violA, violB) {
-		t.Fatalf("masked viol %v, unmasked %v", violB, violA)
+	for i, values := range cases {
+		reporting := make([]bool, len(values))
+		for i := range reporting {
+			reporting[i] = true
+		}
+		violA := make([]bool, len(values))
+		violB := make([]bool, len(values))
+		want := evaluateInto(cfg, values, violA)
+		got, err := cfg.EvaluateMasked(values, violB, reporting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: masked status %+v, unmasked %+v", i, got, want)
+		}
+		if !reflect.DeepEqual(violA, violB) {
+			t.Fatalf("case %d: masked viol %v, unmasked %v", i, violB, violA)
+		}
 	}
 }
 

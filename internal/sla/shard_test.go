@@ -24,8 +24,7 @@ func TestEvaluateIntoFillsFlags(t *testing.T) {
 		{50, 60},  // KPI 1
 		{150, 60}, // both, still one machine
 	}
-	viol := make([]bool, len(values))
-	st, err := c.EvaluateInto(values, viol)
+	st, viol, err := evaluate(c, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +35,17 @@ func TestEvaluateIntoFillsFlags(t *testing.T) {
 	if st.ViolatingAny != 3 || st.ViolatingPerKPI[0] != 2 || st.ViolatingPerKPI[1] != 2 {
 		t.Fatalf("status = %+v", st)
 	}
-	// The flags must match MachineViolates row by row.
-	for i, row := range values {
-		if viol[i] != c.MachineViolates(row) {
-			t.Fatalf("machine %d flag disagrees with MachineViolates", i)
-		}
+	// The flags must match the unmasked reference row by row.
+	refViol := make([]bool, len(values))
+	evaluateInto(c, values, refViol)
+	if !reflect.DeepEqual(viol, refViol) {
+		t.Fatalf("viol = %v, reference %v", viol, refViol)
 	}
 }
 
 func TestEvaluateIntoLengthMismatch(t *testing.T) {
 	c := shardTestConfig()
-	if _, err := c.EvaluateInto([][]float64{{1, 2}}, make([]bool, 2)); err == nil {
+	if _, err := c.EvaluateMasked([][]float64{{1, 2}}, make([]bool, 2), []bool{true}); err == nil {
 		t.Fatal("want viol-length error")
 	}
 }
@@ -60,7 +59,7 @@ func TestMergeStatusesMatchesWholeEvaluate(t *testing.T) {
 	for i := range values {
 		values[i] = []float64{rng.Float64() * 200, rng.Float64() * 100}
 	}
-	want, err := c.Evaluate(values)
+	want, _, err := evaluate(c, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestMergeStatusesMatchesWholeEvaluate(t *testing.T) {
 		n := len(values)
 		for w := 0; w < shards; w++ {
 			lo, hi := w*n/shards, (w+1)*n/shards
-			st, err := c.Evaluate(values[lo:hi])
+			st, _, err := evaluate(c, values[lo:hi])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +87,7 @@ func TestMergeStatusesCrisisRule(t *testing.T) {
 	c := shardTestConfig()
 	// Partial A: 1/2 violating (locally 50% >= 10% => in crisis).
 	// Partial B: 0/48 violating. Combined: 1/50 = 2% => no crisis.
-	a, err := c.Evaluate([][]float64{{150, 10}, {50, 10}})
+	a, _, err := evaluate(c, [][]float64{{150, 10}, {50, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestMergeStatusesCrisisRule(t *testing.T) {
 	for i := range clean {
 		clean[i] = []float64{50, 10}
 	}
-	b, err := c.Evaluate(clean)
+	b, _, err := evaluate(c, clean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,69 +66,17 @@ type EpochStatus struct {
 	InCrisis bool
 }
 
-// MachineViolates reports whether one machine's sample row breaks any KPI.
-func (c Config) MachineViolates(row []float64) bool {
-	for _, k := range c.KPIs {
-		if row[k.Metric] > k.Threshold {
-			return true
-		}
-	}
-	return false
-}
-
-// Evaluate applies the KPI SLAs to every machine's sample row for an epoch
-// (values[machine][metric]) and applies the crisis rule.
-func (c Config) Evaluate(values [][]float64) (EpochStatus, error) {
-	return c.EvaluateInto(values, nil)
-}
-
-// EvaluateInto is Evaluate that additionally records each machine's any-KPI
-// violation flag into viol[i] when viol is non-nil (it must then have
-// len(values) entries). It exists so the one pass over the samples serves
-// both the crisis rule and the per-machine labels that feature selection
-// consumes, and so sharded evaluation can fill disjoint segments of one
-// flag slice concurrently.
-func (c Config) EvaluateInto(values [][]float64, viol []bool) (EpochStatus, error) {
-	st := EpochStatus{
-		ViolatingPerKPI: make([]int, len(c.KPIs)),
-		Machines:        len(values),
-	}
-	if len(values) == 0 {
-		return st, errors.New("sla: no machines to evaluate")
-	}
-	if viol != nil && len(viol) != len(values) {
-		return st, fmt.Errorf("sla: viol has %d entries for %d machines", len(viol), len(values))
-	}
-	for m, row := range values {
-		any := false
-		for i, k := range c.KPIs {
-			if k.Metric >= len(row) {
-				return st, fmt.Errorf("sla: KPI %s metric %d outside row of %d", k.Name, k.Metric, len(row))
-			}
-			if row[k.Metric] > k.Threshold {
-				st.ViolatingPerKPI[i]++
-				any = true
-			}
-		}
-		if any {
-			st.ViolatingAny++
-		}
-		if viol != nil {
-			viol[m] = any
-		}
-	}
-	st.InCrisis = float64(st.ViolatingAny) >= c.CrisisFraction*float64(st.Machines)
-	return st, nil
-}
-
-// EvaluateMasked is EvaluateInto over only the machines whose reporting flag
-// is set: masked machines contribute to no counts (including the crisis-rule
-// denominator) and get viol[m] = false. Non-finite KPI samples on reporting
-// machines never count as violations — a corrupt +Inf latency is a telemetry
-// fault, not an SLA breach. With zero reporting machines there is no
-// evidence either way, so InCrisis is false; callers (the monitor) flag such
-// epochs as degraded instead. On fully reporting, finite input it returns
-// exactly what EvaluateInto returns.
+// EvaluateMasked applies the KPI SLAs to the sample rows of one epoch
+// (values[machine][metric]) whose reporting flag is set, and applies the
+// crisis rule. When viol is non-nil (len(values) entries) it also records
+// each machine's any-KPI violation flag — the per-machine labels feature
+// selection consumes — so one pass serves both. Masked machines contribute
+// to no counts (including the crisis-rule denominator) and get
+// viol[m] = false. Non-finite KPI samples on reporting machines never count
+// as violations — a corrupt +Inf latency is a telemetry fault, not an SLA
+// breach. With zero reporting machines there is no evidence either way, so
+// InCrisis is false; callers (the monitor) flag such epochs as degraded
+// instead. A sample above its threshold violates; one at it complies.
 func (c Config) EvaluateMasked(values [][]float64, viol, reporting []bool) (EpochStatus, error) {
 	st := EpochStatus{ViolatingPerKPI: make([]int, len(c.KPIs))}
 	if len(reporting) != len(values) {
@@ -242,19 +190,4 @@ func Episodes(inCrisis []bool, mergeGap, minLen int) []Episode {
 		}
 	}
 	return out
-}
-
-// NormalPredicate returns a predicate over epochs that is true exactly when
-// the epoch is not inside (or within pad epochs of) any episode. It is the
-// crisis-exclusion filter used when estimating hot/cold thresholds (§3.3)
-// and when selecting normal feature-selection samples (§3.4).
-func NormalPredicate(eps []Episode, pad int) func(metrics.Epoch) bool {
-	return func(t metrics.Epoch) bool {
-		for _, ep := range eps {
-			if t >= ep.Start-metrics.Epoch(pad) && t <= ep.End+metrics.Epoch(pad) {
-				return false
-			}
-		}
-		return true
-	}
 }

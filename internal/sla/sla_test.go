@@ -3,8 +3,6 @@ package sla
 import (
 	"math/rand"
 	"testing"
-
-	"dcfp/internal/metrics"
 )
 
 func cfg() Config {
@@ -42,15 +40,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// evaluate is EvaluateMasked with every machine reporting.
+func evaluate(c Config, values [][]float64) (EpochStatus, []bool, error) {
+	reporting := make([]bool, len(values))
+	for i := range reporting {
+		reporting[i] = true
+	}
+	viol := make([]bool, len(values))
+	st, err := c.EvaluateMasked(values, viol, reporting)
+	return st, viol, err
+}
+
 func TestMachineViolates(t *testing.T) {
 	c := cfg()
-	if c.MachineViolates([]float64{50, 150}) {
+	_, viol, err := evaluate(c, [][]float64{{50, 150}, {150, 50}, {100, 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viol[0] {
 		t.Fatal("compliant machine flagged")
 	}
-	if !c.MachineViolates([]float64{150, 50}) {
+	if !viol[1] {
 		t.Fatal("violating machine missed")
 	}
-	if c.MachineViolates([]float64{100, 200}) {
+	if viol[2] {
 		t.Fatal("threshold is inclusive; at-threshold must comply")
 	}
 }
@@ -64,7 +77,7 @@ func TestEvaluateCrisisRule(t *testing.T) {
 	}
 	vals[3] = []float64{500, 50}
 	vals[7] = []float64{50, 500}
-	st, err := c.Evaluate(vals)
+	st, _, err := evaluate(c, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func TestEvaluateCrisisRule(t *testing.T) {
 	}
 	// One violator: below threshold.
 	vals[7] = []float64{50, 50}
-	st, err = c.Evaluate(vals)
+	st, _, err = evaluate(c, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +104,7 @@ func TestEvaluateCrisisRule(t *testing.T) {
 func TestEvaluateCountsMachineOnce(t *testing.T) {
 	c := cfg()
 	vals := [][]float64{{500, 500}, {50, 50}}
-	st, err := c.Evaluate(vals)
+	st, _, err := evaluate(c, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +118,11 @@ func TestEvaluateCountsMachineOnce(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	c := cfg()
-	if _, err := c.Evaluate(nil); err == nil {
-		t.Fatal("want error on no machines")
-	}
-	if _, err := c.Evaluate([][]float64{{1}}); err == nil {
+	if _, _, err := evaluate(c, [][]float64{{1}}); err == nil {
 		t.Fatal("want error on short row")
+	}
+	if _, err := c.EvaluateMasked([][]float64{{1, 2}}, nil, nil); err == nil {
+		t.Fatal("want error on missing reporting mask")
 	}
 }
 
@@ -164,26 +177,6 @@ func TestEpisodesEmpty(t *testing.T) {
 	}
 	if got := Episodes([]bool{false, false}, 0, 1); len(got) != 0 {
 		t.Fatalf("Episodes(all normal) = %v", got)
-	}
-}
-
-func TestNormalPredicate(t *testing.T) {
-	eps := []Episode{{Start: 10, End: 12}}
-	isNormal := NormalPredicate(eps, 2)
-	cases := []struct {
-		e    metrics.Epoch
-		want bool
-	}{
-		{7, true}, {8, false}, {10, false}, {12, false}, {14, false}, {15, true},
-	}
-	for _, c := range cases {
-		if got := isNormal(c.e); got != c.want {
-			t.Errorf("isNormal(%d) = %v, want %v", c.e, got, c.want)
-		}
-	}
-	all := NormalPredicate(nil, 0)
-	if !all(0) {
-		t.Fatal("no episodes: everything is normal")
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package stats provides the descriptive statistics, vector operations and
-// ROC/AUC machinery used throughout the fingerprinting pipeline.
+// Package stats provides the order statistic, vector operations and ROC/AUC
+// machinery used throughout the fingerprinting pipeline.
 //
 // Everything here is deliberately dependency-free: the paper's method needs
 // only order statistics (quantiles are the fingerprint's summarization
@@ -11,107 +11,14 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty input.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Sum returns the sum of xs. An empty slice sums to zero.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of xs.
-// It returns an error on empty input.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return Sum(xs) / float64(len(xs)), nil
-}
-
-// MustMean is Mean for callers that have already checked len(xs) > 0.
-// It panics on empty input.
-func MustMean(xs []float64) float64 {
-	m, err := Mean(xs)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Variance returns the population variance of xs (dividing by N).
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
-}
-
-// PercentileSorted is Percentile on an already ascending-sorted slice.
-// It avoids the copy and sort and is the hot path for threshold updates.
+// PercentileSorted returns the p-th percentile (p in [0,100]) of an
+// ascending-sorted slice by linear interpolation between closest ranks. It
+// neither copies nor sorts, and is the hot path for threshold updates.
 func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	n := len(sorted)
 	if n == 0 {
@@ -133,64 +40,4 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	}
 	frac := r - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// PercentileNearestRank returns the p-th percentile by the nearest-rank
-// definition the paper uses in §3.2: order the N values and select the
-// ceil(N*p/100)-th one. xs is not modified.
-func PercentileNearestRank(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := int(math.Ceil(float64(len(sorted)) * p / 100))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1], nil
-}
-
-// Quantiles returns the q-quantiles (each q in [0,1]) of xs with linear
-// interpolation, sorting once. xs is not modified.
-func Quantiles(xs []float64, qs []float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		v, err := PercentileSorted(sorted, q*100)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -12,70 +12,16 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestSum(t *testing.T) {
-	if got := Sum(nil); got != 0 {
-		t.Fatalf("Sum(nil) = %v, want 0", got)
-	}
-	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
-		t.Fatalf("Sum = %v, want 6.5", got)
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Fatalf("Mean(nil) err = %v, want ErrEmpty", err)
+	if _, err := MeanVector(nil); err != ErrEmpty {
+		t.Fatalf("MeanVector(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
 func TestMean(t *testing.T) {
-	m, err := Mean([]float64{2, 4, 6})
-	if err != nil || m != 4 {
-		t.Fatalf("Mean = %v, %v; want 4, nil", m, err)
-	}
-}
-
-func TestMustMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustMean(nil) did not panic")
-		}
-	}()
-	MustMean(nil)
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	s, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(s, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", s)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); err == nil {
-		t.Fatal("Min(nil) should error")
-	}
-	if _, err := Max(nil); err == nil {
-		t.Fatal("Max(nil) should error")
+	m, err := MeanVector([][]float64{{2}, {4}, {6}})
+	if err != nil || m[0] != 4 {
+		t.Fatalf("MeanVector = %v, %v; want [4], nil", m, err)
 	}
 }
 
@@ -88,93 +34,73 @@ func TestPercentileBasics(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5},
 	}
 	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
+		got, err := PercentileSorted(xs, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+			t.Errorf("PercentileSorted(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
 }
 
 func TestPercentileInterpolates(t *testing.T) {
 	xs := []float64{0, 10}
-	got, err := Percentile(xs, 25)
+	got, err := PercentileSorted(xs, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("Percentile(25) = %v, want 2.5", got)
+		t.Fatalf("PercentileSorted(25) = %v, want 2.5", got)
 	}
 }
 
 func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
+	if _, err := PercentileSorted(nil, 50); err != ErrEmpty {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
+	if _, err := PercentileSorted([]float64{1}, -1); err == nil {
 		t.Fatal("want range error for p=-1")
 	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
+	if _, err := PercentileSorted([]float64{1}, 101); err == nil {
 		t.Fatal("want range error for p=101")
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
+	xs := []float64{1, 2, 3}
+	if _, err := PercentileSorted(xs, 50); err != nil {
 		t.Fatal(err)
 	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{5, 15}, {30, 20}, {40, 20}, {50, 35}, {100, 50}, {0, 15},
-	}
-	for _, c := range cases {
-		got, err := PercentileNearestRank(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("PercentileNearestRank(%v) = %v, want %v", c.p, got, c.want)
-		}
+	if xs[0] != 1 || xs[1] != 2 || xs[2] != 3 {
+		t.Fatalf("PercentileSorted mutated input: %v", xs)
 	}
 }
 
 func TestMedianOddEven(t *testing.T) {
-	m, err := Median([]float64{5, 1, 3})
+	m, err := PercentileSorted([]float64{1, 3, 5}, 50)
 	if err != nil || m != 3 {
-		t.Fatalf("Median odd = %v, %v", m, err)
+		t.Fatalf("median odd = %v, %v", m, err)
 	}
-	m, err = Median([]float64{4, 1, 3, 2})
+	m, err = PercentileSorted([]float64{1, 2, 3, 4}, 50)
 	if err != nil || m != 2.5 {
-		t.Fatalf("Median even = %v, %v", m, err)
+		t.Fatalf("median even = %v, %v", m, err)
 	}
 }
 
+// TestQuantiles reads the tracked quantiles (25/50/95) off one sorted slice.
 func TestQuantiles(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	qs, err := Quantiles(xs, []float64{0.25, 0.5, 0.95})
-	if err != nil {
-		t.Fatal(err)
+	var qs [3]float64
+	for i, p := range []float64{25, 50, 95} {
+		v, err := PercentileSorted(xs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = v
 	}
 	if qs[0] != 2 || qs[1] != 3 || !almostEqual(qs[2], 4.8, 1e-12) {
-		t.Fatalf("Quantiles = %v", qs)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp wrong")
+		t.Fatalf("quantiles = %v", qs)
 	}
 }
 
@@ -185,9 +111,10 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		sort.Float64s(xs)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 7.5 {
-			v, err := Percentile(xs, p)
+			v, err := PercentileSorted(xs, p)
 			if err != nil {
 				return false
 			}
@@ -196,50 +123,35 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			}
 			prev = v
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		lo, _ := Percentile(xs, 0)
-		hi, _ := Percentile(xs, 100)
-		return lo == mn && hi == mx
+		lo, _ := PercentileSorted(xs, 0)
+		hi, _ := PercentileSorted(xs, 100)
+		return lo == xs[0] && hi == xs[len(xs)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: mean lies between min and max.
+// Property: a mean lies between the smallest and largest value averaged.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := sanitize(raw)
 		if len(xs) == 0 {
 			return true
 		}
-		m := MustMean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return m >= mn-1e-9 && m <= mx+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: variance is non-negative and zero for constant slices.
-func TestVarianceNonNegativeProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := sanitize(raw)
-		if len(xs) == 0 {
-			return true
+		vs := make([][]float64, len(xs))
+		for i := range xs {
+			vs[i] = xs[i : i+1]
 		}
-		v, err := Variance(xs)
-		return err == nil && v >= 0
+		m, err := MeanVector(vs)
+		if err != nil {
+			return false
+		}
+		sort.Float64s(xs)
+		return m[0] >= xs[0]-1e-9 && m[0] <= xs[len(xs)-1]+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-	v, err := Variance([]float64{4, 4, 4, 4})
-	if err != nil || v != 0 {
-		t.Fatalf("Variance(const) = %v, %v", v, err)
 	}
 }
 
@@ -251,7 +163,7 @@ func sanitize(raw []float64) []float64 {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			continue
 		}
-		out = append(out, Clamp(x, -1e9, 1e9))
+		out = append(out, min(max(x, -1e9), 1e9))
 	}
 	return out
 }

@@ -20,30 +20,6 @@ func L2Distance(a, b []float64) (float64, error) {
 	return math.Sqrt(ss), nil
 }
 
-// L1Distance returns the Manhattan distance between a and b.
-func L1Distance(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: vector length mismatch %d != %d", len(a), len(b))
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s, nil
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: vector length mismatch %d != %d", len(a), len(b))
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
 // Norm2 returns the Euclidean norm of a.
 func Norm2(a []float64) float64 {
 	ss := 0.0
@@ -51,25 +27,6 @@ func Norm2(a []float64) float64 {
 		ss += x * x
 	}
 	return math.Sqrt(ss)
-}
-
-// Scale multiplies every element of a by k in place and returns a.
-func Scale(a []float64, k float64) []float64 {
-	for i := range a {
-		a[i] *= k
-	}
-	return a
-}
-
-// AddInto adds b into a element-wise (a += b) and returns a.
-func AddInto(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("stats: vector length mismatch %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		a[i] += b[i]
-	}
-	return a, nil
 }
 
 // MeanVector averages a set of equal-length vectors element-wise. This is

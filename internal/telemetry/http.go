@@ -136,12 +136,6 @@ func NewHandler(reg *Registry, ep Endpoints) http.Handler {
 	return mux
 }
 
-// Handler is the original three-argument form, kept for callers predating
-// Endpoints.
-func Handler(reg *Registry, health func() any, crises func() any) http.Handler {
-	return NewHandler(reg, Endpoints{Health: health, Crises: crises})
-}
-
 func writeJSON(w http.ResponseWriter, payload any) {
 	writeJSONStatus(w, http.StatusOK, payload)
 }

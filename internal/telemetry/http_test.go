@@ -16,7 +16,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	health := func() any { return map[string]any{"status": "ok", "epochs": 42} }
 	crises := func() any { return []map[string]string{{"id": "crisis-001", "label": "db-overload"}} }
-	srv := httptest.NewServer(Handler(reg, health, crises))
+	srv := httptest.NewServer(NewHandler(reg, Endpoints{Health: health, Crises: crises}))
 	defer srv.Close()
 
 	t.Run("metrics", func(t *testing.T) {
@@ -69,7 +69,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestHandlerDefaults(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry(), nil, nil))
+	srv := httptest.NewServer(NewHandler(NewRegistry(), Endpoints{}))
 	defer srv.Close()
 	body, _ := get(t, srv.URL+"/healthz")
 	if !strings.Contains(body, `"status": "ok"`) {
@@ -196,7 +196,7 @@ func TestNewHandlerDefaults404(t *testing.T) {
 }
 
 func TestServe(t *testing.T) {
-	srv, addr, err := Serve("127.0.0.1:0", Handler(NewRegistry(), nil, nil))
+	srv, addr, err := Serve("127.0.0.1:0", NewHandler(NewRegistry(), Endpoints{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,15 +325,6 @@ func TimeBuckets() []float64 {
 	}
 }
 
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // SeriesValue is one sampled (name, labels, value) point of a registry:
 // the unit of Gather's output and of History's per-epoch sampling.
 type SeriesValue struct {

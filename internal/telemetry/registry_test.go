@@ -297,13 +297,3 @@ func TestEventLogAttrs(t *testing.T) {
 		}
 	}
 }
-
-func TestLinearBuckets(t *testing.T) {
-	got := LinearBuckets(1, 2, 3)
-	want := []float64{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LinearBuckets = %v", got)
-		}
-	}
-}

@@ -400,17 +400,3 @@ func (t *Tracer) Snapshots() []TraceSnapshot {
 	}
 	return out
 }
-
-// Latest returns the most recently completed trace, ok=false when none.
-func (t *Tracer) Latest() (TraceSnapshot, bool) {
-	if t == nil {
-		return TraceSnapshot{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) == 0 {
-		return TraceSnapshot{}, false
-	}
-	idx := (t.pos - 1 + len(t.ring)) % len(t.ring)
-	return t.ring[idx], true
-}

@@ -30,14 +30,14 @@ func TestStartTraceIDPropagatesIntoSnapshot(t *testing.T) {
 		t.Fatalf("TraceID() = %x, want %x", tr.TraceID(), id)
 	}
 	tr.End()
-	snap, ok := tc.Latest()
+	snap, ok := latest(tc)
 	if !ok || snap.TraceID != strconv.FormatUint(id, 16) {
 		t.Fatalf("snapshot trace_id = %q, want %q", snap.TraceID, strconv.FormatUint(id, 16))
 	}
 
 	// Local-only traces must keep the omitted zero form.
 	tc.StartTrace("local").End()
-	if snap, _ = tc.Latest(); snap.TraceID != "" {
+	if snap, _ = latest(tc); snap.TraceID != "" {
 		t.Fatalf("local trace carries trace_id %q", snap.TraceID)
 	}
 }
@@ -100,7 +100,7 @@ func TestGraftSplicesRemoteSpans(t *testing.T) {
 	collect.End()
 	tr.End()
 
-	snap, _ := tc.Latest()
+	snap, _ := latest(tc)
 	if snap.Name != "merge_epoch" {
 		t.Fatalf("latest trace %q", snap.Name)
 	}
@@ -142,7 +142,7 @@ func TestGraftEmptyRemote(t *testing.T) {
 	tr := tc.StartTrace("merge_epoch")
 	tr.Graft("shard_1", nil, Attr{Key: "shard", Value: 1})
 	tr.End()
-	snap, _ := tc.Latest()
+	snap, _ := latest(tc)
 	if len(snap.Spans) != 1 || snap.Spans[0].Name != "shard_1" {
 		t.Fatalf("empty graft spans: %+v", snap.Spans)
 	}

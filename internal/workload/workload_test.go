@@ -2,10 +2,10 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dcfp/internal/metrics"
-	"dcfp/internal/stats"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -76,9 +76,7 @@ func TestDiurnalShape(t *testing.T) {
 	if peakIdx < 40 || peakIdx > 56 {
 		t.Fatalf("diurnal peak at epoch %d, want ~48", peakIdx)
 	}
-	mx, _ := stats.Max(day)
-	mn, _ := stats.Min(day)
-	if mx <= mn {
+	if slices.Max(day) <= slices.Min(day) {
 		t.Fatal("no diurnal variation")
 	}
 }
@@ -89,8 +87,8 @@ func TestWeekendDip(t *testing.T) {
 	cfg.DiurnalAmplitude = 0
 	g, _ := New(cfg, 1)
 	week := g.Series(7 * metrics.EpochsPerDay)
-	weekdayMean := stats.MustMean(week[:5*metrics.EpochsPerDay])
-	weekendMean := stats.MustMean(week[5*metrics.EpochsPerDay:])
+	weekdayMean := mean(week[:5*metrics.EpochsPerDay])
+	weekendMean := mean(week[5*metrics.EpochsPerDay:])
 	if weekendMean >= weekdayMean {
 		t.Fatalf("weekend %v >= weekday %v", weekendMean, weekdayMean)
 	}
@@ -139,7 +137,7 @@ func TestIntensityPositiveAndBounded(t *testing.T) {
 			t.Fatalf("epoch %d: intensity %v out of sane range", i, v)
 		}
 	}
-	m := stats.MustMean(s)
+	m := mean(s)
 	if m < 0.5 || m > 1.5 {
 		t.Fatalf("long-run mean %v far from base 1.0", m)
 	}
@@ -149,7 +147,7 @@ func TestNoiseAutocorrelation(t *testing.T) {
 	cfg := Config{Base: 1, NoiseStd: 0.1, AR: 0.9}
 	g, _ := New(cfg, 3)
 	s := g.Series(20000)
-	m := stats.MustMean(s)
+	m := mean(s)
 	num, den := 0.0, 0.0
 	for i := 1; i < len(s); i++ {
 		num += (s[i] - m) * (s[i-1] - m)
@@ -160,4 +158,12 @@ func TestNoiseAutocorrelation(t *testing.T) {
 	if ac := num / den; ac < 0.7 {
 		t.Fatalf("lag-1 autocorrelation %v, want strong (>0.7) for AR=0.9", ac)
 	}
+}
+
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
