@@ -11,6 +11,7 @@
 package dcfp_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -364,51 +365,53 @@ func BenchmarkThresholdUpdate(b *testing.B) {
 // BenchmarkPerCrisisSelection measures the §3.4 per-crisis feature selection
 // at the size the monitor runs it when a crisis closes at paper scale: 17
 // collected epochs of 100 machines x 100 metrics, ~15 % of the rows from
-// SLA-violating machines. The metrics are mixtures of a few latent load
-// factors, one of which shifts on violating machines — collinear like real
-// datacenter metrics, so, as on the simulator's crises, the λ path runs six
-// fits that all stop at MaxIter (3 000 FISTA iterations). It is the
-// crisis-end stall — 98 % of the benchmark's crisis-100 pipeline time — and
-// gated through BENCH_5.json.
+// SLA-violating machines; and at 400 machines' worth of rows. The metrics are
+// mixtures of a few latent load factors, one of which shifts on violating
+// machines — collinear like real datacenter metrics, so, as on the
+// simulator's crises, the λ path runs six fits that all stop at MaxIter
+// (3 000 FISTA iterations). It is the crisis-end stall — 98 % of the
+// benchmark's crisis-100 pipeline time — and gated through BENCH_5.json.
 func BenchmarkPerCrisisSelection(b *testing.B) {
-	b.Run("1700x100", func(b *testing.B) {
-		const rows, width, factors = 1700, 100, 6
-		rng := rand.New(rand.NewSource(15))
-		loading := make([][factors]float64, width)
-		for j := range loading {
-			for f := range loading[j] {
-				loading[j][f] = rng.NormFloat64()
-			}
-		}
-		s := core.CrisisSamples{X: make([][]float64, rows), Y: make([]int, rows)}
-		for i := range s.X {
-			var latent [factors]float64
-			for f := range latent {
-				latent[f] = rng.NormFloat64()
-			}
-			if rng.Float64() < 0.15 {
-				s.Y[i] = 1
-				latent[0] += 2.5
-			}
-			row := make([]float64, width)
-			for j := range row {
-				row[j] = 50 + rng.NormFloat64()
-				for f, l := range loading[j] {
-					row[j] += 4 * l * latent[f]
+	for _, rows := range []int{1700, 6800} {
+		b.Run(fmt.Sprintf("%dx100", rows), func(b *testing.B) {
+			const width, factors = 100, 6
+			rng := rand.New(rand.NewSource(15))
+			loading := make([][factors]float64, width)
+			for j := range loading {
+				for f := range loading[j] {
+					loading[j][f] = rng.NormFloat64()
 				}
 			}
-			s.X[i] = row
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			top, err := core.PerCrisisMetrics(s, 10)
-			if err != nil || len(top) == 0 {
-				b.Fatalf("selected %v, err %v", top, err)
+			s := core.CrisisSamples{X: make([][]float64, rows), Y: make([]int, rows)}
+			for i := range s.X {
+				var latent [factors]float64
+				for f := range latent {
+					latent[f] = rng.NormFloat64()
+				}
+				if rng.Float64() < 0.15 {
+					s.Y[i] = 1
+					latent[0] += 2.5
+				}
+				row := make([]float64, width)
+				for j := range row {
+					row[j] = 50 + rng.NormFloat64()
+					for f, l := range loading[j] {
+						row[j] += 4 * l * latent[f]
+					}
+				}
+				s.X[i] = row
 			}
-		}
-		b.ReportMetric(rows, "rows")
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				top, err := core.PerCrisisMetrics(s, 10)
+				if err != nil || len(top) == 0 {
+					b.Fatalf("selected %v, err %v", top, err)
+				}
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
+	}
 }
 
 // BenchmarkAblationSupervisedSelection compares standard (§3.4) against

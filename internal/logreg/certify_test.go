@@ -19,7 +19,7 @@ func marginSolver(t *testing.T, m []float64, pos []bool) *solver {
 	if err := s.Append(rows, pos); err != nil {
 		t.Fatal(err)
 	}
-	return newSolver(&s)
+	return newSolver(&s, false)
 }
 
 // genMargins draws n margins from the regimes the brackets must hold in:
@@ -74,7 +74,7 @@ func TestLossBracketHoldsExactSum(t *testing.T) {
 		f := marginSolver(t, m, pos)
 		exact := f.exactSum(w, 0)
 		lo, hi := f.lossSum(w, 0)
-		gLo, gHi, _ := f.gradient(w, 0)
+		gLo, gHi, _ := f.gradient(w, 0, 0)
 		what := fmt.Sprintf("case %d (n=%d)", ci, n)
 		if math.Float64bits(lo) != math.Float64bits(gLo) || math.Float64bits(hi) != math.Float64bits(gHi) {
 			t.Fatalf("%s: lossSum [%v, %v], gradient [%v, %v]", what, lo, hi, gLo, gHi)
@@ -150,7 +150,7 @@ func TestExactLossMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newSolver(s)
+		f := newSolver(s, false)
 		d := len(c.x[0])
 		for k := 0; k < 5; k++ {
 			w := make([]float64, d)
@@ -210,4 +210,158 @@ func TestDecideCertifiesOnlyTheTruth(t *testing.T) {
 			t.Fatalf("brackets %v decided", b)
 		}
 	}
+}
+
+// holdScreen installs a checkScreen hook that requires |gw| <= bound <=
+// lambda of every column gradient screening skips, until release or the end
+// of t; release reports how many skipped columns the hook computed. Under
+// forceExact it installs nothing and release reports -1: forced runs repeat
+// the plain runs' iterates, so their screening decisions too, and the plain
+// runs check those.
+func holdScreen(t testing.TB) (release func() int) {
+	t.Helper()
+	if forceExact {
+		return func() int { return -1 }
+	}
+	checked, bad := 0, 0
+	checkScreen = func(gw, bound, lambda float64) {
+		checked++
+		if !(math.Abs(gw) <= bound && bound <= lambda) {
+			if bad++; bad <= 3 {
+				t.Errorf("screened a column with gradient %v (%x), bound %v, lambda %v", gw, math.Float64bits(gw), bound, lambda)
+			}
+		}
+	}
+	release = func() int {
+		checkScreen = nil
+		return checked
+	}
+	t.Cleanup(func() { release() })
+	return release
+}
+
+// latentSamples is BenchmarkPerCrisisSelection's generator: rows × width
+// metrics mixing six latent load factors, the first shifted on the ~15 % of
+// rows labelled 1 — collinear like real datacenter metrics.
+func latentSamples(rows, width int) (*Samples, error) {
+	const factors = 6
+	rng := rand.New(rand.NewSource(15))
+	loading := make([][factors]float64, width)
+	for j := range loading {
+		for f := range loading[j] {
+			loading[j][f] = rng.NormFloat64()
+		}
+	}
+	x, y := make([][]float64, rows), make([]int, rows)
+	for i := range x {
+		var latent [factors]float64
+		for f := range latent {
+			latent[f] = rng.NormFloat64()
+		}
+		if rng.Float64() < 0.15 {
+			y[i] = 1
+			latent[0] += 2.5
+		}
+		row := make([]float64, width)
+		for j := range row {
+			row[j] = 50 + rng.NormFloat64()
+			for f, l := range loading[j] {
+				row[j] += 4 * l * latent[f]
+			}
+		}
+		x[i] = row
+	}
+	return NewSamples(x, y)
+}
+
+// TestScreenFires: on the benchmark's generator screening skips at least
+// half of all column gradients of the path, so a refactor cannot turn the
+// optimisation off without failing here.
+func TestScreenFires(t *testing.T) {
+	s, err := latentSamples(1700, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, st, err := s.SelectTopK(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := st.Iters * 100
+	t.Logf("screened %d of %d column gradients (%.1f %%) over %d iterations", st.Screened, cols, 100*float64(st.Screened)/float64(cols), st.Iters)
+	if 2*st.Screened < cols {
+		t.Fatalf("screened %d of %d column gradients, want at least half", st.Screened, cols)
+	}
+}
+
+// TestScreenBoundEdge builds columns whose gradient, as the kernel computes
+// it, lies a few ulps above lambda — after heavy cancellation, at tiny and
+// huge scales, and after g has moved — and requires that screening never
+// skips one, while it does skip them once lambda clears the bound.
+func TestScreenBoundEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n, width = 777, 9
+	rows := make([][]float64, n)
+	pos := make([]bool, n)
+	for i := range rows {
+		drive := rng.NormFloat64()
+		pos[i] = rng.Float64() < 1/(1+math.Exp(-2*drive))
+		sign := float64(1 - 2*(i%2))
+		rows[i] = []float64{
+			drive,
+			rng.NormFloat64(),                          // plain noise
+			1e8*sign + rng.NormFloat64(),               // cancels to a small sum
+			1e-200 * rng.NormFloat64(),                 // tiny
+			1e150 * rng.NormFloat64(),                  // huge
+			drive + 1e-9*rng.NormFloat64(),             // nearly the driving column
+			math.Ldexp(sign, -30) + 1e-3*rng.Float64(), // cancellation at another scale
+			float64(i%7) - 3,                           // few distinct values
+			rng.ExpFloat64(),                           // one-signed
+		}
+	}
+	var s Samples
+	if err := s.Append(rows, pos); err != nil {
+		t.Fatal(err)
+	}
+	release := holdScreen(t)
+	// gradAt is the kernel's gradient at driving weight w0 from a solver
+	// with no references, which therefore evaluates every column.
+	gradAt := func(w0 float64) []float64 {
+		f := newSolver(&s, false)
+		w := make([]float64, width)
+		w[0] = w0
+		f.gradient(w, 0.1, math.Inf(1))
+		return append([]float64(nil), f.gradW...)
+	}
+	f := newSolver(&s, false)
+	w := make([]float64, width)
+	edges, skips := 0, 0
+	for step, w0 := range []float64{0.5, 0.5, 0.5 + 1e-12, 0.7, 0.7, 0.3} {
+		want := gradAt(w0)
+		w[0] = w0
+		for j := 1; j < width; j++ {
+			if want[j] == 0 {
+				t.Fatalf("column %d: zero gradient cannot sit above lambda", j)
+			}
+			for _, ulps := range []int{1, 2, 5} {
+				lambda := math.Abs(want[j])
+				for k := 0; k < ulps; k++ {
+					lambda = math.Nextafter(lambda, 0)
+				}
+				before := f.screened
+				f.gradient(w, 0.1, lambda)
+				if got := f.gradW[j]; math.Float64bits(got) != math.Float64bits(want[j]) {
+					t.Fatalf("step %d column %d, lambda %d ulps below |gw| %v: got %v (screened %d)", step, j, ulps, want[j], got, f.screened-before)
+				}
+				edges++
+			}
+		}
+		// Far above every bound, every zero-weight column is skipped.
+		before := f.screened
+		f.gradient(w, 0.1, math.MaxFloat64)
+		skips += f.screened - before
+	}
+	if skips == 0 {
+		t.Fatal("no column was ever screened; the edge checks prove nothing")
+	}
+	t.Logf("%d edge evaluations, %d screened above the bounds, %d checked", edges, skips, release())
 }

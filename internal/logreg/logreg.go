@@ -79,7 +79,7 @@ func (b block) col(j int) []float64 { return b.x[j*b.n : (j+1)*b.n] }
 // leaving x untouched.
 func NewSamples(x [][]float64, y []int) (*Samples, error) {
 	if len(y) != len(x) {
-		return nil, errNoData
+		return nil, errDims
 	}
 	pos := make([]bool, len(y))
 	for i, yi := range y {
@@ -97,6 +97,9 @@ func NewSamples(x [][]float64, y []int) (*Samples, error) {
 // beyond the amortized growth of the lists. The rows are not retained.
 func (s *Samples) Append(rows [][]float64, pos []bool) error {
 	n := len(rows)
+	if len(pos) != n {
+		return errDims
+	}
 	if n == 0 {
 		return nil
 	}
@@ -115,7 +118,7 @@ func (s *Samples) Append(rows [][]float64, pos []bool) error {
 		}
 	}
 	s.blocks = append(s.blocks, block{x, n})
-	s.y = append(s.y, pos[:n]...)
+	s.y = append(s.y, pos...)
 	return nil
 }
 
@@ -215,10 +218,7 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 	if opts.Lambda < 0 {
 		return nil, fmt.Errorf("logreg: negative lambda %v", opts.Lambda)
 	}
-	f := newSolver(s)
-	if opts.Standardize {
-		s.standardize(f.mean, f.std)
-	}
+	f := newSolver(s, opts.Standardize)
 	b, iters := f.fit(opts)
 
 	// Map coefficients back to the original feature space.
@@ -240,7 +240,9 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 // loss needs; standardization sums in block (= collection) order. Loss values
 // reach nothing but the backtracking test, so fit decides that test from
 // certified brackets and computes the reference's loss (exactSum) only when
-// a bracket cannot decide it.
+// a bracket cannot decide it. Likewise a column's gradient reaches an iterate
+// only through softThreshold, so gradient skips every column whose
+// soft-threshold a certified bound shows to be zero (screen).
 type solver struct {
 	s         *Samples
 	z         []float64 // label signs: +1 for y = 1, -1 for y = 0
@@ -249,7 +251,16 @@ type solver struct {
 
 	w, wPrev, wLook, wNew, gradW []float64
 
+	// Screening state: per column, |Σ g_i x_ij| at its last evaluation
+	// (+Inf before the first), path and ‖g‖₂'s bound at that call, and
+	// ‖x_j‖₂ rounded up; path bounds Σ ‖g^t − g^{t−1}‖₂ over every gradient
+	// call so far. The samples never change, so all of it outlives a fit.
+	refSum, refPath, refNorm, colNorm []float64
+	path                              float64
+	live                              []int // columns gradient evaluates this call
+
 	exactChecks int // backtracking tests the brackets could not decide
+	screened    int // column gradients screen skipped
 }
 
 // forceExact sends every backtracking test down the exact path, so the
@@ -257,16 +268,25 @@ type solver struct {
 // tests set it.
 var forceExact bool
 
-func newSolver(s *Samples) *solver {
+// checkScreen, when set, is handed every column gradient screen skipped,
+// computed anyway, with the bound that skipped it and the penalty, so the
+// certificate tests can hold |gw| <= bound <= lambda. Only internal tests
+// set it.
+var checkScreen func(gw, bound, lambda float64)
+
+// newSolver sets up a solver over s, standardizing s in place first when
+// standardize is set.
+func newSolver(s *Samples, standardize bool) *solver {
 	n, d := len(s.y), s.d
-	buf := make([]float64, 3*n+7*d)
+	buf := make([]float64, 3*n+11*d)
 	next := func(k int) []float64 {
 		out := buf[:k:k]
 		buf = buf[k:]
 		return out
 	}
 	f := &solver{s: s, z: next(n), m: next(n), g: next(n), mean: next(d), std: next(d),
-		w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d)}
+		w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d),
+		refSum: next(d), refPath: next(d), refNorm: next(d), colNorm: next(d), live: make([]int, 0, d)}
 	for i, yi := range s.y {
 		f.z[i] = -1
 		if yi {
@@ -275,6 +295,19 @@ func newSolver(s *Samples) *solver {
 	}
 	for j := range f.std {
 		f.std[j] = 1
+	}
+	if standardize {
+		s.standardize(f.mean, f.std)
+	}
+	for j := range f.colNorm {
+		ss := 0.0
+		for _, b := range s.blocks {
+			for _, v := range b.col(j) {
+				ss += v * v
+			}
+		}
+		f.colNorm[j] = f.normBound(ss)
+		f.refSum[j] = math.Inf(1)
 	}
 	return f
 }
@@ -301,7 +334,7 @@ func (f *solver) fit(opts Options) (float64, int) {
 		}
 		bLook := b + beta*(b-bPrev)
 
-		lookLo, lookHi, gradB := f.gradient(wLook, bLook)
+		lookLo, lookHi, gradB := f.gradient(wLook, bLook, opts.Lambda)
 		// Correctly rounded scaling is monotone, so a scaled bracket holds
 		// the reference's scaled loss.
 		lookLo, lookHi = f.lookLoss(lookLo), f.lookLoss(lookHi)
@@ -490,10 +523,15 @@ func (f *solver) lossSum(w []float64, b float64) (lo, hi float64) {
 }
 
 // gradient writes the weight gradient at (w, b) into f.gradW and returns a
-// bracket around the loss sum there (as lossSum) and the bias gradient.
-func (f *solver) gradient(w []float64, b float64) (lo, hi, gradB float64) {
+// bracket around the loss sum there (as lossSum) and the bias gradient. A
+// column with w_j = 0 whose certified bound on the kernel's |gradW_j| is at
+// most lambda is screened: softThreshold would map it to 0 at any step, so
+// gradient writes 0 without the dot product and the iterate is the same
+// (DESIGN.md rule 7).
+func (f *solver) gradient(w []float64, b, lambda float64) (lo, hi, gradB float64) {
 	f.margins(w, b)
 	a, lg := 0.0, 0.0
+	dd, gg := 0.0, 0.0 // Σ (g_i − last call's g_i)², Σ g_i²
 	for c := 0; c < len(f.m); c += chunkRows {
 		end := min(c+chunkRows, len(f.m))
 		z, m, g := f.z[c:end], f.m[c:end], f.g[c:end]
@@ -513,24 +551,75 @@ func (f *solver) gradient(w []float64, b float64) (lo, hi, gradB float64) {
 			p *= 1 + e
 			gi := -zi * sig
 			gradB += gi
+			dg := gi - g[i]
+			dd += dg * dg
+			gg += gi * gi
 			g[i] = gi
 		}
 		lg += math.Log(p)
 	}
 	lo, hi = bracket(a, lg, len(f.m))
 	inv := 1 / float64(len(f.m))
+	f.path = (f.path + f.normBound(dd)) * (1 + 0x1p-50) // rounded up
+	norm := f.normBound(gg)
 
-	// gradW = Xᵀg/n: each column's dot product adds in row order; four
-	// columns share a pass over g so their add chains overlap. Past the last
-	// column a group repeats it (same sum, same slot) instead of branching.
+	// |S_j| ≤ refSum + colNorm·((path − refPath) + γₙ·(refNorm + norm)) for
+	// the kernel's dot product S_j; 2⁻¹⁰⁰⁰ covers underflow in both dot
+	// products and here, and the last factor this arithmetic's own rounding.
+	// A NaN or infinite bound screens nothing.
+	const u = 0x1p-53
+	nu := float64(len(f.m)) * u
+	gamma := nu / (1 - nu)
+	limit := min(lambda, math.MaxFloat64)
 	d, gw := f.s.d, f.gradW
-	for j := 0; j < d; j += 4 {
-		j1, j2, j3 := min(j+1, d-1), min(j+2, d-1), min(j+3, d-1)
+	live := f.live[:0]
+	var skipped []int    // with checkScreen: the screened columns
+	var bounds []float64 // and their bounds
+	for j := 0; j < d; j++ {
+		if w[j] == 0 {
+			bound := (f.refSum[j] + f.colNorm[j]*((f.path-f.refPath[j])+gamma*(f.refNorm[j]+norm)) + 0x1p-1000) * (1 + 0x1p-48) * inv
+			if bound <= limit {
+				gw[j] = 0
+				f.screened++
+				if checkScreen != nil {
+					skipped, bounds = append(skipped, j), append(bounds, bound)
+				}
+				continue
+			}
+		}
+		live = append(live, j)
+	}
+	// gradW = Xᵀg/n over the live columns; each sum becomes its column's
+	// reference.
+	f.dots(live, gw)
+	for _, j := range live {
+		sum := gw[j]
+		gw[j] = sum * inv
+		f.refSum[j], f.refPath[j], f.refNorm[j] = math.Abs(sum), f.path, norm
+	}
+	if checkScreen != nil {
+		sums := make([]float64, d)
+		f.dots(skipped, sums)
+		for k, j := range skipped {
+			checkScreen(sums[j]*inv, bounds[k], lambda)
+		}
+	}
+	return lo, hi, gradB * inv
+}
+
+// dots sets out[j] = Σ_i g_i·x_ij for each listed column j: each dot product
+// adds in row order; four columns share a pass over g so their add chains
+// overlap. Past the last column a group repeats it (same sum, same slot)
+// instead of branching.
+func (f *solver) dots(cols []int, out []float64) {
+	last := len(cols) - 1
+	for k := 0; k <= last; k += 4 {
+		j0, j1, j2, j3 := cols[k], cols[min(k+1, last)], cols[min(k+2, last)], cols[min(k+3, last)]
 		var s0, s1, s2, s3 float64
 		off := 0
 		for _, blk := range f.s.blocks {
 			g := f.g[off : off+blk.n]
-			c0, c1, c2, c3 := blk.col(j)[:len(g)], blk.col(j1)[:len(g)], blk.col(j2)[:len(g)], blk.col(j3)[:len(g)]
+			c0, c1, c2, c3 := blk.col(j0)[:len(g)], blk.col(j1)[:len(g)], blk.col(j2)[:len(g)], blk.col(j3)[:len(g)]
 			for i, gi := range g {
 				s0 += gi * c0[i]
 				s1 += gi * c1[i]
@@ -539,9 +628,19 @@ func (f *solver) gradient(w []float64, b float64) (lo, hi, gradB float64) {
 			}
 			off += blk.n
 		}
-		gw[j], gw[j1], gw[j2], gw[j3] = s0*inv, s1*inv, s2*inv, s3*inv
+		out[j0], out[j1], out[j2], out[j3] = s0, s1, s2, s3
 	}
-	return lo, hi, gradB * inv
+}
+
+// normBound turns a computed sum ss of n squares (of values or of rounded
+// differences) into an upper bound on the exact 2-norm: ss is at least
+// (1 − γ_{n+3}) of the exact sum less n·2⁻¹⁰⁷⁵ of underflow (Higham), so the
+// added n·2⁻¹⁰⁷⁴ and the factor 1 + 2(n+8)u cover that, the square root and
+// this arithmetic's rounding.
+func (f *solver) normBound(ss float64) float64 {
+	const u = 0x1p-53
+	n := len(f.m)
+	return math.Sqrt(ss+float64(n)*0x1p-1074) * (1 + float64(2*(n+8))*u)
 }
 
 // logistic returns log(1 + exp(-t)) computed stably.
@@ -649,9 +748,10 @@ func (f *solver) lambdaMax(pos int) float64 {
 }
 
 // PathStats describes one SelectTopK path: label-1 rows trained on,
-// penalties fitted (Steps), their FISTA iterations in total, and the
-// backtracking tests that fell back to the exact loss (ExactChecks).
-type PathStats struct{ Positives, Steps, Iters, ExactChecks int }
+// penalties fitted (Steps), their FISTA iterations in total, the
+// backtracking tests that fell back to the exact loss (ExactChecks), and the
+// column gradients screening skipped (Screened, out of Iters × width).
+type PathStats struct{ Positives, Steps, Iters, ExactChecks, Screened int }
 
 // SelectTopK trains models along a decreasing regularization path until at
 // least k features have non-zero coefficients, then returns the k with the
@@ -682,8 +782,7 @@ func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 		return nil, nil, PathStats{}, err
 	}
 	st := PathStats{Positives: pos}
-	f := newSolver(s)
-	s.standardize(f.mean, f.std)
+	f := newSolver(s, true)
 	lambda := f.lambdaMax(pos)
 	if lambda <= 0 {
 		lambda = 1
@@ -696,7 +795,7 @@ func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 		st.Iters += m.Iters
 		active = len(m.Selected())
 	}
-	st.ExactChecks = f.exactChecks
+	st.ExactChecks, st.Screened = f.exactChecks, f.screened
 	m.Weights = append([]float64(nil), f.w...) // not a view into the scratch
 	return m.TopFeatures(k), m, st, nil
 }

@@ -1,6 +1,7 @@
 package logreg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -128,7 +129,7 @@ func lambdaMax(x [][]float64, y []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return newSolver(s).lambdaMax(pos), nil
+	return newSolver(s, false).lambdaMax(pos), nil
 }
 
 func TestLambdaMaxKillsAllWeights(t *testing.T) {
@@ -228,6 +229,58 @@ func TestSelectTopKRecoversSignal(t *testing.T) {
 	}
 	if hits < 3 {
 		t.Fatalf("SelectTopK found only %d/4 signal features: %v", hits, sel)
+	}
+}
+
+// TestSamplesValidation: a label list that does not match the rows is a
+// dimension error from both constructors — Append neither panics on a short
+// one nor truncates a long one, and NewSamples does not call it "no rows".
+func TestSamplesValidation(t *testing.T) {
+	rows := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	// try reports a panic as an error, so a failure names the case.
+	try := func(f func() error) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return f()
+	}
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+		pos  []bool
+		want error
+	}{
+		{"matching", rows, []bool{true, false, true}, nil},
+		{"short labels", rows, []bool{true, false}, errDims},
+		{"long labels", rows, []bool{true, false, true, false}, errDims},
+		{"labels without rows", nil, []bool{true}, errDims},
+		{"nothing", nil, nil, nil},
+	} {
+		var s Samples
+		if err := try(func() error { return s.Append(tc.rows, tc.pos) }); !errors.Is(err, tc.want) {
+			t.Errorf("Append %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want != nil && (s.Len() != 0 || len(s.blocks) != 0) {
+			t.Errorf("Append %s: refused, but the set holds %d rows in %d blocks", tc.name, s.Len(), len(s.blocks))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		x    [][]float64
+		y    []int
+		want error
+	}{
+		{"matching", rows, []int{1, 0, 1}, nil},
+		{"short labels", rows, []int{1, 0}, errDims},
+		{"long labels", rows, []int{1, 0, 1, 0}, errDims},
+		{"labels without rows", nil, []int{1}, errDims},
+		{"label 2", rows, []int{1, 2, 0}, errLabelRange},
+	} {
+		if err := try(func() error { _, err := NewSamples(tc.x, tc.y); return err }); !errors.Is(err, tc.want) {
+			t.Errorf("NewSamples %s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -49,7 +49,8 @@ func viewCheckpoint(t *testing.T, m *monitor.Monitor) checkpointView {
 // detection epoch twice, every crisis epoch — read back from checkpoints):
 // the monitor's selection, which standardizes its per-epoch blocks in place,
 // equals the public copy-in core.PerCrisisMetrics, and logreg.SelectTopK on
-// those samples equals the row-oriented reference bit for bit.
+// those samples equals the row-oriented reference bit for bit, with every
+// column gradient it screens computed anyway and held to the certificate.
 func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
 	const machines, warmup, cycle = 40, 200, 32
 	crises := 8
@@ -125,9 +126,13 @@ func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", what, err)
 		}
+		release := logreg.HoldScreen(t)
 		top, got, err := logreg.SelectTopK(samples.FsX, samples.FsY, k)
 		if err != nil {
 			t.Fatalf("%s: SelectTopK: %v", what, err)
+		}
+		if release() == 0 {
+			t.Fatalf("%s: no column gradient was screened, so none was checked", what)
 		}
 		if fmt.Sprint(top) != fmt.Sprint(wantTop) {
 			t.Fatalf("%s: SelectTopK ranks %v, oracle %v", what, top, wantTop)

@@ -442,6 +442,7 @@ func TestOracleTrainBitIdentical(t *testing.T) {
 		cases = 8
 	}
 	rng := rand.New(rand.NewSource(15))
+	release := holdScreen(t)
 	hitMaxIter, hitTol := 0, 0
 	for ci := 0; ci < cases; ci++ {
 		c := genOracleCase(rng)
@@ -478,6 +479,9 @@ func TestOracleTrainBitIdentical(t *testing.T) {
 	if hitMaxIter == 0 || hitTol == 0 {
 		t.Fatalf("generator covered MaxIter stops %d times and Tol stops %d times; want both", hitMaxIter, hitTol)
 	}
+	if release() == 0 {
+		t.Fatal("no column gradient was screened, so none was checked")
+	}
 }
 
 // TestOracleSelectTopKBitIdentical walks the §3.4 regularization path three
@@ -490,6 +494,8 @@ func TestOracleSelectTopKBitIdentical(t *testing.T) {
 		cases = 6
 	}
 	rng := rand.New(rand.NewSource(34))
+	release := holdScreen(t)
+	screened := 0
 	for ci := 0; ci < cases; ci++ {
 		c := genOracleCase(rng)
 		k := 1 + rng.Intn(12)
@@ -527,9 +533,10 @@ func TestOracleSelectTopKBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: blocks: %v", what, err)
 		}
-		if s.Len() != len(c.x) || st.Positives < 1 || st.Steps < 1 || st.Steps > 12 || st.Iters < want.Iters {
+		if s.Len() != len(c.x) || st.Positives < 1 || st.Steps < 1 || st.Steps > 12 || st.Iters < want.Iters || st.Screened > st.Iters*len(c.x[0]) {
 			t.Fatalf("%s: path stats %+v (final fit ran %d iterations)", what, st, want.Iters)
 		}
+		screened += st.Screened
 		for name, got := range map[string]struct {
 			top []int
 			m   *Model
@@ -539,6 +546,11 @@ func TestOracleSelectTopKBitIdentical(t *testing.T) {
 			}
 			sameModel(t, what+" "+name, got.m, want)
 		}
+	}
+	// The hook, unless forceExact left it out (-1), saw the in-place paths'
+	// skips and the copy-in paths' too.
+	if checked := release(); screened == 0 || checked != -1 && checked < screened {
+		t.Fatalf("hook checked %d screened column gradients, the in-place paths alone screened %d", checked, screened)
 	}
 }
 
@@ -558,7 +570,7 @@ func TestOracleEntryPointsValidateFirst(t *testing.T) {
 		{"label 2", ok, []int{0, 2, 0}, 1, errLabelRange},
 		{"negative label", ok, []int{0, -1, 1}, 1, errLabelRange},
 		{"single class", ok, []int{1, 1, 1}, 1, errOneClass},
-		{"label count", ok, []int{0, 1}, 1, errNoData},
+		{"label count", ok, []int{0, 1}, 1, errDims},
 		{"no rows", nil, nil, 1, errNoData},
 	} {
 		if _, _, err := SelectTopK(tc.x, tc.y, tc.k); !errors.Is(err, tc.want) {

@@ -153,12 +153,13 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 	if m.thresholds != nil {
 		f.State.Thresholds = *m.thresholds
 	}
-	for _, p := range m.past {
+	for i := range m.past {
+		p := &m.past[i]
 		x, y := p.fs.Rows()
 		f.State.Past = append(f.State.Past, checkpointCrisis{
 			ID: p.id, Label: p.label, Start: p.start,
 			FsX: x, FsY: y, Top: p.top,
-			Votes: p.votes, Expl: p.expl,
+			Votes: p.votes, Expl: m.explanations(p),
 		})
 	}
 	if err := gob.NewEncoder(w).Encode(&f); err != nil {
@@ -199,8 +200,10 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 		}
 		past[i] = pastCrisis{
 			id: p.ID, label: p.Label, start: p.Start,
-			fs: *fs, top: p.Top,
-			votes: p.Votes, expl: p.Expl,
+			fs: *fs, top: p.Top, votes: p.Votes,
+		}
+		for _, e := range p.Expl {
+			past[i].expl = append(past[i].expl, keptExplanation{e: e})
 		}
 	}
 

@@ -43,7 +43,7 @@ func TestExplanationBreakdownSeededRun(t *testing.T) {
 	label := ""
 	lastActive := false
 	checked, withCandidates := 0, 0
-	perCrisis := map[string]int{}
+	perCrisis := map[string][]*ident.Explanation{} // as emitted
 	for i := 0; i < epochs; i++ {
 		rows, act, err := s.Next()
 		if err != nil {
@@ -63,7 +63,7 @@ func TestExplanationBreakdownSeededRun(t *testing.T) {
 				t.Fatalf("epoch %d: advice without explanation: %+v", rep.Epoch, adv)
 			}
 			checked++
-			perCrisis[adv.CrisisID]++
+			perCrisis[adv.CrisisID] = append(perCrisis[adv.CrisisID], e)
 			if e.CrisisID != adv.CrisisID || e.Epoch != adv.Epoch || e.IdentEpoch != adv.IdentEpoch {
 				t.Fatalf("explanation identity mismatch: advice %+v, explanation %+v", adv, e)
 			}
@@ -133,15 +133,19 @@ func TestExplanationBreakdownSeededRun(t *testing.T) {
 	if withCandidates == 0 {
 		t.Fatal("no advice had candidates; the distance breakdown was never exercised")
 	}
-	// The per-crisis audit accessor must retain exactly what was emitted.
-	for id, n := range perCrisis {
+	// The per-crisis audit accessor must retain exactly what was emitted,
+	// across threshold refreshes and the labels filed since.
+	for id, emitted := range perCrisis {
 		expls, ok := m.Explanations(id)
-		if !ok || len(expls) != n {
-			t.Fatalf("Explanations(%s): ok=%v len=%d, want %d records", id, ok, len(expls), n)
+		if !ok || len(expls) != len(emitted) {
+			t.Fatalf("Explanations(%s): ok=%v len=%d, want %d records", id, ok, len(expls), len(emitted))
 		}
 		for k, e := range expls {
 			if e.IdentEpoch != k {
 				t.Fatalf("Explanations(%s)[%d] has ident epoch %d", id, k, e.IdentEpoch)
+			}
+			if !reflect.DeepEqual(e, emitted[k]) {
+				t.Fatalf("Explanations(%s)[%d] differs from the emitted record:\n got %+v\nwant %+v", id, k, e, emitted[k])
 			}
 		}
 	}

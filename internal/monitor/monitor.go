@@ -199,7 +199,57 @@ type pastCrisis struct {
 	// (§4.3 stability is judged over it); expl retains the audit record of
 	// each identification attempt for /explain and the audit journal.
 	votes []string
-	expl  []*ident.Explanation
+	expl  []keptExplanation
+}
+
+// keptExplanation is one identification audit record as its crisis keeps it.
+// A record compares the ongoing fingerprint with every labelled crisis, so
+// whole records grow with the square of the crisis count (ExplainTopK
+// contributions per candidate). A record identify built keeps instead what
+// its candidates are a pure function of — the fingerprinter, the ongoing
+// fingerprint, and each candidate's store index and label at the time — and
+// explanation recomputes them: the store's rows never change, so the
+// rebuilt record is the emitted one bit for bit. A record restored from a
+// checkpoint stays whole (f == nil).
+type keptExplanation struct {
+	e     *ident.Explanation  // without Candidates unless f == nil
+	f     *core.Fingerprinter // untagged, so rebuilding bypasses the store's cache
+	part  []float64
+	cands []keptCandidate // nearest first
+}
+
+type keptCandidate struct {
+	store int
+	label string
+}
+
+// explanation returns kept with its candidates.
+func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
+	if kept.f == nil {
+		return kept.e
+	}
+	e := *kept.e
+	if len(kept.cands) > 0 {
+		e.Candidates = make([]core.CandidateExplanation, len(kept.cands))
+		for i, c := range kept.cands {
+			// identify ran these on the same store rows, so they cannot fail.
+			sc, _ := m.store.Crisis(c.store)
+			fp, _ := m.store.Fingerprint(c.store, kept.f)
+			exp, _ := kept.f.ExplainDistance(kept.part, fp, m.cfg.ExplainTopK)
+			exp.CrisisID, exp.Label = sc.ID, c.label
+			e.Candidates[i] = exp
+		}
+	}
+	return &e
+}
+
+// explanations rebuilds the audit records of p.
+func (m *Monitor) explanations(p *pastCrisis) []*ident.Explanation {
+	out := make([]*ident.Explanation, 0, len(p.expl))
+	for _, k := range p.expl {
+		out = append(out, m.explanation(k))
+	}
+	return out
 }
 
 // Monitor is the online fingerprinting engine. Not safe for concurrent use;
@@ -904,6 +954,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	sp.SetAttr("lambda_steps", int64(st.Steps))
 	sp.SetAttr("iters_total", int64(st.Iters))
 	sp.SetAttr("exact_checks", int64(st.ExactChecks))
+	sp.SetAttr("screened", int64(st.Screened))
 	sp.SetAttr("selected", int64(len(top)))
 	sp.End()
 	m.span(stageSelection, ts)
@@ -1154,7 +1205,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 			continue
 		}
 		exp.CrisisID, exp.Label = c.ID, c.Label
-		cands = append(cands, identCandidate{exp: exp, fp: fp})
+		cands = append(cands, identCandidate{exp: exp, fp: fp, store: j})
 	}
 	sp.SetAttr("candidates", int64(len(cands)))
 	if m.tel != nil {
@@ -1170,6 +1221,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		Candidates: len(cands),
 		Emitted:    ident.Unknown,
 	}
+	var kept []keptCandidate
 	if len(cands) > 0 {
 		thr := m.thrMemo.threshold(f, cands, m.cfg.Alpha)
 		// Nearest first; stable sort keeps store order on ties, matching the
@@ -1184,8 +1236,10 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 			adv.Emitted = best.Label
 		}
 		expl.Candidates = make([]core.CandidateExplanation, len(cands))
+		kept = make([]keptCandidate, len(cands))
 		for i, c := range cands {
 			expl.Candidates[i] = c.exp
+			kept[i] = keptCandidate{c.store, c.exp.Label}
 		}
 	}
 	sp.End()
@@ -1195,15 +1249,19 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 	expl.Votes = append([]string(nil), p.votes...)
 	expl.Stable = ident.IsStable(p.votes)
 	adv.Explanation = expl
-	p.expl = append(p.expl, expl)
+	head, untagged := *expl, *f
+	head.Candidates = nil
+	untagged.SetGeneration(0)
+	p.expl = append(p.expl, keptExplanation{e: &head, f: &untagged, part: part, cands: kept})
 	sp.End()
 	return adv
 }
 
 // identCandidate is one labeled stored crisis identify compares against.
 type identCandidate struct {
-	exp core.CandidateExplanation
-	fp  []float64
+	exp   core.CandidateExplanation
+	fp    []float64
+	store int // index in the store
 }
 
 // thresholdMemo remembers identify's threshold, §5.3's OnlineThreshold over
@@ -1250,14 +1308,14 @@ func (c *thresholdMemo) threshold(f *core.Fingerprinter, cands []identCandidate,
 }
 
 // Explanations returns the identification audit records of crisis id in
-// ident-epoch order (a copy of the slice; the records themselves are shared
-// and must be treated as read-only). ok=false for an unknown crisis; an
-// empty non-nil slice for a crisis identified before thresholds existed.
-// Same single-goroutine contract as Stats.
+// ident-epoch order, each equal to the Advice.Explanation emitted with it
+// (read-only: a record restored from a checkpoint is shared). ok=false for
+// an unknown crisis; an empty non-nil slice for a crisis identified before
+// thresholds existed. Same single-goroutine contract as Stats.
 func (m *Monitor) Explanations(id string) ([]*ident.Explanation, bool) {
 	for i := range m.past {
 		if m.past[i].id == id {
-			return append([]*ident.Explanation{}, m.past[i].expl...), true
+			return m.explanations(&m.past[i]), true
 		}
 	}
 	return nil, false

@@ -204,8 +204,12 @@ func TestPerCrisisSelectionSpan(t *testing.T) {
 				attrs[a.Key] = a.Value
 			}
 			checks, ok := attrs["exact_checks"]
-			if len(attrs) != 6 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
-				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 || !ok || checks < 0 {
+			// Screening skips column gradients on every scripted crisis,
+			// never more than the path evaluated (iterations × metrics).
+			screened := attrs["screened"]
+			if len(attrs) != 7 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
+				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 || !ok || checks < 0 ||
+				screened <= 0 || screened > attrs["iters_total"]*int64(cfg.Catalog.Len()) {
 				t.Fatalf("epoch %d: selection span attrs %v", epoch, sp.Attrs)
 			}
 		}
