@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -214,17 +215,21 @@ func TestDecideCertifiesOnlyTheTruth(t *testing.T) {
 
 // holdScreen installs a checkScreen hook that requires |gw| <= bound <=
 // lambda of every column gradient screening skips, until release or the end
-// of t; release reports how many skipped columns the hook computed. Under
-// forceExact it installs nothing and release reports -1: forced runs repeat
-// the plain runs' iterates, so their screening decisions too, and the plain
-// runs check those.
+// of t; release reports how many skipped columns the hook computed. Lanes
+// call the hook concurrently, so it counts under a mutex. Under forceExact
+// it installs nothing and release reports -1: forced runs repeat the plain
+// runs' iterates, so their screening decisions too, and the plain runs check
+// those.
 func holdScreen(t testing.TB) (release func() int) {
 	t.Helper()
 	if forceExact {
 		return func() int { return -1 }
 	}
+	var mu sync.Mutex
 	checked, bad := 0, 0
 	checkScreen = func(gw, bound, lambda float64) {
+		mu.Lock()
+		defer mu.Unlock()
 		checked++
 		if !(math.Abs(gw) <= bound && bound <= lambda) {
 			if bad++; bad <= 3 {
@@ -234,6 +239,8 @@ func holdScreen(t testing.TB) (release func() int) {
 	}
 	release = func() int {
 		checkScreen = nil
+		mu.Lock()
+		defer mu.Unlock()
 		return checked
 	}
 	t.Cleanup(func() { release() })

@@ -1,11 +1,12 @@
 package logreg
 
 // The row-oriented reference path, its bit-for-bit comparison
-// (oracle_test.go) and the screening certificate check (certify_test.go),
-// for the external tests in this directory, which may import the packages
-// that import logreg.
+// (oracle_test.go), the screening certificate check and the benchmark's
+// sample generator (certify_test.go), for the external tests in this
+// directory, which may import the packages that import logreg.
 var (
 	OracleSelectTopK = oracleSelectTopK
 	SameModel        = sameModel
 	HoldScreen       = holdScreen
+	LatentSamples    = latentSamples
 )

@@ -14,7 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Options configures training.
@@ -55,6 +58,7 @@ var (
 	errOneClass   = errors.New("logreg: training labels contain a single class")
 	errDims       = errors.New("logreg: inconsistent feature dimensions")
 	errLabelRange = errors.New("logreg: labels must be 0 or 1")
+	errNonFinite  = errors.New("logreg: non-finite sample value")
 )
 
 // Samples is a training set held metric-major in blocks, so column j of the
@@ -219,7 +223,10 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 		return nil, fmt.Errorf("logreg: negative lambda %v", opts.Lambda)
 	}
 	f := newSolver(s, opts.Standardize)
-	b, iters := f.fit(opts)
+	if !f.finite {
+		return nil, errNonFinite
+	}
+	b, iters, _ := f.fit(opts)
 
 	// Map coefficients back to the original feature space.
 	model := &Model{Weights: make([]float64, s.d), Bias: b, Lambda: opts.Lambda, Iters: iters}
@@ -230,37 +237,51 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 	return model, nil
 }
 
-// solver is the FISTA kernel over one Samples set plus the scratch every fit
-// on that set reuses. Its iterates are frozen: the §3.4 path mostly stops at
-// MaxIter, not at Tol, so the selected features depend on the exact truncated
-// iterate, and every sum that reaches an iterate keeps the order of the
-// row-oriented reference in oracle_test.go. Margins add x·w over ascending j
-// per row, skipping only w_j == 0 (adding ±0 to a finite margin is the
-// identity); Xᵀg adds over ascending i per column; sigmoid reuses the exp the
-// loss needs; standardization sums in block (= collection) order. Loss values
-// reach nothing but the backtracking test, so fit decides that test from
-// certified brackets and computes the reference's loss (exactSum) only when
-// a bracket cannot decide it. Likewise a column's gradient reaches an iterate
-// only through softThreshold, so gradient skips every column whose
-// soft-threshold a certified bound shows to be zero (screen).
-type solver struct {
+// problem is what every fit over one Samples set reads and none writes: the
+// samples (standardized by then), their label signs, the standardization
+// Train undoes, and each column's norm bound for screening.
+type problem struct {
 	s         *Samples
 	z         []float64 // label signs: +1 for y = 1, -1 for y = 0
-	m, g      []float64 // per row: margin, d loss / d margin
 	mean, std []float64 // per column: standardization undone by Train (0, 1 = none)
+	colNorm   []float64 // per column: ‖x_j‖₂ rounded up
+	finite    bool      // no value (after standardization) is NaN or ±Inf
+}
+
+// solver is the FISTA kernel: one lane's iterates, scratch and screening
+// state over a shared problem. Its iterates are frozen: the §3.4 path mostly
+// stops at MaxIter, not at Tol, so the selected features depend on the exact
+// truncated iterate, and every sum that reaches an iterate keeps the order of
+// the row-oriented reference in oracle_test.go. Margins add x·w over
+// ascending j per row, skipping only w_j == 0 (adding ±0 to a finite margin
+// is the identity); Xᵀg adds over ascending i per column; sigmoid reuses the
+// exp the loss needs; standardization sums in block (= collection) order.
+// Loss values reach nothing but the backtracking test, so fit decides that
+// test from certified brackets and computes the reference's loss (exactSum)
+// only when a bracket cannot decide it. Likewise a column's gradient reaches
+// an iterate only through softThreshold, so gradient skips every column whose
+// soft-threshold a certified bound shows to be zero (screen).
+type solver struct {
+	*problem
+	m, g []float64 // per row: margin, d loss / d margin
 
 	w, wPrev, wLook, wNew, gradW []float64
 
 	// Screening state: per column, |Σ g_i x_ij| at its last evaluation
-	// (+Inf before the first), path and ‖g‖₂'s bound at that call, and
-	// ‖x_j‖₂ rounded up; path bounds Σ ‖g^t − g^{t−1}‖₂ over every gradient
-	// call so far. The samples never change, so all of it outlives a fit.
-	refSum, refPath, refNorm, colNorm []float64
-	path                              float64
-	live                              []int // columns gradient evaluates this call
+	// (+Inf before the first), and path and ‖g‖₂'s bound at that call; path
+	// bounds Σ ‖g^t − g^{t−1}‖₂ over every gradient call so far. The samples
+	// never change, so all of it outlives a fit.
+	refSum, refPath, refNorm []float64
+	path                     float64
+	live                     []int // columns gradient evaluates this call
 
 	exactChecks int // backtracking tests the brackets could not decide
 	screened    int // column gradients screen skipped
+
+	// quit, when set, abandons the fit as soon as *quit <= at: the path step
+	// it is fitting can no longer be the result.
+	quit *atomic.Int32
+	at   int32
 }
 
 // forceExact sends every backtracking test down the exact path, so the
@@ -270,52 +291,76 @@ var forceExact bool
 
 // checkScreen, when set, is handed every column gradient screen skipped,
 // computed anyway, with the bound that skipped it and the penalty, so the
-// certificate tests can hold |gw| <= bound <= lambda. Only internal tests
-// set it.
+// certificate tests can hold |gw| <= bound <= lambda. Lanes call it
+// concurrently. Only internal tests set it.
 var checkScreen func(gw, bound, lambda float64)
 
-// newSolver sets up a solver over s, standardizing s in place first when
-// standardize is set.
-func newSolver(s *Samples, standardize bool) *solver {
+// newProblem sets up the shared data over s, standardizing s in place first
+// when standardize is set. The one pass over every value that bounds the
+// column norms also notes whether all of them are finite.
+func newProblem(s *Samples, standardize bool) *problem {
 	n, d := len(s.y), s.d
-	buf := make([]float64, 3*n+11*d)
+	buf := make([]float64, n+3*d)
+	p := &problem{s: s, z: buf[:n:n], mean: buf[n : n+d : n+d], std: buf[n+d : n+2*d : n+2*d], colNorm: buf[n+2*d:], finite: true}
+	for i, yi := range s.y {
+		p.z[i] = -1
+		if yi {
+			p.z[i] = 1
+		}
+	}
+	for j := range p.std {
+		p.std[j] = 1
+	}
+	if standardize {
+		s.standardize(p.mean, p.std)
+	}
+	for j := range p.colNorm {
+		ss, nan := 0.0, 0.0
+		for _, b := range s.blocks {
+			for _, v := range b.col(j) {
+				ss += v * v
+				nan += v - v // +0 while every v is finite, NaN after any other
+			}
+		}
+		p.colNorm[j] = p.normBound(ss)
+		p.finite = p.finite && nan == 0
+	}
+	return p
+}
+
+// lanes returns k solvers over p with their scratch carved from one slab.
+func (p *problem) lanes(k int) []solver {
+	n, d := len(p.z), p.s.d
+	buf := make([]float64, k*(2*n+8*d))
 	next := func(k int) []float64 {
 		out := buf[:k:k]
 		buf = buf[k:]
 		return out
 	}
-	f := &solver{s: s, z: next(n), m: next(n), g: next(n), mean: next(d), std: next(d),
-		w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d),
-		refSum: next(d), refPath: next(d), refNorm: next(d), colNorm: next(d), live: make([]int, 0, d)}
-	for i, yi := range s.y {
-		f.z[i] = -1
-		if yi {
-			f.z[i] = 1
+	live := make([]int, k*d)
+	fs := make([]solver, k)
+	for l := range fs {
+		fs[l] = solver{problem: p, m: next(n), g: next(n),
+			w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d),
+			refSum: next(d), refPath: next(d), refNorm: next(d), live: live[l*d : l*d : (l+1)*d]}
+		for j := range fs[l].refSum {
+			fs[l].refSum[j] = math.Inf(1)
 		}
 	}
-	for j := range f.std {
-		f.std[j] = 1
-	}
-	if standardize {
-		s.standardize(f.mean, f.std)
-	}
-	for j := range f.colNorm {
-		ss := 0.0
-		for _, b := range s.blocks {
-			for _, v := range b.col(j) {
-				ss += v * v
-			}
-		}
-		f.colNorm[j] = f.normBound(ss)
-		f.refSum[j] = math.Inf(1)
-	}
-	return f
+	return fs
+}
+
+// newSolver sets up one solver over s, standardizing s in place first when
+// standardize is set.
+func newSolver(s *Samples, standardize bool) *solver {
+	return &newProblem(s, standardize).lanes(1)[0]
 }
 
 // fit runs accelerated proximal gradient descent on the ℓ1-penalized
 // logistic loss from w = 0, leaving the weights in f.w. The bias is
-// unpenalized. Returns bias and iterations.
-func (f *solver) fit(opts Options) (float64, int) {
+// unpenalized. Returns bias and iterations, and false if quit abandoned the
+// fit (the weights are then a partial iterate).
+func (f *solver) fit(opts Options) (float64, int, bool) {
 	w, wPrev, wLook, wNew, gradW := f.w, f.wPrev, f.wLook, f.wNew, f.gradW
 	clear(w)
 	clear(wPrev)
@@ -325,6 +370,9 @@ func (f *solver) fit(opts Options) (float64, int) {
 
 	iters := 0
 	for it := 0; it < opts.MaxIter; it++ {
+		if f.quit != nil && f.quit.Load() <= f.at {
+			return b, iters, false
+		}
 		iters = it + 1
 		// Lookahead (momentum) point.
 		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
@@ -392,7 +440,7 @@ func (f *solver) fit(opts Options) (float64, int) {
 			break
 		}
 	}
-	return b, iters
+	return b, iters, true
 }
 
 // sufficient is the right side of the backtracking test for a lookahead loss
@@ -637,9 +685,9 @@ func (f *solver) dots(cols []int, out []float64) {
 // (1 − γ_{n+3}) of the exact sum less n·2⁻¹⁰⁷⁵ of underflow (Higham), so the
 // added n·2⁻¹⁰⁷⁴ and the factor 1 + 2(n+8)u cover that, the square root and
 // this arithmetic's rounding.
-func (f *solver) normBound(ss float64) float64 {
+func (p *problem) normBound(ss float64) float64 {
 	const u = 0x1p-53
-	n := len(f.m)
+	n := len(p.z)
 	return math.Sqrt(ss+float64(n)*0x1p-1074) * (1 + float64(2*(n+8))*u)
 }
 
@@ -727,16 +775,16 @@ func (m *Model) TopFeatures(k int) []int {
 // zero: the ∞-norm of the loss gradient at w=0 (with bias at the empirical
 // log-odds, pos of the labels being 1) — the top of SelectTopK's
 // regularization path.
-func (f *solver) lambdaMax(pos int) float64 {
-	n := float64(len(f.z))
+func (pr *problem) lambdaMax(pos int) float64 {
+	n := float64(len(pr.z))
 	p := float64(pos) / n
 	// With w=0 and bias at log-odds, residual r_i = p - y_i, y_i = (z_i+1)/2.
 	maxAbs := 0.0
-	for j := 0; j < f.s.d; j++ {
+	for j := 0; j < pr.s.d; j++ {
 		g, off := 0.0, 0
-		for _, b := range f.s.blocks {
+		for _, b := range pr.s.blocks {
 			for i, v := range b.col(j) {
-				g += (p - (f.z[off+i]+1)/2) * v
+				g += (p - (pr.z[off+i]+1)/2) * v
 			}
 			off += b.n
 		}
@@ -750,8 +798,15 @@ func (f *solver) lambdaMax(pos int) float64 {
 // PathStats describes one SelectTopK path: label-1 rows trained on,
 // penalties fitted (Steps), their FISTA iterations in total, the
 // backtracking tests that fell back to the exact loss (ExactChecks), and the
-// column gradients screening skipped (Screened, out of Iters × width).
+// column gradients screening skipped (Screened, out of Iters × width). The
+// four counts cover the steps up to and including the one whose fit is
+// returned; fits the lanes began past it and abandoned are not counted.
+// Screened alone can depend on the lane count: a lane's screening
+// references carry over from whichever step it fitted last.
 type PathStats struct{ Positives, Steps, Iters, ExactChecks, Screened int }
+
+// pathSteps is the most penalties SelectTopK fits, each half the last.
+const pathSteps = 12
 
 // SelectTopK trains models along a decreasing regularization path until at
 // least k features have non-zero coefficients, then returns the k with the
@@ -772,7 +827,15 @@ func SelectTopK(x [][]float64, y []int, k int) ([]int, *Model, error) {
 // SelectTopK is the package-level SelectTopK on a set the caller gives up:
 // the samples are standardized in place, so the whole path — validation,
 // standardization, λmax, every fit — runs on the one copy of the data, with
-// scratch allocated once. Values must be finite.
+// scratch allocated once. A NaN or infinite value is an error.
+//
+// Every fit starts from w = 0 and carries nothing into the next but
+// screening references, which reach no iterate (DESIGN.md rules 7 and 8),
+// so each step's fit is a function of its λ alone. The path therefore runs
+// in up to GOMAXPROCS lanes that claim steps in λ order: the first step whose
+// fit activates k features is the last one that matters, no lane starts a
+// step past it, and a fit already running past it is abandoned. The result,
+// to the bit, is the serial walk's.
 func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 	if k <= 0 {
 		return nil, nil, PathStats{}, fmt.Errorf("logreg: k=%d must be positive", k)
@@ -781,21 +844,96 @@ func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 	if err != nil {
 		return nil, nil, PathStats{}, err
 	}
-	st := PathStats{Positives: pos}
-	f := newSolver(s, true)
-	lambda := f.lambdaMax(pos)
+	p := newProblem(s, true)
+	if !p.finite {
+		return nil, nil, PathStats{}, errNonFinite
+	}
+	r := &pathRun{k: k}
+	lambda := p.lambdaMax(pos)
 	if lambda <= 0 {
 		lambda = 1
 	}
-	m := &Model{Weights: f.w}
-	for active := 0; st.Steps < 12 && active < k; st.Steps++ {
+	ws := make([]float64, pathSteps*s.d)
+	for i := range r.steps {
 		lambda /= 2
-		m.Lambda = lambda
-		m.Bias, m.Iters = f.fit(Options{Lambda: lambda, MaxIter: 500, Tol: 1e-6})
-		st.Iters += m.Iters
-		active = len(m.Selected())
+		r.steps[i].lambda = lambda
+		r.steps[i].w = ws[i*s.d : (i+1)*s.d : (i+1)*s.d]
 	}
-	st.ExactChecks, st.Screened = f.exactChecks, f.screened
-	m.Weights = append([]float64(nil), f.w...) // not a view into the scratch
+	r.stop.Store(pathSteps)
+	lanes := p.lanes(min(runtime.GOMAXPROCS(0), pathSteps))
+	if len(lanes) > 1 {
+		// One closure for every goroutine, each taking the next solver, so
+		// the path's allocations do not grow with the lane count.
+		work := func() {
+			r.run(&lanes[r.lane.Add(1)])
+			r.wg.Done()
+		}
+		r.wg.Add(len(lanes) - 1)
+		for range lanes[1:] {
+			go work()
+		}
+	}
+	r.run(&lanes[0])
+	r.wg.Wait()
+
+	stop := int(r.stop.Load())
+	st := PathStats{Positives: pos, Steps: stop}
+	for _, sf := range r.steps[:stop] {
+		st.Iters += sf.iters
+		st.ExactChecks += sf.exactChecks
+		st.Screened += sf.screened
+	}
+	last := r.steps[stop-1]
+	m := &Model{Weights: last.w, Bias: last.b, Lambda: last.lambda, Iters: last.iters}
 	return m.TopFeatures(k), m, st, nil
+}
+
+// pathRun is one SelectTopK path shared by its lanes.
+type pathRun struct {
+	k     int
+	next  atomic.Int32 // the lowest step no lane has claimed
+	stop  atomic.Int32 // one past the lowest step known to activate k features
+	lane  atomic.Int32 // solvers handed to goroutines so far
+	wg    sync.WaitGroup
+	steps [pathSteps]stepFit
+}
+
+// stepFit is one path step: its penalty and, once fitted, its model and work.
+type stepFit struct {
+	lambda                       float64
+	w                            []float64
+	b                            float64
+	iters, exactChecks, screened int
+}
+
+// run is one lane: it claims steps in λ order and fits each, until the next
+// unclaimed step is past stop. A fit that reaches k lowers stop to just
+// past its step, which abandons every fit beyond it.
+func (r *pathRun) run(f *solver) {
+	f.quit = &r.stop
+	for {
+		i := r.next.Add(1) - 1
+		if i >= r.stop.Load() {
+			return
+		}
+		f.at, f.exactChecks, f.screened = i, 0, 0
+		sf := &r.steps[i]
+		b, iters, ok := f.fit(Options{Lambda: sf.lambda, MaxIter: 500, Tol: 1e-6})
+		if !ok {
+			return // i >= stop, and so is every step left to claim
+		}
+		sf.b, sf.iters, sf.exactChecks, sf.screened = b, iters, f.exactChecks, f.screened
+		copy(sf.w, f.w)
+		active := 0
+		for _, w := range f.w {
+			if w != 0 {
+				active++
+			}
+		}
+		if active < r.k {
+			continue
+		}
+		for s := r.stop.Load(); i+1 < s && !r.stop.CompareAndSwap(s, i+1); s = r.stop.Load() {
+		}
+	}
 }

@@ -284,6 +284,48 @@ func TestSamplesValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSamplesRejected: a single NaN or infinite cell is an error
+// from every entry point, where it used to poison its column's
+// standardization and return a ranking after a one-iteration fit. Finite
+// extremes that overflow only the squared norms are not errors.
+func TestNonFiniteSamplesRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x, y := synth(rng, 400, 20, []float64{2, -2, 1.5}, -1)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := cloneRows(x)
+		bad[123][7] = v
+		if top, _, err := SelectTopK(bad, y, 5); !errors.Is(err, errNonFinite) {
+			t.Errorf("SelectTopK with a %v cell: top %v, err = %v, want %v", v, top, err, errNonFinite)
+		}
+		s, err := NewSamples(bad, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top, _, _, err := s.SelectTopK(5); !errors.Is(err, errNonFinite) {
+			t.Errorf("Samples.SelectTopK with a %v cell: top %v, err = %v, want %v", v, top, err, errNonFinite)
+		}
+		for _, standardize := range []bool{true, false} {
+			opts := DefaultOptions(0.01)
+			opts.Standardize = standardize
+			if _, err := Train(bad, y, opts); !errors.Is(err, errNonFinite) {
+				t.Errorf("Train (standardize %v) with a %v cell: err = %v, want %v", standardize, v, err, errNonFinite)
+			}
+		}
+	}
+	huge := cloneRows(x)
+	for _, row := range huge {
+		row[3] *= 1e300
+	}
+	opts := DefaultOptions(0.01)
+	opts.Standardize = false
+	if _, err := Train(huge, y, opts); err != nil {
+		t.Errorf("Train on finite values up to %v: %v", 1e300, err)
+	}
+	if _, _, err := SelectTopK(huge, y, 5); err != nil {
+		t.Errorf("SelectTopK on finite values up to %v: %v", 1e300, err)
+	}
+}
+
 func TestSelectTopKValidation(t *testing.T) {
 	if _, _, err := SelectTopK(nil, nil, 0); err == nil {
 		t.Fatal("want error on k=0")
