@@ -374,6 +374,7 @@ func Simulate(cfg Config) (*Trace, error) {
 		}
 		mat := metrics.NewMatrix(cfg.Machines, len(specs))
 		rows := mat.RowViews()
+		ef := newEpochFactors(len(specs), profiles)
 		summary := make([][3]float64, cat.Len())
 		reporting := make([]bool, cfg.Machines)
 		viol := make([]bool, cfg.Machines)
@@ -383,23 +384,15 @@ func Simulate(cfg Config) (*Trace, error) {
 				t0 = time.Now()
 			}
 			erng := rand.New(rand.NewSource(epochSeed(cfg.Seed, int64(e))))
-			sh := sharedSeries[e*len(specs) : (e+1)*len(specs)]
 
 			// Generate machine rows.
+			ef.set(specs, intensity[e], sharedSeries[e*len(specs):(e+1)*len(specs)])
 			for m := 0; m < cfg.Machines; m++ {
-				row := rows[m]
-				for j, sp := range specs {
-					v := sp.base * math.Pow(intensity[e], sp.loadExp) * mf[m][j] *
-						(1 + sh[j]) * (1 + erng.NormFloat64()*sp.noiseStd)
-					if v < 0 {
-						v = 0
-					}
-					row[j] = v
-				}
+				ef.row(rows[m], mf[m], specs, erng)
 			}
 			if ai := activeAt[e]; ai >= 0 {
 				in := &instances[ai]
-				applyCrisis(rows, in, profiles[in.Type], metrics.Epoch(e), cfg.Machines)
+				applyCrisis(rows, in, profiles[in.Type], metrics.Epoch(e), cfg.Machines, ef.spill)
 			}
 			if ci := chaosAt[e]; ci >= 0 {
 				in := instances[ci]
@@ -530,8 +523,58 @@ func epochSeed(seed, e int64) int64 {
 	return int64(z)
 }
 
+// epochFactors holds what every cell of one epoch shares, computed once per
+// epoch instead of once per cell: scale[j] = base·intensity^loadExp and
+// sh[j] = 1+shared[j] per metric, and applyCrisis's spillover factor per
+// crisis effect. A cell is then ((scale·mf)·sh)·(1+noise), metricSpec's
+// product in its left-to-right order, so every intermediate result is the
+// one the unhoisted expression rounds to: the product order is a contract
+// (DESIGN.md, "Generation's per-cell product is a contract").
+type epochFactors struct {
+	scale, sh, spill []float64
+}
+
+// newEpochFactors carves the scratch for nspecs metrics and the longest
+// effect list of profiles from one allocation.
+func newEpochFactors(nspecs int, profiles map[crisis.Type]compiledProfile) epochFactors {
+	effs := 0
+	for _, p := range profiles {
+		effs = max(effs, len(p.effects), len(p.lateEffects))
+	}
+	slab := make([]float64, 2*nspecs+effs)
+	return epochFactors{
+		scale: slab[:nspecs:nspecs],
+		sh:    slab[nspecs : 2*nspecs : 2*nspecs],
+		spill: slab[2*nspecs:],
+	}
+}
+
+// set computes the per-metric factors of an epoch at workload intensity
+// with datacenter-wide drift shared.
+func (f *epochFactors) set(specs []metricSpec, intensity float64, shared []float64) {
+	for j := range specs {
+		f.scale[j] = specs[j].base * math.Pow(intensity, specs[j].loadExp)
+		f.sh[j] = 1 + shared[j]
+	}
+}
+
+// row fills one machine's baseline row from its hardware spread mf, drawing
+// one noise value per cell from rng in metric order. Negative values clamp
+// to zero.
+func (f *epochFactors) row(row, mf []float64, specs []metricSpec, rng *rand.Rand) {
+	scale, sh, mf, specs := f.scale[:len(row)], f.sh[:len(row)], mf[:len(row)], specs[:len(row)]
+	for j := range row {
+		v := scale[j] * mf[j] * sh[j] * (1 + rng.NormFloat64()*specs[j].noiseStd)
+		if v < 0 {
+			v = 0
+		}
+		row[j] = v
+	}
+}
+
 // applyCrisis multiplies crisis effects into the affected machines' rows.
-func applyCrisis(rows [][]float64, in *crisis.Instance, p compiledProfile, e metrics.Epoch, machines int) {
+// spill is scratch for one factor per effect.
+func applyCrisis(rows [][]float64, in *crisis.Instance, p compiledProfile, e metrics.Epoch, machines int, spill []float64) {
 	// Ramp-in envelope: faults build up over four epochs (one hour), so
 	// the SLA rule fires a few epochs into the fault — by which time the
 	// fingerprint's pre-detection window epochs already show the crisis
@@ -559,24 +602,26 @@ func applyCrisis(rows [][]float64, in *crisis.Instance, p compiledProfile, e met
 	// Deterministic affected subset, rotated per instance so different
 	// instances hit different machines.
 	offset := int(in.Start) % machines
-	isAffected := func(m int) bool {
-		d := (m - offset + machines) % machines
-		return d < affected
+	// Every unaffected machine takes the same spillover factor per effect.
+	spill = spill[:len(effects)]
+	for k, eff := range effects {
+		spill[k] = math.Pow(eff.factor, exp*spilloverExp)
 	}
 	for m := 0; m < machines; m++ {
 		row := rows[m]
-		for _, eff := range effects {
-			e := exp * spilloverExp
-			if isAffected(m) {
-				// Machines do not respond identically: each
-				// (machine, metric, instance) triple gets a stable
-				// response jitter in [0.7, 1.3], so no single metric
-				// perfectly predicts which machines violate and
-				// feature selection has to keep several of a
-				// crisis's metrics.
-				e = exp * responseJitter(m, eff.metric, int(in.Start))
+		if (m-offset+machines)%machines >= affected {
+			for k, eff := range effects {
+				row[eff.metric] *= spill[k]
 			}
-			row[eff.metric] *= math.Pow(eff.factor, e)
+			continue
+		}
+		for _, eff := range effects {
+			// Machines do not respond identically: each (machine,
+			// metric, instance) triple gets a stable response jitter in
+			// [0.7, 1.3], so no single metric perfectly predicts which
+			// machines violate and feature selection has to keep
+			// several of a crisis's metrics.
+			row[eff.metric] *= math.Pow(eff.factor, exp*responseJitter(m, eff.metric, int(in.Start)))
 		}
 	}
 }

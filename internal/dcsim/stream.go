@@ -141,6 +141,7 @@ type Stream struct {
 	wl           *workload.Generator
 	mf           [][]float64 // per-machine hardware spread
 	shared       []float64   // datacenter-wide AR(1) drift
+	ef           epochFactors
 	pool         metrics.MatrixPool
 	cur          *metrics.Matrix // the buffer handed out by the last Next
 	e            metrics.Epoch
@@ -195,6 +196,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		s.mf[m] = row
 	}
 	s.shared = make([]float64, len(s.specs))
+	s.ef = newEpochFactors(len(s.specs), profiles)
 	if err := s.schedule(metrics.Epoch(cfg.WarmupEpochs)); err != nil {
 		return nil, err
 	}
@@ -328,6 +330,7 @@ func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance
 	for j, sp := range s.specs {
 		s.shared[j] = sp.sharedAR*s.shared[j] + s.rng.NormFloat64()*sp.sharedStd
 	}
+	s.ef.set(s.specs, intensity, s.shared)
 
 	buf := s.pool.Get(s.cfg.Machines, len(s.specs))
 	rows := buf.RowViews()
@@ -354,18 +357,10 @@ func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance
 				return nil, nil, err
 			}
 		}
-		row := rows[m]
-		for j, sp := range s.specs {
-			v := sp.base * math.Pow(intensity, sp.loadExp) * s.mf[m][j] *
-				(1 + s.shared[j]) * (1 + s.rng.NormFloat64()*sp.noiseStd)
-			if v < 0 {
-				v = 0
-			}
-			row[j] = v
-		}
+		s.ef.row(rows[m], s.mf[m], s.specs, s.rng)
 	}
 	if active != nil {
-		applyCrisis(rows, active, s.profiles[active.Type], e, s.cfg.Machines)
+		applyCrisis(rows, active, s.profiles[active.Type], e, s.cfg.Machines, s.ef.spill)
 	}
 	if e >= s.next.Start-streamChaosPad && e <= s.next.End() {
 		for _, eff := range s.chaos {

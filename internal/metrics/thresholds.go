@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dcfp/internal/quantile"
 	"dcfp/internal/stats"
 )
 
@@ -79,10 +80,14 @@ func ComputeThresholds(track *QuantileTrack, isNormal func(Epoch) bool, end Epoc
 	if start < 0 {
 		start = 0
 	}
-	var normals []Epoch
+	var normals [][]float64 // the window's normal epochs' rows
 	for e := Epoch(start); e <= end; e++ {
 		if isNormal(e) {
-			normals = append(normals, e)
+			row, err := track.EpochRow(e)
+			if err != nil {
+				return nil, err
+			}
+			normals = append(normals, row)
 		}
 	}
 	if len(normals) == 0 {
@@ -97,28 +102,39 @@ func ComputeThresholds(track *QuantileTrack, isNormal func(Epoch) bool, end Epoc
 		NormalEpochs: len(normals),
 		Config:       cfg,
 	}
-	scratch := make([]float64, len(normals))
-	for m := 0; m < nm; m++ {
-		for qi := 0; qi < NumQuantiles; qi++ {
-			for i, e := range normals {
-				v, err := track.At(e, m, qi)
-				if err != nil {
-					return nil, err
-				}
-				scratch[i] = v
-			}
-			sort.Float64s(scratch)
-			cold, err := stats.PercentileSorted(scratch, cfg.ColdPercentile)
-			if err != nil {
-				return nil, err
-			}
-			hot, err := stats.PercentileSorted(scratch, cfg.HotPercentile)
-			if err != nil {
-				return nil, err
-			}
-			th.Cold[m][qi] = cold
-			th.Hot[m][qi] = hot
+	// Each (metric, quantile) column needs two percentiles, not an order:
+	// one selection over the column answers both, with
+	// stats.PercentileSorted's rank p/100·(n−1) and interpolation. A column
+	// holding a NaN is sorted and read by PercentileSorted as a whole. Only
+	// where a percentile lands on a zero may its sign bit differ from a
+	// sort's, whose order between −0 and +0 is unspecified (quantile.Exact).
+	qs := []float64{cfg.ColdPercentile / 100, cfg.HotPercentile / 100}
+	var est quantile.Exact
+	col := make([]float64, len(normals))
+	var out [2]float64
+	for c := 0; c < nm*NumQuantiles; c++ {
+		nan := false
+		for i, row := range normals {
+			v := row[c]
+			col[i] = v
+			nan = nan || v != v
 		}
+		var err error
+		if nan {
+			sort.Float64s(col)
+			if out[0], err = stats.PercentileSorted(col, cfg.ColdPercentile); err == nil {
+				out[1], err = stats.PercentileSorted(col, cfg.HotPercentile)
+			}
+		} else {
+			est.Reset()
+			est.InsertBatch(col)
+			err = est.QueryInto(qs, out[:])
+		}
+		if err != nil {
+			return nil, err
+		}
+		th.Cold[c/NumQuantiles][c%NumQuantiles] = out[0]
+		th.Hot[c/NumQuantiles][c%NumQuantiles] = out[1]
 	}
 	return th, nil
 }

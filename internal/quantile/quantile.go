@@ -270,6 +270,15 @@ func (e *Exact) Query(q float64) (float64, error) {
 	return out[0], err
 }
 
+// QueryInto writes the exact qs[i]-th quantile into out[i] for up to three
+// quantiles, from one selection; each value is the one Query returns.
+func (e *Exact) QueryInto(qs, out []float64) error {
+	if len(qs) > maxRanks/2 || len(out) < len(qs) {
+		return fmt.Errorf("quantile: %d quantiles into %d slots, want at most %d", len(qs), len(out), maxRanks/2)
+	}
+	return e.query(qs, out)
+}
+
 // query answers up to maxRanks/2 quantiles with one selection.
 func (e *Exact) query(qs, out []float64) error {
 	n := len(e.keys)
