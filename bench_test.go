@@ -413,19 +413,3 @@ func BenchmarkPerCrisisSelection(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationSupervisedSelection compares standard (§3.4) against
-// label-aware (§7) metric selection on offline discrimination.
-func BenchmarkAblationSupervisedSelection(b *testing.B) {
-	env := sharedEnv(b)
-	var res experiment.SupervisedSelectionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.AblationSupervisedSelection(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.UnsupervisedAUC, "auc-unsupervised")
-	b.ReportMetric(res.SupervisedAUC, "auc-supervised")
-}

@@ -135,7 +135,7 @@ func bindFlags(fs *flag.FlagSet, c *config) {
 	fs.IntVar(&c.thresholdDays, "threshold-days", 2, "days of history before hot/cold thresholds are established")
 	fs.IntVar(&c.maxEpochs, "max-epochs", 0, "stop after this many source epochs, counting any restored from a checkpoint (0 = run until signalled)")
 	fs.Float64Var(&c.alpha, "alpha", 0.05, "identification false-positive budget")
-	fs.IntVar(&c.workers, "workers", 0, "epoch ingestion worker pool (0 = GOMAXPROCS, 1 = serial); each worker takes at least 250 machines, so an epoch under 500 machines, below the measured fan-out crossover, runs serial")
+	fs.IntVar(&c.workers, "workers", 0, "goroutines the epoch's per-metric work uses (0 = GOMAXPROCS, 1 = serial); each takes at least 32 metric columns, and an epoch under 250 machines, below the measured crossover, runs serial")
 	fs.StringVar(&c.logFormat, "log", "text", "event log format on stderr: text or json")
 
 	fs.Float64Var(&c.minCoverage, "min-coverage", 0.5, "minimum reporting-machine fraction before an epoch is flagged degraded (0 disables the floor)")

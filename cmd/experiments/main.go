@@ -145,10 +145,9 @@ func main() {
 		"ablation":    runAblation,
 		"storage":     runStorage,
 		"relevant":    runRelevant,
-		"supervised":  runSupervised,
 	}
 	order := []string{"table1", "figure1", "figure3", "figure4", "figure5", "figure6",
-		"figure7", "figure8", "table2", "sensitivity", "hotcold", "ablation", "supervised",
+		"figure7", "figure8", "table2", "sensitivity", "hotcold", "ablation",
 		"storage", "relevant"}
 
 	wanted := strings.Split(*run, ",")
@@ -378,22 +377,6 @@ func runAblation(env *experiment.Env, seed int64) error {
 	}
 	fmt.Println("discriminative power by tracked quantiles (§3.5 observation):")
 	return report.Table(os.Stdout, []string{"quantiles", "AUC"}, rows)
-}
-
-func runSupervised(env *experiment.Env, seed int64) error {
-	res, err := experiment.AblationSupervisedSelection(env)
-	if err != nil {
-		return err
-	}
-	fmt.Println("label-aware metric selection (§7 future work) vs standard §3.4 selection:")
-	if err := report.Table(os.Stdout, []string{"selection", "AUC", "metrics"}, [][]string{
-		{"unsupervised (crisis vs normal)", report.F(res.UnsupervisedAUC, 3), fmt.Sprint(len(res.Unsupervised))},
-		{"supervised (type vs type)", report.F(res.SupervisedAUC, 3), fmt.Sprint(len(res.Supervised))},
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("\nshared metrics: %d\nsupervised picks: %v\n", res.Overlap, res.Supervised)
-	return nil
 }
 
 func runStorage(env *experiment.Env, seed int64) error {

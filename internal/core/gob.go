@@ -47,8 +47,9 @@ func (s *Store) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode restores the store, validating that every crisis's rows match
-// the recorded width. The fingerprint cache starts empty.
+// GobDecode restores the store, validating that every crisis's rows and
+// frozen-mode state match the recorded width. The fingerprint cache starts
+// empty.
 func (s *Store) GobDecode(p []byte) error {
 	var g gobStore
 	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&g); err != nil {
@@ -69,6 +70,9 @@ func (s *Store) GobDecode(p []byte) error {
 			if len(r) != g.Width {
 				return fmt.Errorf("core: decoded crisis %q row width %d, store width %d", c.ID, len(r), g.Width)
 			}
+		}
+		if len(c.Frozen) != g.Width {
+			return fmt.Errorf("core: decoded crisis %q frozen state width %d, store width %d", c.ID, len(c.Frozen), g.Width)
 		}
 		crises = append(crises, StoredCrisis{
 			ID:            c.ID,

@@ -110,6 +110,10 @@ func TestStoreGobRejectsCorrupt(t *testing.T) {
 		"ragged row":   {Width: 6, Crises: []gobStoredCrisis{{ID: "c", Rows: [][]float64{{1, 2}}}}},
 		"missing id":   {Width: 2, Crises: []gobStoredCrisis{{Rows: [][]float64{{1, 2}}}}},
 		"missing rows": {Width: 2, Crises: []gobStoredCrisis{{ID: "c"}}},
+		// Frozen-mode Fingerprint indexes the frozen state by the row
+		// width; a short one would panic identification.
+		"short frozen": {Width: 6, Crises: []gobStoredCrisis{{ID: "c", Rows: [][]float64{{1, 2, 3, 4, 5, 6}}, Frozen: []float64{1}}}},
+		"no frozen":    {Width: 6, Crises: []gobStoredCrisis{{ID: "c", Rows: [][]float64{{1, 2, 3, 4, 5, 6}}}}},
 	}
 	for name, g := range cases {
 		var s Store

@@ -160,79 +160,3 @@ func MostFrequent(rankings [][]int, n int) []int {
 	}
 	return cols
 }
-
-// LabeledCrisisSamples couples one crisis's machine-level samples with the
-// operators' diagnosis label.
-type LabeledCrisisSamples struct {
-	Samples CrisisSamples
-	Label   string
-}
-
-// SelectDiscriminativeMetrics implements the third future-work direction of
-// §7: using crisis labels in metric selection. Where SelectRelevantMetrics
-// asks "which metrics separate crisis from normal?", this asks "which
-// metrics separate crises of one type from crises of other types?" — posed,
-// as the paper suggests, as classification with L1-regularized logistic
-// regression. For each label, the violating-machine samples of its crises
-// are classified against the violating-machine samples of all other
-// crises; the per-label selections are then pooled by frequency exactly
-// like §3.4's second step.
-//
-// Labels with crises but no contrasting other-label data are skipped; at
-// least one label must yield a usable model.
-func SelectDiscriminativeMetrics(pool []LabeledCrisisSamples, cfg SelectionConfig) ([]int, error) {
-	if cfg.PerCrisisTopK <= 0 || cfg.NumRelevant <= 0 {
-		return nil, fmt.Errorf("core: invalid selection config %+v", cfg)
-	}
-	if len(pool) == 0 {
-		return nil, errors.New("core: empty labeled crisis pool")
-	}
-	// Gather per-label violating-machine samples.
-	byLabel := map[string][][]float64{}
-	for _, lc := range pool {
-		if lc.Label == "" {
-			continue
-		}
-		if len(lc.Samples.X) != len(lc.Samples.Y) {
-			return nil, errors.New("core: malformed labeled crisis samples")
-		}
-		for i, row := range lc.Samples.X {
-			if lc.Samples.Y[i] == 1 {
-				byLabel[lc.Label] = append(byLabel[lc.Label], row)
-			}
-		}
-	}
-	if len(byLabel) < 2 {
-		return nil, errors.New("core: need crises of at least two labels to discriminate")
-	}
-
-	var rankings [][]int
-	for label, pos := range byLabel {
-		var x [][]float64
-		var y []int
-		x = append(x, pos...)
-		for i := 0; i < len(pos); i++ {
-			y = append(y, 1)
-		}
-		for other, rows := range byLabel {
-			if other == label {
-				continue
-			}
-			x = append(x, rows...)
-			for i := 0; i < len(rows); i++ {
-				y = append(y, 0)
-			}
-		}
-		top, err := PerCrisisMetrics(CrisisSamples{X: x, Y: y}, cfg.PerCrisisTopK)
-		if err != nil {
-			continue
-		}
-		rankings = append(rankings, top)
-	}
-	if len(rankings) == 0 {
-		return nil, errors.New("core: discriminative selection failed for every label")
-	}
-	cols := MostFrequent(rankings, cfg.NumRelevant)
-	sort.Ints(cols)
-	return cols, nil
-}

@@ -172,74 +172,6 @@ func TestDefaultSelectionConfig(t *testing.T) {
 	}
 }
 
-// labeledSamplesWithSignal builds a labeled crisis whose violating machines
-// express the given signal metrics.
-func labeledSamplesWithSignal(rng *rand.Rand, label string, n, d int, signal []int) LabeledCrisisSamples {
-	return LabeledCrisisSamples{Samples: crisisSamplesWithSignal(rng, n, d, signal), Label: label}
-}
-
-func TestSelectDiscriminativeMetricsSeparatesTypes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Types share metric 0 (both elevate it: a KPI) but differ on 4 vs 9.
-	pool := []LabeledCrisisSamples{
-		labeledSamplesWithSignal(rng, "B", 300, 20, []int{0, 4}),
-		labeledSamplesWithSignal(rng, "B", 300, 20, []int{0, 4}),
-		labeledSamplesWithSignal(rng, "C", 300, 20, []int{0, 9}),
-	}
-	rel, err := SelectDiscriminativeMetrics(pool, SelectionConfig{PerCrisisTopK: 3, NumRelevant: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[int]bool{}
-	for _, m := range rel {
-		found[m] = true
-	}
-	// The discriminating metrics must be selected; the shared KPI metric
-	// 0 carries no type signal and should rank below them.
-	if !found[4] || !found[9] {
-		t.Fatalf("discriminative selection = %v, want 4 and 9", rel)
-	}
-}
-
-func TestSelectDiscriminativeMetricsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	if _, err := SelectDiscriminativeMetrics(nil, DefaultSelectionConfig()); err == nil {
-		t.Fatal("want empty-pool error")
-	}
-	if _, err := SelectDiscriminativeMetrics([]LabeledCrisisSamples{{}}, SelectionConfig{}); err == nil {
-		t.Fatal("want config error")
-	}
-	one := []LabeledCrisisSamples{labeledSamplesWithSignal(rng, "B", 100, 5, []int{1})}
-	if _, err := SelectDiscriminativeMetrics(one, DefaultSelectionConfig()); err == nil {
-		t.Fatal("want two-labels error")
-	}
-	bad := []LabeledCrisisSamples{
-		{Label: "B", Samples: CrisisSamples{X: [][]float64{{1}}, Y: []int{0, 1}}},
-		labeledSamplesWithSignal(rng, "C", 100, 1, nil),
-	}
-	if _, err := SelectDiscriminativeMetrics(bad, DefaultSelectionConfig()); err == nil {
-		t.Fatal("want malformed-samples error")
-	}
-}
-
-func TestSelectDiscriminativeMetricsSkipsUnlabeled(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pool := []LabeledCrisisSamples{
-		labeledSamplesWithSignal(rng, "B", 200, 10, []int{2}),
-		labeledSamplesWithSignal(rng, "C", 200, 10, []int{7}),
-		labeledSamplesWithSignal(rng, "", 200, 10, []int{5}), // undiagnosed
-	}
-	rel, err := SelectDiscriminativeMetrics(pool, SelectionConfig{PerCrisisTopK: 2, NumRelevant: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range rel {
-		if m == 5 {
-			t.Fatalf("unlabeled crisis leaked into selection: %v", rel)
-		}
-	}
-}
-
 // TestMostFrequentOrder pins §3.4's ranking: frequency descending, then rank
 // sum ascending, then column, truncated to n and left in that order.
 func TestMostFrequentOrder(t *testing.T) {

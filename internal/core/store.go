@@ -63,6 +63,9 @@ func NewStore(update bool) *Store { return &Store{UpdateFingerprints: update} }
 // Len reports the number of stored crises.
 func (s *Store) Len() int { return len(s.crises) }
 
+// Width reports the stored rows' width (0 before the first crisis).
+func (s *Store) Width() int { return s.width }
+
 // Crisis returns the i-th stored crisis.
 func (s *Store) Crisis(i int) (*StoredCrisis, error) {
 	if i < 0 || i >= len(s.crises) {

@@ -349,22 +349,6 @@ func TestSettingString(t *testing.T) {
 // newTestRand returns a deterministic rand source for helper-level tests.
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(99)) }
 
-func TestAblationSupervisedSelection(t *testing.T) {
-	e := testEnv(t)
-	res, err := AblationSupervisedSelection(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("unsupervised AUC %.3f (%d metrics), supervised AUC %.3f (%d metrics), overlap %d",
-		res.UnsupervisedAUC, len(res.Unsupervised), res.SupervisedAUC, len(res.Supervised), res.Overlap)
-	if res.UnsupervisedAUC < 0.8 || res.SupervisedAUC < 0.8 {
-		t.Errorf("AUCs too low: %.3f / %.3f", res.UnsupervisedAUC, res.SupervisedAUC)
-	}
-	if len(res.Supervised) == 0 || res.Overlap < 1 {
-		t.Errorf("selections look disjoint or empty: overlap %d", res.Overlap)
-	}
-}
-
 func TestKPITensorShape(t *testing.T) {
 	e := testEnv(t)
 	tn, err := e.BuildKPITensor(core.DefaultSummaryRange())

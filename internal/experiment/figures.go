@@ -472,101 +472,3 @@ func RelevantMetricNames(e *Env, topK, numRelevant int) ([]string, error) {
 	}
 	return names, nil
 }
-
-// SupervisedSelectionResult compares §3.4's unsupervised relevant-metric
-// selection against the §7 label-aware variant on offline discrimination.
-type SupervisedSelectionResult struct {
-	UnsupervisedAUC float64
-	SupervisedAUC   float64
-	// Overlap is how many metrics the two selections share.
-	Overlap      int
-	Unsupervised []string
-	Supervised   []string
-}
-
-// AblationSupervisedSelection builds fingerprints from label-aware
-// discriminative metric selection (the paper's third future-work direction)
-// and compares their discriminative power against the standard selection at
-// the same fingerprint size.
-func AblationSupervisedSelection(e *Env) (SupervisedSelectionResult, error) {
-	cfg := OfflineFPConfig()
-
-	std, err := e.BuildFingerprintTensor(cfg)
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-	stdROC, err := Discrimination(std)
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-	stdRel, err := e.RelevantOffline(cfg.PerCrisisTopK, cfg.NumRelevant)
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-
-	// Label-aware selection over the labeled crises' FS samples.
-	var pool []core.LabeledCrisisSamples
-	for _, dc := range e.Labeled {
-		x, y, err := e.Trace.FSSamples(dc.Episode, e.Trace.Config.FSPad)
-		if err != nil {
-			continue
-		}
-		pool = append(pool, core.LabeledCrisisSamples{
-			Samples: core.CrisisSamples{X: x, Y: y},
-			Label:   dc.Instance.Type.String(),
-		})
-	}
-	supRel, err := core.SelectDiscriminativeMetrics(pool, core.SelectionConfig{
-		PerCrisisTopK: cfg.PerCrisisTopK, NumRelevant: cfg.NumRelevant,
-	})
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-	th, err := e.OfflineThresholds(cfg.Thresholds)
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-	f, err := core.NewFingerprinter(th, supRel)
-	if err != nil {
-		return SupervisedSelectionResult{}, err
-	}
-	var same, diff []float64
-	fps := make([][]float64, len(e.Labeled))
-	for i, dc := range e.Labeled {
-		fps[i], err = f.CrisisFingerprint(e.Trace.Track, dc.Episode.Start, cfg.Range)
-		if err != nil {
-			return SupervisedSelectionResult{}, err
-		}
-	}
-	for i := 0; i < len(fps); i++ {
-		for j := i + 1; j < len(fps); j++ {
-			d, err := stats.L2Distance(fps[i], fps[j])
-			if err != nil {
-				return SupervisedSelectionResult{}, err
-			}
-			if e.Labeled[i].Instance.Type == e.Labeled[j].Instance.Type {
-				same = append(same, d)
-			} else {
-				diff = append(diff, d)
-			}
-		}
-	}
-	supROC := stats.DistanceROC(same, diff)
-
-	res := SupervisedSelectionResult{
-		UnsupervisedAUC: stdROC.AUC(),
-		SupervisedAUC:   supROC.AUC(),
-	}
-	inStd := map[int]bool{}
-	for _, m := range stdRel {
-		inStd[m] = true
-		res.Unsupervised = append(res.Unsupervised, e.Trace.Catalog.Name(m))
-	}
-	for _, m := range supRel {
-		if inStd[m] {
-			res.Overlap++
-		}
-		res.Supervised = append(res.Supervised, e.Trace.Catalog.Name(m))
-	}
-	return res, nil
-}

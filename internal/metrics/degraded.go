@@ -20,29 +20,78 @@ import (
 // from cache, and amortizes each InsertFinite call over hundreds of values.
 const batchStrip = 256
 
-// ObserveBatchFiltered records a batch of machine rows into the given shard,
-// skipping non-finite values instead of feeding them to the estimators, and
-// reports how many values were dropped. Distinct shards may be fed
-// concurrently; a single shard must not. A nil row marks a machine that
-// delivered nothing this epoch and is skipped whole. When reporting is
-// non-nil (len(rows) entries), reporting[i] is set to whether row i
-// contributed at least one finite value. A row of the wrong width is an
-// error; every row before it is still fully ingested.
+// ObserveBatchFiltered records a batch of machine rows, skipping non-finite
+// values instead of feeding them to the estimators, and reports how many
+// values were dropped. A nil row marks a machine that delivered nothing this
+// epoch and is skipped whole. When reporting is non-nil (len(rows) entries),
+// reporting[i] is set to whether row i contributed at least one finite value.
+// A row of the wrong width is an error; every row before it is still fully
+// ingested.
 //
 // Ingestion is columnar: each strip of batchStrip delivered rows is walked
 // one metric at a time, and each estimator filters its column of the strip
 // itself (InsertFinite: one call per strip instead of one Insert per cell),
 // in machine order — the order the per-cell path would insert them — so
-// exact estimators end up byte-identical.
-func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting []bool) (int, error) {
-	if shard < 0 || shard >= len(a.shards) {
-		return 0, fmt.Errorf("metrics: shard %d out of %d (call EnsureShards first)", shard, len(a.shards))
-	}
+// exact estimators end up byte-identical. With workers > 1 the columns are
+// split over that many goroutines (forEachMetric), each walking the same
+// strips down its own column range with its own per-row drop counts, whose
+// sums give the same drop count and reporting flags; workers <= 1 is the
+// serial path, with no goroutine.
+func (a *Aggregator) ObserveBatchFiltered(workers int, rows [][]float64, reporting []bool) (int, error) {
 	if reporting != nil && len(reporting) != len(rows) {
 		return 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
 	}
-	ests, sc := a.shards[shard], a.scratch[shard]
-	nm := len(ests)
+	nm := len(a.ests)
+	if workers = min(workers, nm); workers <= 1 {
+		return a.filter(a.scratch[0], 0, nm, rows, reporting, nil)
+	}
+	for len(a.scratch) < workers {
+		a.scratch = append(a.scratch, new(stripScratch))
+	}
+	for _, sc := range a.scratch[:workers] {
+		if cap(sc.counts) < len(rows) {
+			sc.counts = make([]int, len(rows))
+		}
+		sc.counts = sc.counts[:len(rows)]
+	}
+	// Every worker stops at the same wrong-width row with the same error.
+	err := a.forEachMetric(workers, func(w, lo, hi int) error {
+		sc := a.scratch[w]
+		_, err := a.filter(sc, lo, hi, rows, nil, sc.counts)
+		return err
+	})
+	dropped := 0
+	for i, row := range rows {
+		if row == nil {
+			if reporting != nil {
+				reporting[i] = false
+			}
+			continue
+		}
+		if len(row) != nm {
+			break
+		}
+		d := 0
+		for _, sc := range a.scratch[:workers] {
+			d += sc.counts[i]
+		}
+		dropped += d
+		if reporting != nil {
+			reporting[i] = d < nm
+		}
+	}
+	return dropped, err
+}
+
+// filter walks rows in strips of batchStrip delivered rows and feeds each
+// strip's columns [lo, hi) to their estimators. Without counts it accounts
+// the rows itself: their non-finite cells go to the returned count and, when
+// reporting is non-nil, their flags into reporting. A parallel worker passes
+// counts instead and gets each delivered row i's non-finite cells over its
+// columns in counts[i]. It stops at the first row of the wrong width, every
+// row before it ingested.
+func (a *Aggregator) filter(sc *stripScratch, lo, hi int, rows [][]float64, reporting []bool, counts []int) (int, error) {
+	nm := len(a.ests)
 	dropped := 0
 	for next := 0; next < len(rows); {
 		var widthErr error
@@ -64,13 +113,19 @@ func (a *Aggregator) ObserveBatchFiltered(shard int, rows [][]float64, reporting
 		}
 		drops := sc.drops[:k]
 		clear(drops)
-		for m, est := range ests {
-			est.InsertFinite(sc.rows[:k], m, drops)
+		for m := lo; m < hi; m++ {
+			a.ests[m].InsertFinite(sc.rows[:k], m, drops)
 		}
-		for i, d := range drops {
-			dropped += d
-			if reporting != nil {
-				reporting[sc.at[i]] = d < nm
+		if counts != nil {
+			for i, d := range drops {
+				counts[sc.at[i]] = d
+			}
+		} else {
+			for i, d := range drops {
+				dropped += d
+				if reporting != nil {
+					reporting[sc.at[i]] = d < nm
+				}
 			}
 		}
 		if widthErr != nil {
@@ -111,32 +166,29 @@ func ScanBatchFiltered(rows [][]float64, width int, reporting []bool) (int, erro
 	return dropped, nil
 }
 
-// summarizeMetric merges metric m's shard estimators into shard 0, reads
-// the tracked quantiles, and resets every shard's estimator for the next
-// epoch. A metric with no observations this epoch is a gap, not an error: it
-// falls back to prev[m] (the previous epoch's quantiles — last observation
-// carried forward), or zeros when no previous summary exists.
+// summarizeMetric reads metric m's tracked quantiles and resets its
+// estimator for the next epoch. A metric with no observations this epoch is
+// a gap, not an error: it falls back to prev[m] (the previous epoch's
+// quantiles — last observation carried forward), or zeros when no previous
+// summary exists.
 func (a *Aggregator) summarizeMetric(m int, prev [][3]float64) ([3]float64, bool, error) {
-	primary, err := a.mergeMetricShards(m)
-	if err != nil {
-		return [3]float64{}, false, err
-	}
-	if primary.Count() == 0 {
+	est := a.ests[m]
+	if est.Count() == 0 {
 		if prev != nil {
 			return prev[m], true, nil
 		}
 		return [3]float64{}, true, nil
 	}
-	out, err := quantile.Summarize(primary)
+	out, err := quantile.Summarize(est)
 	if err != nil {
 		return out, false, fmt.Errorf("metrics: metric %d: %w", m, err)
 	}
-	primary.Reset()
+	est.Reset()
 	return out, false, nil
 }
 
 // SummarizeInto writes the epoch's per-metric tracked quantiles into out
-// (NumMetrics entries), merging any shards, and resets the aggregator for
+// (NumMetrics entries) and resets the aggregator for
 // the next epoch. It survives metrics nobody reported, substituting prev
 // (typically the previous epoch's summary; nil means zeros), and returns how
 // many metrics needed the fallback. A tight epoch loop reuses one out buffer
@@ -172,12 +224,12 @@ func (a *Aggregator) SummarizeLenient(prev [][3]float64) ([][3]float64, int, err
 	return out, gaps, nil
 }
 
-// SummarizeLenientParallel is SummarizeLenient with the per-metric work
-// spread over worker goroutines; metrics are independent, so the result is
-// identical to SummarizeLenient for any worker count.
+// SummarizeLenientParallel is SummarizeLenient with the metric columns
+// split over worker goroutines (forEachMetric); metrics are independent, so
+// the result is identical to SummarizeLenient for any worker count.
 func (a *Aggregator) SummarizeLenientParallel(workers int, prev [][3]float64) ([][3]float64, int, error) {
 	n := a.NumMetrics()
-	if workers <= 1 {
+	if workers = min(workers, n); workers <= 1 {
 		// The closure forEachMetric takes escapes to its goroutines; the
 		// serial epoch path stays allocation-free by not building one.
 		return a.SummarizeLenient(prev)
@@ -187,13 +239,18 @@ func (a *Aggregator) SummarizeLenientParallel(workers int, prev [][3]float64) ([
 	}
 	out := make([][3]float64, n)
 	var gaps atomic.Int64
-	err := a.forEachMetric(workers, func(m int) error {
-		s, gap, err := a.summarizeMetric(m, prev)
-		if gap {
-			gaps.Add(1)
+	err := a.forEachMetric(workers, func(_, lo, hi int) error {
+		for m := lo; m < hi; m++ {
+			s, gap, err := a.summarizeMetric(m, prev)
+			if err != nil {
+				return err
+			}
+			if gap {
+				gaps.Add(1)
+			}
+			out[m] = s
 		}
-		out[m] = s
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, 0, err

@@ -50,14 +50,6 @@ func (g *guardEstimator) InsertFinite(strip [][]float64, m int, drops []int) {
 	g.check(n)
 }
 
-func (g *guardEstimator) Merge(src quantile.Estimator) error {
-	o, ok := src.(*guardEstimator)
-	if !ok {
-		return g.Exact.Merge(src)
-	}
-	return g.Exact.Merge(&o.Exact)
-}
-
 func TestObserveFilteredDropsNonFinite(t *testing.T) {
 	bad, seen := 0, 0
 	a, err := NewAggregator(3, func() quantile.Estimator { return &guardEstimator{bad: &bad, seen: &seen} })
@@ -162,14 +154,13 @@ func TestSummarizeLenientParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.EnsureShards(4)
-		for w := 0; w < 4; w++ {
+		for range 4 {
 			rows := [][]float64{
 				{1, 2, 3, 4, math.NaN(), 6, 7, 8},
 				nil,
 				{8, 7, 6, 5, math.NaN(), 3, 2, 1},
 			}
-			if _, err := a.ObserveBatchFiltered(w, rows, nil); err != nil {
+			if _, err := a.ObserveBatchFiltered(4, rows, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -290,7 +281,7 @@ func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
 					gotRep[i], wantRep[i] = true, true // rows past an error stay untouched
 				}
 				gotDropped, gotErr := got.ObserveBatchFiltered(0, rows, gotRep)
-				wantDropped, wantErr := perCellReference(want.shards[0], rows, wantRep)
+				wantDropped, wantErr := perCellReference(want.ests, rows, wantRep)
 				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 					t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
 				}
@@ -304,8 +295,8 @@ func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
 					t.Fatalf("%s: reporting flags diverge from the reference", label)
 				}
 				for m := 0; m < nm; m++ {
-					gv := got.shards[0][m].(*quantile.Exact).RawValues()
-					wv := want.shards[0][m].(*quantile.Exact).RawValues()
+					gv := got.ests[m].(*quantile.Exact).RawValues()
+					wv := want.ests[m].(*quantile.Exact).RawValues()
 					if !slices.Equal(gv, wv) {
 						t.Fatalf("%s: metric %d holds %d values, reference %d, or another order", label, m, len(gv), len(wv))
 					}

@@ -190,20 +190,15 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 // cross-machine quantile summary, using a caller-supplied estimator per
 // metric (quantile.Exact in every pipeline in this tree).
 //
-// An Aggregator may hold several shards — independent estimator sets that
-// concurrent workers feed without synchronization (one shard per worker).
-// SummarizeInto merges shard estimators back into shard 0 before reading the
-// tracked quantiles, which requires the estimator to implement
-// quantile.Merger. With the exact estimator the sharded result is
-// byte-identical to serial insertion, since only the value multiset
-// matters.
+// §3.2 summarizes each metric across machines on its own, so the metric
+// column is the aggregator's one unit of parallel work: a parallel filter or
+// summary splits the columns into contiguous ranges, one goroutine each
+// (forEachMetric). Every estimator is fed by exactly one goroutine, in machine
+// order, so the result is byte-identical for any worker count.
 type Aggregator struct {
-	// shards[shard][metric]; shard 0 always exists and is the target of
-	// the serial path.
-	shards [][]quantile.Estimator
-	newEst func() quantile.Estimator
-	// scratch[shard] is that shard's batch-ingestion working memory;
-	// parallel to shards so concurrent workers never share one.
+	ests []quantile.Estimator
+	// scratch[w] is filter worker w's working memory, so concurrent workers
+	// never share one; scratch[0] is the serial path's.
 	scratch []*stripScratch
 }
 
@@ -214,6 +209,9 @@ type stripScratch struct {
 	rows  [batchStrip][]float64 // the delivered rows being walked
 	at    [batchStrip]int       // their indices in the batch
 	drops [batchStrip]int       // non-finite cells per row
+	// counts[i] is a parallel worker's non-finite cell count of row i over
+	// its column range.
+	counts []int
 }
 
 // NewAggregator builds an aggregator with one estimator per metric produced
@@ -225,75 +223,32 @@ func NewAggregator(numMetrics int, newEst func() quantile.Estimator) (*Aggregato
 	if newEst == nil {
 		return nil, errors.New("metrics: nil estimator factory")
 	}
-	a := &Aggregator{newEst: newEst}
-	a.shards = append(a.shards, a.newShard(numMetrics))
-	a.scratch = append(a.scratch, new(stripScratch))
+	a := &Aggregator{ests: make([]quantile.Estimator, numMetrics), scratch: []*stripScratch{new(stripScratch)}}
+	for i := range a.ests {
+		a.ests[i] = newEst()
+	}
 	return a, nil
 }
 
-func (a *Aggregator) newShard(numMetrics int) []quantile.Estimator {
-	ests := make([]quantile.Estimator, numMetrics)
-	for i := range ests {
-		ests[i] = a.newEst()
-	}
-	return ests
-}
-
 // NumMetrics reports the number of metrics per sample row.
-func (a *Aggregator) NumMetrics() int { return len(a.shards[0]) }
+func (a *Aggregator) NumMetrics() int { return len(a.ests) }
 
-// EnsureShards grows the aggregator to at least n estimator shards. It must
-// be called from a single goroutine before concurrent ObserveBatchFiltered
-// calls; it is a no-op once enough shards exist.
-func (a *Aggregator) EnsureShards(n int) {
-	for len(a.shards) < n {
-		a.shards = append(a.shards, a.newShard(a.NumMetrics()))
-		a.scratch = append(a.scratch, new(stripScratch))
-	}
-}
-
-// mergeInto folds est into shard 0's estimator for metric m.
-func (a *Aggregator) mergeInto(m int, est quantile.Estimator) error {
-	mg, ok := a.shards[0][m].(quantile.Merger)
-	if !ok {
-		return fmt.Errorf("metrics: estimator %T does not support sharded aggregation (quantile.Merger)", a.shards[0][m])
-	}
-	if err := mg.Merge(est); err != nil {
-		return fmt.Errorf("metrics: metric %d: %w", m, err)
-	}
-	return nil
-}
-
-// forEachMetric calls fn for every metric column, the columns split into
-// contiguous ranges over the given number of goroutines (inline for
-// workers <= 1). Columns are independent, so results do not depend on the
-// worker count. It returns the lowest-range error.
-func (a *Aggregator) forEachMetric(workers int, fn func(m int) error) error {
-	n := a.NumMetrics()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for m := 0; m < n; m++ {
-			if err := fn(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// forEachMetric calls fn(w, lo, hi) for each of workers (1 ≤ workers ≤
+// NumMetrics) contiguous ranges [lo, hi) of the metric columns, range 0 on
+// the calling goroutine and every other range on a goroutine of its own. Columns are independent, so results
+// do not depend on the worker count. It returns the lowest range's error.
+func (a *Aggregator) forEachMetric(workers int, fn func(w, lo, hi int) error) error {
+	n := len(a.ests)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for m := w * n / workers; m < (w+1)*n/workers; m++ {
-				if errs[w] = fn(m); errs[w] != nil {
-					return
-				}
-			}
+			errs[w] = fn(w, w*n/workers, (w+1)*n/workers)
 		}()
 	}
+	errs[0] = fn(0, 0, n/workers)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -303,29 +258,11 @@ func (a *Aggregator) forEachMetric(workers int, fn func(m int) error) error {
 	return nil
 }
 
-// Reset clears every estimator in every shard, discarding whatever the
-// current epoch has ingested so far — the recovery path after a failed
-// ingest or merge, so a half-built epoch cannot leak into the next one.
+// Reset clears every estimator, discarding whatever the current epoch has
+// ingested so far — the recovery path after a failed ingest, so a half-built
+// epoch cannot leak into the next one.
 func (a *Aggregator) Reset() {
-	for _, ests := range a.shards {
-		for _, est := range ests {
-			est.Reset()
-		}
-	}
-}
-
-// mergeMetricShards folds metric m's shard estimators into shard 0 and
-// returns the merged primary estimator (resetting the drained shards).
-func (a *Aggregator) mergeMetricShards(m int) (quantile.Estimator, error) {
-	for s := 1; s < len(a.shards); s++ {
-		est := a.shards[s][m]
-		if est.Count() == 0 {
-			continue
-		}
-		if err := a.mergeInto(m, est); err != nil {
-			return nil, err
-		}
+	for _, est := range a.ests {
 		est.Reset()
 	}
-	return a.shards[0][m], nil
 }

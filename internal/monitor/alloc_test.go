@@ -16,7 +16,7 @@ func observeEpochAllocs(t *testing.T, workers int, forecast bool) float64 {
 		t.Fatal(err)
 	}
 	m.cfg.Workers = workers
-	m.minPerWorker = 1 // split the 100 machines: the fan-out runs
+	m.minSplit = 1 // split the 100 machines: the fan-out runs
 	// Warm up: learn the expected machine count, fill the raw ring, and let
 	// the matrix pool and scratch masks reach steady state. Stay below
 	// MinEpochsForThresholds so no threshold refresh lands mid-measurement —

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"testing"
 
 	"dcfp/internal/metrics"
@@ -233,7 +234,11 @@ func TestWorkersValidation(t *testing.T) {
 }
 
 func TestEpochWorkersResolution(t *testing.T) {
-	cat, _ := metrics.NewCatalog([]string{"a"})
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%d", i)
+	}
+	cat, _ := metrics.NewCatalog(names)
 	cfg := DefaultConfig(cat, sla.Config{KPIs: []sla.KPI{{Metric: 0, Threshold: 1}}, CrisisFraction: 0.1})
 	cfg.Workers = 8
 	m, err := New(cfg)
@@ -242,28 +247,34 @@ func TestEpochWorkersResolution(t *testing.T) {
 	}
 	// Installations under the measured crossover stay on the serial path
 	// regardless of the knob.
-	for _, machines := range []int{20, 100, 499} {
-		if w := m.epochWorkers(machines); w != 1 {
-			t.Fatalf("epochWorkers(%d) = %d, want 1", machines, w)
+	for _, machines := range []int{20, 100, 249} {
+		if w := m.workers(machines); w != 1 {
+			t.Fatalf("workers(%d) = %d, want 1", machines, w)
 		}
 	}
-	// The 250-machines-per-worker floor bounds mid-size pools.
-	if w := m.epochWorkers(500); w != 2 {
-		t.Fatalf("epochWorkers(500) = %d, want 2", w)
+	// From the crossover on, the configured pool splits the columns.
+	for _, machines := range []int{250, 1000, 10000} {
+		if w := m.workers(machines); w != 8 {
+			t.Fatalf("workers(%d) = %d, want 8", machines, w)
+		}
 	}
-	if w := m.epochWorkers(1000); w != 4 {
-		t.Fatalf("epochWorkers(1000) = %d, want 4", w)
+	// The 32-metrics-per-worker floor bounds small catalogs: 100 metrics
+	// give at most 4 workers, 32 or fewer one.
+	for _, tc := range []struct{ metrics, want int }{{100, 4}, {32, 1}, {1, 1}} {
+		cfg.Catalog, _ = metrics.NewCatalog(names[:tc.metrics])
+		if m, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if w := m.workers(10000); w != tc.want {
+			t.Fatalf("%d metrics: workers(10000) = %d, want %d", tc.metrics, w, tc.want)
+		}
 	}
-	// Large installations use the configured pool.
-	if w := m.epochWorkers(10000); w != 8 {
-		t.Fatalf("epochWorkers(10000) = %d, want 8", w)
-	}
-	cfg.Workers = 1
+	cfg.Catalog, cfg.Workers = cat, 1
 	m, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := m.epochWorkers(10000); w != 1 {
+	if w := m.workers(10000); w != 1 {
 		t.Fatalf("Workers=1 must force the serial path, got %d", w)
 	}
 }

@@ -279,6 +279,14 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	if s.Store == nil {
 		return fmt.Errorf("monitor: checkpoint has no crisis store")
 	}
+	// A monitor's store recomputes fingerprints (core.NewStore(true)) over
+	// rows three quantiles per catalog metric wide.
+	if !s.Store.UpdateFingerprints {
+		return fmt.Errorf("monitor: checkpoint crisis store is in frozen mode")
+	}
+	if w := s.Store.Width(); w != width*metrics.NumQuantiles && (w != 0 || s.Store.Len() > 0) {
+		return fmt.Errorf("monitor: checkpoint crisis store width %d, catalog %d × %d quantiles", w, width, metrics.NumQuantiles)
+	}
 	if s.ActiveIdx >= len(s.Past) {
 		return fmt.Errorf("monitor: checkpoint active index %d with %d past crises", s.ActiveIdx, len(s.Past))
 	}

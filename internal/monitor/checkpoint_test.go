@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dcfp/internal/core"
 	"dcfp/internal/metrics"
 )
 
@@ -238,6 +239,18 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		},
 		"misaligned ring slot": func(p *checkpointPayload, slot int) {
 			p.ViolRing[slot] = p.ViolRing[slot][:len(p.RawRing[slot])-1]
+		},
+		// A monitor only ever builds an update-mode store over rows three
+		// quantiles per catalog metric wide; identification trusts both.
+		"frozen-mode store": func(p *checkpointPayload, _ int) {
+			p.Store = core.NewStore(false)
+		},
+		"store width": func(p *checkpointPayload, _ int) {
+			th := &metrics.Thresholds{Cold: make([][3]float64, 2), Hot: make([][3]float64, 2)}
+			p.Store = core.NewStore(true)
+			if err := p.Store.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}, th); err != nil {
+				t.Fatal(err)
+			}
 		},
 	} {
 		var f checkpointFile

@@ -55,17 +55,10 @@ func (g *guardExact) InsertFinite(strip [][]float64, m int, drops []int) {
 	g.check(n)
 }
 
-func (g *guardExact) Merge(src quantile.Estimator) error {
-	if o, ok := src.(*guardExact); ok {
-		return g.Exact.Merge(&o.Exact)
-	}
-	return g.Exact.Merge(src)
-}
-
 // TestFaultNaNNeverReachesEstimators is the property test behind the
 // acceptance criterion: drive a heavily corrupted stream (blank, corrupt,
 // dropout, truncation, reorder, duplication) through the ingestor into
-// monitors on both the serial and sharded paths, and assert not one NaN or
+// monitors on both the serial and column-split paths, and assert not one NaN or
 // Inf ever hits a quantile estimator.
 func TestFaultNaNNeverReachesEstimators(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -93,7 +86,7 @@ func TestFaultNaNNeverReachesEstimators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.minPerWorker = 1 // split the 100 machines: the sharded path runs
+			m.minSplit = 1 // split the 100 machines: the column split runs
 			m.agg, err = metrics.NewAggregator(s.Catalog().Len(), func() quantile.Estimator { return &guardExact{bad: &bad, seen: &seen} })
 			if err != nil {
 				t.Fatal(err)

@@ -57,14 +57,14 @@ type Config struct {
 	// MinEpochsForThresholds is the minimum history before the monitor
 	// can discretize (default: 7 days).
 	MinEpochsForThresholds int
-	// Workers bounds how many contiguous machine ranges ObserveEpoch splits
-	// an epoch into — one partial per range, each filtered into its own
-	// aggregator shard and SLA-checked on its own goroutine — and how many
-	// goroutines the per-metric summarize fans out over. 0 resolves to
-	// GOMAXPROCS; 1 is the serial reference: one partial, no goroutines. The
-	// split is additionally capped so each range holds at least
-	// minMachinesPerWorker (250) machines, keeping installations under 500
-	// serial. Every split produces byte-identical reports.
+	// Workers bounds how many goroutines an epoch's per-metric work uses:
+	// the §3.2 filter and summary split the metric columns into that many
+	// contiguous ranges, each range's estimators fed by one goroutine in
+	// machine order. 0 resolves to GOMAXPROCS; 1 is the serial reference, with
+	// no goroutine. The count is additionally capped so each worker gets at
+	// least minMetricsPerWorker (32) metric columns, and an epoch of fewer
+	// than minSplitMachines (250) machines runs serially. Every worker count
+	// produces byte-identical reports.
 	Workers int
 	// MinCoverage is the minimum fraction of expected machines that must
 	// deliver at least one finite value for an epoch to be trusted. Below
@@ -294,16 +294,14 @@ type Monitor struct {
 	// violBuf/reportBuf are the per-epoch violation and liveness masks,
 	// reused across calls so the steady-state path stops allocating them.
 	violBuf, reportBuf []bool
-	// Scratch for observeParts, same idea: ObserveEpoch's local partials,
-	// the machine ranges they cover, the per-partial fan-out errors and the
-	// SLA statuses to combine.
-	partsBuf   []ShardPartial
+	// Scratch for observeParts, same idea: ObserveEpoch's local partial,
+	// the machine ranges the partials cover and the SLA statuses to combine.
+	local      [1]ShardPartial
 	coveredBuf [][2]int
-	errsBuf    []error
 	statusBuf  []sla.EpochStatus
-	// minPerWorker is minMachinesPerWorker; tests lower it to drive the
-	// fan-out with epochs smaller than the crossover.
-	minPerWorker int
+	// minSplit is minSplitMachines; tests lower it to drive the column
+	// split with epochs smaller than the crossover.
+	minSplit int
 
 	// Active crisis state.
 	activeStart metrics.Epoch
@@ -415,7 +413,7 @@ func newMonitorMetrics(r *telemetry.Registry) *monitorMetrics {
 		identCandidates: r.Gauge("dcfp_ident_candidates",
 			"Labeled past crises compared in the latest identification."),
 		workers: r.Gauge("dcfp_monitor_workers",
-			"Worker-pool size resolved for the latest ObserveEpoch."),
+			"Goroutines the latest epoch's per-metric filter and summary used (1 = serial)."),
 		ingestDropped: r.Counter("dcfp_ingest_values_dropped_total",
 			"Non-finite metric values filtered before reaching the quantile estimators."),
 		ingestNonReporting: r.Counter("dcfp_ingest_machines_nonreporting_total",
@@ -492,19 +490,19 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		cfg:          cfg,
-		track:        track,
-		agg:          agg,
-		store:        core.NewStore(true),
-		rawRing:      make([][][]float64, cfg.RawPad),
-		ringMat:      make([]*metrics.Matrix, cfg.RawPad),
-		violRing:     make([][]bool, cfg.RawPad),
-		ringEpoch:    make([]metrics.Epoch, cfg.RawPad),
-		activeIdx:    -1,
-		expected:     cfg.ExpectedMachines,
-		minPerWorker: minMachinesPerWorker,
-		tel:          newMonitorMetrics(cfg.Telemetry),
-		events:       cfg.Events,
+		cfg:       cfg,
+		track:     track,
+		agg:       agg,
+		store:     core.NewStore(true),
+		rawRing:   make([][][]float64, cfg.RawPad),
+		ringMat:   make([]*metrics.Matrix, cfg.RawPad),
+		violRing:  make([][]bool, cfg.RawPad),
+		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
+		activeIdx: -1,
+		expected:  cfg.ExpectedMachines,
+		minSplit:  minSplitMachines,
+		tel:       newMonitorMetrics(cfg.Telemetry),
+		events:    cfg.Events,
 	}
 	if cfg.Forecast.Enabled {
 		m.fc = newForecastStage(cfg.Forecast)
@@ -538,10 +536,10 @@ func (m *Monitor) KnownCrises() (stored, labeled int) {
 // the whole epoch is flagged degraded and the crisis state machine holds
 // still rather than acting on unrepresentative data.
 //
-// The epoch is split into Config.Workers contiguous machine ranges when the
-// machine count warrants it, one ShardPartial per range, and handed to the
-// same pipeline the fleet coordinator feeds (observeParts); see the Workers
-// documentation for the equivalence guarantee.
+// The epoch is one ShardPartial, handed to the same pipeline the fleet
+// coordinator feeds (observeParts), whose filter and summary split the
+// metric columns over Config.Workers goroutines when the epoch warrants it;
+// see the Workers documentation for the equivalence guarantee.
 //
 // When a telemetry registry is attached, each pipeline stage (quantile
 // aggregation, SLA evaluation, threshold refresh, selection,
@@ -552,15 +550,9 @@ func (m *Monitor) ObserveEpoch(samples [][]float64) (*EpochReport, error) {
 	tr := m.cfg.Tracer.StartTrace("observe_epoch")
 	defer tr.End()
 	n := len(samples)
-	workers := m.epochWorkers(n)
 	viol, reporting := m.scratchMasks(n)
-	parts := m.partsBuf[:0]
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		parts = append(parts, ShardPartial{Lo: lo, Rows: samples[lo:hi], Viol: viol[lo:hi], Reporting: reporting[lo:hi]})
-	}
-	m.partsBuf = parts
-	return m.observeParts(tr, n, parts, true)
+	m.local[0] = ShardPartial{Rows: samples, Viol: viol, Reporting: reporting}
+	return m.observeParts(tr, n, m.local[:], true)
 }
 
 // finishEpoch runs everything downstream of ingestion — liveness and
@@ -779,44 +771,36 @@ func sanitizeRetained(copies [][]float64, viol, reporting []bool, summary [][3]f
 	return outRows, outViol
 }
 
-// minMachinesPerWorker caps the epoch worker pool so every worker gets at
-// least this many machines. It is the measured fan-out crossover:
-// BenchmarkObserveEpochScale on 2 vCPUs (-cpu 2, seven alternating runs)
-// read split against serial 0.89× at 100 machines, 0.98–0.99× at 250, and a
-// 7/7 win from 500 (1.16–1.20×) up, so an epoch splits from 500 machines.
-// The crossover moves with the serial path's cost; re-measure when it does.
-const minMachinesPerWorker = 250
+// minSplitMachines is the smallest epoch whose metric columns are split
+// over workers: the measured crossover of the column split. On 2 vCPUs
+// (-cpu 2, Workers 4 against 1 at 100 metrics, forced split, 18 runs) it
+// read:
+//
+//	machines  Workers=1  Workers=4  speedup median (quartiles)  wins
+//	     100   0.208 ms   0.181 ms  1.10× (0.96–1.21)           12/18
+//	     250   0.370 ms   0.283 ms  1.32× (1.11–1.48)           16/18
+//	     500   0.761 ms   0.537 ms  1.39× (1.33–1.57)           17/18
+//
+// so an epoch splits from 250 machines. The crossover moves with the serial
+// path's cost; re-measure when it does.
+const minSplitMachines = 250
 
-// minMetricsPerWorker is the analogous floor for work that fans out across
-// metric columns (summarization).
+// minMetricsPerWorker caps the pool so every worker gets at least this many
+// metric columns.
 const minMetricsPerWorker = 32
 
-// epochWorkers resolves how many machine ranges one epoch of the given size
-// is split into.
-func (m *Monitor) epochWorkers(machines int) int {
+// workers resolves how many goroutines one epoch of the given size splits
+// its metric columns over.
+func (m *Monitor) workers(machines int) int {
+	if machines < m.minSplit {
+		return 1
+	}
 	w := m.cfg.Workers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if maxW := machines / m.minPerWorker; w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// columnWorkers resolves the worker count for per-metric work (summarize)
-// and for filtering remote partials: what the fleet size admits, capped by a
-// floor of minMetricsPerWorker metric columns per worker.
-func (m *Monitor) columnWorkers(machines int) int {
-	w := m.epochWorkers(machines)
 	nm := m.cfg.Catalog.Len()
-	if maxW := (nm + minMetricsPerWorker - 1) / minMetricsPerWorker; w > maxW {
-		w = maxW
-	}
-	return w
+	return max(1, min(w, (nm+minMetricsPerWorker-1)/minMetricsPerWorker))
 }
 
 // span observes the elapsed stage time and returns a fresh stage start; a

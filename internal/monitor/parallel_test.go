@@ -36,7 +36,7 @@ func equivMonitor(t *testing.T, s *dcsim.Stream, workers int, reg *telemetry.Reg
 	}
 	// The trace has 100 machines, under the fan-out crossover: let the
 	// workers split it anyway, so the parallel paths run.
-	m.minPerWorker = 1
+	m.minSplit = 1
 	return m
 }
 
@@ -133,8 +133,8 @@ func benchMonitorSized(b *testing.B, nMachines, workers int) (*Monitor, [][][]fl
 }
 
 // BenchmarkObserveEpochScale sweeps datacenter size x worker pool. The
-// Workers=1 rows are the serial reference; the speedup claim for the
-// sharded path is Workers=4 at 500 machines and above. SetBytes reports
+// Workers=1 rows are the serial reference; Workers=4 splits the metric
+// columns from 250 machines up (100 machines stays serial). SetBytes reports
 // ingestion bandwidth over the raw sample matrix (machines x 100 metrics
 // x 8 bytes per epoch).
 func BenchmarkObserveEpochScale(b *testing.B) {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
-	"dcfp/internal/metrics"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
@@ -17,8 +15,8 @@ import (
 // partially evaluated SLA status. Quantile state is not part of it: the rows
 // are filtered into the monitor's own aggregator wherever they were
 // collected. Every ingestion mode is a list of these: ObserveEpoch builds one
-// per worker range in process, the fleet coordinator decodes them from shard
-// frames.
+// covering the whole epoch in process, the fleet coordinator decodes them
+// from shard frames.
 type ShardPartial struct {
 	// Lo is the global machine index of Rows[0]; the partial covers
 	// machines [Lo, Lo+len(Rows)).
@@ -38,25 +36,6 @@ type ShardPartial struct {
 	// them before it nils the rows of non-reporting machines, so the monitor
 	// takes its number instead of recounting what arrived.
 	Dropped int
-}
-
-// filter and evaluate build a local partial from its rows; the monitor runs
-// them as separate phases so each bills to its own pipeline stage.
-func (p *ShardPartial) filter(agg *metrics.Aggregator, shard int) (err error) {
-	p.Dropped, err = agg.ObserveBatchFiltered(shard, p.Rows, p.Reporting)
-	return err
-}
-
-func (p *ShardPartial) evaluate(slaCfg sla.Config) (err error) {
-	p.Status, err = slaCfg.EvaluateMasked(p.Rows, p.Viol, p.Reporting)
-	return err
-}
-
-// absorb filters a remote partial's rows into agg, keeping the masks, status
-// and drop count the shard shipped.
-func (p *ShardPartial) absorb(agg *metrics.Aggregator, shard int) error {
-	_, err := agg.ObserveBatchFiltered(shard, p.Rows, nil)
-	return err
 }
 
 // ObserveAggregated ingests one epoch assembled from per-shard partials —
@@ -85,11 +64,12 @@ func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *tele
 }
 
 // observeParts is the one ingestion pipeline: validate the partials, filter
-// their rows into the aggregator (local partials get their masks and drop
-// counts from it, remote ones keep what the shard shipped), summarize,
-// combine the SLA statuses, scatter rows and masks into global machine order,
-// and hand over to finishEpoch. Serial ingestion is the one-partial case, the
-// worker fan-out the in-process W-partial case, and the fleet the remote case.
+// their rows into the aggregator one partial after another (a local partial
+// gets its mask and drop count from it, remote ones keep what the shard
+// shipped), summarize, combine the SLA statuses, scatter rows and masks into
+// global machine order, and hand over to finishEpoch. ObserveEpoch is the
+// one-partial case and the fleet the remote case; in both the only fan-out is
+// the aggregator's split of the metric columns over the resolved workers.
 func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardPartial, local bool) (rep *EpochReport, err error) {
 	var t0, ts time.Time
 	if m.tel != nil {
@@ -115,33 +95,25 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 			m.agg.Reset()
 		}
 	}()
-	workers := m.columnWorkers(machines)
-	dropped := 0
+	workers := m.workers(machines)
 	if local {
 		sp = tr.StartSpan("filter")
 	} else {
 		sp = tr.StartSpan("merge")
 		sp.SetAttr("workers", int64(workers))
 	}
-	switch {
-	case local:
-		m.agg.EnsureShards(len(parts))
-		err = m.eachPart(parts, func(m *Monitor, w int, p *ShardPartial) error { return p.filter(m.agg, w) })
-	case workers > 1:
-		m.agg.EnsureShards(len(parts))
-		err = m.eachPart(parts, func(m *Monitor, w int, p *ShardPartial) error { return p.absorb(m.agg, w) })
-	default:
-		// The serial reference stays goroutine-free: every partial into
-		// shard 0, in partial order.
-		for i := 0; i < len(parts) && err == nil; i++ {
-			err = parts[i].absorb(m.agg, 0)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
+	dropped := 0
 	for i := range parts {
-		dropped += parts[i].Dropped
+		p := &parts[i]
+		if local {
+			p.Dropped, err = m.agg.ObserveBatchFiltered(workers, p.Rows, p.Reporting)
+		} else {
+			_, err = m.agg.ObserveBatchFiltered(workers, p.Rows, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		dropped += p.Dropped
 	}
 	sp.SetAttr("values_dropped", int64(dropped))
 	sp.End()
@@ -160,7 +132,8 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 
 	sp = tr.StartSpan("sla")
 	if local {
-		if err = m.eachPart(parts, func(m *Monitor, _ int, p *ShardPartial) error { return p.evaluate(m.cfg.SLA) }); err != nil {
+		p := &parts[0]
+		if p.Status, err = m.cfg.SLA.EvaluateMasked(p.Rows, p.Viol, p.Reporting); err != nil {
 			return nil, err
 		}
 	}
@@ -208,7 +181,7 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 		}
 	}
 
-	rep, retained, err := m.finishEpoch(tr, t0, ts, mat, copies, viol, reporting, status, summary, dropped, gaps, len(parts))
+	rep, retained, err := m.finishEpoch(tr, t0, ts, mat, copies, viol, reporting, status, summary, dropped, gaps, workers)
 	if !retained {
 		m.pool.Put(mat)
 	}
@@ -253,34 +226,4 @@ func (m *Monitor) validateParts(machines int, parts []ShardPartial) ([][2]int, e
 		}
 	}
 	return covered, nil
-}
-
-// eachPart runs fn over every partial — inline for one, one goroutine per
-// partial otherwise — and returns the first error in partial order. fn takes
-// the monitor as an argument instead of capturing it, so the one-partial
-// epoch allocates no closure. telemetry.Trace is not goroutine-safe, so fn
-// must not open spans.
-func (m *Monitor) eachPart(parts []ShardPartial, fn func(m *Monitor, w int, p *ShardPartial) error) error {
-	if len(parts) == 1 {
-		return fn(m, 0, &parts[0])
-	}
-	if cap(m.errsBuf) < len(parts) {
-		m.errsBuf = make([]error, len(parts))
-	}
-	errs := m.errsBuf[:len(parts)]
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func() { // w is per-iteration (go 1.22): capturing it saves the argument wrapper
-			defer wg.Done()
-			errs[w] = fn(m, w, &parts[w])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -41,7 +41,7 @@ func (s *testShard) partial(t testing.TB, m *Monitor, rows [][]float64) ShardPar
 	if p.Dropped, err = metrics.ScanBatchFiltered(sub, m.cfg.Catalog.Len(), p.Reporting); err != nil {
 		t.Fatal(err)
 	}
-	if err = p.evaluate(m.cfg.SLA); err != nil {
+	if p.Status, err = m.cfg.SLA.EvaluateMasked(sub, p.Viol, p.Reporting); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -114,9 +114,10 @@ func runEquiv(t *testing.T, workers int, want *equivRun, observe func(m *Monitor
 // TestAggregatedEquivalence is the determinism guarantee of the one
 // ingestion pipeline: the quantile summary is a function of the epoch's
 // value multiset and the SLA counts are order-independent sums, so any
-// split of the machines — Workers=4 in process, or 2, 4 and an uneven 3
-// remote shards through ObserveAggregated, filtered inline (Workers=1) or one
-// goroutine per partial (Workers=4) — yields EpochReport, Stats and
+// split of the work — the metric columns over Workers=4 goroutines in
+// process, or 2, 4 and an uneven 3 remote shards through ObserveAggregated,
+// filtered serially (Workers=1) or column-split (Workers=4) — yields
+// EpochReport, Stats and
 // crisis streams byte-identical to the Workers=1 reference on the same
 // seeded 420-epoch trace. A shard that goes dark mid-stream (its partial
 // synthesized as non-reporting) must equal the serial monitor seeing nil
@@ -196,7 +197,7 @@ func spanNames(t *testing.T, workers int, observe func(m *Monitor, rows [][]floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.minPerWorker = 1 // split the 100 machines: the parallel path runs
+	m.minSplit = 1 // split the 100 machines: the parallel path runs
 	for e := 0; e < epochs; e++ {
 		if err := observe(m, rows[e]); err != nil {
 			t.Fatal(err)

@@ -52,18 +52,6 @@ type Estimator interface {
 	Reset()
 }
 
-// Merger is the optional capability of an Estimator to absorb the state of
-// a sibling estimator — the primitive behind sharded cross-machine
-// aggregation, where each worker feeds its own estimator and the shards are
-// merged before the epoch's quantiles are read. Merging an Exact into an
-// Exact is lossless (the union multiset is preserved, so queries are
-// byte-identical to single-stream insertion in any shard order).
-type Merger interface {
-	// Merge absorbs src's observations into the receiver. src is left
-	// unmodified; callers typically Reset it afterwards.
-	Merge(src Estimator) error
-}
-
 // Exact is an Estimator that stores every observation and answers queries
 // exactly (linear-interpolation quantiles). Suitable for hundreds of
 // machines per epoch, as in the paper's case study. The zero value is an
@@ -322,22 +310,6 @@ func (e *Exact) Count() int { return len(e.keys) }
 func (e *Exact) Reset() {
 	e.keys = e.keys[:0]
 	e.or, e.orNot, e.nans = 0, 0, 0
-}
-
-// Merge absorbs another exact estimator's observations. The result is
-// indistinguishable from having inserted both streams into one estimator,
-// so sharded exact aggregation is deterministic regardless of how the
-// stream was split.
-func (e *Exact) Merge(src Estimator) error {
-	o, ok := src.(*Exact)
-	if !ok {
-		return fmt.Errorf("quantile: cannot merge %T into *Exact", src)
-	}
-	e.keys = append(e.keys, o.keys...)
-	e.or |= o.or
-	e.orNot |= o.orNot
-	e.nans += o.nans
-	return nil
 }
 
 // Values returns the observations sorted ascending. The slice is the
