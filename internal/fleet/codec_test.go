@@ -36,38 +36,54 @@ func halfFleetFrame(tb testing.TB, machines int) *Frame {
 	const nm = 100
 	rng := rand.New(rand.NewSource(21))
 	rows := make([][]float64, machines)
-	viol := make([]bool, machines)
-	rep := make([]bool, machines)
 	for i := range rows {
 		row := make([]float64, nm)
 		for m := range row {
 			row[m] = 100 + rng.NormFloat64()*10
 		}
 		rows[i] = row
-		rep[i] = true
 	}
 	return &Frame{
 		Shard:      0,
 		Epoch:      7,
 		Machines:   2 * machines,
 		NumMetrics: nm,
-		Blocks:     []Block{{Lo: 0, Rows: rows, Viol: viol, Reporting: rep}},
+		Blocks:     []Block{rowsBlock(0, nm, rows)},
 	}
+}
+
+// rowsBlock is the block a shard ships for rows starting at machine lo: a
+// nil row is a machine that did not report, the others ship their cells by
+// metric column.
+func rowsBlock(lo, width int, rows [][]float64) Block {
+	b := Block{Lo: lo, Viol: make([]bool, len(rows)), Reporting: make([]bool, len(rows))}
+	var kept [][]float64
+	for i, row := range rows {
+		if row != nil {
+			b.Reporting[i] = true
+			kept = append(kept, row)
+		}
+	}
+	if len(kept) > 0 {
+		b.Cols = make([]float64, width*len(kept))
+		for i, row := range kept {
+			for m, v := range row {
+				b.Cols[m*len(kept)+i] = v
+			}
+		}
+	}
+	return b
 }
 
 // TestFrameFixtureBytes pins the wire layout: the bench fixture frame must
 // encode to exactly the bytes it always has (size and SHA-256 recorded when
-// version 4 was the newest of three decodable versions). A change that moves
-// either is a format change and bumps frameVersion.
+// version 5 laid the cells out by metric column). A change that moves either
+// is a format change and bumps frameVersion.
 //
 // gob numbers types in order of first use, process-wide, so the metadata
 // section's bytes depend on what the process encoded before; the pin holds
 // for a process that encodes the fixture first. Unless this run is already
 // that process, the test re-runs itself alone in a new one.
-//
-// The constants predate the frame losing its estimator field: an aggregator
-// built before that and one built after ship the same bytes, which is the
-// proof the two interoperate in both directions.
 func TestFrameFixtureBytes(t *testing.T) {
 	const alone = "^TestFrameFixtureBytes$"
 	if flag.Lookup("test.run").Value.String() != alone {
@@ -81,8 +97,8 @@ func TestFrameFixtureBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantLen = 41060
-	const wantSum = "6087eb9c32a84c789e5d5e16b094bec814a4724a76b4885605a135e8a827245a"
+	const wantLen = 41009
+	const wantSum = "17f04f74be9fe0eec3dfef3ccf097c525d968d9095c3b25abca86302b9f2a82d"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != wantLen || got != wantSum {
 		t.Fatalf("fixture frame is %d bytes, sha256 %s; want %d bytes, %s", len(data), got, wantLen, wantSum)
 	}
@@ -111,12 +127,10 @@ func TestFrameOneVersion(t *testing.T) {
 // the wire and decode back identical.
 func TestFrameCompression(t *testing.T) {
 	f := benchFixtureFrame(t)
-	// Constant rows compress extremely well and still exercise the whole
-	// path (the fixture's random rows would too, just less dramatically).
-	for _, row := range f.Blocks[0].Rows {
-		for m := range row {
-			row[m] = 42
-		}
+	// Constant cells compress extremely well and still exercise the whole
+	// path (the fixture's random cells would too, just less dramatically).
+	for i := range f.Blocks[0].Cols {
+		f.Blocks[0].Cols[i] = 42
 	}
 	plain, err := f.Encode()
 	if err != nil {
@@ -140,8 +154,8 @@ func TestFrameCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Blocks[0].Rows[10][10] != 42 {
-		t.Fatal("compressed round-trip mangled rows")
+	if !reflect.DeepEqual(unpooled(got), f) {
+		t.Fatal("compressed round-trip mangled the frame")
 	}
 	if got.NumMetrics != f.NumMetrics {
 		t.Fatalf("compressed round-trip: row width %d, want %d", got.NumMetrics, f.NumMetrics)
@@ -164,34 +178,42 @@ func corpusFrame(t *testing.T, name string) []byte {
 	return []byte(data)
 }
 
-// TestFrameEstimatorFallbackModes: a frame is its rows. It round-trips with
+// TestFrameEstimatorFallbackModes: a frame is its cells. It round-trips with
 // holes in it, the trailer values retired encoders wrote — no state (0),
-// explicit estimator payloads (1), gob (3) — decode as corruption, and a row
-// of another width than the frame declares never reaches the wire.
+// explicit estimator payloads (1), gob (3) — decode as corruption, and
+// columns of another length than the reporting machines × the declared
+// width never reach the wire.
 func TestFrameEstimatorFallbackModes(t *testing.T) {
 	full, err := benchFixtureFrame(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("derived", func(t *testing.T) {
-		// Punch holes in the fixture so a nil row and a non-reporting
-		// machine cross the codec too.
+		// Punch a hole in the fixture so a non-reporting machine, which
+		// ships no cells, crosses the codec too.
 		f := benchFixtureFrame(t)
-		f.Blocks[0].Rows[3] = nil
-		f.Blocks[0].Reporting[3] = false
+		b := &f.Blocks[0]
+		n := len(b.Reporting)
+		var cols []float64
+		for m := 0; m < f.NumMetrics; m++ {
+			col := b.Cols[m*n : (m+1)*n]
+			cols = append(append(cols, col[:3]...), col[4:]...)
+		}
+		b.Cols = cols
+		b.Reporting[3] = false
 		f.Dropped = 17
 		data, err := f.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(data) >= len(full) {
-			t.Fatalf("frame with a nil row is %d bytes, full fixture %d", len(data), len(full))
+			t.Fatalf("frame with a silent machine is %d bytes, full fixture %d", len(data), len(full))
 		}
 		got, err := DecodeFrame(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, f) {
+		if !reflect.DeepEqual(unpooled(got), f) {
 			t.Fatalf("frame differs after round trip:\ngot:  %+v\nwant: %+v", got, f)
 		}
 	})
@@ -207,29 +229,45 @@ func TestFrameEstimatorFallbackModes(t *testing.T) {
 				t.Errorf("trailer mode %d: err %v, want ErrCorrupt", mode, err)
 			}
 		}
-		// Whole frames as the previous build's encoder wrote them.
+		// Whole frames as an older build's encoder wrote them: refused as
+		// another version, and as corruption when resealed under this one.
 		for _, name := range []string{"explicit-exact-mode1", "explicit-gk-mode1", "no-estimators-mode0"} {
-			if _, err := DecodeFrame(corpusFrame(t, name)); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: err %v, want ErrCorrupt", name, err)
+			data := corpusFrame(t, name)
+			if _, err := DecodeFrame(data); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "frame version") {
+				t.Errorf("%s: err %v, want the frame-version protocol error", name, err)
+			}
+			if _, err := DecodeFrame(sealHeader(append([]byte(nil), data...))); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s resealed: err %v, want ErrCorrupt", name, err)
 			}
 		}
 	})
 	t.Run("row-width", func(t *testing.T) {
+		for _, delta := range []int{-1, 1} {
+			f := benchFixtureFrame(t)
+			b := &f.Blocks[0]
+			b.Cols = b.Cols[:len(b.Cols)+min(delta, 0)]
+			if delta > 0 {
+				b.Cols = append(b.Cols, 1)
+			}
+			if data, err := f.Encode(); err == nil {
+				t.Fatalf("frame with columns %d cells off encoded to %d bytes, want an error", delta, len(data))
+			}
+		}
 		f := benchFixtureFrame(t)
-		f.Blocks[0].Rows[7] = f.Blocks[0].Rows[7][:99]
+		f.Blocks[0].Viol = f.Blocks[0].Viol[1:]
 		if data, err := f.Encode(); err == nil {
-			t.Fatalf("frame with a 99-wide row under 100 metrics encoded to %d bytes, want an error", len(data))
+			t.Fatalf("frame with a short violation mask encoded to %d bytes, want an error", len(data))
 		}
 		// And the decoder holds a foreign encoder to the same rule.
 		data := append([]byte(nil), full...)
 		data[len(data)-1] = 99
 		if _, err := DecodeFrame(sealHeader(data)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("declared width 99 over 100-wide rows: err %v, want ErrCorrupt", err)
+			t.Errorf("declared width 99 over 100 columns: err %v, want ErrCorrupt", err)
 		}
 	})
 }
 
-// TestFrameDerivedModeOnWire: a frame is barely larger than its rows
+// TestFrameDerivedModeOnWire: a frame is barely larger than its column
 // section.
 func TestFrameDerivedModeOnWire(t *testing.T) {
 	f := benchFixtureFrame(t)
@@ -239,28 +277,22 @@ func TestFrameDerivedModeOnWire(t *testing.T) {
 	}
 	rowBytes := 50 * 100 * 8
 	if len(data) > rowBytes+rowBytes/4 {
-		t.Fatalf("v4 frame %d bytes for %d row bytes", len(data), rowBytes)
+		t.Fatalf("frame of %d bytes for %d cell bytes", len(data), rowBytes)
 	}
 }
 
-// TestFrameDecodeSlabs: a block's present rows decode as capped views of one
-// slab per block — each row starting where the block's previous present row
-// ends, cap == len so appending to a row never writes into the next — around
-// a leading nil row, interleaved nil rows and an all-nil block.
+// TestFrameDecodeSlabs: a frame's columns decode as capped views of one
+// slab — each block's starting where the previous non-empty block's end,
+// cap == len so appending to one block's columns never writes into the
+// next's — around a leading silent machine, interleaved ones and an
+// all-silent block. Release hands the slab back: the frame's columns are
+// gone, and a later decode that reuses the slab holds its own values.
 func TestFrameDecodeSlabs(t *testing.T) {
 	f := &Frame{Shard: 0, Epoch: 2, Machines: 12, NumMetrics: 3, Blocks: []Block{
-		{Lo: 0, Rows: [][]float64{nil, {1, 2, 3}, {4, 5, 6}, nil, {7, 8, 9}}},
-		{Lo: 5, Rows: [][]float64{nil, nil}},
-		{Lo: 8, Rows: [][]float64{{10, 11, 12}, nil, {13, 14, 15}, {16, 17, 18}}},
+		rowsBlock(0, 3, [][]float64{nil, {1, 2, 3}, {4, 5, 6}, nil, {7, 8, 9}}),
+		rowsBlock(5, 3, [][]float64{nil, nil}),
+		rowsBlock(8, 3, [][]float64{{10, 11, 12}, nil, {13, 14, 15}, {16, 17, 18}}),
 	}}
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		b.Viol = make([]bool, len(b.Rows))
-		b.Reporting = make([]bool, len(b.Rows))
-		for i, row := range b.Rows {
-			b.Reporting[i] = row != nil
-		}
-	}
 	data, err := f.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -269,70 +301,121 @@ func TestFrameDecodeSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, f) {
+	if !reflect.DeepEqual(unpooled(got), f) {
 		t.Fatalf("frame differs after round trip:\ngot:  %+v\nwant: %+v", got, f)
 	}
-	at := func(row []float64) uintptr { return reflect.ValueOf(row).Pointer() }
+	at := func(c []float64) uintptr { return reflect.ValueOf(c).Pointer() }
+	first, last := got.Blocks[0].Cols, got.Blocks[2].Cols
+	if at(last) != at(first)+uintptr(8*len(first)) {
+		t.Error("block 2's columns do not follow block 0's in one slab")
+	}
 	for bi, b := range got.Blocks {
-		var prev []float64
-		for i, row := range b.Rows {
-			if row == nil {
-				continue
-			}
-			if cap(row) != len(row) {
-				t.Errorf("block %d row %d: cap %d, len %d", bi, i, cap(row), len(row))
-			}
-			if prev != nil && at(row) != at(prev)+uintptr(8*len(prev)) {
-				t.Errorf("block %d row %d does not follow the block's previous present row", bi, i)
-			}
-			prev = row
-			if grown := append(row, -1); grown[len(row)] != -1 {
-				t.Fatal("append lost its value")
-			}
+		if cap(b.Cols) != len(b.Cols) {
+			t.Errorf("block %d: cap %d, len %d", bi, cap(b.Cols), len(b.Cols))
+		}
+		if grown := append(b.Cols, -1); grown[len(b.Cols)] != -1 {
+			t.Fatal("append lost its value")
 		}
 	}
-	if !reflect.DeepEqual(got, f) {
-		t.Fatal("appending to a decoded row wrote into another")
+	if !reflect.DeepEqual(unpooled(got), f) {
+		t.Fatal("appending to a block's decoded columns wrote into another's")
 	}
-	// Block 0's slab has room left after its last row; block 2 does not use it.
-	if last := got.Blocks[0].Rows[4]; at(got.Blocks[2].Rows[0]) == at(last)+uintptr(8*len(last)) {
-		t.Fatal("block 2's rows continue block 0's slab")
+	got.Release()
+	for bi, b := range got.Blocks {
+		if b.Cols != nil {
+			t.Errorf("block %d keeps its columns after Release", bi)
+		}
+	}
+	if got.Shard != f.Shard || !reflect.DeepEqual(got.Blocks[2].Reporting, f.Blocks[2].Reporting) {
+		t.Error("Release touched more than the columns")
+	}
+	got.Release() // a second Release hands nothing back twice
+	for i := range f.Blocks[2].Cols {
+		f.Blocks[2].Cols[i] *= -1
+	}
+	data, err = f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := DecodeFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(unpooled(again), f) {
+		t.Fatalf("decode after Release differs:\ngot:  %+v\nwant: %+v", again, f)
 	}
 }
 
-// mixedWidthFrame is a sealed frame declaring 3 metrics whose block's second
-// present row is 3+delta cells wide: what an encoder without Encode's
-// row-width check would send.
-func mixedWidthFrame(tb testing.TB, delta int) []byte {
+// unpooled is a decoded frame without its pooled slab, for comparing its
+// fields with a frame built in process.
+func unpooled(f *Frame) *Frame {
+	g := *f
+	g.slab = nil
+	return &g
+}
+
+// offLengthFrame is a sealed frame declaring 3 metrics over two reporting
+// machines whose column section is delta cells off: what an encoder without
+// Encode's column check would send.
+func offLengthFrame(tb testing.TB, delta int) []byte {
 	tb.Helper()
-	f := &Frame{Shard: 0, Epoch: 1, Machines: 4, NumMetrics: 3, Blocks: []Block{{
-		Rows:      [][]float64{nil, {1, 2, 3}, {4, 5, 6}},
-		Viol:      make([]bool, 3),
-		Reporting: []bool{false, true, true},
-	}}}
+	f := &Frame{Shard: 0, Epoch: 1, Machines: 4, NumMetrics: 3, Blocks: []Block{
+		rowsBlock(0, 3, [][]float64{nil, {1, 2, 3}, {4, 5, 6}}),
+	}}
 	data, err := f.Encode()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The payload ends: cell count 3, 24 row bytes, trailer (marker, width).
-	at := len(data) - 2 - 24 - 1
-	out := append(append([]byte(nil), data[:at]...), byte(3+delta))
-	out = append(out, data[at+1:at+1+24+8*min(delta, 0)]...)
+	// The payload ends: 48 column bytes, trailer (marker, width).
+	at := len(data) - 2
+	out := append([]byte(nil), data[:at+8*min(delta, 0)]...)
 	for i := 0; i < delta; i++ {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(7))
 	}
-	return sealHeader(append(out, data[len(data)-2:]...))
+	return sealHeader(append(out, data[at:]...))
 }
 
-// TestFrameDecodeMixedWidth: a row narrower or wider than the first present
-// row of its block is corruption, refused without a panic.
+// silentColumnsFrame is a sealed frame whose block marks a machine
+// reporting yet ships no column section at all.
+func silentColumnsFrame(tb testing.TB) []byte {
+	tb.Helper()
+	f := &Frame{Shard: 0, Epoch: 1, Machines: 4, NumMetrics: 3, Blocks: []Block{
+		rowsBlock(0, 3, [][]float64{nil, {1, 2, 3}}),
+	}}
+	data, err := f.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := len(data) - 2
+	return sealHeader(append(append([]byte(nil), data[:at-24]...), data[at:]...))
+}
+
+// widthMismatchFrame is offLengthFrame's frame with a trailer declaring
+// width 2 over its 3 columns.
+func widthMismatchFrame(tb testing.TB) []byte {
+	tb.Helper()
+	data := offLengthFrame(tb, 0)
+	data[len(data)-1] = 2
+	return sealHeader(data)
+}
+
+// TestFrameDecodeMixedWidth: the column section's length is derived from
+// the reporting masks and the declared width; one value short or long, a
+// reporting machine without cells and a width trailer that disagrees are
+// all corruption, refused without a panic.
 func TestFrameDecodeMixedWidth(t *testing.T) {
 	for _, delta := range []int{-1, -2, 1} {
-		if _, err := DecodeFrame(mixedWidthFrame(t, delta)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("second row %d cells off: err %v, want ErrCorrupt", delta, err)
+		if _, err := DecodeFrame(offLengthFrame(t, delta)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("column section %d cells off: err %v, want ErrCorrupt", delta, err)
 		}
 	}
-	if _, err := DecodeFrame(mixedWidthFrame(t, 0)); err != nil {
+	if _, err := DecodeFrame(silentColumnsFrame(t)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("reporting machine without cells: err %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeFrame(widthMismatchFrame(t)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("width trailer 2 over 3 columns: err %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeFrame(offLengthFrame(t, 0)); err != nil {
 		t.Fatalf("unmodified frame: %v", err)
 	}
 }
@@ -343,10 +426,8 @@ func TestFrameDecodeMixedWidth(t *testing.T) {
 // multiple of the limit, not of the bomb.
 func TestFrameInflateBound(t *testing.T) {
 	f := benchFixtureFrame(t)
-	for _, row := range f.Blocks[0].Rows {
-		for m := range row {
-			row[m] = 42
-		}
+	for i := range f.Blocks[0].Cols {
+		f.Blocks[0].Cols[i] = 42
 	}
 	plain, err := f.Encode()
 	if err != nil {
@@ -360,10 +441,10 @@ func TestFrameInflateBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := int64(len(plain) - headerLen - 1)
-	if _, err := decodeFrameV4(data[headerLen:], body); err != nil {
+	if _, err := decodePayload(data[headerLen:], body); err != nil {
 		t.Fatalf("body of exactly the limit: %v", err)
 	}
-	if _, err := decodeFrameV4(data[headerLen:], body-1); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodePayload(data[headerLen:], body-1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("body one byte over the limit: err %v, want ErrCorrupt", err)
 	}
 
@@ -383,7 +464,7 @@ func TestFrameInflateBound(t *testing.T) {
 	bomb := append([]byte{frameFlagCompressed}, cb.Bytes()...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = decodeFrameV4(bomb, limit)
+	_, err = decodePayload(bomb, limit)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("%d-byte bomb of %d zeros: err %v, want ErrCorrupt", len(bomb), 16*limit, err)
@@ -395,40 +476,40 @@ func TestFrameInflateBound(t *testing.T) {
 
 func BenchmarkFrameCodec(b *testing.B) {
 	f := benchFixtureFrame(b)
-	v4, err := f.Encode()
+	v5, err := f.Encode()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("encode/v4", func(b *testing.B) {
-		b.SetBytes(int64(len(v4)))
+	b.Run("encode/v5", func(b *testing.B) {
+		b.SetBytes(int64(len(v5)))
 		for i := 0; i < b.N; i++ {
 			if _, err := f.Encode(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("decode/v4", func(b *testing.B) {
-		b.SetBytes(int64(len(v4)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeFrame(v4); err != nil {
-				b.Fatal(err)
+	// Decodes release their frame, as the coordinator does once the epoch
+	// merges, so the column slab comes from the pool.
+	decode := func(data []byte) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				f, err := DecodeFrame(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Release()
 			}
 		}
-	})
-	// A fleet-2x1k shard frame: 1 000 rows × 100 metrics, where the rows, not
-	// the gob metadata, are the cost.
+	}
+	b.Run("decode/v5", decode(v5))
+	// A fleet-2x1k shard frame: 1 000 machines × 100 metrics, where the
+	// cells, not the gob metadata, are the cost.
 	k1, err := halfFleetFrame(b, 1000).Encode()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("decode/1k", func(b *testing.B) {
-		b.SetBytes(int64(len(k1)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeFrame(k1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("decode/1k", decode(k1))
 }
 
 // BenchmarkFleetEpochThroughput measures end-to-end fleet epochs through

@@ -256,6 +256,9 @@ func (c *Coordinator) HandleFrameBytes(data []byte) (*Ack, int) {
 		c.firstAt[f.Epoch] = time.Now()
 		c.arrival[f.Epoch] = make(map[int]time.Duration)
 	}
+	if dup := ep[f.Shard]; dup != nil {
+		dup.Release()
+	}
 	ep[f.Shard] = f
 	c.arrival[f.Epoch][f.Shard] = time.Since(c.firstAt[f.Epoch])
 	c.federateLocked(f)
@@ -450,7 +453,6 @@ func (c *Coordinator) mergeLocked() {
 			for _, r := range c.asn.Ranges[s] {
 				parts = append(parts, monitor.ShardPartial{
 					Lo:        r.Lo,
-					Rows:      make([][]float64, r.Len()),
 					Viol:      make([]bool, r.Len()),
 					Reporting: make([]bool, r.Len()),
 				})
@@ -470,7 +472,7 @@ func (c *Coordinator) mergeLocked() {
 		}
 		for bi := range f.Blocks {
 			b := &f.Blocks[bi]
-			p := monitor.ShardPartial{Lo: b.Lo, Rows: b.Rows, Viol: b.Viol, Reporting: b.Reporting}
+			p := monitor.ShardPartial{Lo: b.Lo, Cols: b.Cols, Viol: b.Viol, Reporting: b.Reporting}
 			if bi == 0 {
 				p.Status = f.Status
 				p.Dropped = f.Dropped
@@ -495,6 +497,11 @@ func (c *Coordinator) mergeLocked() {
 		return
 	}
 	rep, err := c.cfg.Monitor.ObserveAggregated(c.cfg.Machines, parts, tr)
+	// The monitor keeps its own copy of what it retains: the decoded
+	// columns go back to the pool for the next frames.
+	for _, f := range ep {
+		f.Release()
+	}
 	if err != nil {
 		tr.End()
 		if c.cfg.Events.Enabled() {

@@ -12,9 +12,9 @@ func testFrameBytes(t *testing.T) []byte {
 	t.Helper()
 	f := &Frame{Shard: 0, Epoch: 7, Machines: 10, NumMetrics: 3, Blocks: []Block{{
 		Lo:        0,
-		Rows:      [][]float64{{1, 2, 3}, nil},
 		Viol:      []bool{false, false},
 		Reporting: []bool{true, false},
+		Cols:      []float64{1, 2, 3},
 	}}}
 	data, err := f.Encode()
 	if err != nil {

@@ -1,9 +1,10 @@
 // Package fleet scales the fingerprinting pipeline past a single process
 // with two-tier aggregation: per-shard aggregator processes each ingest a
 // contiguous slice of the fleet's epoch matrix, run the liveness scan and
-// the per-machine SLA check locally, and ship the reporting rows, the masks
-// and the partial SLA status to one coordinator, which filters the rows into
-// its own quantile estimators and runs summarization, SLA detection,
+// the per-machine SLA check locally, and ship the reporting machines' cells
+// by metric column, the masks and the partial SLA status to one coordinator,
+// which filters each column into its metric's quantile estimator and keeps it
+// as the epoch's retained samples, then runs summarization, SLA detection,
 // fingerprinting, identification and forecast exactly as the single-node
 // monitor does.
 //

@@ -297,16 +297,16 @@ func TestStaticAssignment(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip exercises the wire codec: row width, nil-row
-// normalization, ground truth, and header validation.
+// TestFrameRoundTrip exercises the wire codec: row width, the columns of
+// the reporting machines only, ground truth, and header validation.
 func TestFrameRoundTrip(t *testing.T) {
 	f := &Frame{
 		Shard: 1, Epoch: 7, AssignVersion: 1, Machines: 4, NumMetrics: 2,
 		Blocks: []Block{{
 			Lo:        2,
-			Rows:      [][]float64{{1, 2}, nil},
 			Viol:      []bool{true, false},
 			Reporting: []bool{true, false},
+			Cols:      []float64{1, 2},
 		}},
 		Status:  sla.EpochStatus{ViolatingPerKPI: []int{1}, ViolatingAny: 1, Machines: 2},
 		Dropped: 3,
@@ -323,11 +323,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if g.Shard != 1 || g.Epoch != 7 || g.Machines != 4 || g.NumMetrics != 2 || g.Dropped != 3 {
 		t.Fatalf("header fields lost: %+v", g)
 	}
-	if g.Blocks[0].Rows[1] != nil {
-		t.Fatal("nil row not normalized")
-	}
-	if !reflect.DeepEqual(g.Blocks[0].Rows[0], []float64{1, 2}) {
-		t.Fatalf("rows lost: %+v", g.Blocks[0].Rows)
+	if !reflect.DeepEqual(g.Blocks[0].Cols, []float64{1, 2}) {
+		t.Fatalf("columns lost: %+v", g.Blocks[0].Cols)
 	}
 	if g.Active == nil || g.Active.ID != "L01" || !g.Active.Labeled {
 		t.Fatalf("ground truth lost: %+v", g.Active)

@@ -27,13 +27,14 @@ import (
 // poison the deterministic merge.
 //
 // The payload (see the "Wire format" section of DESIGN.md) is a flags byte,
-// a gob-encoded metadata section (everything except the bulk rows), a
-// fixed-width little-endian rows section, and a two-field trailer declaring
-// the row width. A shard's quantile contribution is its rows: the coordinator
-// filters them into its own estimators. Bodies above frameCompressThreshold
-// are flate-compressed.
+// a gob-encoded metadata section (everything except the bulk cells), a
+// fixed-width little-endian column section, and a two-field trailer declaring
+// the row width. A shard's quantile contribution is its reporting machines'
+// cells, by metric column: the coordinator filters each column into its own
+// estimator in one pass. Bodies above frameCompressThreshold are
+// flate-compressed.
 const frameMagic = "DCFPFLT1"
-const frameVersion uint32 = 4
+const frameVersion uint32 = 5
 
 // headerLen is magic + version + payload CRC32 (IEEE).
 const headerLen = len(frameMagic) + 4 + 4
@@ -44,17 +45,29 @@ const headerLen = len(frameMagic) + 4 + 4
 // from protocol rejections (errors.Is-matchable).
 var ErrCorrupt = errors.New("fleet: corrupt frame")
 
-// Block is one contiguous machine slice of a frame: after a rebalance a
-// shard may own several disjoint ranges, each shipped as its own block.
-// Rows are the raw per-machine samples for [Lo, Lo+len(Rows)); a nil row
-// marks a machine that delivered nothing (or delivered no finite values —
-// the coordinator never reads rows of non-reporting machines, so the
-// aggregator nils them to save wire bytes).
+// Block is one contiguous machine slice of a frame, machines [Lo,
+// Lo+len(Reporting)): after a rebalance a shard may own several disjoint
+// ranges, each shipped as its own block. Cols holds the raw samples of the
+// block's reporting machines metric-major — with n reporting machines,
+// metric m's n values, in machine order, are Cols[m*n:(m+1)*n] — so it is
+// NumMetrics × n long. A machine that delivered nothing, or no finite value,
+// ships no cells: the coordinator never reads them.
 type Block struct {
 	Lo        int
-	Rows      [][]float64
 	Viol      []bool
 	Reporting []bool
+	Cols      []float64
+}
+
+// reportingCount is the number of machines a block ships cells for.
+func (b *Block) reportingCount() int {
+	n := 0
+	for _, r := range b.Reporting {
+		if r {
+			n++
+		}
+	}
+	return n
 }
 
 // Frame is one shard's complete contribution to one epoch.
@@ -69,14 +82,14 @@ type Frame struct {
 	// Machines is the fleet width the sender believes; the coordinator
 	// rejects frames that disagree with its own.
 	Machines int
-	// NumMetrics is the catalog width: every present row of every block
-	// holds exactly this many values (Encode and DecodeFrame both check).
+	// NumMetrics is the catalog width: every block ships exactly this many
+	// columns (Encode and DecodeFrame both check).
 	NumMetrics int
 	Blocks     []Block
 	// Status is the shard's partial SLA status over all its blocks.
 	Status sla.EpochStatus
 	// Dropped counts the non-finite cells of the shard's rows, including the
-	// rows of non-reporting machines it shipped as nil.
+	// rows of the non-reporting machines it shipped no cells for.
 	Dropped int
 	// Active carries the simulator's ground-truth crisis instance when
 	// the shard runs the seeded simulation (nil in production ingestion);
@@ -99,6 +112,10 @@ type Frame struct {
 	// snapshots rather than deltas keep re-exposition idempotent across
 	// retries, duplicated frames, and coordinator restarts.
 	Metrics []telemetry.SeriesValue
+
+	// slab is the pooled storage a decoded frame's columns are views of
+	// (nil for a frame built in process); Release hands it back.
+	slab *[]float64
 }
 
 // Frame payload flags (first body byte).
@@ -124,9 +141,10 @@ const maxFrameBytes = 64 << 20
 // ordinary frames on the fast uncompressed path.
 var frameCompressThreshold = 1 << 20
 
-// frameMetaV4 is the gob-encoded metadata section of a frame: every
-// Frame field except Block.Rows and NumMetrics, which get binary layouts of
-// their own.
+// frameMetaV4 is the gob-encoded metadata section of a frame: every Frame
+// field except Block.Cols and NumMetrics, which get binary layouts of their
+// own. gob puts the type names on the wire, so renaming either struct would
+// change every frame's bytes.
 type frameMetaV4 struct {
 	Shard         int
 	Epoch         metrics.Epoch
@@ -147,27 +165,18 @@ type blockMetaV4 struct {
 	Reporting []bool
 }
 
-// encScratch pools the build buffers Encode assembles frames in. Encoded
-// frames are retained indefinitely by ship/replay rings, so Encode copies
-// the finished frame out at exact size and recycles the oversized scratch.
-var encScratch = sync.Pool{New: func() any { s := make([]byte, 0, 4096); return &s }}
-
 // gobBufPool pools the bytes.Buffer behind gob sub-encodes (frame metadata,
 // acks).
 var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Encode serializes the frame as magic + version + CRC32 + binary payload.
-// The returned slice is freshly allocated at exact size; internal scratch is
-// pooled and reused across calls. A present row that is not NumMetrics wide
-// is an error.
+// The returned slice is allocated once, at the frame's exact size (a body
+// that flate shrinks keeps that buffer). A block whose Cols is not
+// NumMetrics × its reporting machines long is an error.
 func (f *Frame) Encode() ([]byte, error) {
-	if err := f.checkRowWidths(); err != nil {
+	if err := f.checkColumns(); err != nil {
 		return nil, fmt.Errorf("fleet: frame encode: %w", err)
 	}
-	sp := encScratch.Get().(*[]byte)
-	buf := append((*sp)[:0], make([]byte, headerLen)...)
-	buf = append(buf, 0) // flags, patched below
-
 	// Metadata section: uvarint length + gob.
 	meta := frameMetaV4{
 		Shard:         f.Shard,
@@ -181,37 +190,32 @@ func (f *Frame) Encode() ([]byte, error) {
 		Spans:         f.Spans,
 		Metrics:       f.Metrics,
 	}
+	cells := 0
 	for i := range f.Blocks {
-		meta.Blocks = append(meta.Blocks, blockMetaV4{
-			Lo:        f.Blocks[i].Lo,
-			Viol:      f.Blocks[i].Viol,
-			Reporting: f.Blocks[i].Reporting,
-		})
+		b := &f.Blocks[i]
+		meta.Blocks = append(meta.Blocks, blockMetaV4{Lo: b.Lo, Viol: b.Viol, Reporting: b.Reporting})
+		cells += len(b.Cols)
 	}
 	gb := gobBufPool.Get().(*bytes.Buffer)
+	defer gobBufPool.Put(gb)
 	gb.Reset()
-	err := gob.NewEncoder(gb).Encode(&meta)
-	if err != nil {
-		gobBufPool.Put(gb)
-		encScratch.Put(sp)
+	if err := gob.NewEncoder(gb).Encode(&meta); err != nil {
 		return nil, fmt.Errorf("fleet: frame encode: %w", err)
 	}
+	size := headerLen + 1 + uvarintLen(uint64(gb.Len())) + gb.Len() + 8*cells + 1 + uvarintLen(uint64(f.NumMetrics))
+	buf := make([]byte, headerLen+1, size) // header and flags, patched below
 	buf = binary.AppendUvarint(buf, uint64(gb.Len()))
 	buf = append(buf, gb.Bytes()...)
-	gobBufPool.Put(gb)
 
-	// Rows section: per block, uvarint row count, then per row a uvarint
-	// cell count and the raw float bits fixed-width little-endian. A nil
-	// row is a zero cell count.
+	// Column section: every block's Cols, in block order, as raw float bits
+	// fixed-width little-endian.
+	out := buf[len(buf) : len(buf)+8*cells]
 	for i := range f.Blocks {
-		buf = binary.AppendUvarint(buf, uint64(len(f.Blocks[i].Rows)))
-		for _, row := range f.Blocks[i].Rows {
-			buf = binary.AppendUvarint(buf, uint64(len(row)))
-			for _, v := range row {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
+		cols := f.Blocks[i].Cols
+		putFloats(out, cols)
+		out = out[8*len(cols):]
 	}
+	buf = buf[:len(buf)+8*cells]
 
 	buf = append(buf, rowWidthMarker)
 	buf = binary.AppendUvarint(buf, uint64(f.NumMetrics))
@@ -226,22 +230,66 @@ func (f *Frame) Encode() ([]byte, error) {
 			buf[headerLen] |= frameFlagCompressed
 		}
 	}
-
-	sealHeader(buf)
-	out := append([]byte(nil), buf...)
-	*sp = buf[:0]
-	encScratch.Put(sp)
-	return out, nil
+	return sealHeader(buf), nil
 }
 
-// checkRowWidths reports the first present row that is not NumMetrics wide.
-func (f *Frame) checkRowWidths() error {
+// putFloats writes the bits of vs little-endian into out, 8 bytes each.
+// Eight values a step through fixed-length views let the compiler drop the
+// per-value bounds checks: about 3× the one-value loop.
+func putFloats(out []byte, vs []float64) {
+	for ; len(vs) >= 8; vs, out = vs[8:], out[64:] {
+		v, o := vs[:8], out[:64]
+		binary.LittleEndian.PutUint64(o[0:], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(o[8:], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(o[16:], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(o[24:], math.Float64bits(v[3]))
+		binary.LittleEndian.PutUint64(o[32:], math.Float64bits(v[4]))
+		binary.LittleEndian.PutUint64(o[40:], math.Float64bits(v[5]))
+		binary.LittleEndian.PutUint64(o[48:], math.Float64bits(v[6]))
+		binary.LittleEndian.PutUint64(o[56:], math.Float64bits(v[7]))
+	}
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+}
+
+// getFloats is putFloats' inverse: vs[i] from the 8 bytes at in[8*i:].
+func getFloats(vs []float64, in []byte) {
+	for ; len(vs) >= 8; vs, in = vs[8:], in[64:] {
+		v, b := vs[:8], in[:64]
+		v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+		v[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		v[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+		v[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+		v[4] = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
+		v[5] = math.Float64frombits(binary.LittleEndian.Uint64(b[40:]))
+		v[6] = math.Float64frombits(binary.LittleEndian.Uint64(b[48:]))
+		v[7] = math.Float64frombits(binary.LittleEndian.Uint64(b[56:]))
+	}
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+	}
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// checkColumns reports the first block whose shape the decoder would refuse.
+func (f *Frame) checkColumns() error {
 	for bi := range f.Blocks {
-		for i, row := range f.Blocks[bi].Rows {
-			if len(row) != 0 && len(row) != f.NumMetrics {
-				return fmt.Errorf("block %d row %d has %d values, frame declares %d metrics",
-					bi, i, len(row), f.NumMetrics)
-			}
+		b := &f.Blocks[bi]
+		if len(b.Viol) != len(b.Reporting) {
+			return fmt.Errorf("block %d: viol/reporting lengths %d/%d disagree", bi, len(b.Viol), len(b.Reporting))
+		}
+		if n := b.reportingCount(); len(b.Cols) != n*f.NumMetrics {
+			return fmt.Errorf("block %d has %d cells for %d reporting machines × %d metrics",
+				bi, len(b.Cols), n, f.NumMetrics)
 		}
 	}
 	return nil
@@ -249,22 +297,50 @@ func (f *Frame) checkRowWidths() error {
 
 // DecodeFrame parses a wire frame, validating magic, version, and checksum
 // before touching the payload, and the decoded structure before handing it
-// on. Zero-length rows are normalized back to nil: the codecs do not
-// distinguish nil from empty slices, and a nil row is the pipeline's
-// "machine delivered nothing" marker.
+// on. Every block's columns are views of one slab, taken from a pool that
+// Release refills.
 func DecodeFrame(data []byte) (*Frame, error) {
 	rest, err := checkHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	f, err := decodeFrameV4(rest, maxFrameBytes)
+	f, err := decodePayload(rest, maxFrameBytes)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateFrame(f); err != nil {
+		f.Release()
 		return nil, err
 	}
 	return f, nil
+}
+
+// colSlabs pools the slabs decoded frames keep their columns in: a
+// coordinator decodes a shard's whole epoch per frame and is done with it
+// once the epoch merges, so a steady fleet reuses the same few slabs rather
+// than allocating and zeroing one per frame.
+var colSlabs sync.Pool
+
+func getSlab(n int) *[]float64 {
+	if p, ok := colSlabs.Get().(*[]float64); ok && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+// Release hands the columns of a frame from DecodeFrame back for a later
+// decode to reuse. Neither the frame's columns nor any slice of them may be
+// read afterwards; the frame's other fields stay valid.
+func (f *Frame) Release() {
+	if f.slab != nil {
+		colSlabs.Put(f.slab)
+		f.slab = nil
+	}
+	for i := range f.Blocks {
+		f.Blocks[i].Cols = nil
+	}
 }
 
 // validateFrame is the structural validation of a decoded frame.
@@ -275,63 +351,82 @@ func validateFrame(f *Frame) error {
 	}
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
-		if len(b.Rows) != len(b.Viol) || len(b.Rows) != len(b.Reporting) {
-			return fmt.Errorf("%w: block %d: rows/viol/reporting lengths %d/%d/%d disagree",
-				ErrCorrupt, bi, len(b.Rows), len(b.Viol), len(b.Reporting))
+		if len(b.Viol) != len(b.Reporting) {
+			return fmt.Errorf("%w: block %d: viol/reporting lengths %d/%d disagree",
+				ErrCorrupt, bi, len(b.Viol), len(b.Reporting))
 		}
-		if b.Lo < 0 || b.Lo+len(b.Rows) > f.Machines {
+		if b.Lo < 0 || b.Lo+len(b.Reporting) > f.Machines {
 			return fmt.Errorf("%w: block %d: range [%d,%d) outside fleet of %d",
-				ErrCorrupt, bi, b.Lo, b.Lo+len(b.Rows), f.Machines)
-		}
-		for i, row := range b.Rows {
-			if len(row) == 0 {
-				b.Rows[i] = nil
-			}
+				ErrCorrupt, bi, b.Lo, b.Lo+len(b.Reporting), f.Machines)
 		}
 	}
 	return nil
 }
 
-// decodeFrameV4 parses the binary payload (flags + meta + rows + row-width
-// trailer). All counts are bounds-checked against the remaining
-// payload before allocation, and a compressed body is inflated no further
-// than limit bytes, so corrupted or adversarial frames fail with ErrCorrupt
-// instead of outsized allocations.
-func decodeFrameV4(payload []byte, limit int64) (*Frame, error) {
+// decodePayload parses the binary payload (flags + meta + columns +
+// row-width trailer). Every length is derived — the column section from the
+// reporting masks and the width the trailer declares — and checked against
+// the bytes present before allocation, and a compressed body is inflated no
+// further than limit bytes, so corrupted or adversarial frames fail with
+// ErrCorrupt instead of outsized allocations.
+func decodePayload(payload []byte, limit int64) (*Frame, error) {
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: v4 payload missing flags byte", ErrCorrupt)
+		return nil, fmt.Errorf("%w: payload missing flags byte", ErrCorrupt)
 	}
 	flags, body := payload[0], payload[1:]
 	if flags&^byte(frameFlagCompressed) != 0 {
-		return nil, fmt.Errorf("%w: v4 payload has unknown flags %#x", ErrCorrupt, flags)
+		return nil, fmt.Errorf("%w: payload has unknown flags %#x", ErrCorrupt, flags)
 	}
 	if flags&frameFlagCompressed != 0 {
 		raw, err := readAtMost(flate.NewReader(bytes.NewReader(body)), int64(len(body)), limit)
 		if err != nil {
-			return nil, fmt.Errorf("%w: v4 decompress: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 		}
 		if int64(len(raw)) > limit {
-			return nil, fmt.Errorf("%w: v4 body inflates past %d bytes", ErrCorrupt, limit)
+			return nil, fmt.Errorf("%w: body inflates past %d bytes", ErrCorrupt, limit)
 		}
 		body = raw
 	}
 
 	metaLen, n := binary.Uvarint(body)
 	if n <= 0 || metaLen > uint64(len(body)-n) {
-		return nil, fmt.Errorf("%w: v4 metadata length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: metadata length", ErrCorrupt)
 	}
 	body = body[n:]
 	var meta frameMetaV4
 	if err := gob.NewDecoder(bytes.NewReader(body[:metaLen])).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("%w: v4 metadata decode: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: metadata decode: %v", ErrCorrupt, err)
 	}
 	body = body[metaLen:]
+
+	// The trailer is the marker byte and the uvarint width, last in the
+	// payload: every uvarint byte but the last has its high bit set, and the
+	// marker does not, so the trailer reads back from the end.
+	end := len(body) - 1
+	if end < 1 || body[end]&0x80 != 0 {
+		return nil, fmt.Errorf("%w: payload missing its row-width trailer", ErrCorrupt)
+	}
+	start := end
+	for start > 0 && end-start < binary.MaxVarintLen64 && body[start-1]&0x80 != 0 {
+		start--
+	}
+	if start == 0 || body[start-1] != rowWidthMarker {
+		return nil, fmt.Errorf("%w: payload missing its row-width trailer", ErrCorrupt)
+	}
+	// Nothing follows the width, so it is bounded against a sane
+	// metric-catalog ceiling rather than the remaining bytes.
+	nm, n := binary.Uvarint(body[start:])
+	if n != len(body)-start || nm > 1<<20 {
+		return nil, fmt.Errorf("%w: row width", ErrCorrupt)
+	}
+	cells := body[:start-1]
 
 	f := &Frame{
 		Shard:         meta.Shard,
 		Epoch:         meta.Epoch,
 		AssignVersion: meta.AssignVersion,
 		Machines:      meta.Machines,
+		NumMetrics:    int(nm),
 		Status:        meta.Status,
 		Dropped:       meta.Dropped,
 		Active:        meta.Active,
@@ -339,68 +434,26 @@ func decodeFrameV4(payload []byte, limit int64) (*Frame, error) {
 		Spans:         meta.Spans,
 		Metrics:       meta.Metrics,
 	}
-	uvarint := func(what string) (int, error) {
-		v, n := binary.Uvarint(body)
-		if n <= 0 || v > uint64(len(body)-n) {
-			return 0, fmt.Errorf("%w: v4 %s count", ErrCorrupt, what)
+	f.Blocks = make([]Block, len(meta.Blocks))
+	reporting := uint64(0)
+	for bi, bm := range meta.Blocks {
+		f.Blocks[bi] = Block{Lo: bm.Lo, Viol: bm.Viol, Reporting: bm.Reporting}
+		reporting += uint64(f.Blocks[bi].reportingCount())
+	}
+	if want := 8 * nm * reporting; uint64(len(cells)) != want {
+		return nil, fmt.Errorf("%w: column section of %d bytes, %d reporting machines × %d metrics need %d",
+			ErrCorrupt, len(cells), reporting, nm, want)
+	}
+	f.slab = getSlab(len(cells) / 8)
+	slab := *f.slab
+	getFloats(slab, cells)
+	// Each block's columns are a capped view of the slab, so an append to
+	// one block's columns never writes into the next block's.
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		if k := b.reportingCount() * int(nm); k > 0 {
+			b.Cols, slab = slab[:k:k], slab[k:]
 		}
-		body = body[n:]
-		return int(v), nil
-	}
-	for bi := range meta.Blocks {
-		nRows, err := uvarint("row")
-		if err != nil {
-			return nil, err
-		}
-		b := Block{Lo: meta.Blocks[bi].Lo, Viol: meta.Blocks[bi].Viol, Reporting: meta.Blocks[bi].Reporting}
-		b.Rows = make([][]float64, nRows)
-		// The block's present rows are capped views of one slab, sized at
-		// the first of them for every row left that the remaining bytes can
-		// hold at its width.
-		var slab []float64
-		width := 0
-		for i := 0; i < nRows; i++ {
-			cells, err := uvarint("cell")
-			if err != nil {
-				return nil, err
-			}
-			if cells == 0 {
-				continue
-			}
-			if len(body) < cells*8 {
-				return nil, fmt.Errorf("%w: v4 rows truncated", ErrCorrupt)
-			}
-			if width == 0 {
-				width = cells
-				slab = make([]float64, min(nRows-i, len(body)/(8*cells))*cells)
-			}
-			var row []float64
-			if cells == width {
-				row, slab = slab[:cells:cells], slab[cells:]
-			} else {
-				row = make([]float64, cells) // checkRowWidths refuses the frame below
-			}
-			for c := range row {
-				row[c] = math.Float64frombits(binary.LittleEndian.Uint64(body[c*8:]))
-			}
-			body = body[cells*8:]
-			b.Rows[i] = row
-		}
-		f.Blocks = append(f.Blocks, b)
-	}
-
-	if len(body) < 1 || body[0] != rowWidthMarker {
-		return nil, fmt.Errorf("%w: v4 payload missing its row-width trailer", ErrCorrupt)
-	}
-	// Nothing follows the width, so it is bounded against a sane
-	// metric-catalog ceiling rather than the remaining bytes.
-	nm, n := binary.Uvarint(body[1:])
-	if n <= 0 || nm > 1<<20 {
-		return nil, fmt.Errorf("%w: v4 row width", ErrCorrupt)
-	}
-	f.NumMetrics = int(nm)
-	if err := f.checkRowWidths(); err != nil {
-		return nil, fmt.Errorf("%w: v4 %v", ErrCorrupt, err)
 	}
 	return f, nil
 }

@@ -27,12 +27,12 @@ func fuzzSeedCorpus(f *testing.F) {
 	garbage = append(garbage, []byte("not gob at all, but plenty of bytes to chew on")...)
 	f.Add(garbage)
 
-	// A truncated trailer, a row float mutated on the wire, the three
-	// retired trailer modes, a mixed-width block and a flate-compressed body,
-	// so the fuzzer starts inside every decode arm. (FuzzHandleFrameBytes
-	// reseals them past the CRC; whole frames as the previous build wrote
-	// them under modes 0 and 1 are the *-mode0/-mode1 files under testdata:
-	// must-reject seeds.)
+	// A truncated trailer, a cell mutated on the wire, the three retired
+	// trailer modes, column sections one value short and long, a reporting
+	// machine without cells, a width trailer that disagrees and a
+	// flate-compressed body, so the fuzzer starts inside every decode arm.
+	// (FuzzHandleFrameBytes reseals them past the CRC; whole frames as older
+	// builds wrote them are the files under testdata: must-reject seeds.)
 	f.Add(valid[:len(valid)-1])
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)-9] ^= 0xff
@@ -42,8 +42,10 @@ func fuzzSeedCorpus(f *testing.F) {
 		retired[len(retired)-2] = mode
 		f.Add(retired)
 	}
-	f.Add(mixedWidthFrame(f, -1))
-	f.Add(mixedWidthFrame(f, 1))
+	f.Add(offLengthFrame(f, -1))
+	f.Add(offLengthFrame(f, 1))
+	f.Add(silentColumnsFrame(f))
+	f.Add(widthMismatchFrame(f))
 	fr, err := DecodeFrame(valid)
 	if err != nil {
 		f.Fatal(err)
@@ -62,9 +64,9 @@ func validFuzzFrame(f *testing.F) []byte {
 		Shard: 0, Epoch: 3, Machines: 6, NumMetrics: 2,
 		Blocks: []Block{{
 			Lo:        0,
-			Rows:      [][]float64{{1, 2}, nil, {3, 4}},
 			Viol:      []bool{false, true, false},
 			Reporting: []bool{true, false, true},
+			Cols:      []float64{1, 3, 2, 4},
 		}},
 	}
 	data, err := fr.Encode()
@@ -76,7 +78,7 @@ func validFuzzFrame(f *testing.F) []byte {
 
 // FuzzDecodeFrame: arbitrary bytes must never panic the frame decoder, and
 // whatever decodes must satisfy the structural invariants the merge relies
-// on.
+// on and re-encode.
 func FuzzDecodeFrame(f *testing.F) {
 	fuzzSeedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -88,12 +90,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decoded frame with invalid geometry: %+v", fr)
 		}
 		for bi, b := range fr.Blocks {
-			if len(b.Rows) != len(b.Viol) || len(b.Rows) != len(b.Reporting) {
+			if len(b.Viol) != len(b.Reporting) || len(b.Cols) != b.reportingCount()*fr.NumMetrics {
 				t.Fatalf("block %d: inconsistent lengths survived validation", bi)
 			}
-			if b.Lo < 0 || b.Lo+len(b.Rows) > fr.Machines {
-				t.Fatalf("block %d: out-of-range [%d,%d) survived validation", bi, b.Lo, b.Lo+len(b.Rows))
+			if b.Lo < 0 || b.Lo+len(b.Reporting) > fr.Machines {
+				t.Fatalf("block %d: out-of-range [%d,%d) survived validation", bi, b.Lo, b.Lo+len(b.Reporting))
 			}
+		}
+		if _, err := fr.Encode(); err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
 		}
 	})
 }

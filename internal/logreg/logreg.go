@@ -126,6 +126,31 @@ func (s *Samples) Append(rows [][]float64, pos []bool) error {
 	return nil
 }
 
+// AppendBlock adds len(pos) rows already held metric-major — x[j*n+i] is row
+// i, column j — as one new block, with their labels. The set keeps x, which
+// the caller gives up: a metric-major epoch joins the set with no transpose.
+func (s *Samples) AppendBlock(x []float64, pos []bool) error {
+	n := len(pos)
+	if n == 0 {
+		if len(x) != 0 {
+			return errDims
+		}
+		return nil
+	}
+	if len(s.blocks) == 0 {
+		if len(x) == 0 || len(x)%n != 0 {
+			return errDims
+		}
+		s.d = len(x) / n
+	}
+	if len(x) != s.d*n {
+		return errDims
+	}
+	s.blocks = append(s.blocks, block{x, n})
+	s.y = append(s.y, pos...)
+	return nil
+}
+
 // Len is the number of rows.
 func (s *Samples) Len() int { return len(s.y) }
 

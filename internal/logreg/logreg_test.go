@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -449,5 +450,56 @@ func TestTrainFiniteProperty(t *testing.T) {
 		if math.IsNaN(m.Bias) || math.IsInf(m.Bias, 0) {
 			t.Fatalf("non-finite bias %v", m.Bias)
 		}
+	}
+}
+
+// TestAppendBlockMatchesAppend: a metric-major block handed over whole is
+// the set Append builds from the same rows, block for block, and the wrong
+// shapes are refused without touching the set.
+func TestAppendBlockMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const d = 7
+	var byRow, byCol Samples
+	for _, n := range []int{5, 1, 12} {
+		rows := make([][]float64, n)
+		pos := make([]bool, n)
+		x := make([]float64, d*n)
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = rng.NormFloat64()
+				x[j*n+i] = rows[i][j]
+			}
+			pos[i] = rng.Intn(2) == 0
+		}
+		if err := byRow.Append(rows, pos); err != nil {
+			t.Fatal(err)
+		}
+		if err := byCol.AppendBlock(x, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(byRow, byCol) {
+		t.Fatal("AppendBlock built a different set than Append over the same rows")
+	}
+	for _, tc := range []struct {
+		name string
+		x    []float64
+		pos  []bool
+	}{
+		{"one value short", make([]float64, d*2-1), []bool{true, false}},
+		{"one value long", make([]float64, d*2+1), []bool{true, false}},
+		{"values without labels", make([]float64, d), nil},
+	} {
+		s := byCol
+		before := s.Len()
+		err := s.AppendBlock(tc.x, tc.pos)
+		if !errors.Is(err, errDims) || s.Len() != before {
+			t.Errorf("AppendBlock %s: err %v, %d rows; want %v and %d rows", tc.name, err, s.Len(), errDims, before)
+		}
+	}
+	var empty Samples
+	if err := empty.AppendBlock(make([]float64, 3), []bool{true, false}); !errors.Is(err, errDims) {
+		t.Errorf("AppendBlock of 3 values over 2 rows into an empty set: err %v, want %v", err, errDims)
 	}
 }

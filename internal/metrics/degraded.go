@@ -17,7 +17,7 @@ import (
 
 // batchStrip is how many delivered rows the columnar batch path walks at a
 // time: 256 rows × 100 metrics is ~200KB of row data, re-read once per column
-// from cache, and amortizes each InsertFinite call over hundreds of values.
+// from cache, and amortizes each GatherFinite call over hundreds of values.
 const batchStrip = 256
 
 // ObserveBatchFiltered records a batch of machine rows, skipping non-finite
@@ -30,7 +30,8 @@ const batchStrip = 256
 //
 // Ingestion is columnar: each strip of batchStrip delivered rows is walked
 // one metric at a time, and each estimator filters its column of the strip
-// itself (InsertFinite: one call per strip instead of one Insert per cell),
+// itself (GatherFinite: one call per strip instead of one Insert per cell,
+// through a strip-sized scratch column that stays in L1),
 // in machine order — the order the per-cell path would insert them — so
 // exact estimators end up byte-identical. With workers > 1 the columns are
 // split over that many goroutines (forEachMetric), each walking the same
@@ -38,12 +39,47 @@ const batchStrip = 256
 // sums give the same drop count and reporting flags; workers <= 1 is the
 // serial path, with no goroutine.
 func (a *Aggregator) ObserveBatchFiltered(workers int, rows [][]float64, reporting []bool) (int, error) {
+	return a.observeBatch(workers, rows, reporting, retain{})
+}
+
+// ObserveBatchRetained is ObserveBatchFiltered that also keeps the batch,
+// transposed: every cell of the k-th delivered (non-nil) row, finite or not,
+// lands in dst[m*n+k] for metric m, with n the number of delivered rows
+// (len(dst) must be NumMetrics × n), and nonFinite[m] (NumMetrics entries)
+// grows by the non-finite cells of column m. The filter kernel gathers each
+// strip's column into dst instead of its scratch column and filters it from
+// there, so keeping the epoch costs no pass over the rows of its own.
+func (a *Aggregator) ObserveBatchRetained(workers int, rows [][]float64, reporting []bool, dst []float64, nonFinite []int) (int, error) {
+	nm := len(a.ests)
+	delivered := 0
+	for _, row := range rows {
+		if row != nil {
+			delivered++
+		}
+	}
+	if len(dst) != nm*delivered || len(nonFinite) != nm {
+		return 0, fmt.Errorf("metrics: retained slab of %d cells and %d counts for %d delivered rows of %d metrics",
+			len(dst), len(nonFinite), delivered, nm)
+	}
+	return a.observeBatch(workers, rows, reporting, retain{dst, delivered, nonFinite})
+}
+
+// retain is where a batch's cells are kept: dst metric-major with stride
+// slots per metric, nonFinite the per-metric count of non-finite cells. The
+// zero value keeps nothing: each strip's column goes to the worker's scratch.
+type retain struct {
+	dst       []float64
+	stride    int
+	nonFinite []int
+}
+
+func (a *Aggregator) observeBatch(workers int, rows [][]float64, reporting []bool, keep retain) (int, error) {
 	if reporting != nil && len(reporting) != len(rows) {
 		return 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
 	}
 	nm := len(a.ests)
 	if workers = min(workers, nm); workers <= 1 {
-		return a.filter(a.scratch[0], 0, nm, rows, reporting, nil)
+		return a.filter(a.scratch[0], 0, nm, rows, reporting, nil, keep)
 	}
 	for len(a.scratch) < workers {
 		a.scratch = append(a.scratch, new(stripScratch))
@@ -57,7 +93,7 @@ func (a *Aggregator) ObserveBatchFiltered(workers int, rows [][]float64, reporti
 	// Every worker stops at the same wrong-width row with the same error.
 	err := a.forEachMetric(workers, func(w, lo, hi int) error {
 		sc := a.scratch[w]
-		_, err := a.filter(sc, lo, hi, rows, nil, sc.counts)
+		_, err := a.filter(sc, lo, hi, rows, nil, sc.counts, keep)
 		return err
 	})
 	dropped := 0
@@ -84,15 +120,16 @@ func (a *Aggregator) ObserveBatchFiltered(workers int, rows [][]float64, reporti
 }
 
 // filter walks rows in strips of batchStrip delivered rows and feeds each
-// strip's columns [lo, hi) to their estimators. Without counts it accounts
-// the rows itself: their non-finite cells go to the returned count and, when
-// reporting is non-nil, their flags into reporting. A parallel worker passes
-// counts instead and gets each delivered row i's non-finite cells over its
-// columns in counts[i]. It stops at the first row of the wrong width, every
-// row before it ingested.
-func (a *Aggregator) filter(sc *stripScratch, lo, hi int, rows [][]float64, reporting []bool, counts []int) (int, error) {
+// strip's columns [lo, hi) to their estimators, keeping the cells where keep
+// says. Without counts it accounts the rows itself: their non-finite cells go
+// to the returned count and, when reporting is non-nil, their flags into
+// reporting. A parallel worker passes counts instead and gets each delivered
+// row i's non-finite cells over its columns in counts[i]. It stops at the
+// first row of the wrong width, every row before it ingested.
+func (a *Aggregator) filter(sc *stripScratch, lo, hi int, rows [][]float64, reporting []bool, counts []int, keep retain) (int, error) {
 	nm := len(a.ests)
 	dropped := 0
+	base := 0 // delivered rows before the strip
 	for next := 0; next < len(rows); {
 		var widthErr error
 		k := 0
@@ -114,8 +151,14 @@ func (a *Aggregator) filter(sc *stripScratch, lo, hi int, rows [][]float64, repo
 		drops := sc.drops[:k]
 		clear(drops)
 		for m := lo; m < hi; m++ {
-			a.ests[m].InsertFinite(sc.rows[:k], m, drops)
+			if keep.dst == nil {
+				a.ests[m].GatherFinite(sc.rows[:k], m, drops, sc.col[:k])
+				continue
+			}
+			at := m*keep.stride + base
+			keep.nonFinite[m] += a.ests[m].GatherFinite(sc.rows[:k], m, drops, keep.dst[at:at+k])
 		}
+		base += k
 		if counts != nil {
 			for i, d := range drops {
 				counts[sc.at[i]] = d
@@ -135,35 +178,102 @@ func (a *Aggregator) filter(sc *stripScratch, lo, hi int, rows [][]float64, repo
 	return dropped, nil
 }
 
-// ScanBatchFiltered is ObserveBatchFiltered's accounting without the
-// estimators, for a fleet shard that ships its rows and leaves the quantile
-// state to the coordinator: reporting[i] (len(rows) entries) is set to whether
-// row i holds at least one finite value — false for a nil row — and the return
-// value counts the non-finite cells of every delivered row. A row not width
-// wide is an error; the rows before it are accounted.
-func ScanBatchFiltered(rows [][]float64, width int, reporting []bool) (int, error) {
-	if len(reporting) != len(rows) {
-		return 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
+// ObserveColumns records metric-major blocks of cells, the shape a fleet
+// frame ships: block k holds n_k machines as NumMetrics runs of n_k values
+// (metric m's at srcs[k][m*n_k:(m+1)*n_k]). Each column goes to its
+// estimator in one pass that also copies it into dst — metric-major, stride
+// len(dst)/NumMetrics slots per metric, block k's machines from slot at[k] —
+// and adds its non-finite cells, which the estimator skips, to nonFinite[m].
+// Every estimator takes the blocks in the order given, so the result does not
+// depend on workers, which split the metric columns as in
+// ObserveBatchFiltered. A malformed shape is an error before anything is
+// ingested.
+func (a *Aggregator) ObserveColumns(workers int, srcs [][]float64, at []int, dst []float64, nonFinite []int) error {
+	nm := len(a.ests)
+	if len(at) != len(srcs) || len(dst)%nm != 0 || len(nonFinite) != nm {
+		return fmt.Errorf("metrics: %d blocks at %d slots into %d cells with %d counts for %d metrics",
+			len(srcs), len(at), len(dst), len(nonFinite), nm)
 	}
-	dropped := 0
+	stride := len(dst) / nm
+	for k, src := range srcs {
+		if n := len(src) / nm; len(src)%nm != 0 || at[k] < 0 || at[k]+n > stride {
+			return fmt.Errorf("metrics: block %d of %d cells at slot %d does not fit %d metrics × %d slots",
+				k, len(src), at[k], nm, stride)
+		}
+	}
+	if workers = min(workers, nm); workers <= 1 {
+		a.absorb(0, nm, srcs, at, dst, nonFinite)
+		return nil
+	}
+	return a.forEachMetric(workers, func(_, lo, hi int) error {
+		a.absorb(lo, hi, srcs, at, dst, nonFinite)
+		return nil
+	})
+}
+
+// absorb is ObserveColumns over the metric columns [lo, hi).
+func (a *Aggregator) absorb(lo, hi int, srcs [][]float64, at []int, dst []float64, nonFinite []int) {
+	nm := len(a.ests)
+	stride := len(dst) / nm
+	for m := lo; m < hi; m++ {
+		est := a.ests[m]
+		for k, src := range srcs {
+			n := len(src) / nm
+			d := m*stride + at[k]
+			nonFinite[m] += est.InsertFiniteColumn(src[m*n:(m+1)*n], dst[d:d+n])
+		}
+	}
+}
+
+// ScanBatchFiltered is ObserveBatchFiltered's accounting without the
+// estimators, for a fleet shard that ships its reporting rows by metric
+// column and leaves the quantile state to the coordinator: reporting[i]
+// (len(rows) entries) is set to whether row i holds at least one finite value
+// — false for a nil row — and the returned count is the non-finite cells of
+// every delivered row. The same pass lays the reporting rows out metric-major
+// in cols, which must hold width × len(rows) values: with n reporting rows,
+// metric m's values, in row order, end up at cols[m*n:(m+1)*n], and
+// cols[:width*n] is returned. A row not width wide is an error; the rows
+// before it are accounted.
+func ScanBatchFiltered(rows [][]float64, width int, reporting []bool, cols []float64) ([]float64, int, error) {
+	if len(reporting) != len(rows) {
+		return nil, 0, fmt.Errorf("metrics: reporting has %d entries for %d rows", len(reporting), len(rows))
+	}
+	if len(cols) < width*len(rows) {
+		return nil, 0, fmt.Errorf("metrics: %d column cells for %d rows of %d metrics", len(cols), len(rows), width)
+	}
+	// Each row is written at stride len(rows) as it is scanned; a row that
+	// turns out not to report is overwritten by the next one, and the
+	// columns close ranks once at the end if any did not.
+	stride := len(rows)
+	dropped, n := 0, 0
 	for i, row := range rows {
 		if row == nil {
 			reporting[i] = false
 			continue
 		}
 		if len(row) != width {
-			return dropped, fmt.Errorf("metrics: row has %d values, want %d", len(row), width)
+			return nil, dropped, fmt.Errorf("metrics: row has %d values, want %d", len(row), width)
 		}
 		drops := 0
-		for _, v := range row {
+		for m, v := range row {
+			cols[m*stride+n] = v
 			if v-v != 0 { // NaN or ±Inf
 				drops++
 			}
 		}
 		dropped += drops
 		reporting[i] = drops < width
+		if reporting[i] {
+			n++
+		}
 	}
-	return dropped, nil
+	if n < stride {
+		for m := 1; m < width; m++ {
+			copy(cols[m*n:(m+1)*n], cols[m*stride:m*stride+n])
+		}
+	}
+	return cols[:width*n], dropped, nil
 }
 
 // summarizeMetric reads metric m's tracked quantiles and resets its

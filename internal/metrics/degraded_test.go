@@ -44,10 +44,18 @@ func (g *guardEstimator) InsertBatch(vs []float64) {
 	g.check(n)
 }
 
-func (g *guardEstimator) InsertFinite(strip [][]float64, m int, drops []int) {
+func (g *guardEstimator) GatherFinite(strip [][]float64, m int, drops []int, dst []float64) int {
 	n := g.Count()
-	g.Exact.InsertFinite(strip, m, drops)
+	d := g.Exact.GatherFinite(strip, m, drops, dst)
 	g.check(n)
+	return d
+}
+
+func (g *guardEstimator) InsertFiniteColumn(col, dst []float64) int {
+	n := g.Count()
+	d := g.Exact.InsertFiniteColumn(col, dst)
+	g.check(n)
+	return d
 }
 
 func TestObserveFilteredDropsNonFinite(t *testing.T) {
@@ -314,7 +322,8 @@ func TestObserveBatchFilteredMatchesPerCell(t *testing.T) {
 // TestScanBatchFilteredMatchesObserve: the estimator-free scan a fleet shard
 // runs accounts a dirty batch exactly as ObserveBatchFiltered does — same
 // drop count, same reporting flags, same error — at every batch length around
-// the strip size and with a wrong-width row at each position.
+// the strip size and with a wrong-width row at each position, and lays the
+// reporting rows out metric-major, bit for bit.
 func TestScanBatchFilteredMatchesObserve(t *testing.T) {
 	const nm = 7
 	rng := rand.New(rand.NewSource(47))
@@ -336,7 +345,7 @@ func TestScanBatchFilteredMatchesObserve(t *testing.T) {
 			}
 			agg.Reset()
 			wantDropped, wantErr := agg.ObserveBatchFiltered(0, batch, wantRep)
-			gotDropped, gotErr := ScanBatchFiltered(batch, nm, gotRep)
+			cols, gotDropped, gotErr := ScanBatchFiltered(batch, nm, gotRep, make([]float64, nm*n))
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("n%d/bad%d: error %v, ObserveBatchFiltered %v", n, badAt, gotErr, wantErr)
 			}
@@ -349,10 +358,32 @@ func TestScanBatchFilteredMatchesObserve(t *testing.T) {
 			if !slices.Equal(gotRep, wantRep) {
 				t.Fatalf("n%d/bad%d: reporting flags diverge from ObserveBatchFiltered's", n, badAt)
 			}
+			if gotErr != nil {
+				continue
+			}
+			var want []float64
+			for m := 0; m < nm; m++ {
+				for i, row := range batch {
+					if gotRep[i] {
+						want = append(want, row[m])
+					}
+				}
+			}
+			if len(cols) != len(want) {
+				t.Fatalf("n%d: %d column cells, want %d", n, len(cols), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(cols[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n%d: column cell %d is %#x, want %#x", n, i, math.Float64bits(cols[i]), math.Float64bits(want[i]))
+				}
+			}
 		}
 	}
-	if _, err := ScanBatchFiltered(make([][]float64, 3), nm, make([]bool, 2)); err == nil {
+	if _, _, err := ScanBatchFiltered(make([][]float64, 3), nm, make([]bool, 2), make([]float64, 3*nm)); err == nil {
 		t.Fatal("want an error for a reporting slice of another length")
+	}
+	if _, _, err := ScanBatchFiltered(make([][]float64, 3), nm, make([]bool, 3), make([]float64, 3*nm-1)); err == nil {
+		t.Fatal("want an error for a column slab too short")
 	}
 }
 

@@ -146,3 +146,170 @@ func FuzzObserveBatchFilteredWorkers(f *testing.F) {
 		}
 	})
 }
+
+// estValues returns every estimator's values in insertion order.
+func estValues(a *Aggregator) [][]float64 {
+	vals := make([][]float64, len(a.ests))
+	for m, est := range a.ests {
+		vals[m] = slices.Clone(est.(*quantile.Exact).RawValues())
+	}
+	return vals
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestObserveBatchRetainedMatchesFiltered: keeping the batch changes nothing
+// ObserveBatchFiltered reports — drops, flags, every estimator's values in
+// order — at 1–4 workers and around the strip size; the kept slab holds
+// every cell of every delivered row, finite or not, metric-major, and the
+// per-metric counts are the columns' non-finite cells.
+func TestObserveBatchRetainedMatchesFiltered(t *testing.T) {
+	const nm = 9
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{0, 1, 255, 256, 257, 600} {
+		rows := dirtyRows(rng, n, nm, -1)
+		var delivered [][]float64
+		for _, row := range rows {
+			if row != nil {
+				delivered = append(delivered, row)
+			}
+		}
+		k := len(delivered)
+		wantDst := make([]float64, nm*k)
+		wantBad := make([]int, nm)
+		for i, row := range delivered {
+			for m, v := range row {
+				wantDst[m*k+i] = v
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					wantBad[m]++
+				}
+			}
+		}
+		ref := newExactAggregator(t, nm)
+		wantRep := make([]bool, n)
+		wantDropped, err := ref.ObserveBatchFiltered(1, rows, wantRep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			a := newExactAggregator(t, nm)
+			rep := make([]bool, n)
+			dst := make([]float64, nm*k)
+			bad := make([]int, nm)
+			dropped, err := a.ObserveBatchRetained(workers, rows, rep, dst, bad)
+			label := fmt.Sprintf("n=%d workers=%d", n, workers)
+			if err != nil || dropped != wantDropped || !slices.Equal(rep, wantRep) {
+				t.Fatalf("%s: dropped %d (want %d), err %v, flags equal %v", label, dropped, wantDropped, err, slices.Equal(rep, wantRep))
+			}
+			if !sameBits(dst, wantDst) || !slices.Equal(bad, wantBad) {
+				t.Fatalf("%s: kept slab or non-finite counts differ", label)
+			}
+			for m, vals := range estValues(a) {
+				if !sameBits(vals, estValues(ref)[m]) {
+					t.Fatalf("%s: metric %d holds other values than the filter's", label, m)
+				}
+			}
+		}
+	}
+	a := newExactAggregator(t, 2)
+	if _, err := a.ObserveBatchRetained(1, [][]float64{{1, 2}, nil}, nil, make([]float64, 3), make([]int, 2)); err == nil {
+		t.Fatal("want an error for a slab not NumMetrics × delivered rows long")
+	}
+	if _, err := a.ObserveBatchRetained(1, [][]float64{{1, 2}}, nil, make([]float64, 2), make([]int, 1)); err == nil {
+		t.Fatal("want an error for counts not NumMetrics long")
+	}
+}
+
+// TestObserveColumnsMatchesRows: metric-major blocks given in any order go
+// to every estimator in that order, column by column, at 1–4 workers; each
+// block lands in the slab at its slot, and the counts are the non-finite
+// cells. A malformed shape is refused before anything is ingested.
+func TestObserveColumnsMatchesRows(t *testing.T) {
+	const nm = 6
+	rng := rand.New(rand.NewSource(67))
+	rows := dirtyRows(rng, 700, nm, -1)
+	bounds := []int{0, 10, 300, 301, 700}
+	var srcs [][]float64
+	var sizes []int
+	for b := 0; b+1 < len(bounds); b++ {
+		sub := rows[bounds[b]:bounds[b+1]]
+		cols, _, err := ScanBatchFiltered(sub, nm, make([]bool, len(sub)), make([]float64, nm*len(sub)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, cols)
+		sizes = append(sizes, len(cols)/nm)
+	}
+	// Given out of machine order; slots follow machine order.
+	order := []int{2, 0, 3, 1}
+	given := make([][]float64, len(order))
+	at := make([]int, len(order))
+	for k, b := range order {
+		given[k] = srcs[b]
+		for _, n := range sizes[:b] {
+			at[k] += n
+		}
+	}
+	stride := 0
+	for _, n := range sizes {
+		stride += n
+	}
+	want := make([][]float64, nm)
+	wantDst := make([]float64, nm*stride)
+	wantBad := make([]int, nm)
+	for k, src := range given {
+		n := len(src) / nm
+		for m := 0; m < nm; m++ {
+			for i, v := range src[m*n : (m+1)*n] {
+				wantDst[m*stride+at[k]+i] = v
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					wantBad[m]++
+					continue
+				}
+				want[m] = append(want[m], v)
+			}
+		}
+	}
+	for workers := 1; workers <= 4; workers++ {
+		a := newExactAggregator(t, nm)
+		dst := make([]float64, nm*stride)
+		bad := make([]int, nm)
+		if err := a.ObserveColumns(workers, given, at, dst, bad); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(dst, wantDst) || !slices.Equal(bad, wantBad) {
+			t.Fatalf("workers=%d: slab or non-finite counts differ", workers)
+		}
+		for m, vals := range estValues(a) {
+			if !sameBits(vals, want[m]) {
+				t.Fatalf("workers=%d: metric %d holds %d values, want %d in block order", workers, m, len(vals), len(want[m]))
+			}
+		}
+	}
+	a := newExactAggregator(t, nm)
+	for _, tc := range []struct {
+		name string
+		srcs [][]float64
+		at   []int
+		dst  []float64
+		bad  []int
+	}{
+		{"block not whole metrics", [][]float64{make([]float64, nm+1)}, []int{0}, make([]float64, nm*2), make([]int, nm)},
+		{"block past the slab", [][]float64{make([]float64, nm*2)}, []int{1}, make([]float64, nm*2), make([]int, nm)},
+		{"negative slot", [][]float64{make([]float64, nm)}, []int{-1}, make([]float64, nm*2), make([]int, nm)},
+		{"slots for other blocks", [][]float64{make([]float64, nm)}, nil, make([]float64, nm), make([]int, nm)},
+		{"slab not whole metrics", [][]float64{make([]float64, nm)}, []int{0}, make([]float64, nm+1), make([]int, nm)},
+		{"short counts", [][]float64{make([]float64, nm)}, []int{0}, make([]float64, nm), make([]int, nm-1)},
+	} {
+		if err := a.ObserveColumns(1, tc.srcs, tc.at, tc.dst, tc.bad); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
+		for m, vals := range estValues(a) {
+			if len(vals) != 0 {
+				t.Fatalf("%s: metric %d ingested %d values before the refusal", tc.name, m, len(vals))
+			}
+		}
+	}
+}

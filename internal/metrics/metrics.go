@@ -203,12 +203,13 @@ type Aggregator struct {
 }
 
 // stripScratch is ObserveBatchFiltered's state for one strip of delivered
-// rows: 10 KB, kept off the stack of the fan-out's fresh goroutines. rows
+// rows: 12 KB, kept off the stack of the fan-out's fresh goroutines. rows
 // keeps the last strip's row views reachable until the next batch.
 type stripScratch struct {
 	rows  [batchStrip][]float64 // the delivered rows being walked
 	at    [batchStrip]int       // their indices in the batch
 	drops [batchStrip]int       // non-finite cells per row
+	col   [batchStrip]float64   // the strip's column when the batch is not kept
 	// counts[i] is a parallel worker's non-finite cell count of row i over
 	// its column range.
 	counts []int

@@ -61,12 +61,17 @@ func TestObserveEpochAllocs(t *testing.T) {
 func TestPerCrisisSampleCollectionAllocs(t *testing.T) {
 	m, epochs := benchMonitor(t, nil, nil)
 	viol := make([]bool, len(epochs[0]))
+	retained := make([]*epochSamples, len(epochs))
+	for e, rows := range epochs {
+		retained[e] = samplesFromRows(rows, viol, m.cfg.Catalog.Len())
+	}
+	m.posBuf = make([]bool, 0, len(viol))
 	var p pastCrisis
 	const collected = 64
 	total := testing.AllocsPerRun(1, func() {
 		p = pastCrisis{}
 		for e := 0; e < collected; e++ {
-			m.collectCrisisSamples(&p, epochs[e%len(epochs)], viol)
+			m.collectCrisisSamples(&p, retained[e%len(retained)])
 		}
 	})
 	if p.fs.Len() != collected*len(viol) {

@@ -140,8 +140,8 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 			LastCoverage:  m.lastCoverage,
 			Store:         m.store,
 			NextID:        m.nextID,
-			RawRing:       m.rawRing,
-			ViolRing:      m.violRing,
+			RawRing:       make([][][]float64, len(m.ring)),
+			ViolRing:      make([][]bool, len(m.ring)),
 			RingEpoch:     m.ringEpoch,
 			RingPos:       m.ringPos,
 			ActiveStart:   m.activeStart,
@@ -149,6 +149,13 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 			Calm:          m.calm,
 			Forecast:      m.fc.checkpoint(),
 		},
+	}
+	// The ring is kept metric-major; the checkpoint stores each slot's
+	// reporting machines as rows, the layout it has always had.
+	for i, slot := range m.ring {
+		if slot != nil {
+			f.State.RawRing[i], f.State.ViolRing[i] = slot.rows(m.cfg.Catalog.Len())
+		}
 	}
 	if m.thresholds != nil {
 		f.State.Thresholds = *m.thresholds
@@ -226,15 +233,14 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.store = s.Store
 	m.past = past
 	m.nextID = s.NextID
-	m.rawRing = s.RawRing
-	// Gob turns nil inner slices into empty ones; the ring uses nil to mark
-	// never-filled slots, so normalize.
-	for i, slot := range m.rawRing {
-		if len(slot) == 0 {
-			m.rawRing[i] = nil
+	// An empty slot was never filled (gob turns nil inner slices into empty
+	// ones).
+	for i, rows := range s.RawRing {
+		m.ring[i] = nil
+		if len(rows) > 0 {
+			m.ring[i] = samplesFromRows(rows, s.ViolRing[i], m.cfg.Catalog.Len())
 		}
 	}
-	m.violRing = s.ViolRing
 	m.ringEpoch = s.RingEpoch
 	m.ringPos = s.RingPos
 	m.activeStart = s.ActiveStart

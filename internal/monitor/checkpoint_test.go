@@ -2,15 +2,21 @@ package monitor
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"flag"
 	"fmt"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"dcfp/internal/core"
+	"dcfp/internal/crisis"
+	"dcfp/internal/dcsim"
 	"dcfp/internal/metrics"
 )
 
@@ -389,4 +395,95 @@ func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xa5
 	return out
+}
+
+// TestCheckpointDigest pins the checkpoint bytes of a seeded, scripted run:
+// 100 machines, six alternating A/B crises, the last still open at the
+// snapshot, forecast on, one worker. Every fifth epoch is dirty — one
+// machine delivers nothing, one delivers only NaN, one carries a NaN and an
+// Inf cell — so the pre-crisis ring holds compacted and sanitized epochs.
+// The digest changes only when the checkpoint's content or format does. It
+// re-runs itself alone in a fresh process: gob numbers the types a process
+// encodes in the order it first meets them, so earlier tests would shift the
+// bytes.
+func TestCheckpointDigest(t *testing.T) {
+	const alone = "^TestCheckpointDigest$"
+	if flag.Lookup("test.run").Value.String() != alone {
+		out, err := exec.Command(os.Args[0], "-test.run="+alone).CombinedOutput()
+		if err != nil {
+			t.Fatalf("in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	const (
+		seed   = 7
+		epochs = 300
+		want   = "5506600f7c8fd007b27aca50a38d3d03bd72a577fbf754acf8cd38f5cbfe1622"
+	)
+	scfg := dcsim.DefaultStreamConfig(seed)
+	scfg.WarmupEpochs = 40
+	for i := 0; i < 6; i++ {
+		typ := crisis.TypeA
+		if i%2 == 1 {
+			typ = crisis.TypeB
+		}
+		scfg.Script = append(scfg.Script, dcsim.ScriptedCrisis{
+			Start: metrics.Epoch(52 + 48*i), Duration: 8, Type: typ,
+		})
+	}
+	s, err := dcsim.NewStream(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(s.Catalog(), s.SLA())
+	cfg.ThresholdRefreshEpochs = 48
+	cfg.MinEpochsForThresholds = 48
+	cfg.Workers = 1
+	cfg.Forecast = DefaultForecastConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label, lastActive := "", false
+	for e := 0; e < epochs; e++ {
+		src, act, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, len(src))
+		for i, row := range src {
+			rows[i] = append([]float64(nil), row...)
+		}
+		if e%5 == 0 {
+			rows[7] = nil
+			for j := range rows[13] {
+				rows[13][j] = math.NaN()
+			}
+			rows[21][3], rows[21][8] = math.NaN(), math.Inf(1)
+		}
+		rep, err := m.ObserveEpoch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if act != nil {
+			label = fmt.Sprintf("type-%d", act.Type)
+		}
+		if lastActive && !rep.CrisisActive {
+			recs := m.Crises()
+			if err := m.ResolveCrisis(recs[len(recs)-1].ID, label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lastActive = rep.CrisisActive
+	}
+	if !lastActive {
+		t.Fatal("no crisis open at the snapshot; the script no longer reaches it")
+	}
+	var buf bytes.Buffer
+	if err := m.WriteCheckpoint(&buf, CheckpointMeta{SourceEpoch: epochs, Extra: []byte("digest")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("checkpoint of %d bytes has SHA-256 %s, want %s", buf.Len(), got, want)
+	}
 }

@@ -49,10 +49,18 @@ func (g *guardExact) InsertBatch(vs []float64) {
 	g.check(n)
 }
 
-func (g *guardExact) InsertFinite(strip [][]float64, m int, drops []int) {
+func (g *guardExact) GatherFinite(strip [][]float64, m int, drops []int, dst []float64) int {
 	n := g.Count()
-	g.Exact.InsertFinite(strip, m, drops)
+	d := g.Exact.GatherFinite(strip, m, drops, dst)
 	g.check(n)
+	return d
+}
+
+func (g *guardExact) InsertFiniteColumn(col, dst []float64) int {
+	n := g.Count()
+	d := g.Exact.InsertFiniteColumn(col, dst)
+	g.check(n)
+	return d
 }
 
 // TestFaultNaNNeverReachesEstimators is the property test behind the

@@ -242,11 +242,11 @@ func newForecastMetrics(r *telemetry.Registry) *forecastMetrics {
 
 // observe runs the stage for one non-degraded epoch: e is the epoch index,
 // status the merged SLA status, summary the epoch's quantile summary, and
-// rows/viol the sanitized reporting-machine rows with their violation
-// flags. crisisActive reflects the state machine BEFORE this epoch's
-// transition — warnings raised while a crisis is already open are not
-// "early" and feed no episode bookkeeping. Steady state allocates nothing.
-func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summary [][3]float64, rows [][]float64, crisisActive bool) ForecastSnapshot {
+// ret the epoch's sanitized retained samples. crisisActive reflects the
+// state machine BEFORE this epoch's transition — warnings raised while a
+// crisis is already open are not "early" and feed no episode bookkeeping.
+// Steady state allocates nothing.
+func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summary [][3]float64, ret *epochSamples, crisisActive bool) ForecastSnapshot {
 	s := m.fc
 	snap := ForecastSnapshot{Enabled: true, Epoch: e}
 
@@ -266,15 +266,18 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 
 	// Near: machines already inside NearFactor of any KPI bound.
 	near := 0
-	for _, row := range rows {
+	for i, live := range ret.live {
+		if !live {
+			continue
+		}
 		for _, k := range m.cfg.SLA.KPIs {
-			if row[k.Metric] > s.cfg.NearFactor*k.Threshold {
+			if ret.x[k.Metric*ret.n+i] > s.cfg.NearFactor*k.Threshold {
 				near++
 				break
 			}
 		}
 	}
-	if n := len(rows); n > 0 {
+	if n := ret.reporting; n > 0 {
 		snap.Near = clamp01(float64(near) / float64(n) / m.cfg.SLA.CrisisFraction)
 	}
 

@@ -17,7 +17,6 @@ package monitor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -276,29 +275,28 @@ type Monitor struct {
 	past   []pastCrisis
 	nextID int
 
-	// Raw-sample ring buffer for feature selection (pre-crisis epochs).
-	// Each slot's rows are views into the pooled matrix parked in ringMat;
-	// eviction returns that matrix to the pool, so anything that outlives a
-	// slot (feature-selection samples) must copy the rows it keeps.
-	rawRing   [][][]float64 // [slot][machine][metric]
-	ringMat   []*metrics.Matrix
-	violRing  [][]bool
+	// Raw-sample ring buffer for feature selection (pre-crisis epochs), one
+	// retained epoch per slot (nil = never filled). An idle epoch swaps its
+	// samples into the ring and takes the evicted slot's storage as the next
+	// epoch's cur, so anything that outlives a slot (feature-selection
+	// samples) must copy what it keeps.
+	ring      []*epochSamples
 	ringEpoch []metrics.Epoch // epoch each slot was filled at
 	ringPos   int
-
-	// pool recycles the per-epoch retained-row matrices: observeParts copies
-	// each reporting machine's row into one pooled matrix whose row views act
-	// as the copies slice, then either parks the matrix in the ring (idle
-	// epochs) or returns it to the pool before returning.
-	pool metrics.MatrixPool
+	// cur is the epoch being ingested: its samples are written here by the
+	// filter kernel (in process) or the column pass (fleet merge).
+	cur *epochSamples
 	// violBuf/reportBuf are the per-epoch violation and liveness masks,
 	// reused across calls so the steady-state path stops allocating them.
 	violBuf, reportBuf []bool
-	// Scratch for observeParts, same idea: ObserveEpoch's local partial,
-	// the machine ranges the partials cover and the SLA statuses to combine.
-	local      [1]ShardPartial
-	coveredBuf [][2]int
+	// Scratch for ObserveAggregated, same idea: the machine ranges the
+	// partials cover, their column blocks and retained slots, the SLA
+	// statuses to combine and the labels of collected crisis samples.
+	coveredBuf []coveredRange
+	srcBuf     [][]float64
+	atBuf      []int
 	statusBuf  []sla.EpochStatus
+	posBuf     []bool
 	// minSplit is minSplitMachines; tests lower it to drive the column
 	// split with epochs smaller than the crossover.
 	minSplit int
@@ -494,9 +492,7 @@ func New(cfg Config) (*Monitor, error) {
 		track:     track,
 		agg:       agg,
 		store:     core.NewStore(true),
-		rawRing:   make([][][]float64, cfg.RawPad),
-		ringMat:   make([]*metrics.Matrix, cfg.RawPad),
-		violRing:  make([][]bool, cfg.RawPad),
+		ring:      make([]*epochSamples, cfg.RawPad),
 		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
 		activeIdx: -1,
 		expected:  cfg.ExpectedMachines,
@@ -536,10 +532,11 @@ func (m *Monitor) KnownCrises() (stored, labeled int) {
 // the whole epoch is flagged degraded and the crisis state machine holds
 // still rather than acting on unrepresentative data.
 //
-// The epoch is one ShardPartial, handed to the same pipeline the fleet
-// coordinator feeds (observeParts), whose filter and summary split the
-// metric columns over Config.Workers goroutines when the epoch warrants it;
-// see the Workers documentation for the equivalence guarantee.
+// The filter keeps the epoch as it goes, by metric column, and the
+// downstream pipeline (finishEpoch) is the one the fleet coordinator's
+// ObserveAggregated feeds; the filter and summary split the metric columns
+// over Config.Workers goroutines when the epoch warrants it; see the Workers
+// documentation for the equivalence guarantee.
 //
 // When a telemetry registry is attached, each pipeline stage (quantile
 // aggregation, SLA evaluation, threshold refresh, selection,
@@ -549,33 +546,25 @@ func (m *Monitor) KnownCrises() (stored, labeled int) {
 func (m *Monitor) ObserveEpoch(samples [][]float64) (*EpochReport, error) {
 	tr := m.cfg.Tracer.StartTrace("observe_epoch")
 	defer tr.End()
-	n := len(samples)
-	viol, reporting := m.scratchMasks(n)
-	m.local[0] = ShardPartial{Rows: samples, Viol: viol, Reporting: reporting}
-	return m.observeParts(tr, n, m.local[:], true)
+	return m.observeLocal(tr, samples)
 }
 
 // finishEpoch runs everything downstream of ingestion — liveness and
 // coverage accounting, retained-row sanitization, the forecast stage, the
 // crisis state machine, identification, threshold refresh, and telemetry —
-// and builds the epoch report. observeParts is its only caller, so every
-// ingestion mode shares it: the output is byte-identical across modes once
-// the inputs (status, summary, rows, masks) match.
-//
-// The returned retained flag is true when mat's rows were handed to the
-// pre-crisis ring and must not be returned to the pool. It is meaningful
-// even when err != nil.
-func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metrics.Matrix, copies [][]float64, viol, reporting []bool, status sla.EpochStatus, summary [][3]float64, dropped, gaps, workers int) (rep *EpochReport, retained bool, err error) {
+// and builds the epoch report. Both ingestion modes end here, so the output
+// is byte-identical across modes once the inputs (status, summary, retained
+// samples, masks) match. ret is m.cur, the epoch's retained samples.
+func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochSamples, reporting []bool, status sla.EpochStatus, summary [][3]float64, dropped, gaps, workers int) (rep *EpochReport, err error) {
 	m.lastSummary = summary
 	reportCount := countReporting(reporting)
+	ret.reporting = reportCount
 	coverage := 0.0
 	if m.expected > 0 {
 		coverage = float64(reportCount) / float64(m.expected)
 	}
 	degraded := reportCount == 0 || (m.cfg.MinCoverage > 0 && coverage < m.cfg.MinCoverage)
-	// Retained rows must be clean and aligned with viol: substitute any
-	// surviving non-finite cells and compact away non-reporting machines.
-	copies, viol = sanitizeRetained(copies, viol, reporting, summary, dropped, reportCount)
+	ret.sanitize(summary)
 
 	e := m.epoch
 	m.epoch++
@@ -612,7 +601,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 				ts = time.Now()
 			}
 			sp := tr.StartSpan("forecast")
-			rep.Forecast = m.forecastObserve(e, status, summary, copies, m.activeIdx >= 0)
+			rep.Forecast = m.forecastObserve(e, status, summary, ret, m.activeIdx >= 0)
 			sp.SetAttr("risk_permille", int64(rep.Forecast.Risk*1000))
 			sp.End()
 			ts = m.span(stageForecast, ts)
@@ -627,7 +616,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 	switch {
 	case degraded:
 	case m.activeIdx < 0 && status.InCrisis:
-		m.beginCrisis(e, copies, viol)
+		m.beginCrisis(e, ret)
 	case m.activeIdx >= 0 && status.InCrisis:
 		m.calm = 0
 	case m.activeIdx >= 0 && !status.InCrisis:
@@ -653,7 +642,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 		rep.CrisisActive = true
 		rep.CrisisStart = m.activeStart
 		if !degraded {
-			m.collectCrisisSamples(&m.past[m.activeIdx], copies, viol)
+			m.collectCrisisSamples(&m.past[m.activeIdx], ret)
 		}
 		k := int(e - m.activeStart)
 		if k < ident.IdentificationEpochs {
@@ -680,15 +669,14 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 		// first idle epoch. Degraded epochs feed neither: sparse rows are
 		// not a usable pre-crisis baseline, and thresholds estimated over
 		// them would drift toward outage artifacts.
-		m.pushRing(e, mat, copies, viol)
-		retained = true
+		m.pushRing(e)
 		if int(e) >= m.cfg.MinEpochsForThresholds && int(e-m.lastThresh) >= m.cfg.ThresholdRefreshEpochs {
 			if m.tel != nil {
 				ts = time.Now()
 			}
 			sp := tr.StartSpan("thresholds")
 			if err := m.refreshThresholds(e); err != nil && !errors.Is(err, metrics.ErrNoNormalEpochs) {
-				return nil, retained, err
+				return nil, err
 			}
 			sp.End()
 			m.span(stageThresholds, ts)
@@ -715,7 +703,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, mat *metric
 		m.tel.ingestReporting.SetInt(int64(reportCount))
 		m.tel.observeEpoch.ObserveSince(t0)
 	}
-	return rep, retained, nil
+	return rep, nil
 }
 
 // countReporting returns how many machines reported this epoch.
@@ -740,35 +728,6 @@ func (m *Monitor) scratchMasks(n int) (viol, reporting []bool) {
 		m.reportBuf = make([]bool, n)
 	}
 	return m.violBuf[:n], m.reportBuf[:n]
-}
-
-// sanitizeRetained prepares the retained row copies for the ring buffer and
-// feature selection: non-reporting machines are compacted away (with viol
-// kept aligned) and any non-finite cells a reporting machine still carried
-// are substituted with the epoch's cross-machine median for that metric, so
-// downstream standardization in feature selection never sees NaN/Inf. On a
-// fully clean epoch it returns its inputs untouched.
-func sanitizeRetained(copies [][]float64, viol, reporting []bool, summary [][3]float64, dropped, reportCount int) ([][]float64, []bool) {
-	if dropped == 0 && reportCount == len(copies) {
-		return copies, viol
-	}
-	outRows := make([][]float64, 0, reportCount)
-	outViol := make([]bool, 0, reportCount)
-	for i, row := range copies {
-		if !reporting[i] {
-			continue
-		}
-		if dropped > 0 {
-			for j, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					row[j] = summary[j][1]
-				}
-			}
-		}
-		outRows = append(outRows, row)
-		outViol = append(outViol, viol[i])
-	}
-	return outRows, outViol
 }
 
 // minSplitMachines is the smallest epoch whose metric columns are split
@@ -839,27 +798,26 @@ func boolToGauge(v bool) int64 {
 	return 0
 }
 
-// pushRing retains one idle epoch's row copies and violation flags for the
-// pre-crisis feature-selection window, tagging the slot with its epoch. The
-// slot takes ownership of the epoch's backing matrix and returns the evicted
-// slot's matrix to the pool; the violation flags are copied into the slot's
-// own reusable buffer because viol is per-epoch scratch.
-func (m *Monitor) pushRing(e metrics.Epoch, mat *metrics.Matrix, copies [][]float64, viol []bool) {
-	m.pool.Put(m.ringMat[m.ringPos])
-	m.ringMat[m.ringPos] = mat
-	m.rawRing[m.ringPos] = copies
-	vb := m.violRing[m.ringPos]
-	if cap(vb) < len(viol) {
-		vb = make([]bool, len(viol))
+// retainEpoch returns cur shaped for n slots: the storage this epoch's
+// samples are written into.
+func (m *Monitor) retainEpoch(n int) *epochSamples {
+	if m.cur == nil {
+		m.cur = new(epochSamples)
 	}
-	vb = vb[:len(viol)]
-	copy(vb, viol)
-	m.violRing[m.ringPos] = vb
+	m.cur.reset(n, m.cfg.Catalog.Len())
+	return m.cur
+}
+
+// pushRing retains the idle epoch's samples (cur) for the pre-crisis
+// feature-selection window, tagging the slot with its epoch. The evicted
+// slot's storage becomes cur for the next epoch.
+func (m *Monitor) pushRing(e metrics.Epoch) {
+	m.ring[m.ringPos], m.cur = m.cur, m.ring[m.ringPos]
 	m.ringEpoch[m.ringPos] = e
 	m.ringPos = (m.ringPos + 1) % m.cfg.RawPad
 }
 
-func (m *Monitor) beginCrisis(e metrics.Epoch, copies [][]float64, viol []bool) {
+func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
 	m.nextID++
 	p := pastCrisis{id: fmt.Sprintf("crisis-%03d", m.nextID), start: e}
 	// Seed feature-selection samples with the buffered pre-crisis epochs,
@@ -870,30 +828,32 @@ func (m *Monitor) beginCrisis(e metrics.Epoch, copies [][]float64, viol []bool) 
 	// epochs of the new start qualify.
 	for s := 0; s < m.cfg.RawPad; s++ {
 		slot := (m.ringPos + s) % m.cfg.RawPad
-		if m.rawRing[slot] == nil || m.ringEpoch[slot]+metrics.Epoch(m.cfg.RawPad) < e {
+		if m.ring[slot] == nil || m.ringEpoch[slot]+metrics.Epoch(m.cfg.RawPad) < e {
 			continue
 		}
-		m.collectCrisisSamples(&p, m.rawRing[slot], m.violRing[slot])
+		m.collectCrisisSamples(&p, m.ring[slot])
 	}
 	m.past = append(m.past, p)
 	m.activeIdx = len(m.past) - 1
 	m.activeStart = e
 	m.calm = 0
-	m.collectCrisisSamples(&m.past[m.activeIdx], copies, viol)
+	m.collectCrisisSamples(&m.past[m.activeIdx], cur)
 	if m.tel != nil {
 		m.tel.crisesDetected.Inc()
 	}
 	m.events.CrisisDetected(int64(e), p.id)
 }
 
-// collectCrisisSamples copies one epoch's rows and violation flags into p's
-// feature-selection buffer as one block. The rows are views into pooled
-// matrices (the epoch's, or a ring slot's) that get recycled, so the buffer
-// owns its storage: one allocation per collected epoch.
-func (m *Monitor) collectCrisisSamples(p *pastCrisis, rows [][]float64, viol []bool) {
-	// Every row is catalog-width — ingestion and checkpoint restore both
-	// check — so the buffer's only error, a width mismatch, cannot occur.
-	_ = p.fs.Append(rows, viol)
+// collectCrisisSamples copies one retained epoch's reporting machines and
+// their violation flags into p's feature-selection buffer as one
+// metric-major block. The epoch's storage (cur, or a ring slot) gets
+// recycled, so the buffer owns its copy: one allocation per collected epoch.
+func (m *Monitor) collectCrisisSamples(p *pastCrisis, s *epochSamples) {
+	x, pos := s.samples(m.cfg.Catalog.Len(), m.posBuf[:0])
+	m.posBuf = pos
+	// Every block is catalog-wide and as long as its labels, so the
+	// buffer's only error, a shape mismatch, cannot occur.
+	_ = p.fs.AppendBlock(x, pos)
 }
 
 // endCrisis finalizes the active crisis: stores its raw summary rows and

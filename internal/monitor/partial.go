@@ -10,41 +10,43 @@ import (
 	"dcfp/internal/telemetry"
 )
 
-// ShardPartial is one contiguous machine range's contribution to an epoch:
-// the raw rows, the per-machine violation and liveness masks, and the range's
-// partially evaluated SLA status. Quantile state is not part of it: the rows
-// are filtered into the monitor's own aggregator wherever they were
-// collected. Every ingestion mode is a list of these: ObserveEpoch builds one
-// covering the whole epoch in process, the fleet coordinator decodes them
-// from shard frames.
+// ShardPartial is one contiguous machine range's contribution to an epoch as
+// a fleet shard ships it: the reporting machines' raw samples by metric
+// column, the per-machine violation and liveness masks, and the range's
+// partially evaluated SLA status. Quantile state is not part of it: the
+// columns are filtered into the monitor's own aggregator. The fleet
+// coordinator decodes these from shard frames.
 type ShardPartial struct {
-	// Lo is the global machine index of Rows[0]; the partial covers
-	// machines [Lo, Lo+len(Rows)).
+	// Lo is the global machine index of the range's first machine; the
+	// partial covers machines [Lo, Lo+len(Reporting)).
 	Lo int
-	// Rows holds the range's raw per-machine samples (nil row = the
-	// machine delivered nothing). Cells may still be NaN/Inf: retained-row
-	// sanitization substitutes the fleet-wide median, which only exists
-	// after the merge, so it happens in the monitor rather than on the shard.
-	Rows [][]float64
+	// Cols holds the reporting machines' samples metric-major: with n the
+	// number of reporting machines, metric m's n values, in machine order,
+	// are Cols[m*n:(m+1)*n], so len(Cols) is n × the catalog width. Cells may
+	// still be NaN/Inf: retained-sample sanitization substitutes the
+	// fleet-wide median, which only exists after the merge, so it happens in
+	// the monitor rather than on the shard.
+	Cols []float64
 	// Viol and Reporting are the per-machine any-KPI violation and
 	// liveness masks computed with sla.Config.EvaluateMasked.
 	Viol      []bool
 	Reporting []bool
 	// Status is the partial SLA status over the machine range.
 	Status sla.EpochStatus
-	// Dropped counts the range's non-finite cells. A remote shard counts
-	// them before it nils the rows of non-reporting machines, so the monitor
-	// takes its number instead of recounting what arrived.
+	// Dropped counts the range's non-finite cells as the shard saw them,
+	// including those of the machines it did not ship. It feeds the ingest
+	// telemetry only: sanitization goes by the cells the monitor's own column
+	// pass found.
 	Dropped int
 }
 
 // ObserveAggregated ingests one epoch assembled from per-shard partials —
 // the coordinator half of two-tier fleet aggregation. It is ObserveEpoch
-// with the masks and SLA statuses already computed elsewhere: the partials'
-// rows go through the same filter into the monitor's aggregator and
-// everything else runs through the same pipeline, so the EpochReport stream
-// is byte-identical to feeding the same fleet rows to ObserveEpoch on a
-// single node.
+// with the masks and SLA statuses already computed elsewhere: each partial's
+// columns are filtered into the monitor's aggregator (the same finite-value
+// test, a column at a time), and everything downstream runs through the same
+// finishEpoch, so the EpochReport stream is byte-identical to feeding the
+// same fleet rows to ObserveEpoch on a single node.
 //
 // machines is the full fleet width. Machine indexes not covered by any
 // partial — a dead or late shard the caller did not synthesize a partial
@@ -55,35 +57,22 @@ type ShardPartial struct {
 // coordinator passes its merge_epoch trace, so shard-grafted spans and the
 // merge pipeline land in one distributed trace, and Ends it); with a nil tr
 // the monitor opens an observe_aggregated trace of its own.
-func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *telemetry.Trace) (*EpochReport, error) {
+func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *telemetry.Trace) (rep *EpochReport, err error) {
 	if tr == nil {
 		tr = m.cfg.Tracer.StartTrace("observe_aggregated")
 		defer tr.End()
 	}
-	return m.observeParts(tr, machines, parts, false)
-}
-
-// observeParts is the one ingestion pipeline: validate the partials, filter
-// their rows into the aggregator one partial after another (a local partial
-// gets its mask and drop count from it, remote ones keep what the shard
-// shipped), summarize, combine the SLA statuses, scatter rows and masks into
-// global machine order, and hand over to finishEpoch. ObserveEpoch is the
-// one-partial case and the fleet the remote case; in both the only fan-out is
-// the aggregator's split of the metric columns over the resolved workers.
-func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardPartial, local bool) (rep *EpochReport, err error) {
 	var t0, ts time.Time
 	if m.tel != nil {
 		t0 = time.Now()
 		ts = t0
 	}
 	sp := tr.StartSpan("ingest")
-	covered, err := m.validateParts(machines, parts)
+	covered, slots, err := m.validateParts(machines, parts)
 	if err != nil {
 		return nil, err
 	}
-	if m.cfg.ExpectedMachines == 0 && machines > m.expected {
-		m.expected = machines
-	}
+	m.noteMachines(machines)
 	sp.SetAttr("machines", int64(machines))
 	sp.SetAttr("shards", int64(len(parts)))
 	sp.End()
@@ -96,47 +85,46 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 		}
 	}()
 	workers := m.workers(machines)
-	if local {
-		sp = tr.StartSpan("filter")
-	} else {
-		sp = tr.StartSpan("merge")
-		sp.SetAttr("workers", int64(workers))
+	sp = tr.StartSpan("merge")
+	sp.SetAttr("workers", int64(workers))
+	// The retained epoch holds the reporting machines in machine order: a
+	// partial's slots start where the ranges before it end. Each column is
+	// absorbed in one pass that inserts its finite keys and writes its
+	// retained copy; the estimators take the partials in the order given.
+	ret := m.retainEpoch(slots)
+	srcs, at := m.srcBuf[:0], m.atBuf[:0]
+	for i := range parts {
+		srcs = append(srcs, parts[i].Cols)
+		at = append(at, 0)
+	}
+	next := 0
+	for _, c := range covered {
+		p := &parts[c.part]
+		at[c.part] = next
+		for k, r := range p.Reporting {
+			if r {
+				ret.viol[next] = p.Viol[k]
+				next++
+			}
+		}
+	}
+	m.srcBuf, m.atBuf = srcs, at
+	if err = m.agg.ObserveColumns(workers, srcs, at, ret.x, ret.nonFinite); err != nil {
+		return nil, err
 	}
 	dropped := 0
 	for i := range parts {
-		p := &parts[i]
-		if local {
-			p.Dropped, err = m.agg.ObserveBatchFiltered(workers, p.Rows, p.Reporting)
-		} else {
-			_, err = m.agg.ObserveBatchFiltered(workers, p.Rows, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dropped += p.Dropped
+		dropped += parts[i].Dropped
 	}
 	sp.SetAttr("values_dropped", int64(dropped))
 	sp.End()
 
-	sp = tr.StartSpan("summarize")
-	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
+	summary, gaps, ts, err := m.summarize(tr, workers, ts)
 	if err != nil {
 		return nil, err
 	}
-	if err = m.track.AppendEpoch(summary); err != nil {
-		return nil, err
-	}
-	sp.SetAttr("metric_gaps", int64(gaps))
-	sp.End()
-	ts = m.span(stageQuantile, ts)
 
 	sp = tr.StartSpan("sla")
-	if local {
-		p := &parts[0]
-		if p.Status, err = m.cfg.SLA.EvaluateMasked(p.Rows, p.Viol, p.Reporting); err != nil {
-			return nil, err
-		}
-	}
 	statuses := m.statusBuf[:0]
 	for i := range parts {
 		statuses = append(statuses, parts[i].Status)
@@ -146,84 +134,165 @@ func (m *Monitor) observeParts(tr *telemetry.Trace, machines int, parts []ShardP
 	sp.End()
 	ts = m.span(stageSLA, ts)
 
-	// Scatter into global machine order. The retained copies live in one
-	// pooled matrix per epoch — its row views are the copies slice (nil =
-	// non-reporting) — and the masks are the monitor's scratch, so a
-	// steady-state epoch allocates none of them. Local partials' masks
-	// already alias the scratch, which makes their mask copy a no-op.
-	// Machines no partial covers (a dead shard nobody synthesized) are
-	// non-reporting.
-	mat := m.pool.Get(machines, m.cfg.Catalog.Len())
-	copies := mat.RowViews()
+	// Scatter the masks into global machine order. Machines no partial
+	// covers (a dead shard nobody synthesized) are non-reporting.
 	viol, reporting := m.scratchMasks(machines)
-	missing := func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			viol[g], reporting[g] = false, false
-			mat.MarkMissing(g)
-		}
-	}
-	next := 0
-	for _, r := range covered {
-		missing(next, r[0])
-		next = r[1]
-	}
-	missing(next, machines)
+	clear(viol)
+	clear(reporting)
 	for i := range parts {
 		p := &parts[i]
 		copy(viol[p.Lo:], p.Viol)
 		copy(reporting[p.Lo:], p.Reporting)
-		for k, row := range p.Rows {
-			if p.Reporting[k] {
-				copy(copies[p.Lo+k], row)
-			} else {
-				mat.MarkMissing(p.Lo + k)
-			}
-		}
 	}
-
-	rep, retained, err := m.finishEpoch(tr, t0, ts, mat, copies, viol, reporting, status, summary, dropped, gaps, workers)
-	if !retained {
-		m.pool.Put(mat)
+	for i := range ret.live {
+		ret.live[i] = true
 	}
-	return rep, err
+	return m.finishEpoch(tr, t0, ts, ret, reporting, status, summary, dropped, gaps, workers)
 }
 
-// validateParts checks the partials against the fleet width and the catalog
-// and returns the non-empty machine ranges they cover, sorted and disjoint.
-func (m *Monitor) validateParts(machines int, parts []ShardPartial) ([][2]int, error) {
-	if machines <= 0 {
+// observeLocal is ObserveEpoch's pipeline: filter the rows into the
+// aggregator while keeping them transposed as the retained epoch (one slot
+// per delivered row), summarize, evaluate the SLA over the rows and hand over
+// to finishEpoch. Its only fan-out is the aggregator's split of the metric
+// columns over the resolved workers.
+func (m *Monitor) observeLocal(tr *telemetry.Trace, rows [][]float64) (rep *EpochReport, err error) {
+	var t0, ts time.Time
+	if m.tel != nil {
+		t0 = time.Now()
+		ts = t0
+	}
+	sp := tr.StartSpan("ingest")
+	machines := len(rows)
+	if machines == 0 {
 		return nil, errors.New("monitor: no machine samples")
 	}
+	nm := m.cfg.Catalog.Len()
+	delivered := 0
+	for _, row := range rows {
+		if row == nil {
+			continue
+		}
+		if len(row) != nm {
+			return nil, fmt.Errorf("monitor: sample row width %d, want %d", len(row), nm)
+		}
+		delivered++
+	}
+	m.noteMachines(machines)
+	sp.SetAttr("machines", int64(machines))
+	sp.SetAttr("shards", 1)
+	sp.End()
+
+	defer func() {
+		if err != nil {
+			m.agg.Reset()
+		}
+	}()
+	workers := m.workers(machines)
+	sp = tr.StartSpan("filter")
+	viol, reporting := m.scratchMasks(machines)
+	ret := m.retainEpoch(delivered)
+	dropped, err := m.agg.ObserveBatchRetained(workers, rows, reporting, ret.x, ret.nonFinite)
+	if err != nil {
+		return nil, err
+	}
+	sp.SetAttr("values_dropped", int64(dropped))
+	sp.End()
+
+	summary, gaps, ts, err := m.summarize(tr, workers, ts)
+	if err != nil {
+		return nil, err
+	}
+
+	sp = tr.StartSpan("sla")
+	status, err := m.cfg.SLA.EvaluateMasked(rows, viol, reporting)
+	if err != nil {
+		return nil, err
+	}
+	sp.End()
+	ts = m.span(stageSLA, ts)
+
+	k := 0
+	for i, row := range rows {
+		if row != nil {
+			ret.live[k], ret.viol[k] = reporting[i], viol[i]
+			k++
+		}
+	}
+	return m.finishEpoch(tr, t0, ts, ret, reporting, status, summary, dropped, gaps, workers)
+}
+
+// summarize drains the aggregator into this epoch's quantile summary and
+// appends it to the track.
+func (m *Monitor) summarize(tr *telemetry.Trace, workers int, ts time.Time) ([][3]float64, int, time.Time, error) {
+	sp := tr.StartSpan("summarize")
+	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
+	if err != nil {
+		return nil, 0, ts, err
+	}
+	if err = m.track.AppendEpoch(summary); err != nil {
+		return nil, 0, ts, err
+	}
+	sp.SetAttr("metric_gaps", int64(gaps))
+	sp.End()
+	return summary, gaps, m.span(stageQuantile, ts), nil
+}
+
+// noteMachines learns the fleet width as the coverage denominator when the
+// configuration does not fix one.
+func (m *Monitor) noteMachines(machines int) {
+	if m.cfg.ExpectedMachines == 0 && machines > m.expected {
+		m.expected = machines
+	}
+}
+
+// coveredRange is one non-empty partial's machine range.
+type coveredRange struct{ lo, hi, part int }
+
+// validateParts checks the partials against the fleet width and the catalog
+// — every reporting machine must have shipped its cells, and no others — and
+// returns the non-empty machine ranges they cover, sorted and disjoint, with
+// the number of reporting machines over all of them.
+func (m *Monitor) validateParts(machines int, parts []ShardPartial) ([]coveredRange, int, error) {
+	if machines <= 0 {
+		return nil, 0, errors.New("monitor: no machine samples")
+	}
 	if len(parts) == 0 {
-		return nil, errors.New("monitor: no shard partials")
+		return nil, 0, errors.New("monitor: no shard partials")
 	}
 	nm := m.cfg.Catalog.Len()
 	covered := m.coveredBuf[:0]
+	slots := 0
 	for i := range parts {
 		p := &parts[i]
-		if len(p.Rows) != len(p.Viol) || len(p.Rows) != len(p.Reporting) {
-			return nil, fmt.Errorf("monitor: partial %d: rows/viol/reporting lengths %d/%d/%d disagree",
-				i, len(p.Rows), len(p.Viol), len(p.Reporting))
+		n := len(p.Reporting)
+		if len(p.Viol) != n {
+			return nil, 0, fmt.Errorf("monitor: partial %d: viol/reporting lengths %d/%d disagree", i, len(p.Viol), n)
 		}
-		if p.Lo < 0 || p.Lo+len(p.Rows) > machines {
-			return nil, fmt.Errorf("monitor: partial %d covers [%d,%d) outside fleet of %d machines",
-				i, p.Lo, p.Lo+len(p.Rows), machines)
+		if p.Lo < 0 || p.Lo+n > machines {
+			return nil, 0, fmt.Errorf("monitor: partial %d covers [%d,%d) outside fleet of %d machines",
+				i, p.Lo, p.Lo+n, machines)
 		}
-		for _, row := range p.Rows {
-			if row != nil && len(row) != nm {
-				return nil, fmt.Errorf("monitor: sample row width %d, want %d", len(row), nm)
+		reporting := 0
+		for _, r := range p.Reporting {
+			if r {
+				reporting++
 			}
 		}
-		if len(p.Rows) > 0 {
-			covered = append(covered, [2]int{p.Lo, p.Lo + len(p.Rows)})
+		if len(p.Cols) != reporting*nm {
+			return nil, 0, fmt.Errorf("monitor: partial %d ships %d cells for %d reporting machines × %d metrics",
+				i, len(p.Cols), reporting, nm)
+		}
+		slots += reporting
+		if n > 0 {
+			covered = append(covered, coveredRange{p.Lo, p.Lo + n, i})
 		}
 	}
 	m.coveredBuf = covered
-	slices.SortFunc(covered, func(a, b [2]int) int { return a[0] - b[0] })
+	slices.SortFunc(covered, func(a, b coveredRange) int { return a.lo - b.lo })
 	for i := 1; i < len(covered); i++ {
-		if covered[i][0] < covered[i-1][1] {
-			return nil, fmt.Errorf("monitor: shard partials overlap at machine %d", covered[i][0])
+		if covered[i].lo < covered[i-1].hi {
+			return nil, 0, fmt.Errorf("monitor: shard partials overlap at machine %d", covered[i].lo)
 		}
 	}
-	return covered, nil
+	return covered, slots, nil
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -36,9 +37,10 @@ func evenBounds(machines, n int) []int {
 func (s *testShard) partial(t testing.TB, m *Monitor, rows [][]float64) ShardPartial {
 	t.Helper()
 	sub := rows[s.lo:s.hi]
-	p := ShardPartial{Lo: s.lo, Rows: sub, Viol: make([]bool, len(sub)), Reporting: make([]bool, len(sub))}
+	nm := m.cfg.Catalog.Len()
+	p := ShardPartial{Lo: s.lo, Viol: make([]bool, len(sub)), Reporting: make([]bool, len(sub))}
 	var err error
-	if p.Dropped, err = metrics.ScanBatchFiltered(sub, m.cfg.Catalog.Len(), p.Reporting); err != nil {
+	if p.Cols, p.Dropped, err = metrics.ScanBatchFiltered(sub, nm, p.Reporting, make([]float64, nm*len(sub))); err != nil {
 		t.Fatal(err)
 	}
 	if p.Status, err = m.cfg.SLA.EvaluateMasked(sub, p.Viol, p.Reporting); err != nil {
@@ -48,10 +50,10 @@ func (s *testShard) partial(t testing.TB, m *Monitor, rows [][]float64) ShardPar
 }
 
 // dead is the partial a coordinator synthesizes for a shard that delivered
-// nothing: every machine non-reporting.
+// nothing: every machine non-reporting, no cells.
 func (s *testShard) dead() ShardPartial {
 	n := s.hi - s.lo
-	return ShardPartial{Lo: s.lo, Rows: make([][]float64, n), Viol: make([]bool, n), Reporting: make([]bool, n)}
+	return ShardPartial{Lo: s.lo, Viol: make([]bool, n), Reporting: make([]bool, n)}
 }
 
 // equivRun is what the equivalence guarantee covers for one monitor over the
@@ -146,6 +148,16 @@ func TestAggregatedEquivalence(t *testing.T) {
 			return m.ObserveAggregated(len(rows), parts, nil)
 		}
 	}
+	// The partials out of machine order: the estimators take them as given,
+	// the retained epoch still follows machine order.
+	reversed := func(m *Monitor, _ int, rows [][]float64) (*EpochReport, error) {
+		shards := newTestShards(evenBounds(len(rows), 3)...)
+		parts := make([]ShardPartial, len(shards))
+		for k, sh := range shards {
+			parts[len(shards)-1-k] = sh.partial(t, m, rows)
+		}
+		return m.ObserveAggregated(len(rows), parts, nil)
+	}
 	even := func(n int) func(int) []int { return func(machines int) []int { return evenBounds(machines, n) } }
 
 	for _, tc := range []struct {
@@ -158,6 +170,8 @@ func TestAggregatedEquivalence(t *testing.T) {
 		{name: "shards2", workers: 1, observe: aggregated(false, even(2))},
 		{name: "shards4", workers: 1, observe: aggregated(false, even(4))},
 		{name: "shards4-workers4", workers: 4, observe: aggregated(false, even(4))},
+		{name: "shards3-reversed", workers: 1, observe: reversed},
+		{name: "shards3-reversed-workers4", workers: 4, observe: reversed},
 		{name: "shards3-uneven", workers: 1, observe: aggregated(false, func(machines int) []int {
 			return []int{0, 7, machines / 2, machines}
 		})},
@@ -254,7 +268,8 @@ func TestOneStageTaxonomy(t *testing.T) {
 }
 
 // BenchmarkObserveEpochAggregated measures the coordinator-side merge path
-// — row filter, summarize, SLA merge, scatter, and the shared epoch finish — with the shard partials pre-built outside the timer, as a
+// — column pass, summarize, SLA merge, mask scatter, and the shared epoch
+// finish — with the shard partials pre-built outside the timer, as a
 // coordinator sees them after decoding frames. The name keys into the
 // benchgate regex so CI gates this path against BENCH_5.json.
 func BenchmarkObserveEpochAggregated(b *testing.B) {
@@ -308,10 +323,14 @@ func TestObserveAggregatedValidation(t *testing.T) {
 		t.Fatal("want error for out-of-range slice")
 	}
 	p = good()
-	p.Rows = append([][]float64(nil), p.Rows...)
-	p.Rows[n/2] = p.Rows[n/2][:1]
+	p.Cols = p.Cols[:len(p.Cols)-1]
 	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
-		t.Fatal("want error for a row of the wrong width")
+		t.Fatal("want error for columns one cell short")
+	}
+	p = good()
+	p.Cols = append(p.Cols, 0)
+	if _, err := m.ObserveAggregated(n, []ShardPartial{p}, nil); err == nil {
+		t.Fatal("want error for columns one cell long")
 	}
 	p1, p2 := good(), good()
 	if _, err := m.ObserveAggregated(n, []ShardPartial{p1, p2}, nil); err == nil {
@@ -320,5 +339,81 @@ func TestObserveAggregatedValidation(t *testing.T) {
 	// A valid single partial still observes cleanly after all the failures.
 	if _, err := m.ObserveAggregated(n, []ShardPartial{good()}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserveAggregatedRefusesUnshippedMachine: a partial that marks a
+// machine reporting must ship that machine's cells. Rows once let a
+// reporting machine arrive with no row; the merge accepted it at full
+// coverage and the retained epoch kept whatever its recycled row last held.
+// Columns one machine short are refused, and the monitor is left as it was.
+func TestObserveAggregatedRefusesUnshippedMachine(t *testing.T) {
+	const machines = 40
+	s := equivStream(t, 3)
+	m := equivMonitor(t, s, 1, nil)
+	shards := newTestShards(0, machines/2, machines)
+	var rows [][]float64
+	for e := 0; e < 3; e++ {
+		src, _, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = src[:machines]
+		parts := []ShardPartial{shards[0].partial(t, m, rows), shards[1].partial(t, m, rows)}
+		if _, err := m.ObserveAggregated(machines, parts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := m.Epoch()
+	parts := []ShardPartial{shards[0].partial(t, m, rows), shards[1].partial(t, m, rows)}
+	// Shard 1's machine 3 (global 23) still reports, but its cells are gone.
+	p := &parts[1]
+	sent := newTestShards(machines/2, machines)[0]
+	short := append([][]float64(nil), rows...)
+	short[machines/2+3] = nil
+	p.Cols = sent.partial(t, m, short).Cols
+	if _, err := m.ObserveAggregated(machines, parts, nil); err == nil {
+		t.Fatal("a reporting machine without cells was accepted")
+	}
+	if m.Epoch() != epoch {
+		t.Fatalf("a refused partial advanced the monitor to epoch %d, want %d", m.Epoch(), epoch)
+	}
+}
+
+// TestObserveAggregatedSanitizesUnclaimedNaN: sanitization goes by the
+// non-finite cells the monitor's own column pass finds, not by the count a
+// shard claims. A partial that ships a NaN while declaring Dropped 0 once
+// left the NaN in the retained epoch, from where it reached crisis samples
+// and failed feature selection.
+func TestObserveAggregatedSanitizesUnclaimedNaN(t *testing.T) {
+	const machines, bad, metric = 40, 25, 7
+	s := equivStream(t, 3)
+	m := equivMonitor(t, s, 1, nil)
+	shards := newTestShards(0, machines/2, machines)
+	src, _, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, machines)
+	for i := range rows {
+		rows[i] = append([]float64(nil), src[i]...)
+	}
+	rows[bad][metric] = math.NaN()
+	parts := []ShardPartial{shards[0].partial(t, m, rows), shards[1].partial(t, m, rows)}
+	if parts[1].Dropped != 1 {
+		t.Fatalf("shard counted %d non-finite cells, want 1", parts[1].Dropped)
+	}
+	parts[1].Dropped = 0
+	rep, err := m.ObserveAggregated(machines, parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CrisisActive || rep.Degraded {
+		t.Fatal("the probe epoch must be idle so the ring keeps it")
+	}
+	kept := m.ring[(m.ringPos+m.cfg.RawPad-1)%m.cfg.RawPad]
+	got := kept.col(metric)[bad]
+	if want := m.lastSummary[metric][1]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("retained machine %d metric %d is %v, want the epoch median %v", bad, metric, got, want)
 	}
 }

@@ -145,10 +145,12 @@ func fuzzStrips(data []byte) (width int, strips [][][]float64) {
 
 // FuzzInsertFiniteMatchesPerCell holds the filter kernel to the obvious
 // reference: per-cell Insert of each finite cell, in row order, and a count
-// of the rest. Drops, Count, the stored values (bits and order) and the
-// summary bits must agree, and the summary must match the sort oracle. Each
-// input runs twice through the same zero-value estimators, the second time
-// after Reset.
+// of the rest. Drops, the returned count, Count, the stored values (bits and
+// order) and the summary bits must agree, and the summary must match the
+// sort oracle. GatherFinite's copy must hold every cell's bits and its count
+// the column's non-finite cells. InsertFiniteColumn, fed each strip's
+// columns, must store the same values and copy the same bits. Each input runs
+// twice through the same estimators, zero-value and then after Reset.
 func FuzzInsertFiniteMatchesPerCell(f *testing.F) {
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{2, 9, 64, 300} {
@@ -158,12 +160,33 @@ func FuzzInsertFiniteMatchesPerCell(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		width, strips := fuzzStrips(data)
-		got, want := make([]Exact, width), make([]Exact, width)
+		got, want, cols := make([]Exact, width), make([]Exact, width), make([]Exact, width)
 		for round := 0; round < 2; round++ {
 			for s, strip := range strips {
 				drops := make([]int, len(strip))
 				for m := range got {
-					got[m].InsertFinite(strip, m, drops)
+					dst := make([]float64, len(strip))
+					col := make([]float64, len(strip))
+					bad := 0
+					for i, row := range strip {
+						col[i] = row[m]
+						if math.IsNaN(row[m]) || math.IsInf(row[m], 0) {
+							bad++
+						}
+					}
+					if n := got[m].GatherFinite(strip, m, drops, dst); n != bad {
+						t.Fatalf("round %d strip %d metric %d: GatherFinite counted %d, %d non-finite cells", round, s, m, n, bad)
+					}
+					cdst := make([]float64, len(col))
+					if n := cols[m].InsertFiniteColumn(col, cdst); n != bad {
+						t.Fatalf("round %d strip %d metric %d: InsertFiniteColumn counted %d, %d non-finite cells", round, s, m, n, bad)
+					}
+					for i, v := range col {
+						if math.Float64bits(cdst[i]) != math.Float64bits(v) || math.Float64bits(dst[i]) != math.Float64bits(v) {
+							t.Fatalf("round %d strip %d metric %d row %d: retained %#x / %#x, cell %#x", round, s, m, i,
+								math.Float64bits(dst[i]), math.Float64bits(cdst[i]), math.Float64bits(v))
+						}
+					}
 				}
 				for i, row := range strip {
 					bad := 0
@@ -184,8 +207,15 @@ func FuzzInsertFiniteMatchesPerCell(f *testing.F) {
 				if g.Count() != w.Count() {
 					t.Fatalf("round %d metric %d: Count %d, per-cell %d", round, m, g.Count(), w.Count())
 				}
-				gv, wv := g.RawValues(), w.RawValues()
+				gv, wv, cv := g.RawValues(), w.RawValues(), cols[m].RawValues()
+				if len(cv) != len(wv) {
+					t.Fatalf("round %d metric %d: InsertFiniteColumn stored %d values, per-cell %d", round, m, len(cv), len(wv))
+				}
 				for i := range gv {
+					if math.Float64bits(cv[i]) != math.Float64bits(wv[i]) {
+						t.Fatalf("round %d metric %d: column value %d is %#x, per-cell %#x", round, m, i,
+							math.Float64bits(cv[i]), math.Float64bits(wv[i]))
+					}
 					if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
 						t.Fatalf("round %d metric %d: value %d is %#x, per-cell %#x", round, m, i,
 							math.Float64bits(gv[i]), math.Float64bits(wv[i]))
@@ -210,6 +240,7 @@ func FuzzInsertFiniteMatchesPerCell(f *testing.F) {
 			for m := range got {
 				got[m].Reset()
 				want[m].Reset()
+				cols[m].Reset()
 			}
 		}
 	})

@@ -38,10 +38,16 @@ type Estimator interface {
 	// InsertBatch adds a batch of observations, equivalent to calling
 	// Insert on each value in order. The batch slice is not retained.
 	InsertBatch(vs []float64)
-	// InsertFinite adds the finite values of column m down strip, in row
-	// order, and counts each row's non-finite cell (NaN, ±Inf) in drops[i]
-	// instead: the batch filter's one call per (metric, strip of rows).
-	InsertFinite(strip [][]float64, m int, drops []int)
+	// GatherFinite copies column m down strip into dst (len(strip)
+	// entries, every cell, finite or not: dst[i] = strip[i][m]), adds its
+	// finite values in row order, and counts each row's non-finite cell
+	// (NaN, ±Inf) in drops[i] instead; it returns how many it counted. It is
+	// the batch filter's one call per (metric, strip of rows).
+	GatherFinite(strip [][]float64, m int, drops []int, dst []float64) int
+	// InsertFiniteColumn adds the finite values of col in order, copies
+	// col into dst (len(col) entries) and returns how many non-finite cells
+	// it skipped: a metric column's one pass from wire to retained epoch.
+	InsertFiniteColumn(col, dst []float64) int
 	// Query returns an estimate of the q-th quantile of everything
 	// inserted so far.
 	Query(q float64) (float64, error)
@@ -225,18 +231,24 @@ func (e *Exact) InsertBatch(vs []float64) {
 	e.or, e.orNot = or, orNot
 }
 
-// InsertFinite is the batch filter's kernel: the keys of column m's finite
-// cells go straight into the estimator, with both accumulators folded in
-// registers. The test is on the bits the key is made from: NaN and ±Inf are
-// the values whose 11 exponent bits are all set.
-func (e *Exact) InsertFinite(strip [][]float64, m int, drops []int) {
-	n := len(e.keys)
-	e.keys = slices.Grow(e.keys, len(strip))
-	keys := e.keys[n : n+len(strip)]
-	drops = drops[:len(strip)]
-	or, orNot, j := e.or, e.orNot, 0
+// GatherFinite is the batch filter's kernel. It gathers the strip's column
+// into dst first and filters dst: a tight gather loop keeps more of dst's
+// cache misses in flight than one store inside the filter loop would (dst is
+// a retained slab, usually cold), and the filter then reads dst from L1. The
+// keys of the finite cells go straight into the estimator, with both
+// accumulators folded in registers; the test is on the bits the key is made
+// from: NaN and ±Inf are the values whose 11 exponent bits are all set.
+func (e *Exact) GatherFinite(strip [][]float64, m int, drops []int, dst []float64) int {
+	dst = dst[:len(strip)]
 	for i, row := range strip {
-		v := row[m]
+		dst[i] = row[m]
+	}
+	n := len(e.keys)
+	e.keys = slices.Grow(e.keys, len(dst))
+	keys := e.keys[n : n+len(dst)]
+	drops = drops[:len(dst)]
+	or, orNot, j := e.or, e.orNot, 0
+	for i, v := range dst {
 		if math.Float64bits(v)<<1 >= 0x7ff<<53 {
 			drops[i]++
 			continue
@@ -249,6 +261,32 @@ func (e *Exact) InsertFinite(strip [][]float64, m int, drops []int) {
 	}
 	e.keys = e.keys[:n+j]
 	e.or, e.orNot = or, orNot
+	return len(dst) - j
+}
+
+// InsertFiniteColumn is GatherFinite over one contiguous column: the
+// coordinator's kernel, reading a shard's column once and writing the
+// retained copy as it goes.
+func (e *Exact) InsertFiniteColumn(col, dst []float64) int {
+	n := len(e.keys)
+	e.keys = slices.Grow(e.keys, len(col))
+	keys := e.keys[n : n+len(col)]
+	dst = dst[:len(col)]
+	or, orNot, j := e.or, e.orNot, 0
+	for i, v := range col {
+		dst[i] = v
+		if math.Float64bits(v)<<1 >= 0x7ff<<53 {
+			continue
+		}
+		k := floatToOrdered(v)
+		keys[j] = k
+		or |= k
+		orNot |= ^k
+		j++
+	}
+	e.keys = e.keys[:n+j]
+	e.or, e.orNot = or, orNot
+	return len(col) - j
 }
 
 // Query returns the exact q-th quantile.
