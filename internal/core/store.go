@@ -88,7 +88,9 @@ func (s *Store) SetLabel(i int, label string) error {
 
 // Add stores a crisis: its identity, the raw quantile rows of its summary
 // window, and — for the frozen mode — the discretized state under the
-// thresholds in force now (thAtStorage must cover the full catalog).
+// thresholds in force now (thAtStorage must cover the full catalog). The
+// store keeps rows, which the caller gives up: nothing may write them after
+// (CaptureRows' views of a track qualify), and the store only reads them.
 func (s *Store) Add(id, label string, detectedStart metrics.Epoch, rows [][]float64, thAtStorage *metrics.Thresholds) error {
 	if len(rows) == 0 {
 		return errors.New("core: storing crisis with no rows")
@@ -105,7 +107,6 @@ func (s *Store) Add(id, label string, detectedStart metrics.Epoch, rows [][]floa
 	} else if w != s.width {
 		return fmt.Errorf("core: row width %d differs from store width %d", w, s.width)
 	}
-	cp := make([][]float64, len(rows))
 	states := make([][]float64, len(rows))
 	full, err := NewFingerprinter(thAtStorage, AllMetrics(thAtStorage.NumMetrics()))
 	if err != nil {
@@ -115,7 +116,6 @@ func (s *Store) Add(id, label string, detectedStart metrics.Epoch, rows [][]floa
 		if len(r) != w {
 			return fmt.Errorf("core: ragged rows (%d vs %d)", len(r), w)
 		}
-		cp[i] = append([]float64(nil), r...)
 		st, err := full.EpochFingerprint(r)
 		if err != nil {
 			return err
@@ -130,7 +130,7 @@ func (s *Store) Add(id, label string, detectedStart metrics.Epoch, rows [][]floa
 		ID:            id,
 		Label:         label,
 		DetectedStart: detectedStart,
-		Rows:          cp,
+		Rows:          rows,
 		frozenFull:    frozen,
 	})
 	return nil
@@ -211,8 +211,12 @@ func BytesPerCrisis(numMetrics int, r SummaryRange) int {
 	return numMetrics * metrics.NumQuantiles * r.Len() * 8
 }
 
-// CaptureRows copies the raw quantile rows of the summary window anchored
-// at detectedStart out of the track — the data Add stores per crisis.
+// CaptureRows returns the raw quantile rows of the summary window anchored
+// at detectedStart — the data Add stores per crisis — as read-only views of
+// the track's storage (capped, so an append copies): a track's blocks never
+// move and AppendEpoch writes each row once, so the views outlive any growth
+// of the track. A caller that rewrites captured epochs (SetEpoch) or drops
+// the track's blocks must copy the rows out first.
 func CaptureRows(track *metrics.QuantileTrack, detectedStart metrics.Epoch, r SummaryRange) ([][]float64, error) {
 	if err := r.validate(); err != nil {
 		return nil, err
@@ -229,7 +233,7 @@ func CaptureRows(track *metrics.QuantileTrack, detectedStart metrics.Epoch, r Su
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, append([]float64(nil), row...))
+		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: no epochs to capture around %d", detectedStart)

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"dcfp/internal/metrics"
 )
 
 func TestStoreAddAndFingerprint(t *testing.T) {
@@ -152,17 +154,18 @@ func TestStoreFingerprintWidthMismatch(t *testing.T) {
 	}
 }
 
-func TestStoreRowsAreCopied(t *testing.T) {
+// TestStoreKeepsRows: Add keeps the rows it is given, which the caller gives
+// up, instead of copying them.
+func TestStoreKeepsRows(t *testing.T) {
 	th := fixedThresholds(1, 10, 100)
 	s := NewStore(true)
 	rows := [][]float64{{50, 50, 50}}
 	if err := s.Add("c", "", 0, rows, th); err != nil {
 		t.Fatal(err)
 	}
-	rows[0][0] = 99999
 	c, _ := s.Crisis(0)
-	if c.Rows[0][0] != 50 {
-		t.Fatal("store aliased caller's rows")
+	if &c.Rows[0][0] != &rows[0][0] {
+		t.Fatal("store copied the rows it was given")
 	}
 }
 
@@ -175,8 +178,12 @@ func TestBytesPerCrisis(t *testing.T) {
 	}
 }
 
+// TestCaptureRows: the captured rows are the track's own rows, capped so an
+// append cannot write past them, and stay put, bit for bit, while the track
+// grows 300 epochs past them into new blocks — as a stored crisis's rows
+// must.
 func TestCaptureRows(t *testing.T) {
-	tr := trackOf(t, 1, 20, func(e, m, qi int) float64 { return float64(e) })
+	tr := trackOf(t, 1, 20, func(e, m, qi int) float64 { return float64(e) + 0.1*float64(qi) })
 	rows, err := CaptureRows(tr, 10, DefaultSummaryRange())
 	if err != nil {
 		t.Fatal(err)
@@ -187,11 +194,30 @@ func TestCaptureRows(t *testing.T) {
 	if rows[0][0] != 8 || rows[6][0] != 14 {
 		t.Fatalf("rows = %v", rows)
 	}
-	// Mutating captured rows must not touch the track.
-	rows[0][0] = math.Inf(1)
-	v, _ := tr.At(8, 0, 0)
-	if v != 8 {
-		t.Fatal("CaptureRows aliased track storage")
+	for i, r := range rows {
+		own, _ := tr.EpochRow(metrics.Epoch(8 + i))
+		if &r[0] != &own[0] || cap(r) != len(r) {
+			t.Fatalf("row %d: not a capped view of the track's epoch %d", i, 8+i)
+		}
+	}
+	want := make([][]uint64, len(rows))
+	for i, r := range rows {
+		for _, v := range r {
+			want[i] = append(want[i], math.Float64bits(v))
+		}
+	}
+	sum := [][3]float64{{-1, -2, -3}}
+	for e := 0; e < 300; e++ {
+		if err := tr.AppendEpoch(sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range rows {
+		for j, v := range r {
+			if math.Float64bits(v) != want[i][j] {
+				t.Fatalf("row %d value %d changed to %v after the track grew", i, j, v)
+			}
+		}
 	}
 	if _, err := CaptureRows(tr, 500, DefaultSummaryRange()); err == nil {
 		t.Fatal("want out-of-range error")

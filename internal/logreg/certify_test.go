@@ -23,7 +23,7 @@ func marginSolver(t *testing.T, m []float64, pos []bool) *solver {
 	return newSolver(&s, false)
 }
 
-// genMargins draws n margins from the regimes the brackets must hold in:
+// genMargins draws n margins from the regimes the certificate must hold in:
 // the bulk of a real fit (|zm| of a few units), both signs, exact zeros of
 // either sign, tiny magnitudes, and |zm| up to 745, where exp(−|zm|) is
 // subnormal or underflows to 0.
@@ -51,71 +51,10 @@ func genMargins(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
-// TestLossBracketHoldsExactSum: for random margins over n ∈ [1, 5 000], the
-// certified bracket of lossSum and of gradient holds the reference's
-// row-order Log1p sum, |S_code − Ŝ| ≤ r, and the two brackets agree.
-func TestLossBracketHoldsExactSum(t *testing.T) {
-	cases := 300
-	if testing.Short() {
-		cases = 60
-	}
-	rng := rand.New(rand.NewSource(29))
-	w := []float64{1}
-	worst := 0.0 // largest |S_code − Ŝ| / r seen
-	for ci := 0; ci < cases; ci++ {
-		n := 1 + rng.Intn(5000)
-		if ci%10 == 0 {
-			n = 1 + rng.Intn(130) // chunk boundaries and single rows
-		}
-		m := genMargins(rng, n)
-		pos := make([]bool, n)
-		for i := range pos {
-			pos[i] = rng.Intn(2) == 0
-		}
-		f := marginSolver(t, m, pos)
-		exact := f.exactSum(w, 0)
-		lo, hi := f.lossSum(w, 0)
-		gLo, gHi, _ := f.gradient(w, 0, 0)
-		what := fmt.Sprintf("case %d (n=%d)", ci, n)
-		if math.Float64bits(lo) != math.Float64bits(gLo) || math.Float64bits(hi) != math.Float64bits(gHi) {
-			t.Fatalf("%s: lossSum [%v, %v], gradient [%v, %v]", what, lo, hi, gLo, gHi)
-		}
-		if !(lo <= exact && exact <= hi) {
-			t.Fatalf("%s: exact sum %v outside [%v, %v]", what, exact, lo, hi)
-		}
-		if r := (hi - lo) / 2; r > 0 {
-			worst = max(worst, math.Abs(exact-(lo+hi)/2)/r)
-		}
-	}
-	t.Logf("largest |S_code − Ŝ| / r: %.3g", worst)
-}
-
-// TestLossBracketUndecided: a sum that is NaN, infinite or near overflow has
-// no certified bracket, so every test on it takes the exact path.
-func TestLossBracketUndecided(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		a, lg float64
-	}{
-		{"NaN", math.NaN(), 1},
-		{"+Inf", math.Inf(1), 0},
-		{"near overflow", 0x1p1000, 0},
-	} {
-		lo, hi := bracket(tc.a, tc.lg, 10)
-		if !math.IsNaN(lo) || !math.IsNaN(hi) {
-			t.Errorf("%s: bracket [%v, %v], want NaN bounds", tc.name, lo, hi)
-		}
-	}
-	f := marginSolver(t, []float64{1, math.NaN(), -2}, []bool{true, false, true})
-	if lo, hi := f.lossSum([]float64{1}, 0); !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Fatalf("NaN margin: bracket [%v, %v], want NaN bounds", lo, hi)
-	}
-}
-
 // TestOracleExactPathBitIdentical runs both oracle property tests with every
-// backtracking test forced down the exact path, so the fallback — which real
-// fits almost never reach — is held to the reference too, and checks that
-// PathStats counts the fallbacks.
+// backtracking test forced down the exact path, so the path rejections and
+// near-ties take is held to the reference on every test, and checks that
+// PathStats counts the exact tests and certifies none.
 func TestOracleExactPathBitIdentical(t *testing.T) {
 	forceExact = true
 	defer func() { forceExact = false }()
@@ -133,8 +72,8 @@ func TestOracleExactPathBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every iteration makes at least one backtracking test.
-	if st.ExactChecks < st.Iters {
-		t.Fatalf("forced exact path: %d exact checks over %d iterations", st.ExactChecks, st.Iters)
+	if st.ExactChecks < st.Iters || st.Certified != 0 {
+		t.Fatalf("forced exact path: %d exact checks and %d certified over %d iterations", st.ExactChecks, st.Certified, st.Iters)
 	}
 }
 
@@ -178,41 +117,6 @@ func TestExactLossMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDecideCertifiesOnlyTheTruth: whenever decide is certain, its answer is
-// the reference's test on the exact losses inside the brackets, over
-// brackets as wide as the gaps they straddle, and NaN decides nothing.
-func TestDecideCertifiesOnlyTheTruth(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	certain, uncertain := 0, 0
-	for i := 0; i < 200000; i++ {
-		look := rng.Float64()
-		lin, q := -rng.Float64()*1e-3, rng.Float64()*1e-3
-		width := math.Pow(10, -16+4*rng.Float64())
-		trial := sufficient(look, lin, q) + (rng.Float64()-0.5)*4*width
-		lookLo, lookHi := look-rng.Float64()*width, look+rng.Float64()*width
-		newLo, newHi := trial-rng.Float64()*width, trial+rng.Float64()*width
-		accept, ok := decide(lookLo, lookHi, newLo, newHi, lin, q)
-		if !ok {
-			uncertain++
-			continue
-		}
-		certain++
-		if want := trial <= sufficient(look, lin, q); accept != want {
-			t.Fatalf("look %v in [%v, %v], trial %v in [%v, %v]: decided %v, exact test %v",
-				look, lookLo, lookHi, trial, newLo, newHi, accept, want)
-		}
-	}
-	if certain == 0 || uncertain == 0 {
-		t.Fatalf("%d certain and %d uncertain decisions; want both", certain, uncertain)
-	}
-	nan := math.NaN()
-	for _, b := range [][4]float64{{nan, nan, 0, 0}, {0, 0, nan, nan}, {nan, 1, 0, 0}, {0, 0, nan, 1}} {
-		if _, ok := decide(b[0], b[1], b[2], b[3], 0, 0); ok {
-			t.Fatalf("brackets %v decided", b)
-		}
-	}
-}
-
 // holdScreen installs a checkScreen hook that requires |gw| <= bound <=
 // lambda of every column gradient screening skips, until release or the end
 // of t; release reports how many skipped columns the hook computed. Lanes
@@ -245,6 +149,192 @@ func holdScreen(t testing.TB) (release func() int) {
 	}
 	t.Cleanup(func() { release() })
 	return release
+}
+
+// holdCert installs a checkCert hook that requires the reference to accept
+// every backtracking test certify accepted, until release or the end of t;
+// release reports how many certified tests the hook decided. Lanes call the
+// hook concurrently, so it counts under a mutex. Under forceExact nothing is
+// certified, so it installs nothing and release reports -1.
+func holdCert(t testing.TB) (release func() int) {
+	t.Helper()
+	if forceExact {
+		return func() int { return -1 }
+	}
+	var mu sync.Mutex
+	checked, bad := 0, 0
+	checkCert = func(trial, bound float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		if !(trial <= bound) {
+			if bad++; bad <= 3 {
+				t.Errorf("certified a test the reference rejects: trial loss %v above %v", trial, bound)
+			}
+		}
+	}
+	release = func() int {
+		checkCert = nil
+		mu.Lock()
+		defer mu.Unlock()
+		return checked
+	}
+	t.Cleanup(func() { release() })
+	return release
+}
+
+// TestCertBoundEdge decides backtracking tests both ways — certify on the
+// lookahead state gradient leaves, and the reference's test on both exact
+// losses — at the least q the reference accepts and 1, 2 and 5 ulps below
+// it, and at q a few ulps around the curvature term ‖Δm‖²/8n. The trials sit
+// where each term of the bound is tight: margins near 0 (curvature 1/4) over
+// columns with non-zero means (the bias cross term), margins that are sums of
+// ±10⁶ terms cancelling to O(1) (the margins' rounding), |zm| up to 745,
+// steps from 10⁻¹³ to 10³, and n up to 50 000. None may be certified while
+// the reference rejects it.
+func TestCertBoundEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	trials, below, certified := 0, 0, 0
+	// check decides the tests from (wLook, bLook) to each trial point, the
+	// trial's bias last.
+	check := func(what string, f *solver, wLook []float64, bLook float64, points [][]float64) {
+		gradB := f.gradient(wLook, bLook, 0)
+		look := f.lookLoss(f.exactSum(wLook, bLook))
+		mLook := append([]float64(nil), f.m...)
+		for pi, pt := range points {
+			wNew, bNew := pt[:len(wLook)], pt[len(wLook)]
+			lin := 0.0
+			for j := range wNew {
+				lin += f.gradW[j] * (wNew[j] - wLook[j])
+			}
+			lin += gradB * (bNew - bLook)
+			trial := f.trialLoss(f.exactSum(wNew, bNew))
+			curv := 0.0
+			for i, m := range f.m {
+				curv += (m - mLook[i]) * (m - mLook[i])
+			}
+			curv /= 8 * float64(len(f.m))
+			accepts := func(q float64) bool { return trial <= sufficient(look, lin, q) }
+			// The reference's test is monotone in q: bisect for the least
+			// q >= 0 it accepts.
+			lo, hi := uint64(0), math.Float64bits(math.MaxFloat64)
+			for lo < hi {
+				if mid := lo + (hi-lo)/2; accepts(math.Float64frombits(mid)) {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			qs := []float64{math.Float64frombits(lo), math.Float64frombits(lo + 1), math.Float64frombits(lo) * (1 + 1e-6)}
+			for _, ulps := range []uint64{1, 2, 5} {
+				if lo >= ulps {
+					qs = append(qs, math.Float64frombits(lo-ulps))
+					below++
+				}
+			}
+			for _, k := range []float64{-2, -1, 0, 1, 2, 5} {
+				qs = append(qs, curv*(1+k*0x1p-52))
+			}
+			for _, q := range qs {
+				if !f.certify(wLook, bLook, wNew, bNew, gradB, lin, q) {
+					continue
+				}
+				if !accepts(q) {
+					t.Fatalf("%s, trial %d: certified q = %v (curvature term %v), the reference accepts from %v: trial loss %v, lookahead %v, lin %v",
+						what, pi, q, curv, math.Float64frombits(lo), trial, look, lin)
+				}
+				certified++
+			}
+			trials++
+		}
+	}
+
+	// Margins near 0 over columns of mean 3, the step moving the bias and
+	// every weight the same way, so the cross term 2Δb·sᵀΔw is large.
+	for _, n := range []int{3, 100, 1700, 50000} {
+		const d = 4
+		rows, pos := make([][]float64, n), make([]bool, n)
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = 3 + rng.NormFloat64()
+			}
+			pos[i] = rng.Intn(2) == 0
+		}
+		var s Samples
+		if err := s.Append(rows, pos); err != nil {
+			t.Fatal(err)
+		}
+		wLook := []float64{1e-3, -2e-3, 5e-4, 1e-3}
+		bLook := -3 * (wLook[0] + wLook[1] + wLook[2] + wLook[3])
+		var points [][]float64
+		for _, step := range []float64{1e-13, 1e-8, 1e-4, 1e-2, 1, 1e3} {
+			for k := 0; k < 3; k++ {
+				pt := make([]float64, d+1)
+				for j := range wLook {
+					pt[j] = wLook[j] + step*math.Abs(rng.NormFloat64())
+				}
+				pt[d] = bLook + step*(1+rng.Float64())
+				if k == 2 { // and one step in random directions
+					for j := range pt {
+						pt[j] += step * rng.NormFloat64()
+					}
+				}
+				points = append(points, pt)
+			}
+		}
+		check(fmt.Sprintf("near-zero margins, n=%d", n), newSolver(&s, false), wLook, bLook, points)
+	}
+
+	// Margins that are pairs of ±10⁶·x terms cancelling to O(1), moved by a
+	// relative 10⁻¹⁴: the loss change is the margins' rounding, not Δm.
+	{
+		const n, pairs, big = 200, 5, 1e6
+		rows, pos := make([][]float64, n), make([]bool, n)
+		for i := range rows {
+			rows[i] = make([]float64, 2*pairs)
+			for k := 0; k < pairs; k++ {
+				x := rng.NormFloat64()
+				rows[i][2*k], rows[i][2*k+1] = x, x+1e-6*rng.NormFloat64()
+			}
+			pos[i] = rng.Intn(2) == 0
+		}
+		var s Samples
+		if err := s.Append(rows, pos); err != nil {
+			t.Fatal(err)
+		}
+		wLook := make([]float64, 2*pairs)
+		for k := 0; k < pairs; k++ {
+			wLook[2*k], wLook[2*k+1] = big, -big
+		}
+		var points [][]float64
+		for k := 0; k < 60; k++ {
+			pt := make([]float64, 2*pairs+1)
+			for j, w := range wLook {
+				pt[j] = w * (1 + 1e-14*rng.NormFloat64())
+			}
+			points = append(points, pt)
+		}
+		check("cancelling margins", newSolver(&s, false), wLook, 0, points)
+	}
+
+	// One column holding the margins (w = 1): |zm| up to 745, zeros, tiny.
+	for ci, n := range []int{1, 7, 130, 2000, 50000} {
+		pos := make([]bool, n)
+		for i := range pos {
+			pos[i] = rng.Intn(2) == 0
+		}
+		f := marginSolver(t, genMargins(rng, n), pos)
+		var points [][]float64
+		for _, step := range []float64{1e-13, 1e-6, 1e-2, 10} {
+			points = append(points, []float64{1 + step, 0}, []float64{1 - step, step}, []float64{1, -step})
+		}
+		check(fmt.Sprintf("generated margins %d, n=%d", ci, n), f, []float64{1}, 0, points)
+	}
+	if certified == 0 || below == 0 {
+		t.Fatalf("%d tests certified, %d q below the reference's boundary; want both", certified, below)
+	}
+	t.Logf("%d trials, %d certified decisions, %d q below the reference's boundary", trials, certified, below)
 }
 
 // latentSamples is BenchmarkPerCrisisSelection's generator: rows × width

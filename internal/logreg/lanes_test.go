@@ -11,8 +11,8 @@ import (
 // TestSelectTopKLanesBitIdentical runs the §3.4 path with one, two and four
 // lanes (GOMAXPROCS) on the benchmark's generator and on samples a monitor
 // collected, and requires the ranking, every weight and the bias (by
-// math.Float64bits), the penalty, and the steps, iterations and exact checks
-// summed over them to equal the one-lane path's; on the generator, the
+// math.Float64bits), the penalty, and the steps, iterations, certified tests
+// and exact checks summed over them to equal the one-lane path's; on the generator, the
 // ranking and model must also be the row-oriented reference's. The cases
 // include a path whose first step already activates k, one where no step
 // does (all twelve run), and k = 1. Each laned path runs several times, so
@@ -66,7 +66,8 @@ func TestSelectTopKLanesBitIdentical(t *testing.T) {
 						t.Fatalf("%s: top = %v, one lane %v", what, top, wantTop)
 					}
 					logreg.SameModel(t, what, m, want)
-					if st.Positives != serial.Positives || st.Steps != serial.Steps || st.Iters != serial.Iters || st.ExactChecks != serial.ExactChecks {
+					if st.Positives != serial.Positives || st.Steps != serial.Steps || st.Iters != serial.Iters ||
+						st.Certified != serial.Certified || st.ExactChecks != serial.ExactChecks {
 						t.Fatalf("%s: path stats %+v, one lane %+v", what, st, serial)
 					}
 					continue

@@ -264,12 +264,15 @@ func Train(x [][]float64, y []int, opts Options) (*Model, error) {
 
 // problem is what every fit over one Samples set reads and none writes: the
 // samples (standardized by then), their label signs, the standardization
-// Train undoes, and each column's norm bound for screening.
+// Train undoes, each column's norm bound for screening, and the Gram matrix
+// and column sums the line-search certificate reads.
 type problem struct {
 	s         *Samples
 	z         []float64 // label signs: +1 for y = 1, -1 for y = 0
 	mean, std []float64 // per column: standardization undone by Train (0, 1 = none)
 	colNorm   []float64 // per column: ‖x_j‖₂ rounded up
+	gram      []float64 // gram[j*d+k] = Σ_i x_ij·x_ik, computed in row order
+	colSum    []float64 // per column: Σ_i x_ij, computed in row order
 	finite    bool      // no value (after standardization) is NaN or ±Inf
 }
 
@@ -279,18 +282,23 @@ type problem struct {
 // truncated iterate, and every sum that reaches an iterate keeps the order of
 // the row-oriented reference in oracle_test.go. Margins add x·w over
 // ascending j per row, skipping only w_j == 0 (adding ±0 to a finite margin
-// is the identity); Xᵀg adds over ascending i per column; sigmoid reuses the
-// exp the loss needs; standardization sums in block (= collection) order.
-// Loss values reach nothing but the backtracking test, so fit decides that
-// test from certified brackets and computes the reference's loss (exactSum)
-// only when a bracket cannot decide it. Likewise a column's gradient reaches
-// an iterate only through softThreshold, so gradient skips every column whose
-// soft-threshold a certified bound shows to be zero (screen).
+// is the identity); Xᵀg adds over ascending i per column; standardization
+// sums in block (= collection) order. Loss values reach nothing but the
+// backtracking test, so fit accepts a trial the logistic loss's curvature
+// bound proves the test accepts (certify) and computes the reference's
+// losses (exactSum) for every other test. Likewise a column's gradient
+// reaches an iterate only through softThreshold, so gradient skips every
+// column whose soft-threshold a certified bound shows to be zero (screen).
 type solver struct {
 	*problem
 	m, g []float64 // per row: margin, d loss / d margin
 
 	w, wPrev, wLook, wNew, gradW []float64
+
+	// At the lookahead point, for certify: Σ max(0, −zm) and ‖g‖₂'s bound.
+	lookA, gNorm float64
+	nz           []int     // certify's scratch: the coordinates a trial moved
+	dz           []float64 // and how far
 
 	// Screening state: per column, |Σ g_i x_ij| at its last evaluation
 	// (+Inf before the first), and path and ‖g‖₂'s bound at that call; path
@@ -300,7 +308,8 @@ type solver struct {
 	path                     float64
 	live                     []int // columns gradient evaluates this call
 
-	exactChecks int // backtracking tests the brackets could not decide
+	certified   int // backtracking tests certify accepted
+	exactChecks int // backtracking tests left to the reference's losses
 	screened    int // column gradients screen skipped
 
 	// quit, when set, abandons the fit as soon as *quit <= at: the path step
@@ -320,13 +329,25 @@ var forceExact bool
 // concurrently. Only internal tests set it.
 var checkScreen func(gw, bound, lambda float64)
 
+// checkCert, when set, is handed every backtracking test certify accepted,
+// decided anyway: the reference's trial loss and the right side of its test,
+// so the certificate tests can hold trial <= bound. Lanes call it
+// concurrently. Only internal tests set it.
+var checkCert func(trial, bound float64)
+
 // newProblem sets up the shared data over s, standardizing s in place first
 // when standardize is set. The one pass over every value that bounds the
-// column norms also notes whether all of them are finite.
+// column norms also notes whether all of them are finite; the Gram matrix
+// and column sums run through dots, against each column and a ones vector.
 func newProblem(s *Samples, standardize bool) *problem {
 	n, d := len(s.y), s.d
-	buf := make([]float64, n+3*d)
-	p := &problem{s: s, z: buf[:n:n], mean: buf[n : n+d : n+d], std: buf[n+d : n+2*d : n+2*d], colNorm: buf[n+2*d:], finite: true}
+	buf := make([]float64, n+4*d+d*d)
+	next := func(k int) []float64 {
+		out := buf[:k:k]
+		buf = buf[k:]
+		return out
+	}
+	p := &problem{s: s, z: next(n), mean: next(d), std: next(d), colNorm: next(d), colSum: next(d), gram: next(d * d), finite: true}
 	for i, yi := range s.y {
 		p.z[i] = -1
 		if yi {
@@ -350,24 +371,44 @@ func newProblem(s *Samples, standardize bool) *problem {
 		p.colNorm[j] = p.normBound(ss)
 		p.finite = p.finite && nan == 0
 	}
+	v, cols := make([]float64, n), make([]int, d)
+	for j := range cols {
+		cols[j] = j
+	}
+	for i := range v {
+		v[i] = 1
+	}
+	p.dots(v, cols, p.colSum)
+	for j := range cols {
+		off := 0
+		for _, b := range s.blocks {
+			off += copy(v[off:], b.col(j))
+		}
+		row := p.gram[j*d : (j+1)*d]
+		p.dots(v, cols[j:], row)
+		for k := j + 1; k < d; k++ {
+			p.gram[k*d+j] = row[k]
+		}
+	}
 	return p
 }
 
 // lanes returns k solvers over p with their scratch carved from one slab.
 func (p *problem) lanes(k int) []solver {
 	n, d := len(p.z), p.s.d
-	buf := make([]float64, k*(2*n+8*d))
+	buf := make([]float64, k*(2*n+9*d))
 	next := func(k int) []float64 {
 		out := buf[:k:k]
 		buf = buf[k:]
 		return out
 	}
-	live := make([]int, k*d)
+	ints := make([]int, 2*k*d)
 	fs := make([]solver, k)
 	for l := range fs {
 		fs[l] = solver{problem: p, m: next(n), g: next(n),
-			w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d),
-			refSum: next(d), refPath: next(d), refNorm: next(d), live: live[l*d : l*d : (l+1)*d]}
+			w: next(d), wPrev: next(d), wLook: next(d), wNew: next(d), gradW: next(d), dz: next(d)[:0],
+			refSum: next(d), refPath: next(d), refNorm: next(d),
+			live: ints[2*l*d : 2*l*d : (2*l+1)*d], nz: ints[(2*l+1)*d : (2*l+1)*d : (2*l+2)*d]}
 		for j := range fs[l].refSum {
 			fs[l].refSum[j] = math.Inf(1)
 		}
@@ -407,16 +448,13 @@ func (f *solver) fit(opts Options) (float64, int, bool) {
 		}
 		bLook := b + beta*(b-bPrev)
 
-		lookLo, lookHi, gradB := f.gradient(wLook, bLook, opts.Lambda)
-		// Correctly rounded scaling is monotone, so a scaled bracket holds
-		// the reference's scaled loss.
-		lookLo, lookHi = f.lookLoss(lookLo), f.lookLoss(lookHi)
+		gradB := f.gradient(wLook, bLook, opts.Lambda)
 		var lossLook float64 // the reference's value, once a test needs it
 		lookExact := false
 
 		// Backtracking line search on the smooth part; the acceptance test is
-		// f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s, decided
-		// from the brackets where they can (decide) and exactly otherwise.
+		// f(new) <= f(look) + <grad, new-look> + ||new-look||²/2s, accepted
+		// by certify where it can and decided exactly otherwise.
 		var bNew float64
 		for {
 			lin, quad := 0.0, 0.0
@@ -431,9 +469,13 @@ func (f *solver) fit(opts Options) (float64, int, bool) {
 			lin += gradB * db
 			quad += db * db
 			q := quad / (2 * step)
-			newLo, newHi := f.lossSum(wNew, bNew)
-			accept, certain := decide(lookLo, lookHi, f.trialLoss(newLo), f.trialLoss(newHi), lin, q)
-			if forceExact || !certain {
+			accept := !forceExact && f.certify(wLook, bLook, wNew, bNew, gradB, lin, q)
+			if accept {
+				f.certified++
+				if checkCert != nil {
+					checkCert(f.trialLoss(f.exactSum(wNew, bNew)), sufficient(f.lookLoss(f.exactSum(wLook, bLook)), lin, q))
+				}
+			} else {
 				f.exactChecks++
 				if !lookExact {
 					lossLook, lookExact = f.lookLoss(f.exactSum(wLook, bLook)), true
@@ -472,19 +514,67 @@ func (f *solver) fit(opts Options) (float64, int, bool) {
 // l, with the reference's association: ((l + lin) + quad/2s) + 1e-12.
 func sufficient(l, lin, q float64) float64 { return l + lin + q + 1e-12 }
 
-// decide settles the backtracking test from brackets around the lookahead
-// and trial losses, where certain says it could. sufficient is
-// non-decreasing in the lookahead loss, so a trial bracket wholly at or below
-// sufficient(lookLo) accepts and one wholly above sufficient(lookHi)
-// rejects; anything straddling, and any NaN, is uncertain.
-func decide(lookLo, lookHi, newLo, newHi, lin, q float64) (accept, certain bool) {
-	switch {
-	case newHi <= sufficient(lookLo, lin, q):
-		return true, true
-	case newLo > sufficient(lookHi, lin, q):
-		return false, true
+// certify reports whether the logistic loss's curvature bound proves that
+// the reference's backtracking test accepts the trial (wNew, bNew) from the
+// lookahead point (wLook, bLook), whose margins, derivative g and bias
+// gradient gradient left behind, for the test's lin and q. It reads no row:
+// ‖Δ margins‖² comes from the Gram matrix over the coordinates that moved.
+// Each term is bounded up (DESIGN.md rule 6 derives them), and NaN or Inf
+// anywhere certifies nothing.
+func (f *solver) certify(wLook []float64, bLook float64, wNew []float64, bNew, gradB, lin, q float64) bool {
+	const u = 0x1p-53
+	gamma := func(k int) float64 { ku := float64(k) * u; return ku / (1 - ku) }
+	n, d := len(f.m), f.s.d
+	nf, rn := float64(n), math.Sqrt(float64(n))
+	// |b|√n + Σ|w_j|c_j over each point's kL, kN margin terms; for the step
+	// Δ, ad the same, a1 = Σ|Δ_j| and bs = Σ|lin's products|.
+	db := bNew - bLook
+	aL, aN, ad := math.Abs(bLook)*rn, math.Abs(bNew)*rn, math.Abs(db)*rn
+	a1, bs := math.Abs(db), math.Abs(gradB*db)
+	kL, kN := 1, 1
+	nz, dz := f.nz[:0], f.dz[:0]
+	for j, c := range f.colNorm {
+		if wLook[j] != 0 {
+			aL += math.Abs(wLook[j]) * c
+			kL++
+		}
+		if wNew[j] != 0 {
+			aN += math.Abs(wNew[j]) * c
+			kN++
+		}
+		if dj := wNew[j] - wLook[j]; dj != 0 {
+			nz, dz = append(nz, j), append(dz, dj)
+			ad += math.Abs(dj) * c
+			a1 += math.Abs(dj)
+			bs += math.Abs(f.gradW[j] * dj)
+		}
 	}
-	return false, false
+	// ‖XΔ + Δb·1‖² = ΔᵀGΔ + 2Δb·sᵀΔ + nΔb², within eq of its computed value.
+	quad, cross := nf*db*db, 0.0
+	for t, j := range nz {
+		row, inner := f.gram[j*d:(j+1)*d], 0.0
+		for s, k := range nz {
+			inner += row[k] * dz[s]
+		}
+		quad += dz[t] * inner
+		cross += f.colSum[j] * dz[t]
+	}
+	quad += 2 * db * cross
+	eq := gamma(n+4*len(nz)+32)*ad*ad + nf*0x1p-1070*a1*a1 + 0x1p-1000
+	rho := gamma(2*kL+4)*aL + gamma(2*kN+4)*aN                  // both margin vectors' rounding
+	dm := math.Sqrt(max(quad+eq, 0)) + 2*u*ad + rho + 0x1p-1000 // ≥ ‖Δ computed margins‖
+	curv := dm * dm / (8 * nf)
+	// |(1/n)Σ g*_i·Δm_i − lin|: σ and exp, the margins' rounding, the dot
+	// products and gradB's sum, their scaling and Δ's rounding, lin's sum.
+	g := f.gNorm
+	lerr := ((16*u*g+rn*0x1p-1060)*dm+g*rho+gamma(n+4)*g*ad)/nf + gamma(2*d+16)*bs + 0x1p-1060*a1
+	// The reference's two loss sums (S_look ≤ a + n·ln 2, S_trial through
+	// the bound itself), their scalings and the right side's three adds.
+	sl := f.lookA*(1+gamma(2*n+4)) + nf*math.Ln2*(1+4*u)
+	sn := sl + nf*(math.Abs(lin)+lerr+curv)
+	round := gamma(n+24)*(sl+sn)/nf + 4*u*(sl/nf+math.Abs(lin)+q+1e-12)
+	total := (lerr + curv + round + 0x1p-1000) * (1 + float64(4*d+256)*u)
+	return total <= min(q+1e-12, math.MaxFloat64)
 }
 
 // lookLoss and trialLoss scale a loss sum as the reference does at the
@@ -532,37 +622,8 @@ func (f *solver) margins(w []float64, b float64) {
 	}
 }
 
-// chunkRows is how many 1+e factors, each in [1, 2], one product takes
-// before its logarithm is added: the product stays below 2⁶⁴, so it neither
-// overflows nor carries more than 127 roundings.
-const chunkRows = 64
-
-// certMax caps a certified loss sum far below overflow, so that no partial
-// sum of the reference's can overflow either.
-const certMax = 0x1p1000
-
-// bracket turns the fast loss sum's parts into an interval around the
-// reference's sum of n row terms (exactSum): a = Σ max(0, −zm) in row order
-// and lg = Σ Log(P_c) over the chunks' products P_c of 1 + exp(−|zm|). With
-// u = 2⁻⁵³ and C chunks, |exactSum − (a + lg)| ≤ (2n + C + 8)·u·(a + lg) +
-// 130·C·u (DESIGN.md, "decisions, not values", derives it); the radius is
-// twice that, which also covers the rounding of this arithmetic. A sum that
-// is NaN, infinite or near overflow comes back as NaN bounds, which decide
-// nothing.
-func bracket(a, lg float64, n int) (lo, hi float64) {
-	const u = 0x1p-53
-	c := (n + chunkRows - 1) / chunkRows
-	s := a + lg
-	r := 2 * (float64(2*n+c+8)*u*s + float64(130*c)*u)
-	if !(s+r <= certMax) {
-		return math.NaN(), math.NaN()
-	}
-	return s - r, s + r
-}
-
 // exactSum is the reference's loss sum at (w, b): each row's log1p term
-// added in row order. It runs only when the brackets cannot decide a
-// backtracking test.
+// added in row order. It runs only for a test certify leaves undecided.
 func (f *solver) exactSum(w []float64, b float64) float64 {
 	f.margins(w, b)
 	sum := 0.0
@@ -572,69 +633,40 @@ func (f *solver) exactSum(w []float64, b float64) float64 {
 	return sum
 }
 
-// lossSum brackets the loss sum at (w, b), as gradient does without the
-// gradient: log(1+exp(−zm)) = max(0, −zm) + log1p(exp(−|zm|)), and the
-// log1p terms of a chunk become one Log of the product of their 1 + exp.
-func (f *solver) lossSum(w []float64, b float64) (lo, hi float64) {
+// gradient writes the weight gradient at (w, b) into f.gradW, and Σ max(0,
+// −zm) and ‖g‖₂'s bound into f.lookA and f.gNorm for certify, and returns
+// the bias gradient. A column with w_j = 0 whose certified bound on the
+// kernel's |gradW_j| is at most lambda is screened: softThreshold would map
+// it to 0 at any step, so gradient writes 0 without the dot product and the
+// iterate is the same (DESIGN.md rule 7).
+func (f *solver) gradient(w []float64, b, lambda float64) float64 {
 	f.margins(w, b)
-	a, lg := 0.0, 0.0
-	for c := 0; c < len(f.m); c += chunkRows {
-		end := min(c+chunkRows, len(f.m))
-		z, m := f.z[c:end], f.m[c:end]
-		p := 1.0
-		for i, zi := range z {
-			if zm := zi * m[i]; zm > 0 {
-				p *= 1 + math.Exp(-zm)
-			} else {
-				a += -zm
-				p *= 1 + math.Exp(zm)
-			}
-		}
-		lg += math.Log(p)
-	}
-	return bracket(a, lg, len(f.m))
-}
-
-// gradient writes the weight gradient at (w, b) into f.gradW and returns a
-// bracket around the loss sum there (as lossSum) and the bias gradient. A
-// column with w_j = 0 whose certified bound on the kernel's |gradW_j| is at
-// most lambda is screened: softThreshold would map it to 0 at any step, so
-// gradient writes 0 without the dot product and the iterate is the same
-// (DESIGN.md rule 7).
-func (f *solver) gradient(w []float64, b, lambda float64) (lo, hi, gradB float64) {
-	f.margins(w, b)
-	a, lg := 0.0, 0.0
+	a, gradB := 0.0, 0.0
 	dd, gg := 0.0, 0.0 // Σ (g_i − last call's g_i)², Σ g_i²
-	for c := 0; c < len(f.m); c += chunkRows {
-		end := min(c+chunkRows, len(f.m))
-		z, m, g := f.z[c:end], f.m[c:end], f.g[c:end]
-		p := 1.0
-		for i, zi := range z {
-			// The loss term and its derivative -z·σ(-zm) from one exp(-|zm|).
-			zm := zi * m[i]
-			var e, sig float64
-			if zm > 0 {
-				e = math.Exp(-zm)
-				sig = e / (1 + e)
-			} else {
-				e = math.Exp(zm)
-				a += -zm
-				sig = 1 / (1 + e)
-			}
-			p *= 1 + e
-			gi := -zi * sig
-			gradB += gi
-			dg := gi - g[i]
-			dd += dg * dg
-			gg += gi * gi
-			g[i] = gi
+	g := f.g
+	for i, zi := range f.z {
+		// The derivative -z·σ(-zm), from exp(-|zm|) as the reference's sigmoid.
+		zm := zi * f.m[i]
+		var sig float64
+		if zm > 0 {
+			e := math.Exp(-zm)
+			sig = e / (1 + e)
+		} else {
+			a += -zm
+			sig = 1 / (1 + math.Exp(zm))
 		}
-		lg += math.Log(p)
+		gi := -zi * sig
+		gradB += gi
+		dg := gi - g[i]
+		dd += dg * dg
+		gg += gi * gi
+		g[i] = gi
 	}
-	lo, hi = bracket(a, lg, len(f.m))
+	f.lookA = a
 	inv := 1 / float64(len(f.m))
 	f.path = (f.path + f.normBound(dd)) * (1 + 0x1p-50) // rounded up
 	norm := f.normBound(gg)
+	f.gNorm = norm
 
 	// |S_j| ≤ refSum + colNorm·((path − refPath) + γₙ·(refNorm + norm)) for
 	// the kernel's dot product S_j; 2⁻¹⁰⁰⁰ covers underflow in both dot
@@ -664,7 +696,7 @@ func (f *solver) gradient(w []float64, b, lambda float64) (lo, hi, gradB float64
 	}
 	// gradW = Xᵀg/n over the live columns; each sum becomes its column's
 	// reference.
-	f.dots(live, gw)
+	f.dots(f.g, live, gw)
 	for _, j := range live {
 		sum := gw[j]
 		gw[j] = sum * inv
@@ -672,26 +704,26 @@ func (f *solver) gradient(w []float64, b, lambda float64) (lo, hi, gradB float64
 	}
 	if checkScreen != nil {
 		sums := make([]float64, d)
-		f.dots(skipped, sums)
+		f.dots(f.g, skipped, sums)
 		for k, j := range skipped {
 			checkScreen(sums[j]*inv, bounds[k], lambda)
 		}
 	}
-	return lo, hi, gradB * inv
+	return gradB * inv
 }
 
-// dots sets out[j] = Σ_i g_i·x_ij for each listed column j: each dot product
-// adds in row order; four columns share a pass over g so their add chains
-// overlap. Past the last column a group repeats it (same sum, same slot)
-// instead of branching.
-func (f *solver) dots(cols []int, out []float64) {
+// dots sets out[j] = Σ_i v_i·x_ij for each listed column j, v being one
+// value per row: each dot product adds in row order; four columns share a
+// pass over v so their add chains overlap. Past the last column a group
+// repeats it (same sum, same slot) instead of branching.
+func (p *problem) dots(v []float64, cols []int, out []float64) {
 	last := len(cols) - 1
 	for k := 0; k <= last; k += 4 {
 		j0, j1, j2, j3 := cols[k], cols[min(k+1, last)], cols[min(k+2, last)], cols[min(k+3, last)]
 		var s0, s1, s2, s3 float64
 		off := 0
-		for _, blk := range f.s.blocks {
-			g := f.g[off : off+blk.n]
+		for _, blk := range p.s.blocks {
+			g := v[off : off+blk.n]
 			c0, c1, c2, c3 := blk.col(j0)[:len(g)], blk.col(j1)[:len(g)], blk.col(j2)[:len(g)], blk.col(j3)[:len(g)]
 			for i, gi := range g {
 				s0 += gi * c0[i]
@@ -822,13 +854,14 @@ func (pr *problem) lambdaMax(pos int) float64 {
 
 // PathStats describes one SelectTopK path: label-1 rows trained on,
 // penalties fitted (Steps), their FISTA iterations in total, the
-// backtracking tests that fell back to the exact loss (ExactChecks), and the
-// column gradients screening skipped (Screened, out of Iters × width). The
-// four counts cover the steps up to and including the one whose fit is
-// returned; fits the lanes began past it and abandoned are not counted.
-// Screened alone can depend on the lane count: a lane's screening
+// backtracking tests the curvature certificate accepted (Certified) and the
+// tests left to the reference's exact losses, every rejection included
+// (ExactChecks), and the column gradients screening skipped (Screened, out
+// of Iters × width). The counts cover the steps up to and including the one
+// whose fit is returned; fits the lanes began past it and abandoned are not
+// counted. Screened alone can depend on the lane count: a lane's screening
 // references carry over from whichever step it fitted last.
-type PathStats struct{ Positives, Steps, Iters, ExactChecks, Screened int }
+type PathStats struct{ Positives, Steps, Iters, Certified, ExactChecks, Screened int }
 
 // pathSteps is the most penalties SelectTopK fits, each half the last.
 const pathSteps = 12
@@ -905,6 +938,7 @@ func (s *Samples) SelectTopK(k int) ([]int, *Model, PathStats, error) {
 	st := PathStats{Positives: pos, Steps: stop}
 	for _, sf := range r.steps[:stop] {
 		st.Iters += sf.iters
+		st.Certified += sf.certified
 		st.ExactChecks += sf.exactChecks
 		st.Screened += sf.screened
 	}
@@ -925,10 +959,10 @@ type pathRun struct {
 
 // stepFit is one path step: its penalty and, once fitted, its model and work.
 type stepFit struct {
-	lambda                       float64
-	w                            []float64
-	b                            float64
-	iters, exactChecks, screened int
+	lambda                                  float64
+	w                                       []float64
+	b                                       float64
+	iters, certified, exactChecks, screened int
 }
 
 // run is one lane: it claims steps in λ order and fits each, until the next
@@ -941,13 +975,13 @@ func (r *pathRun) run(f *solver) {
 		if i >= r.stop.Load() {
 			return
 		}
-		f.at, f.exactChecks, f.screened = i, 0, 0
+		f.at, f.certified, f.exactChecks, f.screened = i, 0, 0, 0
 		sf := &r.steps[i]
 		b, iters, ok := f.fit(Options{Lambda: sf.lambda, MaxIter: 500, Tol: 1e-6})
 		if !ok {
 			return // i >= stop, and so is every step left to claim
 		}
-		sf.b, sf.iters, sf.exactChecks, sf.screened = b, iters, f.exactChecks, f.screened
+		sf.b, sf.iters, sf.certified, sf.exactChecks, sf.screened = b, iters, f.certified, f.exactChecks, f.screened
 		copy(sf.w, f.w)
 		active := 0
 		for _, w := range f.w {

@@ -127,7 +127,8 @@ func monitorCrises(t *testing.T, crises int) []closedCrisis {
 // per-epoch blocks in place, equals the public copy-in core.PerCrisisMetrics,
 // and logreg.SelectTopK on those samples equals the row-oriented reference
 // bit for bit, with every column gradient it screens computed anyway and
-// held to the certificate.
+// held to the screening certificate, and every backtracking test it
+// certifies decided exactly and held to the reference.
 func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
 	crises := 8
 	if testing.Short() {
@@ -149,13 +150,16 @@ func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", what, err)
 		}
-		release := logreg.HoldScreen(t)
+		release, releaseCert := logreg.HoldScreen(t), logreg.HoldCert(t)
 		top, got, err := logreg.SelectTopK(c.x, c.y, c.k)
 		if err != nil {
 			t.Fatalf("%s: SelectTopK: %v", what, err)
 		}
 		if release() == 0 {
 			t.Fatalf("%s: no column gradient was screened, so none was checked", what)
+		}
+		if releaseCert() == 0 {
+			t.Fatalf("%s: no backtracking test was certified, so none was checked", what)
 		}
 		if fmt.Sprint(top) != fmt.Sprint(wantTop) {
 			t.Fatalf("%s: SelectTopK ranks %v, oracle %v", what, top, wantTop)
@@ -174,5 +178,40 @@ func TestOraclePerCrisisOnMonitorSamples(t *testing.T) {
 	}
 	if selected == 0 {
 		t.Fatal("no metric selected over all scripted crises")
+	}
+}
+
+// TestCertFires: the curvature certificate accepts at least 95 % of the
+// path's backtracking tests that accept (one per iteration), on the
+// benchmark's generator and on every crisis a monitor closes over the
+// scripted rotation, so a refactor cannot turn the optimisation off without
+// failing here.
+func TestCertFires(t *testing.T) {
+	check := func(what string, s *logreg.Samples, k int) {
+		t.Helper()
+		_, _, st, err := s.SelectTopK(k)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		t.Logf("%s: %d of %d iterations certified (%.2f %%), %d exact tests", what, st.Certified, st.Iters, 100*float64(st.Certified)/float64(st.Iters), st.ExactChecks)
+		if 100*st.Certified < 95*st.Iters {
+			t.Fatalf("%s: certified %d tests over %d iterations, want at least 95 %%", what, st.Certified, st.Iters)
+		}
+	}
+	s, err := logreg.LatentSamples(1700, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("generator 1700x100", s, 10)
+	crises := 8
+	if testing.Short() {
+		crises = 4
+	}
+	for _, c := range monitorCrises(t, crises) {
+		s, err := logreg.NewSamples(c.x, c.y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s (%d samples)", c.id, len(c.x)), s, c.k)
 	}
 }

@@ -442,7 +442,7 @@ func TestOracleTrainBitIdentical(t *testing.T) {
 		cases = 8
 	}
 	rng := rand.New(rand.NewSource(15))
-	release := holdScreen(t)
+	release, releaseCert := holdScreen(t), holdCert(t)
 	hitMaxIter, hitTol := 0, 0
 	for ci := 0; ci < cases; ci++ {
 		c := genOracleCase(rng)
@@ -482,6 +482,9 @@ func TestOracleTrainBitIdentical(t *testing.T) {
 	if release() == 0 {
 		t.Fatal("no column gradient was screened, so none was checked")
 	}
+	if releaseCert() == 0 {
+		t.Fatal("no backtracking test was certified, so none was checked")
+	}
 }
 
 // TestOracleSelectTopKBitIdentical walks the §3.4 regularization path three
@@ -494,7 +497,7 @@ func TestOracleSelectTopKBitIdentical(t *testing.T) {
 		cases = 6
 	}
 	rng := rand.New(rand.NewSource(34))
-	release := holdScreen(t)
+	release, releaseCert := holdScreen(t), holdCert(t)
 	screened := 0
 	for ci := 0; ci < cases; ci++ {
 		c := genOracleCase(rng)
@@ -551,6 +554,9 @@ func TestOracleSelectTopKBitIdentical(t *testing.T) {
 	// skips and the copy-in paths' too.
 	if checked := release(); screened == 0 || checked != -1 && checked < screened {
 		t.Fatalf("hook checked %d screened column gradients, the in-place paths alone screened %d", checked, screened)
+	}
+	if releaseCert() == 0 {
+		t.Fatal("no backtracking test was certified, so none was checked")
 	}
 }
 

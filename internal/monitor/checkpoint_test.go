@@ -487,3 +487,72 @@ func TestCheckpointDigest(t *testing.T) {
 		t.Fatalf("checkpoint of %d bytes has SHA-256 %s, want %s", buf.Len(), got, want)
 	}
 }
+
+// TestStoredRowsOutliveTrackGrowth: a stored crisis keeps its summary
+// window's rows as views of the monitor's quantile track, so they must keep
+// their bits while the track grows past them — 300 more epochs, across a
+// block boundary — and a monitor restored from a checkpoint holds the same
+// bits in its store's decoded rows.
+func TestStoredRowsOutliveTrackGrowth(t *testing.T) {
+	tb := newTestbed(t)
+	for i := 0; i < 200; i++ {
+		tb.step()
+	}
+	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
+	for i := 0; i < 8; i++ {
+		tb.step()
+	}
+	tb.effects = nil
+	for i := 0; i < 40 && tb.m.store.Len() == 0; i++ {
+		tb.step()
+	}
+	if tb.m.store.Len() == 0 {
+		t.Fatal("script stored no crisis")
+	}
+	c, err := tb.m.store.Crisis(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for _, r := range c.Rows {
+		for _, v := range r {
+			want = append(want, math.Float64bits(v))
+		}
+	}
+	same := func(what string, c *core.StoredCrisis) {
+		t.Helper()
+		k := 0
+		for _, r := range c.Rows {
+			for _, v := range r {
+				if k >= len(want) || math.Float64bits(v) != want[k] {
+					t.Fatalf("%s: stored value %d is %v, was %v when stored", what, k, v, math.Float64frombits(want[k]))
+				}
+				k++
+			}
+		}
+		if k != len(want) {
+			t.Fatalf("%s: %d stored values, %d when stored", what, k, len(want))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		tb.step()
+	}
+	same("after 300 more epochs", c)
+
+	var buf bytes.Buffer
+	if err := tb.m.WriteCheckpoint(&buf, CheckpointMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(tb.m.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := restored.store.Crisis(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("restored", rc)
+}

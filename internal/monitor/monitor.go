@@ -217,10 +217,10 @@ type keptExplanation struct {
 	cands []keptCandidate // nearest first
 }
 
-type keptCandidate struct {
-	store int
-	label string
-}
+// keptCandidate is one candidate of a kept record: its store index and its
+// label at the time, as an index into Monitor.labels. The lists grow with
+// the square of the crisis count, so a candidate costs 8 bytes.
+type keptCandidate struct{ store, label int32 }
 
 // explanation returns kept with its candidates.
 func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
@@ -232,10 +232,10 @@ func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
 		e.Candidates = make([]core.CandidateExplanation, len(kept.cands))
 		for i, c := range kept.cands {
 			// identify ran these on the same store rows, so they cannot fail.
-			sc, _ := m.store.Crisis(c.store)
-			fp, _ := m.store.Fingerprint(c.store, kept.f)
+			sc, _ := m.store.Crisis(int(c.store))
+			fp, _ := m.store.Fingerprint(int(c.store), kept.f)
 			exp, _ := kept.f.ExplainDistance(kept.part, fp, m.cfg.ExplainTopK)
-			exp.CrisisID, exp.Label = sc.ID, c.label
+			exp.CrisisID, exp.Label = sc.ID, m.labels[c.label]
 			e.Candidates[i] = exp
 		}
 	}
@@ -274,6 +274,9 @@ type Monitor struct {
 	store  *core.Store
 	past   []pastCrisis
 	nextID int
+	// labels interns the candidate labels kept records refer to (labelRef).
+	labels   []string
+	labelIdx map[string]int32
 
 	// Raw-sample ring buffer for feature selection (pre-crisis epochs), one
 	// retained epoch per slot (nil = never filled). An idle epoch swaps its
@@ -897,6 +900,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	sp.SetAttr("positives", int64(st.Positives))
 	sp.SetAttr("lambda_steps", int64(st.Steps))
 	sp.SetAttr("iters_total", int64(st.Iters))
+	sp.SetAttr("certified", int64(st.Certified))
 	sp.SetAttr("exact_checks", int64(st.ExactChecks))
 	sp.SetAttr("screened", int64(st.Screened))
 	sp.SetAttr("selected", int64(len(top)))
@@ -1183,7 +1187,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		kept = make([]keptCandidate, len(cands))
 		for i, c := range cands {
 			expl.Candidates[i] = c.exp
-			kept[i] = keptCandidate{c.store, c.exp.Label}
+			kept[i] = keptCandidate{int32(c.store), m.labelRef(c.exp.Label)}
 		}
 	}
 	sp.End()
@@ -1199,6 +1203,20 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 	p.expl = append(p.expl, keptExplanation{e: &head, f: &untagged, part: part, cands: kept})
 	sp.End()
 	return adv
+}
+
+// labelRef returns label's index in m.labels, interning it on first use.
+func (m *Monitor) labelRef(label string) int32 {
+	i, ok := m.labelIdx[label]
+	if !ok {
+		if m.labelIdx == nil {
+			m.labelIdx = map[string]int32{}
+		}
+		i = int32(len(m.labels))
+		m.labels = append(m.labels, label)
+		m.labelIdx[label] = i
+	}
+	return i
 }
 
 // identCandidate is one labeled stored crisis identify compares against.

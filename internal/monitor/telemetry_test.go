@@ -203,12 +203,15 @@ func TestPerCrisisSelectionSpan(t *testing.T) {
 			for _, a := range sp.Attrs {
 				attrs[a.Key] = a.Value
 			}
+			// Every backtracking test is certified or decided exactly.
+			certified, okCert := attrs["certified"]
 			checks, ok := attrs["exact_checks"]
 			// Screening skips column gradients on every scripted crisis,
 			// never more than the path evaluated (iterations × metrics).
 			screened := attrs["screened"]
-			if len(attrs) != 7 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
-				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 || !ok || checks < 0 ||
+			if len(attrs) != 8 || attrs["rows"] < 10*tbMachines || attrs["positives"] <= 0 || attrs["positives"] >= attrs["rows"] ||
+				attrs["lambda_steps"] < 1 || attrs["iters_total"] < attrs["lambda_steps"] || attrs["selected"] < 1 || !ok || !okCert ||
+				checks < 0 || certified < 0 || certified+checks <= 0 ||
 				screened <= 0 || screened > attrs["iters_total"]*int64(cfg.Catalog.Len()) {
 				t.Fatalf("epoch %d: selection span attrs %v", epoch, sp.Attrs)
 			}
