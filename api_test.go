@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,10 +154,22 @@ func TestPublicAPIPrimitives(t *testing.T) {
 		t.Fatalf("OnlineThreshold = %v, %v", thr, err)
 	}
 
-	// Crisis store.
-	store := dcfp.NewCrisisStore(true)
+	// Crisis store: a crisis hot on metric 0 and cold on metric 1 is
+	// fingerprinted from its raw rows under the current thresholds.
+	store := dcfp.NewCrisisStore()
 	if store.Len() != 0 {
 		t.Fatal("fresh store not empty")
+	}
+	row := []float64{500, 500, 500, 5, 5, 5}
+	if err := store.Add("crisis-001", "", 100, [][]float64{row, row}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Fingerprint(0, fp)
+	if want := []float64{1, 1, 1, -1, -1, -1}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("stored fingerprint = %v, %v; want %v", got, err, want)
+	}
+	if err := store.Add("crisis-002", "", 120, [][]float64{{1, 2, 3, 4}}); err == nil || store.Len() != 1 {
+		t.Fatalf("Add of a row not three quantiles per metric: err %v, %d stored", err, store.Len())
 	}
 }
 

@@ -260,8 +260,8 @@ func BenchmarkFingerprintStorage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := core.NewStore(true)
-	if err := store.Add(dc.Instance.ID, "B", dc.Episode.Start, rows, th); err != nil {
+	store := core.NewStore()
+	if err := store.Add(dc.Instance.ID, "B", dc.Episode.Start, rows); err != nil {
 		b.Fatal(err)
 	}
 	rel, err := env.RelevantOffline(10, 30)

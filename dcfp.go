@@ -151,9 +151,10 @@ func OnlineThreshold(pairs []LabeledPair, alpha float64) (float64, error) {
 // can be recomputed as thresholds drift (§6.3).
 type CrisisStore = core.Store
 
-// NewCrisisStore returns an empty store; update=true (recommended)
-// recomputes stored fingerprints under current thresholds.
-func NewCrisisStore(update bool) *CrisisStore { return core.NewStore(update) }
+// NewCrisisStore returns an empty store. Add keeps a crisis's raw quantile
+// rows; Fingerprint recomputes its fingerprint under the thresholds and
+// relevant metrics of the fingerprinter it is given.
+func NewCrisisStore() *CrisisStore { return core.NewStore() }
 
 // QuantileEstimator summarizes a stream of observations (one per machine)
 // and answers quantile queries.

@@ -7,16 +7,15 @@ import (
 
 func cacheTestStore(t *testing.T) *Store {
 	t.Helper()
-	th := fixedThresholds(2, 10, 100)
-	s := NewStore(true)
+	s := NewStore()
 	rows := [][]float64{
 		{200, 50, 50, 50, 50, 50},
 		{200, 50, 50, 50, 50, 50},
 	}
-	if err := s.Add("c1", "A", 100, rows, th); err != nil {
+	if err := s.Add("c1", "A", 100, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add("c2", "B", 200, rows, th); err != nil {
+	if err := s.Add("c2", "B", 200, rows); err != nil {
 		t.Fatal(err)
 	}
 	return s

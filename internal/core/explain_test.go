@@ -130,12 +130,12 @@ func TestExplainDistanceFullBreakdown(t *testing.T) {
 func TestExplainStored(t *testing.T) {
 	const n = 3
 	th := explainThresholds(t, n)
-	s := NewStore(true)
+	s := NewStore()
 	rows := [][]float64{
 		{100, 100, 100, 5, 5, 5, 50, 50, 50},
 		{100, 100, 100, 5, 5, 5, 50, 50, 50},
 	}
-	if err := s.Add("crisis-001", "db-overload", 10, rows, th); err != nil {
+	if err := s.Add("crisis-001", "db-overload", 10, rows); err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewFingerprinter(th, AllMetrics(n))

@@ -9,35 +9,35 @@ import (
 )
 
 // Gob support for the crisis store, so a Monitor checkpoint carries the full
-// crisis history — raw quantile rows and the frozen-mode state — across a
-// process restart. The fingerprint cache is deliberately not persisted: it
-// is a pure memoization keyed by the monitor's thresholds generation and
-// repopulates on the first identification after restore.
+// crisis history — every crisis's raw quantile rows — across a process
+// restart. The fingerprint cache is deliberately not persisted: it is a pure
+// memoization keyed by the monitor's thresholds generation and repopulates
+// on the first identification after restore.
 
 type gobStoredCrisis struct {
 	ID            string
 	Label         string
 	DetectedStart metrics.Epoch
 	Rows          [][]float64
-	Frozen        []float64
 }
 
+// Stores written while the store also had a frozen mode carry a mode flag
+// and a per-crisis frozen state; gob skips both, so those checkpoints decode
+// into the same crises.
 type gobStore struct {
-	UpdateFingerprints bool
-	Width              int
-	Crises             []gobStoredCrisis
+	Width  int
+	Crises []gobStoredCrisis
 }
 
-// GobEncode serializes the store's mode, width and crisis records.
+// GobEncode serializes the store's width and crisis records.
 func (s *Store) GobEncode() ([]byte, error) {
-	g := gobStore{UpdateFingerprints: s.UpdateFingerprints, Width: s.width}
+	g := gobStore{Width: s.width}
 	for _, c := range s.crises {
 		g.Crises = append(g.Crises, gobStoredCrisis{
 			ID:            c.ID,
 			Label:         c.Label,
 			DetectedStart: c.DetectedStart,
 			Rows:          c.Rows,
-			Frozen:        c.frozenFull,
 		})
 	}
 	var buf bytes.Buffer
@@ -47,9 +47,8 @@ func (s *Store) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode restores the store, validating that every crisis's rows and
-// frozen-mode state match the recorded width. The fingerprint cache starts
-// empty.
+// GobDecode restores the store, validating that every crisis's rows match
+// the recorded width. The fingerprint cache starts empty.
 func (s *Store) GobDecode(p []byte) error {
 	var g gobStore
 	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&g); err != nil {
@@ -71,18 +70,13 @@ func (s *Store) GobDecode(p []byte) error {
 				return fmt.Errorf("core: decoded crisis %q row width %d, store width %d", c.ID, len(r), g.Width)
 			}
 		}
-		if len(c.Frozen) != g.Width {
-			return fmt.Errorf("core: decoded crisis %q frozen state width %d, store width %d", c.ID, len(c.Frozen), g.Width)
-		}
 		crises = append(crises, StoredCrisis{
 			ID:            c.ID,
 			Label:         c.Label,
 			DetectedStart: c.DetectedStart,
 			Rows:          c.Rows,
-			frozenFull:    c.Frozen,
 		})
 	}
-	s.UpdateFingerprints = g.UpdateFingerprints
 	s.width = g.Width
 	s.crises = crises
 	s.cacheGen, s.cacheRel = 0, 0

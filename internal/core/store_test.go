@@ -9,12 +9,12 @@ import (
 
 func TestStoreAddAndFingerprint(t *testing.T) {
 	th := fixedThresholds(2, 10, 100)
-	s := NewStore(true)
+	s := NewStore()
 	rows := [][]float64{
 		{200, 50, 50, 50, 50, 50}, // m0q0 hot
 		{200, 50, 50, 50, 50, 50},
 	}
-	if err := s.Add("c1", "B", 100, rows, th); err != nil {
+	if err := s.Add("c1", "B", 100, rows); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -38,63 +38,31 @@ func TestStoreAddAndFingerprint(t *testing.T) {
 }
 
 func TestStoreUpdateModeRecomputes(t *testing.T) {
-	thOld := fixedThresholds(1, 10, 100)
-	s := NewStore(true)
+	s := NewStore()
 	rows := [][]float64{{150, 150, 150}}
-	if err := s.Add("c1", "", 5, rows, thOld); err != nil {
+	if err := s.Add("c1", "", 5, rows); err != nil {
 		t.Fatal(err)
 	}
-	// New thresholds make 150 normal.
-	thNew := fixedThresholds(1, 10, 1000)
-	f, _ := NewFingerprinter(thNew, []int{0})
-	fp, err := s.Fingerprint(0, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp[0] != 0 {
-		t.Fatalf("update mode fp = %v, want recomputed 0", fp)
-	}
-}
-
-func TestStoreFrozenModeKeepsOldStates(t *testing.T) {
-	thOld := fixedThresholds(1, 10, 100)
-	s := NewStore(false)
-	rows := [][]float64{{150, 150, 150}}
-	if err := s.Add("c1", "", 5, rows, thOld); err != nil {
-		t.Fatal(err)
-	}
-	thNew := fixedThresholds(1, 10, 1000)
-	f, _ := NewFingerprinter(thNew, []int{0})
-	fp, err := s.Fingerprint(0, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp[0] != 1 {
-		t.Fatalf("frozen mode fp = %v, want storage-time hot (+1)", fp)
-	}
-}
-
-func TestStoreFrozenModeProjectsRelevant(t *testing.T) {
-	th := fixedThresholds(3, 10, 100)
-	s := NewStore(false)
-	rows := [][]float64{{150, 150, 150, 5, 5, 5, 50, 50, 50}}
-	if err := s.Add("c1", "", 5, rows, th); err != nil {
-		t.Fatal(err)
-	}
-	f, _ := NewFingerprinter(th, []int{1}) // only metric 1 (cold)
-	fp, err := s.Fingerprint(0, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fp) != 3 || fp[0] != -1 {
-		t.Fatalf("fp = %v", fp)
+	// 150 is hot under the thresholds in force at storage time; new
+	// thresholds make it normal.
+	for _, c := range []struct {
+		hi   float64
+		want float64
+	}{{100, 1}, {1000, 0}} {
+		f, _ := NewFingerprinter(fixedThresholds(1, 10, c.hi), []int{0})
+		fp, err := s.Fingerprint(0, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp[0] != c.want {
+			t.Fatalf("hot threshold %v: fp = %v, want recomputed %v", c.hi, fp, c.want)
+		}
 	}
 }
 
 func TestStoreSetLabel(t *testing.T) {
-	th := fixedThresholds(1, 10, 100)
-	s := NewStore(true)
-	if err := s.Add("c1", "", 5, [][]float64{{50, 50, 50}}, th); err != nil {
+	s := NewStore()
+	if err := s.Add("c1", "", 5, [][]float64{{50, 50, 50}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetLabel(0, "C"); err != nil {
@@ -113,35 +81,32 @@ func TestStoreSetLabel(t *testing.T) {
 }
 
 func TestStoreAddValidation(t *testing.T) {
-	th := fixedThresholds(2, 10, 100)
-	s := NewStore(true)
-	if err := s.Add("c", "", 0, nil, th); err == nil {
-		t.Fatal("want no-rows error")
+	s := NewStore()
+	for name, rows := range map[string][][]float64{
+		"no rows":           nil,
+		"zero width":        {{}},
+		"not whole metrics": {{1, 2, 3, 4}},
+		"ragged rows":       {{1, 2, 3, 4, 5, 6}, {1, 2, 3}},
+	} {
+		if err := s.Add("c", "", 0, rows); err == nil {
+			t.Fatalf("%s: want an error", name)
+		}
 	}
-	if err := s.Add("c", "", 0, [][]float64{{1, 2, 3}}, nil); err == nil {
-		t.Fatal("want nil-thresholds error")
+	if s.Len() != 0 || s.Width() != 0 {
+		t.Fatalf("refused adds left %d crises of width %d", s.Len(), s.Width())
 	}
-	if err := s.Add("c", "", 0, [][]float64{{1, 2, 3}}, th); err == nil {
-		t.Fatal("want width-mismatch error")
-	}
-	ok := [][]float64{{1, 2, 3, 4, 5, 6}}
-	if err := s.Add("c", "", 0, ok, th); err != nil {
+	if err := s.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add("c2", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}, {1, 2}}, th); err == nil {
-		t.Fatal("want ragged-rows error")
-	}
 	// Different width from established store width.
-	th3 := fixedThresholds(3, 10, 100)
-	if err := s.Add("c3", "", 0, [][]float64{{1, 2, 3, 4, 5, 6, 7, 8, 9}}, th3); err == nil {
+	if err := s.Add("c3", "", 0, [][]float64{{1, 2, 3, 4, 5, 6, 7, 8, 9}}); err == nil {
 		t.Fatal("want store-width error")
 	}
 }
 
 func TestStoreFingerprintWidthMismatch(t *testing.T) {
-	th := fixedThresholds(2, 10, 100)
-	s := NewStore(true)
-	if err := s.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}, th); err != nil {
+	s := NewStore()
+	if err := s.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	thWide := fixedThresholds(3, 10, 100)
@@ -157,10 +122,9 @@ func TestStoreFingerprintWidthMismatch(t *testing.T) {
 // TestStoreKeepsRows: Add keeps the rows it is given, which the caller gives
 // up, instead of copying them.
 func TestStoreKeepsRows(t *testing.T) {
-	th := fixedThresholds(1, 10, 100)
-	s := NewStore(true)
+	s := NewStore()
 	rows := [][]float64{{50, 50, 50}}
-	if err := s.Add("c", "", 0, rows, th); err != nil {
+	if err := s.Add("c", "", 0, rows); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := s.Crisis(0)

@@ -10,6 +10,9 @@ import (
 	"dcfp/internal/core"
 	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
+	"dcfp/internal/ident"
+	"dcfp/internal/metrics"
+	"dcfp/internal/stats"
 )
 
 var (
@@ -407,5 +410,59 @@ func TestFrozenTensorBuilds(t *testing.T) {
 	}
 	if _, err := RunIdentification(tn, OnlineRunConfig(3, 10)); err != nil {
 		t.Fatal(err)
+	}
+
+	// The ablation itself: the last crisis c, identification epoch k, sees
+	// the second crisis x as x's full-width state under x's own online
+	// thresholds, projected on c's relevant metrics — not x's raw rows
+	// re-discretized under c's thresholds.
+	n := len(e.Labeled)
+	c, x, k := n-1, 1, ident.IdentificationEpochs-1
+	thc, err := e.OnlineThresholds(e.Labeled[c], cfg.Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := e.RelevantOnline(e.Labeled[c], cfg.PoolSize, cfg.PerCrisisTopK, cfg.NumRelevant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := core.NewFingerprinter(thc, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := e.Labeled[c].Episode.Start
+	part, err := fc.CrisisFingerprintUpTo(e.Trace.Track, start, cfg.Range, start+metrics.Epoch(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thx, err := e.OnlineThresholds(e.Labeled[x], cfg.Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := core.NewFingerprinter(thx, core.AllMetrics(e.Trace.Catalog.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := fx.CrisisFingerprint(e.Trace.Track, e.Labeled[x].Episode.Start, cfg.Range)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frozen []float64
+	for _, m := range rel {
+		frozen = append(frozen, stored[3*m:3*m+3]...)
+	}
+	want, err := stats.L2Distance(part, frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.Partial[c][k][x]; got != want {
+		t.Fatalf("frozen Partial[%d][%d][%d] = %v, want %v", c, k, x, got, want)
+	}
+	recomputed, err := fc.CrisisFingerprint(e.Trace.Track, e.Labeled[x].Episode.Start, cfg.Range)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := stats.L2Distance(part, recomputed); d == want {
+		t.Fatalf("frozen and recomputed distance both %v: the pair does not tell the modes apart", d)
 	}
 }

@@ -140,10 +140,10 @@ func (e *Env) BuildFingerprintTensor(cfg FPConfig) (*Tensor, error) {
 
 	// For the frozen ablation we need each crisis's full-width state under
 	// its *own* thresholds.
-	var frozenFull [][]float64
+	var storedState [][]float64
 	if cfg.FrozenStore {
-		frozenFull = make([][]float64, n)
-		for x := range frozenFull {
+		storedState = make([][]float64, n)
+		for x := range storedState {
 			thx, err := e.OnlineThresholds(e.Labeled[x], cfg.Thresholds)
 			if err != nil {
 				return nil, err
@@ -152,7 +152,7 @@ func (e *Env) BuildFingerprintTensor(cfg FPConfig) (*Tensor, error) {
 			if err != nil {
 				return nil, err
 			}
-			frozenFull[x], err = fx.CrisisFingerprint(e.Trace.Track, e.Labeled[x].Episode.Start, cfg.Range)
+			storedState[x], err = fx.CrisisFingerprint(e.Trace.Track, e.Labeled[x].Episode.Start, cfg.Range)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +163,7 @@ func (e *Env) BuildFingerprintTensor(cfg FPConfig) (*Tensor, error) {
 	// c's identification time.
 	fullUnder := func(c, x int) ([]float64, error) {
 		if cfg.FrozenStore && x != c {
-			return projectRelevant(frozenFull[x], fps[c].Relevant()), nil
+			return projectRelevant(storedState[x], fps[c].Relevant()), nil
 		}
 		return fps[c].CrisisFingerprint(e.Trace.Track, e.Labeled[x].Episode.Start, cfg.Range)
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"dcfp/internal/core"
@@ -285,19 +287,21 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	if s.Store == nil {
 		return fmt.Errorf("monitor: checkpoint has no crisis store")
 	}
-	// A monitor's store recomputes fingerprints (core.NewStore(true)) over
-	// rows three quantiles per catalog metric wide.
-	if !s.Store.UpdateFingerprints {
-		return fmt.Errorf("monitor: checkpoint crisis store is in frozen mode")
-	}
+	// A monitor's store holds rows three quantiles per catalog metric wide.
 	if w := s.Store.Width(); w != width*metrics.NumQuantiles && (w != 0 || s.Store.Len() > 0) {
 		return fmt.Errorf("monitor: checkpoint crisis store width %d, catalog %d × %d quantiles", w, width, metrics.NumQuantiles)
 	}
-	if s.ActiveIdx >= len(s.Past) {
+	// Crises are numbered by a counter that only grows, and only the newest
+	// can be open: anything else would re-issue a past crisis's ID or
+	// re-open, and store a second time, a finalized one.
+	if s.NextID < len(s.Past) {
+		return fmt.Errorf("monitor: checkpoint next crisis number %d with %d past crises", s.NextID, len(s.Past))
+	}
+	if s.ActiveIdx != -1 && s.ActiveIdx != len(s.Past)-1 {
 		return fmt.Errorf("monitor: checkpoint active index %d with %d past crises", s.ActiveIdx, len(s.Past))
 	}
-	if s.ActiveIdx < -1 {
-		return fmt.Errorf("monitor: checkpoint active index %d invalid", s.ActiveIdx)
+	if s.ActiveIdx >= 0 && s.ActiveStart != s.Past[s.ActiveIdx].Start {
+		return fmt.Errorf("monitor: checkpoint active crisis starts at %d, its record at %d", s.ActiveStart, s.Past[s.ActiveIdx].Start)
 	}
 	if len(s.RawRing) != m.cfg.RawPad || len(s.ViolRing) != m.cfg.RawPad || len(s.RingEpoch) != m.cfg.RawPad {
 		return fmt.Errorf("monitor: checkpoint ring size (%d, %d, %d), RawPad %d",
@@ -317,9 +321,17 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	// Sample rows (collected, or still in the ring) all become blocks of one
 	// catalog-wide buffer.
 	sampleRows := append([][][]float64(nil), s.RawRing...)
+	ids := make(map[string]bool, len(s.Past))
 	for i, p := range s.Past {
 		if p.ID == "" {
 			return fmt.Errorf("monitor: checkpoint crisis %d has no ID", i)
+		}
+		if ids[p.ID] {
+			return fmt.Errorf("monitor: checkpoint crisis ID %q repeated", p.ID)
+		}
+		ids[p.ID] = true
+		if n, err := strconv.Atoi(strings.TrimPrefix(p.ID, "crisis-")); err == nil && crisisID(n) == p.ID && n > s.NextID {
+			return fmt.Errorf("monitor: checkpoint crisis %q numbered above next crisis number %d", p.ID, s.NextID)
 		}
 		if len(p.FsX) != len(p.FsY) {
 			return fmt.Errorf("monitor: checkpoint crisis %q samples misaligned (%d rows, %d labels)",

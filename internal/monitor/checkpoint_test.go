@@ -235,6 +235,36 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		}
 	}
 
+	// restore re-encodes the good payload after edit and restores it into a
+	// fresh monitor.
+	restore := func(edit func(*checkpointPayload, int)) (*Monitor, error) {
+		var f checkpointFile
+		if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
+			t.Fatal(err)
+		}
+		edit(&f.State, (f.State.RingPos+len(f.State.RawRing)-1)%len(f.State.RawRing))
+		data := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
+		if err := gob.NewEncoder(data).Encode(&f); err != nil {
+			t.Fatal(err)
+		}
+		fresh := equivMonitor(t, s, 1, nil)
+		_, err := fresh.ReadCheckpoint(data)
+		return fresh, err
+	}
+	// Two finalized crises, numbered and kept as beginCrisis and endCrisis
+	// leave them.
+	twoPast := func(p *checkpointPayload) {
+		p.Past = []checkpointCrisis{{ID: "crisis-001", Start: 4}, {ID: "crisis-002", Start: 12}}
+		p.NextID, p.ActiveIdx, p.ActiveStart = 2, -1, 12
+	}
+	for name, consistent := range map[string]func(*checkpointPayload, int){
+		"two finalized crises": func(p *checkpointPayload, _ int) { twoPast(p) },
+		"newest crisis open":   func(p *checkpointPayload, _ int) { twoPast(p); p.ActiveIdx = 1 },
+	} {
+		if m, err := restore(consistent); err != nil || m.Epoch() != 20 {
+			t.Fatalf("%s: restore err = %v, epoch %d; want a restored monitor", name, err, m.Epoch())
+		}
+	}
 	// Decoded payloads that gob accepts but the monitor must not: sample
 	// rows of the wrong width would poison the open crisis's buffer, and a
 	// ring slot with fewer violation flags than rows would panic the next
@@ -246,31 +276,35 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		"misaligned ring slot": func(p *checkpointPayload, slot int) {
 			p.ViolRing[slot] = p.ViolRing[slot][:len(p.RawRing[slot])-1]
 		},
-		// A monitor only ever builds an update-mode store over rows three
-		// quantiles per catalog metric wide; identification trusts both.
-		"frozen-mode store": func(p *checkpointPayload, _ int) {
-			p.Store = core.NewStore(false)
-		},
+		// A monitor's store holds rows three quantiles per catalog metric
+		// wide; identification trusts that.
 		"store width": func(p *checkpointPayload, _ int) {
-			th := &metrics.Thresholds{Cold: make([][3]float64, 2), Hot: make([][3]float64, 2)}
-			p.Store = core.NewStore(true)
-			if err := p.Store.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}, th); err != nil {
+			p.Store = core.NewStore()
+			if err := p.Store.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}); err != nil {
 				t.Fatal(err)
 			}
 		},
+		// The next detection would re-issue crisis-002, and ResolveCrisis
+		// and Explanations would find the older crisis of that ID.
+		"next id reissues a past id": func(p *checkpointPayload, _ int) { twoPast(p); p.NextID = 1 },
+		"duplicate crisis id":        func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].ID = "crisis-001" },
+		"crisis id above next id":    func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].ID = "crisis-003" },
+		"next id below past count": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.Past[0].ID, p.Past[1].ID, p.NextID = "a", "b", 1
+		},
+		// endCrisis would store crisis-001 a second time.
+		"finalized crisis reopened": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.ActiveIdx, p.ActiveStart = 0, p.Past[0].Start
+		},
+		"active start disagrees": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.ActiveIdx, p.ActiveStart = 1, p.Past[1].Start+1
+		},
 	} {
-		var f checkpointFile
-		if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
-			t.Fatal(err)
-		}
-		corrupt(&f.State, (f.State.RingPos+len(f.State.RawRing)-1)%len(f.State.RawRing))
-		data := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
-		if err := gob.NewEncoder(data).Encode(&f); err != nil {
-			t.Fatal(err)
-		}
-		fresh := equivMonitor(t, s, 1, nil)
-		if _, err := fresh.ReadCheckpoint(data); err == nil || fresh.Epoch() != 0 {
-			t.Fatalf("%s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, fresh.Epoch())
+		if m, err := restore(corrupt); err == nil || m.Epoch() != 0 {
+			t.Fatalf("%s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, m.Epoch())
 		}
 	}
 
@@ -418,7 +452,7 @@ func TestCheckpointDigest(t *testing.T) {
 	const (
 		seed   = 7
 		epochs = 300
-		want   = "5506600f7c8fd007b27aca50a38d3d03bd72a577fbf754acf8cd38f5cbfe1622"
+		want   = "4a04cdfb1c426e5940106a899cc6210d5a981c6449edf8ff936894bdbcddb52e"
 	)
 	scfg := dcsim.DefaultStreamConfig(seed)
 	scfg.WarmupEpochs = 40

@@ -494,7 +494,7 @@ func New(cfg Config) (*Monitor, error) {
 		cfg:       cfg,
 		track:     track,
 		agg:       agg,
-		store:     core.NewStore(true),
+		store:     core.NewStore(),
 		ring:      make([]*epochSamples, cfg.RawPad),
 		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
 		activeIdx: -1,
@@ -820,9 +820,12 @@ func (m *Monitor) pushRing(e metrics.Epoch) {
 	m.ringPos = (m.ringPos + 1) % m.cfg.RawPad
 }
 
+// crisisID names crisis number n.
+func crisisID(n int) string { return fmt.Sprintf("crisis-%03d", n) }
+
 func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
 	m.nextID++
-	p := pastCrisis{id: fmt.Sprintf("crisis-%03d", m.nextID), start: e}
+	p := pastCrisis{id: crisisID(m.nextID), start: e}
 	// Seed feature-selection samples with the buffered pre-crisis epochs,
 	// oldest first. Slots carry the epoch they were filled at: the ring is
 	// not drained when a crisis ends, so when crises come back to back its
@@ -881,7 +884,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	if err != nil {
 		return
 	}
-	if err := m.store.Add(p.id, "", p.start, rows, m.thresholds); err != nil {
+	if err := m.store.Add(p.id, "", p.start, rows); err != nil {
 		return
 	}
 	stored = true
