@@ -154,22 +154,20 @@ func TestPublicAPIPrimitives(t *testing.T) {
 		t.Fatalf("OnlineThreshold = %v, %v", thr, err)
 	}
 
-	// Crisis store: a crisis hot on metric 0 and cold on metric 1 is
-	// fingerprinted from its raw rows under the current thresholds.
-	store := dcfp.NewCrisisStore()
-	if store.Len() != 0 {
-		t.Fatal("fresh store not empty")
+	// A stored crisis is a window of the track: one detected at 202 and
+	// closed at 203, hot on metric 0 and cold on metric 1, is fingerprinted
+	// from epochs 200..203 under the current thresholds.
+	for e := 0; e < 4; e++ {
+		if err := track.AppendEpoch([][3]float64{{500, 500, 500}, {5, 5, 5}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	row := []float64{500, 500, 500, 5, 5, 5}
-	if err := store.Add("crisis-001", "", 100, [][]float64{row, row}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Fingerprint(0, fp)
+	got, err := fp.CrisisFingerprintUpTo(track, 202, dcfp.DefaultSummaryRange(), 203)
 	if want := []float64{1, 1, 1, -1, -1, -1}; err != nil || !slices.Equal(got, want) {
 		t.Fatalf("stored fingerprint = %v, %v; want %v", got, err, want)
 	}
-	if err := store.Add("crisis-002", "", 120, [][]float64{{1, 2, 3, 4}}); err == nil || store.Len() != 1 {
-		t.Fatalf("Add of a row not three quantiles per metric: err %v, %d stored", err, store.Len())
+	if _, err := fp.CrisisFingerprintUpTo(track, 210, dcfp.DefaultSummaryRange(), 212); err == nil {
+		t.Fatal("fingerprint of a window past the track's end: want an error")
 	}
 }
 

@@ -247,7 +247,8 @@ func BenchmarkAblationQuantileCount(b *testing.B) {
 }
 
 // BenchmarkFingerprintStorage measures the §6.3 bookkeeping: recomputing a
-// stored crisis's fingerprint from raw quantile rows under fresh thresholds.
+// stored crisis's fingerprint from its window of the quantile track under
+// fresh thresholds.
 func BenchmarkFingerprintStorage(b *testing.B) {
 	env := sharedEnv(b)
 	tr := env.Trace
@@ -256,14 +257,8 @@ func BenchmarkFingerprintStorage(b *testing.B) {
 		b.Fatal(err)
 	}
 	dc := env.Labeled[0]
-	rows, err := core.CaptureRows(tr.Track, dc.Episode.Start, core.DefaultSummaryRange())
-	if err != nil {
-		b.Fatal(err)
-	}
-	store := core.NewStore()
-	if err := store.Add(dc.Instance.ID, "B", dc.Episode.Start, rows); err != nil {
-		b.Fatal(err)
-	}
+	r := core.DefaultSummaryRange()
+	closed := dc.Episode.Start + metrics.Epoch(r.After)
 	rel, err := env.RelevantOffline(10, 30)
 	if err != nil {
 		b.Fatal(err)
@@ -272,14 +267,15 @@ func BenchmarkFingerprintStorage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var memo core.FingerprintMemo
 	b.Run("uncached", func(b *testing.B) {
-		// Generation 0 bypasses the cache: every call re-discretizes.
+		// Generation 0 bypasses the memo: every call re-discretizes.
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Fingerprint(0, f); err != nil {
+			if _, _, err := f.StoredFingerprint(&memo, tr.Track, dc.Episode.Start, r, closed); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(core.BytesPerCrisis(tr.Catalog.Len(), core.DefaultSummaryRange())), "bytes/crisis")
+		b.ReportMetric(float64(core.BytesPerCrisis(tr.Catalog.Len(), r)), "bytes/crisis")
 	})
 	b.Run("cached", func(b *testing.B) {
 		// A generation-tagged fingerprinter memoizes per (generation,
@@ -291,14 +287,18 @@ func BenchmarkFingerprintStorage(b *testing.B) {
 		}
 		g.SetGeneration(1)
 		b.ResetTimer()
+		hits := 0
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Fingerprint(0, g); err != nil {
+			_, hit, err := g.StoredFingerprint(&memo, tr.Track, dc.Episode.Start, r, closed)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if hit {
+				hits++
+			}
 		}
-		hits, _ := store.CacheStats()
-		if uint64(b.N) > 1 && hits == 0 {
-			b.Fatal("cache never hit")
+		if b.N > 1 && hits == 0 {
+			b.Fatal("memo never hit")
 		}
 	})
 }

@@ -29,10 +29,9 @@
 //	}
 //
 // Lower-level building blocks (quantile tracks, thresholds, fingerprinters,
-// the crisis store, identification-threshold rules) are exported for
-// callers that integrate with an existing metrics pipeline, and a full
-// datacenter simulator (Simulate) reproduces the paper's evaluation
-// workload.
+// identification-threshold rules) are exported for callers that integrate
+// with an existing metrics pipeline, and a full datacenter simulator
+// (Simulate) reproduces the paper's evaluation workload.
 package dcfp
 
 import (
@@ -147,15 +146,6 @@ func OnlineThreshold(pairs []LabeledPair, alpha float64) (float64, error) {
 	return core.OnlineThreshold(pairs, alpha)
 }
 
-// CrisisStore keeps past crises' raw quantile rows so their fingerprints
-// can be recomputed as thresholds drift (§6.3).
-type CrisisStore = core.Store
-
-// NewCrisisStore returns an empty store. Add keeps a crisis's raw quantile
-// rows; Fingerprint recomputes its fingerprint under the thresholds and
-// relevant metrics of the fingerprinter it is given.
-func NewCrisisStore() *CrisisStore { return core.NewStore() }
-
 // QuantileEstimator summarizes a stream of observations (one per machine)
 // and answers quantile queries.
 type QuantileEstimator = quantile.Estimator
@@ -180,7 +170,7 @@ func DefaultMonitorConfig(cat *Catalog, slaCfg SLAConfig) MonitorConfig {
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
 
 // MonitorStats is a point-in-time snapshot of a Monitor's operational state
-// (epochs seen, store contents, active crisis, threshold age).
+// (epochs seen, crises stored and labelled, active crisis, threshold age).
 type MonitorStats = monitor.Stats
 
 // CrisisRecord summarizes one crisis the Monitor has seen.

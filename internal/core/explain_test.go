@@ -126,24 +126,25 @@ func TestExplainDistanceFullBreakdown(t *testing.T) {
 }
 
 // TestExplainStored explains an ongoing crisis against a stored one the way
-// identification does: the candidate fingerprint is read through the store.
+// identification does: the candidate fingerprint is read from the stored
+// crisis's window of the track.
 func TestExplainStored(t *testing.T) {
 	const n = 3
 	th := explainThresholds(t, n)
-	s := NewStore()
-	rows := [][]float64{
-		{100, 100, 100, 5, 5, 5, 50, 50, 50},
-		{100, 100, 100, 5, 5, 5, 50, 50, 50},
-	}
-	if err := s.Add("crisis-001", "db-overload", 10, rows); err != nil {
-		t.Fatal(err)
-	}
+	// Crisis detected at 10 and closed at 11: its window is epochs 8..11.
+	tr := trackOf(t, n, 20, func(e, m, qi int) float64 {
+		if e < 8 || e > 11 {
+			return 50
+		}
+		return []float64{100, 5, 50}[m]
+	})
 	f, err := NewFingerprinter(th, AllMetrics(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ongoing := make([]float64, f.Size()) // all-normal ongoing crisis
-	fp, err := s.Fingerprint(0, f)
+	var memo FingerprintMemo
+	fp, _, err := f.StoredFingerprint(&memo, tr, 10, DefaultSummaryRange(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type Fingerprinter struct {
 	relevant   []int // sorted metric columns
 	// gen is the caller-assigned thresholds generation (0 = untagged).
 	// Together with relHash it identifies the (thresholds, relevant-set)
-	// pair for Store's fingerprint cache.
+	// pair a FingerprintMemo is keyed by.
 	gen     uint64
 	relHash uint64
 }
@@ -85,7 +85,7 @@ func NewFingerprinter(th *metrics.Thresholds, relevant []int) (*Fingerprinter, e
 }
 
 // hashRelevant is an FNV-1a hash of the sorted relevant-metric columns —
-// the relevant-set half of the fingerprint cache key.
+// the relevant-set half of a FingerprintMemo's key.
 func hashRelevant(rel []int) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -107,8 +107,8 @@ func hashRelevant(rel []int) uint64 {
 // generation. Generations are opaque to core; callers (the online monitor)
 // bump theirs whenever thresholds are re-estimated, so a (generation,
 // relevant-set) pair uniquely identifies the discretization in force.
-// Generation 0 — the default — disables Store-side fingerprint caching,
-// which keeps one-shot offline fingerprinters safe by construction.
+// Generation 0 — the default — bypasses every FingerprintMemo, which keeps
+// one-shot offline fingerprinters safe by construction.
 func (f *Fingerprinter) SetGeneration(gen uint64) { f.gen = gen }
 
 // Generation returns the tagged thresholds generation (0 = untagged).
@@ -200,6 +200,46 @@ func (f *Fingerprinter) CrisisFingerprintUpTo(track *metrics.QuantileTrack, dete
 		return nil, fmt.Errorf("core: summary window [%d,%d] has no observed epochs", lo, hi)
 	}
 	return stats.MeanVector(eps)
+}
+
+// FingerprintMemo holds one stored crisis's fingerprint with the (thresholds
+// generation, relevant set) it was computed under. A stored crisis's summary
+// window is closed and the track never rewrites it, so within one such pair
+// its fingerprint cannot change, and re-discretizing every stored crisis on
+// each identification epoch would be the online hot path's dominant
+// repeated cost.
+type FingerprintMemo struct {
+	gen, rel uint64
+	fp       []float64
+}
+
+// StoredFingerprint returns the fingerprint of a stored crisis (§6.3): its
+// summary window over the track, closed at the epoch the crisis closed at
+// (CrisisFingerprintUpTo), under f's current thresholds and relevant metrics.
+// When f carries a generation (SetGeneration) and memo was filled under the
+// same generation and relevant set, the memoized fingerprint is returned and
+// hit is true; otherwise it is computed and, for a tagged f, kept in memo.
+// The returned slice may be memo's: callers must not modify it.
+func (f *Fingerprinter) StoredFingerprint(memo *FingerprintMemo, track *metrics.QuantileTrack, detectedStart metrics.Epoch, r SummaryRange, closedAt metrics.Epoch) (fp []float64, hit bool, err error) {
+	if f.gen != 0 && memo.fp != nil && memo.gen == f.gen && memo.rel == f.relHash {
+		return memo.fp, true, nil
+	}
+	fp, err = f.CrisisFingerprintUpTo(track, detectedStart, r, closedAt)
+	if err != nil {
+		return nil, false, err
+	}
+	if f.gen != 0 {
+		*memo = FingerprintMemo{gen: f.gen, rel: f.relHash, fp: fp}
+	}
+	return fp, false, nil
+}
+
+// BytesPerCrisis reports the raw-quantile cost of keeping one crisis with
+// the given summary window, reproducing the §6.3 accounting (the paper
+// counts 100 metrics × 3 quantiles × 7 epochs × 4 bytes = 8400 B; the track
+// holds float64, doubling it).
+func BytesPerCrisis(numMetrics int, r SummaryRange) int {
+	return numMetrics * metrics.NumQuantiles * r.Len() * 8
 }
 
 // EpochGrid returns the raw {-1,0,+1} grid of the summary window — one row

@@ -50,7 +50,7 @@ func TestEndCrisisReleasesBuffersWhenUnstored(t *testing.T) {
 	if tb.m.activeIdx >= 0 {
 		t.Fatal("crisis still active")
 	}
-	if tb.m.store.Len() != 0 {
+	if tb.m.storedCrises() != 0 {
 		t.Fatal("precondition: crisis must be unstorable without thresholds")
 	}
 	if p := tb.m.past[0]; p.fs.Len() != 0 {
@@ -82,8 +82,8 @@ func TestBackToBackCrisesSkipStaleRing(t *testing.T) {
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("two calm epochs must close the episode")
 	}
-	if tb.m.store.Len() != 1 {
-		t.Fatalf("store.Len = %d after first crisis", tb.m.store.Len())
+	if tb.m.storedCrises() != 1 {
+		t.Fatalf("store.Len = %d after first crisis", tb.m.storedCrises())
 	}
 	// Crisis 2 opens on the very next epoch (210).
 	tb.effects = map[int]float64{tbLatency: 5, tbQueueB: 8}
@@ -154,8 +154,8 @@ func TestFlushFinalizesTrailingCrisis(t *testing.T) {
 	if tb.m.activeIdx >= 0 {
 		t.Fatal("crisis still active after Flush")
 	}
-	if tb.m.store.Len() != 1 {
-		t.Fatalf("store.Len = %d, want the trailing crisis stored", tb.m.store.Len())
+	if tb.m.storedCrises() != 1 {
+		t.Fatalf("store.Len = %d, want the trailing crisis stored", tb.m.storedCrises())
 	}
 	if p := tb.m.past[0]; p.fs.Len() != 0 {
 		t.Fatal("feature-selection buffers retained after Flush")
@@ -170,9 +170,10 @@ func TestFlushFinalizesTrailingCrisis(t *testing.T) {
 	}
 }
 
-// TestResolveCrisisOnUnstoredThenStored pins the label-propagation fix: a
-// crisis that failed to store makes past and store indices diverge, and
-// resolving a *later, stored* crisis must still reach its store entry.
+// TestResolveCrisisOnUnstoredThenStored pins label propagation across an
+// unstored crisis: the label lands on the record of the crisis it names,
+// and a labelled crisis that was never stored is no identification
+// candidate, while a labelled stored one after it is.
 func TestResolveCrisisOnUnstoredThenStored(t *testing.T) {
 	tb := newTestbed(t)
 	// Crisis 1 lands before thresholds exist → never stored.
@@ -185,42 +186,31 @@ func TestResolveCrisisOnUnstoredThenStored(t *testing.T) {
 	tb.step()
 	tb.step()
 	tb.step()
-	if tb.m.store.Len() != 0 {
+	if tb.m.storedCrises() != 0 {
 		t.Fatal("precondition: crisis 1 must be unstored")
 	}
 	// Establish thresholds, then a second crisis that does store.
 	tb.quiet(150)
 	id2, _ := tb.crisis("X", 8)
-	if tb.m.store.Len() != 1 {
+	if tb.m.storedCrises() != 1 {
 		t.Fatal("crisis 2 not stored")
 	}
-	// Resolving the unstored crisis records the label on the episode and
-	// leaves the store untouched.
 	id1 := tb.m.past[0].id
-	if err := tb.m.ResolveCrisis(id1, "A"); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct{ id, label string }{{id1, "A"}, {id2, "X"}} {
+		if err := tb.m.ResolveCrisis(r.id, r.label); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tb.m.past[0].label != "A" {
-		t.Fatalf("past label = %q", tb.m.past[0].label)
+	recs := tb.m.Crises()
+	if len(recs) != 2 || recs[0].Label != "A" || recs[0].Stored || recs[1].Label != "X" || !recs[1].Stored {
+		t.Fatalf("crisis records %+v, want crisis 1 labelled A unstored, crisis 2 labelled X stored", recs)
 	}
-	c, err := tb.m.store.Crisis(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Label != "" {
-		t.Fatalf("unstored crisis's label leaked onto store entry %q", c.ID)
-	}
-	// Resolving the stored crisis must reach the store even though its
-	// past index (1) differs from its store index (0).
-	if err := tb.m.ResolveCrisis(id2, "X"); err != nil {
-		t.Fatal(err)
-	}
-	c, err = tb.m.store.Crisis(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Label != "X" {
-		t.Fatalf("store label = %q, want X (index-gated propagation)", c.Label)
+	// A third crisis is compared against the labelled stored crisis only.
+	tb.quiet(20)
+	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
+	rep := tb.step()
+	if rep.Advice == nil || rep.Advice.Candidates != 1 || rep.Advice.Explanation.Candidates[0].CrisisID != id2 {
+		t.Fatalf("advice %+v, want crisis 2 as the one candidate", rep.Advice)
 	}
 }
 

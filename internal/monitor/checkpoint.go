@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -26,13 +27,15 @@ import (
 //   - the per-epoch crisis/degraded flags and the crisis state machine
 //     (open episode, calm counter, pre-crisis ring buffer and the
 //     feature-selection samples of unfinalized crises)
-//   - the crisis store with its raw rows and frozen fingerprints
-//   - the degraded-ingestion carry state (last summary, liveness, coverage)
+//   - every crisis record: label, metric ranking, audit records and, for a
+//     stored crisis, the epoch it closed at, which with its start delimits
+//     its window of the track
+//   - the degraded-ingestion carry state (last summary, coverage)
 //
-// Two things are deliberately NOT persisted. The aggregator's shard
-// estimators are empty at every epoch boundary (Summarize drains them), so
-// there is nothing to save. The store's fingerprint cache is a pure
-// memoization and repopulates after restore.
+// Two things are deliberately NOT persisted. The aggregator's estimators
+// are empty at every epoch boundary (summarizing drains them), so there is
+// nothing to save. The stored crises' fingerprint memos and identify's
+// threshold memo are pure memoizations and repopulate after restore.
 //
 // A checkpoint restores byte-identically: replaying the same epochs through
 // the restored monitor yields the same reports and advice as an
@@ -63,16 +66,18 @@ type CheckpointMeta struct {
 // checkpointCrisis mirrors pastCrisis with exported fields. Votes and Expl
 // were added after version 1 shipped; gob tolerates the asymmetry in both
 // directions (old checkpoints restore with empty audit state), so the
-// version stays 1.
+// version stays 1. Closed replaced the payload's Store later: checkpoints
+// that carry a Store lack it, and legacyStore supplies it.
 type checkpointCrisis struct {
-	ID    string
-	Label string
-	Start metrics.Epoch
-	FsX   [][]float64
-	FsY   []int
-	Top   []int
-	Votes []string
-	Expl  []*ident.Explanation
+	ID     string
+	Label  string
+	Start  metrics.Epoch
+	Closed metrics.Epoch
+	FsX    [][]float64
+	FsY    []int
+	Top    []int
+	Votes  []string
+	Expl   []*ident.Explanation
 }
 
 // checkpointPayload is the gob image of all mutable Monitor state.
@@ -94,7 +99,10 @@ type checkpointPayload struct {
 	DegradedCount int64
 	LastCoverage  float64
 
-	Store  *core.Store
+	// Store is only ever read: checkpoints written while the monitor kept a
+	// separate crisis store carry it, and a build that refuses a payload
+	// without one refuses this build's checkpoints.
+	Store  *legacyStore
 	Past   []checkpointCrisis
 	NextID int
 
@@ -140,7 +148,6 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 			Expected:      m.expected,
 			DegradedCount: m.degradedCount,
 			LastCoverage:  m.lastCoverage,
-			Store:         m.store,
 			NextID:        m.nextID,
 			RawRing:       make([][][]float64, len(m.ring)),
 			ViolRing:      make([][]bool, len(m.ring)),
@@ -166,7 +173,7 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 		p := &m.past[i]
 		x, y := p.fs.Rows()
 		f.State.Past = append(f.State.Past, checkpointCrisis{
-			ID: p.id, Label: p.label, Start: p.start,
+			ID: p.id, Label: p.label, Start: p.start, Closed: p.closed,
 			FsX: x, FsY: y, Top: p.top,
 			Votes: p.votes, Expl: m.explanations(p),
 		})
@@ -198,6 +205,9 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 		return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint decode: %w", err)
 	}
 	s := &f.State
+	if err := s.Store.setClosed(s.Past); err != nil {
+		return CheckpointMeta{}, err
+	}
 	if err := m.validatePayload(s); err != nil {
 		return CheckpointMeta{}, err
 	}
@@ -208,7 +218,7 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 			return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint crisis %q: %w", p.ID, err)
 		}
 		past[i] = pastCrisis{
-			id: p.ID, label: p.Label, start: p.Start,
+			id: p.ID, label: p.Label, start: p.Start, closed: p.Closed,
 			fs: *fs, top: p.Top, votes: p.Votes,
 		}
 		for _, e := range p.Expl {
@@ -232,7 +242,6 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.expected = s.Expected
 	m.degradedCount = s.DegradedCount
 	m.lastCoverage = s.LastCoverage
-	m.store = s.Store
 	m.past = past
 	m.nextID = s.NextID
 	// An empty slot was never filled (gob turns nil inner slices into empty
@@ -249,10 +258,6 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	m.activeIdx = s.ActiveIdx
 	m.calm = s.Calm
 	m.fc.restore(s.Forecast)
-	// The restored store's fingerprint cache starts cold; reset the
-	// telemetry deltas so counters don't jump backward. The threshold memo
-	// starts cold too.
-	m.lastCacheHits, m.lastCacheMiss = 0, 0
 	m.thrMemo = thresholdMemo{}
 	return f.Meta, nil
 }
@@ -283,13 +288,6 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	}
 	if s.LastSummary != nil && len(s.LastSummary) != width {
 		return fmt.Errorf("monitor: checkpoint last summary width %d, catalog %d", len(s.LastSummary), width)
-	}
-	if s.Store == nil {
-		return fmt.Errorf("monitor: checkpoint has no crisis store")
-	}
-	// A monitor's store holds rows three quantiles per catalog metric wide.
-	if w := s.Store.Width(); w != width*metrics.NumQuantiles && (w != 0 || s.Store.Len() > 0) {
-		return fmt.Errorf("monitor: checkpoint crisis store width %d, catalog %d × %d quantiles", w, width, metrics.NumQuantiles)
 	}
 	// Crises are numbered by a counter that only grows, and only the newest
 	// can be open: anything else would re-issue a past crisis's ID or
@@ -332,6 +330,19 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 		ids[p.ID] = true
 		if n, err := strconv.Atoi(strings.TrimPrefix(p.ID, "crisis-")); err == nil && crisisID(n) == p.ID && n > s.NextID {
 			return fmt.Errorf("monitor: checkpoint crisis %q numbered above next crisis number %d", p.ID, s.NextID)
+		}
+		// A stored crisis closed after it started and before the snapshot;
+		// the open crisis is not stored yet.
+		if p.Closed != -1 && (i == s.ActiveIdx || p.Closed < p.Start || p.Closed >= s.Epoch) {
+			return fmt.Errorf("monitor: checkpoint crisis %q starts at %d, closed at %d, epoch %d (active %v)",
+				p.ID, p.Start, p.Closed, s.Epoch, i == s.ActiveIdx)
+		}
+		// Every relevant-set computation reads the ranking as catalog
+		// columns; one outside the catalog would fail each of them.
+		for _, c := range p.Top {
+			if c < 0 || c >= width {
+				return fmt.Errorf("monitor: checkpoint crisis %q ranks metric %d, catalog %d", p.ID, c, width)
+			}
 		}
 		if len(p.FsX) != len(p.FsY) {
 			return fmt.Errorf("monitor: checkpoint crisis %q samples misaligned (%d rows, %d labels)",
@@ -415,4 +426,64 @@ func LoadCheckpoint(dir string, m *Monitor) (meta CheckpointMeta, ok bool, err e
 		return CheckpointMeta{}, false, err
 	}
 	return meta, true, nil
+}
+
+// legacyStore reads the crisis store that checkpoints carried while the
+// monitor kept one beside its crisis records: per stored crisis, its ID and
+// the track rows of its summary window, as many as had been observed when
+// it closed. The rows are the track's own, which the checkpoint also holds.
+type legacyStore struct {
+	rows map[string]int // crisis ID → window rows
+}
+
+// GobEncode refuses: a checkpoint is written without a store (gob skips the
+// nil field), and the method only lets the payload type encode.
+func (s *legacyStore) GobEncode() ([]byte, error) {
+	return nil, errors.New("monitor: the legacy crisis store is read-only")
+}
+
+// GobDecode decodes the store's gob image, keeping each crisis's row count.
+func (s *legacyStore) GobDecode(p []byte) error {
+	var g struct {
+		Crises []struct {
+			ID   string
+			Rows [][]float64
+		}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&g); err != nil {
+		return fmt.Errorf("monitor: checkpoint crisis store: %w", err)
+	}
+	s.rows = make(map[string]int, len(g.Crises))
+	for _, c := range g.Crises {
+		s.rows[c.ID] = len(c.Rows)
+	}
+	return nil
+}
+
+// setClosed sets each crisis record's Closed from the store: -1 for a crisis
+// the store lacks, else the last epoch of its stored window, which bounds
+// the window exactly as the epoch it closed at did. A nil store (a
+// checkpoint without one) leaves past as decoded.
+func (s *legacyStore) setClosed(past []checkpointCrisis) error {
+	if s == nil {
+		return nil
+	}
+	found := 0
+	for i := range past {
+		p := &past[i]
+		n, ok := s.rows[p.ID]
+		p.Closed = -1
+		if !ok {
+			continue
+		}
+		found++
+		if n < 1 || n > summaryRange.Len() {
+			return fmt.Errorf("monitor: checkpoint stores crisis %q with %d rows", p.ID, n)
+		}
+		p.Closed = max(0, p.Start-metrics.Epoch(summaryRange.Before)) + metrics.Epoch(n) - 1
+	}
+	if found != len(s.rows) {
+		return fmt.Errorf("monitor: checkpoint stores %d crises without a record", len(s.rows)-found)
+	}
+	return nil
 }

@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"dcfp/internal/core"
 	"dcfp/internal/crisis"
 	"dcfp/internal/dcsim"
+	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
 )
 
@@ -252,9 +252,9 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		return fresh, err
 	}
 	// Two finalized crises, numbered and kept as beginCrisis and endCrisis
-	// leave them.
+	// leave them: the first stored when it closed, the second not.
 	twoPast := func(p *checkpointPayload) {
-		p.Past = []checkpointCrisis{{ID: "crisis-001", Start: 4}, {ID: "crisis-002", Start: 12}}
+		p.Past = []checkpointCrisis{{ID: "crisis-001", Start: 4, Closed: 6}, {ID: "crisis-002", Start: 12, Closed: -1}}
 		p.NextID, p.ActiveIdx, p.ActiveStart = 2, -1, 12
 	}
 	for name, consistent := range map[string]func(*checkpointPayload, int){
@@ -276,14 +276,25 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		"misaligned ring slot": func(p *checkpointPayload, slot int) {
 			p.ViolRing[slot] = p.ViolRing[slot][:len(p.RawRing[slot])-1]
 		},
-		// A monitor's store holds rows three quantiles per catalog metric
-		// wide; identification trusts that.
-		"store width": func(p *checkpointPayload, _ int) {
-			p.Store = core.NewStore()
-			if err := p.Store.Add("c", "", 0, [][]float64{{1, 2, 3, 4, 5, 6}}); err != nil {
-				t.Fatal(err)
-			}
+		// A ranking outside the catalog would fail every later relevant
+		// set, and with it all advice.
+		"ranked metrics outside the catalog": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.Past[0].Top = []int{-1, m.cfg.Catalog.Len() + 5}
 		},
+		"ranked metric past the catalog": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.Past[0].Top = []int{m.cfg.Catalog.Len()}
+		},
+		// A stored crisis's window ends where it closed: after its start,
+		// before the snapshot, and never for the open crisis.
+		"open crisis stored": func(p *checkpointPayload, _ int) {
+			twoPast(p)
+			p.ActiveIdx, p.Past[1].Closed = 1, 14
+		},
+		"closed before its start": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 3 },
+		"closed at the snapshot":  func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 20 },
+		"closed below unset (-1)": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].Closed = -2 },
 		// The next detection would re-issue crisis-002, and ResolveCrisis
 		// and Explanations would find the older crisis of that ID.
 		"next id reissues a past id": func(p *checkpointPayload, _ int) { twoPast(p); p.NextID = 1 },
@@ -452,7 +463,7 @@ func TestCheckpointDigest(t *testing.T) {
 	const (
 		seed   = 7
 		epochs = 300
-		want   = "4a04cdfb1c426e5940106a899cc6210d5a981c6449edf8ff936894bdbcddb52e"
+		want   = "246d2453497e92c434e9b71ff41c5f70c08fc06caf755de1dfd38c47db63f2e2"
 	)
 	scfg := dcsim.DefaultStreamConfig(seed)
 	scfg.WarmupEpochs = 40
@@ -522,71 +533,216 @@ func TestCheckpointDigest(t *testing.T) {
 	}
 }
 
-// TestStoredRowsOutliveTrackGrowth: a stored crisis keeps its summary
-// window's rows as views of the monitor's quantile track, so they must keep
-// their bits while the track grows past them — 300 more epochs, across a
-// block boundary — and a monitor restored from a checkpoint holds the same
-// bits in its store's decoded rows.
-func TestStoredRowsOutliveTrackGrowth(t *testing.T) {
-	tb := newTestbed(t)
-	for i := 0; i < 200; i++ {
-		tb.step()
+// Test-local types in the shape checkpoints had while the monitor kept its
+// stored crises in a separate crisis store: the payload's Store field, and
+// crisis records without Closed.
+type (
+	parentStoreEntry struct {
+		ID            string
+		Label         string
+		DetectedStart metrics.Epoch
+		Rows          [][]float64
 	}
-	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
-	for i := 0; i < 8; i++ {
-		tb.step()
+	parentStore struct {
+		Width  int
+		Crises []parentStoreEntry
 	}
-	tb.effects = nil
-	for i := 0; i < 40 && tb.m.store.Len() == 0; i++ {
-		tb.step()
+	parentCrisis struct {
+		ID    string
+		Label string
+		Start metrics.Epoch
+		FsX   [][]float64
+		FsY   []int
+		Top   []int
+		Votes []string
+		Expl  []*ident.Explanation
 	}
-	if tb.m.store.Len() == 0 {
-		t.Fatal("script stored no crisis")
+	parentPayload struct {
+		Epoch         metrics.Epoch
+		InCrisis      []bool
+		Degraded      []bool
+		Track         *metrics.QuantileTrack
+		HasThresh     bool
+		Thresholds    metrics.Thresholds
+		LastThresh    metrics.Epoch
+		ThGen         uint64
+		LastSummary   [][3]float64
+		Expected      int
+		DegradedCount int64
+		LastCoverage  float64
+		Store         *parentStore
+		Past          []parentCrisis
+		NextID        int
+		RawRing       [][][]float64
+		ViolRing      [][]bool
+		RingEpoch     []metrics.Epoch
+		RingPos       int
+		ActiveStart   metrics.Epoch
+		ActiveIdx     int
+		Calm          int
+		Forecast      *forecastCheckpoint
 	}
-	c, err := tb.m.store.Crisis(0)
-	if err != nil {
+	parentFile struct {
+		Meta  CheckpointMeta
+		State parentPayload
+	}
+)
+
+// GobEncode writes the store as its own gob stream, as the crisis store did.
+func (s *parentStore) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Width  int
+		Crises []parentStoreEntry
+	}{s.Width, s.Crises})
+	return buf.Bytes(), err
+}
+
+// parentCheckpoint encodes m's state in the parent shape: every stored
+// crisis's window rows copied out of the track into the store, in storage
+// order.
+func parentCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta, edit func(*parentPayload)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.WriteCheckpoint(&buf, meta); err != nil {
 		t.Fatal(err)
 	}
-	var want []uint64
-	for _, r := range c.Rows {
-		for _, v := range r {
-			want = append(want, math.Float64bits(v))
-		}
+	hdr := len(checkpointMagic) + 4
+	var f checkpointFile
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[hdr:])).Decode(&f); err != nil {
+		t.Fatal(err)
 	}
-	same := func(what string, c *core.StoredCrisis) {
+	c := f.State
+	p := parentPayload{
+		Epoch: c.Epoch, InCrisis: c.InCrisis, Degraded: c.Degraded, Track: c.Track,
+		HasThresh: c.HasThresh, Thresholds: c.Thresholds, LastThresh: c.LastThresh, ThGen: c.ThGen,
+		LastSummary: c.LastSummary, Expected: c.Expected, DegradedCount: c.DegradedCount, LastCoverage: c.LastCoverage,
+		Store: &parentStore{}, NextID: c.NextID,
+		RawRing: c.RawRing, ViolRing: c.ViolRing, RingEpoch: c.RingEpoch, RingPos: c.RingPos,
+		ActiveStart: c.ActiveStart, ActiveIdx: c.ActiveIdx, Calm: c.Calm, Forecast: c.Forecast,
+	}
+	for _, pc := range c.Past {
+		p.Past = append(p.Past, parentCrisis{
+			ID: pc.ID, Label: pc.Label, Start: pc.Start, FsX: pc.FsX, FsY: pc.FsY,
+			Top: pc.Top, Votes: pc.Votes, Expl: pc.Expl,
+		})
+		if pc.Closed < 0 {
+			continue
+		}
+		sc := parentStoreEntry{ID: pc.ID, Label: pc.Label, DetectedStart: pc.Start}
+		lo := max(0, pc.Start-metrics.Epoch(summaryRange.Before))
+		hi := min(pc.Start+metrics.Epoch(summaryRange.After), pc.Closed)
+		for e := lo; e <= hi; e++ {
+			row, err := m.track.EpochRow(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Rows = append(sc.Rows, append([]float64(nil), row...))
+		}
+		p.Store.Width = len(sc.Rows[0])
+		p.Store.Crises = append(p.Store.Crises, sc)
+	}
+	if edit != nil {
+		edit(&p)
+	}
+	out := bytes.NewBuffer(append([]byte(nil), buf.Bytes()[:hdr]...))
+	if err := gob.NewEncoder(out).Encode(&parentFile{Meta: f.Meta, State: p}); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestCheckpointRestoresParentStore: a checkpoint written while the monitor
+// kept a separate crisis store restores, each stored crisis's window taken
+// from the store's row count, and the replay after it equals an
+// uninterrupted run's reports, advice against the stored crises included.
+// The run is TestAdviceStreamDigest's, snapshot while the crisis after the
+// one that closed early is open, so that one's shorter window is restored
+// too. A store that names a crisis without a record, or holds a window
+// longer than the summary range, is refused.
+func TestCheckpointRestoresParentStore(t *testing.T) {
+	const replay = 100
+	s, cfg := earlyCloseRun(t)
+	newMon := func() *Monitor {
 		t.Helper()
-		k := 0
-		for _, r := range c.Rows {
-			for _, v := range r {
-				if k >= len(want) || math.Float64bits(v) != want[k] {
-					t.Fatalf("%s: stored value %d is %v, was %v when stored", what, k, v, math.Float64frombits(want[k]))
-				}
-				k++
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a := newMon()
+	lastActive, label := false, ""
+	step := func(ms ...*Monitor) *EpochReport {
+		t.Helper()
+		rows, act, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reps []*EpochReport
+		for _, m := range ms {
+			rep, err := m.ObserveEpoch(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		for i := 1; i < len(reps); i++ {
+			if !reflect.DeepEqual(reps[0], reps[i]) {
+				t.Fatalf("epoch %d after restore: reports diverge:\noriginal: %+v\nrestored: %+v", reps[0].Epoch, reps[0], reps[i])
 			}
 		}
-		if k != len(want) {
-			t.Fatalf("%s: %d stored values, %d when stored", what, k, len(want))
+		if act != nil {
+			label = fmt.Sprintf("type-%d", act.Type)
+		}
+		if lastActive && !reps[0].CrisisActive {
+			id := ms[0].Crises()[len(ms[0].Crises())-1].ID
+			for _, m := range ms {
+				if err := m.ResolveCrisis(id, label); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		lastActive = reps[0].CrisisActive
+		return reps[0]
+	}
+	for a.storedCrises() < 5 || !lastActive {
+		step(a)
+	}
+	if p := a.past[4]; p.closed >= p.start+metrics.Epoch(summaryRange.After) {
+		t.Fatalf("crisis %s started at %d and closed at %d: the script no longer closes one early", p.id, p.start, p.closed)
+	}
+	meta := CheckpointMeta{SourceEpoch: int64(a.Epoch()) - 1}
+	for name, edit := range map[string]func(*parentPayload){
+		"crisis without a record": func(p *parentPayload) {
+			p.Store.Crises = append(p.Store.Crises, parentStoreEntry{ID: "crisis-999", Rows: p.Store.Crises[0].Rows})
+		},
+		"window past the range": func(p *parentPayload) {
+			c := &p.Store.Crises[0]
+			c.Rows = append(c.Rows, make([][]float64, summaryRange.Len())...)
+		},
+	} {
+		if _, err := newMon().ReadCheckpoint(bytes.NewReader(parentCheckpoint(t, a, meta, edit))); err == nil {
+			t.Fatalf("%s: restore should fail", name)
 		}
 	}
-	for i := 0; i < 300; i++ {
-		tb.step()
+	b := newMon()
+	if _, err := b.ReadCheckpoint(bytes.NewReader(parentCheckpoint(t, a, meta, nil))); err != nil {
+		t.Fatalf("parent-shape checkpoint: %v", err)
 	}
-	same("after 300 more epochs", c)
-
-	var buf bytes.Buffer
-	if err := tb.m.WriteCheckpoint(&buf, CheckpointMeta{}); err != nil {
-		t.Fatal(err)
+	if got, want := b.Crises(), a.Crises(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("crisis records diverge:\noriginal: %+v\nrestored: %+v", want, got)
 	}
-	restored, err := New(tb.m.cfg)
-	if err != nil {
-		t.Fatal(err)
+	compared := 0
+	for i := 0; i < replay; i++ {
+		if rep := step(a, b); rep.Advice != nil {
+			compared += rep.Advice.Candidates
+		}
 	}
-	if _, err := restored.ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if compared == 0 {
+		t.Fatal("no advice after the restore compared a stored crisis")
 	}
-	rc, err := restored.store.Crisis(0)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
+		t.Fatalf("stats diverge after replay:\noriginal: %+v\nrestored: %+v", a.Stats(), b.Stats())
 	}
-	same("restored", rc)
 }

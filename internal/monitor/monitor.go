@@ -6,9 +6,10 @@
 //   - maintains hot/cold thresholds over a crisis-free moving window (§3.3),
 //   - detects crises through the KPI SLA rule (§4.1),
 //   - maintains the relevant-metric set from the most recent crises (§3.4),
-//   - stores past crises (raw quantile rows, §6.3) and, during the first
-//     epochs of each new crisis, emits identification advice: the label of
-//     the matching past crisis or "unknown" (§3.5, §5.3).
+//   - stores past crises (as windows of its quantile track, §6.3) and,
+//     during the first epochs of each new crisis, emits identification
+//     advice: the label of the matching past crisis or "unknown" (§3.5,
+//     §5.3).
 //
 // Operators feed diagnoses back with ResolveCrisis, turning unknown crises
 // into known ones for future identification.
@@ -40,16 +41,12 @@ type Config struct {
 	Thresholds metrics.ThresholdConfig
 	// Selection configures relevant-metric selection.
 	Selection core.SelectionConfig
-	// Range is the crisis summary window.
-	Range core.SummaryRange
 	// Alpha is the false-positive budget for the identification
 	// threshold (§5.3).
 	Alpha float64
 	// ThresholdRefreshEpochs is how often hot/cold thresholds are
 	// re-estimated (default: daily).
 	ThresholdRefreshEpochs int
-	// CrisisPool is how many recent crises feed metric selection (20).
-	CrisisPool int
 	// RawPad is how many pre-crisis epochs of raw machine samples are
 	// retained (ring buffer) for feature selection.
 	RawPad int
@@ -91,11 +88,6 @@ type Config struct {
 	// ring served by cmd/dcfpd's /traces endpoint. Nil disables; the
 	// disabled path is a zero-allocation no-op.
 	Tracer *telemetry.Tracer
-	// ExplainTopK bounds how many per-metric-quantile contributions each
-	// identification explanation retains per candidate (the rest is folded
-	// into the residual). 0 resolves to DefaultExplainTopK; negative is
-	// rejected.
-	ExplainTopK int
 	// Forecast configures the online early-warning stage (off by default;
 	// see ForecastConfig). When enabled, every ObserveEpoch rolls the
 	// fleet's violation trend, SLA proximity, out-of-band pressure and the
@@ -104,9 +96,19 @@ type Config struct {
 	Forecast ForecastConfig
 }
 
-// DefaultExplainTopK is the per-candidate contribution count retained in
-// identification explanations when Config.ExplainTopK is left zero.
-const DefaultExplainTopK = 10
+// crisisPool is how many recent crises' metric rankings feed the relevant
+// set (§3.4), and explainTopK how many per-metric-quantile contributions an
+// identification explanation keeps per candidate (the rest is folded into
+// the residual).
+const (
+	crisisPool  = 20
+	explainTopK = 10
+)
+
+// summaryRange is the crisis summary window, the paper's [-30 min, +60 min]
+// (§6.1). It is fixed, so a crisis restored from a checkpoint is re-read
+// under the window it was stored with.
+var summaryRange = core.DefaultSummaryRange()
 
 // DefaultConfig returns the paper's online parameters for the given catalog
 // and SLA.
@@ -116,14 +118,11 @@ func DefaultConfig(cat *metrics.Catalog, slaCfg sla.Config) Config {
 		SLA:                    slaCfg,
 		Thresholds:             metrics.DefaultThresholdConfig(),
 		Selection:              core.DefaultSelectionConfig(),
-		Range:                  core.DefaultSummaryRange(),
 		Alpha:                  0.05,
 		ThresholdRefreshEpochs: metrics.EpochsPerDay,
-		CrisisPool:             20,
 		RawPad:                 8,
 		MinEpochsForThresholds: 7 * metrics.EpochsPerDay,
 		MinCoverage:            0.5,
-		ExplainTopK:            DefaultExplainTopK,
 	}
 }
 
@@ -184,11 +183,20 @@ type EpochReport struct {
 	Forecast ForecastSnapshot
 }
 
-// pastCrisis is a stored crisis plus its label state.
+// pastCrisis is the monitor's record of one crisis, open or past. A stored
+// crisis (§6.3) is a window of the quantile track: the epochs of its summary
+// window up to the one it closed at, from which its fingerprint is
+// recomputed under whatever thresholds and relevant metrics are current.
 type pastCrisis struct {
 	id    string
 	label string // "" until operators resolve it
 	start metrics.Epoch
+	// closed is the epoch the crisis closed at when it was stored, which
+	// needs thresholds to exist then; -1 while it is open or if it was not
+	// stored. memo keeps its fingerprint within one (thresholds generation,
+	// relevant set) window.
+	closed metrics.Epoch
+	memo   core.FingerprintMemo
 	// fs holds the machine-level feature-selection samples gathered around
 	// the crisis, one block per collected epoch, until endCrisis consumes it.
 	fs core.SampleBuffer
@@ -203,24 +211,24 @@ type pastCrisis struct {
 
 // keptExplanation is one identification audit record as its crisis keeps it.
 // A record compares the ongoing fingerprint with every labelled crisis, so
-// whole records grow with the square of the crisis count (ExplainTopK
+// whole records grow with the square of the crisis count (explainTopK
 // contributions per candidate). A record identify built keeps instead what
 // its candidates are a pure function of — the fingerprinter, the ongoing
-// fingerprint, and each candidate's store index and label at the time — and
-// explanation recomputes them: the store's rows never change, so the
-// rebuilt record is the emitted one bit for bit. A record restored from a
-// checkpoint stays whole (f == nil).
+// fingerprint, and each candidate's index in past and label at the time —
+// and explanation recomputes them: a stored crisis's window never changes,
+// so the rebuilt record is the emitted one bit for bit. A record restored
+// from a checkpoint stays whole (f == nil).
 type keptExplanation struct {
 	e     *ident.Explanation  // without Candidates unless f == nil
-	f     *core.Fingerprinter // untagged, so rebuilding bypasses the store's cache
+	f     *core.Fingerprinter // untagged, so rebuilding bypasses the memos
 	part  []float64
 	cands []keptCandidate // nearest first
 }
 
-// keptCandidate is one candidate of a kept record: its store index and its
+// keptCandidate is one candidate of a kept record: its index in past and its
 // label at the time, as an index into Monitor.labels. The lists grow with
 // the square of the crisis count, so a candidate costs 8 bytes.
-type keptCandidate struct{ store, label int32 }
+type keptCandidate struct{ past, label int32 }
 
 // explanation returns kept with its candidates.
 func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
@@ -231,11 +239,11 @@ func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
 	if len(kept.cands) > 0 {
 		e.Candidates = make([]core.CandidateExplanation, len(kept.cands))
 		for i, c := range kept.cands {
-			// identify ran these on the same store rows, so they cannot fail.
-			sc, _ := m.store.Crisis(int(c.store))
-			fp, _ := m.store.Fingerprint(int(c.store), kept.f)
-			exp, _ := kept.f.ExplainDistance(kept.part, fp, m.cfg.ExplainTopK)
-			exp.CrisisID, exp.Label = sc.ID, m.labels[c.label]
+			// identify ran these on the same windows, so they cannot fail.
+			p := &m.past[c.past]
+			fp, _, _ := kept.f.StoredFingerprint(&p.memo, m.track, p.start, summaryRange, p.closed)
+			exp, _ := kept.f.ExplainDistance(kept.part, fp, explainTopK)
+			exp.CrisisID, exp.Label = p.id, m.labels[c.label]
 			e.Candidates[i] = exp
 		}
 	}
@@ -271,7 +279,6 @@ type Monitor struct {
 	degradedCount int64
 	lastCoverage  float64
 
-	store  *core.Store
 	past   []pastCrisis
 	nextID int
 	// labels interns the candidate labels kept records refer to (labelRef).
@@ -311,17 +318,12 @@ type Monitor struct {
 
 	epoch metrics.Epoch
 
-	// thGen counts successful threshold refreshes. It tags the
-	// fingerprinters handed to the store so its fingerprint cache can tell
-	// discretization windows apart (0 = no thresholds yet, caching off).
+	// thGen counts successful threshold refreshes. It tags identify's
+	// fingerprinters so the stored crises' memos can tell discretization
+	// windows apart (0 = no thresholds yet, memos off).
 	thGen uint64
 	// thrMemo carries identify's threshold between advice epochs.
 	thrMemo thresholdMemo
-
-	// lastCacheHits/lastCacheMiss remember the store's cumulative cache
-	// stats so the telemetry counters advance by delta.
-	lastCacheHits uint64
-	lastCacheMiss uint64
 
 	// tel is nil when no telemetry registry is attached; every
 	// instrumentation site checks it before reading the clock.
@@ -470,12 +472,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.ExpectedMachines < 0 {
 		return nil, errors.New("monitor: ExpectedMachines must be non-negative")
 	}
-	if cfg.ExplainTopK < 0 {
-		return nil, errors.New("monitor: ExplainTopK must be non-negative")
-	}
-	if cfg.ExplainTopK == 0 {
-		cfg.ExplainTopK = DefaultExplainTopK
-	}
 	if cfg.Forecast.Enabled {
 		cfg.Forecast.setDefaults()
 		if err := cfg.Forecast.validate(); err != nil {
@@ -494,7 +490,6 @@ func New(cfg Config) (*Monitor, error) {
 		cfg:       cfg,
 		track:     track,
 		agg:       agg,
-		store:     core.NewStore(),
 		ring:      make([]*epochSamples, cfg.RawPad),
 		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
 		activeIdx: -1,
@@ -825,7 +820,7 @@ func crisisID(n int) string { return fmt.Sprintf("crisis-%03d", n) }
 
 func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
 	m.nextID++
-	p := pastCrisis{id: crisisID(m.nextID), start: e}
+	p := pastCrisis{id: crisisID(m.nextID), start: e, closed: -1}
 	// Seed feature-selection samples with the buffered pre-crisis epochs,
 	// oldest first. Slots carry the epoch they were filled at: the ring is
 	// not drained when a crisis ends, so when crises come back to back its
@@ -862,17 +857,18 @@ func (m *Monitor) collectCrisisSamples(p *pastCrisis, s *epochSamples) {
 	_ = p.fs.AppendBlock(x, pos)
 }
 
-// endCrisis finalizes the active crisis: stores its raw summary rows and
-// runs its feature selection, which consumes the collected samples in place.
+// endCrisis finalizes the active crisis: stores it as the window of the track
+// it closes at and runs its feature selection, which consumes the collected
+// samples in place.
 func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	p := &m.past[m.activeIdx]
 	m.activeIdx = -1
 	m.calm = 0
 	stored := false
 	// The raw feature-selection buffers are released on *every* exit path:
-	// when the crisis cannot be finalized (no thresholds yet, capture or
-	// store failure) keeping them would leak every machine row of the
-	// episode for the life of the process.
+	// when the crisis cannot be finalized (no thresholds yet) keeping them
+	// would leak every machine row of the episode for the life of the
+	// process.
 	defer func() {
 		p.fs = core.SampleBuffer{}
 		m.events.CrisisEnded(int64(e), p.id, int(e-p.start), stored)
@@ -880,14 +876,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	if m.thresholds == nil {
 		return
 	}
-	rows, err := core.CaptureRows(m.track, p.start, m.cfg.Range)
-	if err != nil {
-		return
-	}
-	if err := m.store.Add(p.id, "", p.start, rows); err != nil {
-		return
-	}
-	stored = true
+	p.closed, stored = e, true
 	var ts time.Time
 	if m.tel != nil {
 		ts = time.Now()
@@ -910,7 +899,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	sp.End()
 	m.span(stageSelection, ts)
 	if m.tel != nil {
-		m.tel.storeSize.SetInt(int64(m.store.Len()))
+		m.tel.storeSize.SetInt(int64(m.storedCrises()))
 	}
 }
 
@@ -946,16 +935,6 @@ func (m *Monitor) ResolveCrisis(id, label string) error {
 				m.tel.crisesLabeled.SetInt(int64(labeled))
 			}
 			m.events.CrisisResolved(id, label)
-			// Propagate the label to the store when this crisis was
-			// finalized. Located by ID, never by index: crises that
-			// failed to store make past and store indices diverge, so
-			// any index-based gate would skip stored crises that come
-			// after an unstored one.
-			for j := 0; j < m.store.Len(); j++ {
-				if c, err := m.store.Crisis(j); err == nil && c.ID == id {
-					return m.store.SetLabel(j, label)
-				}
-			}
 			return nil
 		}
 	}
@@ -997,7 +976,7 @@ func (m *Monitor) Stats() Stats {
 		EpochsSeen:         int64(m.epoch),
 		CrisesStored:       stored,
 		CrisesLabeled:      labeled,
-		StoreSize:          m.store.Len(),
+		StoreSize:          m.storedCrises(),
 		ThresholdsReady:    m.thresholds != nil,
 		ThresholdAgeEpochs: -1,
 		DegradedEpochs:     m.degradedCount,
@@ -1031,15 +1010,20 @@ type CrisisRecord struct {
 	Stored bool `json:"stored"`
 }
 
+// storedCrises counts the crises stored so far.
+func (m *Monitor) storedCrises() int {
+	n := 0
+	for i := range m.past {
+		if m.past[i].closed >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Crises lists every crisis the monitor has seen, oldest first. Same
 // single-goroutine contract as Stats.
 func (m *Monitor) Crises() []CrisisRecord {
-	inStore := make(map[string]bool, m.store.Len())
-	for j := 0; j < m.store.Len(); j++ {
-		if c, err := m.store.Crisis(j); err == nil {
-			inStore[c.ID] = true
-		}
-	}
 	out := make([]CrisisRecord, 0, len(m.past))
 	for i, p := range m.past {
 		out = append(out, CrisisRecord{
@@ -1047,7 +1031,7 @@ func (m *Monitor) Crises() []CrisisRecord {
 			Label:  p.label,
 			Start:  p.start,
 			Active: i == m.activeIdx,
-			Stored: inStore[p.id],
+			Stored: p.closed >= 0,
 		})
 	}
 	return out
@@ -1080,7 +1064,7 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 		return nil, errors.New("monitor: thresholds not yet established")
 	}
 	var rankings [][]int
-	for i := len(m.past) - 1; i >= 0 && len(rankings) < m.cfg.CrisisPool; i-- {
+	for i := len(m.past) - 1; i >= 0 && len(rankings) < crisisPool; i-- {
 		if m.past[i].top != nil {
 			rankings = append(rankings, m.past[i].top)
 		}
@@ -1095,15 +1079,15 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 		f.SetGeneration(m.thGen)
 		return f, nil
 	}
-	// The relevant set stays in frequency order: fingerprints are laid out
-	// in it, so another order would change the bits of every distance sum.
+	// NewFingerprinter sorts the relevant set: fingerprints are laid out in
+	// column order, whatever order MostFrequent ranks the metrics in.
 	f, err := core.NewFingerprinter(m.thresholds, core.MostFrequent(rankings, m.cfg.Selection.NumRelevant))
 	if err != nil {
 		return nil, err
 	}
-	// Tagging the fingerprinter with the thresholds generation lets the
-	// store cache per-crisis fingerprints within one (thresholds,
-	// relevant-set) window; see core.Store.
+	// Tagging the fingerprinter with the thresholds generation lets each
+	// stored crisis memoize its fingerprint within one (thresholds,
+	// relevant-set) window; see core.FingerprintMemo.
 	f.SetGeneration(m.thGen)
 	return f, nil
 }
@@ -1121,7 +1105,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		return nil
 	}
 	sp := tr.StartSpan("fingerprint")
-	part, err := f.CrisisFingerprintUpTo(m.track, m.activeStart, m.cfg.Range, m.epoch-1)
+	part, err := f.CrisisFingerprintUpTo(m.track, m.activeStart, summaryRange, m.epoch-1)
 	sp.End()
 	if err != nil {
 		return nil
@@ -1137,33 +1121,38 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		Emitted:    ident.Unknown,
 	}
 	sp = tr.StartSpan("match")
-	// Each labeled candidate is compared through ExplainDistance, which
+	// Each labeled stored crisis is compared through ExplainDistance, which
 	// accumulates the squared distance in the same element order as
 	// core.Distance — the decision value and its breakdown are one
-	// computation.
+	// computation. Its fingerprint is read through the same function as the
+	// ongoing crisis's, over the window it closed with.
 	var cands []identCandidate
-	for j := 0; j < m.store.Len(); j++ {
-		c, err := m.store.Crisis(j)
-		if err != nil || c.Label == "" {
+	var hits, misses uint64
+	for j := range m.past {
+		c := &m.past[j]
+		if c.closed < 0 || c.label == "" {
 			continue
 		}
-		fp, err := m.store.Fingerprint(j, f)
+		fp, hit, err := f.StoredFingerprint(&c.memo, m.track, c.start, summaryRange, c.closed)
 		if err != nil {
 			continue
 		}
-		exp, err := f.ExplainDistance(part, fp, m.cfg.ExplainTopK)
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		exp, err := f.ExplainDistance(part, fp, explainTopK)
 		if err != nil {
 			continue
 		}
-		exp.CrisisID, exp.Label = c.ID, c.Label
-		cands = append(cands, identCandidate{exp: exp, fp: fp, store: j})
+		exp.CrisisID, exp.Label = c.id, c.label
+		cands = append(cands, identCandidate{exp: exp, fp: fp, past: j})
 	}
 	sp.SetAttr("candidates", int64(len(cands)))
 	if m.tel != nil {
-		h, miss := m.store.CacheStats()
-		m.tel.cacheHits.Add(h - m.lastCacheHits)
-		m.tel.cacheMiss.Add(miss - m.lastCacheMiss)
-		m.lastCacheHits, m.lastCacheMiss = h, miss
+		m.tel.cacheHits.Add(hits)
+		m.tel.cacheMiss.Add(misses)
 	}
 	adv := &Advice{
 		CrisisID:   p.id,
@@ -1175,8 +1164,8 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 	var kept []keptCandidate
 	if len(cands) > 0 {
 		thr := m.thrMemo.threshold(f, cands, m.cfg.Alpha)
-		// Nearest first; stable sort keeps store order on ties, matching the
-		// previous strictly-less scan.
+		// Nearest first; stable sort keeps storage order on ties, matching
+		// the previous strictly-less scan.
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].exp.Distance < cands[j].exp.Distance })
 		best := cands[0].exp
 		adv.Nearest = best.Label
@@ -1190,7 +1179,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		kept = make([]keptCandidate, len(cands))
 		for i, c := range cands {
 			expl.Candidates[i] = c.exp
-			kept[i] = keptCandidate{int32(c.store), m.labelRef(c.exp.Label)}
+			kept[i] = keptCandidate{int32(c.past), m.labelRef(c.exp.Label)}
 		}
 	}
 	sp.End()
@@ -1224,9 +1213,9 @@ func (m *Monitor) labelRef(label string) int32 {
 
 // identCandidate is one labeled stored crisis identify compares against.
 type identCandidate struct {
-	exp   core.CandidateExplanation
-	fp    []float64
-	store int // index in the store
+	exp  core.CandidateExplanation
+	fp   []float64
+	past int // index in Monitor.past
 }
 
 // thresholdMemo remembers identify's threshold, §5.3's OnlineThreshold over

@@ -40,9 +40,9 @@ func equivMonitor(t *testing.T, s *dcsim.Stream, workers int, reg *telemetry.Reg
 	return m
 }
 
-// TestParallelCacheHits checks the fingerprint cache pays off during online
-// identification: repeated Fingerprint calls within one threshold window
-// hit, and telemetry exports the counts.
+// TestParallelCacheHits checks the stored crises' fingerprint memos pay off
+// during online identification: repeated lookups within one threshold window
+// hit, and telemetry counts one hit or miss per candidate compared.
 func TestParallelCacheHits(t *testing.T) {
 	const seed, epochs = 7, 420
 	s := equivStream(t, seed)
@@ -50,6 +50,7 @@ func TestParallelCacheHits(t *testing.T) {
 	m := equivMonitor(t, s, 0, reg)
 	lastActive := false
 	label := ""
+	compared := uint64(0)
 	for i := 0; i < epochs; i++ {
 		rows, act, err := s.Next()
 		if err != nil {
@@ -58,6 +59,9 @@ func TestParallelCacheHits(t *testing.T) {
 		rep, err := m.ObserveEpoch(rows)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.Advice != nil {
+			compared += uint64(rep.Advice.Candidates)
 		}
 		if act != nil {
 			label = fmt.Sprintf("type-%d", act.Type)
@@ -70,17 +74,16 @@ func TestParallelCacheHits(t *testing.T) {
 		}
 		lastActive = rep.CrisisActive
 	}
-	hits, misses := m.store.CacheStats()
+	hits := reg.Counter("dcfp_fingerprint_cache_total", "", telemetry.Label{Key: "result", Value: "hit"}).Value()
+	misses := reg.Counter("dcfp_fingerprint_cache_total", "", telemetry.Label{Key: "result", Value: "miss"}).Value()
 	if misses == 0 {
-		t.Fatal("identification never computed a cacheable fingerprint (no labeled candidates reached?)")
+		t.Fatal("identification never computed a memoizable fingerprint (no labeled candidates reached?)")
 	}
 	if hits == 0 {
-		t.Fatalf("fingerprint cache never hit (misses=%d)", misses)
+		t.Fatalf("fingerprint memo never hit (misses=%d)", misses)
 	}
-	hitC := reg.Counter("dcfp_fingerprint_cache_total", "", telemetry.Label{Key: "result", Value: "hit"}).Value()
-	missC := reg.Counter("dcfp_fingerprint_cache_total", "", telemetry.Label{Key: "result", Value: "miss"}).Value()
-	if hitC != hits || missC != misses {
-		t.Fatalf("telemetry counters %d/%d disagree with store stats %d/%d", hitC, missC, hits, misses)
+	if hits+misses != compared {
+		t.Fatalf("telemetry counted %d hits + %d misses, advice compared %d candidates", hits, misses, compared)
 	}
 	if w := reg.Gauge("dcfp_monitor_workers", "").Value(); w < 1 {
 		t.Fatalf("dcfp_monitor_workers = %v", w)

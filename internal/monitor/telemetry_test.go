@@ -266,8 +266,8 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("second calm epoch must close the episode")
 	}
-	if tb.m.store.Len() != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
-		t.Fatalf("crisis stored %d times, top %v, %d samples retained", tb.m.store.Len(), tb.m.past[0].top, tb.m.past[0].fs.Len())
+	if tb.m.storedCrises() != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
+		t.Fatalf("crisis stored %d times, top %v, %d samples retained", tb.m.storedCrises(), tb.m.past[0].top, tb.m.past[0].fs.Len())
 	}
 	ev := events.String()
 	for _, want := range []string{"selection.failed", "crisis=crisis-001", fmt.Sprintf("rows=%d", len(calm)), "single class", "crisis.ended"} {
