@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dcfp/internal/crisis"
@@ -120,6 +125,15 @@ func TestScenarioLibrary(t *testing.T) {
 	if len(scs) < 10 {
 		t.Fatalf("scenario library has %d scenarios, want at least 10", len(scs))
 	}
+	// The subtests run in parallel, after this function returns; the
+	// identity check waits for all of them.
+	var mu sync.Mutex
+	got := make(map[string]string, len(scs))
+	t.Cleanup(func() {
+		if !t.Failed() {
+			checkIdentity(t, got)
+		}
+	})
 	for _, sc := range scs {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -134,6 +148,61 @@ func TestScenarioLibrary(t *testing.T) {
 			for _, f := range res.Failures {
 				t.Errorf("expectation violated: %s", f)
 			}
+			// The document `dcfpd -scenario` prints.
+			doc, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			got[sc.Name] = fmt.Sprintf("%x", sha256.Sum256(doc))
+			mu.Unlock()
 		})
+	}
+}
+
+// update rewrites the identity file from this run instead of checking it.
+var update = flag.Bool("update", false, "rewrite testdata/identity.json from this run")
+
+// identityPath holds the repository's identity pins: the SHA-256 of every
+// committed scenario's result document. A change that keeps every output
+// bit-identical leaves the file as it is; one that moves numbers on purpose
+// re-pins it with -update, and its diff shows which results moved.
+var identityPath = filepath.Join("..", "..", "testdata", "identity.json")
+
+type identity struct {
+	Scenarios map[string]string `json:"scenarios"`
+}
+
+// checkIdentity compares the scenario digests with the identity file, or
+// rewrites the file under -update.
+func checkIdentity(t *testing.T, scenarios map[string]string) {
+	t.Helper()
+	if *update {
+		b, err := json.MarshalIndent(identity{Scenarios: scenarios}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(identityPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(identityPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want identity
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", identityPath, err)
+	}
+	for name, sum := range scenarios {
+		if want.Scenarios[name] != sum {
+			t.Errorf("scenario %s: result document SHA-256 %s, %s pins %q", name, sum, identityPath, want.Scenarios[name])
+		}
+	}
+	for name := range want.Scenarios {
+		if _, ok := scenarios[name]; !ok {
+			t.Errorf("%s pins scenario %s, which the library no longer has", identityPath, name)
+		}
 	}
 }
