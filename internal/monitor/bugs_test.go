@@ -8,6 +8,12 @@ import (
 	"dcfp/internal/sla"
 )
 
+// storedCrises is m's stored-crisis count.
+func storedCrises(m *Monitor) int {
+	n, _ := m.KnownCrises()
+	return n
+}
+
 // TestStatsThresholdAgeConvention pins the threshold-age convention shared
 // by Stats and the dcfp_threshold_age_epochs gauge: age is measured from
 // the most recently observed epoch, not the next expected one. Stats used
@@ -47,10 +53,10 @@ func TestEndCrisisReleasesBuffersWhenUnstored(t *testing.T) {
 	tb.effects = map[int]float64{}
 	tb.step()
 	tb.step() // second calm epoch closes the episode
-	if tb.m.activeIdx >= 0 {
+	if tb.m.active() != nil {
 		t.Fatal("crisis still active")
 	}
-	if tb.m.storedCrises() != 0 {
+	if storedCrises(tb.m) != 0 {
 		t.Fatal("precondition: crisis must be unstorable without thresholds")
 	}
 	if p := tb.m.past[0]; p.fs.Len() != 0 {
@@ -82,23 +88,22 @@ func TestBackToBackCrisesSkipStaleRing(t *testing.T) {
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("two calm epochs must close the episode")
 	}
-	if tb.m.storedCrises() != 1 {
-		t.Fatalf("store.Len = %d after first crisis", tb.m.storedCrises())
+	if storedCrises(tb.m) != 1 {
+		t.Fatalf("store.Len = %d after first crisis", storedCrises(tb.m))
 	}
 	// Crisis 2 opens on the very next epoch (210).
 	tb.effects = map[int]float64{tbLatency: 5, tbQueueB: 8}
 	if rep := tb.step(); !rep.CrisisActive {
 		t.Fatal("second crisis not detected")
 	}
-	stored, _ := tb.m.KnownCrises()
-	if stored != 2 {
-		t.Fatalf("KnownCrises stored = %d, want 2 distinct episodes", stored)
+	if recs := tb.m.Crises(); len(recs) != 2 || !recs[1].Active {
+		t.Fatalf("crisis records %+v, want 2 distinct episodes, the second open", recs)
 	}
 	// The active crisis's samples: one fresh ring epoch (209) plus the
 	// detection epoch's rows. Ring slots from epochs 193..199 predate the
 	// first crisis by more than RawPad epochs relative to 210 and must be
 	// skipped — before the fix they were all seeded in.
-	p := tb.m.past[tb.m.activeIdx]
+	p := *tb.m.active()
 	maxFresh := (1 + 2) * tbMachines // ring(209) + detection epoch collected on begin+active paths
 	if got := p.fs.Len(); got > maxFresh {
 		t.Fatalf("fs holds %d rows, want <= %d (stale pre-first-crisis ring rows seeded?)", got, maxFresh)
@@ -151,11 +156,11 @@ func TestFlushFinalizesTrailingCrisis(t *testing.T) {
 	if !tb.m.Flush() {
 		t.Fatal("Flush did not finalize the active crisis")
 	}
-	if tb.m.activeIdx >= 0 {
+	if tb.m.active() != nil {
 		t.Fatal("crisis still active after Flush")
 	}
-	if tb.m.storedCrises() != 1 {
-		t.Fatalf("store.Len = %d, want the trailing crisis stored", tb.m.storedCrises())
+	if storedCrises(tb.m) != 1 {
+		t.Fatalf("store.Len = %d, want the trailing crisis stored", storedCrises(tb.m))
 	}
 	if p := tb.m.past[0]; p.fs.Len() != 0 {
 		t.Fatal("feature-selection buffers retained after Flush")
@@ -186,13 +191,13 @@ func TestResolveCrisisOnUnstoredThenStored(t *testing.T) {
 	tb.step()
 	tb.step()
 	tb.step()
-	if tb.m.storedCrises() != 0 {
+	if storedCrises(tb.m) != 0 {
 		t.Fatal("precondition: crisis 1 must be unstored")
 	}
 	// Establish thresholds, then a second crisis that does store.
 	tb.quiet(150)
 	id2, _ := tb.crisis("X", 8)
-	if tb.m.storedCrises() != 1 {
+	if storedCrises(tb.m) != 1 {
 		t.Fatal("crisis 2 not stored")
 	}
 	id1 := tb.m.past[0].id
@@ -204,6 +209,10 @@ func TestResolveCrisisOnUnstoredThenStored(t *testing.T) {
 	recs := tb.m.Crises()
 	if len(recs) != 2 || recs[0].Label != "A" || recs[0].Stored || recs[1].Label != "X" || !recs[1].Stored {
 		t.Fatalf("crisis records %+v, want crisis 1 labelled A unstored, crisis 2 labelled X stored", recs)
+	}
+	// Both crises carry labels, only one is stored.
+	if st := tb.m.Stats(); st.CrisesStored != 1 || st.StoreSize != 1 || st.CrisesLabeled != 2 {
+		t.Fatalf("Stats crises stored %d, store size %d, labelled %d; want 1, 1, 2", st.CrisesStored, st.StoreSize, st.CrisesLabeled)
 	}
 	// A third crisis is compared against the labelled stored crisis only.
 	tb.quiet(20)

@@ -9,8 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"dcfp/internal/core"
@@ -21,21 +19,32 @@ import (
 // Checkpoint/restore for the Monitor, so a crashed or restarted dcfpd
 // resumes where it left off instead of relearning thresholds and forgetting
 // every fingerprint. A checkpoint is a versioned, atomically written
-// snapshot of all mutable monitor state:
+// snapshot of the monitor's independent state:
 //
-//   - the quantile track and hot/cold thresholds (plus their age/generation)
-//   - the per-epoch crisis/degraded flags and the crisis state machine
-//     (open episode, calm counter, pre-crisis ring buffer and the
-//     feature-selection samples of unfinalized crises)
-//   - every crisis record: label, metric ranking, audit records and, for a
-//     stored crisis, the epoch it closed at, which with its start delimits
-//     its window of the track
-//   - the degraded-ingestion carry state (last summary, coverage)
+//   - the quantile track, one row per observed epoch, and the per-epoch
+//     crisis and degraded flags beside it
+//   - the hot/cold thresholds, their age and generation
+//   - every crisis record, oldest first: start, label, metric ranking,
+//     votes, audit records, the feature-selection samples of an unfinalized
+//     crisis and, for a stored crisis, the epoch it closed at, which with
+//     its start delimits its window of the track
+//   - the crisis state machine's rest: whether the newest crisis is open
+//     (ActiveIdx) and the calm counter
+//   - the pre-crisis ring, each slot with the epoch it holds (RingEpoch)
+//   - the coverage denominator and the last coverage
+//   - the forecast stage's state
 //
-// Two things are deliberately NOT persisted. The aggregator's estimators
-// are empty at every epoch boundary (summarizing drains them), so there is
-// nothing to save. The stored crises' fingerprint memos and identify's
-// threshold memo are pure memoizations and repopulate after restore.
+// Everything else is recomputed on restore: the next epoch's index is the
+// track's length; a crisis's ID is crisisID of its index plus one; the open
+// crisis's start is its record's; the carry-forward summary is the track's
+// last row; the degraded-epoch count is the number of degraded flags. The
+// aggregator's estimators are empty at every epoch boundary (summarizing
+// drains them), and the stored crises' fingerprint memos and identify's
+// threshold memo are memoizations that repopulate after restore.
+//
+// Checkpoints written before these values were recomputed also carry Epoch,
+// LastSummary, DegradedCount, NextID, ActiveStart and each crisis's ID; gob
+// skips fields the payload lacks, so they restore under version 1.
 //
 // A checkpoint restores byte-identically: replaying the same epochs through
 // the restored monitor yields the same reports and advice as an
@@ -69,7 +78,6 @@ type CheckpointMeta struct {
 // version stays 1. Closed replaced the payload's Store later: checkpoints
 // that carry a Store lack it, and legacyStore supplies it.
 type checkpointCrisis struct {
-	ID     string
 	Label  string
 	Start  metrics.Epoch
 	Closed metrics.Epoch
@@ -80,12 +88,14 @@ type checkpointCrisis struct {
 	Expl   []*ident.Explanation
 }
 
-// checkpointPayload is the gob image of all mutable Monitor state.
+// checkpointPayload is the gob image of the Monitor's independent state.
 type checkpointPayload struct {
-	Epoch      metrics.Epoch
-	InCrisis   []bool
-	Degraded   []bool
-	Track      *metrics.QuantileTrack
+	InCrisis []bool
+	Degraded []bool
+	Track    *metrics.QuantileTrack
+	// HasThresh says whether Thresholds holds any. A pointer cannot say it
+	// instead: files written without thresholds carry an empty Thresholds
+	// struct, which would decode into a non-nil pointer.
 	HasThresh  bool
 	Thresholds metrics.Thresholds
 	LastThresh metrics.Epoch
@@ -94,31 +104,28 @@ type checkpointPayload struct {
 	// Checkpoints from older builds also carry LastSeen, a per-machine
 	// last-reporting-epoch table; gob skips fields the struct lacks, so
 	// they restore under version 1.
-	LastSummary   [][3]float64
-	Expected      int
-	DegradedCount int64
-	LastCoverage  float64
+	Expected     int
+	LastCoverage float64
 
 	// Store is only ever read: checkpoints written while the monitor kept a
 	// separate crisis store carry it, and a build that refuses a payload
 	// without one refuses this build's checkpoints.
-	Store  *legacyStore
-	Past   []checkpointCrisis
-	NextID int
+	Store *legacyStore
+	Past  []checkpointCrisis
 
 	RawRing   [][][]float64
 	ViolRing  [][]bool
 	RingEpoch []metrics.Epoch
 	RingPos   int
 
-	ActiveStart metrics.Epoch
-	ActiveIdx   int
-	Calm        int
+	// ActiveIdx is len(Past)-1 while the newest crisis is open, else -1.
+	ActiveIdx int
+	Calm      int
 
 	// Forecast is the early-warning stage's state; nil when the stage is
 	// disabled or the checkpoint predates it. Added after version 1
 	// shipped, same gob-tolerated asymmetry as Votes/Expl above.
-	Forecast *forecastCheckpoint
+	Forecast *forecastState
 }
 
 type checkpointFile struct {
@@ -137,33 +144,32 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 	f := checkpointFile{
 		Meta: meta,
 		State: checkpointPayload{
-			Epoch:         m.epoch,
-			InCrisis:      m.inCrisis,
-			Degraded:      m.degraded,
-			Track:         m.track,
-			HasThresh:     m.thresholds != nil,
-			LastThresh:    m.lastThresh,
-			ThGen:         m.thGen,
-			LastSummary:   m.lastSummary,
-			Expected:      m.expected,
-			DegradedCount: m.degradedCount,
-			LastCoverage:  m.lastCoverage,
-			NextID:        m.nextID,
-			RawRing:       make([][][]float64, len(m.ring)),
-			ViolRing:      make([][]bool, len(m.ring)),
-			RingEpoch:     m.ringEpoch,
-			RingPos:       m.ringPos,
-			ActiveStart:   m.activeStart,
-			ActiveIdx:     m.activeIdx,
-			Calm:          m.calm,
-			Forecast:      m.fc.checkpoint(),
+			InCrisis:     m.inCrisis,
+			Degraded:     m.degraded,
+			Track:        m.track,
+			HasThresh:    m.thresholds != nil,
+			LastThresh:   m.lastThresh,
+			ThGen:        m.thGen,
+			Expected:     m.expected,
+			LastCoverage: m.lastCoverage,
+			RawRing:      make([][][]float64, len(m.ring)),
+			ViolRing:     make([][]bool, len(m.ring)),
+			RingEpoch:    make([]metrics.Epoch, len(m.ring)),
+			RingPos:      m.ringPos,
+			ActiveIdx:    -1,
+			Calm:         m.calm,
+			Forecast:     m.fc.checkpoint(),
 		},
+	}
+	if m.active() != nil {
+		f.State.ActiveIdx = len(m.past) - 1
 	}
 	// The ring is kept metric-major; the checkpoint stores each slot's
 	// reporting machines as rows, the layout it has always had.
 	for i, slot := range m.ring {
 		if slot != nil {
 			f.State.RawRing[i], f.State.ViolRing[i] = slot.rows(m.cfg.Catalog.Len())
+			f.State.RingEpoch[i] = slot.epoch
 		}
 	}
 	if m.thresholds != nil {
@@ -173,7 +179,7 @@ func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
 		p := &m.past[i]
 		x, y := p.fs.Rows()
 		f.State.Past = append(f.State.Past, checkpointCrisis{
-			ID: p.id, Label: p.label, Start: p.start, Closed: p.closed,
+			Label: p.label, Start: p.start, Closed: p.closed,
 			FsX: x, FsY: y, Top: p.top,
 			Votes: p.votes, Expl: m.explanations(p),
 		})
@@ -215,10 +221,10 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	for i, p := range s.Past {
 		fs, err := core.CrisisSamples{X: p.FsX, Y: p.FsY}.Buffer()
 		if err != nil {
-			return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint crisis %q: %w", p.ID, err)
+			return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint crisis %d: %w", i, err)
 		}
 		past[i] = pastCrisis{
-			id: p.ID, label: p.Label, start: p.Start, closed: p.Closed,
+			id: crisisID(i + 1), label: p.Label, start: p.Start, open: i == s.ActiveIdx, closed: p.Closed,
 			fs: *fs, top: p.Top, votes: p.Votes,
 		}
 		for _, e := range p.Expl {
@@ -226,7 +232,6 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 		}
 	}
 
-	m.epoch = s.Epoch
 	m.inCrisis = s.InCrisis
 	m.degraded = s.Degraded
 	m.track = s.Track
@@ -238,24 +243,33 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	}
 	m.lastThresh = s.LastThresh
 	m.thGen = s.ThGen
-	m.lastSummary = s.LastSummary
+	m.lastSummary = nil
+	if n := s.Track.NumEpochs(); n > 0 {
+		row, _ := s.Track.EpochRow(metrics.Epoch(n - 1))
+		m.lastSummary = make([][3]float64, len(row)/metrics.NumQuantiles)
+		for j := range m.lastSummary {
+			copy(m.lastSummary[j][:], row[j*metrics.NumQuantiles:])
+		}
+	}
 	m.expected = s.Expected
-	m.degradedCount = s.DegradedCount
+	m.degradedCount = 0
+	for _, d := range s.Degraded {
+		if d {
+			m.degradedCount++
+		}
+	}
 	m.lastCoverage = s.LastCoverage
 	m.past = past
-	m.nextID = s.NextID
 	// An empty slot was never filled (gob turns nil inner slices into empty
 	// ones).
 	for i, rows := range s.RawRing {
 		m.ring[i] = nil
 		if len(rows) > 0 {
 			m.ring[i] = samplesFromRows(rows, s.ViolRing[i], m.cfg.Catalog.Len())
+			m.ring[i].epoch = s.RingEpoch[i]
 		}
 	}
-	m.ringEpoch = s.RingEpoch
 	m.ringPos = s.RingPos
-	m.activeStart = s.ActiveStart
-	m.activeIdx = s.ActiveIdx
 	m.calm = s.Calm
 	m.fc.restore(s.Forecast)
 	m.thrMemo = thresholdMemo{}
@@ -266,40 +280,25 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 // configuration before it replaces any state.
 func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	width := m.cfg.Catalog.Len()
-	if s.Epoch < 0 {
-		return fmt.Errorf("monitor: checkpoint epoch %d negative", s.Epoch)
-	}
-	if len(s.InCrisis) != int(s.Epoch) || len(s.Degraded) != int(s.Epoch) {
-		return fmt.Errorf("monitor: checkpoint flag lengths (%d, %d) disagree with epoch %d",
-			len(s.InCrisis), len(s.Degraded), s.Epoch)
-	}
 	if s.Track == nil {
 		return fmt.Errorf("monitor: checkpoint has no quantile track")
 	}
 	if s.Track.NumMetrics() != width {
 		return fmt.Errorf("monitor: checkpoint track width %d, catalog %d", s.Track.NumMetrics(), width)
 	}
-	if s.Track.NumEpochs() != int(s.Epoch) {
-		return fmt.Errorf("monitor: checkpoint track epochs %d, epoch %d", s.Track.NumEpochs(), s.Epoch)
+	epochs := s.Track.NumEpochs()
+	if len(s.InCrisis) != epochs || len(s.Degraded) != epochs {
+		return fmt.Errorf("monitor: checkpoint flag lengths (%d, %d) disagree with %d tracked epochs",
+			len(s.InCrisis), len(s.Degraded), epochs)
 	}
 	if s.HasThresh && (len(s.Thresholds.Cold) != width || len(s.Thresholds.Hot) != width) {
 		return fmt.Errorf("monitor: checkpoint thresholds width (%d, %d), catalog %d",
 			len(s.Thresholds.Cold), len(s.Thresholds.Hot), width)
 	}
-	if s.LastSummary != nil && len(s.LastSummary) != width {
-		return fmt.Errorf("monitor: checkpoint last summary width %d, catalog %d", len(s.LastSummary), width)
-	}
-	// Crises are numbered by a counter that only grows, and only the newest
-	// can be open: anything else would re-issue a past crisis's ID or
-	// re-open, and store a second time, a finalized one.
-	if s.NextID < len(s.Past) {
-		return fmt.Errorf("monitor: checkpoint next crisis number %d with %d past crises", s.NextID, len(s.Past))
-	}
+	// Only the newest crisis can be open: anything else would re-open, and
+	// store a second time, a finalized one.
 	if s.ActiveIdx != -1 && s.ActiveIdx != len(s.Past)-1 {
 		return fmt.Errorf("monitor: checkpoint active index %d with %d past crises", s.ActiveIdx, len(s.Past))
-	}
-	if s.ActiveIdx >= 0 && s.ActiveStart != s.Past[s.ActiveIdx].Start {
-		return fmt.Errorf("monitor: checkpoint active crisis starts at %d, its record at %d", s.ActiveStart, s.Past[s.ActiveIdx].Start)
 	}
 	if len(s.RawRing) != m.cfg.RawPad || len(s.ViolRing) != m.cfg.RawPad || len(s.RingEpoch) != m.cfg.RawPad {
 		return fmt.Errorf("monitor: checkpoint ring size (%d, %d, %d), RawPad %d",
@@ -319,34 +318,24 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 	// Sample rows (collected, or still in the ring) all become blocks of one
 	// catalog-wide buffer.
 	sampleRows := append([][][]float64(nil), s.RawRing...)
-	ids := make(map[string]bool, len(s.Past))
 	for i, p := range s.Past {
-		if p.ID == "" {
-			return fmt.Errorf("monitor: checkpoint crisis %d has no ID", i)
-		}
-		if ids[p.ID] {
-			return fmt.Errorf("monitor: checkpoint crisis ID %q repeated", p.ID)
-		}
-		ids[p.ID] = true
-		if n, err := strconv.Atoi(strings.TrimPrefix(p.ID, "crisis-")); err == nil && crisisID(n) == p.ID && n > s.NextID {
-			return fmt.Errorf("monitor: checkpoint crisis %q numbered above next crisis number %d", p.ID, s.NextID)
-		}
+		id := crisisID(i + 1)
 		// A stored crisis closed after it started and before the snapshot;
 		// the open crisis is not stored yet.
-		if p.Closed != -1 && (i == s.ActiveIdx || p.Closed < p.Start || p.Closed >= s.Epoch) {
-			return fmt.Errorf("monitor: checkpoint crisis %q starts at %d, closed at %d, epoch %d (active %v)",
-				p.ID, p.Start, p.Closed, s.Epoch, i == s.ActiveIdx)
+		if p.Closed != -1 && (i == s.ActiveIdx || p.Closed < p.Start || int(p.Closed) >= epochs) {
+			return fmt.Errorf("monitor: checkpoint crisis %s starts at %d, closed at %d, %d tracked epochs (active %v)",
+				id, p.Start, p.Closed, epochs, i == s.ActiveIdx)
 		}
 		// Every relevant-set computation reads the ranking as catalog
 		// columns; one outside the catalog would fail each of them.
 		for _, c := range p.Top {
 			if c < 0 || c >= width {
-				return fmt.Errorf("monitor: checkpoint crisis %q ranks metric %d, catalog %d", p.ID, c, width)
+				return fmt.Errorf("monitor: checkpoint crisis %s ranks metric %d, catalog %d", id, c, width)
 			}
 		}
 		if len(p.FsX) != len(p.FsY) {
-			return fmt.Errorf("monitor: checkpoint crisis %q samples misaligned (%d rows, %d labels)",
-				p.ID, len(p.FsX), len(p.FsY))
+			return fmt.Errorf("monitor: checkpoint crisis %s samples misaligned (%d rows, %d labels)",
+				id, len(p.FsX), len(p.FsY))
 		}
 		sampleRows = append(sampleRows, p.FsX)
 	}
@@ -460,8 +449,9 @@ func (s *legacyStore) GobDecode(p []byte) error {
 	return nil
 }
 
-// setClosed sets each crisis record's Closed from the store: -1 for a crisis
-// the store lacks, else the last epoch of its stored window, which bounds
+// setClosed sets each crisis record's Closed from the store, which names a
+// record by its ID, crisisID of its index plus one: -1 for a crisis the store
+// lacks, else the last epoch of its stored window, which bounds
 // the window exactly as the epoch it closed at did. A nil store (a
 // checkpoint without one) leaves past as decoded.
 func (s *legacyStore) setClosed(past []checkpointCrisis) error {
@@ -471,14 +461,15 @@ func (s *legacyStore) setClosed(past []checkpointCrisis) error {
 	found := 0
 	for i := range past {
 		p := &past[i]
-		n, ok := s.rows[p.ID]
+		id := crisisID(i + 1)
+		n, ok := s.rows[id]
 		p.Closed = -1
 		if !ok {
 			continue
 		}
 		found++
 		if n < 1 || n > summaryRange.Len() {
-			return fmt.Errorf("monitor: checkpoint stores crisis %q with %d rows", p.ID, n)
+			return fmt.Errorf("monitor: checkpoint stores crisis %s with %d rows", id, n)
 		}
 		p.Closed = max(0, p.Start-metrics.Epoch(summaryRange.Before)) + metrics.Epoch(n) - 1
 	}

@@ -86,12 +86,12 @@ func TestCheckpointRoundTripByteIdentical(t *testing.T) {
 	}
 	// The open crisis's samples live in per-epoch metric-major blocks and are
 	// checkpointed as rows: the conversion must lose nothing either way.
-	open := a.past[a.activeIdx].fs
-	if n := open.Len(); n == 0 || b.past[b.activeIdx].fs.Len() != n {
-		t.Fatalf("open crisis holds %d samples, restored %d", n, b.past[b.activeIdx].fs.Len())
+	open := a.active().fs
+	if n := open.Len(); n == 0 || b.active().fs.Len() != n {
+		t.Fatalf("open crisis holds %d samples, restored %d", n, b.active().fs.Len())
 	}
 	ax, ay := open.Rows()
-	bx, by := b.past[b.activeIdx].fs.Rows()
+	bx, by := b.active().fs.Rows()
 	if !reflect.DeepEqual(ax, bx) || !reflect.DeepEqual(ay, by) {
 		t.Fatal("restored crisis samples differ from the original's")
 	}
@@ -251,11 +251,11 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		_, err := fresh.ReadCheckpoint(data)
 		return fresh, err
 	}
-	// Two finalized crises, numbered and kept as beginCrisis and endCrisis
-	// leave them: the first stored when it closed, the second not.
+	// Two finalized crises, kept as endCrisis leaves them: the first stored
+	// when it closed, the second not.
 	twoPast := func(p *checkpointPayload) {
-		p.Past = []checkpointCrisis{{ID: "crisis-001", Start: 4, Closed: 6}, {ID: "crisis-002", Start: 12, Closed: -1}}
-		p.NextID, p.ActiveIdx, p.ActiveStart = 2, -1, 12
+		p.Past = []checkpointCrisis{{Start: 4, Closed: 6}, {Start: 12, Closed: -1}}
+		p.ActiveIdx = -1
 	}
 	for name, consistent := range map[string]func(*checkpointPayload, int){
 		"two finalized crises": func(p *checkpointPayload, _ int) { twoPast(p) },
@@ -295,24 +295,8 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		"closed before its start": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 3 },
 		"closed at the snapshot":  func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 20 },
 		"closed below unset (-1)": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].Closed = -2 },
-		// The next detection would re-issue crisis-002, and ResolveCrisis
-		// and Explanations would find the older crisis of that ID.
-		"next id reissues a past id": func(p *checkpointPayload, _ int) { twoPast(p); p.NextID = 1 },
-		"duplicate crisis id":        func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].ID = "crisis-001" },
-		"crisis id above next id":    func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].ID = "crisis-003" },
-		"next id below past count": func(p *checkpointPayload, _ int) {
-			twoPast(p)
-			p.Past[0].ID, p.Past[1].ID, p.NextID = "a", "b", 1
-		},
 		// endCrisis would store crisis-001 a second time.
-		"finalized crisis reopened": func(p *checkpointPayload, _ int) {
-			twoPast(p)
-			p.ActiveIdx, p.ActiveStart = 0, p.Past[0].Start
-		},
-		"active start disagrees": func(p *checkpointPayload, _ int) {
-			twoPast(p)
-			p.ActiveIdx, p.ActiveStart = 1, p.Past[1].Start+1
-		},
+		"finalized crisis reopened": func(p *checkpointPayload, _ int) { twoPast(p); p.ActiveIdx = 0 },
 	} {
 		if m, err := restore(corrupt); err == nil || m.Epoch() != 0 {
 			t.Fatalf("%s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, m.Epoch())
@@ -463,7 +447,7 @@ func TestCheckpointDigest(t *testing.T) {
 	const (
 		seed   = 7
 		epochs = 300
-		want   = "246d2453497e92c434e9b71ff41c5f70c08fc06caf755de1dfd38c47db63f2e2"
+		want   = "fb174bb102dc0ff1a5b9415c31c8b1802ca1890b0482d8f8ee52dcb105966d82"
 	)
 	scfg := dcsim.DefaultStreamConfig(seed)
 	scfg.WarmupEpochs = 40
@@ -580,7 +564,7 @@ type (
 		ActiveStart   metrics.Epoch
 		ActiveIdx     int
 		Calm          int
-		Forecast      *forecastCheckpoint
+		Forecast      *forecastState
 	}
 	parentFile struct {
 		Meta  CheckpointMeta
@@ -600,7 +584,9 @@ func (s *parentStore) GobEncode() ([]byte, error) {
 
 // parentCheckpoint encodes m's state in the parent shape: every stored
 // crisis's window rows copied out of the track into the store, in storage
-// order.
+// order, and the values that shape also wrote beside the state they derive
+// from: the epoch, the last summary, the degraded count, the crisis counter,
+// the active start and each crisis's ID.
 func parentCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta, edit func(*parentPayload)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -613,23 +599,25 @@ func parentCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta, edit func(*
 		t.Fatal(err)
 	}
 	c := f.State
+	st := m.Stats()
 	p := parentPayload{
-		Epoch: c.Epoch, InCrisis: c.InCrisis, Degraded: c.Degraded, Track: c.Track,
+		Epoch: m.Epoch(), InCrisis: c.InCrisis, Degraded: c.Degraded, Track: c.Track,
 		HasThresh: c.HasThresh, Thresholds: c.Thresholds, LastThresh: c.LastThresh, ThGen: c.ThGen,
-		LastSummary: c.LastSummary, Expected: c.Expected, DegradedCount: c.DegradedCount, LastCoverage: c.LastCoverage,
-		Store: &parentStore{}, NextID: c.NextID,
+		LastSummary: m.lastSummary, Expected: c.Expected, DegradedCount: st.DegradedEpochs, LastCoverage: c.LastCoverage,
+		Store: &parentStore{}, NextID: len(c.Past),
 		RawRing: c.RawRing, ViolRing: c.ViolRing, RingEpoch: c.RingEpoch, RingPos: c.RingPos,
-		ActiveStart: c.ActiveStart, ActiveIdx: c.ActiveIdx, Calm: c.Calm, Forecast: c.Forecast,
+		ActiveStart: st.ActiveCrisisStart, ActiveIdx: c.ActiveIdx, Calm: c.Calm, Forecast: c.Forecast,
 	}
-	for _, pc := range c.Past {
+	for i, pc := range c.Past {
+		id := crisisID(i + 1)
 		p.Past = append(p.Past, parentCrisis{
-			ID: pc.ID, Label: pc.Label, Start: pc.Start, FsX: pc.FsX, FsY: pc.FsY,
+			ID: id, Label: pc.Label, Start: pc.Start, FsX: pc.FsX, FsY: pc.FsY,
 			Top: pc.Top, Votes: pc.Votes, Expl: pc.Expl,
 		})
 		if pc.Closed < 0 {
 			continue
 		}
-		sc := parentStoreEntry{ID: pc.ID, Label: pc.Label, DetectedStart: pc.Start}
+		sc := parentStoreEntry{ID: id, Label: pc.Label, DetectedStart: pc.Start}
 		lo := max(0, pc.Start-metrics.Epoch(summaryRange.Before))
 		hi := min(pc.Start+metrics.Epoch(summaryRange.After), pc.Closed)
 		for e := lo; e <= hi; e++ {
@@ -706,7 +694,10 @@ func TestCheckpointRestoresParentStore(t *testing.T) {
 		lastActive = reps[0].CrisisActive
 		return reps[0]
 	}
-	for a.storedCrises() < 5 || !lastActive {
+	for {
+		if stored, _ := a.KnownCrises(); stored >= 5 && lastActive {
+			break
+		}
 		step(a)
 	}
 	if p := a.past[4]; p.closed >= p.start+metrics.Epoch(summaryRange.After) {

@@ -163,20 +163,7 @@ type ForecastSnapshot struct {
 type forecastStage struct {
 	cfg ForecastConfig
 
-	// fracHist is the ring of recent violating-machine fractions feeding
-	// the trend slope.
-	fracHist []float64
-	fracPos  int
-	fracN    int
-
-	// Warning-episode state: the first and latest warning epoch of the
-	// open episode, and whether one awaits hit/false-alarm resolution.
-	warnStart metrics.Epoch
-	lastWarn  metrics.Epoch
-	pending   bool
-
-	warnings    uint64
-	falseAlarms uint64
+	forecastState
 
 	// Per-label centroid forecasters, lazily retrained when the thresholds
 	// generation or the labeled-crisis census changes.
@@ -187,16 +174,38 @@ type forecastStage struct {
 	trainedN    int
 
 	fpBuf []float64 // epoch-fingerprint scratch
+}
 
-	last ForecastSnapshot
+// forecastState is the part of the stage a checkpoint keeps, encoded as it
+// is. The centroid models are not in it: they retrain lazily from the
+// restored track and crisis history on the first epoch after a restore.
+type forecastState struct {
+	// FracHist is the ring of recent violating-machine fractions feeding
+	// the trend slope.
+	FracHist []float64
+	FracPos  int
+	FracN    int
+
+	// Warning-episode state: the first and latest warning epoch of the
+	// open episode, and whether one awaits hit/false-alarm resolution.
+	WarnStart metrics.Epoch
+	LastWarn  metrics.Epoch
+	Pending   bool
+
+	Warnings    uint64
+	FalseAlarms uint64
+
+	Last ForecastSnapshot
 }
 
 func newForecastStage(cfg ForecastConfig) *forecastStage {
 	return &forecastStage{
-		cfg:       cfg,
-		fracHist:  make([]float64, cfg.TrendWindow),
-		warnStart: -1,
-		lastWarn:  -1,
+		cfg: cfg,
+		forecastState: forecastState{
+			FracHist:  make([]float64, cfg.TrendWindow),
+			WarnStart: -1,
+			LastWarn:  -1,
+		},
 	}
 }
 
@@ -256,10 +265,10 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 	if status.Machines > 0 {
 		frac = float64(status.ViolatingAny) / float64(status.Machines)
 	}
-	s.fracHist[s.fracPos] = frac
-	s.fracPos = (s.fracPos + 1) % len(s.fracHist)
-	if s.fracN < len(s.fracHist) {
-		s.fracN++
+	s.FracHist[s.FracPos] = frac
+	s.FracPos = (s.FracPos + 1) % len(s.FracHist)
+	if s.FracN < len(s.FracHist) {
+		s.FracN++
 	}
 	proj := frac + s.trendSlope()*float64(s.cfg.Horizon)
 	snap.Trend = clamp01(proj / m.cfg.SLA.CrisisFraction)
@@ -322,21 +331,21 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 
 	// Episode bookkeeping, skipped while a crisis is already open.
 	if !crisisActive {
-		if s.pending && e-s.lastWarn > metrics.Epoch(s.cfg.Horizon) {
-			s.pending = false
-			s.falseAlarms++
+		if s.Pending && e-s.LastWarn > metrics.Epoch(s.cfg.Horizon) {
+			s.Pending = false
+			s.FalseAlarms++
 			snap.FalseAlarm = true
 			m.events.Event("forecast.false_alarm",
-				"epoch", int64(e), "warn_start", int64(s.warnStart), "last_warn", int64(s.lastWarn))
+				"epoch", int64(e), "warn_start", int64(s.WarnStart), "last_warn", int64(s.LastWarn))
 			if m.fcTel != nil {
 				m.fcTel.falseAlarms.Inc()
 			}
 		}
 		if snap.Warning {
-			if !s.pending {
-				s.pending = true
-				s.warnStart = e
-				s.warnings++
+			if !s.Pending {
+				s.Pending = true
+				s.WarnStart = e
+				s.Warnings++
 				m.events.Event("forecast.warning",
 					"epoch", int64(e), "risk", snap.Risk,
 					"trend", snap.Trend, "near", snap.Near,
@@ -345,11 +354,11 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 					m.fcTel.warnings.Inc()
 				}
 			}
-			s.lastWarn = e
+			s.LastWarn = e
 		}
 	}
-	if s.pending && snap.Warning {
-		snap.WarnEpochs = int(e-s.warnStart) + 1
+	if s.Pending && snap.Warning {
+		snap.WarnEpochs = int(e-s.WarnStart) + 1
 	}
 
 	if m.fcTel != nil {
@@ -361,7 +370,7 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 		m.fcTel.warning.SetInt(boolToGauge(snap.Warning))
 		m.fcTel.models.SetInt(int64(len(s.models)))
 	}
-	s.last = snap
+	s.Last = snap
 	return snap
 }
 
@@ -370,14 +379,14 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 // Horizon epochs) and actually preceded the detection. The returned lead is
 // the epochs from the episode's first warning to the detection.
 func (s *forecastStage) resolveDetection(e metrics.Epoch) (lead int, hit bool) {
-	if s == nil || !s.pending {
+	if s == nil || !s.Pending {
 		return 0, false
 	}
-	s.pending = false
-	if e-s.lastWarn > metrics.Epoch(s.cfg.Horizon) {
+	s.Pending = false
+	if e-s.LastWarn > metrics.Epoch(s.cfg.Horizon) {
 		return 0, false
 	}
-	lead = int(e - s.warnStart)
+	lead = int(e - s.WarnStart)
 	if lead < 1 {
 		return 0, false
 	}
@@ -387,16 +396,16 @@ func (s *forecastStage) resolveDetection(e metrics.Epoch) (lead int, hit bool) {
 // trendSlope is the least-squares slope of the fraction ring in
 // chronological order (fractions per epoch); 0 until two points exist.
 func (s *forecastStage) trendSlope() float64 {
-	n := s.fracN
+	n := s.FracN
 	if n < 2 {
 		return 0
 	}
-	start := (s.fracPos - n + len(s.fracHist)) % len(s.fracHist)
+	start := (s.FracPos - n + len(s.FracHist)) % len(s.FracHist)
 	// x = 0..n-1; slope = (n·Σxy − Σx·Σy) / (n·Σx² − (Σx)²).
 	var sumX, sumY, sumXY, sumXX float64
 	for i := 0; i < n; i++ {
 		x := float64(i)
-		y := s.fracHist[(start+i)%len(s.fracHist)]
+		y := s.FracHist[(start+i)%len(s.FracHist)]
 		sumX += x
 		sumY += y
 		sumXY += x * y
@@ -454,71 +463,33 @@ func (s *forecastStage) maybeRetrain(m *Monitor) {
 	}
 }
 
-// forecastCheckpoint is the stage's gob image inside checkpointPayload.
-// Centroid models are not persisted: they retrain lazily from the restored
-// track and crisis history on the first post-restore epoch.
-type forecastCheckpoint struct {
-	FracHist    []float64
-	FracPos     int
-	FracN       int
-	WarnStart   metrics.Epoch
-	LastWarn    metrics.Epoch
-	Pending     bool
-	Warnings    uint64
-	FalseAlarms uint64
-	Last        ForecastSnapshot
-}
-
-func (s *forecastStage) checkpoint() *forecastCheckpoint {
+// checkpoint returns the stage's state for a checkpoint; nil when the stage
+// is off.
+func (s *forecastStage) checkpoint() *forecastState {
 	if s == nil {
 		return nil
 	}
-	return &forecastCheckpoint{
-		FracHist:    append([]float64(nil), s.fracHist...),
-		FracPos:     s.fracPos,
-		FracN:       s.fracN,
-		WarnStart:   s.warnStart,
-		LastWarn:    s.lastWarn,
-		Pending:     s.pending,
-		Warnings:    s.warnings,
-		FalseAlarms: s.falseAlarms,
-		Last:        s.last,
-	}
+	return &s.forecastState
 }
 
-// restore applies a checkpointed stage image; a nil image (old checkpoint,
-// or one written with the stage disabled) resets to cold. A ring sized for
-// a different TrendWindow is re-fitted rather than rejected.
-func (s *forecastStage) restore(c *forecastCheckpoint) {
+// restore applies a checkpointed state; a nil one (a checkpoint written with
+// the stage off) resets to cold. A ring sized for a different TrendWindow
+// restarts empty rather than being rejected. Models retrain lazily against
+// the restored track.
+func (s *forecastStage) restore(c *forecastState) {
 	if s == nil {
 		return
 	}
-	if c == nil {
-		*s = *newForecastStage(s.cfg)
-		return
-	}
-	if len(c.FracHist) == len(s.fracHist) && c.FracPos >= 0 && c.FracPos < len(s.fracHist) {
-		copy(s.fracHist, c.FracHist)
-		s.fracPos = c.FracPos
-		s.fracN = minInt(c.FracN, len(s.fracHist))
-	} else {
-		for i := range s.fracHist {
-			s.fracHist[i] = 0
+	fresh := newForecastStage(s.cfg)
+	if c != nil {
+		ring := fresh.FracHist
+		fresh.forecastState = *c
+		if len(c.FracHist) != len(ring) || c.FracPos < 0 || c.FracPos >= len(ring) {
+			fresh.FracHist, fresh.FracPos, fresh.FracN = ring, 0, 0
 		}
-		s.fracPos, s.fracN = 0, 0
+		fresh.FracN = min(fresh.FracN, len(ring))
 	}
-	s.warnStart = c.WarnStart
-	s.lastWarn = c.LastWarn
-	s.pending = c.Pending
-	s.warnings = c.Warnings
-	s.falseAlarms = c.FalseAlarms
-	s.last = c.Last
-	// Models retrain lazily against the restored track.
-	s.models = nil
-	s.modelLabels = nil
-	s.fpr = nil
-	s.trainedGen = 0
-	s.trainedN = -1
+	*s = *fresh
 }
 
 func clamp01(v float64) float64 {
@@ -543,11 +514,4 @@ func max4(a, b, c, d float64) float64 {
 		m = d
 	}
 	return m
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dcfp/internal/metrics"
@@ -134,9 +135,9 @@ func TestForecastFalseAlarmExpires(t *testing.T) {
 	if !sawFalseAlarm {
 		t.Fatal("warning episode never expired as a false alarm")
 	}
-	if tb.m.fc.warnings == 0 || tb.m.fc.falseAlarms == 0 {
+	if tb.m.fc.Warnings == 0 || tb.m.fc.FalseAlarms == 0 {
 		t.Fatalf("stage counters warnings=%d falseAlarms=%d, want both > 0",
-			tb.m.fc.warnings, tb.m.fc.falseAlarms)
+			tb.m.fc.Warnings, tb.m.fc.FalseAlarms)
 	}
 }
 
@@ -166,21 +167,8 @@ func TestForecastCheckpointRoundtrip(t *testing.T) {
 	if _, err := m2.ReadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.fc.pending || m2.fc.warnStart != tb.m.fc.warnStart || m2.fc.lastWarn != tb.m.fc.lastWarn {
-		t.Fatalf("restored episode state %+v, want %+v",
-			struct {
-				P bool
-				S metrics.Epoch
-				L metrics.Epoch
-			}{m2.fc.pending, m2.fc.warnStart, m2.fc.lastWarn},
-			struct {
-				P bool
-				S metrics.Epoch
-				L metrics.Epoch
-			}{tb.m.fc.pending, tb.m.fc.warnStart, tb.m.fc.lastWarn})
-	}
-	if m2.fc.fracN != tb.m.fc.fracN {
-		t.Fatalf("restored trend ring fill %d, want %d", m2.fc.fracN, tb.m.fc.fracN)
+	if !m2.fc.Pending || !reflect.DeepEqual(m2.fc.forecastState, tb.m.fc.forecastState) {
+		t.Fatalf("restored stage state %+v, want %+v", m2.fc.forecastState, tb.m.fc.forecastState)
 	}
 }
 

@@ -188,9 +188,11 @@ type EpochReport struct {
 // window up to the one it closed at, from which its fingerprint is
 // recomputed under whatever thresholds and relevant metrics are current.
 type pastCrisis struct {
-	id    string
+	id    string // crisisID of its index in Monitor.past, plus one
 	label string // "" until operators resolve it
 	start metrics.Epoch
+	// open marks the crisis in progress; only the newest record can be open.
+	open bool
 	// closed is the epoch the crisis closed at when it was stored, which
 	// needs thresholds to exist then; -1 while it is open or if it was not
 	// stored. memo keeps its fingerprint within one (thresholds generation,
@@ -266,21 +268,24 @@ type Monitor struct {
 	track *metrics.QuantileTrack
 	agg   *metrics.Aggregator
 
+	// track, inCrisis and degraded hold one entry per observed epoch, so the
+	// track's length is the next epoch's index. degraded marks an epoch below
+	// the coverage floor.
 	inCrisis   []bool
-	degraded   []bool // parallel to inCrisis: epoch was below the coverage floor
+	degraded   []bool
 	thresholds *metrics.Thresholds
 	lastThresh metrics.Epoch
 
 	// Degraded-ingestion state: the previous epoch's quantile summary (the
-	// carry-forward source for metrics nobody reported), the learned or
-	// configured machine-count denominator, and running degradation stats.
+	// carry-forward source for metrics nobody reported; the track's last
+	// row), the learned or configured machine-count denominator, and running
+	// degradation stats (degradedCount counts the degraded flags).
 	lastSummary   [][3]float64
 	expected      int
 	degradedCount int64
 	lastCoverage  float64
 
-	past   []pastCrisis
-	nextID int
+	past []pastCrisis
 	// labels interns the candidate labels kept records refer to (labelRef).
 	labels   []string
 	labelIdx map[string]int32
@@ -290,9 +295,8 @@ type Monitor struct {
 	// samples into the ring and takes the evicted slot's storage as the next
 	// epoch's cur, so anything that outlives a slot (feature-selection
 	// samples) must copy what it keeps.
-	ring      []*epochSamples
-	ringEpoch []metrics.Epoch // epoch each slot was filled at
-	ringPos   int
+	ring    []*epochSamples
+	ringPos int
 	// cur is the epoch being ingested: its samples are written here by the
 	// filter kernel (in process) or the column pass (fleet merge).
 	cur *epochSamples
@@ -311,12 +315,7 @@ type Monitor struct {
 	// split with epochs smaller than the crossover.
 	minSplit int
 
-	// Active crisis state.
-	activeStart metrics.Epoch
-	activeIdx   int // index into past while active; -1 when idle
-	calm        int // consecutive non-crisis epochs while active
-
-	epoch metrics.Epoch
+	calm int // consecutive non-crisis epochs while a crisis is open
 
 	// thGen counts successful threshold refreshes. It tags identify's
 	// fingerprinters so the stored crises' memos can tell discretization
@@ -487,16 +486,14 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		cfg:       cfg,
-		track:     track,
-		agg:       agg,
-		ring:      make([]*epochSamples, cfg.RawPad),
-		ringEpoch: make([]metrics.Epoch, cfg.RawPad),
-		activeIdx: -1,
-		expected:  cfg.ExpectedMachines,
-		minSplit:  minSplitMachines,
-		tel:       newMonitorMetrics(cfg.Telemetry),
-		events:    cfg.Events,
+		cfg:      cfg,
+		track:    track,
+		agg:      agg,
+		ring:     make([]*epochSamples, cfg.RawPad),
+		expected: cfg.ExpectedMachines,
+		minSplit: minSplitMachines,
+		tel:      newMonitorMetrics(cfg.Telemetry),
+		events:   cfg.Events,
 	}
 	if cfg.Forecast.Enabled {
 		m.fc = newForecastStage(cfg.Forecast)
@@ -506,17 +503,28 @@ func New(cfg Config) (*Monitor, error) {
 }
 
 // Epoch reports the next epoch index the monitor expects.
-func (m *Monitor) Epoch() metrics.Epoch { return m.epoch }
+func (m *Monitor) Epoch() metrics.Epoch { return metrics.Epoch(m.track.NumEpochs()) }
 
-// KnownCrises reports how many past crises are stored, and how many carry
-// operator labels.
+// KnownCrises reports how many crises are stored, and how many crises, stored
+// or not, carry operator labels.
 func (m *Monitor) KnownCrises() (stored, labeled int) {
-	for _, p := range m.past {
-		if p.label != "" {
+	for i := range m.past {
+		if m.past[i].closed >= 0 {
+			stored++
+		}
+		if m.past[i].label != "" {
 			labeled++
 		}
 	}
-	return len(m.past), labeled
+	return stored, labeled
+}
+
+// active returns the open crisis, nil when there is none.
+func (m *Monitor) active() *pastCrisis {
+	if n := len(m.past); n > 0 && m.past[n-1].open {
+		return &m.past[n-1]
+	}
+	return nil
 }
 
 // ObserveEpoch ingests one epoch of per-machine samples (samples[machine]
@@ -552,8 +560,13 @@ func (m *Monitor) ObserveEpoch(samples [][]float64) (*EpochReport, error) {
 // crisis state machine, identification, threshold refresh, and telemetry —
 // and builds the epoch report. Both ingestion modes end here, so the output
 // is byte-identical across modes once the inputs (status, summary, retained
-// samples, masks) match. ret is m.cur, the epoch's retained samples.
+// samples, masks) match. ret is m.cur, the epoch's retained samples. The
+// epoch's summary joins the track here, with its flags.
 func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochSamples, reporting []bool, status sla.EpochStatus, summary [][3]float64, dropped, gaps, workers int) (rep *EpochReport, err error) {
+	e := m.Epoch()
+	if err := m.track.AppendEpoch(summary); err != nil {
+		return nil, err
+	}
 	m.lastSummary = summary
 	reportCount := countReporting(reporting)
 	ret.reporting = reportCount
@@ -564,8 +577,6 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 	degraded := reportCount == 0 || (m.cfg.MinCoverage > 0 && coverage < m.cfg.MinCoverage)
 	ret.sanitize(summary)
 
-	e := m.epoch
-	m.epoch++
 	m.inCrisis = append(m.inCrisis, status.InCrisis)
 	m.degraded = append(m.degraded, degraded)
 	m.lastCoverage = coverage
@@ -589,17 +600,17 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 	// to move the risk estimate.
 	if m.fc != nil {
 		if degraded {
-			m.fc.last.Epoch = e
-			m.fc.last.Degraded = true
-			m.fc.last.DetectionLead = 0
-			m.fc.last.FalseAlarm = false
-			rep.Forecast = m.fc.last
+			m.fc.Last.Epoch = e
+			m.fc.Last.Degraded = true
+			m.fc.Last.DetectionLead = 0
+			m.fc.Last.FalseAlarm = false
+			rep.Forecast = m.fc.Last
 		} else {
 			if m.tel != nil {
 				ts = time.Now()
 			}
 			sp := tr.StartSpan("forecast")
-			rep.Forecast = m.forecastObserve(e, status, summary, ret, m.activeIdx >= 0)
+			rep.Forecast = m.forecastObserve(e, status, summary, ret, m.active() != nil)
 			sp.SetAttr("risk_permille", int64(rep.Forecast.Risk*1000))
 			sp.End()
 			ts = m.span(stageForecast, ts)
@@ -611,43 +622,45 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 	// Degraded epochs freeze it entirely: too few machines reported to
 	// either declare a crisis (spurious start on a sliver of survivors) or
 	// to count as a calm epoch toward ending one.
+	open := m.active() != nil
 	switch {
 	case degraded:
-	case m.activeIdx < 0 && status.InCrisis:
+	case !open && status.InCrisis:
 		m.beginCrisis(e, ret)
-	case m.activeIdx >= 0 && status.InCrisis:
+	case open && status.InCrisis:
 		m.calm = 0
-	case m.activeIdx >= 0 && !status.InCrisis:
+	case open && !status.InCrisis:
 		m.calm++
 		if m.calm > 1 {
 			m.endCrisis(tr, e)
 		}
 	}
 
-	if m.fc != nil && m.activeIdx >= 0 && m.activeStart == e {
+	p := m.active()
+	if m.fc != nil && p != nil && p.start == e {
 		// A crisis was just detected: close the warning episode and score
 		// its lead. The snapshot's DetectionLead is what cmd/dcfpd feeds
 		// into Scoreboard.RecordForecast as a negative TTI.
 		if lead, hit := m.fc.resolveDetection(e); hit {
 			rep.Forecast.DetectionLead = lead
-			m.fc.last.DetectionLead = lead
+			m.fc.Last.DetectionLead = lead
 			m.events.Event("forecast.hit",
-				"epoch", int64(e), "lead_epochs", lead, "crisis", m.past[m.activeIdx].id)
+				"epoch", int64(e), "lead_epochs", lead, "crisis", p.id)
 		}
 	}
 
-	if m.activeIdx >= 0 {
+	if p != nil {
 		rep.CrisisActive = true
-		rep.CrisisStart = m.activeStart
+		rep.CrisisStart = p.start
 		if !degraded {
-			m.collectCrisisSamples(&m.past[m.activeIdx], ret)
+			m.collectCrisisSamples(p, ret)
 		}
-		k := int(e - m.activeStart)
+		k := int(e - p.start)
 		if k < ident.IdentificationEpochs {
 			if m.tel != nil {
 				ts = time.Now()
 			}
-			rep.Advice = m.identify(tr, e, k)
+			rep.Advice = m.identify(tr, p, e, k)
 			if rep.Advice != nil {
 				rep.Advice.Degraded = degraded
 				if m.fc != nil {
@@ -683,9 +696,9 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 	if m.tel != nil {
 		m.tel.epochs.Inc()
 		m.tel.workers.SetInt(int64(workers))
-		m.tel.crisisActive.SetInt(boolToGauge(m.activeIdx >= 0))
+		m.tel.crisisActive.SetInt(boolToGauge(p != nil))
 		if m.thresholds != nil {
-			m.tel.thresholdAge.SetInt(int64(m.epoch - 1 - m.lastThresh))
+			m.tel.thresholdAge.SetInt(int64(e - m.lastThresh))
 		}
 		m.tel.ingestDropped.Add(uint64(dropped))
 		if nr := m.expected - reportCount; nr > 0 {
@@ -807,11 +820,11 @@ func (m *Monitor) retainEpoch(n int) *epochSamples {
 }
 
 // pushRing retains the idle epoch's samples (cur) for the pre-crisis
-// feature-selection window, tagging the slot with its epoch. The evicted
-// slot's storage becomes cur for the next epoch.
+// feature-selection window, tagged with their epoch. The evicted slot's
+// storage becomes cur for the next epoch.
 func (m *Monitor) pushRing(e metrics.Epoch) {
+	m.cur.epoch = e
 	m.ring[m.ringPos], m.cur = m.cur, m.ring[m.ringPos]
-	m.ringEpoch[m.ringPos] = e
 	m.ringPos = (m.ringPos + 1) % m.cfg.RawPad
 }
 
@@ -819,8 +832,7 @@ func (m *Monitor) pushRing(e metrics.Epoch) {
 func crisisID(n int) string { return fmt.Sprintf("crisis-%03d", n) }
 
 func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
-	m.nextID++
-	p := pastCrisis{id: crisisID(m.nextID), start: e, closed: -1}
+	p := pastCrisis{id: crisisID(len(m.past) + 1), start: e, open: true, closed: -1}
 	// Seed feature-selection samples with the buffered pre-crisis epochs,
 	// oldest first. Slots carry the epoch they were filled at: the ring is
 	// not drained when a crisis ends, so when crises come back to back its
@@ -829,16 +841,14 @@ func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
 	// epochs of the new start qualify.
 	for s := 0; s < m.cfg.RawPad; s++ {
 		slot := (m.ringPos + s) % m.cfg.RawPad
-		if m.ring[slot] == nil || m.ringEpoch[slot]+metrics.Epoch(m.cfg.RawPad) < e {
+		if m.ring[slot] == nil || m.ring[slot].epoch+metrics.Epoch(m.cfg.RawPad) < e {
 			continue
 		}
 		m.collectCrisisSamples(&p, m.ring[slot])
 	}
 	m.past = append(m.past, p)
-	m.activeIdx = len(m.past) - 1
-	m.activeStart = e
 	m.calm = 0
-	m.collectCrisisSamples(&m.past[m.activeIdx], cur)
+	m.collectCrisisSamples(m.active(), cur)
 	if m.tel != nil {
 		m.tel.crisesDetected.Inc()
 	}
@@ -861,8 +871,8 @@ func (m *Monitor) collectCrisisSamples(p *pastCrisis, s *epochSamples) {
 // it closes at and runs its feature selection, which consumes the collected
 // samples in place.
 func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
-	p := &m.past[m.activeIdx]
-	m.activeIdx = -1
+	p := m.active()
+	p.open = false
 	m.calm = 0
 	stored := false
 	// The raw feature-selection buffers are released on *every* exit path:
@@ -899,7 +909,8 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	sp.End()
 	m.span(stageSelection, ts)
 	if m.tel != nil {
-		m.tel.storeSize.SetInt(int64(m.storedCrises()))
+		n, _ := m.KnownCrises()
+		m.tel.storeSize.SetInt(int64(n))
 	}
 }
 
@@ -910,10 +921,10 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 // observed epoch. It reports whether an active crisis was finalized; with
 // no crisis open it is a no-op.
 func (m *Monitor) Flush() bool {
-	if m.activeIdx < 0 {
+	if m.active() == nil {
 		return false
 	}
-	e := m.epoch
+	e := m.Epoch()
 	if e > 0 {
 		e--
 	}
@@ -949,7 +960,7 @@ type Stats struct {
 	// CrisesStored / CrisesLabeled mirror KnownCrises.
 	CrisesStored  int `json:"crises_stored"`
 	CrisesLabeled int `json:"crises_labeled"`
-	// StoreSize counts finalized crises whose raw rows were captured.
+	// StoreSize equals CrisesStored; it predates it on /healthz.
 	StoreSize int `json:"store_size"`
 	// CrisisActive reports an open crisis episode, with its ID and start.
 	CrisisActive      bool          `json:"crisis_active"`
@@ -973,10 +984,10 @@ type Stats struct {
 func (m *Monitor) Stats() Stats {
 	stored, labeled := m.KnownCrises()
 	s := Stats{
-		EpochsSeen:         int64(m.epoch),
+		EpochsSeen:         int64(m.Epoch()),
 		CrisesStored:       stored,
 		CrisesLabeled:      labeled,
-		StoreSize:          m.storedCrises(),
+		StoreSize:          stored,
 		ThresholdsReady:    m.thresholds != nil,
 		ThresholdAgeEpochs: -1,
 		DegradedEpochs:     m.degradedCount,
@@ -985,14 +996,14 @@ func (m *Monitor) Stats() Stats {
 	}
 	if m.thresholds != nil {
 		// Same convention as the dcfp_threshold_age_epochs gauge: age is
-		// measured from the most recently observed epoch (m.epoch-1), not
-		// from the next epoch the monitor expects.
-		s.ThresholdAgeEpochs = int64(m.epoch) - 1 - int64(m.lastThresh)
+		// measured from the most recently observed epoch, not from the next
+		// epoch the monitor expects.
+		s.ThresholdAgeEpochs = int64(m.Epoch()) - 1 - int64(m.lastThresh)
 	}
-	if m.activeIdx >= 0 {
+	if p := m.active(); p != nil {
 		s.CrisisActive = true
-		s.ActiveCrisisID = m.past[m.activeIdx].id
-		s.ActiveCrisisStart = m.activeStart
+		s.ActiveCrisisID = p.id
+		s.ActiveCrisisStart = p.start
 	}
 	return s
 }
@@ -1010,27 +1021,16 @@ type CrisisRecord struct {
 	Stored bool `json:"stored"`
 }
 
-// storedCrises counts the crises stored so far.
-func (m *Monitor) storedCrises() int {
-	n := 0
-	for i := range m.past {
-		if m.past[i].closed >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Crises lists every crisis the monitor has seen, oldest first. Same
 // single-goroutine contract as Stats.
 func (m *Monitor) Crises() []CrisisRecord {
 	out := make([]CrisisRecord, 0, len(m.past))
-	for i, p := range m.past {
+	for _, p := range m.past {
 		out = append(out, CrisisRecord{
 			ID:     p.id,
 			Label:  p.label,
 			Start:  p.start,
-			Active: i == m.activeIdx,
+			Active: p.open,
 			Stored: p.closed >= 0,
 		})
 	}
@@ -1092,12 +1092,12 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 	return f, nil
 }
 
-// identify performs the per-epoch identification of the active crisis; e is
+// identify performs the per-epoch identification of the open crisis p; e is
 // the epoch being observed, k the 0-based identification epoch. Alongside
 // the Advice it builds the full audit Explanation: the decision below reads
 // its nearest distance from the explanation's own candidate records, so the
 // audit trail can never disagree with the decision it explains.
-func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice {
+func (m *Monitor) identify(tr *telemetry.Trace, p *pastCrisis, e metrics.Epoch, k int) *Advice {
 	isp := tr.StartSpan("identify")
 	defer isp.End()
 	f, err := m.currentFingerprinter()
@@ -1105,12 +1105,11 @@ func (m *Monitor) identify(tr *telemetry.Trace, e metrics.Epoch, k int) *Advice 
 		return nil
 	}
 	sp := tr.StartSpan("fingerprint")
-	part, err := f.CrisisFingerprintUpTo(m.track, m.activeStart, summaryRange, m.epoch-1)
+	part, err := f.CrisisFingerprintUpTo(m.track, p.start, summaryRange, e)
 	sp.End()
 	if err != nil {
 		return nil
 	}
-	p := &m.past[m.activeIdx]
 	expl := &ident.Explanation{
 		CrisisID:   p.id,
 		Epoch:      e,

@@ -221,15 +221,11 @@ func (m *Monitor) observeLocal(tr *telemetry.Trace, rows [][]float64) (rep *Epoc
 	return m.finishEpoch(tr, t0, ts, ret, reporting, status, summary, dropped, gaps, workers)
 }
 
-// summarize drains the aggregator into this epoch's quantile summary and
-// appends it to the track.
+// summarize drains the aggregator into this epoch's quantile summary.
 func (m *Monitor) summarize(tr *telemetry.Trace, workers int, ts time.Time) ([][3]float64, int, time.Time, error) {
 	sp := tr.StartSpan("summarize")
 	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
 	if err != nil {
-		return nil, 0, ts, err
-	}
-	if err = m.track.AppendEpoch(summary); err != nil {
 		return nil, 0, ts, err
 	}
 	sp.SetAttr("metric_gaps", int64(gaps))

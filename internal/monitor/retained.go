@@ -3,6 +3,8 @@ package monitor
 import (
 	"math"
 	"slices"
+
+	"dcfp/internal/metrics"
 )
 
 // epochSamples is one epoch's retained machine samples, metric-major: slot
@@ -13,8 +15,10 @@ import (
 // slots that reported (a delivered row of nothing but NaN/Inf did not) and
 // viol their any-KPI violation; a slot that did not report is never read.
 // nonFinite[j] counts the non-finite cells ingestion wrote into column j, so
-// sanitization visits only those columns.
+// sanitization visits only those columns. A ring slot's epoch is the epoch
+// it holds.
 type epochSamples struct {
+	epoch     metrics.Epoch
 	x         []float64
 	n         int
 	live      []bool

@@ -251,7 +251,7 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 		t.Fatal("selection.failed before any selection ran")
 	}
 	// Leave the open crisis only single-class samples.
-	p := &tb.m.past[tb.m.activeIdx]
+	p := tb.m.active()
 	x, y := p.fs.Rows()
 	var calm [][]float64
 	for i, row := range x {
@@ -266,8 +266,8 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("second calm epoch must close the episode")
 	}
-	if tb.m.storedCrises() != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
-		t.Fatalf("crisis stored %d times, top %v, %d samples retained", tb.m.storedCrises(), tb.m.past[0].top, tb.m.past[0].fs.Len())
+	if storedCrises(tb.m) != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
+		t.Fatalf("crisis stored %d times, top %v, %d samples retained", storedCrises(tb.m), tb.m.past[0].top, tb.m.past[0].fs.Len())
 	}
 	ev := events.String()
 	for _, want := range []string{"selection.failed", "crisis=crisis-001", fmt.Sprintf("rows=%d", len(calm)), "single class", "crisis.ended"} {

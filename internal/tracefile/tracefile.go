@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"dcfp/internal/dcsim"
 )
@@ -26,23 +27,28 @@ var magic = [8]byte{'D', 'C', 'F', 'P', 'T', 'R', 'C', '1'}
 // version is the trace layout version.
 const version uint32 = 1
 
-// Save writes the trace to path atomically (via a temporary file renamed
-// into place).
+// Save writes the trace to path atomically: into a temporary file of its
+// own in path's directory, synced to disk, then renamed into place. A crash
+// leaves either the previous file or the whole new one under path, and
+// concurrent saves to one path never share a temporary file.
 func Save(path string, tr *dcsim.Trace) (err error) {
 	if tr == nil {
 		return fmt.Errorf("tracefile: nil trace")
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
 			f.Close()
-			os.Remove(tmp)
+			os.Remove(f.Name())
 		}
 	}()
+	// CreateTemp makes the file private; a trace is shared data.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(f)
 	if _, err = bw.Write(magic[:]); err != nil {
 		return err
@@ -60,10 +66,13 @@ func Save(path string, tr *dcsim.Trace) (err error) {
 	if err = bw.Flush(); err != nil {
 		return err
 	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
 	if err = f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return os.Rename(f.Name(), path)
 }
 
 // Load reads a trace written by Save.

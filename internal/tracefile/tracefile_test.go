@@ -8,6 +8,7 @@ import (
 
 	"dcfp/internal/dcsim"
 	"dcfp/internal/metrics"
+	"dcfp/internal/sla"
 )
 
 var (
@@ -102,7 +103,7 @@ func TestSaveValidation(t *testing.T) {
 	if err := Save(filepath.Join(t.TempDir(), "x"), nil); err == nil {
 		t.Fatal("want nil-trace error")
 	}
-	if err := Save("/nonexistent-dir/deep/x", tinyTrace(t)); err == nil {
+	if err := Save("/nonexistent-dir/deep/x", smallTrace(t)); err == nil {
 		t.Fatal("want create error")
 	}
 }
@@ -142,10 +143,77 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.dcfp")
-	if err := Save(path, tinyTrace(t)); err != nil {
+	if err := Save(path, smallTrace(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temporary file left behind")
+	onlyFile(t, dir, "trace.dcfp")
+}
+
+// TestConcurrentSaves saves one trace to one path from several goroutines:
+// each writes a temporary file of its own, so the file left is one whole
+// save that Load accepts, and no temporary file remains.
+func TestConcurrentSaves(t *testing.T) {
+	tr := smallTrace(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.dcfp")
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = Save(path, tr)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEpochs() != tr.NumEpochs() || got.Track.NumEpochs() != tr.NumEpochs() || got.Config.Seed != tr.Config.Seed {
+		t.Fatalf("loaded %d epochs (track %d) of seed %d, saved %d of seed %d",
+			got.NumEpochs(), got.Track.NumEpochs(), got.Config.Seed, tr.NumEpochs(), tr.Config.Seed)
+	}
+	onlyFile(t, dir, "trace.dcfp")
+}
+
+// smallTrace is a trace of zeros, two metrics wide and 4 096 epochs long: a
+// file Load accepts that takes milliseconds to save, also under the race
+// detector.
+func smallTrace(t *testing.T) *dcsim.Trace {
+	t.Helper()
+	const epochs = 4096
+	cat, err := metrics.NewCatalog([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	track, err := metrics.NewQuantileTrack(cat.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := track.Grow(epochs); err != nil {
+		t.Fatal(err)
+	}
+	return &dcsim.Trace{Config: dcsim.Config{Machines: 10, Seed: 7}, Catalog: cat, Track: track, Status: make([]sla.EpochStatus, epochs)}
+}
+
+// onlyFile fails unless name is the one entry of dir.
+func onlyFile(t *testing.T, dir, name string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != name {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only %s", names, name)
 	}
 }
