@@ -154,26 +154,18 @@ func (s *Samples) AppendBlock(x []float64, pos []bool) error {
 // Len is the number of rows.
 func (s *Samples) Len() int { return len(s.y) }
 
-// Rows returns a row-major copy of the set and its labels: the inverse of
-// NewSamples, block boundaries aside.
-func (s *Samples) Rows() ([][]float64, []int) {
-	x := make([][]float64, 0, len(s.y))
-	y := make([]int, len(s.y))
-	for i, yi := range s.y {
-		if yi {
-			y[i] = 1
+// Block returns a copy of the set as one metric-major block with its
+// labels: what AppendBlock takes, block boundaries aside.
+func (s *Samples) Block() ([]float64, []bool) {
+	n := len(s.y)
+	x := make([]float64, s.d*n)
+	for j := 0; j < s.d; j++ {
+		at := j * n
+		for _, b := range s.blocks {
+			at += copy(x[at:], b.col(j))
 		}
 	}
-	for _, b := range s.blocks {
-		for i := 0; i < b.n; i++ {
-			row := make([]float64, s.d)
-			for j := range row {
-				row[j] = b.x[j*b.n+i]
-			}
-			x = append(x, row)
-		}
-	}
-	return x, y
+	return x, append([]bool(nil), s.y...)
 }
 
 // positives validates the set — at least one row, both classes present —

@@ -454,8 +454,9 @@ func TestTrainFiniteProperty(t *testing.T) {
 }
 
 // TestAppendBlockMatchesAppend: a metric-major block handed over whole is
-// the set Append builds from the same rows, block for block, and the wrong
-// shapes are refused without touching the set.
+// the set Append builds from the same rows, block for block, Block hands the
+// set back as one such block, and the wrong shapes are refused without
+// touching the set.
 func TestAppendBlockMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const d = 7
@@ -481,6 +482,15 @@ func TestAppendBlockMatchesAppend(t *testing.T) {
 	}
 	if !reflect.DeepEqual(byRow, byCol) {
 		t.Fatal("AppendBlock built a different set than Append over the same rows")
+	}
+	// Block is the whole set as one block: the same rows and labels.
+	var whole Samples
+	if err := whole.AppendBlock(byCol.Block()); err != nil {
+		t.Fatal(err)
+	}
+	wx, wy := whole.Rows()
+	if rx, ry := byRow.Rows(); !reflect.DeepEqual(wx, rx) || !reflect.DeepEqual(wy, ry) {
+		t.Fatal("Block lost or reordered rows")
 	}
 	for _, tc := range []struct {
 		name string

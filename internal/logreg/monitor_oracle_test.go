@@ -15,18 +15,35 @@ import (
 )
 
 // checkpointView is the slice of the monitor's checkpoint this test reads:
-// each tracked crisis's collected samples (while it is open) and its selected
-// metrics (once it has closed). gob matches fields by name and skips the rest.
+// whether the newest crisis is open, its collected samples (one metric-major
+// block, X[j*len(Viol)+i] for machine i and metric j) and each crisis's
+// selected metrics (once it has closed). gob matches fields by name and
+// skips the rest.
 type checkpointView struct {
 	State struct {
-		ActiveIdx int
-		Past      []struct {
-			ID  string
-			FsX [][]float64
-			FsY []int
-			Top []int
+		Open    bool
+		Samples struct {
+			X    []float64
+			Viol []bool
+		}
+		Crises []struct{ State struct{ Top []int } }
+	}
+}
+
+// rows is the view's open-crisis samples as rows with 0/1 labels.
+func (v checkpointView) rows() ([][]float64, []int) {
+	b := v.State.Samples
+	n := len(b.Viol)
+	x, y := make([][]float64, n), make([]int, n)
+	for i := range x {
+		for j := 0; j < len(b.X)/n; j++ {
+			x[i] = append(x[i], b.X[j*n+i])
+		}
+		if b.Viol[i] {
+			y[i] = 1
 		}
 	}
+	return x, y
 }
 
 func viewCheckpoint(t *testing.T, m *monitor.Monitor) checkpointView {
@@ -98,22 +115,23 @@ func monitorCrises(t *testing.T, crises int) []closedCrisis {
 			open = viewCheckpoint(t, mon)
 			continue
 		}
-		if open.State.Past == nil {
+		if !open.State.Open {
 			continue
 		}
 		// This epoch closed the crisis that was open one epoch ago.
-		idx := open.State.ActiveIdx
-		samples := open.State.Past[idx]
-		after := viewCheckpoint(t, mon).State.Past[idx]
+		idx := len(open.State.Crises) - 1
+		x, y := open.rows()
+		after := viewCheckpoint(t, mon)
 		open = checkpointView{}
-		what := fmt.Sprintf("%s (%d samples)", samples.ID, len(samples.FsX))
-		if len(after.FsX) != 0 {
+		id := mon.Crises()[idx].ID
+		what := fmt.Sprintf("%s (%d samples)", id, len(x))
+		if after.State.Open || len(after.State.Samples.Viol) != 0 {
 			t.Fatalf("%s: samples still held after the crisis closed", what)
 		}
-		if want := 17 * machines; len(samples.FsX) != want {
+		if want := 17 * machines; len(x) != want {
 			t.Fatalf("%s: want %d", what, want)
 		}
-		closed = append(closed, closedCrisis{samples.ID, samples.FsX, samples.FsY, after.Top, cfg.Selection.PerCrisisTopK})
+		closed = append(closed, closedCrisis{id, x, y, after.State.Crises[idx].State.Top, cfg.Selection.PerCrisisTopK})
 	}
 	if len(closed) != crises {
 		t.Fatalf("closed %d of %d scripted crises", len(closed), crises)

@@ -1,6 +1,10 @@
 package monitor
 
-import "testing"
+import (
+	"testing"
+
+	"dcfp/internal/core"
+)
 
 // observeEpochAllocs measures steady-state ObserveEpoch allocations on the
 // production-shaped benchmark monitor (100 machines x 100 metrics, never in
@@ -63,7 +67,12 @@ func TestPerCrisisSampleCollectionAllocs(t *testing.T) {
 	viol := make([]bool, len(epochs[0]))
 	retained := make([]*epochSamples, len(epochs))
 	for e, rows := range epochs {
-		retained[e] = samplesFromRows(rows, viol, m.cfg.Catalog.Len())
+		var b core.SampleBuffer
+		if err := b.Append(rows, viol); err != nil {
+			t.Fatal(err)
+		}
+		x, v := b.Block()
+		retained[e] = restoredSlot(sampleBlock{X: x, Viol: v})
 	}
 	m.posBuf = make([]bool, 0, len(viol))
 	var p pastCrisis

@@ -108,8 +108,8 @@ func TestBackToBackCrisesSkipStaleRing(t *testing.T) {
 	if got := p.fs.Len(); got > maxFresh {
 		t.Fatalf("fs holds %d rows, want <= %d (stale pre-first-crisis ring rows seeded?)", got, maxFresh)
 	}
-	if x, y := p.fs.Rows(); len(x) != len(y) {
-		t.Fatalf("sample/label length mismatch: %d vs %d", len(x), len(y))
+	if x, y := p.fs.Block(); len(x) != tb.m.cfg.Catalog.Len()*len(y) {
+		t.Fatalf("sample/label length mismatch: %d values for %d labels", len(x), len(y))
 	}
 }
 

@@ -4,58 +4,36 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
 
-	"dcfp/internal/core"
 	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
 )
 
 // Checkpoint/restore for the Monitor, so a crashed or restarted dcfpd
 // resumes where it left off instead of relearning thresholds and forgetting
-// every fingerprint. A checkpoint is a versioned, atomically written
-// snapshot of the monitor's independent state:
-//
-//   - the quantile track, one row per observed epoch, and the per-epoch
-//     crisis and degraded flags beside it
-//   - the hot/cold thresholds, their age and generation
-//   - every crisis record, oldest first: start, label, metric ranking,
-//     votes, audit records, the feature-selection samples of an unfinalized
-//     crisis and, for a stored crisis, the epoch it closed at, which with
-//     its start delimits its window of the track
-//   - the crisis state machine's rest: whether the newest crisis is open
-//     (ActiveIdx) and the calm counter
-//   - the pre-crisis ring, each slot with the epoch it holds (RingEpoch)
-//   - the coverage denominator and the last coverage
-//   - the forecast stage's state
-//
-// Everything else is recomputed on restore: the next epoch's index is the
-// track's length; a crisis's ID is crisisID of its index plus one; the open
-// crisis's start is its record's; the carry-forward summary is the track's
-// last row; the degraded-epoch count is the number of degraded flags. The
-// aggregator's estimators are empty at every epoch boundary (summarizing
-// drains them), and the stored crises' fingerprint memos and identify's
-// threshold memo are memoizations that repopulate after restore.
-//
-// Checkpoints written before these values were recomputed also carry Epoch,
-// LastSummary, DegradedCount, NextID, ActiveStart and each crisis's ID; gob
-// skips fields the payload lacks, so they restore under version 1.
-//
-// A checkpoint restores byte-identically: replaying the same epochs through
-// the restored monitor yields the same reports and advice as an
-// uninterrupted run.
+// every fingerprint. A checkpoint is a versioned, atomically written gob image
+// of the monitor's independent state in the shape the monitor holds it,
+// checkpointPayload. Everything else is recomputed on restore: the next
+// epoch's index is the track's length; a crisis's ID is crisisID of its index
+// plus one; the open crisis's start is its record's; the carry-forward
+// summary is the track's last row; the degraded-epoch count is the number of
+// degraded flags. The aggregator's estimators are empty at every epoch
+// boundary, and the fingerprint and threshold memos repopulate after
+// restore. Version-1 files, which older builds wrote, restore through
+// checkpoint_v1.go. Replaying the same epochs through a restored monitor
+// yields the same reports and advice as an uninterrupted run.
 
 // checkpointMagic and checkpointVersion head every checkpoint file. The
 // version is bumped whenever checkpointPayload changes incompatibly;
 // ReadCheckpoint refuses versions it does not understand rather than
 // guessing at field layouts.
 const checkpointMagic = "DCFPCKPT"
-const checkpointVersion uint32 = 1
+const checkpointVersion uint32 = 2
 
 // CheckpointFileName is the name SaveCheckpoint writes inside its directory.
 const CheckpointFileName = "monitor.ckpt"
@@ -72,60 +50,45 @@ type CheckpointMeta struct {
 	Extra []byte
 }
 
-// checkpointCrisis mirrors pastCrisis with exported fields. Votes and Expl
-// were added after version 1 shipped; gob tolerates the asymmetry in both
-// directions (old checkpoints restore with empty audit state), so the
-// version stays 1. Closed replaced the payload's Store later: checkpoints
-// that carry a Store lack it, and legacyStore supplies it.
-type checkpointCrisis struct {
-	Label  string
-	Start  metrics.Epoch
-	Closed metrics.Epoch
-	FsX    [][]float64
-	FsY    []int
-	Top    []int
-	Votes  []string
-	Expl   []*ident.Explanation
-}
-
 // checkpointPayload is the gob image of the Monitor's independent state.
 type checkpointPayload struct {
-	InCrisis []bool
-	Degraded []bool
-	Track    *metrics.QuantileTrack
-	// HasThresh says whether Thresholds holds any. A pointer cannot say it
-	// instead: files written without thresholds carry an empty Thresholds
-	// struct, which would decode into a non-nil pointer.
-	HasThresh  bool
-	Thresholds metrics.Thresholds
+	InCrisis   []bool
+	Degraded   []bool
+	Track      *metrics.QuantileTrack
+	Thresholds *metrics.Thresholds
 	LastThresh metrics.Epoch
 	ThGen      uint64
 
-	// Checkpoints from older builds also carry LastSeen, a per-machine
-	// last-reporting-epoch table; gob skips fields the struct lacks, so
-	// they restore under version 1.
 	Expected     int
 	LastCoverage float64
 
-	// Store is only ever read: checkpoints written while the monitor kept a
-	// separate crisis store carry it, and a build that refuses a payload
-	// without one refuses this build's checkpoints.
-	Store *legacyStore
-	Past  []checkpointCrisis
+	// Crises holds every crisis record, oldest first. Open says the newest
+	// is open; Samples holds its feature-selection samples, the only ones a
+	// crisis keeps.
+	Crises  []savedCrisis
+	Open    bool
+	Samples sampleBlock
+	Calm    int
 
-	RawRing   [][][]float64
-	ViolRing  [][]bool
-	RingEpoch []metrics.Epoch
-	RingPos   int
+	Ring    []sampleBlock // a slot never filled holds no machine
+	RingPos int
 
-	// ActiveIdx is len(Past)-1 while the newest crisis is open, else -1.
-	ActiveIdx int
-	Calm      int
+	Forecast *forecastState // nil when the stage is disabled
+}
 
-	// Forecast is the early-warning stage's state; nil when the stage is
-	// disabled or the checkpoint predates it. Added after version 1
-	// shipped, same gob-tolerated asymmetry as Votes/Expl above.
-	Forecast *forecastState
+// savedCrisis is one crisis record with its audit records, rebuilt on write.
+type savedCrisis struct {
+	State crisisState
+	Expl  []*ident.Explanation
+}
+
+// sampleBlock is retained machine samples as epochSamples.samples compacts
+// them: X[j*len(Viol)+i] is machine i's metric j, Viol[i] its violation
+// flag. Epoch is the epoch a ring slot holds.
+type sampleBlock struct {
+	Epoch metrics.Epoch
+	X     []float64
+	Viol  []bool
 }
 
 type checkpointFile struct {
@@ -135,56 +98,32 @@ type checkpointFile struct {
 
 // WriteCheckpoint serializes the monitor's mutable state to w.
 func (m *Monitor) WriteCheckpoint(w io.Writer, meta CheckpointMeta) error {
-	hdr := make([]byte, len(checkpointMagic)+4)
-	copy(hdr, checkpointMagic)
-	binary.BigEndian.PutUint32(hdr[len(checkpointMagic):], checkpointVersion)
+	hdr := binary.BigEndian.AppendUint32([]byte(checkpointMagic), checkpointVersion)
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("monitor: checkpoint header: %w", err)
 	}
-	f := checkpointFile{
-		Meta: meta,
-		State: checkpointPayload{
-			InCrisis:     m.inCrisis,
-			Degraded:     m.degraded,
-			Track:        m.track,
-			HasThresh:    m.thresholds != nil,
-			LastThresh:   m.lastThresh,
-			ThGen:        m.thGen,
-			Expected:     m.expected,
-			LastCoverage: m.lastCoverage,
-			RawRing:      make([][][]float64, len(m.ring)),
-			ViolRing:     make([][]bool, len(m.ring)),
-			RingEpoch:    make([]metrics.Epoch, len(m.ring)),
-			RingPos:      m.ringPos,
-			ActiveIdx:    -1,
-			Calm:         m.calm,
-			Forecast:     m.fc.checkpoint(),
-		},
-	}
-	if m.active() != nil {
-		f.State.ActiveIdx = len(m.past) - 1
-	}
-	// The ring is kept metric-major; the checkpoint stores each slot's
-	// reporting machines as rows, the layout it has always had.
-	for i, slot := range m.ring {
-		if slot != nil {
-			f.State.RawRing[i], f.State.ViolRing[i] = slot.rows(m.cfg.Catalog.Len())
-			f.State.RingEpoch[i] = slot.epoch
-		}
-	}
-	if m.thresholds != nil {
-		f.State.Thresholds = *m.thresholds
+	s := checkpointPayload{
+		InCrisis: m.inCrisis, Degraded: m.degraded, Track: m.track,
+		Thresholds: m.thresholds, LastThresh: m.lastThresh, ThGen: m.thGen,
+		Expected: m.expected, LastCoverage: m.lastCoverage,
+		Crises: make([]savedCrisis, len(m.past)), Calm: m.calm,
+		Ring: make([]sampleBlock, len(m.ring)), RingPos: m.ringPos,
+		Forecast: m.fc.checkpoint(),
 	}
 	for i := range m.past {
-		p := &m.past[i]
-		x, y := p.fs.Rows()
-		f.State.Past = append(f.State.Past, checkpointCrisis{
-			Label: p.label, Start: p.start, Closed: p.closed,
-			FsX: x, FsY: y, Top: p.top,
-			Votes: p.votes, Expl: m.explanations(p),
-		})
+		s.Crises[i] = savedCrisis{m.past[i].crisisState, m.explanations(&m.past[i])}
 	}
-	if err := gob.NewEncoder(w).Encode(&f); err != nil {
+	if p := m.active(); p != nil {
+		s.Open = true
+		s.Samples.X, s.Samples.Viol = p.fs.Block()
+	}
+	for i, slot := range m.ring {
+		if slot != nil {
+			x, viol := slot.samples(m.cfg.Catalog.Len(), nil)
+			s.Ring[i] = sampleBlock{slot.epoch, x, viol}
+		}
+	}
+	if err := gob.NewEncoder(w).Encode(&checkpointFile{meta, s}); err != nil {
 		return fmt.Errorf("monitor: checkpoint encode: %w", err)
 	}
 	return nil
@@ -203,46 +142,42 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 	if !bytes.Equal(hdr[:len(checkpointMagic)], []byte(checkpointMagic)) {
 		return CheckpointMeta{}, fmt.Errorf("monitor: not a checkpoint file (bad magic)")
 	}
-	if v := binary.BigEndian.Uint32(hdr[len(checkpointMagic):]); v != checkpointVersion {
-		return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint version %d, want %d", v, checkpointVersion)
-	}
 	var f checkpointFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint decode: %w", err)
+	var err error
+	switch v := binary.BigEndian.Uint32(hdr[len(checkpointMagic):]); v {
+	case checkpointVersion:
+		if err = gob.NewDecoder(r).Decode(&f); err != nil {
+			err = fmt.Errorf("monitor: checkpoint decode: %w", err)
+		}
+	case 1:
+		f, err = readV1(r)
+	default:
+		err = fmt.Errorf("monitor: checkpoint version %d, want %d", v, checkpointVersion)
 	}
-	s := &f.State
-	if err := s.Store.setClosed(s.Past); err != nil {
+	if err != nil {
 		return CheckpointMeta{}, err
 	}
+	s := &f.State
 	if err := m.validatePayload(s); err != nil {
 		return CheckpointMeta{}, err
 	}
-	past := make([]pastCrisis, len(s.Past))
-	for i, p := range s.Past {
-		fs, err := core.CrisisSamples{X: p.FsX, Y: p.FsY}.Buffer()
-		if err != nil {
-			return CheckpointMeta{}, fmt.Errorf("monitor: checkpoint crisis %d: %w", i, err)
-		}
-		past[i] = pastCrisis{
-			id: crisisID(i + 1), label: p.Label, start: p.Start, open: i == s.ActiveIdx, closed: p.Closed,
-			fs: *fs, top: p.Top, votes: p.Votes,
-		}
-		for _, e := range p.Expl {
+
+	past := make([]pastCrisis, len(s.Crises))
+	for i, c := range s.Crises {
+		past[i] = pastCrisis{crisisState: c.State, id: crisisID(i + 1)}
+		for _, e := range c.Expl {
 			past[i].expl = append(past[i].expl, keptExplanation{e: e})
 		}
 	}
-
-	m.inCrisis = s.InCrisis
-	m.degraded = s.Degraded
-	m.track = s.Track
-	if s.HasThresh {
-		th := s.Thresholds
-		m.thresholds = &th
-	} else {
-		m.thresholds = nil
+	if s.Open {
+		p := &past[len(past)-1]
+		p.open = true
+		// validatePayload checked the one error, a block of another shape.
+		_ = p.fs.AppendBlock(s.Samples.X, s.Samples.Viol)
 	}
-	m.lastThresh = s.LastThresh
-	m.thGen = s.ThGen
+	m.inCrisis, m.degraded, m.track = s.InCrisis, s.Degraded, s.Track
+	m.thresholds, m.lastThresh, m.thGen = s.Thresholds, s.LastThresh, s.ThGen
+	m.expected, m.lastCoverage, m.past, m.calm = s.Expected, s.LastCoverage, past, s.Calm
 	m.lastSummary = nil
 	if n := s.Track.NumEpochs(); n > 0 {
 		row, _ := s.Track.EpochRow(metrics.Epoch(n - 1))
@@ -251,26 +186,16 @@ func (m *Monitor) ReadCheckpoint(r io.Reader) (CheckpointMeta, error) {
 			copy(m.lastSummary[j][:], row[j*metrics.NumQuantiles:])
 		}
 	}
-	m.expected = s.Expected
 	m.degradedCount = 0
 	for _, d := range s.Degraded {
 		if d {
 			m.degradedCount++
 		}
 	}
-	m.lastCoverage = s.LastCoverage
-	m.past = past
-	// An empty slot was never filled (gob turns nil inner slices into empty
-	// ones).
-	for i, rows := range s.RawRing {
-		m.ring[i] = nil
-		if len(rows) > 0 {
-			m.ring[i] = samplesFromRows(rows, s.ViolRing[i], m.cfg.Catalog.Len())
-			m.ring[i].epoch = s.RingEpoch[i]
-		}
+	for i, b := range s.Ring {
+		m.ring[i] = restoredSlot(b)
 	}
 	m.ringPos = s.RingPos
-	m.calm = s.Calm
 	m.fc.restore(s.Forecast)
 	m.thrMemo = thresholdMemo{}
 	return f.Meta, nil
@@ -291,58 +216,40 @@ func (m *Monitor) validatePayload(s *checkpointPayload) error {
 		return fmt.Errorf("monitor: checkpoint flag lengths (%d, %d) disagree with %d tracked epochs",
 			len(s.InCrisis), len(s.Degraded), epochs)
 	}
-	if s.HasThresh && (len(s.Thresholds.Cold) != width || len(s.Thresholds.Hot) != width) {
-		return fmt.Errorf("monitor: checkpoint thresholds width (%d, %d), catalog %d",
-			len(s.Thresholds.Cold), len(s.Thresholds.Hot), width)
+	if th := s.Thresholds; th != nil && (len(th.Cold) != width || len(th.Hot) != width) {
+		return fmt.Errorf("monitor: checkpoint thresholds width (%d, %d), catalog %d", len(th.Cold), len(th.Hot), width)
 	}
-	// Only the newest crisis can be open: anything else would re-open, and
-	// store a second time, a finalized one.
-	if s.ActiveIdx != -1 && s.ActiveIdx != len(s.Past)-1 {
-		return fmt.Errorf("monitor: checkpoint active index %d with %d past crises", s.ActiveIdx, len(s.Past))
+	// Only an open crisis holds samples, and it is the newest record.
+	if s.Open && len(s.Crises) == 0 || !s.Open && len(s.Samples.Viol) > 0 {
+		return fmt.Errorf("monitor: checkpoint open %v with %d crises and %d samples", s.Open, len(s.Crises), len(s.Samples.Viol))
 	}
-	if len(s.RawRing) != m.cfg.RawPad || len(s.ViolRing) != m.cfg.RawPad || len(s.RingEpoch) != m.cfg.RawPad {
-		return fmt.Errorf("monitor: checkpoint ring size (%d, %d, %d), RawPad %d",
-			len(s.RawRing), len(s.ViolRing), len(s.RingEpoch), m.cfg.RawPad)
+	if len(s.Ring) != m.cfg.RawPad {
+		return fmt.Errorf("monitor: checkpoint ring size %d, RawPad %d", len(s.Ring), m.cfg.RawPad)
 	}
 	if s.RingPos < 0 || s.RingPos >= m.cfg.RawPad {
 		return fmt.Errorf("monitor: checkpoint ring position %d out of [0, %d)", s.RingPos, m.cfg.RawPad)
 	}
-	// A slot's rows and violation flags are appended to a crisis's samples
-	// together, one label per row.
-	for i, rows := range s.RawRing {
-		if len(s.ViolRing[i]) != len(rows) {
-			return fmt.Errorf("monitor: checkpoint ring slot %d has %d violation flags for %d rows",
-				i, len(s.ViolRing[i]), len(rows))
+	// Every sample block (a ring slot, the open crisis's samples) becomes a
+	// block of one catalog-wide buffer, one violation flag per machine.
+	for i, b := range append(s.Ring[:len(s.Ring):len(s.Ring)], s.Samples) {
+		if len(b.X) != width*len(b.Viol) {
+			return fmt.Errorf("monitor: checkpoint sample block %d holds %d values for %d machines, catalog %d",
+				i, len(b.X), len(b.Viol), width)
 		}
 	}
-	// Sample rows (collected, or still in the ring) all become blocks of one
-	// catalog-wide buffer.
-	sampleRows := append([][][]float64(nil), s.RawRing...)
-	for i, p := range s.Past {
-		id := crisisID(i + 1)
+	for i, c := range s.Crises {
+		id, open := crisisID(i+1), s.Open && i == len(s.Crises)-1
 		// A stored crisis closed after it started and before the snapshot;
 		// the open crisis is not stored yet.
-		if p.Closed != -1 && (i == s.ActiveIdx || p.Closed < p.Start || int(p.Closed) >= epochs) {
-			return fmt.Errorf("monitor: checkpoint crisis %s starts at %d, closed at %d, %d tracked epochs (active %v)",
-				id, p.Start, p.Closed, epochs, i == s.ActiveIdx)
+		if p := c.State; p.Closed != -1 && (open || p.Closed < p.Start || int(p.Closed) >= epochs) {
+			return fmt.Errorf("monitor: checkpoint crisis %s starts at %d, closed at %d, %d tracked epochs (open %v)",
+				id, p.Start, p.Closed, epochs, open)
 		}
 		// Every relevant-set computation reads the ranking as catalog
 		// columns; one outside the catalog would fail each of them.
-		for _, c := range p.Top {
-			if c < 0 || c >= width {
-				return fmt.Errorf("monitor: checkpoint crisis %s ranks metric %d, catalog %d", id, c, width)
-			}
-		}
-		if len(p.FsX) != len(p.FsY) {
-			return fmt.Errorf("monitor: checkpoint crisis %s samples misaligned (%d rows, %d labels)",
-				id, len(p.FsX), len(p.FsY))
-		}
-		sampleRows = append(sampleRows, p.FsX)
-	}
-	for _, rows := range sampleRows {
-		for _, row := range rows {
-			if len(row) != width {
-				return fmt.Errorf("monitor: checkpoint sample row width %d, catalog %d", len(row), width)
+		for _, j := range c.State.Top {
+			if j < 0 || j >= width {
+				return fmt.Errorf("monitor: checkpoint crisis %s ranks metric %d, catalog %d", id, j, width)
 			}
 		}
 	}
@@ -361,18 +268,15 @@ func (m *Monitor) SaveCheckpoint(dir string, meta CheckpointMeta, retries int, b
 		return "", err
 	}
 	final := filepath.Join(dir, CheckpointFileName)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = writeFileAtomic(final, buf.Bytes())
-		if lastErr == nil {
-			return final, nil
-		}
-		if attempt >= retries {
-			break
-		}
+	err := writeFileAtomic(final, buf.Bytes())
+	for attempt := 0; err != nil && attempt < retries; attempt++ {
 		time.Sleep(backoff)
+		err = writeFileAtomic(final, buf.Bytes())
 	}
-	return "", fmt.Errorf("monitor: checkpoint save after %d attempts: %w", retries+1, lastErr)
+	if err != nil {
+		return "", fmt.Errorf("monitor: checkpoint save after %d attempts: %w", retries+1, err)
+	}
+	return final, nil
 }
 
 func writeFileAtomic(final string, data []byte) error {
@@ -411,70 +315,5 @@ func LoadCheckpoint(dir string, m *Monitor) (meta CheckpointMeta, ok bool, err e
 	}
 	defer f.Close()
 	meta, err = m.ReadCheckpoint(f)
-	if err != nil {
-		return CheckpointMeta{}, false, err
-	}
-	return meta, true, nil
-}
-
-// legacyStore reads the crisis store that checkpoints carried while the
-// monitor kept one beside its crisis records: per stored crisis, its ID and
-// the track rows of its summary window, as many as had been observed when
-// it closed. The rows are the track's own, which the checkpoint also holds.
-type legacyStore struct {
-	rows map[string]int // crisis ID → window rows
-}
-
-// GobEncode refuses: a checkpoint is written without a store (gob skips the
-// nil field), and the method only lets the payload type encode.
-func (s *legacyStore) GobEncode() ([]byte, error) {
-	return nil, errors.New("monitor: the legacy crisis store is read-only")
-}
-
-// GobDecode decodes the store's gob image, keeping each crisis's row count.
-func (s *legacyStore) GobDecode(p []byte) error {
-	var g struct {
-		Crises []struct {
-			ID   string
-			Rows [][]float64
-		}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&g); err != nil {
-		return fmt.Errorf("monitor: checkpoint crisis store: %w", err)
-	}
-	s.rows = make(map[string]int, len(g.Crises))
-	for _, c := range g.Crises {
-		s.rows[c.ID] = len(c.Rows)
-	}
-	return nil
-}
-
-// setClosed sets each crisis record's Closed from the store, which names a
-// record by its ID, crisisID of its index plus one: -1 for a crisis the store
-// lacks, else the last epoch of its stored window, which bounds
-// the window exactly as the epoch it closed at did. A nil store (a
-// checkpoint without one) leaves past as decoded.
-func (s *legacyStore) setClosed(past []checkpointCrisis) error {
-	if s == nil {
-		return nil
-	}
-	found := 0
-	for i := range past {
-		p := &past[i]
-		id := crisisID(i + 1)
-		n, ok := s.rows[id]
-		p.Closed = -1
-		if !ok {
-			continue
-		}
-		found++
-		if n < 1 || n > summaryRange.Len() {
-			return fmt.Errorf("monitor: checkpoint stores crisis %s with %d rows", id, n)
-		}
-		p.Closed = max(0, p.Start-metrics.Epoch(summaryRange.Before)) + metrics.Epoch(n) - 1
-	}
-	if found != len(s.rows) {
-		return fmt.Errorf("monitor: checkpoint stores %d crises without a record", len(s.rows)-found)
-	}
-	return nil
+	return meta, err == nil, err
 }

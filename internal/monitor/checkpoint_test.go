@@ -85,13 +85,13 @@ func TestCheckpointRoundTripByteIdentical(t *testing.T) {
 		t.Fatalf("restored monitor at epoch %d, original %d", b.Epoch(), a.Epoch())
 	}
 	// The open crisis's samples live in per-epoch metric-major blocks and are
-	// checkpointed as rows: the conversion must lose nothing either way.
+	// checkpointed as one: the conversion must lose nothing either way.
 	open := a.active().fs
 	if n := open.Len(); n == 0 || b.active().fs.Len() != n {
 		t.Fatalf("open crisis holds %d samples, restored %d", n, b.active().fs.Len())
 	}
-	ax, ay := open.Rows()
-	bx, by := b.active().fs.Rows()
+	ax, ay := open.Block()
+	bx, by := b.active().fs.Block()
 	if !reflect.DeepEqual(ax, bx) || !reflect.DeepEqual(ay, by) {
 		t.Fatal("restored crisis samples differ from the original's")
 	}
@@ -236,14 +236,16 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 	}
 
 	// restore re-encodes the good payload after edit and restores it into a
-	// fresh monitor.
+	// fresh monitor; restoreV1 does the same with the payload as a version-1
+	// file holds it.
+	hdr := len(checkpointMagic) + 4
 	restore := func(edit func(*checkpointPayload, int)) (*Monitor, error) {
 		var f checkpointFile
-		if err := gob.NewDecoder(bytes.NewReader(good[len(checkpointMagic)+4:])).Decode(&f); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(good[hdr:])).Decode(&f); err != nil {
 			t.Fatal(err)
 		}
-		edit(&f.State, (f.State.RingPos+len(f.State.RawRing)-1)%len(f.State.RawRing))
-		data := bytes.NewBuffer(append([]byte(nil), good[:len(checkpointMagic)+4]...))
+		edit(&f.State, (f.State.RingPos+len(f.State.Ring)-1)%len(f.State.Ring))
+		data := bytes.NewBuffer(append([]byte(nil), good[:hdr]...))
 		if err := gob.NewEncoder(data).Encode(&f); err != nil {
 			t.Fatal(err)
 		}
@@ -251,55 +253,97 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 		_, err := fresh.ReadCheckpoint(data)
 		return fresh, err
 	}
+	restoreV1 := func(edit func(*payloadV1, int)) (*Monitor, error) {
+		f := decodeCheckpoint(t, m, CheckpointMeta{})
+		v := asV1(f.State)
+		edit(&v, (v.RingPos+len(v.RawRing)-1)%len(v.RawRing))
+		fresh := equivMonitor(t, s, 1, nil)
+		_, err := fresh.ReadCheckpoint(bytes.NewReader(encodeV1(t, struct {
+			Meta  CheckpointMeta
+			State payloadV1
+		}{f.Meta, v})))
+		return fresh, err
+	}
 	// Two finalized crises, kept as endCrisis leaves them: the first stored
 	// when it closed, the second not.
 	twoPast := func(p *checkpointPayload) {
-		p.Past = []checkpointCrisis{{Start: 4, Closed: 6}, {Start: 12, Closed: -1}}
-		p.ActiveIdx = -1
+		p.Crises = []savedCrisis{{State: crisisState{Start: 4, Closed: 6}}, {State: crisisState{Start: 12, Closed: -1}}}
+		p.Open = false
 	}
 	for name, consistent := range map[string]func(*checkpointPayload, int){
 		"two finalized crises": func(p *checkpointPayload, _ int) { twoPast(p) },
-		"newest crisis open":   func(p *checkpointPayload, _ int) { twoPast(p); p.ActiveIdx = 1 },
+		"newest crisis open": func(p *checkpointPayload, slot int) {
+			twoPast(p)
+			p.Open, p.Samples = true, p.Ring[slot]
+		},
 	} {
 		if m, err := restore(consistent); err != nil || m.Epoch() != 20 {
 			t.Fatalf("%s: restore err = %v, epoch %d; want a restored monitor", name, err, m.Epoch())
 		}
 	}
-	// Decoded payloads that gob accepts but the monitor must not: sample
-	// rows of the wrong width would poison the open crisis's buffer, and a
-	// ring slot with fewer violation flags than rows would panic the next
-	// detection when the slot's rows are labelled.
+	if m, err := restoreV1(func(*payloadV1, int) {}); err != nil || m.Epoch() != 20 {
+		t.Fatalf("version 1: restore err = %v, epoch %d; want a restored monitor", err, m.Epoch())
+	}
+	// Decoded payloads that gob accepts but the monitor must not: a sample
+	// block that is not catalog-wide with one violation flag per machine
+	// would poison the open crisis's buffer, or panic the next detection
+	// when the slot's machines are labelled.
 	for name, corrupt := range map[string]func(*checkpointPayload, int){
-		"narrow ring row": func(p *checkpointPayload, slot int) {
-			p.RawRing[slot][0] = p.RawRing[slot][0][:3]
+		"ring slot one value short": func(p *checkpointPayload, slot int) {
+			p.Ring[slot].X = p.Ring[slot].X[:len(p.Ring[slot].X)-1]
 		},
 		"misaligned ring slot": func(p *checkpointPayload, slot int) {
-			p.ViolRing[slot] = p.ViolRing[slot][:len(p.RawRing[slot])-1]
+			p.Ring[slot].Viol = p.Ring[slot].Viol[:len(p.Ring[slot].Viol)-1]
 		},
+		"ring shorter than RawPad": func(p *checkpointPayload, _ int) { p.Ring = p.Ring[1:] },
+		"open crisis samples one value long": func(p *checkpointPayload, slot int) {
+			twoPast(p)
+			p.Open, p.Samples = true, p.Ring[slot]
+			p.Samples.X = append(p.Samples.X[:len(p.Samples.X):len(p.Samples.X)], 0)
+		},
+		// Only the open crisis keeps samples, and it is a crisis record.
+		"samples without an open crisis": func(p *checkpointPayload, slot int) { twoPast(p); p.Samples = p.Ring[slot] },
+		"open without a crisis":          func(p *checkpointPayload, _ int) { p.Crises, p.Open = nil, true },
 		// A ranking outside the catalog would fail every later relevant
 		// set, and with it all advice.
 		"ranked metrics outside the catalog": func(p *checkpointPayload, _ int) {
 			twoPast(p)
-			p.Past[0].Top = []int{-1, m.cfg.Catalog.Len() + 5}
+			p.Crises[0].State.Top = []int{-1, m.cfg.Catalog.Len() + 5}
 		},
 		"ranked metric past the catalog": func(p *checkpointPayload, _ int) {
 			twoPast(p)
-			p.Past[0].Top = []int{m.cfg.Catalog.Len()}
+			p.Crises[0].State.Top = []int{m.cfg.Catalog.Len()}
 		},
 		// A stored crisis's window ends where it closed: after its start,
 		// before the snapshot, and never for the open crisis.
 		"open crisis stored": func(p *checkpointPayload, _ int) {
 			twoPast(p)
-			p.ActiveIdx, p.Past[1].Closed = 1, 14
+			p.Open, p.Crises[1].State.Closed = true, 14
 		},
-		"closed before its start": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 3 },
-		"closed at the snapshot":  func(p *checkpointPayload, _ int) { twoPast(p); p.Past[0].Closed = 20 },
-		"closed below unset (-1)": func(p *checkpointPayload, _ int) { twoPast(p); p.Past[1].Closed = -2 },
-		// endCrisis would store crisis-001 a second time.
-		"finalized crisis reopened": func(p *checkpointPayload, _ int) { twoPast(p); p.ActiveIdx = 0 },
+		"closed before its start": func(p *checkpointPayload, _ int) { twoPast(p); p.Crises[0].State.Closed = 3 },
+		"closed at the snapshot":  func(p *checkpointPayload, _ int) { twoPast(p); p.Crises[0].State.Closed = 20 },
+		"closed below unset (-1)": func(p *checkpointPayload, _ int) { twoPast(p); p.Crises[1].State.Closed = -2 },
 	} {
 		if m, err := restore(corrupt); err == nil || m.Epoch() != 0 {
 			t.Fatalf("%s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, m.Epoch())
+		}
+	}
+	// Version-1 payloads the upgrade refuses: row-major ring slots of the
+	// wrong shape, and an open index that is not the newest record's, with
+	// which endCrisis would store a finalized crisis a second time.
+	for name, corrupt := range map[string]func(*payloadV1, int){
+		"narrow ring row": func(v *payloadV1, slot int) { v.RawRing[slot][0] = v.RawRing[slot][0][:3] },
+		"misaligned ring slot": func(v *payloadV1, slot int) {
+			v.ViolRing[slot] = v.ViolRing[slot][:len(v.RawRing[slot])-1]
+		},
+		"ring epochs missing": func(v *payloadV1, _ int) { v.RingEpoch = v.RingEpoch[1:] },
+		"finalized crisis reopened": func(v *payloadV1, _ int) {
+			v.Past = []crisisV1{{Start: 4, Closed: 6}, {Start: 12, Closed: -1}}
+			v.ActiveIdx = 0
+		},
+	} {
+		if m, err := restoreV1(corrupt); err == nil || m.Epoch() != 0 {
+			t.Fatalf("version 1, %s: restore err = %v, epoch %d; want an error and an untouched monitor", name, err, m.Epoch())
 		}
 	}
 
@@ -314,10 +358,10 @@ func TestCheckpointCorruptLeavesMonitorUntouched(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoresLegacyLastSeen: checkpoints written while the
-// monitor kept a per-machine last-seen table carry a LastSeen payload field.
-// Gob skips it, so they restore under the same version, into a monitor that
-// saves back exactly what it would have written itself.
+// TestCheckpointRestoresLegacyLastSeen: version-1 checkpoints written while
+// the monitor kept a per-machine last-seen table carry a LastSeen payload
+// field. Gob skips it, so they restore into a monitor that saves back
+// exactly what it would have written itself.
 func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
 	s := equivStream(t, 17)
 	m := equivMonitor(t, s, 1, nil)
@@ -335,15 +379,11 @@ func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	hdr := len(checkpointMagic) + 4
-	var f checkpointFile
-	if err := gob.NewDecoder(bytes.NewReader(good[hdr:])).Decode(&f); err != nil {
-		t.Fatal(err)
-	}
+	f := decodeCheckpoint(t, m, CheckpointMeta{SourceEpoch: 29})
 
-	// The payload as an older build encoded it: every current field, plus
+	// The payload as an older build encoded it: every version-1 field, plus
 	// LastSeen.
-	cur := reflect.ValueOf(f.State)
+	cur := reflect.ValueOf(asV1(f.State))
 	fields := make([]reflect.StructField, 0, cur.NumField()+1)
 	for i := 0; i < cur.NumField(); i++ {
 		fields = append(fields, cur.Type().Field(i))
@@ -364,13 +404,11 @@ func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
 	})).Elem()
 	file.Field(0).Set(reflect.ValueOf(f.Meta))
 	file.Field(1).Set(state)
-	legacy := bytes.NewBuffer(append([]byte(nil), good[:hdr]...))
-	if err := gob.NewEncoder(legacy).Encode(file.Interface()); err != nil {
-		t.Fatal(err)
-	}
+	legacy := encodeV1(t, file.Interface())
 	// The field is really on the wire.
+	hdr := len(checkpointMagic) + 4
 	back := reflect.New(file.Type())
-	if err := gob.NewDecoder(bytes.NewReader(legacy.Bytes()[hdr:])).Decode(back.Interface()); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(legacy[hdr:])).Decode(back.Interface()); err != nil {
 		t.Fatal(err)
 	}
 	if got := back.Elem().Field(1).FieldByName("LastSeen").Len(); got != len(lastSeen) {
@@ -378,7 +416,7 @@ func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
 	}
 
 	restored := equivMonitor(t, s, 1, nil)
-	meta, err := restored.ReadCheckpoint(legacy)
+	meta, err := restored.ReadCheckpoint(bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatalf("legacy checkpoint: %v", err)
 	}
@@ -392,6 +430,78 @@ func TestCheckpointRestoresLegacyLastSeen(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), good) {
 		t.Fatal("a monitor restored from a legacy checkpoint saves different bytes")
 	}
+}
+
+// decodeCheckpoint is m's checkpoint, decoded.
+func decodeCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta) checkpointFile {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.WriteCheckpoint(&buf, meta); err != nil {
+		t.Fatal(err)
+	}
+	var f checkpointFile
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(checkpointMagic)+4:])).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// asV1 is s as a version-1 payload holds it: samples as rows, the open crisis
+// as an index.
+func asV1(s checkpointPayload) payloadV1 {
+	v := payloadV1{
+		InCrisis: s.InCrisis, Degraded: s.Degraded, Track: s.Track,
+		HasThresh: s.Thresholds != nil, LastThresh: s.LastThresh, ThGen: s.ThGen,
+		Expected: s.Expected, LastCoverage: s.LastCoverage,
+		RingPos: s.RingPos, ActiveIdx: -1, Calm: s.Calm, Forecast: s.Forecast,
+	}
+	if s.Thresholds != nil {
+		v.Thresholds = *s.Thresholds
+	}
+	for _, c := range s.Crises {
+		p := c.State
+		v.Past = append(v.Past, crisisV1{Label: p.Label, Start: p.Start, Closed: p.Closed, Top: p.Top, Votes: p.Votes, Expl: c.Expl})
+	}
+	if s.Open {
+		v.ActiveIdx = len(v.Past) - 1
+		p := &v.Past[v.ActiveIdx]
+		p.FsX = blockRows(s.Samples.X, len(s.Samples.Viol))
+		for _, pos := range s.Samples.Viol {
+			y := 0
+			if pos {
+				y = 1
+			}
+			p.FsY = append(p.FsY, y)
+		}
+	}
+	for _, b := range s.Ring {
+		v.RawRing = append(v.RawRing, blockRows(b.X, len(b.Viol)))
+		v.ViolRing = append(v.ViolRing, b.Viol)
+		v.RingEpoch = append(v.RingEpoch, b.Epoch)
+	}
+	return v
+}
+
+// encodeV1 is a checkpoint file whose header names version 1, holding file.
+func encodeV1(t *testing.T, file any) []byte {
+	t.Helper()
+	buf := bytes.NewBufferString(checkpointMagic)
+	buf.Write([]byte{0, 0, 0, 1})
+	if err := gob.NewEncoder(buf).Encode(file); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// blockRows is the n machines of a metric-major sample block as rows.
+func blockRows(x []float64, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		for j := 0; j < len(x)/n; j++ {
+			rows[i] = append(rows[i], x[j*n+i])
+		}
+	}
+	return rows
 }
 
 // TestSaveCheckpointRetriesTransientFailure points the save at a missing
@@ -447,7 +557,7 @@ func TestCheckpointDigest(t *testing.T) {
 	const (
 		seed   = 7
 		epochs = 300
-		want   = "fb174bb102dc0ff1a5b9415c31c8b1802ca1890b0482d8f8ee52dcb105966d82"
+		want   = "60fc6f835a5ad258cd392d2c4ed9f4c60772d2e0f690045c583b98f505bf4949"
 	)
 	scfg := dcsim.DefaultStreamConfig(seed)
 	scfg.WarmupEpochs = 40
@@ -582,23 +692,15 @@ func (s *parentStore) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// parentCheckpoint encodes m's state in the parent shape: every stored
+// parentCheckpoint encodes m's state in the version-1 shape of those builds: every stored
 // crisis's window rows copied out of the track into the store, in storage
 // order, and the values that shape also wrote beside the state they derive
 // from: the epoch, the last summary, the degraded count, the crisis counter,
 // the active start and each crisis's ID.
 func parentCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta, edit func(*parentPayload)) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.WriteCheckpoint(&buf, meta); err != nil {
-		t.Fatal(err)
-	}
-	hdr := len(checkpointMagic) + 4
-	var f checkpointFile
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[hdr:])).Decode(&f); err != nil {
-		t.Fatal(err)
-	}
-	c := f.State
+	f := decodeCheckpoint(t, m, meta)
+	c := asV1(f.State)
 	st := m.Stats()
 	p := parentPayload{
 		Epoch: m.Epoch(), InCrisis: c.InCrisis, Degraded: c.Degraded, Track: c.Track,
@@ -633,11 +735,7 @@ func parentCheckpoint(t *testing.T, m *Monitor, meta CheckpointMeta, edit func(*
 	if edit != nil {
 		edit(&p)
 	}
-	out := bytes.NewBuffer(append([]byte(nil), buf.Bytes()[:hdr]...))
-	if err := gob.NewEncoder(out).Encode(&parentFile{Meta: f.Meta, State: p}); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return encodeV1(t, &parentFile{Meta: f.Meta, State: p})
 }
 
 // TestCheckpointRestoresParentStore: a checkpoint written while the monitor
@@ -700,8 +798,8 @@ func TestCheckpointRestoresParentStore(t *testing.T) {
 		}
 		step(a)
 	}
-	if p := a.past[4]; p.closed >= p.start+metrics.Epoch(summaryRange.After) {
-		t.Fatalf("crisis %s started at %d and closed at %d: the script no longer closes one early", p.id, p.start, p.closed)
+	if p := a.past[4]; p.Closed >= p.Start+metrics.Epoch(summaryRange.After) {
+		t.Fatalf("crisis %s started at %d and closed at %d: the script no longer closes one early", p.id, p.Start, p.Closed)
 	}
 	meta := CheckpointMeta{SourceEpoch: int64(a.Epoch()) - 1}
 	for name, edit := range map[string]func(*parentPayload){

@@ -13,14 +13,17 @@ import (
 	"dcfp/internal/dcsim"
 )
 
-// fixtureCheckpoint is a checkpoint, gzipped, that WriteCheckpoint wrote
-// after fixtureEpochs epochs of fixtureRun, when the checkpoint still carried
-// the epoch, the last summary, the degraded count, the crisis counter, the
-// active start and every crisis's ID beside the state they derive from. It
-// is never rewritten: it stands for the files older builds left on disk.
+// The fixtures are checkpoints, gzipped, that WriteCheckpoint wrote after
+// fixtureEpochs epochs of fixtureRun with meta "fixture". The version-1 file
+// dates from when the checkpoint still carried the epoch, the last summary,
+// the degraded count, the crisis counter, the active start and every
+// crisis's ID beside the state they derive from; the version-2 one from the
+// first build that wrote version 2. They are never rewritten: they stand for
+// the files older builds left on disk.
 const (
-	fixtureCheckpoint = "testdata/checkpoint-v1.ckpt.gz"
-	fixtureEpochs     = 46
+	fixtureV1     = "testdata/checkpoint-v1.ckpt.gz"
+	fixtureV2     = "testdata/checkpoint-v2.ckpt.gz"
+	fixtureEpochs = 46
 )
 
 // fixtureRun is the fixture's seeded stream and monitor configuration: ten
@@ -116,8 +119,8 @@ func (d *fixtureDriver) step(t *testing.T, ms ...*Monitor) []*EpochReport {
 	return reps
 }
 
-// readFixture restores the committed checkpoint into a new monitor.
-func readFixture(t *testing.T, cfg Config) *Monitor {
+// readFixture restores a committed checkpoint into a new monitor.
+func readFixture(t *testing.T, cfg Config, fixtureCheckpoint string) *Monitor {
 	t.Helper()
 	raw, err := os.ReadFile(fixtureCheckpoint)
 	if err != nil {
@@ -141,11 +144,17 @@ func readFixture(t *testing.T, cfg Config) *Monitor {
 	return m
 }
 
-// TestCheckpointFixtureReplays restores the committed checkpoint and replays
-// the stream after it: every report, the crisis records, the stats, every
-// audit record and the checkpoint the monitor saves must equal an
+// TestCheckpointFixtureReplays restores each committed checkpoint and
+// replays the stream after it: every report, the crisis records, the stats,
+// every audit record and the checkpoint the monitor saves must equal an
 // uninterrupted run's.
 func TestCheckpointFixtureReplays(t *testing.T) {
+	for _, f := range []struct{ name, file string }{{"v1", fixtureV1}, {"v2", fixtureV2}} {
+		t.Run(f.name, func(t *testing.T) { replayFixture(t, f.file) })
+	}
+}
+
+func replayFixture(t *testing.T, fixtureCheckpoint string) {
 	const replay = 60
 	d, cfg := fixtureRun(t)
 	a, err := New(cfg)
@@ -155,7 +164,7 @@ func TestCheckpointFixtureReplays(t *testing.T) {
 	for d.e < fixtureEpochs {
 		d.step(t, a)
 	}
-	b := readFixture(t, cfg)
+	b := readFixture(t, cfg, fixtureCheckpoint)
 	if b.Epoch() != a.Epoch() {
 		t.Fatalf("restored monitor at epoch %d, uninterrupted run at %d", b.Epoch(), a.Epoch())
 	}

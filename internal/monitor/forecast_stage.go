@@ -446,8 +446,8 @@ func (s *forecastStage) maybeRetrain(m *Monitor) {
 	}
 	byLabel := make(map[string][]metrics.Epoch)
 	for _, p := range m.past {
-		if p.label != "" {
-			byLabel[p.label] = append(byLabel[p.label], p.start)
+		if p.Label != "" {
+			byLabel[p.Label] = append(byLabel[p.Label], p.Start)
 		}
 	}
 	for label, starts := range byLabel {

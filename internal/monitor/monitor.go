@@ -188,27 +188,30 @@ type EpochReport struct {
 // window up to the one it closed at, from which its fingerprint is
 // recomputed under whatever thresholds and relevant metrics are current.
 type pastCrisis struct {
-	id    string // crisisID of its index in Monitor.past, plus one
-	label string // "" until operators resolve it
-	start metrics.Epoch
-	// open marks the crisis in progress; only the newest record can be open.
-	open bool
-	// closed is the epoch the crisis closed at when it was stored, which
-	// needs thresholds to exist then; -1 while it is open or if it was not
-	// stored. memo keeps its fingerprint within one (thresholds generation,
-	// relevant set) window.
-	closed metrics.Epoch
-	memo   core.FingerprintMemo
-	// fs holds the machine-level feature-selection samples gathered around
-	// the crisis, one block per collected epoch, until endCrisis consumes it.
+	crisisState
+	id   string // crisisID of its index in Monitor.past, plus one
+	open bool   // in progress; only the newest record can be open
+	// memo keeps a stored crisis's fingerprint within one (thresholds
+	// generation, relevant set) window.
+	memo core.FingerprintMemo
+	// fs holds the open crisis's machine-level feature-selection samples,
+	// one block per collected epoch; endCrisis releases it.
 	fs core.SampleBuffer
-	// top is the cached per-crisis top-K metric selection.
-	top []int
-	// votes is the label sequence emitted across the identification epochs
-	// (§4.3 stability is judged over it); expl retains the audit record of
-	// each identification attempt for /explain and the audit journal.
-	votes []string
-	expl  []keptExplanation
+	// expl keeps the audit record of each identification attempt for
+	// /explain and the audit journal.
+	expl []keptExplanation
+}
+
+// crisisState is the part of a crisis record a checkpoint keeps, encoded as
+// it is.
+type crisisState struct {
+	Label string // "" until operators resolve it
+	Start metrics.Epoch
+	// Closed is the epoch the crisis closed at if it was stored, which needs
+	// thresholds to exist then; else -1, also while it is open.
+	Closed metrics.Epoch
+	Top    []int    // the cached per-crisis top-K metric selection
+	Votes  []string // the labels emitted, over which §4.3 stability is judged
 }
 
 // keptExplanation is one identification audit record as its crisis keeps it.
@@ -243,7 +246,7 @@ func (m *Monitor) explanation(kept keptExplanation) *ident.Explanation {
 		for i, c := range kept.cands {
 			// identify ran these on the same windows, so they cannot fail.
 			p := &m.past[c.past]
-			fp, _, _ := kept.f.StoredFingerprint(&p.memo, m.track, p.start, summaryRange, p.closed)
+			fp, _, _ := kept.f.StoredFingerprint(&p.memo, m.track, p.Start, summaryRange, p.Closed)
 			exp, _ := kept.f.ExplainDistance(kept.part, fp, explainTopK)
 			exp.CrisisID, exp.Label = p.id, m.labels[c.label]
 			e.Candidates[i] = exp
@@ -509,10 +512,10 @@ func (m *Monitor) Epoch() metrics.Epoch { return metrics.Epoch(m.track.NumEpochs
 // or not, carry operator labels.
 func (m *Monitor) KnownCrises() (stored, labeled int) {
 	for i := range m.past {
-		if m.past[i].closed >= 0 {
+		if m.past[i].Closed >= 0 {
 			stored++
 		}
-		if m.past[i].label != "" {
+		if m.past[i].Label != "" {
 			labeled++
 		}
 	}
@@ -637,7 +640,7 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 	}
 
 	p := m.active()
-	if m.fc != nil && p != nil && p.start == e {
+	if m.fc != nil && p != nil && p.Start == e {
 		// A crisis was just detected: close the warning episode and score
 		// its lead. The snapshot's DetectionLead is what cmd/dcfpd feeds
 		// into Scoreboard.RecordForecast as a negative TTI.
@@ -651,11 +654,11 @@ func (m *Monitor) finishEpoch(tr *telemetry.Trace, t0, ts time.Time, ret *epochS
 
 	if p != nil {
 		rep.CrisisActive = true
-		rep.CrisisStart = p.start
+		rep.CrisisStart = p.Start
 		if !degraded {
 			m.collectCrisisSamples(p, ret)
 		}
-		k := int(e - p.start)
+		k := int(e - p.Start)
 		if k < ident.IdentificationEpochs {
 			if m.tel != nil {
 				ts = time.Now()
@@ -832,7 +835,7 @@ func (m *Monitor) pushRing(e metrics.Epoch) {
 func crisisID(n int) string { return fmt.Sprintf("crisis-%03d", n) }
 
 func (m *Monitor) beginCrisis(e metrics.Epoch, cur *epochSamples) {
-	p := pastCrisis{id: crisisID(len(m.past) + 1), start: e, open: true, closed: -1}
+	p := pastCrisis{crisisState: crisisState{Start: e, Closed: -1}, id: crisisID(len(m.past) + 1), open: true}
 	// Seed feature-selection samples with the buffered pre-crisis epochs,
 	// oldest first. Slots carry the epoch they were filled at: the ring is
 	// not drained when a crisis ends, so when crises come back to back its
@@ -881,12 +884,12 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 	// process.
 	defer func() {
 		p.fs = core.SampleBuffer{}
-		m.events.CrisisEnded(int64(e), p.id, int(e-p.start), stored)
+		m.events.CrisisEnded(int64(e), p.id, int(e-p.Start), stored)
 	}()
 	if m.thresholds == nil {
 		return
 	}
-	p.closed, stored = e, true
+	p.Closed, stored = e, true
 	var ts time.Time
 	if m.tel != nil {
 		ts = time.Now()
@@ -897,7 +900,7 @@ func (m *Monitor) endCrisis(tr *telemetry.Trace, e metrics.Epoch) {
 		// The crisis stays stored but currentFingerprinter skips it: say so.
 		m.events.Event("selection.failed", "epoch", int64(e), "crisis", p.id, "rows", p.fs.Len(), "error", err.Error())
 	}
-	p.top = top
+	p.Top = top
 	sp.SetAttr("rows", int64(p.fs.Len()))
 	sp.SetAttr("positives", int64(st.Positives))
 	sp.SetAttr("lambda_steps", int64(st.Steps))
@@ -939,7 +942,7 @@ func (m *Monitor) ResolveCrisis(id, label string) error {
 	}
 	for i := range m.past {
 		if m.past[i].id == id {
-			m.past[i].label = label
+			m.past[i].Label = label
 			if m.tel != nil {
 				m.tel.crisesResolved.Inc()
 				_, labeled := m.KnownCrises()
@@ -1003,7 +1006,7 @@ func (m *Monitor) Stats() Stats {
 	if p := m.active(); p != nil {
 		s.CrisisActive = true
 		s.ActiveCrisisID = p.id
-		s.ActiveCrisisStart = p.start
+		s.ActiveCrisisStart = p.Start
 	}
 	return s
 }
@@ -1028,10 +1031,10 @@ func (m *Monitor) Crises() []CrisisRecord {
 	for _, p := range m.past {
 		out = append(out, CrisisRecord{
 			ID:     p.id,
-			Label:  p.label,
-			Start:  p.start,
+			Label:  p.Label,
+			Start:  p.Start,
 			Active: p.open,
-			Stored: p.closed >= 0,
+			Stored: p.Closed >= 0,
 		})
 	}
 	return out
@@ -1065,8 +1068,8 @@ func (m *Monitor) currentFingerprinter() (*core.Fingerprinter, error) {
 	}
 	var rankings [][]int
 	for i := len(m.past) - 1; i >= 0 && len(rankings) < crisisPool; i-- {
-		if m.past[i].top != nil {
-			rankings = append(rankings, m.past[i].top)
+		if m.past[i].Top != nil {
+			rankings = append(rankings, m.past[i].Top)
 		}
 	}
 	if len(rankings) == 0 {
@@ -1105,7 +1108,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, p *pastCrisis, e metrics.Epoch, 
 		return nil
 	}
 	sp := tr.StartSpan("fingerprint")
-	part, err := f.CrisisFingerprintUpTo(m.track, p.start, summaryRange, e)
+	part, err := f.CrisisFingerprintUpTo(m.track, p.Start, summaryRange, e)
 	sp.End()
 	if err != nil {
 		return nil
@@ -1129,10 +1132,10 @@ func (m *Monitor) identify(tr *telemetry.Trace, p *pastCrisis, e metrics.Epoch, 
 	var hits, misses uint64
 	for j := range m.past {
 		c := &m.past[j]
-		if c.closed < 0 || c.label == "" {
+		if c.Closed < 0 || c.Label == "" {
 			continue
 		}
-		fp, hit, err := f.StoredFingerprint(&c.memo, m.track, c.start, summaryRange, c.closed)
+		fp, hit, err := f.StoredFingerprint(&c.memo, m.track, c.Start, summaryRange, c.Closed)
 		if err != nil {
 			continue
 		}
@@ -1145,7 +1148,7 @@ func (m *Monitor) identify(tr *telemetry.Trace, p *pastCrisis, e metrics.Epoch, 
 		if err != nil {
 			continue
 		}
-		exp.CrisisID, exp.Label = c.id, c.label
+		exp.CrisisID, exp.Label = c.id, c.Label
 		cands = append(cands, identCandidate{exp: exp, fp: fp, past: j})
 	}
 	sp.SetAttr("candidates", int64(len(cands)))
@@ -1184,9 +1187,9 @@ func (m *Monitor) identify(tr *telemetry.Trace, p *pastCrisis, e metrics.Epoch, 
 	sp.End()
 	sp = tr.StartSpan("advise")
 	expl.Emitted = adv.Emitted
-	p.votes = append(p.votes, adv.Emitted)
-	expl.Votes = append([]string(nil), p.votes...)
-	expl.Stable = ident.IsStable(p.votes)
+	p.Votes = append(p.Votes, adv.Emitted)
+	expl.Votes = append([]string(nil), p.Votes...)
+	expl.Stable = ident.IsStable(p.Votes)
 	adv.Explanation = expl
 	head, untagged := *expl, *f
 	head.Candidates = nil

@@ -87,36 +87,17 @@ func (s *epochSamples) samples(width int, pos []bool) ([]float64, []bool) {
 	return x, pos
 }
 
-// rows materializes the live slots as machine rows with their violation
-// flags: the checkpoint's ring layout.
-func (s *epochSamples) rows(width int) ([][]float64, []bool) {
-	rows := make([][]float64, 0, s.reporting)
-	viol := make([]bool, 0, s.reporting)
-	for i := 0; i < s.n; i++ {
-		if !s.live[i] {
-			continue
-		}
-		row := make([]float64, width)
-		for j := range row {
-			row[j] = s.x[j*s.n+i]
-		}
-		rows = append(rows, row)
-		viol = append(viol, s.viol[i])
+// restoredSlot is the ring slot a checkpoint's block was written from, every
+// machine in it reporting and sanitized; nil (never filled) for a block of no
+// machine.
+func restoredSlot(b sampleBlock) *epochSamples {
+	if len(b.Viol) == 0 {
+		return nil
 	}
-	return rows, viol
-}
-
-// samplesFromRows is rows' inverse: every row a live slot.
-func samplesFromRows(rows [][]float64, viol []bool, width int) *epochSamples {
-	s := &epochSamples{}
-	s.reset(len(rows), width)
-	for i, row := range rows {
-		for j, v := range row {
-			s.x[j*s.n+i] = v
-		}
+	s := &epochSamples{epoch: b.Epoch, x: b.X, n: len(b.Viol), viol: b.Viol, reporting: len(b.Viol)}
+	s.live = make([]bool, s.n)
+	for i := range s.live {
 		s.live[i] = true
 	}
-	copy(s.viol, viol)
-	s.reporting = len(rows)
 	return s
 }

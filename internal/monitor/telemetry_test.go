@@ -252,10 +252,10 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	}
 	// Leave the open crisis only single-class samples.
 	p := tb.m.active()
-	x, y := p.fs.Rows()
+	x, y := p.fs.Block()
 	var calm [][]float64
-	for i, row := range x {
-		if y[i] == 0 {
+	for i, row := range blockRows(x, len(y)) {
+		if !y[i] {
 			calm = append(calm, row)
 		}
 	}
@@ -266,8 +266,8 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("second calm epoch must close the episode")
 	}
-	if storedCrises(tb.m) != 1 || tb.m.past[0].top != nil || tb.m.past[0].fs.Len() != 0 {
-		t.Fatalf("crisis stored %d times, top %v, %d samples retained", storedCrises(tb.m), tb.m.past[0].top, tb.m.past[0].fs.Len())
+	if storedCrises(tb.m) != 1 || tb.m.past[0].Top != nil || tb.m.past[0].fs.Len() != 0 {
+		t.Fatalf("crisis stored %d times, top %v, %d samples retained", storedCrises(tb.m), tb.m.past[0].Top, tb.m.past[0].fs.Len())
 	}
 	ev := events.String()
 	for _, want := range []string{"selection.failed", "crisis=crisis-001", fmt.Sprintf("rows=%d", len(calm)), "single class", "crisis.ended"} {
@@ -281,7 +281,7 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	if n := strings.Count(events.String(), "selection.failed"); n != 1 {
 		t.Fatalf("%d selection.failed events, want only the first crisis's", n)
 	}
-	if tb.m.past[1].top == nil {
+	if tb.m.past[1].Top == nil {
 		t.Fatal("second crisis selected no metrics")
 	}
 }

@@ -20,11 +20,15 @@ var (
 func tinyTrace(t *testing.T) *dcsim.Trace {
 	t.Helper()
 	tinyOnce.Do(func() {
+		// The fewest machines and days that still hold Table 1's 19
+		// labelled crises (their schedule needs 3 952 epochs).
 		cfg := dcsim.SmallConfig(7)
-		cfg.BackgroundDays = 5
-		cfg.UnlabeledDays = 12
-		cfg.LabeledDays = 45
-		cfg.UnlabeledCrises = 2
+		cfg.Machines = 10
+		cfg.FSMachines = 5
+		cfg.BackgroundDays = 1
+		cfg.UnlabeledDays = 1
+		cfg.LabeledDays = 44
+		cfg.UnlabeledCrises = 0
 		tinyTr, tinyErr = dcsim.Simulate(cfg)
 	})
 	if tinyErr != nil {
@@ -74,6 +78,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("labeled crises mismatch")
 	}
 	// FS data survives: feature-selection samples for the first crisis.
+	if len(tr.LabeledCrises()) == 0 {
+		t.Fatal("the trace holds no labelled crisis")
+	}
 	dc := tr.LabeledCrises()[0]
 	xa, ya, err := tr.FSSamples(dc.Episode, 4)
 	if err != nil {
