@@ -331,7 +331,7 @@ func (e *Engine) evalRule(rs *ruleState, epoch metrics.Epoch) {
 			rs.state, rs.since, rs.breach = StatePending, epoch, 0
 		}
 		rs.breach++
-		if rs.breach >= maxInt(rs.rule.For, 1) {
+		if rs.breach >= max(rs.rule.For, 1) {
 			rs.state, rs.since, rs.firedAt = StateFiring, epoch, epoch
 			rs.fired++
 			if rs.firedC != nil {
@@ -447,11 +447,4 @@ func stateOrdinal(s State) int64 {
 		return 3
 	}
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package dcsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -86,24 +87,16 @@ func (c *FaultConfig) validate() error {
 			return fmt.Errorf("dcsim: %s %v out of [0,1]", p.name, p.v)
 		}
 	}
-	if c.DropoutMinEpochs == 0 {
-		c.DropoutMinEpochs = 4
-	}
-	if c.DropoutMaxEpochs == 0 {
-		c.DropoutMaxEpochs = 16
-	}
+	c.DropoutMinEpochs = cmp.Or(c.DropoutMinEpochs, 4)
+	c.DropoutMaxEpochs = cmp.Or(c.DropoutMaxEpochs, 16)
 	if c.DropoutMinEpochs < 1 || c.DropoutMaxEpochs < c.DropoutMinEpochs {
 		return fmt.Errorf("dcsim: bad dropout bounds [%d,%d]", c.DropoutMinEpochs, c.DropoutMaxEpochs)
 	}
-	if c.SpikeFactor == 0 {
-		c.SpikeFactor = 1e6
-	}
+	c.SpikeFactor = cmp.Or(c.SpikeFactor, 1e6)
 	if c.SpikeFactor <= 1 {
 		return fmt.Errorf("dcsim: SpikeFactor %v must exceed 1", c.SpikeFactor)
 	}
-	if c.DelayMaxEpochs == 0 {
-		c.DelayMaxEpochs = 3
-	}
+	c.DelayMaxEpochs = cmp.Or(c.DelayMaxEpochs, 3)
 	if c.DelayMaxEpochs < 1 {
 		return fmt.Errorf("dcsim: DelayMaxEpochs %d must be positive", c.DelayMaxEpochs)
 	}

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"dcfp/internal/baselines"
 	"dcfp/internal/core"
 	"dcfp/internal/dcsim"
 	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
-	"dcfp/internal/signatures"
 	"dcfp/internal/stats"
 )
 
@@ -237,14 +235,14 @@ func projectRelevant(full []float64, relevant []int) []float64 {
 
 // BuildKPITensor computes the tensor for the KPI baseline.
 func (e *Env) BuildKPITensor(r core.SummaryRange) (*Tensor, error) {
-	kf, err := baselines.NewKPIFingerprinter(e.Trace.Status)
+	kf, err := newKPIFingerprinter(e.Trace.Status)
 	if err != nil {
 		return nil, err
 	}
 	n := len(e.Labeled)
 	full := make([][]float64, n)
 	for x := range full {
-		full[x], err = kf.CrisisFingerprint(e.Labeled[x].Episode.Start, r)
+		full[x], err = kf.crisisFingerprint(e.Labeled[x].Episode.Start, r)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +255,7 @@ func (e *Env) BuildKPITensor(r core.SummaryRange) (*Tensor, error) {
 		t.Partial[c] = make([][]float64, ident.IdentificationEpochs)
 		start := e.Labeled[c].Episode.Start
 		for k := 0; k < ident.IdentificationEpochs; k++ {
-			part, err := kf.CrisisFingerprintUpTo(start, r, start+metrics.Epoch(k))
+			part, err := kf.crisisFingerprintUpTo(start, r, start+metrics.Epoch(k))
 			if err != nil {
 				return nil, err
 			}
@@ -290,13 +288,19 @@ func (e *Env) BuildKPITensor(r core.SummaryRange) (*Tensor, error) {
 
 // SignatureConfig configures the signatures-baseline tensor.
 type SignatureConfig struct {
-	Model signatures.Config
-	Range core.SummaryRange
+	// ModelColumns is how many metric-quantile columns each per-crisis
+	// model retains (the attribution vocabulary).
+	ModelColumns int
+	// NormalFactor is how many normal epochs are sampled per crisis
+	// epoch when forming the training set (class balance).
+	NormalFactor int
+	Range        core.SummaryRange
 }
 
-// DefaultSignatureConfig mirrors the fingerprint configuration.
+// DefaultSignatureConfig mirrors the fingerprint configuration: 30 columns
+// per model, four normal epochs per crisis epoch.
 func DefaultSignatureConfig() SignatureConfig {
-	return SignatureConfig{Model: signatures.DefaultConfig(), Range: core.DefaultSummaryRange()}
+	return SignatureConfig{ModelColumns: 30, NormalFactor: 4, Range: core.DefaultSummaryRange()}
 }
 
 // BuildSignatureTensor computes the tensor for the adapted signatures
@@ -305,18 +309,18 @@ func DefaultSignatureConfig() SignatureConfig {
 // to a past crisis x under x's model.
 func (e *Env) BuildSignatureTensor(cfg SignatureConfig) (*Tensor, error) {
 	n := len(e.Labeled)
-	if cfg.Model.NormalFactor <= 0 {
+	if cfg.NormalFactor <= 0 {
 		return nil, errors.New("experiment: NormalFactor must be positive")
 	}
-	models := make([]*signatures.Model, n)
+	models := make([]*signatureModel, n)
 	for x := 0; x < n; x++ {
 		ep := e.Labeled[x].Episode
 		var crisisEpochs []metrics.Epoch
 		for t := ep.Start; t <= ep.End; t++ {
 			crisisEpochs = append(crisisEpochs, t)
 		}
-		normal := e.NormalEpochsBefore(ep, cfg.Model.NormalFactor*len(crisisEpochs), 2)
-		m, err := signatures.BuildModel(e.Trace.Track, crisisEpochs, normal, cfg.Model)
+		normal := e.NormalEpochsBefore(ep, cfg.NormalFactor*len(crisisEpochs), 2)
+		m, err := buildSignatureModel(e.Trace.Track, crisisEpochs, normal, cfg.ModelColumns)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: signature model for crisis %d: %w", x, err)
 		}
@@ -339,7 +343,7 @@ func (e *Env) BuildSignatureTensor(cfg SignatureConfig) (*Tensor, error) {
 					continue
 				}
 				startX := e.Labeled[x].Episode.Start
-				d, err := models[x].Distance(e.Trace.Track, startC, startX, cfg.Range,
+				d, err := models[x].distance(e.Trace.Track, startC, startX, cfg.Range,
 					startC+metrics.Epoch(k), startX+metrics.Epoch(cfg.Range.After))
 				if err != nil {
 					return nil, err
@@ -353,12 +357,12 @@ func (e *Env) BuildSignatureTensor(cfg SignatureConfig) (*Tensor, error) {
 		for j := i + 1; j < n; j++ {
 			si := e.Labeled[i].Episode.Start
 			sj := e.Labeled[j].Episode.Start
-			dij, err := models[j].Distance(e.Trace.Track, si, sj, cfg.Range,
+			dij, err := models[j].distance(e.Trace.Track, si, sj, cfg.Range,
 				si+metrics.Epoch(cfg.Range.After), sj+metrics.Epoch(cfg.Range.After))
 			if err != nil {
 				return nil, err
 			}
-			dji, err := models[i].Distance(e.Trace.Track, sj, si, cfg.Range,
+			dji, err := models[i].distance(e.Trace.Track, sj, si, cfg.Range,
 				sj+metrics.Epoch(cfg.Range.After), si+metrics.Epoch(cfg.Range.After))
 			if err != nil {
 				return nil, err

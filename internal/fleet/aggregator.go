@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -132,12 +133,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
-	if cfg.MaxElapsed == 0 {
-		cfg.MaxElapsed = 45 * time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
+	cfg.MaxElapsed = cmp.Or(cfg.MaxElapsed, 45*time.Second)
+	cfg.BreakerThreshold = cmp.Or(cfg.BreakerThreshold, 5)
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
 
@@ -72,9 +73,7 @@ type ChaosHarness struct {
 // NewChaosHarness builds the fleet. The coordinator's wall-clock FlushAfter
 // is disabled in favor of the harness's step-counted budget.
 func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
-	if cfg.FlushAfterSteps == 0 {
-		cfg.FlushAfterSteps = 4
-	}
+	cfg.FlushAfterSteps = cmp.Or(cfg.FlushAfterSteps, 4)
 	if cfg.FlushAfterSteps < 1 {
 		return nil, fmt.Errorf("fleet: FlushAfterSteps %d must be >= 1", cfg.FlushAfterSteps)
 	}
@@ -83,9 +82,7 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 		// harness reads the window for its throttle-avoidance limit.
 		cfg.Coordinator.Window = 8
 	}
-	if cfg.ReplayCapacity == 0 {
-		cfg.ReplayCapacity = 64
-	}
+	cfg.ReplayCapacity = cmp.Or(cfg.ReplayCapacity, 64)
 	if cfg.ReplayCapacity < cfg.Coordinator.Window {
 		return nil, fmt.Errorf("fleet: ReplayCapacity %d below the coordinator window %d",
 			cfg.ReplayCapacity, cfg.Coordinator.Window)

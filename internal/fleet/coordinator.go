@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -108,9 +109,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
-	if cfg.FlushAfter == 0 {
-		cfg.FlushAfter = 3 * time.Second
-	}
+	cfg.FlushAfter = cmp.Or(cfg.FlushAfter, 3*time.Second)
 	c := &Coordinator{
 		cfg:     cfg,
 		asn:     asn,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -88,9 +89,7 @@ func NewLinkFaults(cfg LinkFaultConfig) (*LinkFaults, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxDelaySteps == 0 {
-		cfg.MaxDelaySteps = 2
-	}
+	cfg.MaxDelaySteps = cmp.Or(cfg.MaxDelaySteps, 2)
 	l := &LinkFaults{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),

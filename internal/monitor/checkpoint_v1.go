@@ -10,11 +10,12 @@ import (
 	"dcfp/internal/core"
 	"dcfp/internal/ident"
 	"dcfp/internal/metrics"
+	"dcfp/internal/online"
 )
 
 // Everything that exists only to read version-1 checkpoints, which older
 // builds wrote: their payload, the crisis store some carry, and upgrade into
-// the version-2 payload that ReadCheckpoint validates and installs.
+// the version-2 image that ReadCheckpoint validates and installs.
 
 // payloadV1 is the version-1 gob image of the monitor's state. Files from
 // older builds also carry Epoch, LastSummary, DegradedCount, NextID,
@@ -42,7 +43,7 @@ type payloadV1 struct {
 	RingPos   int
 	ActiveIdx int // len(Past)-1 while the newest crisis is open, else -1
 	Calm      int
-	Forecast  *forecastState
+	Forecast  *online.ForecastState
 }
 
 // crisisV1 is a version-1 crisis record; FsX/FsY are its feature-selection
@@ -71,44 +72,44 @@ func readV1(r io.Reader) (checkpointFile, error) {
 	return checkpointFile{f.Meta, s}, err
 }
 
-// upgrade converts v into the version-2 payload: sample rows become
+// upgrade converts v into the version-2 image: sample rows become
 // metric-major blocks, and only the open crisis keeps its samples. Version 2
 // validates every shape the conversion does not need.
-func (v *payloadV1) upgrade() (s checkpointPayload, err error) {
+func (v *payloadV1) upgrade() (*online.State, error) {
 	if err := v.Store.setClosed(v.Past); err != nil {
-		return s, err
+		return nil, err
 	}
 	// Only the newest crisis can be open: anything else would re-open, and
 	// store a second time, a finalized one.
 	if v.ActiveIdx != -1 && v.ActiveIdx != len(v.Past)-1 {
-		return s, fmt.Errorf("monitor: checkpoint active index %d with %d past crises", v.ActiveIdx, len(v.Past))
+		return nil, fmt.Errorf("monitor: checkpoint active index %d with %d past crises", v.ActiveIdx, len(v.Past))
 	}
 	if len(v.ViolRing) != len(v.RawRing) || len(v.RingEpoch) != len(v.RawRing) {
-		return s, fmt.Errorf("monitor: checkpoint ring sizes (%d, %d, %d)", len(v.RawRing), len(v.ViolRing), len(v.RingEpoch))
+		return nil, fmt.Errorf("monitor: checkpoint ring sizes (%d, %d, %d)", len(v.RawRing), len(v.ViolRing), len(v.RingEpoch))
 	}
-	s = checkpointPayload{
+	s := &online.State{
 		InCrisis: v.InCrisis, Degraded: v.Degraded, Track: v.Track, LastThresh: v.LastThresh, ThGen: v.ThGen,
 		Expected: v.Expected, LastCoverage: v.LastCoverage, Open: v.ActiveIdx != -1, Calm: v.Calm,
-		Ring: make([]sampleBlock, len(v.RawRing)), RingPos: v.RingPos, Forecast: v.Forecast,
+		Ring: make([]online.Retained, len(v.RawRing)), RingPos: v.RingPos, Forecast: v.Forecast,
 	}
 	if v.HasThresh {
 		s.Thresholds = &v.Thresholds
 	}
 	for _, p := range v.Past {
-		s.Crises = append(s.Crises, savedCrisis{crisisState{p.Label, p.Start, p.Closed, p.Top, p.Votes}, p.Expl})
+		s.Crises = append(s.Crises, online.Crisis{State: online.CrisisState{Label: p.Label, Start: p.Start, Closed: p.Closed, Top: p.Top, Votes: p.Votes}, Expl: p.Expl})
 	}
 	if s.Open {
 		p := v.Past[v.ActiveIdx]
 		fs, err := core.CrisisSamples{X: p.FsX, Y: p.FsY}.Buffer()
 		if err != nil {
-			return s, fmt.Errorf("monitor: checkpoint crisis %s: %w", crisisID(len(v.Past)), err)
+			return nil, fmt.Errorf("monitor: checkpoint crisis %s: %w", online.CrisisID(len(v.Past)), err)
 		}
 		s.Samples.X, s.Samples.Viol = fs.Block()
 	}
 	for i, rows := range v.RawRing {
 		var slot core.SampleBuffer
 		if err := slot.Append(rows, v.ViolRing[i]); err != nil {
-			return s, fmt.Errorf("monitor: checkpoint ring slot %d: %w", i, err)
+			return nil, fmt.Errorf("monitor: checkpoint ring slot %d: %w", i, err)
 		}
 		s.Ring[i].Epoch = v.RingEpoch[i]
 		s.Ring[i].X, s.Ring[i].Viol = slot.Block()
@@ -156,17 +157,17 @@ func (s *legacyStore) setClosed(past []crisisV1) error {
 	}
 	found := 0
 	for i := range past {
-		p, id := &past[i], crisisID(i+1)
+		p, id := &past[i], online.CrisisID(i+1)
 		n, ok := (*s)[id]
 		p.Closed = -1
 		if !ok {
 			continue
 		}
 		found++
-		if n < 1 || n > summaryRange.Len() {
+		if n < 1 || n > online.SummaryRange.Len() {
 			return fmt.Errorf("monitor: checkpoint stores crisis %s with %d rows", id, n)
 		}
-		p.Closed = max(0, p.Start-metrics.Epoch(summaryRange.Before)) + metrics.Epoch(n) - 1
+		p.Closed = max(0, p.Start-metrics.Epoch(online.SummaryRange.Before)) + metrics.Epoch(n) - 1
 	}
 	if found != len(*s) {
 		return fmt.Errorf("monitor: checkpoint stores %d crises without a record", len(*s)-found)

@@ -181,8 +181,8 @@ func replayFixture(t *testing.T, fixtureCheckpoint string) {
 		openExplained = openExplained || (c.Active && len(expl) > 0)
 	}
 	full := true
-	for _, slot := range b.ring {
-		full = full && slot != nil
+	for _, slot := range b.st.Ring {
+		full = full && len(slot.Viol) > 0
 	}
 	if st := b.Stats(); !unstored || !storedLabelled || !openExplained || !full || st.DegradedEpochs == 0 || b.fc == nil {
 		t.Fatalf("fixture lacks a state it should cover: unstored crisis %v, stored labelled crisis %v, open crisis with explanations %v, full ring %v, degraded epochs %d, forecast %v",

@@ -24,11 +24,13 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 
 	"dcfp/internal/core"
 	"dcfp/internal/forecast"
 	"dcfp/internal/metrics"
+	"dcfp/internal/online"
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
 )
@@ -81,27 +83,13 @@ func DefaultForecastConfig() ForecastConfig {
 // setDefaults fills zero fields; validate rejects nonsense.
 func (c *ForecastConfig) setDefaults() {
 	d := DefaultForecastConfig()
-	if c.Horizon == 0 {
-		c.Horizon = d.Horizon
-	}
-	if c.WarnThreshold == 0 {
-		c.WarnThreshold = d.WarnThreshold
-	}
-	if c.TrendWindow == 0 {
-		c.TrendWindow = d.TrendWindow
-	}
-	if c.NearFactor == 0 {
-		c.NearFactor = d.NearFactor
-	}
-	if c.BandBaseline == 0 {
-		c.BandBaseline = d.BandBaseline
-	}
-	if c.BandCrisis == 0 {
-		c.BandCrisis = d.BandCrisis
-	}
-	if c.Model == (forecast.Config{}) {
-		c.Model = d.Model
-	}
+	c.Horizon = cmp.Or(c.Horizon, d.Horizon)
+	c.WarnThreshold = cmp.Or(c.WarnThreshold, d.WarnThreshold)
+	c.TrendWindow = cmp.Or(c.TrendWindow, d.TrendWindow)
+	c.NearFactor = cmp.Or(c.NearFactor, d.NearFactor)
+	c.BandBaseline = cmp.Or(c.BandBaseline, d.BandBaseline)
+	c.BandCrisis = cmp.Or(c.BandCrisis, d.BandCrisis)
+	c.Model = cmp.Or(c.Model, d.Model)
 }
 
 func (c ForecastConfig) validate() error {
@@ -124,46 +112,11 @@ func (c ForecastConfig) validate() error {
 	return nil
 }
 
-// ForecastSnapshot is the stage's per-epoch output, carried on EpochReport
-// (by value — the steady state allocates nothing) and, during crises, on
-// Advice.
-type ForecastSnapshot struct {
-	// Enabled is false when the stage is off (every other field is zero).
-	Enabled bool `json:"enabled"`
-	// Epoch the snapshot describes.
-	Epoch metrics.Epoch `json:"epoch"`
-	// Risk is the fleet-level crisis probability within Horizon epochs:
-	// the max of the four components, each clamped to [0, 1].
-	Risk float64 `json:"risk"`
-	// Trend, Near, Band and Centroid are the individual components.
-	Trend    float64 `json:"trend"`
-	Near     float64 `json:"near"`
-	Band     float64 `json:"band"`
-	Centroid float64 `json:"centroid"`
-	// Warning is Risk >= WarnThreshold.
-	Warning bool `json:"warning"`
-	// WarnEpochs is the length of the open warning episode including this
-	// epoch (0 when not warning).
-	WarnEpochs int `json:"warn_epochs,omitempty"`
-	// DetectionLead is set only on a detection epoch: how many epochs the
-	// warning episode preceded the detection (0 = the crisis arrived
-	// unforecast). Consumers feed it to Scoreboard.RecordForecast.
-	DetectionLead int `json:"detection_lead,omitempty"`
-	// FalseAlarm is set on the epoch a warning episode expired: Horizon
-	// epochs passed since its last warning with no crisis.
-	FalseAlarm bool `json:"false_alarm,omitempty"`
-	// Models is how many per-label centroid forecasters are trained.
-	Models int `json:"models"`
-	// Degraded marks a snapshot carried forward through a degraded epoch
-	// (too little coverage to update the risk estimate).
-	Degraded bool `json:"degraded,omitempty"`
-}
-
 // forecastStage holds the stage's state inside the Monitor.
 type forecastStage struct {
 	cfg ForecastConfig
 
-	forecastState
+	online.ForecastState
 
 	// Per-label centroid forecasters, lazily retrained when the thresholds
 	// generation or the labeled-crisis census changes.
@@ -173,35 +126,14 @@ type forecastStage struct {
 	trainedGen  uint64
 	trainedN    int
 
-	fpBuf []float64 // epoch-fingerprint scratch
-}
-
-// forecastState is the part of the stage a checkpoint keeps, encoded as it
-// is. The centroid models are not in it: they retrain lazily from the
-// restored track and crisis history on the first epoch after a restore.
-type forecastState struct {
-	// FracHist is the ring of recent violating-machine fractions feeding
-	// the trend slope.
-	FracHist []float64
-	FracPos  int
-	FracN    int
-
-	// Warning-episode state: the first and latest warning epoch of the
-	// open episode, and whether one awaits hit/false-alarm resolution.
-	WarnStart metrics.Epoch
-	LastWarn  metrics.Epoch
-	Pending   bool
-
-	Warnings    uint64
-	FalseAlarms uint64
-
-	Last ForecastSnapshot
+	fpBuf  []float64 // epoch-fingerprint scratch
+	rowBuf []float64 // the epoch's summary as a track row
 }
 
 func newForecastStage(cfg ForecastConfig) *forecastStage {
 	return &forecastStage{
 		cfg: cfg,
-		forecastState: forecastState{
+		ForecastState: online.ForecastState{
 			FracHist:  make([]float64, cfg.TrendWindow),
 			WarnStart: -1,
 			LastWarn:  -1,
@@ -211,15 +143,8 @@ func newForecastStage(cfg ForecastConfig) *forecastStage {
 
 // forecastMetrics holds the stage's telemetry handles.
 type forecastMetrics struct {
-	risk        *telemetry.Gauge
-	trend       *telemetry.Gauge
-	near        *telemetry.Gauge
-	band        *telemetry.Gauge
-	centroid    *telemetry.Gauge
-	warning     *telemetry.Gauge
-	models      *telemetry.Gauge
-	warnings    *telemetry.Counter
-	falseAlarms *telemetry.Counter
+	risk, trend, near, band, centroid, warning, models *telemetry.Gauge
+	warnings, falseAlarms                              *telemetry.Counter
 }
 
 func newForecastMetrics(r *telemetry.Registry) *forecastMetrics {
@@ -249,13 +174,13 @@ func newForecastMetrics(r *telemetry.Registry) *forecastMetrics {
 	}
 }
 
-// observe runs the stage for one non-degraded epoch: e is the epoch index,
-// status the merged SLA status, summary the epoch's quantile summary, and
-// ret the epoch's sanitized retained samples. crisisActive reflects the
-// state machine BEFORE this epoch's transition — warnings raised while a
-// crisis is already open are not "early" and feed no episode bookkeeping.
-// Steady state allocates nothing.
-func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summary [][3]float64, ret *epochSamples, crisisActive bool) ForecastSnapshot {
+// forecastObserve runs the stage for one non-degraded epoch: e is the epoch
+// index, status the merged SLA status, summary the epoch's quantile summary,
+// and m.cur the epoch's sanitized retained samples, reporting of them live.
+// crisisActive reflects the state machine BEFORE this epoch's transition —
+// warnings raised while a crisis is already open are not "early" and feed no
+// episode bookkeeping. Steady state allocates nothing.
+func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summary [][3]float64, reporting int, crisisActive bool) ForecastSnapshot {
 	s := m.fc
 	snap := ForecastSnapshot{Enabled: true, Epoch: e}
 
@@ -274,30 +199,30 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 	snap.Trend = clamp01(proj / m.cfg.SLA.CrisisFraction)
 
 	// Near: machines already inside NearFactor of any KPI bound.
-	near := 0
-	for i, live := range ret.live {
-		if !live {
+	near, live := 0, m.cur.Live()
+	for i, l := range live {
+		if !l {
 			continue
 		}
 		for _, k := range m.cfg.SLA.KPIs {
-			if ret.x[k.Metric*ret.n+i] > s.cfg.NearFactor*k.Threshold {
+			if m.cur.X[k.Metric*len(live)+i] > s.cfg.NearFactor*k.Threshold {
 				near++
 				break
 			}
 		}
 	}
-	if n := ret.reporting; n > 0 {
-		snap.Near = clamp01(float64(near) / float64(n) / m.cfg.SLA.CrisisFraction)
+	if reporting > 0 {
+		snap.Near = clamp01(float64(near) / float64(reporting) / m.cfg.SLA.CrisisFraction)
 	}
 
 	// Band: fraction of summary quantile cells outside their hot/cold
 	// thresholds, normalized between the baseline and crisis anchors.
-	if m.thresholds != nil {
+	if th := m.st.Thresholds; th != nil {
 		out, cells := 0, 0
 		for mi := range summary {
 			for qi := 0; qi < metrics.NumQuantiles; qi++ {
 				cells++
-				if m.thresholds.State(mi, qi, summary[mi][qi]) != 0 {
+				if th.State(mi, qi, summary[mi][qi]) != 0 {
 					out++
 				}
 			}
@@ -313,20 +238,22 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 	s.maybeRetrain(m)
 	snap.Models = len(s.models)
 	if len(s.models) > 0 {
-		if row, err := m.track.EpochRow(e); err == nil {
-			if fp, err := s.fpr.EpochFingerprintInto(row, s.fpBuf); err == nil {
-				s.fpBuf = fp
-				for _, fc := range s.models {
-					if warn, err := fc.Warns(fp); err == nil && warn {
-						snap.Centroid = 1
-						break
-					}
+		s.rowBuf = s.rowBuf[:0]
+		for _, q := range summary {
+			s.rowBuf = append(s.rowBuf, q[:]...)
+		}
+		if fp, err := s.fpr.EpochFingerprintInto(s.rowBuf, s.fpBuf); err == nil {
+			s.fpBuf = fp
+			for _, fc := range s.models {
+				if warn, err := fc.Warns(fp); err == nil && warn {
+					snap.Centroid = 1
+					break
 				}
 			}
 		}
 	}
 
-	snap.Risk = max4(snap.Trend, snap.Near, snap.Band, snap.Centroid)
+	snap.Risk = max(snap.Trend, snap.Near, snap.Band, snap.Centroid)
 	snap.Warning = snap.Risk >= s.cfg.WarnThreshold
 
 	// Episode bookkeeping, skipped while a crisis is already open.
@@ -377,20 +304,15 @@ func (m *Monitor) forecastObserve(e metrics.Epoch, status sla.EpochStatus, summa
 // resolveDetection closes the open warning episode against a detection at
 // epoch e: a hit when the episode is still live (last warning within
 // Horizon epochs) and actually preceded the detection. The returned lead is
-// the epochs from the episode's first warning to the detection.
+// the epochs from the episode's first warning to the detection; callers read
+// it only on a hit.
 func (s *forecastStage) resolveDetection(e metrics.Epoch) (lead int, hit bool) {
 	if s == nil || !s.Pending {
 		return 0, false
 	}
 	s.Pending = false
-	if e-s.LastWarn > metrics.Epoch(s.cfg.Horizon) {
-		return 0, false
-	}
 	lead = int(e - s.WarnStart)
-	if lead < 1 {
-		return 0, false
-	}
-	return lead, true
+	return lead, e-s.LastWarn <= metrics.Epoch(s.cfg.Horizon) && lead >= 1
 }
 
 // trendSlope is the least-squares slope of the fraction ring in
@@ -424,18 +346,18 @@ func (s *forecastStage) trendSlope() float64 {
 // a type with no early signs, MinCentroidNorm) are skipped silently — the
 // other components still cover those types.
 func (s *forecastStage) maybeRetrain(m *Monitor) {
-	if m.thresholds == nil {
+	if m.st.Thresholds == nil {
 		return
 	}
 	_, labeled := m.KnownCrises()
-	if s.trainedGen == m.thGen && s.trainedN == labeled && s.fpr != nil {
+	if s.trainedGen == m.st.ThGen && s.trainedN == labeled && s.fpr != nil {
 		return
 	}
-	s.trainedGen = m.thGen
+	s.trainedGen = m.st.ThGen
 	s.trainedN = labeled
 	s.models = s.models[:0]
 	s.modelLabels = s.modelLabels[:0]
-	f, err := m.currentFingerprinter()
+	f, err := m.st.Fingerprinter()
 	if err != nil {
 		s.fpr = nil
 		return
@@ -445,16 +367,16 @@ func (s *forecastStage) maybeRetrain(m *Monitor) {
 		s.fpBuf = make([]float64, 0, f.Size())
 	}
 	byLabel := make(map[string][]metrics.Epoch)
-	for _, p := range m.past {
-		if p.Label != "" {
-			byLabel[p.Label] = append(byLabel[p.Label], p.Start)
+	for _, p := range m.st.Crises {
+		if p.State.Label != "" {
+			byLabel[p.State.Label] = append(byLabel[p.State.Label], p.State.Start)
 		}
 	}
 	for label, starts := range byLabel {
 		if len(starts) < s.cfg.Model.MinCrises {
 			continue
 		}
-		fc, err := forecast.Train(f, m.track, starts, s.cfg.Model)
+		fc, err := forecast.Train(f, m.st.Track, starts, s.cfg.Model)
 		if err != nil {
 			continue
 		}
@@ -463,27 +385,18 @@ func (s *forecastStage) maybeRetrain(m *Monitor) {
 	}
 }
 
-// checkpoint returns the stage's state for a checkpoint; nil when the stage
-// is off.
-func (s *forecastStage) checkpoint() *forecastState {
-	if s == nil {
-		return nil
-	}
-	return &s.forecastState
-}
-
 // restore applies a checkpointed state; a nil one (a checkpoint written with
 // the stage off) resets to cold. A ring sized for a different TrendWindow
 // restarts empty rather than being rejected. Models retrain lazily against
 // the restored track.
-func (s *forecastStage) restore(c *forecastState) {
+func (s *forecastStage) restore(c *online.ForecastState) {
 	if s == nil {
 		return
 	}
 	fresh := newForecastStage(s.cfg)
 	if c != nil {
 		ring := fresh.FracHist
-		fresh.forecastState = *c
+		fresh.ForecastState = *c
 		if len(c.FracHist) != len(ring) || c.FracPos < 0 || c.FracPos >= len(ring) {
 			fresh.FracHist, fresh.FracPos, fresh.FracN = ring, 0, 0
 		}
@@ -500,18 +413,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func max4(a, b, c, d float64) float64 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if c > m {
-		m = c
-	}
-	if d > m {
-		m = d
-	}
-	return m
 }

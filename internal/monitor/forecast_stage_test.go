@@ -159,6 +159,7 @@ func TestForecastCheckpointRoundtrip(t *testing.T) {
 	if err := tb.m.WriteCheckpoint(&buf, CheckpointMeta{SourceEpoch: -1}); err != nil {
 		t.Fatal(err)
 	}
+	saved := append([]byte(nil), buf.Bytes()...)
 	cfg := tb.m.cfg
 	m2, err := New(cfg)
 	if err != nil {
@@ -167,8 +168,21 @@ func TestForecastCheckpointRoundtrip(t *testing.T) {
 	if _, err := m2.ReadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.fc.Pending || !reflect.DeepEqual(m2.fc.forecastState, tb.m.fc.forecastState) {
-		t.Fatalf("restored stage state %+v, want %+v", m2.fc.forecastState, tb.m.fc.forecastState)
+	if !m2.fc.Pending || !reflect.DeepEqual(m2.fc.ForecastState, tb.m.fc.ForecastState) {
+		t.Fatalf("restored stage state %+v, want %+v", m2.fc.ForecastState, tb.m.fc.ForecastState)
+	}
+	// A monitor with the stage off restores the same checkpoint and saves
+	// no forecast state of its own.
+	cfg.Forecast = ForecastConfig{}
+	off, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := off.ReadCheckpoint(bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if f := decodeCheckpoint(t, off, CheckpointMeta{}); f.State.Forecast != nil {
+		t.Fatalf("a monitor without the forecast stage saved its state %+v", *f.State.Forecast)
 	}
 }
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dcfp/internal/metrics"
@@ -90,21 +91,16 @@ func (in *Ingestor) Ingest(e metrics.Epoch, samples [][]float64) ([]*EpochReport
 		return nil, nil
 	}
 
-	var reports []*EpochReport
-	if e == in.next {
-		rep, err := in.mon.ObserveEpoch(samples)
-		if err != nil {
-			return nil, err
-		}
-		in.next++
-		reports = append(reports, rep)
-	} else {
+	if e > in.next {
 		in.buf[e] = copyRows(samples)
 		in.reordered.Inc()
+	} else {
+		in.buf[e] = samples // observed before Ingest returns
 	}
 
 	// Drain: observe consecutive buffered epochs, and once the buffered
 	// span exceeds the window give up on the missing predecessors.
+	var reports []*EpochReport
 	for len(in.buf) > 0 {
 		if rows, ok := in.buf[in.next]; ok {
 			delete(in.buf, in.next)
@@ -116,15 +112,18 @@ func (in *Ingestor) Ingest(e metrics.Epoch, samples [][]float64) ([]*EpochReport
 			reports = append(reports, rep)
 			continue
 		}
-		maxB := maxBuffered(in.buf)
-		if int(maxB-in.next) <= in.cfg.ReorderWindow {
+		// Every buffered epoch is ahead of next.
+		var lo, hi metrics.Epoch = math.MaxInt, in.next
+		for e := range in.buf {
+			lo, hi = min(lo, e), max(hi, e)
+		}
+		if int(hi-in.next) <= in.cfg.ReorderWindow {
 			break // still inside the window: keep waiting
 		}
 		// Window exhausted: the next missing epoch is lost; skip to the
 		// oldest epoch we actually hold.
-		minB := minBuffered(in.buf)
-		in.lost.Add(uint64(minB - in.next))
-		in.next = minB
+		in.lost.Add(uint64(lo - in.next))
+		in.next = lo
 	}
 	return reports, nil
 }
@@ -188,26 +187,4 @@ func copyRows(rows [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-func minBuffered(buf map[metrics.Epoch][][]float64) metrics.Epoch {
-	first := true
-	var min metrics.Epoch
-	for e := range buf {
-		if first || e < min {
-			min, first = e, false
-		}
-	}
-	return min
-}
-
-func maxBuffered(buf map[metrics.Epoch][][]float64) metrics.Epoch {
-	first := true
-	var max metrics.Epoch
-	for e := range buf {
-		if first || e > max {
-			max, first = e, false
-		}
-	}
-	return max
 }

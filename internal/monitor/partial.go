@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"dcfp/internal/sla"
 	"dcfp/internal/telemetry"
@@ -42,11 +41,9 @@ type ShardPartial struct {
 
 // ObserveAggregated ingests one epoch assembled from per-shard partials —
 // the coordinator half of two-tier fleet aggregation. It is ObserveEpoch
-// with the masks and SLA statuses already computed elsewhere: each partial's
-// columns are filtered into the monitor's aggregator (the same finite-value
-// test, a column at a time), and everything downstream runs through the same
-// finishEpoch, so the EpochReport stream is byte-identical to feeding the
-// same fleet rows to ObserveEpoch on a single node.
+// with the masks and SLA statuses already computed elsewhere, filtering each
+// partial's columns into the monitor's aggregator, so the EpochReport stream
+// is byte-identical to feeding the same fleet rows to ObserveEpoch.
 //
 // machines is the full fleet width. Machine indexes not covered by any
 // partial — a dead or late shard the caller did not synthesize a partial
@@ -57,41 +54,22 @@ type ShardPartial struct {
 // coordinator passes its merge_epoch trace, so shard-grafted spans and the
 // merge pipeline land in one distributed trace, and Ends it); with a nil tr
 // the monitor opens an observe_aggregated trace of its own.
-func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *telemetry.Trace) (rep *EpochReport, err error) {
+func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *telemetry.Trace) (*EpochReport, error) {
 	if tr == nil {
 		tr = m.cfg.Tracer.StartTrace("observe_aggregated")
 		defer tr.End()
 	}
-	var t0, ts time.Time
-	if m.tel != nil {
-		t0 = time.Now()
-		ts = t0
-	}
-	sp := tr.StartSpan("ingest")
-	covered, slots, err := m.validateParts(machines, parts)
-	if err != nil {
-		return nil, err
-	}
-	m.noteMachines(machines)
-	sp.SetAttr("machines", int64(machines))
-	sp.SetAttr("shards", int64(len(parts)))
-	sp.End()
+	return m.observe(tr, machines, nil, parts)
+}
 
-	// From here on the aggregator holds this epoch's values. Whatever fails
-	// before summarize has drained it must not leak them into the next epoch.
-	defer func() {
-		if err != nil {
-			m.agg.Reset()
-		}
-	}()
-	workers := m.workers(machines)
-	sp = tr.StartSpan("merge")
+// merge absorbs the partials' columns into the aggregator and the retained
+// epoch, which holds the reporting machines in machine order: a partial's
+// slots start where the ranges before it end. Each column is absorbed in one
+// pass that inserts its finite keys and writes its retained copy; the
+// estimators take the partials in the order given.
+func (m *Monitor) merge(tr *telemetry.Trace, workers int, covered []coveredRange, parts []ShardPartial) (int, error) {
+	sp := tr.StartSpan("merge")
 	sp.SetAttr("workers", int64(workers))
-	// The retained epoch holds the reporting machines in machine order: a
-	// partial's slots start where the ranges before it end. Each column is
-	// absorbed in one pass that inserts its finite keys and writes its
-	// retained copy; the estimators take the partials in the order given.
-	ret := m.retainEpoch(slots)
 	srcs, at := m.srcBuf[:0], m.atBuf[:0]
 	for i := range parts {
 		srcs = append(srcs, parts[i].Cols)
@@ -103,14 +81,18 @@ func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *tele
 		at[c.part] = next
 		for k, r := range p.Reporting {
 			if r {
-				ret.viol[next] = p.Viol[k]
+				m.cur.Viol[next] = p.Viol[k]
 				next++
 			}
 		}
 	}
 	m.srcBuf, m.atBuf = srcs, at
-	if err = m.agg.ObserveColumns(workers, srcs, at, ret.x, ret.nonFinite); err != nil {
-		return nil, err
+	if err := m.agg.ObserveColumns(workers, srcs, at, m.cur.X, m.cur.NonFinite()); err != nil {
+		return 0, err
+	}
+	live := m.cur.Live()
+	for i := range live {
+		live[i] = true
 	}
 	dropped := 0
 	for i := range parts {
@@ -118,127 +100,17 @@ func (m *Monitor) ObserveAggregated(machines int, parts []ShardPartial, tr *tele
 	}
 	sp.SetAttr("values_dropped", int64(dropped))
 	sp.End()
+	return dropped, nil
+}
 
-	summary, gaps, ts, err := m.summarize(tr, workers, ts)
-	if err != nil {
-		return nil, err
-	}
-
-	sp = tr.StartSpan("sla")
+// mergeStatuses combines the partials' SLA statuses.
+func (m *Monitor) mergeStatuses(parts []ShardPartial) sla.EpochStatus {
 	statuses := m.statusBuf[:0]
 	for i := range parts {
 		statuses = append(statuses, parts[i].Status)
 	}
 	m.statusBuf = statuses
-	status := m.cfg.SLA.MergeStatuses(statuses)
-	sp.End()
-	ts = m.span(stageSLA, ts)
-
-	// Scatter the masks into global machine order. Machines no partial
-	// covers (a dead shard nobody synthesized) are non-reporting.
-	viol, reporting := m.scratchMasks(machines)
-	clear(viol)
-	clear(reporting)
-	for i := range parts {
-		p := &parts[i]
-		copy(viol[p.Lo:], p.Viol)
-		copy(reporting[p.Lo:], p.Reporting)
-	}
-	for i := range ret.live {
-		ret.live[i] = true
-	}
-	return m.finishEpoch(tr, t0, ts, ret, reporting, status, summary, dropped, gaps, workers)
-}
-
-// observeLocal is ObserveEpoch's pipeline: filter the rows into the
-// aggregator while keeping them transposed as the retained epoch (one slot
-// per delivered row), summarize, evaluate the SLA over the rows and hand over
-// to finishEpoch. Its only fan-out is the aggregator's split of the metric
-// columns over the resolved workers.
-func (m *Monitor) observeLocal(tr *telemetry.Trace, rows [][]float64) (rep *EpochReport, err error) {
-	var t0, ts time.Time
-	if m.tel != nil {
-		t0 = time.Now()
-		ts = t0
-	}
-	sp := tr.StartSpan("ingest")
-	machines := len(rows)
-	if machines == 0 {
-		return nil, errors.New("monitor: no machine samples")
-	}
-	nm := m.cfg.Catalog.Len()
-	delivered := 0
-	for _, row := range rows {
-		if row == nil {
-			continue
-		}
-		if len(row) != nm {
-			return nil, fmt.Errorf("monitor: sample row width %d, want %d", len(row), nm)
-		}
-		delivered++
-	}
-	m.noteMachines(machines)
-	sp.SetAttr("machines", int64(machines))
-	sp.SetAttr("shards", 1)
-	sp.End()
-
-	defer func() {
-		if err != nil {
-			m.agg.Reset()
-		}
-	}()
-	workers := m.workers(machines)
-	sp = tr.StartSpan("filter")
-	viol, reporting := m.scratchMasks(machines)
-	ret := m.retainEpoch(delivered)
-	dropped, err := m.agg.ObserveBatchRetained(workers, rows, reporting, ret.x, ret.nonFinite)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetAttr("values_dropped", int64(dropped))
-	sp.End()
-
-	summary, gaps, ts, err := m.summarize(tr, workers, ts)
-	if err != nil {
-		return nil, err
-	}
-
-	sp = tr.StartSpan("sla")
-	status, err := m.cfg.SLA.EvaluateMasked(rows, viol, reporting)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	ts = m.span(stageSLA, ts)
-
-	k := 0
-	for i, row := range rows {
-		if row != nil {
-			ret.live[k], ret.viol[k] = reporting[i], viol[i]
-			k++
-		}
-	}
-	return m.finishEpoch(tr, t0, ts, ret, reporting, status, summary, dropped, gaps, workers)
-}
-
-// summarize drains the aggregator into this epoch's quantile summary.
-func (m *Monitor) summarize(tr *telemetry.Trace, workers int, ts time.Time) ([][3]float64, int, time.Time, error) {
-	sp := tr.StartSpan("summarize")
-	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
-	if err != nil {
-		return nil, 0, ts, err
-	}
-	sp.SetAttr("metric_gaps", int64(gaps))
-	sp.End()
-	return summary, gaps, m.span(stageQuantile, ts), nil
-}
-
-// noteMachines learns the fleet width as the coverage denominator when the
-// configuration does not fix one.
-func (m *Monitor) noteMachines(machines int) {
-	if m.cfg.ExpectedMachines == 0 && machines > m.expected {
-		m.expected = machines
-	}
+	return m.cfg.SLA.MergeStatuses(statuses)
 }
 
 // coveredRange is one non-empty partial's machine range.

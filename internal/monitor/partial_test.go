@@ -411,8 +411,8 @@ func TestObserveAggregatedSanitizesUnclaimedNaN(t *testing.T) {
 	if rep.CrisisActive || rep.Degraded {
 		t.Fatal("the probe epoch must be idle so the ring keeps it")
 	}
-	kept := m.ring[(m.ringPos+m.cfg.RawPad-1)%m.cfg.RawPad]
-	got := kept.col(metric)[bad]
+	kept := m.st.Ring[(m.st.RingPos+m.cfg.RawPad-1)%m.cfg.RawPad]
+	got := kept.X[metric*len(kept.Viol)+bad]
 	if want := m.lastSummary[metric][1]; math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("retained machine %d metric %d is %v, want the epoch median %v", bad, metric, got, want)
 	}

@@ -56,13 +56,9 @@ type labelTally struct {
 // scoreboardMetrics holds the fixed-label handles; per-label series
 // (confusion cells, recall gauges) are registered on first use.
 type scoreboardMetrics struct {
-	feedbackKnown   *telemetry.Counter
-	feedbackUnknown *telemetry.Counter
-	accKnown        *telemetry.Gauge
-	accUnknown      *telemetry.Gauge
-	tti             *telemetry.Histogram
-	forecastHits    *telemetry.Counter
-	forecastFalse   *telemetry.Counter
+	feedbackKnown, feedbackUnknown, forecastHits, forecastFalse *telemetry.Counter
+	accKnown, accUnknown                                        *telemetry.Gauge
+	tti                                                         *telemetry.Histogram
 }
 
 // NewScoreboard builds a scoreboard, optionally exporting dcfp_ident_*
@@ -225,11 +221,7 @@ func (s *Scoreboard) RecordForecast(leadEpochs int, hit bool) {
 	if leadEpochs < 1 {
 		return
 	}
-	lead := leadEpochs
-	if lead > MaxForecastLead {
-		lead = MaxForecastLead
-	}
-	s.leadCounts[lead-1]++
+	s.leadCounts[min(leadEpochs, MaxForecastLead)-1]++
 	if s.tel != nil {
 		s.tel.tti.Observe(float64(-leadEpochs))
 	}

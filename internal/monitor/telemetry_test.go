@@ -251,23 +251,26 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 		t.Fatal("selection.failed before any selection ran")
 	}
 	// Leave the open crisis only single-class samples.
-	p := tb.m.active()
-	x, y := p.fs.Block()
+	img := tb.m.st.Image()
 	var calm [][]float64
-	for i, row := range blockRows(x, len(y)) {
-		if !y[i] {
+	for i, row := range blockRows(img.Samples.X, len(img.Samples.Viol)) {
+		if !img.Samples.Viol[i] {
 			calm = append(calm, row)
 		}
 	}
-	p.fs = core.SampleBuffer{}
-	if err := p.fs.Append(calm, make([]bool, len(calm))); err != nil {
+	var fs core.SampleBuffer
+	if err := fs.Append(calm, make([]bool, len(calm))); err != nil {
+		t.Fatal(err)
+	}
+	img.Samples.X, img.Samples.Viol = fs.Block()
+	if err := tb.m.st.Restore(img); err != nil {
 		t.Fatal(err)
 	}
 	if rep := tb.step(); rep.CrisisActive {
 		t.Fatal("second calm epoch must close the episode")
 	}
-	if storedCrises(tb.m) != 1 || tb.m.past[0].Top != nil || tb.m.past[0].fs.Len() != 0 {
-		t.Fatalf("crisis stored %d times, top %v, %d samples retained", storedCrises(tb.m), tb.m.past[0].Top, tb.m.past[0].fs.Len())
+	if storedCrises(tb.m) != 1 || tb.m.st.Crises[0].State.Top != nil {
+		t.Fatalf("crisis stored %d times, top %v", storedCrises(tb.m), tb.m.st.Crises[0].State.Top)
 	}
 	ev := events.String()
 	for _, want := range []string{"selection.failed", "crisis=crisis-001", fmt.Sprintf("rows=%d", len(calm)), "single class", "crisis.ended"} {
@@ -281,7 +284,7 @@ func TestPerCrisisSelectionFailureIsReported(t *testing.T) {
 	if n := strings.Count(events.String(), "selection.failed"); n != 1 {
 		t.Fatalf("%d selection.failed events, want only the first crisis's", n)
 	}
-	if tb.m.past[1].Top == nil {
+	if tb.m.st.Crises[1].State.Top == nil {
 		t.Fatal("second crisis selected no metrics")
 	}
 }

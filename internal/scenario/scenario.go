@@ -9,6 +9,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -186,39 +187,17 @@ type Expect struct {
 // applyDefaults fills the documented zero-value defaults in place.
 func (sc *Scenario) applyDefaults() {
 	f := &sc.Fleet
-	if f.Machines == 0 {
-		f.Machines = 100
-	}
-	if f.Shards == 0 {
-		f.Shards = 2
-	}
-	if f.Seed == 0 {
-		f.Seed = 42
-	}
-	if f.WarmupEpochs == 0 {
-		f.WarmupEpochs = 24
-	}
-	if f.MinCoverage == 0 {
-		f.MinCoverage = 0.5
-	}
-	if f.Window == 0 {
-		f.Window = 8
-	}
-	if f.FlushAfterSteps == 0 {
-		f.FlushAfterSteps = 4
-	}
-	if f.ReplayCapacity == 0 {
-		f.ReplayCapacity = 64
-	}
-	if f.CheckpointEvery == 0 {
-		f.CheckpointEvery = 24
-	}
-	if f.ThresholdRefreshEpochs == 0 {
-		f.ThresholdRefreshEpochs = 24
-	}
-	if f.MinEpochsForThresholds == 0 {
-		f.MinEpochsForThresholds = 48
-	}
+	f.Machines = cmp.Or(f.Machines, 100)
+	f.Shards = cmp.Or(f.Shards, 2)
+	f.Seed = cmp.Or(f.Seed, 42)
+	f.WarmupEpochs = cmp.Or(f.WarmupEpochs, 24)
+	f.MinCoverage = cmp.Or(f.MinCoverage, 0.5)
+	f.Window = cmp.Or(f.Window, 8)
+	f.FlushAfterSteps = cmp.Or(f.FlushAfterSteps, 4)
+	f.ReplayCapacity = cmp.Or(f.ReplayCapacity, 64)
+	f.CheckpointEvery = cmp.Or(f.CheckpointEvery, 24)
+	f.ThresholdRefreshEpochs = cmp.Or(f.ThresholdRefreshEpochs, 24)
+	f.MinEpochsForThresholds = cmp.Or(f.MinEpochsForThresholds, 48)
 	if sc.Faults != nil && sc.Faults.Seed == 0 {
 		sc.Faults.Seed = f.Seed + 1
 	}

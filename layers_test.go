@@ -32,3 +32,41 @@ func TestPaperPackagesImportNoShell(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineStepIsPure holds the step/shell split: dcfp/internal/online, the
+// paper's pipeline as one step over the epoch stream, imports nothing of its
+// shell (the monitor, the fleet, telemetry) directly or through another
+// package, and reads no clock and no scheduler state of its own. metrics and
+// ident pull time in transitively for their own types, so the clock check
+// is on the package's direct imports.
+func TestOnlineStepIsPure(t *testing.T) {
+	const pkg = "dcfp/internal/online"
+	out, err := exec.Command("go", "list", "-deps", pkg).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v\n%s", pkg, err, out)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) == 0 || deps[len(deps)-1] != pkg {
+		t.Fatalf("go list -deps %s listed %v, not ending in the package itself", pkg, deps)
+	}
+	for _, d := range deps {
+		for _, s := range []string{"monitor", "fleet", "telemetry"} {
+			if d == "dcfp/internal/"+s {
+				t.Errorf("%s imports %s", pkg, d)
+			}
+		}
+	}
+	out, err = exec.Command("go", "list", "-f", "{{join .Imports \" \"}}", pkg).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -f {{.Imports}} %s: %v\n%s", pkg, err, out)
+	}
+	imports := strings.Fields(string(out))
+	if len(imports) == 0 {
+		t.Fatalf("go list listed no imports of %s", pkg)
+	}
+	for _, d := range imports {
+		if d == "time" || d == "runtime" {
+			t.Errorf("%s imports %s", pkg, d)
+		}
+	}
+}
