@@ -190,7 +190,7 @@ func (d *daemon) observe(rep *monitor.EpochReport, active *crisis.Instance) erro
 	// (forecast lead included) opens the incident window.
 	activeID := ""
 	if rep.CrisisActive {
-		activeID = d.mon.Stats().ActiveCrisisID
+		activeID = d.mon.ActiveCrisisID()
 	}
 	d.incidents.Observe(rep, activeID)
 	// Score the forecast stage's resolved warning episodes: a detection

@@ -334,8 +334,8 @@ func runSingle(ctx context.Context, d *daemon, stream *dcsim.Stream) {
 			log.Fatal(err)
 		}
 		// The ingestor deep-copies anything it buffers and the monitor
-		// copies anything it retains, so the emission's pooled rows can
-		// go back for reuse as soon as the step returns.
+		// copies anything it retains, so the emission's rows can go back
+		// to the injector as soon as the step returns.
 		inj.Recycle(ep)
 		// Only this goroutine writes d.emitted in the single role.
 		if c.ckptDir != "" && c.ckptEvery > 0 && d.emitted%int64(c.ckptEvery) == 0 {

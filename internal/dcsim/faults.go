@@ -114,9 +114,9 @@ type FaultyEpoch struct {
 	Rows   [][]float64
 	Active *crisis.Instance
 
-	// mat is the pooled matrix backing Rows; FaultInjector.Recycle returns
-	// it. Every emission owns its matrix (duplicates are cloned), so a
-	// recycled epoch can never clobber one still in flight.
+	// mat is the matrix backing Rows; FaultInjector.Recycle takes it back.
+	// Every emission owns its matrix (duplicates are cloned), so a recycled
+	// epoch can never clobber one still in flight.
 	mat *metrics.Matrix
 }
 
@@ -148,7 +148,7 @@ type FaultInjector struct {
 	queue  []queuedEpoch
 	stats  FaultStats
 	tel    *faultMetrics
-	pool   metrics.MatrixPool // backs emitted epochs; refilled via Recycle
+	free   []*metrics.Matrix // recycled emissions' matrices, reused before any new one
 }
 
 type queuedEpoch struct {
@@ -267,23 +267,39 @@ func (f *FaultInjector) NextContext(ctx context.Context) (FaultyEpoch, error) {
 	}
 }
 
-// Recycle returns ep's pooled row storage to the injector for reuse. Call it
-// once nothing references ep.Rows anymore; skipping it is safe (the garbage
-// collector reclaims the rows) but reintroduces the per-epoch allocation the
-// pool exists to avoid. Each emission owns its storage, so recycling one
-// never invalidates another (duplicates included).
+// Recycle hands ep's row storage back to the injector, which backs a later
+// emission with it. Call it once per emission of this injector, when nothing
+// references ep.Rows anymore; skipping it is safe (the garbage collector
+// reclaims the rows) but costs every later emission a fresh matrix. Each
+// emission owns its storage, so recycling one never invalidates another
+// (duplicates included).
 func (f *FaultInjector) Recycle(ep FaultyEpoch) {
-	f.pool.Put(ep.mat)
+	if ep.mat != nil {
+		f.free = append(f.free, ep.mat)
+	}
 }
 
-// cloneEpoch deep-copies an emission into its own pooled matrix, preserving
+// matrix returns an epoch-shaped matrix with every row view set, the last
+// one recycled if there is one. Its contents are stale.
+func (f *FaultInjector) matrix() *metrics.Matrix {
+	n := len(f.free)
+	if n == 0 {
+		return metrics.NewMatrix(f.src.cfg.Machines, len(f.src.specs))
+	}
+	m := f.free[n-1]
+	f.free = f.free[:n-1]
+	m.ResetViews()
+	return m
+}
+
+// cloneEpoch deep-copies an emission into a matrix of its own, preserving
 // the dark-machine (nil row) pattern and any truncation.
 func (f *FaultInjector) cloneEpoch(ep FaultyEpoch) FaultyEpoch {
 	cp := ep
 	if ep.mat == nil {
 		return cp
 	}
-	cp.mat = f.pool.Get(ep.mat.Rows(), ep.mat.Cols())
+	cp.mat = f.matrix()
 	views := cp.mat.RowViews()
 	for m, row := range ep.Rows {
 		if row == nil {
@@ -297,16 +313,12 @@ func (f *FaultInjector) cloneEpoch(ep FaultyEpoch) FaultyEpoch {
 	return cp
 }
 
-// corruptRows deep-copies one epoch of rows into a pooled matrix and applies
-// machine dropout and cell-level blanking/corruption. The returned rows are
-// views into the matrix; the caller threads the matrix into the emission so
-// Recycle can return it.
+// corruptRows deep-copies one epoch of rows into a matrix of its own and
+// applies machine dropout and cell-level blanking/corruption. The returned
+// rows are views into the matrix; the caller threads the matrix into the
+// emission so Recycle can take it back.
 func (f *FaultInjector) corruptRows(e int64, rows [][]float64) ([][]float64, *metrics.Matrix) {
-	cols := 0
-	if len(rows) > 0 {
-		cols = len(rows[0])
-	}
-	mat := f.pool.Get(len(rows), cols)
+	mat := f.matrix()
 	out := mat.RowViews()
 	cellFaults := f.cfg.BlankRate > 0 || f.cfg.CorruptRate > 0
 	for m, row := range rows {

@@ -412,7 +412,7 @@ func Simulate(cfg Config) (*Trace, error) {
 			if err != nil {
 				return err
 			}
-			gaps, err := agg.SummarizeInto(summary, nil)
+			gaps, err := agg.SummarizeInto(1, summary, nil)
 			if err != nil {
 				return err
 			}

@@ -142,8 +142,7 @@ type Stream struct {
 	mf           [][]float64 // per-machine hardware spread
 	shared       []float64   // datacenter-wide AR(1) drift
 	ef           epochFactors
-	pool         metrics.MatrixPool
-	cur          *metrics.Matrix // the buffer handed out by the last Next
+	bufs         [2]*metrics.Matrix // double buffer: the last Next's rows, and the next's
 	e            metrics.Epoch
 	next         *crisis.Instance // upcoming or currently active instance
 	scriptPos    int              // next unconsumed entry of cfg.Script
@@ -197,6 +196,9 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	}
 	s.shared = make([]float64, len(s.specs))
 	s.ef = newEpochFactors(len(s.specs), profiles)
+	for i := range s.bufs {
+		s.bufs[i] = metrics.NewMatrix(cfg.Machines, len(s.specs))
+	}
 	if err := s.schedule(metrics.Epoch(cfg.WarmupEpochs)); err != nil {
 		return nil, err
 	}
@@ -294,9 +296,9 @@ func (s *Stream) place(in crisis.Instance) error {
 
 // Next generates one epoch of per-machine rows and returns them together
 // with the injected crisis instance active at that epoch (nil outside
-// crises). The returned rows are views into a pooled buffer that is recycled
-// on the following call — consumers that retain rows must copy them
-// (monitor.ObserveEpoch already does).
+// crises). The returned rows are views into one of the stream's two
+// buffers, which the following successful call overwrites — consumers that
+// retain rows must copy them (monitor.ObserveEpoch already does).
 func (s *Stream) Next() ([][]float64, *crisis.Instance, error) {
 	return s.NextContext(context.Background())
 }
@@ -307,14 +309,13 @@ func (s *Stream) Next() ([][]float64, *crisis.Instance, error) {
 const checkCancelEvery = 64
 
 // NextContext is Next with cancellation: the context is checked before any
-// state advances, between pooled-buffer refills (right after the epoch's
-// output buffer is acquired), and again every checkCancelEvery machine rows.
-// Every error path returns the in-progress buffer to the pool, so a
-// cancelled stream leaks nothing. A cancelled call returns ctx.Err() with
-// the epoch only partially generated — the stream's RNG and workload state
-// have advanced, so the stream must not be reused for a deterministic
-// continuation afterwards (tear it down; this is shutdown support, not
-// pause/resume).
+// state advances, once the epoch's factors are drawn, and again every
+// checkCancelEvery machine rows. The epoch is generated into the spare
+// buffer, so a failed call leaves the last rows intact. A cancelled call
+// returns ctx.Err() with the epoch only partially generated — the stream's
+// RNG and workload state have advanced, so the stream must not be reused for
+// a deterministic continuation afterwards (tear it down; this is shutdown
+// support, not pause/resume).
 func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -332,16 +333,15 @@ func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance
 	}
 	s.ef.set(s.specs, intensity, s.shared)
 
-	buf := s.pool.Get(s.cfg.Machines, len(s.specs))
+	buf := s.bufs[1]
+	buf.ResetViews()
 	rows := buf.RowViews()
 	if err := ctx.Err(); err != nil {
-		s.pool.Put(buf)
 		return nil, nil, err
 	}
 
 	if e > s.next.End() {
 		if err := s.schedule(e); err != nil {
-			s.pool.Put(buf)
 			return nil, nil, err
 		}
 	}
@@ -353,7 +353,6 @@ func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance
 	for m := 0; m < s.cfg.Machines; m++ {
 		if m != 0 && m%checkCancelEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				s.pool.Put(buf)
 				return nil, nil, err
 			}
 		}
@@ -384,10 +383,8 @@ func (s *Stream) NextContext(ctx context.Context) ([][]float64, *crisis.Instance
 	if s.cfg.Events.Enabled() && (int(e)+1)%metrics.EpochsPerDay == 0 {
 		s.cfg.Events.SimDay((int(e)+1)/metrics.EpochsPerDay, int64(e), s.crisisEpochs, s.injected)
 	}
-	// The previous epoch's buffer goes back to the pool only now that this
-	// call has succeeded: the consumer contract is that rows stay valid
-	// until the next successful Next.
-	s.pool.Put(s.cur)
-	s.cur = buf
+	// The buffers swap only now that this call has succeeded: the consumer
+	// contract is that rows stay valid until the next successful Next.
+	s.bufs[0], s.bufs[1] = buf, s.bufs[0]
 	return rows, active, nil
 }

@@ -81,10 +81,7 @@ func (a *Aggregator) observeBatch(workers int, rows [][]float64, reporting []boo
 	if workers = min(workers, nm); workers <= 1 {
 		return a.filter(a.scratch[0], 0, nm, rows, reporting, nil, keep)
 	}
-	for len(a.scratch) < workers {
-		a.scratch = append(a.scratch, new(stripScratch))
-	}
-	for _, sc := range a.scratch[:workers] {
+	for _, sc := range a.workerScratch(workers) {
 		if cap(sc.counts) < len(rows) {
 			sc.counts = make([]int, len(rows))
 		}
@@ -276,94 +273,70 @@ func ScanBatchFiltered(rows [][]float64, width int, reporting []bool, cols []flo
 	return cols[:width*n], dropped, nil
 }
 
-// summarizeMetric reads metric m's tracked quantiles and resets its
-// estimator for the next epoch. A metric with no observations this epoch is
-// a gap, not an error: it falls back to prev[m] (the previous epoch's
-// quantiles — last observation carried forward), or zeros when no previous
-// summary exists.
-func (a *Aggregator) summarizeMetric(m int, prev [][3]float64) ([3]float64, bool, error) {
-	est := a.ests[m]
-	if est.Count() == 0 {
-		if prev != nil {
-			return prev[m], true, nil
-		}
-		return [3]float64{}, true, nil
-	}
-	out, err := quantile.Summarize(est)
-	if err != nil {
-		return out, false, fmt.Errorf("metrics: metric %d: %w", m, err)
-	}
-	est.Reset()
-	return out, false, nil
-}
-
-// SummarizeInto writes the epoch's per-metric tracked quantiles into out
-// (NumMetrics entries) and resets the aggregator for
-// the next epoch. It survives metrics nobody reported, substituting prev
-// (typically the previous epoch's summary; nil means zeros), and returns how
-// many metrics needed the fallback. A tight epoch loop reuses one out buffer
-// and allocates nothing.
-func (a *Aggregator) SummarizeInto(out, prev [][3]float64) (int, error) {
-	if len(out) != a.NumMetrics() {
-		return 0, fmt.Errorf("metrics: summary buffer has %d metrics, want %d", len(out), a.NumMetrics())
-	}
-	if prev != nil && len(prev) != a.NumMetrics() {
-		return 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), a.NumMetrics())
-	}
+// summarize reads the tracked quantiles of metrics [lo, hi) into out, with
+// sc's selection scratch, and resets their estimators for the next epoch. A
+// metric with no observations this epoch is a gap, not an error: it falls
+// back to prev[m] (the previous epoch's quantiles — last observation carried
+// forward), or zeros when prev is nil. It returns the gaps.
+func (a *Aggregator) summarize(sc *stripScratch, lo, hi int, out, prev [][3]float64) (int, error) {
 	gaps := 0
-	for m := range out {
-		s, gap, err := a.summarizeMetric(m, prev)
-		if err != nil {
-			return 0, err
-		}
-		if gap {
+	for m := lo; m < hi; m++ {
+		est := a.ests[m]
+		if est.Count() == 0 {
 			gaps++
+			out[m] = [3]float64{}
+			if prev != nil {
+				out[m] = prev[m]
+			}
+			continue
 		}
+		s, err := quantile.SummarizeWith(est, &sc.sel)
+		if err != nil {
+			return gaps, fmt.Errorf("metrics: metric %d: %w", m, err)
+		}
+		est.Reset()
 		out[m] = s
 	}
 	return gaps, nil
 }
 
-// SummarizeLenient is SummarizeInto into a fresh buffer.
+// SummarizeInto writes the epoch's per-metric tracked quantiles into out
+// (NumMetrics entries) and resets the aggregator for the next epoch. It
+// survives metrics nobody reported, substituting prev (typically the
+// previous epoch's summary; nil means zeros), and returns how many metrics
+// needed the fallback. With workers > 1 the metric columns are split over
+// that many goroutines (forEachMetric), each selecting in its own scratch;
+// metrics are independent, so out is the same for any worker count. A tight
+// epoch loop reuses one out buffer and allocates nothing.
+func (a *Aggregator) SummarizeInto(workers int, out, prev [][3]float64) (int, error) {
+	n := a.NumMetrics()
+	if len(out) != n {
+		return 0, fmt.Errorf("metrics: summary buffer has %d metrics, want %d", len(out), n)
+	}
+	if prev != nil && len(prev) != n {
+		return 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), n)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		// The closure forEachMetric takes escapes to its goroutines; the
+		// serial epoch path stays allocation-free by not building one.
+		return a.summarize(a.scratch[0], 0, n, out, prev)
+	}
+	scratch := a.workerScratch(workers)
+	var gaps atomic.Int64
+	err := a.forEachMetric(workers, func(w, lo, hi int) error {
+		g, err := a.summarize(scratch[w], lo, hi, out, prev)
+		gaps.Add(int64(g))
+		return err
+	})
+	return int(gaps.Load()), err
+}
+
+// SummarizeLenient is the serial SummarizeInto into a fresh buffer.
 func (a *Aggregator) SummarizeLenient(prev [][3]float64) ([][3]float64, int, error) {
 	out := make([][3]float64, a.NumMetrics())
-	gaps, err := a.SummarizeInto(out, prev)
+	gaps, err := a.SummarizeInto(1, out, prev)
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, gaps, nil
-}
-
-// SummarizeLenientParallel is SummarizeLenient with the metric columns
-// split over worker goroutines (forEachMetric); metrics are independent, so
-// the result is identical to SummarizeLenient for any worker count.
-func (a *Aggregator) SummarizeLenientParallel(workers int, prev [][3]float64) ([][3]float64, int, error) {
-	n := a.NumMetrics()
-	if workers = min(workers, n); workers <= 1 {
-		// The closure forEachMetric takes escapes to its goroutines; the
-		// serial epoch path stays allocation-free by not building one.
-		return a.SummarizeLenient(prev)
-	}
-	if prev != nil && len(prev) != n {
-		return nil, 0, fmt.Errorf("metrics: fallback summary has %d metrics, want %d", len(prev), n)
-	}
-	out := make([][3]float64, n)
-	var gaps atomic.Int64
-	err := a.forEachMetric(workers, func(_, lo, hi int) error {
-		for m := lo; m < hi; m++ {
-			s, gap, err := a.summarizeMetric(m, prev)
-			if err != nil {
-				return err
-			}
-			if gap {
-				gaps.Add(1)
-			}
-			out[m] = s
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, int(gaps.Load()), nil
 }

@@ -156,7 +156,7 @@ func TestSummarizeLenientFallsBackToPrev(t *testing.T) {
 	}
 }
 
-func TestSummarizeLenientParallelMatchesSerial(t *testing.T) {
+func TestSummarizeParallelMatchesSerial(t *testing.T) {
 	build := func() *Aggregator {
 		a, err := NewAggregator(8, func() quantile.Estimator { return quantile.NewExact() })
 		if err != nil {
@@ -182,7 +182,8 @@ func TestSummarizeLenientParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, gapsP, err := build().SummarizeLenientParallel(4, prev)
+	par := make([][3]float64, 8)
+	gapsP, err := build().SummarizeInto(4, par, prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func summarizeEpoch(tb testing.TB) func() {
 		if _, err := agg.ObserveBatchFiltered(0, rows, reporting); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := agg.SummarizeInto(out, nil); err != nil {
+		if _, err := agg.SummarizeInto(1, out, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -41,7 +41,8 @@ func TestAggregatorShardedMatchesSerial(t *testing.T) {
 		if _, err := a.ObserveBatchFiltered(workers, rows, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, gaps, err := a.SummarizeLenientParallel(workers, nil)
+		got := make([][3]float64, width)
+		gaps, err := a.SummarizeInto(workers, got, nil)
 		if err != nil || gaps != wantGaps {
 			t.Fatalf("workers=%d: gaps %d (want %d), err %v", workers, gaps, wantGaps, err)
 		}
@@ -59,14 +60,14 @@ func TestAggregatorShardsResetBetweenEpochs(t *testing.T) {
 	if _, err := a.ObserveBatchFiltered(2, [][]float64{{1, 10}, {3, 30}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.SummarizeLenientParallel(2, nil); err != nil {
+	got := make([][3]float64, 2)
+	if _, err := a.SummarizeInto(2, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.ObserveBatchFiltered(2, [][]float64{{7, 70}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.SummarizeLenientParallel(2, nil)
-	if err != nil {
+	if _, err := a.SummarizeInto(2, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != [3]float64{7, 7, 7} || got[1] != [3]float64{70, 70, 70} {
@@ -91,9 +92,12 @@ func TestObserveBatchValidation(t *testing.T) {
 // the given number of workers, twice (the second time on warm scratch and
 // reset estimators), and returns the second pass's drop count, reporting
 // flags (rows past an error keep their initial true), every estimator's
-// values in insertion order, and error.
-func observeWorkers(t *testing.T, workers, width int, rows [][]float64) (dropped int, reporting []bool, vals [][]float64, err error) {
+// values in insertion order, the summary of the same split — taken after a
+// summary of the first pass left every worker's selection scratch dirty —
+// and error.
+func observeWorkers(t *testing.T, workers, width int, rows [][]float64) (dropped int, reporting []bool, vals [][]float64, sum [][3]float64, err error) {
 	a := newExactAggregator(t, width)
+	sum = make([][3]float64, width)
 	for pass := 0; pass < 2; pass++ {
 		a.Reset()
 		reporting = make([]bool, len(rows))
@@ -101,19 +105,26 @@ func observeWorkers(t *testing.T, workers, width int, rows [][]float64) (dropped
 			reporting[i] = true
 		}
 		dropped, err = a.ObserveBatchFiltered(workers, rows, reporting)
+		if pass == 0 {
+			if _, serr := a.SummarizeInto(workers, sum, nil); serr != nil {
+				t.Fatal(serr)
+			}
+		}
 	}
-	vals = make([][]float64, width)
-	for m, est := range a.ests {
-		vals[m] = slices.Clone(est.(*quantile.Exact).RawValues())
+	vals = estValues(a)
+	if _, serr := a.SummarizeInto(workers, sum, nil); serr != nil {
+		t.Fatal(serr)
 	}
-	return dropped, reporting, vals, err
+	return dropped, reporting, vals, sum, err
 }
 
 // FuzzObserveBatchFilteredWorkers: splitting the filter over 2–4 workers
 // leaves the same drop count, reporting flags, error, and every estimator's
 // values in the same order as the serial path, on rows with nil machines,
 // blanked rows, NaN/±Inf cells and, when short is in range, one row of the
-// wrong width.
+// wrong width. The summary at 1–4 workers, each worker selecting in its own
+// scratch, is bit-equal to the serial one and to a fresh Exact fed the
+// same column.
 func FuzzObserveBatchFilteredWorkers(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(7), int16(-1))
 	f.Add(int64(2), uint16(300), uint8(7), int16(-1))
@@ -123,9 +134,20 @@ func FuzzObserveBatchFilteredWorkers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, width uint8, short int16) {
 		nm := 1 + int(width)%128
 		rows := dirtyRows(rand.New(rand.NewSource(seed)), int(n)%1200, nm, int(short))
-		wantDropped, wantRep, wantVals, wantErr := observeWorkers(t, 1, nm, rows)
+		wantDropped, wantRep, wantVals, wantSum, wantErr := observeWorkers(t, 1, nm, rows)
+		for m, col := range wantVals {
+			fresh := quantile.NewExact()
+			fresh.InsertBatch(col)
+			want, err := quantile.Summarize(fresh)
+			if len(col) == 0 {
+				want, err = [3]float64{}, nil // a gap without prev reads zeros
+			}
+			if err != nil || !sameBits(wantSum[m][:], want[:]) {
+				t.Fatalf("serial summary of metric %d is %v, a fresh Exact's %v (%v)", m, wantSum[m], want, err)
+			}
+		}
 		for workers := 2; workers <= 4; workers++ {
-			dropped, rep, vals, err := observeWorkers(t, workers, nm, rows)
+			dropped, rep, vals, sum, err := observeWorkers(t, workers, nm, rows)
 			label := fmt.Sprintf("workers=%d", workers)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, serial %v", label, err, wantErr)
@@ -141,6 +163,9 @@ func FuzzObserveBatchFilteredWorkers(f *testing.F) {
 					return math.Float64bits(a) == math.Float64bits(b)
 				}) {
 					t.Fatalf("%s: metric %d holds %d values, serial %d, or another order", label, m, len(vals[m]), len(wantVals[m]))
+				}
+				if !sameBits(sum[m][:], wantSum[m][:]) {
+					t.Fatalf("%s: metric %d summary %v, serial %v", label, m, sum[m], wantSum[m])
 				}
 			}
 		}

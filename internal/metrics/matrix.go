@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Matrix is a dense row-major sample matrix: one row per machine, one column
 // per metric, backed by a single contiguous []float64. The epoch pipeline
@@ -13,9 +10,9 @@ import (
 // to one allocation (and one cache-friendly stride) per epoch instead of one
 // allocation per machine.
 type Matrix struct {
-	rows, cols int
-	data       []float64
-	views      [][]float64
+	cols  int
+	data  []float64
+	views [][]float64
 }
 
 // NewMatrix allocates a zeroed rows x cols matrix.
@@ -23,25 +20,10 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols <= 0 {
 		panic(fmt.Sprintf("metrics: invalid matrix shape %dx%d", rows, cols))
 	}
-	m := &Matrix{
-		rows: rows,
-		cols: cols,
-		data: make([]float64, rows*cols),
-	}
-	m.views = make([][]float64, rows)
+	m := &Matrix{cols: cols, data: make([]float64, rows*cols), views: make([][]float64, rows)}
 	m.ResetViews()
 	return m
 }
-
-// Rows reports the number of rows (machines).
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols reports the number of columns (metrics) — the row stride.
-func (m *Matrix) Cols() int { return m.cols }
-
-// Data returns the backing storage, laid out row-major. It aliases the
-// matrix; rows*cols long.
-func (m *Matrix) Data() []float64 { return m.data }
 
 // Row returns row i as a slice view into the backing storage.
 func (m *Matrix) Row(i int) []float64 {
@@ -62,43 +44,11 @@ func (m *Matrix) MarkMissing(i int) { m.views[i] = nil }
 // MarkMissing calls from the previous epoch.
 func (m *Matrix) ResetViews() {
 	for i := range m.views {
-		m.views[i] = m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+		m.views[i] = m.Row(i)
 	}
 }
 
 // CopyRow copies src into row i. src must not be longer than a row.
 func (m *Matrix) CopyRow(i int, src []float64) {
 	copy(m.Row(i), src)
-}
-
-// MatrixPool recycles equally-shaped matrices so steady-state epoch loops
-// stop allocating. Matrices of a different shape than requested are dropped
-// on Get rather than resized, so one pool can survive a reconfiguration
-// without handing out wrong-width rows.
-type MatrixPool struct {
-	pool sync.Pool
-}
-
-// Get returns a rows x cols matrix, reusing a pooled one when its shape
-// matches. The contents are unspecified (pooled matrices keep their old
-// values); all row views are reset.
-func (p *MatrixPool) Get(rows, cols int) *Matrix {
-	if v := p.pool.Get(); v != nil {
-		m := v.(*Matrix)
-		if m.rows == rows && m.cols == cols {
-			m.ResetViews()
-			return m
-		}
-		// Wrong shape (config changed): drop it and allocate fresh.
-	}
-	return NewMatrix(rows, cols)
-}
-
-// Put returns a matrix to the pool. The caller must not touch it afterwards
-// — its rows may be handed to another epoch at any time. Put(nil) is a no-op.
-func (p *MatrixPool) Put(m *Matrix) {
-	if m == nil {
-		return
-	}
-	p.pool.Put(m)
 }

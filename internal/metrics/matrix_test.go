@@ -6,8 +6,8 @@ import (
 
 func TestMatrixLayout(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if m.Rows() != 3 || m.Cols() != 4 || len(m.Data()) != 12 {
-		t.Fatalf("shape = %dx%d, data %d", m.Rows(), m.Cols(), len(m.Data()))
+	if len(m.views) != 3 || m.cols != 4 || len(m.data) != 12 {
+		t.Fatalf("shape = %dx%d, data %d", len(m.views), m.cols, len(m.data))
 	}
 	// Row views alias the flat storage.
 	for i := 0; i < 3; i++ {
@@ -19,7 +19,7 @@ func TestMatrixLayout(t *testing.T) {
 			row[j] = float64(i*4 + j)
 		}
 	}
-	for k, v := range m.Data() {
+	for k, v := range m.data {
 		if v != float64(k) {
 			t.Fatalf("data[%d] = %v, want %v (not row-major contiguous)", k, v, k)
 		}
@@ -43,11 +43,11 @@ func TestMatrixViews(t *testing.T) {
 	if views[2] != nil {
 		t.Fatal("MarkMissing did not nil the view")
 	}
-	if views[1] == nil || &views[1][0] != &m.Data()[2] {
+	if views[1] == nil || &views[1][0] != &m.data[2] {
 		t.Fatal("view 1 does not alias backing storage")
 	}
 	m.ResetViews()
-	if views[2] == nil || &views[2][0] != &m.Data()[4] {
+	if views[2] == nil || &views[2][0] != &m.data[4] {
 		t.Fatal("ResetViews did not restore the view")
 	}
 }
@@ -55,27 +55,9 @@ func TestMatrixViews(t *testing.T) {
 func TestMatrixCopyRow(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.CopyRow(1, []float64{7, 8, 9})
-	if d := m.Data(); d[3] != 7 || d[4] != 8 || d[5] != 9 {
+	if d := m.data; d[3] != 7 || d[4] != 8 || d[5] != 9 {
 		t.Fatalf("data = %v", d)
 	}
-}
-
-func TestMatrixPoolReuseAndShapeChange(t *testing.T) {
-	var p MatrixPool
-	a := p.Get(5, 3)
-	a.MarkMissing(0)
-	p.Put(a)
-	b := p.Get(5, 3)
-	// Pool behaviour is best-effort, but views must always come back reset.
-	if b.RowViews()[0] == nil {
-		t.Fatal("pooled matrix handed out with stale nil view")
-	}
-	p.Put(b)
-	c := p.Get(2, 7)
-	if c.Rows() != 2 || c.Cols() != 7 {
-		t.Fatalf("shape-mismatched Get returned %dx%d", c.Rows(), c.Cols())
-	}
-	p.Put(nil) // must not panic
 }
 
 func TestTrackGrowSetEpoch(t *testing.T) {

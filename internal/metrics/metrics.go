@@ -197,14 +197,15 @@ func (t *QuantileTrack) EpochRow(e Epoch) ([]float64, error) {
 // order, so the result is byte-identical for any worker count.
 type Aggregator struct {
 	ests []quantile.Estimator
-	// scratch[w] is filter worker w's working memory, so concurrent workers
-	// never share one; scratch[0] is the serial path's.
+	// scratch[w] is worker w's working memory, so concurrent workers never
+	// share one; scratch[0] is the serial path's.
 	scratch []*stripScratch
 }
 
-// stripScratch is ObserveBatchFiltered's state for one strip of delivered
-// rows: 12 KB, kept off the stack of the fan-out's fresh goroutines. rows
-// keeps the last strip's row views reachable until the next batch.
+// stripScratch is one worker's memory, off the stack of the fan-out's fresh
+// goroutines: ObserveBatchFiltered's state for one strip of delivered rows
+// (12 KB; rows keeps the last strip's row views reachable until the next
+// batch), and the selection scratch its summary lends every estimator.
 type stripScratch struct {
 	rows  [batchStrip][]float64 // the delivered rows being walked
 	at    [batchStrip]int       // their indices in the batch
@@ -213,6 +214,7 @@ type stripScratch struct {
 	// counts[i] is a parallel worker's non-finite cell count of row i over
 	// its column range.
 	counts []int
+	sel    quantile.Scratch
 }
 
 // NewAggregator builds an aggregator with one estimator per metric produced
@@ -233,6 +235,14 @@ func NewAggregator(numMetrics int, newEst func() quantile.Estimator) (*Aggregato
 
 // NumMetrics reports the number of metrics per sample row.
 func (a *Aggregator) NumMetrics() int { return len(a.ests) }
+
+// workerScratch makes sure workers scratches exist and returns them.
+func (a *Aggregator) workerScratch(workers int) []*stripScratch {
+	for len(a.scratch) < workers {
+		a.scratch = append(a.scratch, new(stripScratch))
+	}
+	return a.scratch[:workers]
+}
 
 // forEachMetric calls fn(w, lo, hi) for each of workers (1 ≤ workers ≤
 // NumMetrics) contiguous ranges [lo, hi) of the metric columns, range 0 on

@@ -186,7 +186,7 @@ func TestAggregatorExact(t *testing.T) {
 		}
 	}
 	s := make([][3]float64, 2)
-	if gaps, err := a.SummarizeInto(s, nil); err != nil || gaps != 0 {
+	if gaps, err := a.SummarizeInto(1, s, nil); err != nil || gaps != 0 {
 		t.Fatalf("SummarizeInto: gaps %d, err %v", gaps, err)
 	}
 	if s[0][1] != 2 { // median of 0..4
@@ -196,7 +196,7 @@ func TestAggregatorExact(t *testing.T) {
 		t.Fatalf("median metric1 = %v", s[1][1])
 	}
 	// After SummarizeInto the estimators are reset: every metric is a gap.
-	if gaps, err := a.SummarizeInto(s, nil); err != nil || gaps != 2 {
+	if gaps, err := a.SummarizeInto(1, s, nil); err != nil || gaps != 2 {
 		t.Fatalf("SummarizeInto on reset aggregator: gaps %d, err %v; want 2 gaps", gaps, err)
 	}
 }
@@ -212,10 +212,10 @@ func TestAggregatorValidation(t *testing.T) {
 	if _, err := a.ObserveBatchFiltered(0, [][]float64{{1}}, nil); err == nil {
 		t.Fatal("want row-length error")
 	}
-	if _, err := a.SummarizeInto(make([][3]float64, 1), nil); err == nil {
+	if _, err := a.SummarizeInto(1, make([][3]float64, 1), nil); err == nil {
 		t.Fatal("want summary-buffer length error")
 	}
-	if _, err := a.SummarizeInto(make([][3]float64, 2), make([][3]float64, 1)); err == nil {
+	if _, err := a.SummarizeInto(1, make([][3]float64, 2), make([][3]float64, 1)); err == nil {
 		t.Fatal("want fallback length error")
 	}
 }

@@ -25,8 +25,9 @@ type Ingestor struct {
 	cfg IngestConfig
 	mon *Monitor
 
-	next metrics.Epoch                 // next source epoch the monitor expects
-	buf  map[metrics.Epoch][][]float64 // early epochs awaiting predecessors
+	next metrics.Epoch               // next source epoch the monitor expects
+	buf  map[metrics.Epoch]*heldRows // early epochs awaiting predecessors
+	free []*heldRows                 // drained early epochs' storage, for the next one
 
 	duplicates *telemetry.Counter
 	reordered  *telemetry.Counter
@@ -63,7 +64,7 @@ func NewIngestor(m *Monitor, cfg IngestConfig) (*Ingestor, error) {
 	return &Ingestor{
 		cfg: cfg,
 		mon: m,
-		buf: make(map[metrics.Epoch][][]float64),
+		buf: make(map[metrics.Epoch]*heldRows),
 		duplicates: r.Counter("dcfp_ingest_epochs_duplicate_total",
 			"Epochs dropped because their sequence number was already observed or buffered."),
 		reordered: r.Counter("dcfp_ingest_epochs_reordered_total",
@@ -76,7 +77,8 @@ func NewIngestor(m *Monitor, cfg IngestConfig) (*Ingestor, error) {
 // Ingest feeds one source epoch. It returns the epoch reports produced —
 // empty when the epoch was dropped (duplicate) or buffered (early), one
 // report for the common in-order case, and several when this epoch
-// unblocked buffered successors. Buffered rows are deep-copied, so callers
+// unblocked buffered successors. Buffered rows are deep-copied, into the
+// storage of an early epoch already drained when there is one, so callers
 // may reuse their row slices between calls (dcsim.Stream does).
 func (in *Ingestor) Ingest(e metrics.Epoch, samples [][]float64) ([]*EpochReport, error) {
 	if e < 0 {
@@ -91,20 +93,31 @@ func (in *Ingestor) Ingest(e metrics.Epoch, samples [][]float64) ([]*EpochReport
 		return nil, nil
 	}
 
+	var reports []*EpochReport
 	if e > in.next {
-		in.buf[e] = copyRows(samples)
+		h := new(heldRows)
+		if n := len(in.free); n > 0 {
+			h, in.free = in.free[n-1], in.free[:n-1]
+		}
+		h.fill(samples)
+		in.buf[e] = h
 		in.reordered.Inc()
 	} else {
-		in.buf[e] = samples // observed before Ingest returns
+		rep, err := in.mon.ObserveEpoch(samples)
+		if err != nil {
+			return nil, err
+		}
+		in.next++
+		reports = append(reports, rep)
 	}
 
 	// Drain: observe consecutive buffered epochs, and once the buffered
 	// span exceeds the window give up on the missing predecessors.
-	var reports []*EpochReport
 	for len(in.buf) > 0 {
-		if rows, ok := in.buf[in.next]; ok {
+		if h, ok := in.buf[in.next]; ok {
 			delete(in.buf, in.next)
-			rep, err := in.mon.ObserveEpoch(rows)
+			rep, err := in.mon.ObserveEpoch(h.rows)
+			in.free = append(in.free, h)
 			if err != nil {
 				return reports, err
 			}
@@ -152,8 +165,8 @@ type IngestorState struct {
 // sorted by epoch for determinism).
 func (in *Ingestor) State() IngestorState {
 	st := IngestorState{Next: in.next}
-	for e, rows := range in.buf {
-		st.Buffered = append(st.Buffered, BufferedEpoch{Epoch: e, Rows: copyRows(rows)})
+	for e, h := range in.buf {
+		st.Buffered = append(st.Buffered, BufferedEpoch{Epoch: e, Rows: new(heldRows).fill(h.rows)})
 	}
 	sort.Slice(st.Buffered, func(i, j int) bool { return st.Buffered[i].Epoch < st.Buffered[j].Epoch })
 	return st
@@ -164,7 +177,7 @@ func (in *Ingestor) SetState(st IngestorState) error {
 	if st.Next < 0 {
 		return fmt.Errorf("monitor: ingestor state next epoch %d negative", st.Next)
 	}
-	buf := make(map[metrics.Epoch][][]float64, len(st.Buffered))
+	buf := make(map[metrics.Epoch]*heldRows, len(st.Buffered))
 	for _, b := range st.Buffered {
 		if b.Epoch <= st.Next {
 			return fmt.Errorf("monitor: buffered epoch %d not ahead of next %d", b.Epoch, st.Next)
@@ -172,19 +185,36 @@ func (in *Ingestor) SetState(st IngestorState) error {
 		if _, dup := buf[b.Epoch]; dup {
 			return fmt.Errorf("monitor: buffered epoch %d duplicated in state", b.Epoch)
 		}
-		buf[b.Epoch] = copyRows(b.Rows)
+		buf[b.Epoch] = new(heldRows)
+		buf[b.Epoch].fill(b.Rows)
 	}
 	in.next = st.Next
 	in.buf = buf
 	return nil
 }
 
-func copyRows(rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		if r != nil {
-			out[i] = append([]float64(nil), r...)
-		}
+// heldRows is an early epoch's rows copied into storage of its own: one
+// slab, and a row view into it per delivered row (nil for a missing or empty
+// one).
+type heldRows struct {
+	rows [][]float64
+	data []float64
+}
+
+// fill copies rows into h, reusing h's storage, and returns the copy.
+func (h *heldRows) fill(rows [][]float64) [][]float64 {
+	h.data, h.rows = h.data[:0], h.rows[:0]
+	for _, r := range rows {
+		h.data = append(h.data, r...)
 	}
-	return out
+	off := 0
+	for _, r := range rows {
+		var v []float64
+		if len(r) > 0 {
+			v = h.data[off : off+len(r) : off+len(r)]
+		}
+		h.rows = append(h.rows, v)
+		off += len(r)
+	}
+	return h.rows
 }

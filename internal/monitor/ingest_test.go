@@ -153,6 +153,36 @@ func TestIngestorBufferIsolatedFromCallerReuse(t *testing.T) {
 	}
 }
 
+// TestIngestorReusesDrainedStorage: an early epoch is copied into the
+// storage of one already drained, so steady reordering allocates less than
+// once per buffered row (a copy per row used to cost one allocation each).
+func TestIngestorReusesDrainedStorage(t *testing.T) {
+	const machines = 64
+	in, err := NewIngestor(ingestMonitor(t), DefaultIngestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, next := make([][]float64, machines), make([][]float64, machines)
+	for i := range early {
+		early[i] = []float64{float64(i), 10, 10, 10, 10, 10}
+		next[i] = []float64{float64(i) + 0.5, 10, 10, 10, 10, 10}
+	}
+	e := metrics.Epoch(0)
+	pair := func() {
+		if _, err := in.Ingest(e+1, early); err != nil {
+			t.Fatal(err)
+		}
+		if reps, err := in.Ingest(e, next); err != nil || len(reps) != 2 {
+			t.Fatalf("epoch %d: %d reports, err %v; want the straggler and the buffered epoch", e, len(reps), err)
+		}
+		e += 2
+	}
+	pair()
+	if avg := testing.AllocsPerRun(50, pair); avg >= machines {
+		t.Errorf("a buffered epoch of %d rows and its straggler allocate %.0f objects, want fewer than one per row", machines, avg)
+	}
+}
+
 func TestIngestorStateRoundTrip(t *testing.T) {
 	in, err := NewIngestor(ingestMonitor(t), DefaultIngestConfig())
 	if err != nil {

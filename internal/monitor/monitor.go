@@ -118,9 +118,9 @@ type Monitor struct {
 
 	// Degraded-ingestion state: the previous epoch's quantile summary (the
 	// carry-forward source for metrics nobody reported; the track's last
-	// row) and the count of degraded flags.
-	lastSummary   [][3]float64
-	degradedCount int64
+	// row), which swaps with spareSummary, and the count of degraded flags.
+	lastSummary, spareSummary [][3]float64
+	degradedCount             int64
 
 	// cur is the epoch being ingested: its samples are written here by the
 	// filter kernel (in process) or the column pass (fleet merge), and an
@@ -398,6 +398,16 @@ func (m *Monitor) Stats() Stats {
 		s.ActiveCrisisStart = p.State.Start
 	}
 	return s
+}
+
+// ActiveCrisisID is the open crisis's ID, "" when none: Stats' field
+// without its walk over every crisis record. Same single-goroutine contract
+// as Stats.
+func (m *Monitor) ActiveCrisisID() string {
+	if p := m.st.Active(); p != nil {
+		return p.ID()
+	}
+	return ""
 }
 
 // CrisisRecord summarizes one tracked crisis for dashboards (the /crises

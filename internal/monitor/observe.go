@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"dcfp/internal/ident"
@@ -93,7 +94,8 @@ func (m *Monitor) observe(tr *telemetry.Trace, machines int, rows [][]float64, p
 	}
 
 	sp = tr.StartSpan("summarize")
-	summary, gaps, err := m.agg.SummarizeLenientParallel(workers, m.lastSummary)
+	summary := slices.Grow(m.spareSummary[:0], m.cfg.Catalog.Len())[:m.cfg.Catalog.Len()]
+	gaps, err := m.agg.SummarizeInto(workers, summary, m.lastSummary)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +193,8 @@ func (m *Monitor) step(tr *telemetry.Trace, t0 time.Time, summary [][3]float64, 
 	if err != nil {
 		return nil, err
 	}
-	m.lastSummary, m.st.LastCoverage = summary, coverage
+	m.lastSummary, m.spareSummary = summary, m.lastSummary
+	m.st.LastCoverage = coverage
 	if degraded {
 		m.degradedCount++
 	}

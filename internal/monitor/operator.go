@@ -62,7 +62,7 @@ func (op *Operator) Observe(rep *EpochReport, truth string) ([]Resolution, error
 	}
 	st := &op.st
 	if rep.CrisisActive {
-		st.LastID = op.mon.Stats().ActiveCrisisID
+		st.LastID = op.mon.ActiveCrisisID()
 		if truth != "" {
 			if st.Truth == nil {
 				st.Truth = make(map[string]string)

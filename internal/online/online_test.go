@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -325,6 +326,54 @@ func TestStepAdvisesDuringFirstEpochs(t *testing.T) {
 		}
 		if adv == nil || adv.IdentEpoch != k || adv.Candidates != 2 || res.Hits+res.Misses != 2 {
 			t.Fatalf("identification epoch %d: advice %+v, memo %d hits %d misses", k, adv, res.Hits, res.Misses)
+		}
+	}
+}
+
+// TestRetainedFinishSanitizes: every non-finite cell of the retained epoch
+// (NaN and ±Inf, the last slot and a delivered row of nothing but NaN
+// included) becomes its column's median, and no finite cell changes.
+func TestRetainedFinishSanitizes(t *testing.T) {
+	const n, width = 6, 4
+	var r Retained
+	r.Reset(n, width)
+	for i := range r.X {
+		r.X[i] = float64(i) + 0.5
+	}
+	live := r.Live()
+	for i := range live {
+		live[i] = true
+	}
+	bad := map[[2]int]float64{ // {metric, slot}
+		{0, 1}: math.NaN(), {1, n - 1}: math.Inf(1), {2, 0}: math.Inf(-1),
+		{3, 2}: math.NaN(), {3, n - 1}: math.Inf(-1), {1, 4}: math.NaN(),
+	}
+	const dark = 3 // delivered every metric as NaN
+	live[dark] = false
+	for j := 0; j < width; j++ {
+		bad[[2]int{j, dark}] = math.NaN()
+	}
+	nonFinite := r.NonFinite()
+	for c, v := range bad {
+		r.X[c[0]*n+c[1]] = v
+		nonFinite[c[0]]++
+	}
+	want := slices.Clone(r.X)
+	summary := make([][3]float64, width)
+	for j := range summary {
+		summary[j] = [3]float64{-1, 100 + float64(j), -2}
+		for c := range bad {
+			if c[0] == j {
+				want[j*n+c[1]] = summary[j][1]
+			}
+		}
+	}
+	if got := r.Finish(summary); got != n-1 {
+		t.Fatalf("Finish reports %d slots, want %d", got, n-1)
+	}
+	for i, v := range r.X {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Errorf("metric %d slot %d is %v, want %v", i/n, i%n, v, want[i])
 		}
 	}
 }

@@ -52,7 +52,8 @@ func (s *Retained) NonFinite() []int { return s.nonFinite }
 // Finish completes an ingested epoch and returns how many slots reported. It
 // substitutes the epoch's cross-machine median for every non-finite cell, in
 // the columns ingestion counted any in, so standardization in feature
-// selection never sees NaN/Inf.
+// selection never sees NaN/Inf. A column's walk stops at its last counted
+// cell; the test is the filter's (all 11 exponent bits set).
 func (s *Retained) Finish(summary [][3]float64) int {
 	s.reporting = 0
 	for _, l := range s.live {
@@ -65,9 +66,10 @@ func (s *Retained) Finish(summary [][3]float64) int {
 			continue
 		}
 		col := s.col(j)
-		for i, v := range col {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		for i := 0; bad > 0 && i < len(col); i++ {
+			if math.Float64bits(col[i])<<1 >= 0x7ff<<53 {
 				col[i] = summary[j][1]
+				bad--
 			}
 		}
 	}

@@ -78,12 +78,16 @@ type Exact struct {
 	// the NaN observations, which send a query to the sort.
 	or, orNot uint64
 	nans      int
-	// Scratch retained so a reused estimator queries without allocating:
-	// selection's two gather targets, and the floats Values and RawValues
-	// decode into.
-	tmp, spare []uint64
-	vals       []float64
+	// sel is the selection scratch of a query not lent one (SummarizeWith);
+	// vals is what Values and RawValues decode into.
+	sel  Scratch
+	vals []float64
 }
+
+// Scratch is a selection's working memory, two gather targets one key longer
+// than the column, whose contents never reach a result. One lent to many
+// estimators grows with the largest column, not with their number.
+type Scratch struct{ dst, spare []uint64 }
 
 // selectSmall is the key count from which selectKeys sorts what is left.
 const selectSmall = 48
@@ -94,17 +98,16 @@ const maxRanks = 6
 // selectStats writes the ranks[i]-th smallest observation (0-based) into
 // out[i] by rank selection over the stored keys. It reports false when the
 // caller must sort instead: a NaN among the observations, or ranks not ascending.
-func (e *Exact) selectStats(ranks []int, out []float64) bool {
+func (e *Exact) selectStats(ranks []int, out []float64, sc *Scratch) bool {
 	if e.nans > 0 || !sort.IntsAreSorted(ranks) {
 		return false
 	}
-	n := len(e.keys)
-	if len(e.tmp) <= n {
-		e.tmp = make([]uint64, n+1)
-		e.spare = make([]uint64, n+1)
+	if n := len(e.keys); len(sc.dst) <= n {
+		sc.dst = make([]uint64, n+1)
+		sc.spare = make([]uint64, n+1)
 	}
 	var sel [maxRanks]uint64
-	selectKeys(e.keys, e.tmp, e.spare, e.or&e.orNot, 0, ranks, sel[:len(ranks)])
+	selectKeys(e.keys, sc.dst, sc.spare, e.or&e.orNot, 0, ranks, sel[:len(ranks)])
 	for i := range ranks {
 		out[i] = orderedToFloat(sel[i])
 	}
@@ -292,7 +295,7 @@ func (e *Exact) InsertFiniteColumn(col, dst []float64) int {
 // Query returns the exact q-th quantile.
 func (e *Exact) Query(q float64) (float64, error) {
 	var out [1]float64
-	err := e.query([]float64{q}, out[:])
+	err := e.query([]float64{q}, out[:], &e.sel)
 	return out[0], err
 }
 
@@ -302,11 +305,11 @@ func (e *Exact) QueryInto(qs, out []float64) error {
 	if len(qs) > maxRanks/2 || len(out) < len(qs) {
 		return fmt.Errorf("quantile: %d quantiles into %d slots, want at most %d", len(qs), len(out), maxRanks/2)
 	}
-	return e.query(qs, out)
+	return e.query(qs, out, &e.sel)
 }
 
-// query answers up to maxRanks/2 quantiles with one selection.
-func (e *Exact) query(qs, out []float64) error {
+// query answers up to maxRanks/2 quantiles with one selection in sc.
+func (e *Exact) query(qs, out []float64, sc *Scratch) error {
 	n := len(e.keys)
 	if n == 0 {
 		return ErrNoData
@@ -322,7 +325,7 @@ func (e *Exact) query(qs, out []float64) error {
 		ranks[2*i] = int(math.Floor(r))
 		ranks[2*i+1] = int(math.Ceil(r))
 	}
-	if !e.selectStats(ranks, stats) {
+	if !e.selectStats(ranks, stats, sc) {
 		sorted := e.Values()
 		for i, r := range ranks {
 			stats[i] = sorted[r]
@@ -372,12 +375,21 @@ func (e *Exact) RawValues() []float64 {
 }
 
 // Summarize inserts nothing and reads the TrackedQuantiles (25/50/95) out of
-// est in order. It is the one-line helper the metric store uses per epoch;
-// an Exact answers all three from one selection.
-func Summarize(est Estimator) ([3]float64, error) {
+// est in order; an Exact answers all three from one selection, in its own
+// scratch.
+func Summarize(est Estimator) ([3]float64, error) { return SummarizeWith(est, nil) }
+
+// SummarizeWith is Summarize with the selection in sc, which the caller
+// lends and must not share with a concurrent query; nil means the
+// estimator's own. It is the metric store's per-epoch read: one scratch per
+// summarizing goroutine serves every metric.
+func SummarizeWith(est Estimator, sc *Scratch) ([3]float64, error) {
 	var out [3]float64
 	if e, ok := est.(*Exact); ok {
-		err := e.query(TrackedQuantiles, out[:])
+		if sc == nil {
+			sc = &e.sel
+		}
+		err := e.query(TrackedQuantiles, out[:], sc)
 		return out, err
 	}
 	for i, q := range TrackedQuantiles {

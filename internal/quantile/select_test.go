@@ -36,8 +36,13 @@ func oracleQuery(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// lentScratch is the selection scratch checkAgainstOracle lends every
+// estimator it checks, as an aggregator's worker lends one to its columns.
+var lentScratch Scratch
+
 // checkAgainstOracle queries e every way the package offers and requires
-// the oracle's bits: Query before Summarize, Summarize, Query after.
+// the oracle's bits: Query before Summarize, Summarize, SummarizeWith,
+// Query after.
 func checkAgainstOracle(t *testing.T, name string, e *Exact, vs []float64, rng *rand.Rand) {
 	t.Helper()
 	sorted, zeroSignFree := sortedOracle(vs)
@@ -70,6 +75,17 @@ func checkAgainstOracle(t *testing.T, name string, e *Exact, vs []float64, rng *
 		if want := oracleQuery(sorted, q); differ(got[i], want) {
 			t.Fatalf("%s: Summarize[%v] = %v (%#x), sort says %v (%#x)", name, q,
 				got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+	// A lent scratch, sized and left dirty by every column checked before
+	// this one, gives the same bits as the estimator's own.
+	lent, err := SummarizeWith(e, &lentScratch)
+	if err != nil {
+		t.Fatalf("%s: SummarizeWith: %v", name, err)
+	}
+	for i := range lent {
+		if math.Float64bits(lent[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: SummarizeWith[%v] = %v with a lent scratch, %v with its own", name, TrackedQuantiles[i], lent[i], got[i])
 		}
 	}
 	for _, q := range append(qs, TrackedQuantiles...) {
@@ -231,7 +247,7 @@ func TestQueryDescendingQuantiles(t *testing.T) {
 	sorted, _ := sortedOracle(vs)
 	qs := []float64{0.95, 0.5, 0.25}
 	var got [3]float64
-	if err := e.query(qs, got[:]); err != nil {
+	if err := e.QueryInto(qs, got[:]); err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range qs {

@@ -219,7 +219,7 @@ func Run(sc *Scenario) (*Result, error) {
 				// before the operator's resolution scores it.
 				activeID := ""
 				if rep.CrisisActive {
-					activeID = opF.mon.Stats().ActiveCrisisID
+					activeID = opF.mon.ActiveCrisisID()
 				}
 				inc.Observe(rep, activeID)
 				opF.observe(rep, act)
